@@ -1,18 +1,14 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"sync"
-	"time"
 
-	"cqp"
 	"cqp/internal/exec"
 	"cqp/internal/obs"
-	"cqp/internal/resilience"
 )
 
 // batchRequest is the body of POST /personalize/batch: a list of
@@ -63,59 +59,23 @@ type batchResponse struct {
 	PhysicalScans int64 `json:"physical_scans,omitempty"`
 }
 
-// batchUnit is one parsed, pipeline-distinct batch item.
-type batchUnit struct {
-	idx       int
-	q         *cqp.Query
-	prob      cqp.Problem
-	prof      *cqp.Profile
-	version   uint64
-	cacheable bool
-	// stale marks a profile resolved from a failover replica; the item's
-	// answer is marked stale_replica and never cached.
-	stale bool
-}
-
-// itemError builds the per-item error envelope for a status code.
-func itemError(code int, err error) *errorBody {
-	class := classFor(code)
-	if errors.Is(err, resilience.ErrExhausted) {
-		class = "degraded_unavailable"
+// batchIdentity is the dedup key of one prepared item: items with equal
+// identities would run the exact same pipeline, so one run answers all. A
+// cacheable item's exact cache key is that already; an uncacheable one is
+// named by the same parts plus no_cache itself — an item that demanded a
+// fresh run must not be answered by one that may come from cache.
+func batchIdentity(c *call) string {
+	if c.key != "" {
+		return c.key
 	}
-	return &errorBody{Class: class, Message: err.Error()}
-}
-
-// admitStatus maps an admission error onto a status code — the non-HTTP
-// sibling of Server.admit, for per-item batch errors.
-func admitStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrSaturated):
-		return http.StatusTooManyRequests
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusServiceUnavailable
-	}
-}
-
-// batchIdentity is the dedup key of one item: query fingerprint, profile
-// identity (stored id@version, or a hash of the inline text), problem, and
-// every solver knob. Two items with equal identities would run the exact
-// same pipeline, so one run answers both. NoCache is part of the identity:
-// an item that demanded a fresh run must not be answered by one that may
-// come from cache. Execute mode (and its row limit) is part of the
-// identity too — a personalize-only run cannot answer an executed item.
-func batchIdentity(q *cqp.Query, item personalizeRequest, version uint64, prob cqp.Problem, execute bool, limit int) string {
-	prof := item.ProfileID
+	in := c.req.base()
+	prof := in.ProfileID
 	if prof == "" {
 		h := fnv.New64a()
-		h.Write([]byte(item.Profile))
+		h.Write([]byte(in.Profile))
 		prof = fmt.Sprintf("inline:%016x", h.Sum64())
 	}
-	return fmt.Sprintf("%s|%s@%d|%s|a=%s k=%d b=%d any=%v merge=%v nc=%v exec=%v lim=%d",
-		q.Fingerprint(), prof, version, prob,
-		item.Algorithm, item.K, item.Budget, item.AnyMatch, item.Merge, item.NoCache,
-		execute, limit)
+	return fmt.Sprintf("%s|%s@%d|%s|nc=%v", c.q.Fingerprint(), prof, c.version, c.req.extra(), in.NoCache)
 }
 
 // rungSeverity orders degradation rungs for the batch's worst-rung
@@ -140,19 +100,23 @@ func rungSeverity(rung string) int {
 	}
 }
 
+// roleOrder ranks cache/coalesce roles by the work they stand for, for the
+// batch's role aggregate: a batch is a "hit" only when every unit was.
+var roleOrder = []string{"", "hit", "follower", "leader", "solo"}
+
 // handleBatch serves POST /personalize/batch — the list-page shape: many
-// personalizations in one request. Items are deduplicated by identity
-// (query + profile + problem + options), distinct items run concurrently
-// through the same admission pool, cache, coalescing and degradation
-// machinery as /personalize, and results come back in item order with
-// per-item errors: one malformed or infeasible item fails alone. With
-// "execute": true every item also runs its personalized query, all items
-// sharing one physical scan per base relation.
+// personalizations in one request — as the pipeline driver's list face.
+// Every item is prepared like a /personalize (with "execute": true, an
+// /execute) body, items are deduplicated by identity, and the distinct ones
+// run concurrently through the same lookup and run as a singleton request,
+// under the batch's one deadline and trace. Results come back in item order
+// with per-item errors: one malformed or infeasible item fails alone.
+// Executed items share one physical scan per base relation.
 //
-// Degradation attribution is aggregated per batch: each unit reports its
-// rung, the batch's flight record gets the worst one (concurrent units
-// used to each SetRung on the one shared request record, leaving an
-// arbitrary last writer), and the response carries per-rung counts.
+// The flight record is written once, after every unit finished: the worst
+// rung and the costliest role of the batch (concurrent units writing the
+// shared record left an arbitrary last writer). The response carries the
+// per-rung counts.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
@@ -170,92 +134,83 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := obs.RequestFromContext(r.Context())
 	lp := startLaps(rec)
-	ctx, cancel, tr := s.requestContext(r, req.TimeoutMS, "batch")
+	ctx, cancel, tr := s.requestContext(r.Context(), req.TimeoutMS, "batch")
 	defer cancel()
-	limit := req.Limit
-	if limit <= 0 {
-		limit = s.cfg.MaxRows
-	}
+	ep := personalizeEndpoint
 	var share *exec.ScanShare
-	if req.Execute && !s.cfg.NoScanShare {
-		share = exec.NewScanShare(0)
-		ctx = exec.WithScanShare(ctx, share)
+	if req.Execute {
+		ep = executeEndpoint
+		if !s.cfg.NoScanShare {
+			share = exec.NewScanShare(0)
+			ctx = exec.WithScanShare(ctx, share)
+		}
 	}
 
-	results := make([]batchItemJSON, len(req.Items))
-	rungs := make([]string, len(req.Items))
-	leaderOf := make(map[string]int, len(req.Items))
-	followers := make(map[int][]int)
-	var units []batchUnit
-	for i, item := range req.Items {
-		q, err := cqp.ParseQuery(s.db.Schema(), item.SQL)
-		if err != nil {
-			results[i].Error = itemError(http.StatusBadRequest, err)
+	answers := make([]answer, len(req.Items))
+	units := make([]*call, len(req.Items))           // the pipeline-distinct items; nil elsewhere
+	leaderOf := make(map[string]int, len(req.Items)) // identity → the first item with it
+	dupOf := make(map[int]int)                       // duplicate item → the item that answers it
+	for i := range req.Items {
+		item := &req.Items[i]
+		item.execute, item.Limit = req.Execute, req.Limit
+		c := &call{ep: ep, req: item}
+		if err := s.prepare(r.Context(), c); err != nil {
+			answers[i] = answer{err: err}
 			continue
 		}
-		prob, err := item.Problem.build()
-		if err != nil {
-			results[i].Error = itemError(http.StatusBadRequest, err)
-			continue
-		}
-		prof, version, cacheable, stale, code, err := s.resolveProfile(r, item.ProfileID, item.Profile)
-		if err != nil {
-			results[i].Error = itemError(code, err)
-			continue
-		}
-		id := batchIdentity(q, item, version, prob, req.Execute, limit)
+		id := batchIdentity(c)
 		if li, ok := leaderOf[id]; ok {
-			followers[li] = append(followers[li], i)
-			continue
+			dupOf[i] = li
+		} else {
+			leaderOf[id], units[i] = i, c
 		}
-		leaderOf[id] = i
-		units = append(units, batchUnit{
-			idx: i, q: q, prob: prob, prof: prof, version: version,
-			cacheable: cacheable, stale: stale,
-		})
 	}
 	lp.lap(obs.PhaseParse)
 
 	var wg sync.WaitGroup
-	for _, u := range units {
+	for i, c := range units {
+		if c == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(u batchUnit) {
+		go func() {
 			defer wg.Done()
-			results[u.idx], rungs[u.idx] = s.personalizeUnit(ctx, u, req.Items[u.idx], req.Execute, limit)
-		}(u)
+			var hit bool
+			if answers[i], hit = s.lookup(c); !hit {
+				answers[i] = s.run(ctx, c)
+			}
+		}()
 	}
 	wg.Wait()
 
-	duplicates := 0
-	for li, dups := range followers {
-		for _, i := range dups {
-			results[i] = results[li]
-			results[i].Duplicate = true
-			rungs[i] = rungs[li]
-			duplicates++
-		}
+	resp := batchResponse{
+		Results:  make([]batchItemJSON, len(answers)),
+		Distinct: len(leaderOf), Duplicates: len(dupOf),
 	}
-	worst := ""
-	var counts map[string]int
-	for _, rung := range rungs {
-		if rung == "" {
+	role, worst := "", ""
+	for i, a := range answers {
+		li, dup := dupOf[i]
+		if dup {
+			a = answers[li]
+		}
+		resp.Results[i] = itemFrom(a)
+		resp.Results[i].Duplicate = dup
+		if slices.Index(roleOrder, a.role) > slices.Index(roleOrder, role) {
+			role = a.role
+		}
+		if a.rung == "" {
 			continue
 		}
-		if counts == nil {
-			counts = make(map[string]int)
+		if resp.DegradedCounts == nil {
+			resp.DegradedCounts = make(map[string]int)
 		}
-		counts[rung]++
-		if rungSeverity(rung) > rungSeverity(worst) {
-			worst = rung
+		resp.DegradedCounts[a.rung]++
+		if rungSeverity(a.rung) > rungSeverity(worst) {
+			worst = a.rung
 		}
 	}
-	// One deterministic write after every unit finished: the record shows
-	// the batch's worst rung, whatever order the units' ladders ran in.
+	rec.SetRole(role)
 	rec.SetRung(worst)
-	resp := batchResponse{
-		Results: results, Distinct: len(units), Duplicates: duplicates,
-		DegradedCounts: counts,
-	}
 	if share != nil {
 		resp.PhysicalScans, resp.SharedScans = share.Stats()
 		s.reg.Counter("server_batch_physical_scans_total").Add(resp.PhysicalScans)
@@ -265,128 +220,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// personalizeUnit runs one batch item through the /personalize machinery
-// (or /execute machinery in execute mode): warm cache path, then the
-// coalesced, admission-controlled, ladder-backed pipeline. Identical
-// concurrent work — inside this batch or from any other request — shares
-// one run via the flight table; executed units share the endpoint's result
-// cache with singleton /execute requests. The second return is the item's
-// degradation rung for the batch-level aggregate; the unit itself never
-// writes the shared request record.
-func (s *Server) personalizeUnit(ctx context.Context, u batchUnit, item personalizeRequest, execute bool, limit int) (batchItemJSON, string) {
-	endpoint := "personalize"
-	if execute {
-		endpoint = "execute"
+// itemFrom is the batch's per-item sink: it shapes one answer — already the
+// item's own copy — into the item envelope.
+func itemFrom(a answer) batchItemJSON {
+	if a.err != nil {
+		_, class := errorStatus(a.err, http.StatusBadRequest)
+		return batchItemJSON{Error: &errorBody{Class: class, Message: a.err.Error()}}
 	}
-	key, staleKey := "", ""
-	if u.cacheable && !item.NoCache {
-		extra := fmt.Sprintf("%s|a=%s k=%d b=%d any=%v merge=%v",
-			u.prob, item.Algorithm, item.K, item.Budget, item.AnyMatch, item.Merge)
-		if execute {
-			extra += fmt.Sprintf(" lim=%d", limit)
-		}
-		key = s.cacheKey(endpoint, u.q, item.ProfileID, u.version, extra)
-		staleKey = s.staleKey(endpoint, u.q, item.ProfileID, extra)
-		if v, ok := s.cacheGet(key); ok {
-			out := itemFromOutcome(v, execute)
-			out.Cached = true
-			return out, ""
-		}
-	}
-	build := func(prob cqp.Problem, alg string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
-			res, err := s.p.PersonalizeContext(ctx, u.q, u.prof, prob,
-				buildOpts(alg, item.K, item.Budget, item.AnyMatch, item.Merge)...)
-			if err != nil {
-				return nil, err
-			}
-			if !execute {
-				return personalizeResponseFrom(res, item.ProfileID, u.version), nil
-			}
-			rows, err := res.ExecuteContext(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return executeResponseFrom(res, rows, item.ProfileID, u.version, limit), nil
-		}
-	}
-	rungs := []resilience.Step{s.step("heuristic", build(u.prob, "D_HeurDoi"))}
-	if tp, ok := tightenedProblem(u.prob, s.cfg.TightenFactor); ok {
-		rungs = append(rungs, s.step("tight-cmax", build(tp, "D_HeurDoi")))
-	}
-	o, leader := s.runPipeline(ctx, endpoint, key, staleKey, build(u.prob, item.Algorithm), rungs...)
-	if o.admitErr != nil {
-		if v, ok := s.cache.GetStale(staleKey); ok {
-			s.reg.Counter("server_degraded_total", "endpoint", endpoint, "rung", "stale").Inc()
-			out := itemFromOutcome(markStale(v), execute)
-			return out, "stale"
-		}
-		return batchItemJSON{Error: itemError(admitStatus(o.admitErr), o.admitErr)}, ""
-	}
-	if o.perr != nil {
-		rung := ""
-		if errors.Is(o.perr, resilience.ErrExhausted) {
-			rung = "unavailable"
-		}
-		return batchItemJSON{Error: itemError(pipelineStatus(o.perr), o.perr)}, rung
-	}
-	if o.out == nil {
-		return batchItemJSON{Error: itemError(http.StatusGatewayTimeout, errDeadlineSkipped)}, ""
-	}
-	out := itemFromOutcome(o.out, execute)
-	out.Degraded = o.degraded
-	if u.stale && out.Degraded == "" {
-		out.Degraded = degradedStaleReplica
-	}
-	if leader && o.degraded == "" {
-		s.cachePut(key, staleKey, item.ProfileID, o.out)
-	} else if o.degraded == "stale" {
-		out.Cached = true
-	}
-	return out, out.Degraded
-}
-
-// executeResponseFrom assembles the /execute response shape from a
-// personalization and its executed rows, truncated to limit — shared by
-// handleExecute's build closure and execute-mode batch units so the two
-// paths can never drift (they share cache entries).
-func executeResponseFrom(res *cqp.Result, rows *exec.UnionResult, profileID string, version uint64, limit int) *executeResponse {
-	er := &executeResponse{
-		personalizeResponse: *personalizeResponseFrom(res, profileID, version),
-		TotalRows:           len(rows.Rows),
-		BlockReads:          rows.BlockReads,
-		ExecMS:              float64(rows.Elapsed) / float64(time.Millisecond),
-	}
-	for i, rr := range rows.Rows {
-		if i >= limit {
-			break
-		}
-		vals := make([]string, len(rr.Key))
-		for j, v := range rr.Key {
-			vals[j] = v.String()
-		}
-		er.Rows = append(er.Rows, rowJSON{Values: vals, Doi: rr.Doi, Matched: len(rr.Matched)})
-	}
-	er.RowCount = len(er.Rows)
-	return er
-}
-
-// itemFromOutcome shapes one unit's pipeline outcome (a cached or fresh
-// *personalizeResponse / *executeResponse, or a markStale copy of either)
-// into the batch item envelope, copying the embedded response so the
-// shared cached value is never aliased by a per-item mutation.
-func itemFromOutcome(v any, execute bool) batchItemJSON {
-	if execute {
-		var er executeResponse
-		switch t := v.(type) {
-		case *executeResponse:
-			er = *t
-		case executeResponse:
-			er = t
-		}
-		pr := er.personalizeResponse
+	if er, ok := a.resp.(*executeResponse); ok {
 		return batchItemJSON{
-			personalizeResponse: &pr,
+			personalizeResponse: &er.personalizeResponse,
 			Rows:                er.Rows,
 			RowCount:            er.RowCount,
 			TotalRows:           er.TotalRows,
@@ -394,12 +237,5 @@ func itemFromOutcome(v any, execute bool) batchItemJSON {
 			ExecMS:              er.ExecMS,
 		}
 	}
-	var pr personalizeResponse
-	switch t := v.(type) {
-	case *personalizeResponse:
-		pr = *t
-	case personalizeResponse:
-		pr = t
-	}
-	return batchItemJSON{personalizeResponse: &pr}
+	return batchItemJSON{personalizeResponse: a.resp.(*personalizeResponse)}
 }

@@ -7,40 +7,84 @@ import (
 	"cqp/internal/obs"
 )
 
-// Cache is the daemon's LRU result-and-estimate cache. Keys are built by
-// the handlers from (endpoint, normalized query fingerprint, profile
-// ID@version, statistics generation, problem, options), so a profile
-// mutation or a Personalizer.Refresh changes the key and logically
-// invalidates every dependent entry; InvalidateProfile and Purge reclaim
-// the dead entries eagerly. Values are immutable response objects.
-type Cache struct {
-	mu        sync.Mutex
-	max       int
-	ll        *list.List // front = most recent
-	items     map[string]*list.Element
-	byProfile map[string]map[string]struct{} // profile id -> live keys
-
-	// The stale index is the degradation ladder's first rung: a second
-	// bounded LRU keyed WITHOUT profile version or statistics generation, so
-	// the last good answer for (endpoint, query, profile, options) stays
-	// reachable after the exact key has rotated away. It deliberately
-	// survives InvalidateProfile and Purge — serving from it is explicitly
-	// marked stale in the response, and a deleted profile 404s before any
-	// lookup.
-	staleLL    *list.List
-	staleItems map[string]*list.Element
-
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-	entries   *obs.Gauge
-	staleHits *obs.Counter
+// lru is a bounded map in recency order. It is not safe for concurrent
+// use: Cache guards both of its instances with one mutex.
+type lru struct {
+	max   int
+	ll    *list.List // front = most recent
+	items map[string]*list.Element
 }
 
 type cacheEntry struct {
 	key       string
 	profileID string
 	val       any
+}
+
+func newLRU(max int) *lru {
+	return &lru{max: max, ll: list.New(), items: make(map[string]*list.Element)}
+}
+
+// get returns the entry under key, refreshing its recency.
+func (l *lru) get(key string) (*cacheEntry, bool) {
+	el, ok := l.items[key]
+	if !ok {
+		return nil, false
+	}
+	l.ll.MoveToFront(el)
+	return el.Value.(*cacheEntry), true
+}
+
+// put stores val under key — replacing the value of an existing entry,
+// which keeps its profileID — and returns the least-recently-used entry it
+// evicted to stay within capacity (nil when none).
+func (l *lru) put(key, profileID string, val any) *cacheEntry {
+	if e, ok := l.get(key); ok {
+		e.val = val
+		return nil
+	}
+	l.items[key] = l.ll.PushFront(&cacheEntry{key: key, profileID: profileID, val: val})
+	if l.ll.Len() > l.max {
+		return l.remove(l.ll.Back().Value.(*cacheEntry).key)
+	}
+	return nil
+}
+
+// remove unlinks the entry under key, returning it (nil when absent).
+func (l *lru) remove(key string) *cacheEntry {
+	el, ok := l.items[key]
+	if !ok {
+		return nil
+	}
+	delete(l.items, key)
+	return l.ll.Remove(el).(*cacheEntry)
+}
+
+// Cache is the daemon's LRU result cache. Keys are built by the request
+// driver from (endpoint, normalized query fingerprint, profile ID@version,
+// statistics generation, problem, options), so a profile mutation or a
+// Personalizer.Refresh changes the key and logically invalidates every
+// dependent entry; InvalidateProfile and Purge reclaim the dead entries
+// eagerly. Values are immutable response objects.
+type Cache struct {
+	mu        sync.Mutex
+	exact     *lru
+	byProfile map[string]map[string]struct{} // profile id -> live exact keys
+
+	// The stale index is the degradation ladder's first rung: a second LRU
+	// of the same capacity keyed WITHOUT profile version or statistics
+	// generation, so the last good answer for (endpoint, query, profile,
+	// options) stays reachable after the exact key has rotated away. It
+	// deliberately survives InvalidateProfile and Purge — serving from it is
+	// explicitly marked stale in the response, and a deleted profile 404s
+	// before any lookup.
+	stale *lru
+
+	hits      *obs.Counter
+	misses    *obs.Counter
+	evictions *obs.Counter
+	entries   *obs.Gauge
+	staleHits *obs.Counter
 }
 
 // NewCache builds an LRU cache of at most max entries (max < 1 selects 1),
@@ -51,17 +95,14 @@ func NewCache(max int, reg *obs.Registry) *Cache {
 		max = 1
 	}
 	return &Cache{
-		max:        max,
-		ll:         list.New(),
-		items:      make(map[string]*list.Element),
-		byProfile:  make(map[string]map[string]struct{}),
-		staleLL:    list.New(),
-		staleItems: make(map[string]*list.Element),
-		hits:       reg.Counter("server_cache_hits"),
-		misses:     reg.Counter("server_cache_misses"),
-		evictions:  reg.Counter("server_cache_evictions_total"),
-		entries:    reg.Gauge("server_cache_entries"),
-		staleHits:  reg.Counter("server_cache_stale_hits"),
+		exact:     newLRU(max),
+		byProfile: make(map[string]map[string]struct{}),
+		stale:     newLRU(max),
+		hits:      reg.Counter("server_cache_hits"),
+		misses:    reg.Counter("server_cache_misses"),
+		evictions: reg.Counter("server_cache_evictions_total"),
+		entries:   reg.Gauge("server_cache_entries"),
+		staleHits: reg.Counter("server_cache_stale_hits"),
 	}
 }
 
@@ -70,14 +111,13 @@ func NewCache(max int, reg *obs.Registry) *Cache {
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.exact.get(key)
 	if !ok {
 		c.misses.Inc()
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
 	c.hits.Inc()
-	return el.Value.(*cacheEntry).val, true
+	return e.val, true
 }
 
 // Put stores val under key, attributed to profileID for eager
@@ -85,14 +125,7 @@ func (c *Cache) Get(key string) (any, bool) {
 func (c *Cache) Put(key, profileID string, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).val = val
-		return
-	}
-	el := c.ll.PushFront(&cacheEntry{key: key, profileID: profileID, val: val})
-	c.items[key] = el
-	if profileID != "" {
+	if _, ok := c.exact.items[key]; !ok && profileID != "" {
 		keys := c.byProfile[profileID]
 		if keys == nil {
 			keys = make(map[string]struct{})
@@ -100,69 +133,41 @@ func (c *Cache) Put(key, profileID string, val any) {
 		}
 		keys[key] = struct{}{}
 	}
-	for c.ll.Len() > c.max {
-		c.removeLocked(c.ll.Back())
+	if old := c.exact.put(key, profileID, val); old != nil {
 		c.evictions.Inc()
-	}
-	c.entries.Set(int64(c.ll.Len()))
-}
-
-// removeLocked unlinks one element; caller holds c.mu.
-func (c *Cache) removeLocked(el *list.Element) {
-	if el == nil {
-		return
-	}
-	e := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
-	delete(c.items, e.key)
-	if e.profileID != "" {
-		if keys := c.byProfile[e.profileID]; keys != nil {
-			delete(keys, e.key)
+		if keys := c.byProfile[old.profileID]; keys != nil {
+			delete(keys, old.key)
 			if len(keys) == 0 {
-				delete(c.byProfile, e.profileID)
+				delete(c.byProfile, old.profileID)
 			}
 		}
 	}
+	c.entries.Set(int64(c.exact.ll.Len()))
 }
 
 // PutStale records val as the last good answer under a version-free key
-// (see the stale index comment on Cache). Bounded by the same capacity as
-// the exact cache, evicting least-recently-served entries.
+// (see the stale index comment on Cache), evicting the least-recently-
+// served entry beyond capacity.
 func (c *Cache) PutStale(staleKey string, val any) {
 	if staleKey == "" {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.staleItems[staleKey]; ok {
-		c.staleLL.MoveToFront(el)
-		el.Value.(*cacheEntry).val = val
-		return
-	}
-	el := c.staleLL.PushFront(&cacheEntry{key: staleKey, val: val})
-	c.staleItems[staleKey] = el
-	for c.staleLL.Len() > c.max {
-		back := c.staleLL.Back()
-		delete(c.staleItems, back.Value.(*cacheEntry).key)
-		c.staleLL.Remove(back)
-	}
+	c.stale.put(staleKey, "", val)
 }
 
 // GetStale returns the last good answer recorded under the version-free key.
 // Callers must mark any response served from here as degraded.
 func (c *Cache) GetStale(staleKey string) (any, bool) {
-	if staleKey == "" {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.staleItems[staleKey]
+	e, ok := c.stale.get(staleKey)
 	if !ok {
 		return nil, false
 	}
-	c.staleLL.MoveToFront(el)
 	c.staleHits.Inc()
-	return el.Value.(*cacheEntry).val, true
+	return e.val, true
 }
 
 // InvalidateProfile drops every entry attributed to the profile ID,
@@ -172,20 +177,19 @@ func (c *Cache) InvalidateProfile(id string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	keys := c.byProfile[id]
-	n := len(keys)
 	for key := range keys {
-		c.removeLocked(c.items[key])
+		c.exact.remove(key)
 	}
-	c.entries.Set(int64(c.ll.Len()))
-	return n
+	delete(c.byProfile, id)
+	c.entries.Set(int64(c.exact.ll.Len()))
+	return len(keys)
 }
 
 // Purge drops everything — the Refresh hook.
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
+	c.exact = newLRU(c.exact.max)
 	c.byProfile = make(map[string]map[string]struct{})
 	c.entries.Set(0)
 }
@@ -194,5 +198,5 @@ func (c *Cache) Purge() {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.exact.ll.Len()
 }

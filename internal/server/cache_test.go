@@ -96,3 +96,92 @@ func TestCacheUpdateExisting(t *testing.T) {
 		t.Errorf("value not replaced: %v", v)
 	}
 }
+
+// TestCacheStaleIndex covers the version-free stale index: bounded by the
+// cache's capacity, least-recently-served out first, untouched by the two
+// invalidations of the exact cache, and counted in server_cache_stale_hits.
+func TestCacheStaleIndex(t *testing.T) {
+	cases := []struct {
+		name    string
+		do      func(c *Cache)
+		present []string // GetStale must find these…
+		absent  []string // …and must not find these
+	}{
+		{
+			name:    "bounded by capacity",
+			do:      func(c *Cache) { c.PutStale("a", 1); c.PutStale("b", 2); c.PutStale("c", 3) },
+			present: []string{"b", "c"},
+			absent:  []string{"a"},
+		},
+		{
+			name: "GetStale refreshes recency",
+			do: func(c *Cache) {
+				c.PutStale("a", 1)
+				c.PutStale("b", 2)
+				c.GetStale("a") // b is now the victim
+				c.PutStale("c", 3)
+			},
+			present: []string{"a", "c"},
+			absent:  []string{"b"},
+		},
+		{
+			name: "PutStale of a live key refreshes it without growing",
+			do: func(c *Cache) {
+				c.PutStale("a", 1)
+				c.PutStale("b", 2)
+				c.PutStale("a", 9) // b is now the victim
+				c.PutStale("c", 3)
+			},
+			present: []string{"a", "c"},
+			absent:  []string{"b"},
+		},
+		{
+			name: "survives InvalidateProfile",
+			do: func(c *Cache) {
+				c.Put("exact", "u1", 1)
+				c.PutStale("a", 1)
+				c.InvalidateProfile("u1")
+			},
+			present: []string{"a"},
+		},
+		{
+			name: "survives Purge",
+			do: func(c *Cache) {
+				c.Put("exact", "u1", 1)
+				c.PutStale("a", 1)
+				c.Purge()
+			},
+			present: []string{"a"},
+		},
+		{
+			name:   "the empty key is never stored",
+			do:     func(c *Cache) { c.PutStale("", 1) },
+			absent: []string{""},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			c := NewCache(2, reg)
+			tc.do(c)
+			before := reg.Counter("server_cache_stale_hits").Value()
+			for _, k := range tc.present {
+				if _, ok := c.GetStale(k); !ok {
+					t.Errorf("stale entry %q missing", k)
+				}
+			}
+			for _, k := range tc.absent {
+				if _, ok := c.GetStale(k); ok {
+					t.Errorf("stale entry %q present", k)
+				}
+			}
+			if got := reg.Counter("server_cache_stale_hits").Value() - before; got != int64(len(tc.present)) {
+				t.Errorf("server_cache_stale_hits grew by %d over %d hits and %d misses",
+					got, len(tc.present), len(tc.absent))
+			}
+			if c.Len() != 0 {
+				t.Errorf("Len = %d: stale entries are not live cache entries", c.Len())
+			}
+		})
+	}
+}

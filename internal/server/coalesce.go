@@ -11,9 +11,8 @@ import (
 )
 
 // flightOutcome is everything one pipeline run produces, in the shape the
-// handler tails consume: the response value, the degradation rung that
-// answered, the pipeline error, and the admission error. Exactly the fields
-// the pre-coalescing handlers tracked in locals.
+// driver's tail (Server.run) consumes: the response value, the degradation
+// rung that answered, the pipeline error, and the admission error.
 type flightOutcome struct {
 	out      any
 	degraded string
@@ -111,17 +110,15 @@ func (s *Server) runPipeline(ctx context.Context, endpoint, key, staleKey string
 		// channel closed: reading o is ordered.
 		return o
 	}
-	rec := obs.RequestFromContext(ctx)
 	if key == "" || s.cfg.NoCoalesce {
 		// Uncacheable (inline-profile or no_cache) requests have no
 		// identity to coalesce on; they always pay their own run.
-		rec.SetRole("solo")
 		return run(), true
 	}
+	rec := obs.RequestFromContext(ctx)
 	for {
 		f, leader := s.flights.join(key)
 		if leader {
-			rec.SetRole("leader")
 			s.reg.Counter("coalesce_leaders_total", "endpoint", endpoint).Inc()
 			s.reg.Gauge("coalesce_inflight").Add(1)
 			o := run()
@@ -129,7 +126,6 @@ func (s *Server) runPipeline(ctx context.Context, endpoint, key, staleKey string
 			s.reg.Gauge("coalesce_inflight").Add(-1)
 			return o, true
 		}
-		rec.SetRole("follower")
 		s.reg.Counter("coalesce_followers_total", "endpoint", endpoint).Inc()
 		wait := time.Now()
 		select {

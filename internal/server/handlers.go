@@ -35,13 +35,24 @@ func (ps problemSpec) build() (cqp.Problem, error) {
 	return cqp.BuildProblem(ps.Number, ps.CmaxMS, ps.Smin, ps.Smax, ps.Dmin)
 }
 
-// personalizeRequest is the body of POST /personalize and POST /execute.
-// Exactly one of ProfileID (a stored profile — cacheable) and Profile
-// (inline text — never cached) must be set.
+// common is the part of the body every pipeline endpoint shares. Exactly
+// one of ProfileID (a stored profile — cacheable) and Profile (inline text —
+// never cached) must be set.
+type common struct {
+	SQL       string `json:"sql"`
+	ProfileID string `json:"profile_id"`
+	Profile   string `json:"profile"`
+	TimeoutMS int    `json:"timeout_ms"`
+	NoCache   bool   `json:"no_cache"`
+	Trace     bool   `json:"trace"`
+}
+
+func (c *common) base() *common { return c }
+
+// personalizeRequest is the body of POST /personalize and POST /execute,
+// and one item of POST /personalize/batch.
 type personalizeRequest struct {
-	SQL       string      `json:"sql"`
-	ProfileID string      `json:"profile_id"`
-	Profile   string      `json:"profile"`
+	common
 	Problem   problemSpec `json:"problem"`
 	Algorithm string      `json:"algorithm"`
 	K         int         `json:"k"`
@@ -49,9 +60,12 @@ type personalizeRequest struct {
 	Merge     bool        `json:"merge"`
 	Budget    int         `json:"budget"`
 	Limit     int         `json:"limit"` // /execute row cap
-	TimeoutMS int         `json:"timeout_ms"`
-	NoCache   bool        `json:"no_cache"`
-	Trace     bool        `json:"trace"`
+
+	// execute makes the request run its personalized query too — the one
+	// difference between /personalize and /execute. Set by the endpoint (or
+	// the batch), never by the body.
+	execute bool
+	prob    cqp.Problem // Problem, built by check
 }
 
 // solutionJSON serializes the chosen solution and its search stats.
@@ -65,20 +79,14 @@ type solutionJSON struct {
 	DurationUS    int64   `json:"duration_us"`
 }
 
-// personalizeResponse is the body of a /personalize answer; /execute embeds
-// it. Cached, Degraded and Trace are per-request and set after any cache
-// copy.
-type personalizeResponse struct {
-	SQL            string       `json:"sql"`
-	Preferences    []string     `json:"preferences"`
-	PreferenceDois []float64    `json:"preference_dois"`
-	Solution       solutionJSON `json:"solution"`
-	SupremeCostMS  float64      `json:"supreme_cost_ms"`
-	ProfileID      string       `json:"profile_id,omitempty"`
-	ProfileVersion uint64       `json:"profile_version,omitempty"`
-	Cached         bool         `json:"cached"`
+// envelope is the per-request part of every pipeline response, embedded
+// where each response's field order has always had it. The body around it
+// is shared (cached, coalesced) and immutable; the envelope is set on a
+// per-request copy (endpoint.stamp).
+type envelope struct {
+	Cached bool `json:"cached"`
 	// Degraded names the ladder rung that answered ("stale", "heuristic",
-	// "tight-cmax"); empty for a full-fidelity answer.
+	// "tight-cmax") or "stale_replica"; empty for a full-fidelity answer.
 	Degraded string `json:"degraded,omitempty"`
 	Trace    string `json:"trace,omitempty"`
 	// RequestID and AttributionUS ride along when the request asked for the
@@ -88,6 +96,21 @@ type personalizeResponse struct {
 	// key.
 	RequestID     string           `json:"request_id,omitempty"`
 	AttributionUS map[string]int64 `json:"attribution_us,omitempty"`
+}
+
+func (e *envelope) env() *envelope { return e }
+
+// personalizeResponse is the body of a /personalize answer; /execute embeds
+// it.
+type personalizeResponse struct {
+	SQL            string       `json:"sql"`
+	Preferences    []string     `json:"preferences"`
+	PreferenceDois []float64    `json:"preference_dois"`
+	Solution       solutionJSON `json:"solution"`
+	SupremeCostMS  float64      `json:"supreme_cost_ms"`
+	ProfileID      string       `json:"profile_id,omitempty"`
+	ProfileVersion uint64       `json:"profile_version,omitempty"`
+	envelope
 }
 
 // rowJSON is one ranked answer row.
@@ -109,18 +132,13 @@ type executeResponse struct {
 
 // frontRequest is the body of POST /front.
 type frontRequest struct {
-	SQL       string  `json:"sql"`
-	ProfileID string  `json:"profile_id"`
-	Profile   string  `json:"profile"`
+	common
 	CmaxMS    float64 `json:"cmax_ms"`
 	Smin      float64 `json:"smin"`
 	Smax      float64 `json:"smax"`
 	MaxPoints int     `json:"max_points"`
 	K         int     `json:"k"`
 	Budget    int     `json:"budget"` // per-solve state budget; exhausting it sets truncated
-	TimeoutMS int     `json:"timeout_ms"`
-	NoCache   bool    `json:"no_cache"`
-	Trace     bool    `json:"trace"`
 }
 
 type frontPointJSON struct {
@@ -135,34 +153,21 @@ type frontResponse struct {
 	Points []frontPointJSON `json:"points"`
 	// Truncated reports that the frontier search hit its state budget —
 	// the menu is best-found, not proven complete.
-	Truncated     bool             `json:"truncated,omitempty"`
-	Cached        bool             `json:"cached"`
-	Degraded      string           `json:"degraded,omitempty"`
-	Trace         string           `json:"trace,omitempty"`
-	RequestID     string           `json:"request_id,omitempty"`
-	AttributionUS map[string]int64 `json:"attribution_us,omitempty"`
+	Truncated bool `json:"truncated,omitempty"`
+	envelope
 }
 
 // topkRequest is the body of POST /topk.
 type topkRequest struct {
-	SQL       string  `json:"sql"`
-	ProfileID string  `json:"profile_id"`
-	Profile   string  `json:"profile"`
-	CmaxMS    float64 `json:"cmax_ms"`
-	K         int     `json:"k"`     // answers wanted (default 10)
-	MaxK      int     `json:"max_k"` // preferences considered
-	TimeoutMS int     `json:"timeout_ms"`
-	NoCache   bool    `json:"no_cache"`
-	Trace     bool    `json:"trace"`
+	common
+	CmaxMS float64 `json:"cmax_ms"`
+	K      int     `json:"k"`     // answers wanted (default 10)
+	MaxK   int     `json:"max_k"` // preferences considered
 }
 
 type topkResponse struct {
-	Answers       []rowJSON        `json:"answers"`
-	Cached        bool             `json:"cached"`
-	Degraded      string           `json:"degraded,omitempty"`
-	Trace         string           `json:"trace,omitempty"`
-	RequestID     string           `json:"request_id,omitempty"`
-	AttributionUS map[string]int64 `json:"attribution_us,omitempty"`
+	Answers []rowJSON `json:"answers"`
+	envelope
 }
 
 // errorBody is the one error envelope every endpoint speaks:
@@ -176,6 +181,9 @@ type errorBody struct {
 type errorResponse struct {
 	Error errorBody `json:"error"`
 }
+
+// errNoProfile marks a request naming a stored profile that does not exist.
+var errNoProfile = errors.New("server: no profile")
 
 // errDeadlineSkipped is the belt-and-braces answer when the pool reports
 // success yet the task produced neither a response nor an error: the worker
@@ -328,12 +336,6 @@ func (l *laps) lap(phase string) {
 	l.last = now
 }
 
-// wantTrace reports whether the request asked for the trace and attribution
-// payload — via the body's trace flag or the ?trace=1 query knob.
-func wantTrace(r *http.Request, body bool) bool {
-	return body || r.URL.Query().Get("trace") == "1"
-}
-
 // profileLabel renders the profile identity a flight record carries.
 func profileLabel(id string, version uint64) string {
 	if id == "" {
@@ -367,29 +369,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// classFor names the failure class for a status code — the stable token
-// clients branch on.
-func classFor(code int) string {
-	switch code {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusRequestEntityTooLarge:
-		return "payload_too_large"
-	case http.StatusUnprocessableEntity:
-		return "infeasible"
-	case http.StatusTooManyRequests:
-		return "saturated"
-	case http.StatusInternalServerError:
-		return "internal"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	case http.StatusGatewayTimeout:
-		return "timeout"
-	default:
-		return "error"
-	}
+// statusClass names the failure class for a status code — the stable token
+// clients branch on; a status not listed is plain "error".
+var statusClass = map[int]string{
+	http.StatusBadRequest:            "bad_request",
+	http.StatusNotFound:              "not_found",
+	http.StatusRequestEntityTooLarge: "payload_too_large",
+	http.StatusUnprocessableEntity:   "infeasible",
+	http.StatusTooManyRequests:       "saturated",
+	http.StatusInternalServerError:   "internal",
+	http.StatusServiceUnavailable:    "unavailable",
+	http.StatusGatewayTimeout:        "timeout",
 }
 
 // writeError emits the error envelope. When the writer is the instrumented
@@ -401,20 +391,46 @@ func writeError(w http.ResponseWriter, code int, class, msg string) {
 	writeJSON(w, code, errorResponse{Error: errorBody{Class: class, Message: msg}})
 }
 
-// fail maps an error onto the envelope. Two refinements over classFor's
-// code-based default: an oversized body (however deep http's wrapping
-// buried it) forces 413, and an exhausted degradation ladder marks its 503
-// as degraded_unavailable — "we tried every quality level", as opposed to
-// plain unavailability.
-func (s *Server) fail(w http.ResponseWriter, code int, err error) {
+// errorStatus is the one error → (status, class) mapping, for every endpoint
+// and for batch items alike. An error that names its own failure kind fixes
+// the status wherever it surfaces — an oversized body (however deep http's
+// wrapping buried it) is 413, an exhausted degradation ladder 503 under its
+// own class: "we tried every quality level", as opposed to plain
+// unavailability. Anything else takes the caller's fallback; a caller
+// mistake is 400.
+func errorStatus(err error, fallback int) (int, string) {
 	var mbe *http.MaxBytesError
-	class := classFor(code)
+	code := fallback
 	switch {
 	case errors.As(err, &mbe):
 		code = http.StatusRequestEntityTooLarge
-		class = "payload_too_large"
+	case errors.Is(err, ErrSaturated):
+		code = http.StatusTooManyRequests
+	case errors.Is(err, context.DeadlineExceeded):
+		code = http.StatusGatewayTimeout
+	case errors.Is(err, ErrShuttingDown), errors.Is(err, context.Canceled), errors.Is(err, errDurability):
+		code = http.StatusServiceUnavailable
+	case errors.Is(err, cqp.ErrInfeasible):
+		code = http.StatusUnprocessableEntity
 	case errors.Is(err, resilience.ErrExhausted):
-		class = "degraded_unavailable"
+		return http.StatusServiceUnavailable, "degraded_unavailable"
+	case transientFault(err):
+		code = http.StatusInternalServerError
+	case errors.Is(err, errNoProfile):
+		code = http.StatusNotFound
+	}
+	if class, ok := statusClass[code]; ok {
+		return code, class
+	}
+	return code, "error"
+}
+
+// fail answers with the error envelope errorStatus picks; a shed request
+// also tells the client when to come back.
+func (s *Server) fail(w http.ResponseWriter, fallback int, err error) {
+	code, class := errorStatus(err, fallback)
+	if code == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
 	}
 	writeError(w, code, class, err.Error())
 }
@@ -426,87 +442,13 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error
 	return dec.Decode(v)
 }
 
-// pipelineStatus maps a pipeline error onto an HTTP status: expired
-// deadlines are 504, infeasible problems 422, an exhausted degradation
-// ladder or recovered panic or injected fault 503/500, everything else a
-// caller error.
-func pipelineStatus(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, cqp.ErrInfeasible):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, resilience.ErrExhausted):
-		return http.StatusServiceUnavailable
-	case transientFault(err):
-		return http.StatusInternalServerError
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-// admit maps an admission error onto its response: 429 when the queue shed
-// the request, 503 during shutdown, 504 when the deadline expired while
-// queued or running.
-func (s *Server) admit(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrShuttingDown):
-		s.fail(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.fail(w, http.StatusGatewayTimeout, fmt.Errorf("server: deadline expired: %w", err))
-	default:
-		// Client went away; the response writer is dead anyway.
-		s.fail(w, http.StatusServiceUnavailable, err)
-	}
-}
-
-// resolveProfile returns the request's profile: a stored one by ID (with
-// its version, cacheable) or an inline parsed one (never cached). On a
-// replica-serving request (cluster failover — the owner is down and this
-// node follows the profile) a local-store miss falls back to the
-// replicated snapshot; stale reports that fallback so the handler can
-// mark the response "stale_replica" and skip caching it.
-func (s *Server) resolveProfile(r *http.Request, id, inline string) (prof *cqp.Profile, version uint64, cacheable, stale bool, code int, err error) {
-	switch {
-	case id != "" && inline != "":
-		return nil, 0, false, false, http.StatusBadRequest, fmt.Errorf("server: profile_id and profile are mutually exclusive")
-	case id != "":
-		sp, ok := s.store.Get(id)
-		if !ok && s.cluster != nil && replicaServing(r.Context()) {
-			if rp, rok := s.replicaProfile(id); rok {
-				return rp.Profile, rp.Version, false, true, 0, nil
-			}
-		}
-		if !ok {
-			return nil, 0, false, false, http.StatusNotFound, fmt.Errorf("server: no profile %q", id)
-		}
-		return sp.Profile, sp.Version, true, false, 0, nil
-	case inline != "":
-		p, err := cqp.ParseProfile(inline)
-		if err != nil {
-			return nil, 0, false, false, http.StatusBadRequest, err
-		}
-		if err := p.Validate(s.db.Schema()); err != nil {
-			return nil, 0, false, false, http.StatusBadRequest, err
-		}
-		return p, 0, false, false, 0, nil
-	default:
-		return nil, 0, false, false, http.StatusBadRequest, fmt.Errorf("server: request needs profile_id or profile")
-	}
-}
-
 // requestContext derives the per-request deadline (request value, capped by
 // the server max; the server default when absent) and the request's trace.
 // Tracing is always on — latency attribution needs the span tree whether or
 // not the caller asked to see it — and the root span is attached to the
 // flight record so /debug/requests/{id} serves the very tree the response
 // rendered.
-func (s *Server) requestContext(r *http.Request, timeoutMS int, name string) (context.Context, context.CancelFunc, *cqp.Trace) {
+func (s *Server) requestContext(parent context.Context, timeoutMS int, name string) (context.Context, context.CancelFunc, *cqp.Trace) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
@@ -514,12 +456,12 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int, name string) (co
 	if d > s.cfg.MaxTimeout {
 		d = s.cfg.MaxTimeout
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
+	ctx, cancel := context.WithTimeout(parent, d)
 	if s.cfg.SpillBytes > 0 {
 		ctx = iter.WithBudget(ctx, iter.Budget{Bytes: s.cfg.SpillBytes, Dir: s.cfg.SpillDir})
 	}
 	ctx, tr := cqp.StartTrace(ctx, name)
-	obs.RequestFromContext(r.Context()).SetTrace(tr)
+	obs.RequestFromContext(parent).SetTrace(tr)
 	return ctx, cancel, tr
 }
 
@@ -546,35 +488,14 @@ func buildOpts(alg string, k, budget int, anyMatch, merge bool) []cqp.Option {
 	return opts
 }
 
-// cacheKey builds the result-cache key: endpoint, the query's canonical
-// fingerprint, profile identity at its exact version, the statistics
-// generation (so Refresh invalidates), and the solver parameters.
-func (s *Server) cacheKey(endpoint string, q *cqp.Query, profileID string, version uint64, extra string) string {
-	return fmt.Sprintf("%s|%s|%s@%d|g%d|%s",
-		endpoint, q.Fingerprint(), profileID, version, s.p.Generation(), extra)
-}
-
 // cacheHitTrace builds the trace of a warm request — a lone cache_hit span,
 // no pipeline phases — and attaches it to the flight record so the debug
 // endpoint serves the same tree.
-func cacheHitTrace(rec *obs.Request, name string) *obs.Span {
+func cacheHitTrace(rec *obs.Request, name string) {
 	tr := obs.NewTrace(name)
 	tr.AddChild("cache_hit", 0)
 	tr.End()
 	rec.SetTrace(tr)
-	return tr
-}
-
-func solutionFrom(res *cqp.Result) solutionJSON {
-	return solutionJSON{
-		Doi:           res.Solution.Doi,
-		CostMS:        res.Solution.Cost,
-		SizeRows:      res.Solution.Size,
-		Algorithm:     res.Solution.Stats.Algorithm,
-		StatesVisited: res.Solution.Stats.StatesVisited,
-		Truncated:     res.Solution.Stats.Truncated,
-		DurationUS:    res.Solution.Stats.Duration.Microseconds(),
-	}
 }
 
 func personalizeResponseFrom(res *cqp.Result, profileID string, version uint64) *personalizeResponse {
@@ -582,418 +503,19 @@ func personalizeResponseFrom(res *cqp.Result, profileID string, version uint64) 
 		SQL:            res.SQL,
 		Preferences:    res.Preferences,
 		PreferenceDois: res.PreferenceDois,
-		Solution:       solutionFrom(res),
+		Solution: solutionJSON{
+			Doi:           res.Solution.Doi,
+			CostMS:        res.Solution.Cost,
+			SizeRows:      res.Solution.Size,
+			Algorithm:     res.Solution.Stats.Algorithm,
+			StatesVisited: res.Solution.Stats.StatesVisited,
+			Truncated:     res.Solution.Stats.Truncated,
+			DurationUS:    res.Solution.Stats.Duration.Microseconds(),
+		},
 		SupremeCostMS:  res.Supreme,
 		ProfileID:      profileID,
 		ProfileVersion: version,
 	}
-}
-
-// handlePersonalize serves POST /personalize: the full pipeline minus
-// execution, under admission control, with a warm path that answers from
-// the result cache without entering the pipeline at all.
-func (s *Server) handlePersonalize(w http.ResponseWriter, r *http.Request) {
-	rec := obs.RequestFromContext(r.Context())
-	lp := startLaps(rec)
-	var req personalizeRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := cqp.ParseQuery(s.db.Schema(), req.SQL)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prob, err := req.Problem.build()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prof, version, cacheable, stale, code, err := s.resolveProfile(r, req.ProfileID, req.Profile)
-	if err != nil {
-		s.fail(w, code, err)
-		return
-	}
-	rec.SetProfile(profileLabel(req.ProfileID, version))
-	trace := wantTrace(r, req.Trace)
-	lp.lap(obs.PhaseParse)
-	key, staleKey := "", ""
-	if cacheable && !req.NoCache {
-		extra := fmt.Sprintf("%s|a=%s k=%d b=%d any=%v merge=%v",
-			prob, req.Algorithm, req.K, req.Budget, req.AnyMatch, req.Merge)
-		key = s.cacheKey("personalize", q, req.ProfileID, version, extra)
-		staleKey = s.staleKey("personalize", q, req.ProfileID, extra)
-		v, ok := s.cacheGet(key)
-		lp.lap(obs.PhaseCache)
-		if ok {
-			rec.SetRole("hit")
-			resp := *v.(*personalizeResponse)
-			resp.Cached = true
-			if trace {
-				resp.Trace = cacheHitTrace(rec, "personalize").Tree()
-				resp.RequestID, resp.AttributionUS = attribution(rec)
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-	ctx, cancel, tr := s.requestContext(r, req.TimeoutMS, "personalize")
-	defer cancel()
-	build := func(prob cqp.Problem, alg string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
-			res, err := s.p.PersonalizeContext(ctx, q, prof, prob,
-				buildOpts(alg, req.K, req.Budget, req.AnyMatch, req.Merge)...)
-			if err != nil {
-				return nil, err
-			}
-			return personalizeResponseFrom(res, req.ProfileID, version), nil
-		}
-	}
-	rungs := []resilience.Step{s.step("heuristic", build(prob, "D_HeurDoi"))}
-	if tp, ok := tightenedProblem(prob, s.cfg.TightenFactor); ok {
-		rungs = append(rungs, s.step("tight-cmax", build(tp, "D_HeurDoi")))
-	}
-	o, leader := s.runPipeline(ctx, "personalize", key, staleKey, build(prob, req.Algorithm), rungs...)
-	if o.admitErr != nil {
-		s.shedOrStale(w, rec, "personalize", staleKey, o.admitErr)
-		return
-	}
-	if o.perr != nil {
-		s.fail(w, pipelineStatus(o.perr), o.perr)
-		return
-	}
-	if o.out == nil {
-		s.fail(w, http.StatusGatewayTimeout, errDeadlineSkipped)
-		return
-	}
-	resp := *o.out.(*personalizeResponse)
-	resp.Degraded = o.degraded
-	if stale && resp.Degraded == "" {
-		resp.Degraded = degradedStaleReplica
-	}
-	rec.SetRung(resp.Degraded)
-	if leader && o.degraded == "" {
-		s.cachePut(key, staleKey, req.ProfileID, o.out)
-	} else if o.degraded == "stale" {
-		resp.Cached = true
-	}
-	tr.End()
-	if trace {
-		resp.Trace = tr.Tree()
-		resp.RequestID, resp.AttributionUS = attribution(rec)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleExecute serves POST /execute: personalize and run the personalized
-// query, returning ranked rows. Results are cached like /personalize, with
-// the row limit part of the key.
-func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	rec := obs.RequestFromContext(r.Context())
-	lp := startLaps(rec)
-	var req personalizeRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := cqp.ParseQuery(s.db.Schema(), req.SQL)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prob, err := req.Problem.build()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prof, version, cacheable, stale, code, err := s.resolveProfile(r, req.ProfileID, req.Profile)
-	if err != nil {
-		s.fail(w, code, err)
-		return
-	}
-	rec.SetProfile(profileLabel(req.ProfileID, version))
-	trace := wantTrace(r, req.Trace)
-	lp.lap(obs.PhaseParse)
-	limit := req.Limit
-	if limit <= 0 {
-		limit = s.cfg.MaxRows
-	}
-	key, staleKey := "", ""
-	if cacheable && !req.NoCache {
-		extra := fmt.Sprintf("%s|a=%s k=%d b=%d any=%v merge=%v lim=%d",
-			prob, req.Algorithm, req.K, req.Budget, req.AnyMatch, req.Merge, limit)
-		key = s.cacheKey("execute", q, req.ProfileID, version, extra)
-		staleKey = s.staleKey("execute", q, req.ProfileID, extra)
-		v, ok := s.cacheGet(key)
-		lp.lap(obs.PhaseCache)
-		if ok {
-			rec.SetRole("hit")
-			resp := *v.(*executeResponse)
-			resp.Cached = true
-			if trace {
-				resp.Trace = cacheHitTrace(rec, "execute").Tree()
-				resp.RequestID, resp.AttributionUS = attribution(rec)
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-	ctx, cancel, tr := s.requestContext(r, req.TimeoutMS, "execute")
-	defer cancel()
-	build := func(prob cqp.Problem, alg string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
-			res, err := s.p.PersonalizeContext(ctx, q, prof, prob,
-				buildOpts(alg, req.K, req.Budget, req.AnyMatch, req.Merge)...)
-			if err != nil {
-				return nil, err
-			}
-			rows, err := res.ExecuteContext(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return executeResponseFrom(res, rows, req.ProfileID, version, limit), nil
-		}
-	}
-	rungs := []resilience.Step{s.step("heuristic", build(prob, "D_HeurDoi"))}
-	if tp, ok := tightenedProblem(prob, s.cfg.TightenFactor); ok {
-		rungs = append(rungs, s.step("tight-cmax", build(tp, "D_HeurDoi")))
-	}
-	o, leader := s.runPipeline(ctx, "execute", key, staleKey, build(prob, req.Algorithm), rungs...)
-	if o.admitErr != nil {
-		s.shedOrStale(w, rec, "execute", staleKey, o.admitErr)
-		return
-	}
-	if o.perr != nil {
-		s.fail(w, pipelineStatus(o.perr), o.perr)
-		return
-	}
-	if o.out == nil {
-		s.fail(w, http.StatusGatewayTimeout, errDeadlineSkipped)
-		return
-	}
-	resp := *o.out.(*executeResponse)
-	resp.Degraded = o.degraded
-	if stale && resp.Degraded == "" {
-		resp.Degraded = degradedStaleReplica
-	}
-	rec.SetRung(resp.Degraded)
-	if leader && o.degraded == "" {
-		s.cachePut(key, staleKey, req.ProfileID, o.out)
-	} else if o.degraded == "stale" {
-		resp.Cached = true
-	}
-	tr.End()
-	if trace {
-		resp.Trace = tr.Tree()
-		resp.RequestID, resp.AttributionUS = attribution(rec)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleFront serves POST /front: the doi/cost Pareto frontier menu. Its
-// degradation ladder has no heuristic rung — the frontier IS the exhaustive
-// sweep — so after stale it goes straight to a tightened cmax (a smaller
-// frontier is still a truthful menu, just a shorter one).
-func (s *Server) handleFront(w http.ResponseWriter, r *http.Request) {
-	rec := obs.RequestFromContext(r.Context())
-	lp := startLaps(rec)
-	var req frontRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := cqp.ParseQuery(s.db.Schema(), req.SQL)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prof, version, cacheable, stale, code, err := s.resolveProfile(r, req.ProfileID, req.Profile)
-	if err != nil {
-		s.fail(w, code, err)
-		return
-	}
-	rec.SetProfile(profileLabel(req.ProfileID, version))
-	trace := wantTrace(r, req.Trace)
-	lp.lap(obs.PhaseParse)
-	key, staleKey := "", ""
-	if cacheable && !req.NoCache {
-		extra := fmt.Sprintf("c=%g s=[%g,%g] n=%d k=%d b=%d", req.CmaxMS, req.Smin, req.Smax, req.MaxPoints, req.K, req.Budget)
-		key = s.cacheKey("front", q, req.ProfileID, version, extra)
-		staleKey = s.staleKey("front", q, req.ProfileID, extra)
-		v, ok := s.cacheGet(key)
-		lp.lap(obs.PhaseCache)
-		if ok {
-			rec.SetRole("hit")
-			resp := *v.(*frontResponse)
-			resp.Cached = true
-			if trace {
-				resp.Trace = cacheHitTrace(rec, "front").Tree()
-				resp.RequestID, resp.AttributionUS = attribution(rec)
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-	ctx, cancel, tr := s.requestContext(r, req.TimeoutMS, "front")
-	defer cancel()
-	build := func(cmax float64) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
-			front, err := s.p.PersonalizeFrontContext(ctx, q, prof, cmax, req.Smin, req.Smax, req.MaxPoints, buildOpts("", req.K, req.Budget, false, false)...)
-			if err != nil {
-				return nil, err
-			}
-			fr := &frontResponse{
-				Points:    make([]frontPointJSON, 0, len(front.Points)),
-				Truncated: front.Truncated,
-			}
-			for _, fp := range front.Points {
-				fr.Points = append(fr.Points, frontPointJSON{
-					Preferences: fp.Preferences,
-					Doi:         fp.Doi,
-					CostMS:      fp.CostMS,
-					SizeRows:    fp.Size,
-					Knee:        fp.Knee,
-				})
-			}
-			return fr, nil
-		}
-	}
-	var rungs []resilience.Step
-	if req.CmaxMS > 0 {
-		rungs = append(rungs, s.step("tight-cmax", build(req.CmaxMS*s.cfg.TightenFactor)))
-	}
-	o, leader := s.runPipeline(ctx, "front", key, staleKey, build(req.CmaxMS), rungs...)
-	if o.admitErr != nil {
-		s.shedOrStale(w, rec, "front", staleKey, o.admitErr)
-		return
-	}
-	if o.perr != nil {
-		s.fail(w, pipelineStatus(o.perr), o.perr)
-		return
-	}
-	if o.out == nil {
-		s.fail(w, http.StatusGatewayTimeout, errDeadlineSkipped)
-		return
-	}
-	resp := *o.out.(*frontResponse)
-	resp.Degraded = o.degraded
-	if stale && resp.Degraded == "" {
-		resp.Degraded = degradedStaleReplica
-	}
-	rec.SetRung(resp.Degraded)
-	if leader && o.degraded == "" {
-		s.cachePut(key, staleKey, req.ProfileID, o.out)
-	} else if o.degraded == "stale" {
-		resp.Cached = true
-	}
-	tr.End()
-	if trace {
-		resp.Trace = tr.Tree()
-		resp.RequestID, resp.AttributionUS = attribution(rec)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleTopK serves POST /topk: the k highest-interest answers. Like
-// /front, its ladder degrades by tightening cmax — fewer union branches
-// execute, the answers that do come back are still genuinely top-interest.
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	rec := obs.RequestFromContext(r.Context())
-	lp := startLaps(rec)
-	var req topkRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := cqp.ParseQuery(s.db.Schema(), req.SQL)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prof, version, cacheable, stale, code, err := s.resolveProfile(r, req.ProfileID, req.Profile)
-	if err != nil {
-		s.fail(w, code, err)
-		return
-	}
-	rec.SetProfile(profileLabel(req.ProfileID, version))
-	trace := wantTrace(r, req.Trace)
-	lp.lap(obs.PhaseParse)
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.CmaxMS <= 0 {
-		req.CmaxMS = 400
-	}
-	key, staleKey := "", ""
-	if cacheable && !req.NoCache {
-		extra := fmt.Sprintf("c=%g k=%d maxk=%d", req.CmaxMS, req.K, req.MaxK)
-		key = s.cacheKey("topk", q, req.ProfileID, version, extra)
-		staleKey = s.staleKey("topk", q, req.ProfileID, extra)
-		v, ok := s.cacheGet(key)
-		lp.lap(obs.PhaseCache)
-		if ok {
-			rec.SetRole("hit")
-			resp := *v.(*topkResponse)
-			resp.Cached = true
-			if trace {
-				resp.Trace = cacheHitTrace(rec, "topk").Tree()
-				resp.RequestID, resp.AttributionUS = attribution(rec)
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-	ctx, cancel, tr := s.requestContext(r, req.TimeoutMS, "topk")
-	defer cancel()
-	build := func(cmax float64) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
-			answers, err := s.p.PersonalizeTopKContext(ctx, q, prof, cmax, req.K, buildOpts("", req.MaxK, 0, false, false)...)
-			if err != nil {
-				return nil, err
-			}
-			out := &topkResponse{Answers: make([]rowJSON, 0, len(answers))}
-			for _, a := range answers {
-				vals := make([]string, len(a.Row))
-				for j, v := range a.Row {
-					vals[j] = v.String()
-				}
-				out.Answers = append(out.Answers, rowJSON{Values: vals, Doi: a.Doi, Matched: a.Matched})
-			}
-			return out, nil
-		}
-	}
-	rungs := []resilience.Step{s.step("tight-cmax", build(req.CmaxMS*s.cfg.TightenFactor))}
-	o, leader := s.runPipeline(ctx, "topk", key, staleKey, build(req.CmaxMS), rungs...)
-	if o.admitErr != nil {
-		s.shedOrStale(w, rec, "topk", staleKey, o.admitErr)
-		return
-	}
-	if o.perr != nil {
-		s.fail(w, pipelineStatus(o.perr), o.perr)
-		return
-	}
-	if o.out == nil {
-		s.fail(w, http.StatusGatewayTimeout, errDeadlineSkipped)
-		return
-	}
-	resp := *o.out.(*topkResponse)
-	resp.Degraded = o.degraded
-	if stale && resp.Degraded == "" {
-		resp.Degraded = degradedStaleReplica
-	}
-	rec.SetRung(resp.Degraded)
-	if leader && o.degraded == "" {
-		s.cachePut(key, staleKey, req.ProfileID, o.out)
-	} else if o.degraded == "stale" {
-		resp.Cached = true
-	}
-	tr.End()
-	if trace {
-		resp.Trace = tr.Tree()
-		resp.RequestID, resp.AttributionUS = attribution(rec)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // profileJSON is the single-profile response shape. StaleReplica marks an
@@ -1023,10 +545,6 @@ func (s *Server) handleProfilePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp, err := s.store.Put(id, string(body))
-	if errors.Is(err, errDurability) {
-		s.fail(w, http.StatusServiceUnavailable, err)
-		return
-	}
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return

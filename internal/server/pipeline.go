@@ -1,0 +1,426 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"time"
+
+	"cqp"
+	"cqp/internal/exec"
+	"cqp/internal/obs"
+	"cqp/internal/resilience"
+)
+
+// The pipeline endpoints are one request skeleton with different parameters
+// (the paper's Table 1 is one problem family with different bounds): an
+// endpoint is described as data, and one driver — prepare, lookup, run —
+// serves them all. handle is the driver's HTTP face, handleBatch its list
+// face.
+
+// request is a decoded pipeline request body: the common part plus what the
+// driver needs from the endpoint's own fields.
+type request interface {
+	base() *common
+	// check validates and defaults the endpoint's own fields.
+	check(s *Server) error
+	// extra fingerprints the solver parameters — the part of the cache key,
+	// the stale key and the batch identity that is neither query nor
+	// profile.
+	extra() string
+	// ladder names the degradation rungs below the stale rung, cheapest
+	// last; solve computes the response at one of them ("" is full
+	// fidelity).
+	ladder() []string
+	solve(ctx context.Context, s *Server, q *cqp.Query, prof *cqp.Profile, version uint64, rung string) (any, error)
+}
+
+// response is an endpoint's answer: a body embedding the envelope.
+type response interface{ env() *envelope }
+
+// endpoint describes one pipeline endpoint: its name (metric label, trace
+// root, cache-key prefix), a fresh request body to decode into, and how to
+// copy its response type. /personalize and /execute are one request type;
+// the execute flag decides whether the personalized query also runs.
+type endpoint struct {
+	name       string
+	newRequest func() request
+	clone      func(shared any) response
+}
+
+var (
+	personalizeEndpoint = &endpoint{"personalize", func() request { return new(personalizeRequest) }, cloneAs[personalizeResponse]}
+	executeEndpoint     = &endpoint{"execute", func() request { return &personalizeRequest{execute: true} }, cloneAs[executeResponse]}
+	frontEndpoint       = &endpoint{"front", func() request { return new(frontRequest) }, cloneAs[frontResponse]}
+	topkEndpoint        = &endpoint{"topk", func() request { return new(topkRequest) }, cloneAs[topkResponse]}
+)
+
+// solveLadder is the full degradation ladder below the stale rung; each
+// endpoint walks the part of it that applies.
+var solveLadder = []string{"heuristic", "tight-cmax"}
+
+// cloneAs copies a shared *T response.
+func cloneAs[T any, P interface {
+	*T
+	response
+}](shared any) response {
+	resp := *shared.(P)
+	return P(&resp)
+}
+
+// stamp is the one copy-and-mark: a response in the result cache, the stale
+// index or a coalesced flight is shared and must never be mutated, so each
+// request marks its own copy.
+func (ep *endpoint) stamp(shared any, cached bool, degraded string) response {
+	resp := ep.clone(shared)
+	e := resp.env()
+	e.Cached, e.Degraded = cached, degraded
+	return resp
+}
+
+func (r *personalizeRequest) check(s *Server) (err error) {
+	if !r.execute {
+		r.Limit = 0 // a personalize-only answer has no rows to cap
+	} else if r.Limit <= 0 {
+		r.Limit = s.cfg.MaxRows
+	}
+	r.prob, err = r.Problem.build()
+	return err
+}
+
+func (r *personalizeRequest) extra() string {
+	return fmt.Sprintf("%s|a=%s k=%d b=%d any=%v merge=%v lim=%d",
+		r.prob, r.Algorithm, r.K, r.Budget, r.AnyMatch, r.Merge, r.Limit)
+}
+
+// ladder: the D-HeurDoi heuristic, then the heuristic under a tightened
+// cmax — a problem with no cost bound has nothing to tighten.
+func (r *personalizeRequest) ladder() []string {
+	if r.prob.CostMax <= 0 {
+		return solveLadder[:1]
+	}
+	return solveLadder
+}
+
+func (r *personalizeRequest) solve(ctx context.Context, s *Server, q *cqp.Query, prof *cqp.Profile, version uint64, rung string) (any, error) {
+	prob, alg := r.prob, r.Algorithm
+	if rung != "" {
+		alg = "D_HeurDoi"
+	}
+	if rung == "tight-cmax" {
+		prob.CostMax *= s.cfg.TightenFactor
+	}
+	res, err := s.p.PersonalizeContext(ctx, q, prof, prob, buildOpts(alg, r.K, r.Budget, r.AnyMatch, r.Merge)...)
+	if err != nil {
+		return nil, err
+	}
+	pr := personalizeResponseFrom(res, r.ProfileID, version)
+	if !r.execute {
+		return pr, nil
+	}
+	rows, err := res.ExecuteContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return executeResponseFrom(pr, rows, r.Limit), nil
+}
+
+// executeResponseFrom extends a personalization's response with its
+// executed rows, truncated to limit.
+func executeResponseFrom(pr *personalizeResponse, rows *exec.UnionResult, limit int) *executeResponse {
+	er := &executeResponse{
+		personalizeResponse: *pr,
+		TotalRows:           len(rows.Rows),
+		BlockReads:          rows.BlockReads,
+		ExecMS:              float64(rows.Elapsed) / float64(time.Millisecond),
+	}
+	for i, rr := range rows.Rows {
+		if i >= limit {
+			break
+		}
+		vals := make([]string, len(rr.Key))
+		for j, v := range rr.Key {
+			vals[j] = v.String()
+		}
+		er.Rows = append(er.Rows, rowJSON{Values: vals, Doi: rr.Doi, Matched: len(rr.Matched)})
+	}
+	er.RowCount = len(er.Rows)
+	return er
+}
+
+func (r *frontRequest) check(*Server) error { return nil }
+
+func (r *frontRequest) extra() string {
+	return fmt.Sprintf("c=%g s=[%g,%g] n=%d k=%d b=%d", r.CmaxMS, r.Smin, r.Smax, r.MaxPoints, r.K, r.Budget)
+}
+
+// ladder: the doi/cost Pareto frontier has no heuristic rung — the frontier
+// IS the exhaustive sweep — so after stale it goes straight to a tightened
+// cmax (a smaller frontier is still a truthful menu, just a shorter one).
+func (r *frontRequest) ladder() []string {
+	if r.CmaxMS <= 0 {
+		return nil
+	}
+	return solveLadder[1:]
+}
+
+func (r *frontRequest) solve(ctx context.Context, s *Server, q *cqp.Query, prof *cqp.Profile, _ uint64, rung string) (any, error) {
+	cmax := r.CmaxMS
+	if rung == "tight-cmax" {
+		cmax *= s.cfg.TightenFactor
+	}
+	front, err := s.p.PersonalizeFrontContext(ctx, q, prof, cmax, r.Smin, r.Smax, r.MaxPoints,
+		buildOpts("", r.K, r.Budget, false, false)...)
+	if err != nil {
+		return nil, err
+	}
+	fr := &frontResponse{
+		Points:    make([]frontPointJSON, 0, len(front.Points)),
+		Truncated: front.Truncated,
+	}
+	for _, fp := range front.Points {
+		fr.Points = append(fr.Points, frontPointJSON{
+			Preferences: fp.Preferences,
+			Doi:         fp.Doi,
+			CostMS:      fp.CostMS,
+			SizeRows:    fp.Size,
+			Knee:        fp.Knee,
+		})
+	}
+	return fr, nil
+}
+
+func (r *topkRequest) check(*Server) error {
+	if r.K <= 0 {
+		r.K = 10
+	}
+	if r.CmaxMS <= 0 {
+		r.CmaxMS = 400
+	}
+	return nil
+}
+
+func (r *topkRequest) extra() string {
+	return fmt.Sprintf("c=%g k=%d maxk=%d", r.CmaxMS, r.K, r.MaxK)
+}
+
+// ladder: like /front, /topk degrades by tightening cmax — fewer union
+// branches execute, the answers that do come back are still genuinely
+// top-interest.
+func (r *topkRequest) ladder() []string { return solveLadder[1:] }
+
+func (r *topkRequest) solve(ctx context.Context, s *Server, q *cqp.Query, prof *cqp.Profile, _ uint64, rung string) (any, error) {
+	cmax := r.CmaxMS
+	if rung == "tight-cmax" {
+		cmax *= s.cfg.TightenFactor
+	}
+	answers, err := s.p.PersonalizeTopKContext(ctx, q, prof, cmax, r.K, buildOpts("", r.MaxK, 0, false, false)...)
+	if err != nil {
+		return nil, err
+	}
+	out := &topkResponse{Answers: make([]rowJSON, 0, len(answers))}
+	for _, a := range answers {
+		vals := make([]string, len(a.Row))
+		for j, v := range a.Row {
+			vals[j] = v.String()
+		}
+		out.Answers = append(out.Answers, rowJSON{Values: vals, Doi: a.Doi, Matched: a.Matched})
+	}
+	return out, nil
+}
+
+// call is one request on its way through the driver: the endpoint and the
+// decoded body, then what prepare resolved.
+type call struct {
+	ep  *endpoint
+	req request
+
+	q       *cqp.Query
+	prof    *cqp.Profile
+	version uint64
+	// replica marks a profile resolved from a failover replica: the answer
+	// is marked stale_replica and never cached.
+	replica bool
+	// key and staleKey are empty for an uncacheable call (inline profile,
+	// replica profile, no_cache).
+	key, staleKey string
+}
+
+// answer is the driver's result: the response to send or the error, plus
+// the flight-record view of how it came about. The driver itself writes no
+// record — its caller does, once (a batch aggregates its units first).
+type answer struct {
+	resp response
+	err  error
+	role string // "hit" | "leader" | "follower" | "solo"
+	rung string // degradation rung; "unavailable" when the ladder ran dry
+}
+
+// prepare resolves a decoded body into a runnable call: the parsed query,
+// the endpoint's own validation, the profile — a stored one by ID, at its
+// version, or an inline parsed one — and, for a cacheable request, the cache
+// keys.
+func (s *Server) prepare(ctx context.Context, c *call) error {
+	in := c.req.base()
+	var err error
+	if c.q, err = cqp.ParseQuery(s.db.Schema(), in.SQL); err != nil {
+		return err
+	}
+	if err = c.req.check(s); err != nil {
+		return err
+	}
+	switch {
+	case in.ProfileID != "" && in.Profile != "":
+		return fmt.Errorf("server: profile_id and profile are mutually exclusive")
+	case in.ProfileID != "":
+		sp, ok := s.store.Get(in.ProfileID)
+		if !ok && s.cluster != nil && replicaServing(ctx) {
+			// Cluster failover: the owner is down and this node follows the
+			// profile, so a local-store miss falls back to the replicated
+			// snapshot.
+			sp, ok = s.replicaProfile(in.ProfileID)
+			c.replica = ok
+		}
+		if !ok {
+			return fmt.Errorf("%w %q", errNoProfile, in.ProfileID)
+		}
+		c.prof, c.version = sp.Profile, sp.Version
+	case in.Profile != "":
+		if c.prof, err = cqp.ParseProfile(in.Profile); err == nil {
+			err = c.prof.Validate(s.db.Schema())
+		}
+		if err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("server: request needs profile_id or profile")
+	}
+	if in.ProfileID != "" && !c.replica && !in.NoCache {
+		// The exact key names the profile at its exact version and the
+		// statistics generation, so a profile PUT or a Refresh invalidates.
+		// The stale key deliberately omits both: its entry stays addressable
+		// when either rotates — that staleness is the point.
+		fp, extra := c.q.Fingerprint(), c.req.extra()
+		c.key = fmt.Sprintf("%s|%s|%s@%d|g%d|%s", c.ep.name, fp, in.ProfileID, c.version, s.p.Generation(), extra)
+		c.staleKey = fmt.Sprintf("%s|%s|%s|%s", c.ep.name, fp, in.ProfileID, extra)
+	}
+	return nil
+}
+
+// lookup is the warm path: a cacheable call whose exact key is in the
+// result cache is answered without entering the pipeline at all.
+func (s *Server) lookup(c *call) (answer, bool) {
+	if c.key != "" && !s.cacheFault() {
+		if v, ok := s.cache.Get(c.key); ok {
+			return answer{resp: c.ep.stamp(v, true, ""), role: "hit"}, true
+		}
+	}
+	return answer{}, false
+}
+
+// run is the cold path, under a context that carries the request's deadline
+// and trace: runPipeline, then the one response tail — shed quality before
+// shedding the request, mark what was degraded, fill the cache from a
+// full-fidelity leader.
+func (s *Server) run(ctx context.Context, c *call) answer {
+	// The closures capture the call's fields, not the call: they escape to a
+	// pool worker, and a warm request's call must stay on the stack.
+	req, q, prof, version := c.req, c.q, c.prof, c.version
+	solve := func(rung string) func(context.Context) (any, error) {
+		return func(ctx context.Context) (any, error) { return req.solve(ctx, s, q, prof, version, rung) }
+	}
+	ladder := req.ladder()
+	rungs := make([]resilience.Step, 0, len(ladder))
+	for _, rung := range ladder {
+		rungs = append(rungs, s.step(rung, solve(rung)))
+	}
+	o, led := s.runPipeline(ctx, c.ep.name, c.key, c.staleKey, solve(""), rungs...)
+	a := answer{role: "follower"}
+	switch {
+	case c.key == "" || s.cfg.NoCoalesce:
+		a.role = "solo"
+	case led:
+		a.role = "leader"
+	}
+	if o.admitErr != nil {
+		// Never admitted (saturated queue, shutdown, queued-deadline skip):
+		// the last good answer when one exists, else the admission error.
+		v, ok := s.cache.GetStale(c.staleKey)
+		if !ok {
+			a.err = o.admitErr
+			return a
+		}
+		s.reg.Counter("server_degraded_total", "endpoint", c.ep.name, "rung", "stale").Inc()
+		o = flightOutcome{out: v, degraded: "stale"}
+	}
+	if o.perr != nil {
+		if errors.Is(o.perr, resilience.ErrExhausted) {
+			a.rung = "unavailable"
+		}
+		a.err = o.perr
+		return a
+	}
+	if o.out == nil {
+		a.err = errDeadlineSkipped
+		return a
+	}
+	a.rung = o.degraded
+	if c.replica && a.rung == "" {
+		a.rung = degradedStaleReplica
+	}
+	if led && o.degraded == "" && c.key != "" && !s.cacheFault() {
+		s.cache.Put(c.key, c.req.base().ProfileID, o.out)
+		s.cache.PutStale(c.staleKey, o.out)
+	}
+	// A stale-rung answer came out of the cache, whichever route led there.
+	a.resp = c.ep.stamp(o.out, o.degraded == "stale", a.rung)
+	return a
+}
+
+// handle is the driver's HTTP face, the same for every endpoint: decode,
+// prepare, the warm path or the pipeline under a fresh request context,
+// then the flight record, the trace payload if asked for, and the response.
+func (s *Server) handle(ep *endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		rec := obs.RequestFromContext(r.Context())
+		lp := startLaps(rec)
+		c := call{ep: ep, req: ep.newRequest()}
+		err := s.decodeJSON(w, r, c.req)
+		if err == nil {
+			err = s.prepare(r.Context(), &c)
+		}
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		in := c.req.base()
+		rec.SetProfile(profileLabel(in.ProfileID, c.version))
+		lp.lap(obs.PhaseParse)
+		a, hit := s.lookup(&c)
+		if c.key != "" {
+			lp.lap(obs.PhaseCache)
+		}
+		trace := in.Trace || r.URL.Query().Get("trace") == "1"
+		if !hit {
+			ctx, cancel, tr := s.requestContext(r.Context(), in.TimeoutMS, ep.name)
+			defer cancel()
+			a = s.run(ctx, &c)
+			tr.End()
+		} else if trace {
+			cacheHitTrace(rec, ep.name)
+		}
+		rec.SetRole(a.role)
+		rec.SetRung(a.rung)
+		if a.err != nil {
+			s.fail(w, http.StatusBadRequest, a.err)
+			return
+		}
+		if trace {
+			e := a.resp.env()
+			e.Trace = rec.Trace().Tree()
+			e.RequestID, e.AttributionUS = attribution(rec)
+		}
+		writeJSON(w, http.StatusOK, a.resp)
+	}
+}

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 
 	"cqp"
 	"cqp/internal/fault"
-	"cqp/internal/obs"
 	"cqp/internal/resilience"
 )
 
@@ -131,98 +129,20 @@ func (s *Server) runResilient(ctx context.Context, endpoint, staleKey string, pr
 		// under its own rung so the degradation spectrum (stale → heuristic →
 		// tight-cmax → unavailable) reads off one metric.
 		s.reg.Counter("server_degraded_total", "endpoint", endpoint, "rung", "unavailable").Inc()
-		obs.RequestFromContext(ctx).SetRung("unavailable")
 		return nil, "", err
 	}
 	s.reg.Counter("server_degraded_total", "endpoint", endpoint, "rung", rung).Inc()
 	return v, rung, nil
 }
 
-// shedOrStale answers an admission failure (saturated queue, shutdown,
-// queued-deadline skip): the last good stale answer when one exists —
-// shedding quality instead of the request — otherwise the admission error
-// itself.
-func (s *Server) shedOrStale(w http.ResponseWriter, rec *obs.Request, endpoint, staleKey string, admitErr error) {
-	if v, ok := s.cache.GetStale(staleKey); ok {
-		s.reg.Counter("server_degraded_total", "endpoint", endpoint, "rung", "stale").Inc()
-		rec.SetRung("stale")
-		writeJSON(w, http.StatusOK, markStale(v))
-		return
-	}
-	s.admit(w, admitErr)
-}
-
-// markStale copies a stale-index response value and sets its Cached and
-// Degraded markers (the shared cached pointer must never be mutated).
-func markStale(v any) any {
-	switch t := v.(type) {
-	case *personalizeResponse:
-		resp := *t
-		resp.Cached, resp.Degraded = true, "stale"
-		return resp
-	case *executeResponse:
-		resp := *t
-		resp.Cached, resp.Degraded = true, "stale"
-		return resp
-	case *frontResponse:
-		resp := *t
-		resp.Cached, resp.Degraded = true, "stale"
-		return resp
-	case *topkResponse:
-		resp := *t
-		resp.Cached, resp.Degraded = true, "stale"
-		return resp
-	}
-	return v
-}
-
-// cacheGet is the result cache's read path with the server.cache fault
-// point in front: an injected error degrades to a miss (the pipeline
-// recomputes), an injected panic exercises the middleware recovery.
-func (s *Server) cacheGet(key string) (any, bool) {
-	if key == "" {
-		return nil, false
-	}
+// cacheFault is the server.cache fault point, evaluated before every result-
+// cache read and fill: an injected error makes the read a miss and skips
+// the fill (the cache is an optimization, never a correctness dependency);
+// an injected panic exercises the middleware recovery.
+func (s *Server) cacheFault() bool {
 	if err := fault.Inject(fault.ServerCache); err != nil {
 		s.reg.Counter("server_cache_faults_total").Inc()
-		return nil, false
+		return true
 	}
-	return s.cache.Get(key)
-}
-
-// cachePut stores a full-fidelity response under both the exact key and the
-// version-free stale key, behind the server.cache fault point (an injected
-// error skips the store — the cache is an optimization, never a
-// correctness dependency).
-func (s *Server) cachePut(key, staleKey, profileID string, val any) {
-	if key == "" && staleKey == "" {
-		return
-	}
-	if err := fault.Inject(fault.ServerCache); err != nil {
-		s.reg.Counter("server_cache_faults_total").Inc()
-		return
-	}
-	if key != "" {
-		s.cache.Put(key, profileID, val)
-	}
-	s.cache.PutStale(staleKey, val)
-}
-
-// staleKey builds the version-free companion of cacheKey: profile version
-// and statistics generation are deliberately absent, so the entry remains
-// addressable when either rotates — that staleness is the point. Responses
-// served from it are marked degraded:"stale".
-func (s *Server) staleKey(endpoint string, q *cqp.Query, profileID, extra string) string {
-	return fmt.Sprintf("%s|%s|%s|%s", endpoint, q.Fingerprint(), profileID, extra)
-}
-
-// tightenedProblem applies the ladder's third rung to a problem: scale the
-// cost ceiling down by the configured factor. A problem with no cost bound
-// has nothing to tighten.
-func tightenedProblem(prob cqp.Problem, factor float64) (cqp.Problem, bool) {
-	if prob.CostMax <= 0 {
-		return prob, false
-	}
-	prob.CostMax *= factor
-	return prob, true
+	return false
 }

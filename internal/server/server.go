@@ -363,11 +363,10 @@ func (s *Server) SLO() *obs.SLO { return s.slo }
 func (s *Server) routes() {
 	// Pipeline endpoints run through admission control; in cluster mode the
 	// routing wrapper proxies them to the profile's owner first.
-	s.mux.HandleFunc("POST /personalize", s.instrument("personalize", s.routeByBody(s.handlePersonalize)))
+	for _, ep := range []*endpoint{personalizeEndpoint, executeEndpoint, frontEndpoint, topkEndpoint} {
+		s.mux.HandleFunc("POST /"+ep.name, s.instrument(ep.name, s.routeByBody(s.handle(ep))))
+	}
 	s.mux.HandleFunc("POST /personalize/batch", s.instrument("batch", s.routeByBody(s.handleBatch)))
-	s.mux.HandleFunc("POST /execute", s.instrument("execute", s.routeByBody(s.handleExecute)))
-	s.mux.HandleFunc("POST /front", s.instrument("front", s.routeByBody(s.handleFront)))
-	s.mux.HandleFunc("POST /topk", s.instrument("topk", s.routeByBody(s.handleTopK)))
 
 	// Profile CRUD and admin bypass the pool: they are O(profile) work.
 	s.mux.HandleFunc("PUT /profiles/{id}", s.instrument("profile_put", s.routeByPath(true, s.handleProfilePut)))
