@@ -1,0 +1,156 @@
+package core
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// updateGolden regenerates testdata/golden_search.json. The file records
+// what the search did at the commit it was generated on, so it is only ever
+// regenerated on the PARENT of a change to the search — never on the change
+// itself, which must pass it unmodified.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_search.json from the current code")
+
+const goldenPath = "testdata/golden_search.json"
+
+// goldenRun is one solver run pinned bit for bit: the answer and every
+// Stats field but Duration.
+type goldenRun struct {
+	Case   string `json:"case"`
+	Solver string `json:"solver"`
+
+	Set      []int   `json:"set"`
+	Doi      float64 `json:"doi"`
+	Cost     float64 `json:"cost"`
+	Size     float64 `json:"size"`
+	Feasible bool    `json:"feasible"`
+
+	StatesVisited  int   `json:"states_visited"`
+	MemoHits       int   `json:"memo_hits"`
+	QueueHighWater int   `json:"queue_high_water"`
+	PeakMemBytes   int64 `json:"peak_mem_bytes"`
+	Truncated      bool  `json:"truncated"`
+}
+
+// goldenInstance draws a seeded instance. The tied variant quantizes every
+// parameter so that many states share a weight and the Vertical ordering's
+// stable tie-break decides the visit order.
+func goldenInstance(t testing.TB, k int, seed int64, tied bool) *Instance {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	dois := make([]float64, k)
+	costs := make([]float64, k)
+	shrinks := make([]float64, k)
+	for i := 0; i < k; i++ {
+		dois[i] = rng.Float64()*0.98 + 0.01
+		costs[i] = 1 + rng.Float64()*99
+		shrinks[i] = 0.05 + rng.Float64()*0.95
+		if tied {
+			dois[i] = math.Round(dois[i]*10)/10*0.9 + 0.05
+			costs[i] = 10 * math.Ceil(costs[i]/10)
+			shrinks[i] = math.Ceil(shrinks[i]*5) / 5
+		}
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(dois)))
+	in, err := NewInstance(dois, costs, shrinks, 1, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// goldenRuns solves the whole grid at the current code: K on both sides of
+// the one-word limit, a continuous and a tied instance per K, memo on and
+// paper-faithful (memo off, budgeted), the five Problem-2 algorithms and
+// the two windowed boundary searches.
+func goldenRuns(t testing.TB) []goldenRun {
+	var runs []goldenRun
+	for _, k := range []int{8, 20, 40, 64, 65, 80} {
+		for _, tied := range []bool{false, true} {
+			base := goldenInstance(t, k, int64(1000+k), tied)
+			for _, memo := range []bool{true, false} {
+				in := *base
+				switch {
+				case !memo:
+					in.DisableMemo = true
+					in.StateBudget = 20000
+				case k > 20:
+					// The exact searches are exponential; above the
+					// paper's mid-range K they only finish under a budget.
+					in.StateBudget = 60000
+				}
+				cmax := in.SupremeCost() * 0.4
+				if tied {
+					cmax = in.SupremeCost() * 0.25
+				}
+				smin, smax := 5.0, 300.0
+				name := fmt.Sprintf("k%d/tied=%v/memo=%v", k, tied, memo)
+				record := func(solver string, sol Solution) {
+					set := sol.Set
+					if set == nil {
+						set = []int{}
+					}
+					runs = append(runs, goldenRun{
+						Case: name, Solver: solver,
+						Set: set, Doi: sol.Doi, Cost: sol.Cost, Size: sol.Size, Feasible: sol.Feasible,
+						StatesVisited:  sol.Stats.StatesVisited,
+						MemoHits:       sol.Stats.MemoHits,
+						QueueHighWater: sol.Stats.QueueHighWater,
+						PeakMemBytes:   sol.Stats.PeakMemBytes,
+						Truncated:      sol.Stats.Truncated,
+					})
+				}
+				for _, a := range Algorithms {
+					record(a.Name, a.Solve(&in, cmax))
+				}
+				record("S_BoundariesP1", SBoundariesP1(&in, smin, smax))
+				record("C_BoundariesP3", CBoundariesP3(&in, cmax, smin, smax))
+			}
+		}
+	}
+	return runs
+}
+
+// TestGoldenSearch is the differential oracle for the search's state
+// representation: every answer and every counter must equal, bit for bit,
+// what the recorded commit produced. It is also the K > 64 regression test.
+func TestGoldenSearch(t *testing.T) {
+	got := goldenRuns(t)
+	if *updateGolden {
+		b, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d runs to %s", len(got), goldenPath)
+		return
+	}
+	b, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenRun
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("grid has %d runs, golden file %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s %s:\n got  %+v\n want %+v", want[i].Case, want[i].Solver, got[i], want[i])
+		}
+	}
+}
