@@ -120,25 +120,17 @@ func TestBoundariesDominateAllFeasibleStates(t *testing.T) {
 		bounds := findBoundary(in, sp, costPrimary(in, sp, cmax), &st, &mem)
 		// Enumerate all feasible states and check domination.
 		for mask := 1; mask < 1<<k; mask++ {
-			var n node
-			for i := 0; i < k; i++ {
-				if mask&(1<<i) != 0 {
-					n = append(n, i)
-				}
-			}
+			n := node{uint64(mask)} // bit i of the mask is position i
 			if sp.costOf(in, n) > cmax {
 				continue
 			}
 			ok := false
-			for _, b := range bounds {
-				if dominatedBy(n, b) {
-					ok = true
-					break
-				}
+			for i := 0; i < bounds.len() && !ok; i++ {
+				ok = dominatedBy(n, bounds.at(i))
 			}
 			if !ok {
-				t.Fatalf("trial %d: feasible state %v not dominated by any boundary %v",
-					trial, n, bounds)
+				t.Fatalf("trial %d: feasible state %v not dominated by any of the %d boundaries",
+					trial, positionsOf(n), bounds.len())
 			}
 		}
 	}
@@ -162,16 +154,20 @@ func TestBoundariesAreFeasible(t *testing.T) {
 		var st Stats
 		var mem memTracker
 		bounds := findBoundary(in, sp, costPrimary(in, sp, cmax), &st, &mem)
-		for _, b := range bounds {
+		for i := 0; i < bounds.len(); i++ {
+			b := bounds.at(i)
 			if sp.costOf(in, b) > cmax {
-				t.Fatalf("boundary %v infeasible", b)
+				t.Fatalf("boundary %v infeasible", positionsOf(b))
 			}
-			for i, pos := range b {
+			for _, pos := range positionsOf(b) {
 				prev := pos - 1
 				if prev < 0 || b.contains(prev) {
 					continue
 				}
-				if sp.costOf(in, b.replaceAt(i, prev)) <= cmax {
+				above := append(node(nil), b...) // b's Vertical predecessor
+				above.remove(pos)
+				above.insert(prev)
+				if sp.costOf(in, above) <= cmax {
 					misclassified++ // the paper's known over-generation
 				}
 			}

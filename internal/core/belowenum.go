@@ -38,11 +38,16 @@ func (s *space) suffixBest(in *Instance) [][]float64 {
 func bestBelow(in *Instance, sp *space, r node, suffixBest [][]float64,
 	accept func(n node) bool, incumbent float64, st *Stats) (node, float64) {
 
-	g := len(r)
+	// floors[i] is r's i-th position, the least slot i may take.
+	floors := make([]int, 0, r.size())
+	for pos := r.next(0); pos >= 0; pos = r.next(pos + 1) {
+		floors = append(floors, pos)
+	}
+	g := len(floors)
 	var best node
 	bestDoi := incumbent
 
-	cur := make(node, 0, g)
+	cur := sp.nodeOf()
 	acc := prefs.NewConjAccum()
 
 	var rec func(slot, floor int)
@@ -54,14 +59,11 @@ func bestBelow(in *Instance, sp *space, r node, suffixBest [][]float64,
 			st.StatesVisited++
 			if acc.Doi() > bestDoi && accept(cur) {
 				bestDoi = acc.Doi()
-				best = cloneNode(cur)
+				best = append(best[:0], cur...)
 			}
 			return
 		}
-		lo := r[slot]
-		if floor > lo {
-			lo = floor
-		}
+		lo := max(floors[slot], floor)
 		// Optimistic bound: the best g−slot dois available at ≥ lo.
 		need := g - slot
 		cands := suffixBest[lo]
@@ -76,11 +78,11 @@ func bestBelow(in *Instance, sp *space, r node, suffixBest [][]float64,
 			return
 		}
 		for y := lo; y <= sp.K-need; y++ {
-			cur = append(cur, y)
+			cur.insert(y)
 			acc.Add(in.Doi[sp.vec[y]])
 			rec(slot+1, y+1)
 			acc.Remove(in.Doi[sp.vec[y]])
-			cur = cur[:len(cur)-1]
+			cur.remove(y)
 		}
 	}
 	rec(0, 0)

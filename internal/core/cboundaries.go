@@ -30,7 +30,7 @@ func cBoundariesOn(in *Instance, sp *space, cmax float64, name string) Solution 
 	var mem memTracker
 
 	boundaries := findBoundary(in, sp, costPrimary(in, sp, cmax), &st, &mem)
-	set, _ := findMaxDoi(sp, in, boundaries, &st, &mem)
+	set, _ := findMaxDoi(sp, in, &boundaries, &st, &mem)
 
 	sol := in.solutionFor(set, true)
 	if len(set) == 0 && in.BaseCost > cmax {
@@ -45,17 +45,20 @@ func cBoundariesOn(in *Instance, sp *space, cmax float64, name string) Solution 
 // findBoundary is the paper's FINDBOUNDARY (Figure 5), generalized over
 // the primary constraint so the Section 6 adaptations (e.g. Problem 1 on
 // the size space) reuse it unchanged.
-func findBoundary(in *Instance, sp *space, pr primary, st *Stats, mem *memTracker) []node {
-	var boundaries []node
+func findBoundary(in *Instance, sp *space, pr primary, st *Stats, mem *memTracker) nodeList {
+	boundaries := sp.newList()
 	if sp.K == 0 {
 		return boundaries
 	}
-	visited := newVisitedSetFor(in, st, mem)
-	rq := newNodeDeque(st, mem)
-	seed := node{0}
-	visited.seen(seed)
-	rq.pushTail(seed)
-	byLen := make(map[int][]node) // boundaries grouped by size for pruning
+	visited := newVisitedSet(in, sp, st, mem)
+	rq := newNodeDeque(sp, st, mem)
+	r := sp.nodeOf(0) // the state in hand, seeded with the top of the vector
+	visited.seen(r)
+	rq.pushTail(r)
+	byLen := make([]nodeList, sp.K+1) // boundaries grouped by size for pruning
+	for g := range byLen {
+		byLen[g] = sp.newList()
+	}
 
 	// prune implements the paper's prune(.): a candidate is dropped when
 	// already visited or when it lies below a boundary already found in its
@@ -64,43 +67,40 @@ func findBoundary(in *Instance, sp *space, pr primary, st *Stats, mem *memTracke
 		if visited.seen(n) {
 			return true
 		}
-		group := byLen[len(n)]
+		group := &byLen[n.size()]
 		// Scan only the most recent dominators: full scans over large
 		// boundary lists would make prune itself quadratic in the number
 		// of boundaries (visited-set pruning keeps correctness).
-		lo := 0
-		if len(group) > maxDominanceScan {
-			lo = len(group) - maxDominanceScan
-		}
-		for _, b := range group[lo:] {
-			if dominatedBy(n, b) {
+		for i := max(0, group.len()-maxDominanceScan); i < group.len(); i++ {
+			if dominatedBy(n, group.at(i)) {
 				return true
 			}
 		}
 		return false
 	}
 
+	vr := sp.newList()
 	for rq.len() > 0 {
 		if in.overBudget(st) {
 			break
 		}
-		r := rq.popHead()
+		rq.popHead(r)
 		st.StatesVisited++
 		if pr.ok(pr.value(r)) {
-			boundaries = append(boundaries, r)
-			byLen[len(r)] = append(byLen[len(r)], r)
+			boundaries.push(r)
+			byLen[r.size()].push(r)
 			mem.add(r.memBytes())
-			if h := sp.horizontal(r); h != nil && !visited.seen(h) {
-				rq.pushTail(h)
+			if sp.horizontal(r) && !visited.seen(r) {
+				rq.pushTail(r)
 			}
 			continue
 		}
-		vr := sp.vertical(r)
+		sp.vertical(r, &vr)
 		// Head insertion preserves within-group processing; push in reverse
 		// so the highest-cost neighbor pops first (the paper's ordering).
-		for i := len(vr) - 1; i >= 0; i-- {
-			if !prune(vr[i]) {
-				rq.pushHead(vr[i])
+		for i := vr.len() - 1; i >= 0; i-- {
+			if v := vr.at(i); !prune(v) {
+				rq.pushHead(v)
 			}
 		}
 	}

@@ -26,18 +26,61 @@ func cMaxBoundsOn(in *Instance, sp *space, cmax float64, name string) Solution {
 	st := Stats{Algorithm: name}
 	var mem memTracker
 
-	var maxBounds []node
-	byLen := make(map[int][]node)
-	visited := newVisitedSetFor(in, &st, &mem)
-	lastSize := 0
+	maxBounds := sp.newList()
+	visited := newVisitedSet(in, sp, &st, &mem)
+	rq := newNodeDeque(sp, &st, &mem)
 	pr := costPrimary(in, sp, cmax)
-	for k := 0; k+lastSize < sp.K && !st.Truncated; k++ {
-		got := findMaxBound(in, sp, k, pr, &maxBounds, byLen, visited, &st, &mem)
-		if got > lastSize {
-			lastSize = got
+	r, vr := sp.nodeOf(), sp.newList() // the state in hand and its Vertical neighbors
+
+	// findMaxBound is the paper's FINDMAXBOUND: grow maximal boundaries that
+	// contain the seed preference k. It returns the largest boundary size
+	// found this round (0 if none).
+	findMaxBound := func(k int) int {
+		largest := 0
+		clear(r)
+		r.insert(k)
+		if visited.seen(r) {
+			return 0
 		}
+		rq.pushTail(r)
+		for rq.len() > 0 {
+			if in.overBudget(&st) {
+				break
+			}
+			rq.popHead(r)
+			st.StatesVisited++
+			if pr.ok(pr.value(r)) {
+				// Greedy maximal extension: repeatedly add the most
+				// expensive absent position that keeps the state feasible.
+				if greedyGrow(sp, r, -1, pr, &st) || r.size() == 1 {
+					maxBounds.push(r)
+					mem.add(r.memBytes())
+					largest = max(largest, r.size())
+				}
+			}
+			sp.vertical(r, &vr)
+			for i := 0; i < vr.len(); i++ {
+				v := vr.at(i)
+				if !v.contains(k) {
+					continue // only build boundaries containing the seed
+				}
+				// Pruning is visited-only: every Vertical neighbor of a
+				// maximal boundary lies below it by construction, so
+				// dominance pruning here would cut the entire branch phase
+				// and collapse the algorithm to a greedy.
+				if !visited.seen(v) {
+					rq.pushHead(v)
+				}
+			}
+		}
+		return largest
 	}
-	set, _ := findMaxDoi(sp, in, maxBounds, &st, &mem)
+
+	lastSize := 0
+	for k := 0; k+lastSize < sp.K && !st.Truncated; k++ {
+		lastSize = max(lastSize, findMaxBound(k))
+	}
+	set, _ := findMaxDoi(sp, in, &maxBounds, &st, &mem)
 
 	sol := in.solutionFor(set, true)
 	if len(set) == 0 && in.BaseCost > cmax {
@@ -47,70 +90,4 @@ func cMaxBoundsOn(in *Instance, sp *space, cmax float64, name string) Solution {
 	st.PeakMemBytes = mem.peak
 	sol.Stats = st
 	return sol
-}
-
-// findMaxBound is the paper's FINDMAXBOUND: grow maximal boundaries that
-// contain the seed preference k. It returns the largest boundary size found
-// this round (0 if none).
-func findMaxBound(in *Instance, sp *space, k int, pr primary,
-	maxBounds *[]node, byLen map[int][]node, visited *visitedSet, st *Stats, mem *memTracker) int {
-
-	largest := 0
-	seed := node{k}
-	if visited.seen(seed) {
-		return 0
-	}
-	rq := newNodeDeque(st, mem)
-	rq.pushTail(seed)
-
-	// prune is visited-only: every Vertical neighbor of a maximal boundary
-	// lies below it by construction, so dominance pruning here would cut
-	// the entire branch phase and collapse the algorithm to a greedy.
-	prune := func(n node) bool { return visited.seen(n) }
-
-	for rq.len() > 0 {
-		if in.overBudget(st) {
-			break
-		}
-		r := rq.popHead()
-		st.StatesVisited++
-		r0 := r
-		if pr.ok(pr.value(r)) {
-			// Greedy maximal extension: repeatedly add the most expensive
-			// absent position that keeps the state feasible.
-			for {
-				extended := false
-				cur := pr.value(r)
-				sp.horizontal2From(r, 0, func(pos int) bool {
-					st.StatesVisited++
-					if pr.ok(pr.add(cur, pos)) {
-						r = r.insert(pos)
-						extended = true
-						return false
-					}
-					return true
-				})
-				if !extended {
-					break
-				}
-			}
-			if !equalNode(r, r0) || len(r0) == 1 {
-				*maxBounds = append(*maxBounds, r)
-				byLen[len(r)] = append(byLen[len(r)], r)
-				mem.add(r.memBytes())
-				if len(r) > largest {
-					largest = len(r)
-				}
-			}
-		}
-		for _, v := range sp.vertical(r) {
-			if !v.contains(k) {
-				continue // only build boundaries containing the seed
-			}
-			if !prune(v) {
-				rq.pushHead(v)
-			}
-		}
-	}
-	return largest
 }

@@ -21,12 +21,16 @@ func DHeurDoi(in *Instance, cmax float64) Solution {
 	suffix := suffixConj(in)
 	pr := costPrimary(in, sp, cmax)
 
+	// The round's maximal state, its truncation and the regrown truncation.
+	r, trunc, grown := sp.nodeOf(), sp.nodeOf(), sp.nodeOf()
+
 	for k := 0; k < sp.K && maxDoi <= suffix[k] && !in.overBudget(&st); k++ {
-		seed := node{k}
-		if !pr.ok(pr.value(seed)) {
+		clear(r)
+		r.insert(k)
+		if !pr.ok(pr.value(r)) {
 			continue
 		}
-		r := greedyGrow(sp, seed, pr, &st)
+		greedyGrow(sp, r, -1, pr, &st)
 		mem.add(r.memBytes())
 		if d := sp.doiOf(in, r); d > maxDoi {
 			maxDoi = d
@@ -34,12 +38,18 @@ func DHeurDoi(in *Instance, cmax float64) Solution {
 		}
 		// Heuristic descent (Figure 11, step 2.5): drop the state's suffix
 		// element by element and regrow each truncation, hoping a cheaper
-		// tail frees budget for more interesting preferences. The growth
-		// probes burn states too, so the budget is re-checked per cut —
-		// otherwise a tiny budget would finish the round unflagged.
-		for cut := len(r) - 1; cut >= 1 && !in.overBudget(&st); cut-- {
-			trunc := cloneNode(r[:cut])
-			grown := greedyGrowExcluding(sp, trunc, r[cut], pr, &st)
+		// tail frees budget for more interesting preferences — without
+		// re-adding the element just dropped, so each truncation explores a
+		// genuinely different maximal state (Figure 11's "For each R” in
+		// HR, R” ≠ R'"). The growth probes burn states too, so the budget
+		// is re-checked per cut — otherwise a tiny budget would finish the
+		// round unflagged.
+		copy(trunc, r)
+		for cut := r.size() - 1; cut >= 1 && !in.overBudget(&st); cut-- {
+			dropped := trunc.max()
+			trunc.remove(dropped)
+			copy(grown, trunc)
+			greedyGrow(sp, grown, dropped, pr, &st)
 			if d := sp.doiOf(in, grown); d > maxDoi {
 				maxDoi = d
 				best = sp.toSet(grown)
@@ -56,29 +66,4 @@ func DHeurDoi(in *Instance, cmax float64) Solution {
 	st.PeakMemBytes = mem.peak
 	sol.Stats = st
 	return sol
-}
-
-// greedyGrowExcluding grows like greedyGrow but refuses to re-add the
-// excluded position, so each truncation explores a genuinely different
-// maximal state (Figure 11's "For each R” in HR, R” ≠ R'").
-func greedyGrowExcluding(sp *space, r node, excluded int, pr primary, st *Stats) node {
-	for {
-		extended := false
-		cur := pr.value(r)
-		sp.horizontal2From(r, 0, func(pos int) bool {
-			if pos == excluded {
-				return true
-			}
-			st.StatesVisited++
-			if pr.ok(pr.add(cur, pos)) {
-				r = r.insert(pos)
-				extended = true
-				return false
-			}
-			return true
-		})
-		if !extended {
-			return r
-		}
-	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // DMaxDoi is the paper's Algorithm D-MAXDOI (Figure 9), the provably exact
 // search on the doi state space (Theorem 3). FINDOPTIMAL grows each
@@ -22,7 +19,7 @@ func DMaxDoi(in *Instance, cmax float64) Solution {
 	sp := in.doiSpace()
 
 	solutions := findOptimal(in, sp, costPrimary(in, sp, cmax), &st, &mem)
-	set, _ := dFindMaxDoi(sp, in, solutions, &st)
+	set, _ := dFindMaxDoi(sp, in, &solutions, &st)
 
 	sol := in.solutionFor(set, true)
 	if len(set) == 0 && in.BaseCost > cmax {
@@ -35,49 +32,50 @@ func DMaxDoi(in *Instance, cmax float64) Solution {
 }
 
 // findOptimal is the paper's FINDOPTIMAL (Figure 9, first phase).
-func findOptimal(in *Instance, sp *space, pr primary, st *Stats, mem *memTracker) []node {
-	var solutions []node
+func findOptimal(in *Instance, sp *space, pr primary, st *Stats, mem *memTracker) nodeList {
+	solutions := sp.newList()
 	if sp.K == 0 {
 		return solutions
 	}
-	visited := newVisitedSetFor(in, st, mem)
-	rq := newNodeDeque(st, mem)
-	seed := node{0}
-	visited.seen(seed)
-	rq.pushTail(seed)
+	visited := newVisitedSet(in, sp, st, mem)
+	rq := newNodeDeque(sp, st, mem)
+	r := sp.nodeOf(0) // the state in hand, seeded with the top of the vector
+	visited.seen(r)
+	rq.pushTail(r)
+	h := sp.nodeOf() // r's Horizontal successor
+	vr := sp.newList()
 
 	for rq.len() > 0 {
 		if in.overBudget(st) {
 			break
 		}
-		r := rq.popHead()
+		rq.popHead(r)
 		st.StatesVisited++
 		branch := r // the node whose Vertical neighbors we branch through
 		if pr.ok(pr.value(r)) {
 			// Horizontal walk: extend while feasible.
-			for {
-				h := sp.horizontal(r)
-				if h == nil {
-					break
-				}
+			blocked := false
+			copy(h, r)
+			for sp.horizontal(h) {
 				st.StatesVisited++
 				if !pr.ok(pr.value(h)) {
-					branch = h
+					blocked = true
 					break
 				}
-				r = h
-				branch = r
+				copy(r, h)
 			}
-			solutions = append(solutions, r)
+			solutions.push(r)
 			mem.add(r.memBytes())
-			if equalNode(branch, r) {
+			if !blocked {
 				// The chain ran off the edge of the space; no infeasible
 				// successor to branch from.
 				continue
 			}
+			branch = h
 		}
-		for _, v := range sp.vertical(branch) {
-			if !visited.seen(v) {
+		sp.vertical(branch, &vr)
+		for i := 0; i < vr.len(); i++ {
+			if v := vr.at(i); !visited.seen(v) {
 				rq.pushHead(v)
 			}
 		}
@@ -88,30 +86,26 @@ func findOptimal(in *Instance, sp *space, pr primary, st *Stats, mem *memTracker
 // dFindMaxDoi is the paper's D_FINDMAXDOI (Figure 9, second phase): pick
 // the best-doi node among the recorded solutions, scanning in decreasing
 // group size with the BestExpectedDoi early exit.
-func dFindMaxDoi(sp *space, in *Instance, solutions []node, st *Stats) ([]int, float64) {
-	bs := make([]node, len(solutions))
-	copy(bs, solutions)
-	sort.SliceStable(bs, func(i, j int) bool { return len(bs[i]) > len(bs[j]) })
-
+func dFindMaxDoi(sp *space, in *Instance, solutions *nodeList, st *Stats) ([]int, float64) {
 	bound := in.topConj()
 	maxDoi := -1.0
-	var best []int
+	best := -1
 	kr := in.K
-	for _, r := range bs {
-		if len(r) < kr {
-			kr = len(r)
+	for _, si := range solutions.bySizeDesc(sp.K) {
+		r := solutions.at(si)
+		if g := r.size(); g < kr {
+			kr = g
 			if maxDoi > bound[kr] {
 				break
 			}
 		}
 		st.StatesVisited++
 		if d := sp.doiOf(in, r); d > maxDoi {
-			maxDoi = d
-			best = sp.toSet(r)
+			maxDoi, best = d, si
 		}
 	}
-	if best == nil {
+	if best < 0 {
 		return nil, 0
 	}
-	return best, maxDoi
+	return sp.toSet(solutions.at(best)), maxDoi
 }

@@ -24,38 +24,37 @@ func DSingleMaxDoi(in *Instance, cmax float64) Solution {
 	maxDoi := -1.0
 	var best []int
 	suffix := suffixConj(in)
-	visited := newVisitedSetFor(in, &st, &mem)
+	visited := newVisitedSet(in, sp, &st, &mem)
+	rq := newNodeDeque(sp, &st, &mem)
 	pr := costPrimary(in, sp, cmax)
+	r, vr := sp.nodeOf(), sp.newList() // the state in hand and its Vertical neighbors
 
 	for k := 0; k < sp.K && maxDoi <= suffix[k] && !st.Truncated; k++ {
-		seed := node{k}
-		if visited.seen(seed) {
+		clear(r)
+		r.insert(k)
+		if visited.seen(r) {
 			continue
 		}
-		rq := newNodeDeque(&st, &mem)
-		rq.pushTail(seed)
+		rq.pushTail(r)
 		for rq.len() > 0 {
 			if in.overBudget(&st) {
 				break
 			}
-			r := rq.popHead()
+			rq.popHead(r)
 			st.StatesVisited++
 			if pr.ok(pr.value(r)) {
-				r = greedyGrow(sp, r, pr, &st)
+				greedyGrow(sp, r, -1, pr, &st)
 				if d := sp.doiOf(in, r); d > maxDoi {
 					maxDoi = d
 					best = sp.toSet(r)
 				}
 				mem.add(r.memBytes())
 			}
-			for _, v := range sp.vertical(r) {
-				if !v.contains(k) {
-					continue
+			sp.vertical(r, &vr)
+			for i := 0; i < vr.len(); i++ {
+				if v := vr.at(i); v.contains(k) && !visited.seen(v) {
+					rq.pushHead(v)
 				}
-				if visited.seen(v) {
-					continue
-				}
-				rq.pushHead(v)
 			}
 		}
 	}
@@ -70,26 +69,28 @@ func DSingleMaxDoi(in *Instance, cmax float64) Solution {
 	return sol
 }
 
-// greedyGrow extends a feasible node maximally: repeatedly add the absent
-// position of highest space weight (highest doi in the D space, highest
-// cost in the C space) whose addition keeps the primary constraint
-// satisfied.
-func greedyGrow(sp *space, r node, pr primary, st *Stats) node {
+// greedyGrow extends a feasible node maximally, in place: repeatedly add
+// the absent position of highest space weight (highest doi in the D space,
+// highest cost in the C space) whose addition keeps the primary constraint
+// satisfied, never adding the excluded position (−1 excludes none). It
+// reports whether the node grew.
+func greedyGrow(sp *space, r node, excluded int, pr primary, st *Stats) bool {
+	grew := false
+grow:
 	for {
-		extended := false
 		cur := pr.value(r)
-		sp.horizontal2From(r, 0, func(pos int) bool {
+		for pos := sp.horizontal2From(r, 0); pos >= 0; pos = sp.horizontal2From(r, pos+1) {
+			if pos == excluded {
+				continue
+			}
 			st.StatesVisited++
 			if pr.ok(pr.add(cur, pos)) {
-				r = r.insert(pos)
-				extended = true
-				return false
+				r.insert(pos)
+				grew = true
+				continue grow
 			}
-			return true
-		})
-		if !extended {
-			return r
 		}
+		return grew
 	}
 }
 

@@ -29,35 +29,31 @@ func (in *Instance) topConj() []float64 {
 // slot's position. The greedy is optimal because slot availability sets are
 // nested suffixes. Boundaries are visited in decreasing group size so the
 // BestExpectedDoi bound can stop the scan early.
-func findMaxDoi(sp *space, in *Instance, boundaries []node, st *Stats, mem *memTracker) ([]int, float64) {
-	// Order boundaries by decreasing group size (push order usually already
-	// gives this; sorting makes it independent of phase-1 discipline).
-	bs := make([]node, len(boundaries))
-	copy(bs, boundaries)
-	sort.SliceStable(bs, func(i, j int) bool { return len(bs[i]) > len(bs[j]) })
-
+func findMaxDoi(sp *space, in *Instance, boundaries *nodeList, st *Stats, mem *memTracker) ([]int, float64) {
 	bound := in.topConj()
 	maxDoi := -1.0
 	var best []int
 	usedPos := make([]bool, sp.K)
+	set := make([]int, 0, sp.K)
 	mem.add(int64(sp.K)) // scratch accounting
 
 	kr := in.K
-	for _, r := range bs {
-		if len(r) < kr {
-			kr = len(r)
+	// Boundaries by decreasing group size (push order usually already gives
+	// this; ordering makes it independent of phase-1 discipline).
+	for _, bi := range boundaries.bySizeDesc(sp.K) {
+		r := boundaries.at(bi)
+		if g := r.size(); g < kr {
+			kr = g
 			if maxDoi > bound[kr] {
 				break // no smaller group can beat the incumbent
 			}
 		}
 		// Greedy best-doi substitution below r.
-		for i := range usedPos {
-			usedPos[i] = false
-		}
-		set := make([]int, 0, len(r))
-		acc := prefs.NewConjAccum()
-		for i := len(r) - 1; i >= 0; i-- {
-			k := r[i]
+		clear(usedPos)
+		set = set[:0]
+		var acc prefs.ConjAccum
+		acc.Reset()
+		for k := r.max(); k >= 0; k = r.prev(k - 1) {
 			bestP, bestPos := sp.K, -1
 			for j := k; j < sp.K; j++ {
 				if usedPos[j] {
@@ -74,13 +70,13 @@ func findMaxDoi(sp *space, in *Instance, boundaries []node, st *Stats, mem *memT
 		st.StatesVisited++
 		if acc.Doi() > maxDoi {
 			maxDoi = acc.Doi()
-			sort.Ints(set)
-			best = set
+			best = append(best[:0], set...)
 		}
 	}
 	mem.sub(int64(sp.K))
 	if best == nil {
 		return nil, 0
 	}
+	sort.Ints(best)
 	return best, maxDoi
 }

@@ -241,7 +241,7 @@ func TestSizePrimaryAndSpace(t *testing.T) {
 		}
 	}
 	pr := sizePrimary(in, sp, 20)
-	v := pr.value(node{0}) // most shrinking pref: size 100×0.1 = 10
+	v := pr.value(nodeOf(0)) // most shrinking pref: size 100×0.1 = 10
 	if math.Abs(v-10) > 1e-9 {
 		t.Errorf("size value = %g", v)
 	}
@@ -252,7 +252,7 @@ func TestSizePrimaryAndSpace(t *testing.T) {
 		t.Errorf("incremental size = %g (10 × shrink 0.5)", got)
 	}
 	// costOf/sizeOf/doiOf on the empty node return base parameters.
-	if sp.costOf(in, nil) != in.BaseCost || sp.sizeOf(in, nil) != in.BaseSize || sp.doiOf(in, nil) != 0 {
+	if sp.costOf(in, nodeOf()) != in.BaseCost || sp.sizeOf(in, nodeOf()) != in.BaseSize || sp.doiOf(in, nodeOf()) != 0 {
 		t.Error("empty-node parameters")
 	}
 }

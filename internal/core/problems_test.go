@@ -254,7 +254,7 @@ func TestBestBelowMatchesBruteForce(t *testing.T) {
 		sp := in.costSpace()
 		// Random boundary of random size.
 		g := 1 + rng.Intn(k)
-		r := make(node, 0, g)
+		r := make([]int, 0, g)
 		pos := rng.Intn(k - g + 1)
 		for len(r) < g {
 			r = append(r, pos)
@@ -264,7 +264,7 @@ func TestBestBelowMatchesBruteForce(t *testing.T) {
 			}
 		}
 		// Deduplicate (the growth above can repeat the last position).
-		r = dedupNode(r, k)
+		r = dedupPositions(r, k)
 		if r == nil {
 			continue
 		}
@@ -273,12 +273,13 @@ func TestBestBelowMatchesBruteForce(t *testing.T) {
 
 		suffixBest := sp.suffixBest(in)
 		var st Stats
-		got, gotDoi := bestBelow(in, sp, r, suffixBest, accept, -1, &st)
+		got, gotDoi := bestBelow(in, sp, sp.nodeOf(r...), suffixBest, accept, -1, &st)
 
 		// Oracle: enumerate all same-size states componentwise ≥ r.
 		var bestDoi float64 = -1
-		var iter func(slot, floor int, cur node)
-		iter = func(slot, floor int, cur node) {
+		cur := sp.nodeOf()
+		var iter func(slot, floor int)
+		iter = func(slot, floor int) {
 			if slot == len(r) {
 				if accept(cur) {
 					if d := sp.doiOf(in, cur); d > bestDoi {
@@ -292,11 +293,12 @@ func TestBestBelowMatchesBruteForce(t *testing.T) {
 				lo = floor
 			}
 			for y := lo; y < k; y++ {
-				iter(slot+1, y+1, append(cur, y))
-				cur = cur[:slot]
+				cur.insert(y)
+				iter(slot+1, y+1)
+				cur.remove(y)
 			}
 		}
-		iter(0, 0, make(node, 0, len(r)))
+		iter(0, 0)
 
 		if bestDoi < 0 {
 			if got != nil {
@@ -310,9 +312,9 @@ func TestBestBelowMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// dedupNode returns a strictly increasing node or nil if impossible.
-func dedupNode(r node, k int) node {
-	out := make(node, 0, len(r))
+// dedupPositions returns strictly increasing positions or nil if impossible.
+func dedupPositions(r []int, k int) []int {
+	out := make([]int, 0, len(r))
 	prev := -1
 	for _, p := range r {
 		if p <= prev {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -29,16 +30,27 @@ func logWeight(f float64) float64 {
 // doi for the D space, size shrink for the S space). Transitions use the
 // weights only to order neighbors; feasibility is checked by the algorithms
 // against the CQP constraints, which may concern a different parameter.
+//
+// A space is built per search and never shared between goroutines, so it
+// also carries the search's scratch.
 type space struct {
-	K   int
-	vec []int     // position -> P index
-	w   []float64 // per-position weight, non-increasing
+	K      int
+	vec    []int     // position -> P index
+	w      []float64 // per-position weight, non-increasing
+	stride int       // words per node: ⌈K/64⌉, and 1 for the empty space
+	keys   []float64 // vertical's sort keys, one per neighbor
+}
+
+// newSpace is the one place the node width is chosen: K alone picks it.
+func newSpace(vec []int) *space {
+	k := len(vec)
+	return &space{K: k, vec: vec, w: make([]float64, k),
+		stride: max(1, (k+63)/64), keys: make([]float64, 0, k)}
 }
 
 // costSpace builds the C-based space (Section 5.2.1).
 func (in *Instance) costSpace() *space {
-	s := &space{K: in.K, vec: in.C}
-	s.w = make([]float64, in.K)
+	s := newSpace(in.C)
 	for pos, p := range in.C {
 		s.w[pos] = in.Cost[p]
 	}
@@ -49,9 +61,8 @@ func (in *Instance) costSpace() *space {
 // the weights are the log-domain doi contributions −log(1 − doi), which
 // order exactly like doi.
 func (in *Instance) doiSpace() *space {
-	s := &space{K: in.K, vec: make([]int, in.K)}
-	s.w = make([]float64, in.K)
-	for i := 0; i < in.K; i++ {
+	s := newSpace(make([]int, in.K))
+	for i := range s.vec {
 		s.vec[i] = i
 		s.w[i] = logWeight(1 - in.Doi[i])
 	}
@@ -61,13 +72,24 @@ func (in *Instance) doiSpace() *space {
 // sizeSpace builds the S-based space (Section 6, Problem 1): positions
 // ordered by increasing size(Q ∧ p), i.e. decreasing shrink weight.
 func (in *Instance) sizeSpace() *space {
-	s := &space{K: in.K, vec: in.S}
-	s.w = make([]float64, in.K)
+	s := newSpace(in.S)
 	for pos, p := range in.S {
 		s.w[pos] = logWeight(in.Shrink[p])
 	}
 	return s
 }
+
+// nodeOf allocates a node of the space holding the given positions.
+func (s *space) nodeOf(positions ...int) node {
+	n := make(node, s.stride)
+	for _, pos := range positions {
+		n.insert(pos)
+	}
+	return n
+}
+
+// newList returns an empty list of the space's nodes.
+func (s *space) newList() nodeList { return nodeList{stride: s.stride} }
 
 // primary is the constraint a boundary search is aligned with: the
 // parameter that is monotone along the space's Vertical direction. For
@@ -107,22 +129,30 @@ func sizePrimary(in *Instance, sp *space, smin float64) primary {
 
 // toSet maps a node (positions) to sorted P indices.
 func (s *space) toSet(n node) []int {
-	out := make([]int, len(n))
-	for i, pos := range n {
-		out[i] = s.vec[pos]
+	out := make([]int, 0, n.size())
+	for pos := n.next(0); pos >= 0; pos = n.next(pos + 1) {
+		out = append(out, s.vec[pos])
 	}
 	sort.Ints(out)
 	return out
 }
 
+// The parameter functions below fold over a node's members in ascending
+// position order. Floating-point addition and multiplication are not
+// associative, so that order is part of their contract: it is what makes
+// every comparison, and hence every answer, independent of how a node is
+// represented.
+
 // costOf computes cost(Q ∧ state) without materializing the P-index set.
 func (s *space) costOf(in *Instance, n node) float64 {
-	if len(n) == 0 {
+	if n.max() < 0 {
 		return in.BaseCost
 	}
 	c := 0.0
-	for _, pos := range n {
-		c += in.Cost[s.vec[pos]]
+	for i, w := range n {
+		for ; w != 0; w &= w - 1 {
+			c += in.Cost[s.vec[i<<6+bits.TrailingZeros64(w)]]
+		}
 	}
 	return c
 }
@@ -130,8 +160,10 @@ func (s *space) costOf(in *Instance, n node) float64 {
 // sizeOf computes the estimated size of Q ∧ state.
 func (s *space) sizeOf(in *Instance, n node) float64 {
 	sz := in.BaseSize
-	for _, pos := range n {
-		sz *= in.Shrink[s.vec[pos]]
+	for i, w := range n {
+		for ; w != 0; w &= w - 1 {
+			sz *= in.Shrink[s.vec[i<<6+bits.TrailingZeros64(w)]]
+		}
 	}
 	return sz
 }
@@ -139,8 +171,10 @@ func (s *space) sizeOf(in *Instance, n node) float64 {
 // doiOf computes doi(Q ∧ state).
 func (s *space) doiOf(in *Instance, n node) float64 {
 	prod := 1.0
-	for _, pos := range n {
-		prod *= 1 - in.Doi[s.vec[pos]]
+	for i, w := range n {
+		for ; w != 0; w &= w - 1 {
+			prod *= 1 - in.Doi[s.vec[i<<6+bits.TrailingZeros64(w)]]
+		}
 	}
 	return 1 - prod
 }
@@ -148,71 +182,80 @@ func (s *space) doiOf(in *Instance, n node) float64 {
 // weight sums the space weights of a node's positions.
 func (s *space) weight(n node) float64 {
 	t := 0.0
-	for _, pos := range n {
-		t += s.w[pos]
+	for i, w := range n {
+		for ; w != 0; w &= w - 1 {
+			t += s.w[i<<6+bits.TrailingZeros64(w)]
+		}
 	}
 	return t
 }
 
-// horizontal is the paper's Horizontal transition: extend the node with the
-// successor of its largest position. Returns nil at the edge of the space.
-func (s *space) horizontal(n node) node {
-	if len(n) == 0 {
-		if s.K == 0 {
-			return nil
-		}
-		return node{0}
-	}
-	next := n[len(n)-1] + 1
+// horizontal is the paper's Horizontal transition, applied in place: extend
+// the node with the successor of its largest position. At the edge of the
+// space it reports false and leaves the node alone.
+func (s *space) horizontal(n node) bool {
+	next := n.max() + 1
 	if next >= s.K {
-		return nil
+		return false
 	}
-	return n.insert(next)
+	n.insert(next)
+	return true
 }
 
 // vertical is the paper's Vertical transition set: every node obtained by
 // replacing one position with its successor (when absent), ordered by
 // decreasing resulting weight — i.e. preferring the neighbor that gives up
-// the least of the space's parameter.
-func (s *space) vertical(n node) []node {
-	var out []node
-	for idx := len(n) - 1; idx >= 0; idx-- {
-		next := n[idx] + 1
-		if next >= s.K || n.contains(next) {
-			continue
+// the least of the space's parameter. Neighbors of equal weight keep their
+// generation order, largest replaced position first. The neighbors go into
+// the caller's list, which is reused from call to call.
+func (s *space) vertical(n node, out *nodeList) {
+	out.reset()
+	keys := s.keys[:0]
+	for i := len(n) - 1; i >= 0; i-- {
+		// Members whose successor is absent: bit p set, bit p+1 (the low bit
+		// of the next word, for p = 63) clear.
+		succ := n[i] >> 1
+		if i+1 < len(n) {
+			succ |= n[i+1] << 63
 		}
-		out = append(out, n.replaceAt(idx, next))
-	}
-	if len(out) > 1 {
-		sort.SliceStable(out, func(a, b int) bool {
-			return s.weight(out[a]) > s.weight(out[b])
-		})
-	}
-	return out
-}
-
-// horizontal2 is the paper's Horizontal2 transition set (C-MAXBOUNDS):
-// every node obtained by adding one absent position, ordered by decreasing
-// resulting weight. Since weights are non-increasing in position, that is
-// simply ascending position order.
-func (s *space) horizontal2(n node) []node {
-	out := make([]node, 0, s.K-len(n))
-	for pos := 0; pos < s.K; pos++ {
-		if !n.contains(pos) {
-			out = append(out, n.insert(pos))
-		}
-	}
-	return out
-}
-
-// horizontal2From yields absent positions in ascending order starting from
-// a given position, letting walk loops avoid materializing all neighbors.
-func (s *space) horizontal2From(n node, from int, yield func(pos int) bool) {
-	for pos := from; pos < s.K; pos++ {
-		if !n.contains(pos) {
-			if !yield(pos) {
-				return
+		for c := n[i] &^ succ; c != 0; {
+			b := 63 - bits.LeadingZeros64(c)
+			c &^= 1 << b
+			p := i<<6 + b
+			if p+1 >= s.K {
+				continue // the successor is off the edge of the space
 			}
+			out.push(n)
+			v := out.at(len(keys))
+			v.remove(p)
+			v.insert(p + 1)
+			keys = append(keys, s.weight(v))
 		}
 	}
+	// Stable insertion sort on the precomputed keys: at most K neighbors.
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && keys[j] > keys[j-1]; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+			out.swap(j, j-1)
+		}
+	}
+}
+
+// horizontal2From walks the paper's Horizontal2 transition set
+// (C-MAXBOUNDS: every node obtained by adding one absent position) lazily:
+// it returns the first absent position ≥ from, or −1 past the edge of the
+// space. Weights are non-increasing in position, so ascending positions are
+// the neighbors in decreasing resulting weight.
+func (s *space) horizontal2From(n node, from int) int {
+	shift := uint(from) & 63
+	for i := from >> 6; i < len(n); i++ {
+		if w := ^n[i] >> shift << shift; w != 0 {
+			if pos := i<<6 + bits.TrailingZeros64(w); pos < s.K {
+				return pos
+			}
+			return -1
+		}
+		shift = 0
+	}
+	return -1
 }

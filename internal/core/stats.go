@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"encoding/binary"
+	"time"
+)
 
 // Stats instruments one algorithm run with the measurements the paper's
 // evaluation reports: execution time (Figure 12), peak memory (Figure 13)
@@ -47,25 +50,27 @@ func (m *memTracker) add(b int64) {
 
 func (m *memTracker) sub(b int64) { m.cur -= b }
 
-// visitedSet is a hash set of node fingerprints with memory accounting.
-// Collisions are possible but vanishingly rare and only risk re-pruning an
-// unvisited state; correctness tests cover the algorithms end to end.
-// A disabled set (paper-faithful mode) reports nothing as seen.
+// visitedSet is the set of states a search has already expanded, with memory
+// accounting. It is exact: a one-word node is its own key, and a wider node
+// is keyed by its words' bytes. A disabled set (paper-faithful mode) reports
+// nothing as seen.
 type visitedSet struct {
-	m        map[uint64]struct{}
+	word     map[uint64]struct{} // stride 1
+	wide     map[string]struct{} // stride > 1
+	key      []byte              // scratch for wide keys
 	st       *Stats
 	mem      *memTracker
 	disabled bool
 }
 
-func newVisitedSet(st *Stats, mem *memTracker) *visitedSet {
-	return &visitedSet{m: make(map[uint64]struct{}), st: st, mem: mem}
-}
-
-// newVisitedSetFor builds a visited set honoring the instance's memo mode.
-func newVisitedSetFor(in *Instance, st *Stats, mem *memTracker) *visitedSet {
-	v := newVisitedSet(st, mem)
-	v.disabled = in.DisableMemo
+// newVisitedSet builds a visited set honoring the instance's memo mode.
+func newVisitedSet(in *Instance, sp *space, st *Stats, mem *memTracker) *visitedSet {
+	v := &visitedSet{st: st, mem: mem, disabled: in.DisableMemo}
+	if sp.stride == 1 {
+		v.word = make(map[uint64]struct{})
+	} else {
+		v.wide = make(map[string]struct{})
+	}
 	return v
 }
 
@@ -75,12 +80,24 @@ func (v *visitedSet) seen(n node) bool {
 	if v.disabled {
 		return false
 	}
-	h := n.hash()
-	if _, ok := v.m[h]; ok {
+	var dup bool
+	if len(n) == 1 {
+		if _, dup = v.word[n[0]]; !dup {
+			v.word[n[0]] = struct{}{}
+		}
+	} else {
+		v.key = v.key[:0]
+		for _, w := range n {
+			v.key = binary.LittleEndian.AppendUint64(v.key, w)
+		}
+		if _, dup = v.wide[string(v.key)]; !dup {
+			v.wide[string(v.key)] = struct{}{}
+		}
+	}
+	if dup {
 		v.st.MemoHits++
 		return true
 	}
-	v.m[h] = struct{}{}
 	v.mem.add(16) // 8-byte key + bucket overhead
 	return false
 }
@@ -91,16 +108,18 @@ func (v *visitedSet) seen(n node) bool {
 // two-stack deque: front holds head-side nodes in reverse, back holds
 // tail-side nodes in order.
 type nodeDeque struct {
-	front  []node // next head element is front[len(front)-1]
-	back   []node // back[backAt:] are tail-side elements in FIFO order
+	front  nodeList // next head element is the last of front
+	back   nodeList // nodes backAt.. of back are tail-side elements in FIFO order
 	backAt int
 	st     *Stats
 	mem    *memTracker
 }
 
-func newNodeDeque(st *Stats, mem *memTracker) *nodeDeque { return &nodeDeque{st: st, mem: mem} }
+func newNodeDeque(sp *space, st *Stats, mem *memTracker) *nodeDeque {
+	return &nodeDeque{front: sp.newList(), back: sp.newList(), st: st, mem: mem}
+}
 
-func (d *nodeDeque) len() int { return len(d.front) + len(d.back) - d.backAt }
+func (d *nodeDeque) len() int { return d.front.len() + d.back.len() - d.backAt }
 
 // noteDepth records the queue's high-water mark after a push.
 func (d *nodeDeque) noteDepth() {
@@ -110,32 +129,29 @@ func (d *nodeDeque) noteDepth() {
 }
 
 func (d *nodeDeque) pushTail(n node) {
-	d.back = append(d.back, n)
+	d.back.push(n)
 	d.mem.add(n.memBytes())
 	d.noteDepth()
 }
 
 func (d *nodeDeque) pushHead(n node) {
-	d.front = append(d.front, n)
+	d.front.push(n)
 	d.mem.add(n.memBytes())
 	d.noteDepth()
 }
 
-func (d *nodeDeque) popHead() node {
-	var n node
-	if len(d.front) > 0 {
-		n = d.front[len(d.front)-1]
-		d.front[len(d.front)-1] = nil
-		d.front = d.front[:len(d.front)-1]
+// popHead removes the head node, copying it into dst.
+func (d *nodeDeque) popHead(dst node) {
+	if last := d.front.len() - 1; last >= 0 {
+		copy(dst, d.front.at(last))
+		d.front.words = d.front.words[:last*d.front.stride]
 	} else {
-		n = d.back[d.backAt]
-		d.back[d.backAt] = nil
+		copy(dst, d.back.at(d.backAt))
 		d.backAt++
-		if d.backAt == len(d.back) {
-			d.back = d.back[:0]
+		if d.backAt == d.back.len() {
+			d.back.reset()
 			d.backAt = 0
 		}
 	}
-	d.mem.sub(n.memBytes())
-	return n
+	d.mem.sub(dst.memBytes())
 }

@@ -63,15 +63,14 @@ func windowedBoundaries(in *Instance, sp *space, name string, prob Problem) Solu
 	// Boundaries in decreasing group size with the BestExpectedDoi cutoff,
 	// exactly as in findMaxDoi, but each boundary is searched below with
 	// the full constraint set.
-	ordered := make([]node, len(boundaries))
-	copy(ordered, boundaries)
-	sortBySizeDesc(ordered)
-	for _, r := range ordered {
+	for _, bi := range boundaries.bySizeDesc(sp.K) {
+		r := boundaries.at(bi)
 		if in.overBudget(&ph2) {
 			break
 		}
-		if len(r) < kr {
-			kr = len(r)
+		g := r.size()
+		if g < kr {
+			kr = g
 			if bestDoi > bound[kr] {
 				break
 			}
@@ -79,7 +78,6 @@ func windowedBoundaries(in *Instance, sp *space, name string, prob Problem) Solu
 		// Group-level size envelope: if no state of this cardinality can
 		// land in the window, skip the whole boundary — otherwise large
 		// groups (size ≈ 0) burn the budget on doomed enumeration.
-		g := len(r)
 		if prob.SizeMin > 0 && maxSize[g] < prob.SizeMin-1e-9 {
 			continue
 		}
@@ -122,16 +120,6 @@ func sizeEnvelopes(in *Instance) (maxSize, minSize []float64) {
 		minSize[g] = minSize[g-1] * asc[g-1]    // take smallest remaining
 	}
 	return maxSize, minSize
-}
-
-// sortBySizeDesc orders nodes by decreasing cardinality, stably.
-func sortBySizeDesc(ns []node) {
-	// Insertion sort: boundary lists are short and mostly ordered already.
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && len(ns[j]) > len(ns[j-1]); j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
 }
 
 // MinCostGreedy is a fast heuristic for the cost-minimization problems
