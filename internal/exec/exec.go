@@ -22,10 +22,11 @@
 package exec
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -69,22 +70,17 @@ func EvalContext(ctx context.Context, db *storage.DB, q *query.Query) (*Result, 
 	}
 	start := time.Now()
 	var io storage.IOCounter
-	tree, cols, err := buildJoinTree(ctx, db, &io, q)
+	tree, err := buildJoinTree(ctx, db, &io, q)
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, len(q.Project))
-	for i, p := range q.Project {
-		idx[i] = cols[p]
-	}
-	tree = iter.Project(tree, idx)
 	if q.Distinct {
-		tree = iter.Distinct(ctx, tree)
+		tree = op(iter.Distinct(ctx, tree))
 	}
 	if q.Limit > 0 && len(q.OrderBy) == 0 {
 		// Without ORDER BY the limit pushes into the tree: operators below
 		// never produce rows the consumer won't take.
-		tree = iter.Limit(tree, q.Limit)
+		tree = op(iter.Limit(tree, q.Limit))
 	}
 	out, err := iter.Collect(tree)
 	if err != nil {
@@ -131,37 +127,60 @@ func orderRows(rows []storage.Row, q *query.Query) {
 	})
 }
 
-// colIndex maps attribute references to positions in an intermediate tuple.
-type colIndex map[schema.AttrRef]int
+// op is applied to the output of every operator the executor builds. It is
+// the identity; the row-ownership test swaps in a wrapper that poisons rows.
+var op = func(it iter.Iterator) iter.Iterator { return it }
 
-// buildJoinTree assembles the iterator tree that scans, filters, and joins
-// all relations of the query, returning a stream of wide tuples and a
-// column index over them. Every relation's scan is opened (and its full
-// block count charged) here, up front — the paper's model charges a query
-// for each heap file it touches regardless of how much of the stream the
-// consumer pulls.
-func buildJoinTree(ctx context.Context, db *storage.DB, io *storage.IOCounter, q *query.Query) (iter.Iterator, colIndex, error) {
+// relAttrs lists a relation's attributes in column order — the layout of a
+// tuple scanned from it.
+func relAttrs(rel *schema.Relation) []schema.AttrRef {
+	out := make([]schema.AttrRef, len(rel.Columns))
+	for i, c := range rel.Columns {
+		out[i] = schema.AttrRef{Relation: rel.Name, Attr: c.Name}
+	}
+	return out
+}
+
+// position returns where a sits in a tuple laid out as layout. The
+// validated query only asks for attributes the layout carries.
+func position(layout []schema.AttrRef, a schema.AttrRef) int {
+	for i, l := range layout {
+		if l == a {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("exec: %s not carried by the join tree", a))
+}
+
+// buildJoinTree assembles the iterator tree that scans, filters, joins and
+// projects the relations of the query, returning a stream of q.Project
+// tuples. Every relation's scan is opened (and its full block count
+// charged) here, up front — the paper's model charges a query for each heap
+// file it touches regardless of how much of the stream the consumer pulls.
+//
+// A join emits only the columns something above it still reads: the
+// projection and the keys of joins not yet applied (later joins, and the
+// residual joins of a cyclic query). The last join of an acyclic query
+// therefore emits the projection itself, in order.
+func buildJoinTree(ctx context.Context, db *storage.DB, io *storage.IOCounter, q *query.Query) (iter.Iterator, error) {
 	// Per-relation pushed-down selections.
 	selsFor := make(map[string][]query.Selection)
 	for _, s := range q.Selections {
 		selsFor[s.Attr.Relation] = append(selsFor[s.Attr.Relation], s)
 	}
 	var opened []iter.Iterator
-	fail := func(err error) (iter.Iterator, colIndex, error) {
+	fail := func(err error) (iter.Iterator, error) {
 		for _, it := range opened {
 			it.Close()
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	// openRel opens a filtered scan of one relation — through the batch's
 	// scan share when the context carries one (one physical pass feeds
 	// every consumer; the I/O charge per open is unchanged), privately
-	// otherwise.
-	openRel := func(rel string) (iter.Iterator, error) {
-		t, err := db.Table(rel)
-		if err != nil {
-			return nil, err
-		}
+	// otherwise. Either way the rows are the table's own, which a join
+	// build holds by reference.
+	openRel := func(t storage.Backend) (iter.Iterator, error) {
 		var src iter.Iterator
 		if sh := ScanShareFromContext(ctx); sh != nil {
 			shared, used, err := sh.open(ctx, t, io)
@@ -179,41 +198,48 @@ func buildJoinTree(ctx context.Context, db *storage.DB, io *storage.IOCounter, q
 			}
 			src = iter.FromCursor(ctx, cur)
 		}
-		sels := selsFor[rel]
+		opened = append(opened, src)
+		sels := selsFor[t.Relation().Name]
 		if len(sels) == 0 {
-			return src, nil
+			return op(src), nil
 		}
 		idx := make([]int, len(sels))
 		for i, s := range sels {
 			idx[i] = t.Relation().ColumnIndex(s.Attr.Attr)
 		}
-		return iter.Filter(src, func(r storage.Row) bool {
+		return op(iter.Filter(src, func(r storage.Row) bool {
 			for i, s := range sels {
 				if !s.Op.Eval(r[idx[i]], s.Value) {
 					return false
 				}
 			}
 			return true
-		}), nil
+		})), nil
 	}
 
 	// Seed with the first relation.
-	current, err := openRel(q.From[0])
+	t0, err := db.Table(q.From[0])
 	if err != nil {
 		return fail(err)
 	}
-	opened = append(opened, current)
-	joined := map[string]bool{q.From[0]: true}
-	cols := make(colIndex)
-	rel0 := db.MustTable(q.From[0]).Relation()
-	for i, c := range rel0.Columns {
-		cols[schema.AttrRef{Relation: rel0.Name, Attr: c.Name}] = i
+	current, err := openRel(t0)
+	if err != nil {
+		return fail(err)
 	}
-	width := len(rel0.Columns)
-
-	remaining := len(q.From) - 1
+	joined := map[string]bool{q.From[0]: true}
+	// layout names the attribute at each position of current's tuples.
+	layout := relAttrs(t0.Relation())
 	usedJoin := make([]bool, len(q.Joins))
-	for remaining > 0 {
+	// needed reports whether anything above the join being built reads a.
+	needed := func(a schema.AttrRef) bool {
+		for ji, j := range q.Joins {
+			if !usedJoin[ji] && (j.Left == a || j.Right == a) {
+				return true
+			}
+		}
+		return slices.Contains(q.Project, a)
+	}
+	for remaining := len(q.From) - 1; remaining > 0; remaining-- {
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
@@ -228,50 +254,76 @@ func buildJoinTree(ctx context.Context, db *storage.DB, io *storage.IOCounter, q
 				}
 			}
 		}
-		build, err := openRel(next)
+		t, err := db.Table(next)
 		if err != nil {
 			return fail(err)
 		}
-		opened = append(opened, build)
-		nrel := db.MustTable(next).Relation()
-		// Extend the column index.
-		for i, c := range nrel.Columns {
-			cols[schema.AttrRef{Relation: next, Attr: c.Name}] = width + i
+		build, err := openRel(t)
+		if err != nil {
+			return fail(err)
+		}
+		width := len(layout)
+		wide := append(layout[:width:width], relAttrs(t.Relation())...)
+		// Output columns, as positions in probe ++ build.
+		var out []int
+		if remaining == 1 && !slices.Contains(usedJoin, false) {
+			for _, p := range q.Project {
+				out = append(out, position(wide, p))
+			}
+		} else {
+			for i, a := range wide {
+				if needed(a) {
+					out = append(out, i)
+				}
+			}
 		}
 		if len(conds) == 0 {
-			current = iter.Cross(ctx, current, build, width, len(nrel.Columns))
+			current = op(iter.Cross(ctx, current, build, width, out))
 		} else {
 			probeIdx := make([]int, len(conds))
 			buildIdx := make([]int, len(conds))
 			for i, c := range conds {
-				probeIdx[i] = cols[c.Left]
-				// Right columns sit at cols[right] - width within the new row.
-				buildIdx[i] = cols[c.Right] - width
+				probeIdx[i] = position(layout, c.Left)
+				buildIdx[i] = t.Relation().ColumnIndex(c.Right.Attr)
 			}
-			current = iter.HashJoin(ctx, current, build, probeIdx, buildIdx, width, len(nrel.Columns))
+			// Only an unfiltered build is as large as its table.
+			buildRows := 0
+			if len(selsFor[next]) == 0 {
+				buildRows = t.RowCount()
+			}
+			current = op(iter.HashJoin(ctx, current, build, probeIdx, buildIdx, width, out, buildRows))
 		}
-		width += len(nrel.Columns)
+		layout = make([]schema.AttrRef, len(out))
+		for i, c := range out {
+			layout[i] = wide[c]
+		}
 		joined[next] = true
-		remaining--
 	}
 	// Residual joins (both sides already joined — cycles) act as filters.
-	var residual []query.Join
+	var residual [][2]int
 	for ji, j := range q.Joins {
 		if !usedJoin[ji] {
-			residual = append(residual, j)
+			residual = append(residual, [2]int{position(layout, j.Left), position(layout, j.Right)})
 		}
 	}
 	if len(residual) > 0 {
-		current = iter.Filter(current, func(r storage.Row) bool {
-			for _, j := range residual {
-				if r[cols[j.Left]].Compare(r[cols[j.Right]]) != 0 {
+		current = op(iter.Filter(current, func(r storage.Row) bool {
+			for _, lr := range residual {
+				if r[lr[0]].Compare(r[lr[1]]) != 0 {
 					return false
 				}
 			}
 			return true
-		})
+		}))
 	}
-	return current, cols, nil
+	if !slices.Equal(layout, q.Project) {
+		idx := make([]int, len(q.Project))
+		for i, p := range q.Project {
+			idx[i] = position(layout, p)
+		}
+		current = op(iter.Project(current, idx))
+	}
+	return current, nil
 }
 
 // pickNext selects an unjoined relation connected to the joined set by at
@@ -309,29 +361,6 @@ func pickNext(q *query.Query, joined map[string]bool, usedJoin []bool) (string, 
 		}
 	}
 	return next, conds
-}
-
-// compareRows orders rows positionwise by each value's SQL rendering — the
-// deterministic tie-break for equal-doi results. (For equal-arity rows
-// this reproduces the ordering of the seed's concatenated string keys
-// without materializing them.)
-func compareRows(a, b storage.Row) int {
-	for i := range a {
-		if i >= len(b) {
-			return 1
-		}
-		sa, sb := a[i].SQL(), b[i].SQL()
-		if sa != sb {
-			if sa < sb {
-				return -1
-			}
-			return 1
-		}
-	}
-	if len(a) < len(b) {
-		return -1
-	}
-	return 0
 }
 
 // RankedRow is one tuple of a personalized query's answer together with the
@@ -435,7 +464,7 @@ func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []
 	wg.Wait()
 
 	var io int64
-	grouper := iter.NewGrouper(ctx)
+	grouper := iter.NewGrouper(ctx, len(subs))
 	defer grouper.Close()
 	subs2 := make([]SubQueryStat, len(results))
 	for i, res := range results {
@@ -453,45 +482,30 @@ func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []
 		}
 	}
 	out := &UnionResult{Columns: subs[0].Project, BlockReads: io, Subs: subs2}
-	emit := func(row storage.Row, tags []int) RankedRow {
-		rr := RankedRow{Key: row, Matched: append([]int(nil), tags...)}
-		if dois != nil {
-			ds := make([]float64, len(rr.Matched))
-			for i, m := range rr.Matched {
-				ds[i] = dois[m]
+	rank := ranking{k: k}
+	err := grouper.Each(func(row storage.Row, tags []uint64) error {
+		// Fold the dois over the matched sub-queries in ascending order —
+		// the order Matched lists them in, so the product's floating-point
+		// result does not depend on how the groups were built.
+		matches := 0
+		var doi prefs.ConjAccum
+		doi.Reset()
+		for w, word := range tags {
+			matches += bits.OnesCount64(word)
+			for ; dois != nil && word != 0; word &= word - 1 {
+				doi.Add(dois[w*64+bits.TrailingZeros64(word)])
 			}
-			rr.Doi = prefs.Conjunction(ds...)
 		}
-		return rr
+		if matches >= minMatches {
+			rank.offer(row, doi.Doi(), tags, matches)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("exec: union group: %w", err)
 	}
-	if k > 0 {
-		h := &topKHeap{k: k}
-		err := grouper.Each(func(row storage.Row, tags []int) error {
-			if len(tags) < minMatches {
-				return nil
-			}
-			h.offer(emit(row, tags))
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exec: union group: %w", err)
-		}
-		out.Rows = h.ranked()
-	} else {
-		err := grouper.Each(func(row storage.Row, tags []int) error {
-			if len(tags) < minMatches {
-				return nil
-			}
-			out.Rows = append(out.Rows, emit(row, tags))
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exec: union group: %w", err)
-		}
-		sort.Slice(out.Rows, func(i, j int) bool {
-			return rankLess(out.Rows[i], out.Rows[j])
-		})
-	}
+	sort.Sort(&rank)
+	out.Rows = rank.rows
 	out.Elapsed = time.Since(start)
 	if reg := db.Metrics(); reg != nil {
 		reg.Counter("exec_unions_total").Inc()
@@ -508,45 +522,95 @@ func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []
 	return out, nil
 }
 
-// rankLess orders ranked rows: higher doi first, key tie-break.
-func rankLess(a, b RankedRow) bool {
-	if a.Doi != b.Doi {
-		return a.Doi > b.Doi
-	}
-	return compareRows(a.Key, b.Key) < 0
-}
-
-// topKHeap keeps the k best-ranked rows; the root is the worst kept row,
-// evicted when a better candidate arrives.
-type topKHeap struct {
+// ranking collects ranked rows and orders them best first: higher doi,
+// then the key's SQL rendering position by position (the deterministic
+// tie-break; numbers order as text). A key is rendered at most once, and
+// only when its row first ties another on doi.
+//
+// With k > 0 it keeps only the k best rows, as a heap whose root is the
+// worst kept row, and a row's Matched slice is built only if it is kept.
+type ranking struct {
 	rows []RankedRow
+	tie  [][]string // tie[i] renders rows[i].Key; nil until a tie needs it
 	k    int
+	ints iter.Slab[int]    // backs the Matched slices
+	strs iter.Slab[string] // backs the rendered keys
 }
 
-func (h *topKHeap) Len() int           { return len(h.rows) }
-func (h *topKHeap) Less(i, j int) bool { return rankLess(h.rows[j], h.rows[i]) }
-func (h *topKHeap) Swap(i, j int)      { h.rows[i], h.rows[j] = h.rows[j], h.rows[i] }
-func (h *topKHeap) Push(x any)         { h.rows = append(h.rows, x.(RankedRow)) }
-func (h *topKHeap) Pop() any           { r := h.rows[len(h.rows)-1]; h.rows = h.rows[:len(h.rows)-1]; return r }
+func (r *ranking) Len() int { return len(r.rows) }
 
-func (h *topKHeap) offer(r RankedRow) {
-	if len(h.rows) < h.k {
-		heap.Push(h, r)
-		return
+func (r *ranking) Swap(i, j int) {
+	r.rows[i], r.rows[j] = r.rows[j], r.rows[i]
+	r.tie[i], r.tie[j] = r.tie[j], r.tie[i]
+}
+
+// Less reports whether row i ranks before row j.
+func (r *ranking) Less(i, j int) bool {
+	if r.rows[i].Doi != r.rows[j].Doi {
+		return r.rows[i].Doi > r.rows[j].Doi
 	}
-	if rankLess(r, h.rows[0]) {
-		h.rows[0] = r
-		heap.Fix(h, 0)
+	return slices.Compare(r.rendered(i), r.rendered(j)) < 0
+}
+
+func (r *ranking) rendered(i int) []string {
+	if r.tie[i] == nil {
+		r.tie[i] = r.strs.Take(len(r.rows[i].Key))
+		for c, v := range r.rows[i].Key {
+			r.tie[i][c] = v.SQL()
+		}
+	}
+	return r.tie[i]
+}
+
+// offer adds a row matched by the matches sub-queries in the tags bitset,
+// or, at capacity, lets it replace the worst kept row if it ranks before it.
+func (r *ranking) offer(key storage.Row, doi float64, tags []uint64, matches int) {
+	at := len(r.rows)
+	r.rows = append(r.rows, RankedRow{Key: key, Doi: doi})
+	r.tie = append(r.tie, nil)
+	if r.k > 0 && at == r.k {
+		// The candidate sits one past the heap; compare, then drop the slot.
+		better := r.Less(at, 0)
+		if better {
+			r.Swap(at, 0)
+		}
+		r.rows, r.tie = r.rows[:at], r.tie[:at]
+		if !better {
+			return
+		}
+		at = 0
+	}
+	matched := r.ints.Take(matches)[:0]
+	for w, word := range tags {
+		for ; word != 0; word &= word - 1 {
+			matched = append(matched, w*64+bits.TrailingZeros64(word))
+		}
+	}
+	r.rows[at].Matched = matched
+	if r.k > 0 {
+		r.fix(at)
 	}
 }
 
-// ranked drains the heap into best-first order.
-func (h *topKHeap) ranked() []RankedRow {
-	out := make([]RankedRow, len(h.rows))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(RankedRow)
+// fix restores the heap (every row ranks before its parent) around slot i.
+func (r *ranking) fix(i int) {
+	for p := (i - 1) / 2; i > 0 && r.Less(p, i); i, p = p, (p-1)/2 {
+		r.Swap(p, i)
 	}
-	return out
+	for {
+		c := 2*i + 1
+		if c >= len(r.rows) {
+			return
+		}
+		if c+1 < len(r.rows) && r.Less(c, c+1) {
+			c++ // the worse child
+		}
+		if !r.Less(i, c) {
+			return
+		}
+		r.Swap(i, c)
+		i = c
+	}
 }
 
 // RealCost converts an evaluation into the paper's "Real Query Exec. Time"

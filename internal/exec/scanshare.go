@@ -128,8 +128,8 @@ func (s *ScanShare) open(ctx context.Context, t storage.Backend, io *storage.IOC
 }
 
 // materializeScan runs the one physical pass: a normal metered Open (block
-// charge, fault point, scan metrics) drained into cloned rows (cursor rows
-// are only valid until the next Next).
+// charge, fault point, scan metrics) drained into a slice of the backend's
+// own rows (storage.Cursor: they are immutable and may be retained).
 func materializeScan(ctx context.Context, t storage.Backend, io *storage.IOCounter) ([]storage.Row, error) {
 	cur, err := t.Open(io)
 	if err != nil {
@@ -151,7 +151,7 @@ func materializeScan(ctx context.Context, t storage.Backend, io *storage.IOCount
 		if !ok {
 			break
 		}
-		rows = append(rows, r.Clone())
+		rows = append(rows, r)
 	}
 	return rows, cur.Close()
 }

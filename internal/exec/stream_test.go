@@ -1,9 +1,10 @@
 package exec
 
+// Spilled, disk and shared-scan execution returning the same answers as the
+// in-memory run is pinned, bit for bit, by TestGoldenExec.
+
 import (
 	"context"
-	"sort"
-	"strings"
 	"testing"
 
 	"cqp/internal/iter"
@@ -11,68 +12,7 @@ import (
 	"cqp/internal/sqlparse"
 	"cqp/internal/storage"
 	"cqp/internal/testutil"
-	"cqp/internal/workload"
 )
-
-func canonRows(rows []storage.Row) string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		s := ""
-		for _, v := range r {
-			s += v.SQL() + "|"
-		}
-		keys[i] = s
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}
-
-// A tight spill budget must change neither the result multiset nor the
-// charged I/O of a join-heavy query — only where the working state lives.
-func TestEvalSpillBudgetEquivalence(t *testing.T) {
-	db := workload.GenerateDB(workload.DBConfig{Movies: 400, Directors: 40, Actors: 200, Seed: 3})
-	q := sqlparse.MustParse(db.Schema(), `SELECT title, name FROM MOVIE, DIRECTOR, GENRE
-		WHERE MOVIE.did = DIRECTOR.did AND MOVIE.mid = GENRE.mid AND MOVIE.year >= 1940`)
-
-	plain, err := Eval(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r0, _, _ := iter.SpillStats()
-	ctx := iter.WithBudget(context.Background(), iter.Budget{Bytes: 2048, Dir: t.TempDir()})
-	spilled, err := EvalContext(ctx, db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1, _, _ := iter.SpillStats(); r1 == r0 {
-		t.Fatal("a 2 KiB budget over this join did not spill")
-	}
-	if canonRows(spilled.Rows) != canonRows(plain.Rows) {
-		t.Fatalf("spilled evaluation changed the result: %d vs %d rows", len(spilled.Rows), len(plain.Rows))
-	}
-	if spilled.BlockReads != plain.BlockReads {
-		t.Fatalf("spill changed charged I/O: %d vs %d", spilled.BlockReads, plain.BlockReads)
-	}
-}
-
-// DISTINCT under a spill budget must keep exact set semantics.
-func TestEvalDistinctSpillEquivalence(t *testing.T) {
-	db := workload.GenerateDB(workload.DBConfig{Movies: 400, Directors: 40, Actors: 200, Seed: 3})
-	q := sqlparse.MustParse(db.Schema(), `SELECT DISTINCT name FROM MOVIE, DIRECTOR
-		WHERE MOVIE.did = DIRECTOR.did`)
-	plain, err := Eval(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := iter.WithBudget(context.Background(), iter.Budget{Bytes: 128, Dir: t.TempDir()})
-	spilled, err := EvalContext(ctx, db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonRows(spilled.Rows) != canonRows(plain.Rows) {
-		t.Fatalf("spilled DISTINCT differs: %d vs %d rows", len(spilled.Rows), len(plain.Rows))
-	}
-}
 
 func unionFixture(t *testing.T, db *storage.DB) ([]*query.Query, []float64) {
 	t.Helper()
@@ -112,7 +52,7 @@ func TestEvalUnionTopKMatchesFull(t *testing.T) {
 			t.Fatalf("k=%d: %d rows, want %d", k, len(topk.Rows), want)
 		}
 		for i := range topk.Rows {
-			if compareRows(topk.Rows[i].Key, full.Rows[i].Key) != 0 || topk.Rows[i].Doi != full.Rows[i].Doi {
+			if !iter.EqualRows(topk.Rows[i].Key, full.Rows[i].Key) || topk.Rows[i].Doi != full.Rows[i].Doi {
 				t.Fatalf("k=%d row %d: %v (doi %g) != %v (doi %g)", k, i,
 					topk.Rows[i].Key, topk.Rows[i].Doi, full.Rows[i].Key, full.Rows[i].Doi)
 			}
@@ -123,39 +63,6 @@ func TestEvalUnionTopKMatchesFull(t *testing.T) {
 	}
 	if _, err := EvalUnionTopK(context.Background(), db, subs, dois, 1, 0); err == nil {
 		t.Fatal("k=0 must fail")
-	}
-}
-
-// The union's group table under a spill budget must produce the same
-// ranked answer as the unconstrained run.
-func TestEvalUnionSpillEquivalence(t *testing.T) {
-	db := workload.GenerateDB(workload.DBConfig{Movies: 500, Directors: 40, Actors: 200, Seed: 5})
-	genres := []string{workload.GenreName(0), workload.GenreName(1), workload.GenreName(2)}
-	var subs []*query.Query
-	dois := []float64{0.7, 0.5, 0.3}
-	for _, g := range genres {
-		subs = append(subs, sqlparse.MustParse(db.Schema(),
-			"SELECT title FROM MOVIE, GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = '"+g+"'"))
-	}
-	full, err := EvalUnion(db, subs, dois, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Rows) < 50 {
-		t.Fatalf("fixture too small: %d rows", len(full.Rows))
-	}
-	ctx := iter.WithBudget(context.Background(), iter.Budget{Bytes: 512, Dir: t.TempDir()})
-	spilled, err := EvalUnionContext(ctx, db, subs, dois, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spilled.Rows) != len(full.Rows) {
-		t.Fatalf("spilled union: %d rows, want %d", len(spilled.Rows), len(full.Rows))
-	}
-	for i := range full.Rows {
-		if compareRows(spilled.Rows[i].Key, full.Rows[i].Key) != 0 || spilled.Rows[i].Doi != full.Rows[i].Doi {
-			t.Fatalf("row %d differs under spill", i)
-		}
 	}
 }
 

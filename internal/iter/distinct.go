@@ -20,13 +20,14 @@ const (
 // partition flagged markEmitted, the rest of the input streams to
 // partitions flagged markPending, and partitions then resolve
 // independently — each rebuilds only its own slice of the seen-set, so
-// memory is bounded by the largest partition, not the input.
+// memory is bounded by the largest partition, not the input. The rows it
+// emits are its set's own copies, so they may be retained.
 func Distinct(ctx context.Context, src Iterator) Iterator {
-	return &distinctIter{ctx: ctx, src: src, budget: BudgetFromContext(ctx), set: NewRowSet()}
+	return &distinctIter{poll: poll{ctx: ctx}, src: src, budget: BudgetFromContext(ctx), set: NewRowSet()}
 }
 
 type distinctIter struct {
-	ctx    context.Context
+	poll
 	src    Iterator
 	budget Budget
 	set    *RowSet
@@ -36,16 +37,7 @@ type distinctIter struct {
 	part    int
 	pr      *spillReader
 
-	n    int
 	done bool
-}
-
-func (it *distinctIter) checkCtx() error {
-	it.n++
-	if it.n%checkEvery == 0 {
-		return it.ctx.Err()
-	}
-	return nil
 }
 
 func (it *distinctIter) Next() (storage.Row, bool, error) {
@@ -63,7 +55,7 @@ func (it *distinctIter) Next() (storage.Row, bool, error) {
 func (it *distinctIter) next() (storage.Row, bool, error) {
 	// Streaming mode: emit first-seen rows as they arrive.
 	for !it.spilled {
-		if err := it.checkCtx(); err != nil {
+		if err := it.check(); err != nil {
 			return nil, false, err
 		}
 		r, ok, err := it.src.Next()
@@ -73,18 +65,19 @@ func (it *distinctIter) next() (storage.Row, bool, error) {
 		if !ok {
 			return nil, false, nil
 		}
-		if !it.set.Add(r) {
+		// From here on the row is the set's copy: spill drains src, which
+		// overwrites r.
+		r, added := it.set.add(r)
+		if !added {
 			continue
 		}
 		if it.budget.Bytes > 0 && it.set.Bytes() > it.budget.Bytes {
+			// r itself is in the set, hence spilled as markEmitted — but the
+			// caller has not seen it yet. It is emitted below; the mark keeps
+			// the partitions from emitting it again.
 			if err := it.spill(); err != nil {
 				return nil, false, err
 			}
-			// r itself was just emitted-to-be: it is in the set, hence
-			// spilled as markEmitted — but the caller has not seen it
-			// yet. Emit it now; the spill marked it so partitions will
-			// not emit it again.
-			return r, true, nil
 		}
 		return r, true, nil
 	}
@@ -92,7 +85,7 @@ func (it *distinctIter) next() (storage.Row, bool, error) {
 	for {
 		if it.pr != nil {
 			for {
-				if err := it.checkCtx(); err != nil {
+				if err := it.check(); err != nil {
 					return nil, false, err
 				}
 				marker, row, ok, err := it.pr.next()
@@ -106,7 +99,7 @@ func (it *distinctIter) next() (storage.Row, bool, error) {
 					it.set.Add(row)
 					continue
 				}
-				if it.set.Add(row) {
+				if row, added := it.set.add(row); added {
 					return row, true, nil
 				}
 			}
@@ -134,20 +127,8 @@ func (it *distinctIter) spill() error {
 		}
 	}
 	it.set = nil
-	for {
-		if err := it.checkCtx(); err != nil {
-			return err
-		}
-		r, ok, err := it.src.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := it.run.write(HashRow(r), markPending, r); err != nil {
-			return err
-		}
+	if err := it.run.route(&it.poll, it.src, markPending, HashRow); err != nil {
+		return err
 	}
 	if err := it.run.finish(); err != nil {
 		return err
@@ -158,12 +139,6 @@ func (it *distinctIter) spill() error {
 	return nil
 }
 
-func (it *distinctIter) Close() error {
-	err := it.src.Close()
-	if it.run != nil {
-		if e := it.run.Close(); e != nil && err == nil {
-			err = e
-		}
-	}
-	return err
-}
+func (it *distinctIter) retains() bool { return true }
+
+func (it *distinctIter) Close() error { return closeAll(it.src, it.run) }

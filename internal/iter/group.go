@@ -3,6 +3,7 @@ package iter
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"cqp/internal/storage"
 	"cqp/internal/value"
@@ -10,52 +11,43 @@ import (
 
 // Grouper is the personalized union's GROUP BY operator: it accumulates
 // (row, tag) pairs — tag being the index of the sub-query that produced
-// the row — and yields each distinct row with the sorted set of tags that
-// matched it. Rows are bucketed by 64-bit hash with equality-checked
-// buckets (no string keys). When the table outgrows the context budget
-// the grouper spills pairs to hash partitions (the tag rides along as one
-// extra encoded column) and regroups partition by partition at drain
-// time, bounding memory by the largest partition.
+// the row — and yields each distinct row with the set of tags that matched
+// it. Groups live in flat slices indexed by a chain over the 64-bit row
+// hash (no per-group allocation, no string keys); a group's tags are a
+// ⌈nTags/64⌉-word bitset. When the table outgrows the context budget the
+// grouper spills pairs to hash partitions (the tag rides along as one extra
+// encoded column) and regroups partition by partition at drain time,
+// bounding memory by the largest partition.
 type Grouper struct {
-	ctx    context.Context
+	poll
 	budget Budget
+	words  int // bitset words per group
 
-	m     map[uint64][]*group
+	idx   chain
+	hash  []uint64
+	rows  []storage.Row
+	tags  []uint64 // group i's bitset is tags[i*words : (i+1)*words]
 	bytes int64
-	n     int
 
 	spilled bool
 	run     *spillRun
-
-	polls int
 }
 
-type group struct {
-	row  storage.Row
-	tags []int
-}
-
-// NewGrouper returns an empty grouper under ctx's budget.
-func NewGrouper(ctx context.Context) *Grouper {
-	return &Grouper{ctx: ctx, budget: BudgetFromContext(ctx), m: make(map[uint64][]*group)}
-}
-
-func (g *Grouper) checkCtx() error {
-	g.polls++
-	if g.polls%checkEvery == 0 {
-		return g.ctx.Err()
-	}
-	return nil
+// NewGrouper returns an empty grouper for tags in [0, nTags) under ctx's
+// budget.
+func NewGrouper(ctx context.Context, nTags int) *Grouper {
+	return &Grouper{poll: poll{ctx: ctx}, budget: BudgetFromContext(ctx), words: (nTags + 63) / 64, idx: newChain(0)}
 }
 
 // Add records that sub-query tag produced row. Duplicate (row, tag) pairs
-// collapse.
+// collapse. The grouper holds row by reference: the caller must own it
+// (the union adds rows of collected sub-query results).
 func (g *Grouper) Add(row storage.Row, tag int) error {
-	if err := g.checkCtx(); err != nil {
+	if err := g.check(); err != nil {
 		return err
 	}
 	if g.spilled {
-		return g.run.write(HashRow(row), 0, append(row[:len(row):len(row)], value.Int(int64(tag))))
+		return g.write(row, tag)
 	}
 	g.add(row, tag)
 	if g.budget.Bytes > 0 && g.bytes > g.budget.Bytes {
@@ -64,23 +56,42 @@ func (g *Grouper) Add(row storage.Row, tag int) error {
 	return nil
 }
 
+// write spills one (row, tag) pair: the tag rides as an extra column.
+func (g *Grouper) write(row storage.Row, tag int) error {
+	return g.run.write(HashRow(row), 0, append(row[:len(row):len(row)], value.Int(int64(tag))))
+}
+
 func (g *Grouper) add(row storage.Row, tag int) {
 	h := HashRow(row)
-	for _, grp := range g.m[h] {
-		if EqualRows(grp.row, row) {
-			for _, t := range grp.tags {
-				if t == tag {
-					return
-				}
+	word, bit := tag/64, uint64(1)<<(tag%64)
+	for i := g.idx.first(h); i >= 0; i = g.idx.next[i] {
+		if g.hash[i] == h && EqualRows(g.rows[i], row) {
+			if w := &g.tags[int(i)*g.words+word]; *w&bit == 0 {
+				*w |= bit
+				g.bytes += 8
 			}
-			grp.tags = append(grp.tags, tag)
-			g.bytes += 8
 			return
 		}
 	}
-	g.m[h] = append(g.m[h], &group{row: row, tags: []int{tag}})
-	g.n++
+	g.rows = append(g.rows, row)
+	g.hash = append(g.hash, h)
+	g.idx.push(g.hash)
+	g.tags = append(g.tags, make([]uint64, g.words)...)
+	g.tags[len(g.tags)-g.words+word] = bit
 	g.bytes += rowBytes(row) + 24
+}
+
+// each yields the groups held in memory, in first-appearance order.
+func (g *Grouper) each(fn func(row storage.Row, tags []uint64) error) error {
+	for i, row := range g.rows {
+		if err := g.check(); err != nil {
+			return err
+		}
+		if err := fn(row, g.tags[i*g.words:(i+1)*g.words]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // spill converts the in-memory table into partitioned (row, tag) frames.
@@ -90,50 +101,41 @@ func (g *Grouper) spill() error {
 		return err
 	}
 	g.run = run
-	for h, bucket := range g.m {
-		for _, grp := range bucket {
-			for _, tag := range grp.tags {
-				wide := append(grp.row[:len(grp.row):len(grp.row)], value.Int(int64(tag)))
-				if err := g.run.write(h, 0, wide); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	g.m = nil
-	g.spilled = true
-	return nil
-}
-
-// Len returns the number of distinct rows seen so far (pre-spill only;
-// after a spill the count is known only after Each).
-func (g *Grouper) Len() int { return g.n }
-
-// Each yields every (row, tags) group once; tags are in insertion order
-// (ascending sub index when Add is called per sub in order). Group order
-// is unspecified — callers rank or sort above. Each may be called once.
-func (g *Grouper) Each(fn func(row storage.Row, tags []int) error) error {
-	if !g.spilled {
-		for _, bucket := range g.m {
-			for _, grp := range bucket {
-				if err := g.checkCtx(); err != nil {
-					return err
-				}
-				if err := fn(grp.row, grp.tags); err != nil {
+	err = g.each(func(row storage.Row, tags []uint64) error {
+		for w, word := range tags {
+			for ; word != 0; word &= word - 1 {
+				if err := g.write(row, w*64+bits.TrailingZeros64(word)); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
+	})
+	g.reset()
+	g.spilled = true
+	return err
+}
+
+func (g *Grouper) reset() {
+	g.idx, g.hash, g.rows, g.tags = newChain(0), g.hash[:0], g.rows[:0], g.tags[:0]
+}
+
+// Each yields every (row, tags) group once; tags is the bitset of the
+// sub-queries that produced the row, valid only during the call, while row
+// stays valid for as long as the caller holds it. Group order is
+// unspecified — callers rank or sort above. Each may be called once.
+func (g *Grouper) Each(fn func(row storage.Row, tags []uint64) error) error {
+	if !g.spilled {
+		return g.each(fn)
 	}
 	if err := g.run.finish(); err != nil {
 		return err
 	}
 	for p := 0; p < spillFanout; p++ {
-		g.m = make(map[uint64][]*group)
+		g.reset()
 		r := g.run.reader(p)
 		for {
-			if err := g.checkCtx(); err != nil {
+			if err := g.check(); err != nil {
 				return err
 			}
 			_, wide, ok, err := r.next()
@@ -146,28 +148,14 @@ func (g *Grouper) Each(fn func(row storage.Row, tags []int) error) error {
 			if len(wide) == 0 {
 				return fmt.Errorf("iter: group spill frame with no tag column")
 			}
-			row, tag := wide[:len(wide)-1], int(wide[len(wide)-1].AsInt())
-			g.add(row, tag)
+			g.add(wide[:len(wide)-1], int(wide[len(wide)-1].AsInt()))
 		}
-		for _, bucket := range g.m {
-			for _, grp := range bucket {
-				if err := g.checkCtx(); err != nil {
-					return err
-				}
-				if err := fn(grp.row, grp.tags); err != nil {
-					return err
-				}
-			}
+		if err := g.each(fn); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // Close releases spill state.
-func (g *Grouper) Close() error {
-	g.m = nil
-	if g.run != nil {
-		return g.run.Close()
-	}
-	return nil
-}
+func (g *Grouper) Close() error { return g.run.Close() }

@@ -24,8 +24,11 @@ package iter
 
 import (
 	"context"
+	"io"
+	"math/bits"
 
 	"cqp/internal/storage"
+	"cqp/internal/value"
 )
 
 // checkEvery is how many rows a tight operator loop processes between
@@ -33,13 +36,143 @@ import (
 // sparse enough to stay invisible in profiles.
 const checkEvery = 64
 
+// poll is an operator loop's cancellation checkpoint: every checkEvery-th
+// check polls the context.
+type poll struct {
+	ctx context.Context
+	n   int
+}
+
+func (p *poll) check() error {
+	p.n++
+	if p.n%checkEvery == 0 {
+		return p.ctx.Err()
+	}
+	return nil
+}
+
+// closeAll closes every closer, returning the first error.
+func closeAll(cs ...io.Closer) error {
+	var first error
+	for _, c := range cs {
+		if err := c.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // Iterator is a pull-based row stream. Next returns the next row until
 // ok == false (end) or a non-nil error; after either, callers stop. Close
 // releases operator state (cursors, spill files) and must be called
 // exactly once; it propagates to child iterators.
+//
+// Ownership: a row returned by Next is valid until the next Next on that
+// iterator — HashJoin, Cross and Project emit into one buffer per iterator
+// and overwrite it on every call — and whoever keeps a row copies it once
+// (Collect, RowSet and a join build do, into a slab). The exception is a
+// stream whose rows nobody overwrites: the storage sources hand out the
+// table's own immutable rows, Distinct its set's own copies, and Filter and
+// Limit pass their source's rows through. Such an iterator says so through
+// retains, and a keeper then holds its rows by reference.
 type Iterator interface {
 	Next() (row storage.Row, ok bool, err error)
 	Close() error
+}
+
+// retains reports whether rows from it stay valid after its next Next.
+func retains(it Iterator) bool {
+	r, ok := it.(interface{ retains() bool })
+	return ok && r.retains()
+}
+
+// Slab hands out small slices carved from shared chunks that are never
+// reallocated, so a slice stays valid (and stays put) for as long as
+// anything refers to it. Chunks double up to slabMax elements: a small
+// result allocates little, a large one a chunk per few hundred rows instead
+// of a slice per row. The keepers hold their copies of transient rows in
+// one; the executor's ranking takes its per-row slices from others.
+type Slab[T any] struct {
+	free  []T
+	chunk int
+}
+
+const slabMax = 4096
+
+// Take returns a zeroed slice of n elements with no spare capacity.
+func (s *Slab[T]) Take(n int) []T {
+	if n > len(s.free) {
+		s.chunk = min(max(2*s.chunk, 64), slabMax)
+		s.free = make([]T, max(s.chunk, n))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// keep returns the slab's own copy of a transient row.
+func keep(s *Slab[value.Value], r storage.Row) storage.Row {
+	out := s.Take(len(r))
+	copy(out, r)
+	return out
+}
+
+// chain is the hash index the keepers (RowSet, Grouper, the join build)
+// share: slot heads over a power-of-two array plus one link per entry, so
+// an entry costs four bytes and no allocation of its own. Entries are the
+// caller's row numbers; the caller compares rows, the chain only narrows
+// the candidates.
+type chain struct {
+	heads []int32 // slot → entry linked last, -1 when empty
+	next  []int32 // entry → entry linked before it in the same slot, or -1
+	shift uint8   // 64 − log2(len(heads))
+}
+
+// newChain returns an index with room for n entries before it regrows.
+func newChain(n int) chain {
+	slots := 16
+	for slots < n {
+		slots *= 2
+	}
+	c := chain{next: make([]int32, 0, n)}
+	c.resize(slots)
+	return c
+}
+
+func (c *chain) resize(slots int) {
+	c.heads = make([]int32, slots)
+	for i := range c.heads {
+		c.heads[i] = -1
+	}
+	c.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
+}
+
+// slot spreads h over the slots by its high bits after a Fibonacci
+// multiply: the row hashes are FNV products, whose low bits mix poorly.
+func (c *chain) slot(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> c.shift }
+
+// first returns the entry linked last under h's slot; follow next from it.
+func (c *chain) first(h uint64) int32 { return c.heads[c.slot(h)] }
+
+// link puts entry i, already present in next, at the head of h's slot.
+func (c *chain) link(i int32, h uint64) {
+	s := c.slot(h)
+	c.next[i] = c.heads[s]
+	c.heads[s] = i
+}
+
+// push links a new entry whose hash the caller has just appended to
+// hashes, doubling the slots (and relinking from hashes) at load factor 1.
+func (c *chain) push(hashes []uint64) {
+	c.next = append(c.next, -1)
+	if len(c.next) <= len(c.heads) {
+		c.link(int32(len(c.next)-1), hashes[len(c.next)-1])
+		return
+	}
+	c.resize(2 * len(c.heads))
+	for i, h := range hashes {
+		c.link(int32(i), h)
+	}
 }
 
 // Budget caps the in-memory state of one stateful operator (hash-join
@@ -104,7 +237,8 @@ type cursorIter struct {
 
 // FromCursor streams a storage cursor, polling for cancellation every
 // checkEvery rows so a scan over a huge heap file dies promptly with its
-// request.
+// request. Cursor rows are the backend's own (storage.Cursor), so they may
+// be retained.
 func FromCursor(ctx context.Context, cur storage.Cursor) Iterator {
 	return &cursorIter{ctx: ctx, cur: cur}
 }
@@ -119,32 +253,29 @@ func (it *cursorIter) Next() (storage.Row, bool, error) {
 	return it.cur.Next()
 }
 
-func (it *cursorIter) Close() error { return it.cur.Close() }
+func (it *cursorIter) Close() error  { return it.cur.Close() }
+func (it *cursorIter) retains() bool { return true }
 
 type sliceIter struct {
+	ctx  context.Context // nil: no cancellation checkpoints
 	rows []storage.Row
 	i    int
 }
 
 // FromRows streams a materialized slice (tests, residual small inputs).
+// The rows are the caller's and may be retained.
 func FromRows(rows []storage.Row) Iterator { return &sliceIter{rows: rows} }
-
-type sliceCtxIter struct {
-	ctx  context.Context
-	rows []storage.Row
-	i    int
-}
 
 // FromRowsContext streams a materialized slice with the same cancellation
 // checkpoints a cursor scan has — the source for shared-scan consumers,
 // whose "scan" is a slice another consumer already materialized but must
 // still die promptly with its request.
 func FromRowsContext(ctx context.Context, rows []storage.Row) Iterator {
-	return &sliceCtxIter{ctx: ctx, rows: rows}
+	return &sliceIter{ctx: ctx, rows: rows}
 }
 
-func (it *sliceCtxIter) Next() (storage.Row, bool, error) {
-	if it.i%checkEvery == 0 {
+func (it *sliceIter) Next() (storage.Row, bool, error) {
+	if it.ctx != nil && it.i%checkEvery == 0 {
 		if err := it.ctx.Err(); err != nil {
 			return nil, false, err
 		}
@@ -157,18 +288,8 @@ func (it *sliceCtxIter) Next() (storage.Row, bool, error) {
 	return r, true, nil
 }
 
-func (it *sliceCtxIter) Close() error { return nil }
-
-func (it *sliceIter) Next() (storage.Row, bool, error) {
-	if it.i >= len(it.rows) {
-		return nil, false, nil
-	}
-	r := it.rows[it.i]
-	it.i++
-	return r, true, nil
-}
-
-func (it *sliceIter) Close() error { return nil }
+func (it *sliceIter) Close() error  { return nil }
+func (it *sliceIter) retains() bool { return true }
 
 // --- stateless transforms ---
 
@@ -194,16 +315,18 @@ func (it *filterIter) Next() (storage.Row, bool, error) {
 	}
 }
 
-func (it *filterIter) Close() error { return it.src.Close() }
+func (it *filterIter) Close() error  { return it.src.Close() }
+func (it *filterIter) retains() bool { return retains(it.src) }
 
 type projectIter struct {
 	src Iterator
 	idx []int
+	out storage.Row
 }
 
-// Project emits fresh rows holding the source columns at idx, in order.
+// Project emits the source columns at idx, in order, into one reused row.
 func Project(src Iterator, idx []int) Iterator {
-	return &projectIter{src: src, idx: idx}
+	return &projectIter{src: src, idx: idx, out: make(storage.Row, len(idx))}
 }
 
 func (it *projectIter) Next() (storage.Row, bool, error) {
@@ -211,11 +334,10 @@ func (it *projectIter) Next() (storage.Row, bool, error) {
 	if !ok || err != nil {
 		return nil, false, err
 	}
-	out := make(storage.Row, len(it.idx))
 	for i, j := range it.idx {
-		out[i] = r[j]
+		it.out[i] = r[j]
 	}
-	return out, true, nil
+	return it.out, true, nil
 }
 
 func (it *projectIter) Close() error { return it.src.Close() }
@@ -241,84 +363,90 @@ func (it *limitIter) Next() (storage.Row, bool, error) {
 	return r, true, nil
 }
 
-func (it *limitIter) Close() error { return it.src.Close() }
+func (it *limitIter) Close() error  { return it.src.Close() }
+func (it *limitIter) retains() bool { return retains(it.src) }
 
-// Collect drains the iterator into a slice and closes it, keeping the
-// first error from either.
-func Collect(it Iterator) ([]storage.Row, error) {
+// drain keeps every remaining row of src — by reference when src's rows may
+// be retained, as one slab copy otherwise — without closing it, returning
+// what it kept so far beside the first error.
+func drain(ctx context.Context, src Iterator) ([]storage.Row, error) {
 	var rows []storage.Row
-	var err error
+	var kept Slab[value.Value]
+	byRef := retains(src)
 	for {
-		r, ok, nerr := it.Next()
-		if nerr != nil {
-			err = nerr
-			break
+		if len(rows)%checkEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return rows, err
+			}
 		}
-		if !ok {
-			break
+		r, ok, err := src.Next()
+		if !ok || err != nil {
+			return rows, err
+		}
+		if !byRef {
+			r = keep(&kept, r)
 		}
 		rows = append(rows, r)
 	}
+}
+
+// Collect drains the iterator into a slice of rows the caller owns and
+// closes it, keeping the first error from either.
+func Collect(it Iterator) ([]storage.Row, error) {
+	// The operators below poll their own context; Collect has none to add.
+	rows, err := drain(context.Background(), it)
 	if cerr := it.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	return rows, err
 }
 
-// --- row set (hash-bucketed, equality-checked) ---
+// --- row set (hash-indexed, equality-checked) ---
 
-// RowSet is a duplicate detector keyed by a 64-bit row hash with
-// equality-checked buckets. It replaces the seed executor's string
-// rowKey (which rendered every value to SQL text per probe); membership
-// now costs one hash and, on collision, value comparisons — no per-row
-// string allocation.
+// RowSet is a duplicate detector: rows indexed by a 64-bit row hash and
+// confirmed by value comparison. The set keeps its own copy of every
+// distinct row, in first-appearance order, in flat slices — membership
+// costs one hash and, on a slot collision, value comparisons; a new row
+// costs its copy and no allocation of its own.
 type RowSet struct {
-	m     map[uint64][]storage.Row
-	n     int
+	idx   chain
+	hash  []uint64
+	rows  []storage.Row
+	kept  Slab[value.Value]
 	bytes int64
 }
 
 // NewRowSet returns an empty set.
-func NewRowSet() *RowSet { return &RowSet{m: make(map[uint64][]storage.Row)} }
+func NewRowSet() *RowSet { return &RowSet{idx: newChain(0)} }
 
-// Add inserts r if absent, reporting whether it was newly added.
+// Add inserts a copy of r if absent, reporting whether it was newly added.
 func (s *RowSet) Add(r storage.Row) bool {
+	_, added := s.add(r)
+	return added
+}
+
+// add is Add also returning the set's own copy of the row, which stays
+// valid for as long as the caller holds it.
+func (s *RowSet) add(r storage.Row) (storage.Row, bool) {
 	h := HashRow(r)
-	for _, o := range s.m[h] {
-		if EqualRows(o, r) {
-			return false
+	for i := s.idx.first(h); i >= 0; i = s.idx.next[i] {
+		if s.hash[i] == h && EqualRows(s.rows[i], r) {
+			return s.rows[i], false
 		}
 	}
-	s.m[h] = append(s.m[h], r)
-	s.n++
+	k := keep(&s.kept, r)
+	s.rows = append(s.rows, k)
+	s.hash = append(s.hash, h)
+	s.idx.push(s.hash)
 	s.bytes += rowBytes(r)
-	return true
+	return k, true
 }
-
-// Contains reports membership without inserting.
-func (s *RowSet) Contains(r storage.Row) bool {
-	for _, o := range s.m[HashRow(r)] {
-		if EqualRows(o, r) {
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the number of distinct rows.
-func (s *RowSet) Len() int { return s.n }
 
 // Bytes returns the approximate memory held by the set's rows.
 func (s *RowSet) Bytes() int64 { return s.bytes }
 
-// Rows returns the distinct rows in unspecified order.
-func (s *RowSet) Rows() []storage.Row {
-	out := make([]storage.Row, 0, s.n)
-	for _, b := range s.m {
-		out = append(out, b...)
-	}
-	return out
-}
+// Rows returns the distinct rows in first-appearance order.
+func (s *RowSet) Rows() []storage.Row { return s.rows }
 
 // EqualRows reports positionwise value equality (numeric kinds compare
 // numerically, matching join semantics).

@@ -93,7 +93,7 @@ func joinInputs(n, m int) (probe, build []storage.Row, want []string) {
 func TestHashJoinInMemory(t *testing.T) {
 	probe, build, want := joinInputs(500, 20)
 	it := HashJoin(context.Background(), FromRows(probe), FromRows(build),
-		[]int{1}, []int{0}, 2, 2)
+		[]int{1}, []int{0}, 2, []int{0, 1, 2, 3}, 0)
 	got, err := Collect(it)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestHashJoinSpillMatchesInMemory(t *testing.T) {
 	probe, build, want := joinInputs(2000, 300)
 	ctx := WithBudget(context.Background(), Budget{Bytes: 512, Dir: t.TempDir()})
 	r0, _, _ := SpillStats()
-	it := HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, 2)
+	it := HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, 0)
 	got, err := Collect(it)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 	}
 	for _, budget := range []Budget{{}, {Bytes: 256}} {
 		ctx := WithBudget(context.Background(), budget)
-		it := HashJoin(ctx, FromRows(probe), FromRows(build), []int{0}, []int{0}, 2, 2)
+		it := HashJoin(ctx, FromRows(probe), FromRows(build), []int{0}, []int{0}, 2, []int{0, 1, 2, 3}, 0)
 		got, err := Collect(it)
 		if err != nil {
 			t.Fatal(err)
@@ -153,7 +153,7 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 func TestCross(t *testing.T) {
 	probe := []storage.Row{intRow(1), intRow(2)}
 	build := []storage.Row{intRow(10), intRow(20), intRow(30)}
-	got, err := Collect(Cross(context.Background(), FromRows(probe), FromRows(build), 1, 1))
+	got, err := Collect(Cross(context.Background(), FromRows(probe), FromRows(build), 1, []int{0, 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +252,12 @@ func TestRowSet(t *testing.T) {
 	if s.Add(storage.Row{value.Float(1), value.Float(2)}) {
 		t.Fatal("numeric-equal row not deduped")
 	}
-	if !s.Contains(intRow(1, 2)) || s.Contains(intRow(2, 1)) {
-		t.Fatal("Contains wrong")
+	if !s.Add(intRow(2, 1)) {
+		t.Fatal("a distinct row was taken for a duplicate")
 	}
-	if s.Len() != 1 || s.Bytes() <= 0 {
-		t.Fatalf("Len=%d Bytes=%d", s.Len(), s.Bytes())
+	s.Add(intRow(1, 2))
+	if len(s.Rows()) != 2 || s.Bytes() <= 0 {
+		t.Fatalf("%d rows, Bytes=%d", len(s.Rows()), s.Bytes())
 	}
 }
 
@@ -284,7 +285,7 @@ func TestCancellationAtEveryCheckpoint(t *testing.T) {
 	probe, build, _ := joinInputs(2000, 300)
 	run := func(ctx context.Context) error {
 		bctx := WithBudget(ctx, Budget{Bytes: 512, Dir: t.TempDir()})
-		it := Distinct(bctx, HashJoin(bctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, 2))
+		it := Distinct(bctx, HashJoin(bctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, 0))
 		_, err := Collect(it)
 		return err
 	}
@@ -326,7 +327,7 @@ func TestSpillFaultInjection(t *testing.T) {
 	fault.Arm(plan)
 	defer fault.Disarm()
 
-	_, jerr := Collect(HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, 2))
+	_, jerr := Collect(HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, 0))
 	if !errors.Is(jerr, fault.ErrInjected) {
 		t.Fatalf("join spill under fault: err = %v, want ErrInjected", jerr)
 	}
@@ -337,7 +338,7 @@ func TestSpillFaultInjection(t *testing.T) {
 	}
 
 	fault.Disarm()
-	if _, err := Collect(HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, 2)); err != nil {
+	if _, err := Collect(HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, 0)); err != nil {
 		t.Fatalf("join after disarm: %v", err)
 	}
 }
@@ -392,4 +393,65 @@ func benchRows() []storage.Row {
 		rows = append(rows, storage.Row{value.Int(k), value.Str(fmt.Sprintf("title-%04d", k)), value.Int(k % 7)})
 	}
 	return rows
+}
+
+// TestExecAllocsPerOutputRow pins that the emitting operators allocate per
+// operator, never per output row: a HashJoin over the same inputs, and a
+// Cross and a Project over the same materialized side, allocate the same
+// number of objects whether they produce N or 4N rows.
+func TestExecAllocsPerOutputRow(t *testing.T) {
+	const n = 1000
+	var probe, build []storage.Row
+	for i := int64(0); i < n; i++ {
+		probe = append(probe, intRow(i, i%50))
+	}
+	// build[0] is unique (one match per probe row), build[1] repeats four
+	// times (four matches per probe row).
+	for j := int64(0); j < 200; j++ {
+		build = append(build, intRow(j, j%50))
+	}
+	ctx := context.Background()
+	all := []int{0, 1, 2, 3}
+	for _, op := range []struct {
+		name        string
+		once, four  func() Iterator
+		rows1, rows int
+	}{
+		{"HashJoin",
+			func() Iterator { return HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, all, 0) },
+			func() Iterator { return HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{1}, 2, all, 0) },
+			n, 4 * n},
+		{"Cross",
+			func() Iterator { return Cross(ctx, FromRows(probe[:n/4]), FromRows(build[:4]), 2, all) },
+			func() Iterator { return Cross(ctx, FromRows(probe), FromRows(build[:4]), 2, all) },
+			n, 4 * n},
+		{"Project",
+			func() Iterator { return Project(FromRows(probe[:n/4]), []int{1, 0}) },
+			func() Iterator { return Project(FromRows(probe), []int{1, 0}) },
+			n / 4, n},
+	} {
+		measure := func(mk func() Iterator, want int) float64 {
+			return testing.AllocsPerRun(10, func() {
+				it := mk()
+				got := 0
+				for {
+					_, ok, err := it.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					got++
+				}
+				if err := it.Close(); err != nil || got != want {
+					t.Fatalf("%s: %d rows, want %d (close: %v)", op.name, got, want, err)
+				}
+			})
+		}
+		if a, b := measure(op.once, op.rows1), measure(op.four, op.rows); a != b {
+			t.Errorf("%s: %.0f allocs for %d rows but %.0f for %d: it allocates per output row",
+				op.name, a, op.rows1, b, op.rows)
+		}
+	}
 }

@@ -4,13 +4,53 @@ import (
 	"context"
 
 	"cqp/internal/storage"
+	"cqp/internal/value"
 )
 
-// HashJoin equi-joins probe rows against build rows: output rows are
-// probe[:probeWidth] ++ build (the probe side's column layout first,
-// matching the executor's left-deep join trees). The build side is
-// drained on the first Next; the probe side streams, so output arrives in
-// probe order while the build fits in memory.
+// joinOut is the one output row a join emits into. out names, per output
+// position, a column of the concatenation probe[:probeWidth] ++ build; the
+// probe's share is written once per probe row, the build's once per match,
+// and columns nothing above the join reads are never copied at all.
+type joinOut struct {
+	row          storage.Row
+	probe, build []move
+}
+
+// move copies column from of a source row to position to of the output.
+type move struct{ to, from int }
+
+func newJoinOut(out []int, probeWidth int) joinOut {
+	o := joinOut{row: make(storage.Row, len(out))}
+	for to, c := range out {
+		if c < probeWidth {
+			o.probe = append(o.probe, move{to, c})
+		} else {
+			o.build = append(o.build, move{to, c - probeWidth})
+		}
+	}
+	return o
+}
+
+func (o *joinOut) setProbe(r storage.Row) {
+	for _, m := range o.probe {
+		o.row[m.to] = r[m.from]
+	}
+}
+
+func (o *joinOut) emit(build storage.Row) storage.Row {
+	for _, m := range o.build {
+		o.row[m.to] = build[m.from]
+	}
+	return o.row
+}
+
+// HashJoin equi-joins probe rows against build rows on probe[probeIdx[k]] =
+// build[buildIdx[k]], emitting the columns out selects from probe[:probeWidth]
+// ++ build (the executor's left-deep layout) into one reused row. The build
+// side is drained on the first Next — buildRows, when the caller knows it,
+// presizes the table — and the probe side streams, so output arrives in
+// probe order, a probe row's matches in build order, while the build fits in
+// memory.
 //
 // When the build table exceeds the context budget (WithBudget), the join
 // switches to Grace mode: build rows are hash-partitioned to spill files,
@@ -18,25 +58,28 @@ import (
 // pairwise — each pass holds only ~1/spillFanout of the build side.
 // Output order then follows partition order; callers that need a total
 // order sort above the join (the personalized union ranks by doi anyway).
-func HashJoin(ctx context.Context, probe, build Iterator, probeIdx, buildIdx []int, probeWidth, buildWidth int) Iterator {
+func HashJoin(ctx context.Context, probe, build Iterator, probeIdx, buildIdx []int, probeWidth int, out []int, buildRows int) Iterator {
 	return &hashJoinIter{
-		ctx: ctx, probe: probe, build: build,
+		poll: poll{ctx: ctx}, probe: probe, build: build,
 		pIdx: probeIdx, bIdx: buildIdx,
-		pWidth: probeWidth, bWidth: buildWidth,
-		budget: BudgetFromContext(ctx),
+		out: newJoinOut(out, probeWidth), hint: buildRows,
+		budget: BudgetFromContext(ctx), idx: newChain(0), cand: -1,
 	}
 }
 
 type hashJoinIter struct {
-	ctx          context.Context
+	poll
 	probe, build Iterator
 	pIdx, bIdx   []int
-	pWidth       int
-	bWidth       int
+	out          joinOut
+	hint         int
 	budget       Budget
 
 	inited bool
-	table  map[uint64][]storage.Row
+	// The build table: rows numbered in arrival order, chained by key hash.
+	rows []storage.Row
+	idx  chain
+	kept Slab[value.Value] // copies of build rows the build side would overwrite
 
 	spilled  bool
 	buildRun *spillRun
@@ -44,29 +87,31 @@ type hashJoinIter struct {
 	part     int
 	pr       *spillReader
 
-	cur    storage.Row
-	bucket []storage.Row
-	bi     int
-	n      int
-	done   bool
+	cur  storage.Row // probe row in hand; valid until the next probe pull
+	cand int32       // next build candidate for cur, -1 when exhausted
+	done bool
 }
 
-func (it *hashJoinIter) checkCtx() error {
-	it.n++
-	if it.n%checkEvery == 0 {
-		return it.ctx.Err()
+// index chains the build rows under their key hashes. Linking from the last
+// row back leaves every slot's chain in arrival order, which is the order a
+// probe row's matches are emitted in.
+func (it *hashJoinIter) index() {
+	it.idx = newChain(len(it.rows))
+	it.idx.next = it.idx.next[:len(it.rows)]
+	for i := len(it.rows) - 1; i >= 0; i-- {
+		it.idx.link(int32(i), Hash(it.rows[i], it.bIdx))
 	}
-	return nil
 }
 
 // init drains the build side, spilling to partitions if it outgrows the
 // budget, and in that case also partitions the entire probe side.
 func (it *hashJoinIter) init() error {
 	it.inited = true
-	it.table = make(map[uint64][]storage.Row)
+	it.rows = make([]storage.Row, 0, it.hint)
+	byRef := retains(it.build)
 	var bytes int64
-	for {
-		if err := it.checkCtx(); err != nil {
+	for !it.spilled {
+		if err := it.check(); err != nil {
 			return err
 		}
 		r, ok, err := it.build.Next()
@@ -74,46 +119,33 @@ func (it *hashJoinIter) init() error {
 			return err
 		}
 		if !ok {
-			break
+			it.index()
+			return nil
 		}
-		h := Hash(r, it.bIdx)
-		if it.spilled {
-			if err := it.buildRun.write(h, 0, r); err != nil {
-				return err
-			}
+		if !byRef {
+			r = keep(&it.kept, r)
+		}
+		it.rows = append(it.rows, r)
+		if it.budget.Bytes == 0 {
 			continue
 		}
-		it.table[h] = append(it.table[h], r)
-		bytes += rowBytes(r)
-		if it.budget.Bytes > 0 && bytes > it.budget.Bytes {
+		if bytes += rowBytes(r); bytes > it.budget.Bytes {
 			if err := it.startSpill(); err != nil {
 				return err
 			}
 		}
 	}
-	if !it.spilled {
-		return nil
-	}
-	// Partition the probe side the same way.
-	run, err := newSpillRun(it.budget.Dir)
+	// Partition the rest of the build side, and the probe side the same way.
+	err := it.buildRun.route(&it.poll, it.build, 0, func(r storage.Row) uint64 { return Hash(r, it.bIdx) })
 	if err != nil {
 		return err
 	}
-	it.probeRun = run
-	for {
-		if err := it.checkCtx(); err != nil {
-			return err
-		}
-		r, ok, err := it.probe.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := it.probeRun.write(Hash(r, it.pIdx), 0, r); err != nil {
-			return err
-		}
+	if it.probeRun, err = newSpillRun(it.budget.Dir); err != nil {
+		return err
+	}
+	err = it.probeRun.route(&it.poll, it.probe, 0, func(r storage.Row) uint64 { return Hash(r, it.pIdx) })
+	if err != nil {
+		return err
 	}
 	if err := it.buildRun.finish(); err != nil {
 		return err
@@ -125,21 +157,19 @@ func (it *hashJoinIter) init() error {
 	return nil
 }
 
-// startSpill converts the in-memory build table into partition files.
+// startSpill moves the build rows held so far into partition files.
 func (it *hashJoinIter) startSpill() error {
 	run, err := newSpillRun(it.budget.Dir)
 	if err != nil {
 		return err
 	}
 	it.buildRun = run
-	for h, bucket := range it.table {
-		for _, r := range bucket {
-			if err := it.buildRun.write(h, 0, r); err != nil {
-				return err
-			}
+	for _, r := range it.rows {
+		if err := it.buildRun.write(Hash(r, it.bIdx), 0, r); err != nil {
+			return err
 		}
 	}
-	it.table = nil
+	it.rows, it.kept = nil, Slab[value.Value]{}
 	it.spilled = true
 	return nil
 }
@@ -153,13 +183,6 @@ func (it *hashJoinIter) equalOn(l, r storage.Row) bool {
 	return true
 }
 
-func (it *hashJoinIter) emit(r storage.Row) storage.Row {
-	out := make(storage.Row, it.pWidth+it.bWidth)
-	copy(out, it.cur[:it.pWidth])
-	copy(out[it.pWidth:], r)
-	return out
-}
-
 func (it *hashJoinIter) Next() (storage.Row, bool, error) {
 	if it.done {
 		return nil, false, nil
@@ -171,44 +194,38 @@ func (it *hashJoinIter) Next() (storage.Row, bool, error) {
 		}
 	}
 	for {
-		if err := it.checkCtx(); err != nil {
+		if err := it.check(); err != nil {
 			it.done = true
 			return nil, false, err
 		}
-		// Drain the current probe row's candidate bucket.
-		for it.bi < len(it.bucket) {
-			r := it.bucket[it.bi]
-			it.bi++
+		// Drain the current probe row's candidates. The probe side is not
+		// pulled while they last, so cur stays valid throughout.
+		for it.cand >= 0 {
+			r := it.rows[it.cand]
+			it.cand = it.idx.next[it.cand]
 			if it.equalOn(it.cur, r) {
-				return it.emit(r), true, nil
+				return it.out.emit(r), true, nil
 			}
 		}
-		// Advance to the next probe row.
-		var row storage.Row
-		var ok bool
-		var err error
-		if it.spilled {
-			row, ok, err = it.nextSpilledProbe()
-		} else {
-			row, ok, err = it.probe.Next()
-		}
-		if err != nil {
+		row, ok, err := it.nextProbe()
+		if !ok || err != nil {
 			it.done = true
 			return nil, false, err
 		}
-		if !ok {
-			it.done = true
-			return nil, false, nil
-		}
 		it.cur = row
-		it.bucket = it.table[Hash(row, it.pIdx)]
-		it.bi = 0
+		it.out.setProbe(row)
+		it.cand = it.idx.first(Hash(row, it.pIdx))
 	}
 }
 
-// nextSpilledProbe streams probe partitions, (re)building the matching
-// build partition's table at each partition boundary.
-func (it *hashJoinIter) nextSpilledProbe() (storage.Row, bool, error) {
+// nextProbe advances the probe side. Once spilled, it streams the probe
+// partitions, (re)building the matching build partition's table at each
+// partition boundary; rows read back from a spill file are freshly decoded,
+// so both sides hold them by reference.
+func (it *hashJoinIter) nextProbe() (storage.Row, bool, error) {
+	if !it.spilled {
+		return it.probe.Next()
+	}
 	for {
 		if it.pr != nil {
 			_, row, ok, err := it.pr.next()
@@ -224,10 +241,10 @@ func (it *hashJoinIter) nextSpilledProbe() (storage.Row, bool, error) {
 			return nil, false, nil
 		}
 		// Load this partition's build side.
-		it.table = make(map[uint64][]storage.Row)
+		it.rows = it.rows[:0]
 		br := it.buildRun.reader(it.part)
 		for {
-			if err := it.checkCtx(); err != nil {
+			if err := it.check(); err != nil {
 				return nil, false, err
 			}
 			_, row, ok, err := br.next()
@@ -237,49 +254,33 @@ func (it *hashJoinIter) nextSpilledProbe() (storage.Row, bool, error) {
 			if !ok {
 				break
 			}
-			it.table[Hash(row, it.bIdx)] = append(it.table[Hash(row, it.bIdx)], row)
+			it.rows = append(it.rows, row)
 		}
+		it.index()
 		it.pr = it.probeRun.reader(it.part)
 	}
 }
 
 func (it *hashJoinIter) Close() error {
-	err := it.probe.Close()
-	if e := it.build.Close(); e != nil && err == nil {
-		err = e
-	}
-	if it.buildRun != nil {
-		if e := it.buildRun.Close(); e != nil && err == nil {
-			err = e
-		}
-	}
-	if it.probeRun != nil {
-		if e := it.probeRun.Close(); e != nil && err == nil {
-			err = e
-		}
-	}
-	return err
+	return closeAll(it.probe, it.build, it.buildRun, it.probeRun)
 }
 
 // Cross emits the cartesian product probe × build (the executor's
-// fallback for disconnected queries). The build side is materialized —
-// disconnected products are degenerate plans over small inputs, so no
-// spill path exists here.
-func Cross(ctx context.Context, probe, build Iterator, probeWidth, buildWidth int) Iterator {
-	return &crossIter{ctx: ctx, probe: probe, build: build, pWidth: probeWidth, bWidth: buildWidth}
+// fallback for disconnected queries), selecting output columns like
+// HashJoin. The build side is materialized — disconnected products are
+// degenerate plans over small inputs, so no spill path exists here.
+func Cross(ctx context.Context, probe, build Iterator, probeWidth int, out []int) Iterator {
+	return &crossIter{poll: poll{ctx: ctx}, probe: probe, build: build, out: newJoinOut(out, probeWidth)}
 }
 
 type crossIter struct {
-	ctx          context.Context
+	poll
 	probe, build Iterator
-	pWidth       int
-	bWidth       int
+	out          joinOut
 
 	inited bool
 	rows   []storage.Row
-	cur    storage.Row
 	i      int
-	n      int
 	done   bool
 }
 
@@ -290,7 +291,7 @@ func (it *crossIter) Next() (storage.Row, bool, error) {
 	if !it.inited {
 		it.inited = true
 		var err error
-		it.rows, err = collectKeepOpen(it.ctx, it.build)
+		it.rows, err = drain(it.ctx, it.build)
 		if err != nil {
 			it.done = true
 			return nil, false, err
@@ -298,55 +299,22 @@ func (it *crossIter) Next() (storage.Row, bool, error) {
 		it.i = len(it.rows) // force a probe pull
 	}
 	for {
-		it.n++
-		if it.n%checkEvery == 0 {
-			if err := it.ctx.Err(); err != nil {
-				it.done = true
-				return nil, false, err
-			}
+		if err := it.check(); err != nil {
+			it.done = true
+			return nil, false, err
 		}
 		if it.i < len(it.rows) {
-			r := it.rows[it.i]
 			it.i++
-			out := make(storage.Row, it.pWidth+it.bWidth)
-			copy(out, it.cur[:it.pWidth])
-			copy(out[it.pWidth:], r)
-			return out, true, nil
+			return it.out.emit(it.rows[it.i-1]), true, nil
 		}
 		row, ok, err := it.probe.Next()
 		if err != nil || !ok {
 			it.done = true
 			return nil, false, err
 		}
-		it.cur = row
+		it.out.setProbe(row)
 		it.i = 0
 	}
 }
 
-func (it *crossIter) Close() error {
-	err := it.probe.Close()
-	if e := it.build.Close(); e != nil && err == nil {
-		err = e
-	}
-	return err
-}
-
-// collectKeepOpen drains src without closing it (the owner closes).
-func collectKeepOpen(ctx context.Context, src Iterator) ([]storage.Row, error) {
-	var rows []storage.Row
-	for {
-		if len(rows)%checkEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		r, ok, err := src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rows, nil
-		}
-		rows = append(rows, r)
-	}
-}
+func (it *crossIter) Close() error { return closeAll(it.probe, it.build) }

@@ -122,8 +122,28 @@ func (r *spillRun) reader(p int) *spillReader {
 	return &spillReader{br: bufio.NewReaderSize(r.files[p], 1<<16), left: r.rows[p]}
 }
 
-// Close releases every partition file (already unlinked).
+// route writes the rest of src to the partitions hash assigns its rows to.
+func (r *spillRun) route(p *poll, src Iterator, marker byte, hash func(storage.Row) uint64) error {
+	for {
+		if err := p.check(); err != nil {
+			return err
+		}
+		row, ok, err := src.Next()
+		if !ok || err != nil {
+			return err
+		}
+		if err := r.write(hash(row), marker, row); err != nil {
+			return err
+		}
+	}
+}
+
+// Close releases every partition file (already unlinked). A nil run (the
+// operator never spilled) has nothing to release.
 func (r *spillRun) Close() error {
+	if r == nil {
+		return nil
+	}
 	var first error
 	for _, f := range r.files {
 		if f == nil {

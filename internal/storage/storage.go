@@ -88,9 +88,11 @@ func (t *BlockTally) Add(width int) {
 	t.Used += width
 }
 
-// Cursor is a pull cursor over a table's rows in insertion order. The
-// returned row slice is only valid until the next call to Next unless the
-// caller clones it (values themselves are immutable and safe to share).
+// Cursor is a pull cursor over a table's rows in insertion order. A
+// returned row is the backend's own — the heap table's stored row, or a row
+// the block store decoded afresh — and stays valid after the next call to
+// Next: callers may retain it (the executor's join builds and shared scans
+// do) but must never modify it.
 type Cursor interface {
 	// Next returns the next row. ok is false once the cursor is exhausted.
 	Next() (row Row, ok bool, err error)

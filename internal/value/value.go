@@ -9,7 +9,6 @@ package value
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -155,6 +154,22 @@ func (v Value) Compare(o Value) int {
 			return 1
 		}
 	}
+	// Same-kind INT and STRING pairs — every join key and most selections —
+	// compare directly: exact above 2^53, and off the float path.
+	if v.kind == o.kind {
+		switch v.kind {
+		case KindInt:
+			switch {
+			case v.i < o.i:
+				return -1
+			case v.i > o.i:
+				return 1
+			}
+			return 0
+		case KindString:
+			return strings.Compare(v.s, o.s)
+		}
+	}
 	if numericKinds(v, o) {
 		a, b := v.AsFloat(), o.AsFloat()
 		// NaN breaks <'s trichotomy; order it deterministically before every
@@ -183,20 +198,14 @@ func (v Value) Compare(o Value) int {
 			return 1
 		}
 	}
-	switch v.kind {
-	case KindString:
-		return strings.Compare(v.s, o.s)
-	case KindBool:
-		switch {
-		case v.b == o.b:
-			return 0
-		case !v.b:
-			return -1
-		default:
-			return 1
-		}
-	default:
+	// Only BOOL is left: NULL, numeric and STRING pairs returned above.
+	switch {
+	case v.b == o.b:
 		return 0
+	case !v.b:
+		return -1
+	default:
+		return 1
 	}
 }
 
@@ -209,15 +218,19 @@ func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
 // Hash returns a 64-bit hash suitable for hash joins and grouping.
 // Values that are Equal hash identically (INT and FLOAT representing the
 // same number share a hash).
+//
+// It is FNV-1a over a kind tag followed by the payload (numerics as the
+// little-endian bits of the float64, strings as their bytes), written out
+// inline: catalog frequency tables and spill partitioning are keyed by the
+// exact result, so the bytes hashed must not change.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
 	switch v.kind {
 	case KindNull:
-		buf[0] = 0
-		h.Write(buf[:1])
+		h = (h ^ 0) * prime
 	case KindInt, KindFloat:
-		buf[0] = 1
+		h = (h ^ 1) * prime
 		f := v.AsFloat()
 		bits := math.Float64bits(f)
 		if f == 0 { // normalize -0.0 and +0.0
@@ -227,21 +240,22 @@ func (v Value) Hash() uint64 {
 			bits = math.Float64bits(math.NaN())
 		}
 		for j := 0; j < 8; j++ {
-			buf[1+j] = byte(bits >> (8 * j))
+			h = (h ^ (bits >> (8 * j) & 0xff)) * prime
 		}
-		h.Write(buf[:9])
 	case KindString:
-		buf[0] = 2
-		h.Write(buf[:1])
-		h.Write([]byte(v.s))
-	case KindBool:
-		buf[0] = 3
-		if v.b {
-			buf[1] = 1
+		h = (h ^ 2) * prime
+		for j := 0; j < len(v.s); j++ {
+			h = (h ^ uint64(v.s[j])) * prime
 		}
-		h.Write(buf[:2])
+	case KindBool:
+		h = (h ^ 3) * prime
+		if v.b {
+			h = (h ^ 1) * prime
+		} else {
+			h = (h ^ 0) * prime
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // Width returns the value's storage footprint in bytes under the storage

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -97,10 +98,38 @@ func TestCompare(t *testing.T) {
 		{Null(), Null(), 0},
 		{Null(), Int(0), -1},
 		{Int(0), Null(), 1},
+		// INT pairs compare as int64: ids above 2^53 stay distinct (through
+		// float64 both sides round to the same number).
+		{Int(1 << 53), Int(1<<53 + 1), -1},
+		{Int(1<<53 + 1), Int(1 << 53), 1},
+		{Int(-(1 << 53)), Int(-(1 << 53) - 1), 1},
+		{Int(-(1 << 53) - 1), Int(-(1 << 53) - 1), 0},
+		{Int(math.MaxInt64), Int(math.MaxInt64 - 1), 1},
+		// Mixed INT/FLOAT keeps the float comparison, rounding included.
+		{Int(1<<53 + 1), Float(1 << 53), 0},
+		{Float(1 << 53), Int(1 << 53), 0},
+		{Int(-(1 << 53) - 1), Float(-(1 << 53)), 0},
+		{Float(math.Copysign(0, -1)), Float(0), 0},
+		{Float(math.Copysign(0, -1)), Int(0), 0},
+		{Float(math.NaN()), Float(math.NaN()), 0},
+		{Float(math.NaN()), Int(math.MinInt64), -1},
+		{Int(0), Float(math.NaN()), 1},
+		{Float(math.NaN()), Null(), 1},
+		{Str("10"), Str("9"), -1},
+		{Str(""), Str("a"), -1},
+		{Bool(true), Bool(false), 1},
+		{Bool(true), Str("x"), 1},
+		{Float(1), Str("1"), -1},
 	}
 	for _, c := range cases {
 		if got := c.a.Compare(c.b); got != c.want {
 			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := c.b.Compare(c.a); got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
+		if c.want == 0 && c.a.Hash() != c.b.Hash() {
+			t.Errorf("%v and %v are Equal but hash differently", c.a, c.b)
 		}
 	}
 	// Cross-kind non-numeric comparison is a total order by kind tag.
@@ -148,6 +177,70 @@ func TestHashEqualConsistency(t *testing.T) {
 	}
 	if Int(1).Hash() == Str("1").Hash() {
 		t.Error("kind must participate in hash")
+	}
+}
+
+// referenceHash is Hash as it was written before it was inlined: FNV-1a
+// through hash/fnv over a kind tag and the payload bytes.
+func referenceHash(v Value) uint64 {
+	h := fnv.New64a()
+	var buf [9]byte
+	switch v.kind {
+	case KindNull:
+		h.Write(buf[:1])
+	case KindInt, KindFloat:
+		buf[0] = 1
+		f := v.AsFloat()
+		bits := math.Float64bits(f)
+		if f == 0 {
+			bits = 0
+		}
+		if math.IsNaN(f) {
+			bits = math.Float64bits(math.NaN())
+		}
+		for j := 0; j < 8; j++ {
+			buf[1+j] = byte(bits >> (8 * j))
+		}
+		h.Write(buf[:9])
+	case KindString:
+		buf[0] = 2
+		h.Write(buf[:1])
+		h.Write([]byte(v.s))
+	case KindBool:
+		buf[0] = 3
+		if v.b {
+			buf[1] = 1
+		}
+		h.Write(buf[:2])
+	}
+	return h.Sum64()
+}
+
+// Catalog frequency tables and spill partitioning are keyed by Hash, so the
+// inlined function must return exactly what the hash/fnv one did.
+func TestHashMatchesReference(t *testing.T) {
+	vals := []Value{
+		Null(), Bool(false), Bool(true),
+		Int(0), Int(1), Int(-1), Int(42), Int(1 << 53), Int(1<<53 + 1), Int(math.MaxInt64), Int(math.MinInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(1), Float(1.5), Float(-2.25), Float(math.NaN()),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.SmallestNonzeroFloat64),
+		Str(""), Str("a"), Str("genre07"), Str("Movie 000123"), Str("it's"), Str("héllo \x00 wörld"),
+	}
+	for _, v := range vals {
+		if got, want := v.Hash(), referenceHash(v); got != want {
+			t.Errorf("Hash(%v %s) = %#x, reference %#x", v.Kind(), v, got, want)
+		}
+	}
+	f := func(i int64, x float64, s string, b bool) bool {
+		for _, v := range []Value{Int(i), Float(x), Str(s), Bool(b)} {
+			if v.Hash() != referenceHash(v) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
