@@ -12,17 +12,19 @@
 //	cqpbench -metrics                # dump the run's metrics at the end
 //	cqpbench -http :8080             # serve /metrics, /debug/vars, /debug/pprof
 //	cqpbench -faults 'exec.union:lat:0.1:20ms'   # run the figures under injected faults
-//	cqpbench -herd 64 -bursts 8 -gate -json BENCH_5.json   # thundering-herd serving benchmark
-//	cqpbench -batch 32                                     # /personalize/batch vs singleton requests
-//	cqpbench -spillbench 6000 -spillbudget 262144 -gate    # union-all peak heap, unbounded vs spilled
-//	cqpbench -cluster-drill -json results/BENCH_9.json     # kill -9 failover + join/leave membership drill
+//
+// Serving, batching, spilling and cluster behaviour are not measured here:
+// the repository benchmark (BENCHMARK.json, benchmark/) and the tier-1 tests
+// own those questions.
 package main
 
 import (
 	"context"
+	"errors"
 	_ "expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -40,80 +42,54 @@ import (
 )
 
 func main() {
-	var (
-		exp       = flag.String("exp", "all", "experiment id ("+strings.Join(bench.ExperimentIDs(), ", ")+" or all)")
-		profiles  = flag.Int("profiles", 4, "profiles per data point (paper: 20)")
-		queries   = flag.Int("queries", 5, "queries per data point (paper: 10)")
-		ks        = flag.String("ks", "10,20,30,40", "comma-separated K sweep")
-		cmaxMS    = flag.Float64("cmax", 400, "default cmax in ms (paper: 400)")
-		defK      = flag.Int("k", 20, "default K (paper: 20)")
-		budget    = flag.Int("budget", 1<<20, "per-run state budget; 0 = unlimited (paper-faithful, slow)")
-		movies    = flag.Int("movies", 4000, "movies in the synthetic database")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		csvDir    = flag.String("csv", "", "directory to also write CSV series into")
-		jsonPath  = flag.String("json", "", "file to write a machine-readable per-experiment summary into")
-		metrics   = flag.Bool("metrics", false, "dump the run's metrics registry after the experiments")
-		httpAddr  = flag.String("http", "", "serve /metrics (Prometheus), /debug/vars and /debug/pprof on this address while running")
-		faults    = flag.String("faults", os.Getenv("FAULTS"), "fault-injection plan, e.g. 'storage.scan:err:0.05' (also via FAULTS env)")
-		faultSeed = flag.Int64("faultseed", 1, "seed for the fault plan's injection decisions")
-		herd      = flag.Int("herd", 0, "serving benchmark: this many concurrent duplicate requests per burst, with and without coalescing (0 = off)")
-		bursts    = flag.Int("bursts", 8, "herd mode: distinct cache-miss bursts to fire")
-		batchN    = flag.Int("batch", 0, "serving benchmark: one /personalize/batch of this many items vs the same items as singletons (0 = off)")
-		batchB    = flag.Int("batchbench", 0, "serving benchmark: one execute-mode batch of this many all-distinct items, shared-work layers (estimate memo + scan share) on vs off (0 = off)")
-		gate      = flag.Bool("gate", false, "herd mode: exit non-zero when coalescing loses to the no-coalesce baseline; spillbench mode: when spilling fails to cut peak heap")
-		spillN    = flag.Int("spillbench", 0, "executor benchmark: union-all over this many movies, unbounded vs spill-budgeted (0 = off)")
-		spillBudg = flag.Int64("spillbudget", 256<<10, "spillbench mode: per-run executor memory budget in bytes")
-		drill     = flag.Bool("cluster-drill", false, "robustness drill: boot a 3-node replicated cqpd cluster, kill -9 a profile's owner, verify failover and zero acked-mutation loss; then join a 4th node under load and drain it back out with zero failed requests")
-		cqpdBin   = flag.String("cqpd", "", "cluster-drill mode: path to a cqpd binary (empty = go build one)")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "cqpbench:", err)
+		os.Exit(1)
+	}
+}
 
-	if *drill {
-		// The drill wants enough profiles that every node owns a few;
-		// -profiles' laptop default of 4 is too thin unless set explicitly.
-		nProf := 24
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "profiles" {
-				nProf = *profiles
-			}
-		})
-		if err := runClusterDrill(*cqpdBin, nProf, *seed, *jsonPath); err != nil {
-			fatal(err)
-		}
-		return
+// run is main without the process: it parses args, runs the selected
+// experiments and writes tables to stdout; flag errors and usage go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("cqpbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp       = fs.String("exp", "all", "experiment id ("+strings.Join(bench.ExperimentIDs(), ", ")+" or all)")
+		profiles  = fs.Int("profiles", 4, "profiles per data point (paper: 20)")
+		queries   = fs.Int("queries", 5, "queries per data point (paper: 10)")
+		ks        = fs.String("ks", "10,20,30,40", "comma-separated K sweep")
+		cmaxMS    = fs.Float64("cmax", 400, "default cmax in ms (paper: 400)")
+		defK      = fs.Int("k", 20, "default K (paper: 20)")
+		budget    = fs.Int("budget", 1<<20, "per-run state budget; 0 = unlimited (paper-faithful, slow)")
+		movies    = fs.Int("movies", 4000, "movies in the synthetic database")
+		seed      = fs.Int64("seed", 1, "workload seed")
+		csvDir    = fs.String("csv", "", "directory to also write CSV series into")
+		jsonPath  = fs.String("json", "", "file to write a machine-readable per-experiment summary into")
+		metrics   = fs.Bool("metrics", false, "dump the run's metrics registry after the experiments")
+		httpAddr  = fs.String("http", "", "serve /metrics (Prometheus), /debug/vars and /debug/pprof on this address while running")
+		faults    = fs.String("faults", os.Getenv("FAULTS"), "fault-injection plan, e.g. 'storage.scan:err:0.05' (also via FAULTS env)")
+		faultSeed = fs.Int64("faultseed", 1, "seed for the fault plan's injection decisions")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if *herd > 0 || *batchN > 0 {
-		if err := runServeBench(*movies, *seed, *herd, *bursts, *batchN, *jsonPath, *gate); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *batchB > 0 {
-		if err := runBatchBench(*movies, *seed, *batchB, *jsonPath, *gate); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *spillN > 0 {
-		if err := runSpillBench(*spillN, *seed, *spillBudg, *jsonPath, *gate); err != nil {
-			fatal(err)
-		}
-		return
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q; usage: cqpbench [flags], every setting is a -flag (cqpbench -h lists them)", fs.Arg(0))
 	}
 
 	if *faults != "" {
 		plan, err := fault.Parse(*faults, *faultSeed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fault.Arm(plan)
-		defer func() { fmt.Printf("\nfault report:\n%s", plan.Report()) }()
-		fmt.Printf("fault plan armed: %s (seed %d)\n", plan, *faultSeed)
+		defer func() { fmt.Fprintf(stdout, "\nfault report:\n%s", plan.Report()) }()
+		fmt.Fprintf(stdout, "fault plan armed: %s (seed %d)\n", plan, *faultSeed)
 	}
 
 	ksList, err := parseInts(*ks)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := bench.Config{
 		DB:            workload.DBConfig{Movies: *movies},
@@ -132,10 +108,10 @@ func main() {
 	cfg.Obs = reg
 	var srv *http.Server
 	if *httpAddr != "" {
-		srv = serveHTTP(*httpAddr, reg)
+		srv = serveHTTP(*httpAddr, reg, stdout, stderr)
 	}
 	r := bench.NewRunner(cfg)
-	fmt.Printf("workload: %d movies, %d profiles × %d queries = %d runs/point, state budget %s\n\n",
+	fmt.Fprintf(stdout, "workload: %d movies, %d profiles × %d queries = %d runs/point, state budget %s\n\n",
 		*movies, *profiles, *queries, r.Pairs(), budgetStr(cfg.StateBudget))
 
 	var tables []*bench.Table
@@ -147,52 +123,53 @@ func main() {
 		tables = []*bench.Table{t}
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for _, t := range tables {
-		fmt.Println(t.Render())
+		fmt.Fprintln(stdout, t.Render())
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 		for _, t := range tables {
 			path := filepath.Join(*csvDir, t.ID+".csv")
 			if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("wrote %s\n", path)
+			fmt.Fprintf(stdout, "wrote %s\n", path)
 		}
 	}
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		err = r.Summary(tables).WriteJSON(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s\n", *jsonPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
 	}
 	if *metrics {
-		fmt.Println("== metrics ==")
-		fmt.Print(reg.Render())
+		fmt.Fprintln(stdout, "== metrics ==")
+		fmt.Fprint(stdout, reg.Render())
 	}
 	if srv != nil {
-		fmt.Printf("experiments done; still serving on %s (ctrl-C to exit)\n", *httpAddr)
+		fmt.Fprintf(stdout, "experiments done; still serving on %s (ctrl-C to exit)\n", *httpAddr)
 		sigc := make(chan os.Signal, 1)
 		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 		<-sigc
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // serveHTTP exposes the registry and the stdlib debug handlers: /metrics in
@@ -202,7 +179,7 @@ func main() {
 // a header-read timeout and supports context-based Shutdown — a bare
 // ListenAndServe would let a silent client pin a connection forever and
 // gives no drain path.
-func serveHTTP(addr string, reg *obs.Registry) *http.Server {
+func serveHTTP(addr string, reg *obs.Registry, stdout, stderr io.Writer) *http.Server {
 	reg.PublishExpvar("cqp")
 	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -218,10 +195,10 @@ func serveHTTP(addr string, reg *obs.Registry) *http.Server {
 	}
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "cqpbench: http:", err)
+			fmt.Fprintln(stderr, "cqpbench: http:", err)
 		}
 	}()
-	fmt.Printf("serving /metrics, /debug/vars, /debug/pprof on %s\n", addr)
+	fmt.Fprintf(stdout, "serving /metrics, /debug/vars, /debug/pprof on %s\n", addr)
 	return srv
 }
 
@@ -242,9 +219,4 @@ func budgetStr(b int) string {
 		return "unlimited"
 	}
 	return strconv.Itoa(b)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cqpbench:", err)
-	os.Exit(1)
 }

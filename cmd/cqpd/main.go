@@ -14,7 +14,7 @@
 //	cqpd -data state/                 # durable profiles: WAL + snapshots
 //	cqpd -data state/ -fsync interval -snapshot-every 256
 //	cqpd -workers 8 -queue 128 -cache 4096 -timeout 10s -maxtimeout 1m
-//	cqpd -coalesce=false -batch-max 16   # A/B: no singleflight, small batches
+//	cqpd -batch-max 16                # smaller /personalize/batch requests
 //	cqpd -preload 60                  # store a synthetic profile as "default"
 //	cqpd -faults 'storage.scan:err:0.05' -faultseed 42   # chaos run
 //	cqpd -slowlog 50ms -logjson       # attribute every request ≥ 50ms, JSON logs
@@ -75,9 +75,6 @@ func main() {
 		maxTO     = flag.Duration("maxtimeout", 2*time.Minute, "cap on per-request deadlines (timeout_ms)")
 		maxRows   = flag.Int("maxrows", 100, "default row cap for /execute responses")
 		maxBody   = flag.Int64("maxbody", 1<<20, "request-body size cap in bytes (oversize gets 413)")
-		coalesce  = flag.Bool("coalesce", true, "coalesce concurrent identical pipeline requests into one run")
-		estMemo   = flag.Bool("estmemo", true, "memoize per-preference cost/size estimates across requests (per statistics generation)")
-		scanShare = flag.Bool("scanshare", true, "share one physical scan per relation across an executed batch's items")
 		batchMax  = flag.Int("batch-max", 64, "max items per /personalize/batch request")
 		preload   = flag.Int("preload", 0, "store a synthetic profile with this many selection preferences as \"default\"")
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown drain deadline")
@@ -97,7 +94,7 @@ func main() {
 	)
 	flag.Parse()
 
-	peers, err := validateStartup(*nodeID, *peersCSV, *replicate, *dataDir, *spill)
+	peers, err := validateStartup(flag.Args(), *nodeID, *peersCSV, *replicate, *dataDir, *spill)
 	if err != nil {
 		fatal(err)
 	}
@@ -140,9 +137,6 @@ func main() {
 		MaxTimeout:     *maxTO,
 		MaxRows:        *maxRows,
 		MaxBodyBytes:   *maxBody,
-		NoCoalesce:     !*coalesce,
-		NoEstimateMemo: !*estMemo,
-		NoScanShare:    !*scanShare,
 		BatchMaxItems:  *batchMax,
 		DataDir:        *dataDir,
 		FsyncPolicy:    *fsync,
@@ -324,7 +318,10 @@ func parsePeers(s string) (map[string]string, error) {
 // validateStartup cross-checks the flag combinations that cannot work and
 // turns each into one actionable error before the daemon touches disk or
 // the network. Returns the parsed peer map (nil when standalone).
-func validateStartup(nodeID, peersCSV string, replicate bool, dataDir string, spill int64) (map[string]string, error) {
+func validateStartup(args []string, nodeID, peersCSV string, replicate bool, dataDir string, spill int64) (map[string]string, error) {
+	if len(args) > 0 {
+		return nil, fmt.Errorf("unexpected argument %q; usage: cqpd [flags], every setting is a -flag (cqpd -h lists them)", args[0])
+	}
 	if spill < 0 {
 		return nil, fmt.Errorf("-spill must be ≥ 0 bytes (got %d); omit it for unlimited or pass a positive budget", spill)
 	}

@@ -125,6 +125,7 @@ func TestValidateStartup(t *testing.T) {
 	peers := "n1=http://h1:1,n2=http://h2:1"
 	cases := []struct {
 		name                string
+		args                []string
 		nodeID, peers, data string
 		replicate           bool
 		spill               int64
@@ -133,6 +134,7 @@ func TestValidateStartup(t *testing.T) {
 		{name: "standalone ok"},
 		{name: "cluster ok", nodeID: "n1", peers: peers, data: "d", replicate: true},
 		{name: "cluster without replication ok", nodeID: "n1", peers: peers},
+		{name: "stray positional argument", args: []string{"coalesce=false"}, wantErr: "unexpected argument"},
 		{name: "negative spill", spill: -1, wantErr: "-spill"},
 		{name: "node-id without peers", nodeID: "n1", wantErr: "-peers"},
 		{name: "peers without node-id", peers: peers, wantErr: "-node-id"},
@@ -143,7 +145,7 @@ func TestValidateStartup(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := validateStartup(c.nodeID, c.peers, c.replicate, c.data, c.spill)
+			got, err := validateStartup(c.args, c.nodeID, c.peers, c.replicate, c.data, c.spill)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -140,10 +140,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var share *exec.ScanShare
 	if req.Execute {
 		ep = executeEndpoint
-		if !s.cfg.NoScanShare {
-			share = exec.NewScanShare(0)
-			ctx = exec.WithScanShare(ctx, share)
-		}
+		share = exec.NewScanShare(0)
+		ctx = exec.WithScanShare(ctx, share)
 	}
 
 	answers := make([]answer, len(req.Items))

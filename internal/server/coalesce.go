@@ -110,7 +110,7 @@ func (s *Server) runPipeline(ctx context.Context, endpoint, key, staleKey string
 		// channel closed: reading o is ordered.
 		return o
 	}
-	if key == "" || s.cfg.NoCoalesce {
+	if key == "" {
 		// Uncacheable (inline-profile or no_cache) requests have no
 		// identity to coalesce on; they always pay their own run.
 		return run(), true

@@ -208,32 +208,3 @@ func TestCoalesceFollowerRetriesAfterLeaderDeath(t *testing.T) {
 		t.Fatalf("pipeline ran %d times, want 2 (dead leader + retry)", got)
 	}
 }
-
-// TestCoalesceDisabled: with NoCoalesce set, identical concurrent requests
-// each pay their own run and the flight table stays untouched.
-func TestCoalesceDisabled(t *testing.T) {
-	s := newTestDaemon(t, Config{NoCoalesce: true, Workers: 4})
-	var runs atomic.Int64
-	release := make(chan struct{})
-	primary := func(ctx context.Context) (any, error) {
-		runs.Add(1)
-		<-release
-		return &personalizeResponse{}, nil
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, led := s.runPipeline(context.Background(), "personalize", "key", "stale-key", primary); !led {
-				t.Error("without coalescing every request leads its own run")
-			}
-		}()
-	}
-	waitFor(t, func() bool { return runs.Load() == 4 })
-	close(release)
-	wg.Wait()
-	if got := s.reg.Counter("coalesce_leaders_total", "endpoint", "personalize").Value(); got != 0 {
-		t.Errorf("coalesce_leaders_total = %d with coalescing disabled, want 0", got)
-	}
-}

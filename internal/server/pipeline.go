@@ -338,7 +338,7 @@ func (s *Server) run(ctx context.Context, c *call) answer {
 	o, led := s.runPipeline(ctx, c.ep.name, c.key, c.staleKey, solve(""), rungs...)
 	a := answer{role: "follower"}
 	switch {
-	case c.key == "" || s.cfg.NoCoalesce:
+	case c.key == "":
 		a.role = "solo"
 	case led:
 		a.role = "leader"

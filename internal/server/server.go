@@ -58,18 +58,6 @@ type Config struct {
 	// default 0.5.
 	TightenFactor float64
 
-	// NoCoalesce disables singleflight coalescing of concurrent identical
-	// pipeline requests. The zero value (coalescing on) is the right
-	// default; the knob exists for A/B benchmarking and incident bisection.
-	NoCoalesce bool
-	// NoEstimateMemo disables the cross-request per-preference estimate
-	// memo; NoScanShare disables shared-scan batch execution. Like
-	// NoCoalesce, the zero values (both layers on) are the right defaults —
-	// the knobs exist for A/B benchmarking (cqpbench -batchbench measures
-	// exactly this off/on difference) and incident bisection.
-	NoEstimateMemo bool
-	NoScanShare    bool
-
 	// Logger receives the per-request structured log lines (one per
 	// finished request, plus slow-query lines). Nil disables request
 	// logging entirely — metrics, the flight recorder and /slo still run —
@@ -239,9 +227,6 @@ func New(db *cqp.DB, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	p.Observe(reg)
-	if cfg.NoEstimateMemo {
-		p.SetEstimateMemo(false)
-	}
 	s := &Server{
 		cfg:     cfg,
 		db:      db,

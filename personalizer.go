@@ -99,8 +99,8 @@ func (p *Personalizer) Refresh() error {
 
 // SetEstimateMemo switches the cross-request per-preference estimate memo
 // on or off, now and across future Refreshes. It is on by default; the off
-// switch exists for A/B benchmarking and incident bisection (cqpd
-// -estmemo=false), mirroring Config.NoCoalesce.
+// switch is the private reference tests and the benchmark's memo_cold rows
+// compare the memo against.
 func (p *Personalizer) SetEstimateMemo(on bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
