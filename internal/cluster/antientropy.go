@@ -2,11 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"strconv"
 	"time"
 )
 
@@ -19,34 +14,11 @@ import (
 // live count + commutative checksum over id/version/text), compares it
 // with the same digest over its replica, and re-syncs only the diverged
 // buckets — 1/16th of the peer relationship per divergence, not a full
-// snapshot. Repair overwrites same-version entries (unlike the streaming
-// version guard), because equal-version corruption is exactly the failure
-// mode digests exist to catch.
+// snapshot — through the same ReplicaStore.Install every snapshot uses.
 //
 // Rounds are skipped mid-transition and against peers at a different
 // epoch — handoff moves records between nodes wholesale, and a digest
 // diff across rings would "repair" perfectly healthy state.
-
-// digestResponse is the digest part of a /cluster/state?digest=1 answer.
-type digestResponse struct {
-	Ring   RingState                    `json:"ring"`
-	Digest *[DigestBuckets]BucketDigest `json:"digest"`
-}
-
-// antiEntropyLoop runs digest rounds until the node closes.
-func (n *Node) antiEntropyLoop() {
-	defer n.wg.Done()
-	t := time.NewTicker(n.cfg.AntiEntropy)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-t.C:
-			n.antiEntropyRound()
-		}
-	}
-}
 
 // antiEntropyRound digest-diffs this node's replica view against every
 // reachable owner.
@@ -65,89 +37,29 @@ func (n *Node) antiEntropyRound() {
 	}
 }
 
-// antiEntropyPeer compares one owner's digest with the local replica view
-// of that owner's shards and repairs diverged buckets.
+// antiEntropyPeer compares one owner's digest of the records this node
+// should be following with the local replica view of that owner's keys,
+// and pulls the buckets that differ.
 func (n *Node) antiEntropyPeer(p *peerState) {
-	epoch := n.Epoch()
-	remote, peerEpoch, err := n.fetchDigest(p)
-	if err != nil || peerEpoch != epoch {
+	ring := n.Ring()
+	epoch := ring.Epoch()
+	var remote struct {
+		Ring   RingState `json:"ring"`
+		Digest *Digest   `json:"digest"`
+	}
+	url := p.url + PathState + "?digest=1&node=" + n.cfg.Self
+	if n.call(context.Background(), 5*time.Second, p.id, url, epoch, nil, &remote) != nil ||
+		remote.Digest == nil || remote.Ring.Epoch != epoch {
 		return
 	}
 	owner := p.id
-	local := n.replica.Digest(func(id string) bool { return n.Owner(id) == owner })
-	for b := 0; b < DigestBuckets; b++ {
-		if local[b] == remote[b] {
+	local := n.replica.Digest(func(id string) bool { return ring.Owner(id) == owner })
+	for b := range local {
+		if local[b] == remote.Digest[b] {
 			continue
 		}
-		if changed, err := n.repairBucket(p, b); err == nil && changed > 0 {
+		if changed, err := n.pull(context.Background(), 10*time.Second, p, b); err == nil && changed > 0 {
 			n.counter("cluster_antientropy_repairs_total", "peer", owner).Add(int64(changed))
 		}
 	}
-}
-
-// fetchDigest asks owner p for the digest of the records this node
-// should be following.
-func (n *Node) fetchDigest(p *peerState) (*[DigestBuckets]BucketDigest, uint64, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	url := p.url + PathState + "?digest=1&node=" + n.cfg.Self
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("cluster: digest from %s: status %d", p.id, resp.StatusCode)
-	}
-	var dr digestResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&dr); err != nil {
-		return nil, 0, err
-	}
-	if dr.Digest == nil {
-		return nil, 0, fmt.Errorf("cluster: %s answered without a digest", p.id)
-	}
-	return dr.Digest, dr.Ring.Epoch, nil
-}
-
-// repairBucket replaces the local replica view of one diverged bucket
-// with the owner's snapshot of it.
-func (n *Node) repairBucket(p *peerState, bucket int) (int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	url := p.url + PathSync + "?node=" + n.cfg.Self + "&bucket=" + strconv.Itoa(bucket)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("cluster: bucket sync from %s: status %d", p.id, resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	clock, recs, err := DecodeSyncPayload(body)
-	if err != nil {
-		return 0, err
-	}
-	owner := p.id
-	changed := n.replica.RepairBucket(owner, clock, recs, func(id string) bool {
-		return n.Owner(id) == owner && Bucket(id) == bucket
-	})
-	return changed, nil
 }

@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"net/http"
+	"maps"
 	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"cqp/internal/wal"
@@ -51,15 +47,12 @@ const handoffTimeout = 5 * time.Minute
 type RingMessage struct {
 	// Mode is prepare, commit, abort, or install.
 	Mode string `json:"mode"`
-	// State carries the next ring for prepare and install.
+	// State carries the next ring for prepare and install, and names the
+	// ring an abort abandons (absent = whatever is pending at Epoch).
 	State *RingState `json:"state,omitempty"`
 	// Epoch identifies the transition for commit and abort.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
-
-// transitionMu serializes locally-coordinated transitions. Cross-node
-// races are caught by Prepare's single-transition guard on every member.
-var transitionMu sync.Mutex
 
 // AddNode joins a new member: mints epoch+1, prepares it everywhere,
 // hands off the shards the new ring assigns to the joiner, and commits.
@@ -107,18 +100,13 @@ func (n *Node) RemoveNode(ctx context.Context, id string, force bool) (RingState
 // and new members (minus skipped dead nodes). Any prepare or handoff
 // failure aborts everywhere and leaves the old ring active.
 func (n *Node) transition(ctx context.Context, cur, st RingState, skip map[string]bool) (RingState, error) {
-	transitionMu.Lock()
-	defer transitionMu.Unlock()
+	n.transitionMu.Lock()
+	defer n.transitionMu.Unlock()
 	ctx, cancel := context.WithTimeout(ctx, handoffTimeout)
 	defer cancel()
 
-	urls := make(map[string]string, len(cur.Members)+1)
-	for id, u := range cur.Members {
-		urls[id] = u
-	}
-	for id, u := range st.Members {
-		urls[id] = u
-	}
+	urls := maps.Clone(cur.Members)
+	maps.Copy(urls, st.Members)
 	var all []string
 	for id := range urls {
 		if !skip[id] {
@@ -129,7 +117,7 @@ func (n *Node) transition(ctx context.Context, cur, st RingState, skip map[strin
 
 	abort := func() {
 		for _, id := range all {
-			n.ringCall(ctx, id, urls[id], RingMessage{Mode: "abort", Epoch: st.Epoch})
+			n.ringCall(ctx, id, urls[id], RingMessage{Mode: "abort", Epoch: st.Epoch, State: &st})
 		}
 	}
 
@@ -140,15 +128,10 @@ func (n *Node) transition(ctx context.Context, cur, st RingState, skip map[strin
 		}
 	}
 
-	// Only current members can own shards that move.
-	var sources []string
-	for id := range cur.Members {
-		if !skip[id] {
-			sources = append(sources, id)
+	for _, id := range all {
+		if _, member := cur.Members[id]; !member {
+			continue // only current members can own shards that move
 		}
-	}
-	sort.Strings(sources)
-	for _, id := range sources {
 		if err := n.handoffCall(ctx, id, urls[id], st.Epoch); err != nil {
 			abort()
 			return cur, fmt.Errorf("cluster: handoff epoch %d on %s: %w", st.Epoch, id, err)
@@ -177,11 +160,7 @@ func (n *Node) ringCall(ctx context.Context, id, url string, msg RingMessage) er
 		_, err := n.HandleRingMessage(msg)
 		return err
 	}
-	body, err := json.Marshal(msg)
-	if err != nil {
-		return err
-	}
-	return n.postJSON(ctx, url+PathRing, body, 10*time.Second)
+	return n.call(ctx, 10*time.Second, id, url+PathRing, n.Epoch(), msg, nil)
 }
 
 // handoffCall asks one member to run its handoff for the transition.
@@ -190,63 +169,27 @@ func (n *Node) handoffCall(ctx context.Context, id, url string, epoch uint64) er
 		_, err := n.RunHandoff(ctx, epoch)
 		return err
 	}
-	body, err := json.Marshal(map[string]uint64{"epoch": epoch})
-	if err != nil {
-		return err
-	}
 	// No extra deadline: a large handoff legitimately takes a while (it is
 	// rate-bounded); the transition ctx caps it.
-	return n.postJSON(ctx, url+PathHandoff, body, 0)
-}
-
-// postJSON posts a JSON body and requires a 2xx answer.
-func (n *Node) postJSON(ctx context.Context, url string, body []byte, timeout time.Duration) error {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	return nil
+	return n.call(ctx, 0, id, url+PathHandoff, epoch, map[string]uint64{"epoch": epoch}, nil)
 }
 
 // HandleRingMessage dispatches one /cluster/ring message and returns the
 // node's (possibly updated) active state for the response body.
 func (n *Node) HandleRingMessage(msg RingMessage) (RingState, error) {
+	if (msg.Mode == "prepare" || msg.Mode == "install") && msg.State == nil {
+		return n.State(), fmt.Errorf("cluster: %s needs a ring state", msg.Mode)
+	}
 	var err error
 	switch msg.Mode {
 	case "prepare":
-		if msg.State == nil {
-			err = fmt.Errorf("cluster: prepare needs a ring state")
-		} else {
-			err = n.Prepare(*msg.State)
-		}
+		err = n.Prepare(*msg.State)
 	case "commit":
 		err = n.Commit(msg.Epoch)
 	case "abort":
-		n.Abort(msg.Epoch)
+		n.Abort(msg.Epoch, msg.State)
 	case "install":
-		if msg.State == nil {
-			err = fmt.Errorf("cluster: install needs a ring state")
-		} else {
-			_, err = n.AdoptIfNewer(*msg.State)
-		}
+		_, err = n.AdoptIfNewer(*msg.State)
 	default:
 		err = fmt.Errorf("cluster: unknown ring message mode %q", msg.Mode)
 	}
@@ -257,7 +200,10 @@ func (n *Node) HandleRingMessage(msg RingMessage) (RingState, error) {
 // targets and joining followers become reachable peers now, so streams
 // can start before the ring is active. Rejects overlapping transitions —
 // this guard, enforced on every member, is what serializes concurrent
-// coordinators cluster-wide.
+// coordinators cluster-wide. A repeated prepare is a coordinator retry only
+// when it proposes the very ring that is pending: two coordinators minting
+// the same epoch+1 over different members must not both succeed, or one
+// epoch would name two rings.
 func (n *Node) Prepare(st RingState) error {
 	ring, err := st.Build()
 	if err != nil {
@@ -269,44 +215,60 @@ func (n *Node) Prepare(st RingState) error {
 		return fmt.Errorf("cluster: prepare epoch %d not newer than active %d", st.Epoch, n.state.Epoch)
 	}
 	if n.next != nil {
-		if n.next.Epoch == st.Epoch {
+		if n.next.equal(st) {
 			return nil // coordinator retry
 		}
 		return fmt.Errorf("cluster: transition to epoch %d already in progress", n.next.Epoch)
 	}
-	for id, url := range st.Members {
-		if id == n.cfg.Self {
-			continue
-		}
+	stc := st.Clone()
+	n.next = &stc
+	n.nextRing = ring
+	n.syncPeersLocked()
+	return nil
+}
+
+// syncPeersLocked makes the peer set what the rings in force call for:
+// every other member of the active ring and, mid-transition, of the pending
+// one (handoff targets must be reachable before commit) has a breaker and a
+// sender; a peer in neither is stopped and forgotten. Every change of state
+// or next ends with it. The caller holds n.mu.
+func (n *Node) syncPeersLocked() {
+	want := maps.Clone(n.state.Members)
+	if n.next != nil {
+		maps.Copy(want, n.next.Members)
+	}
+	delete(want, n.cfg.Self)
+	for id, url := range want {
 		if _, ok := n.peers[id]; !ok {
 			p := n.newPeer(id, url)
 			n.peers[id] = p
 			if n.cfg.Replicate {
-				n.startPeer(p)
+				n.wg.Add(1)
+				go n.sendLoop(p)
 			}
 		}
 	}
-	stc := st.Clone()
-	n.next = &stc
-	n.nextRing = ring
-	return nil
-}
-
-// Abort drops a prepared transition (no-op if none or a different epoch)
-// and forgets peers that were only reachable for its sake.
-func (n *Node) Abort(epoch uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.next == nil || n.next.Epoch != epoch {
-		return
-	}
-	n.next, n.nextRing = nil, nil
 	for id, p := range n.peers {
-		if _, ok := n.state.Members[id]; !ok {
+		if _, ok := want[id]; !ok {
 			close(p.done)
 			delete(n.peers, id)
 		}
 	}
+}
+
+// Abort drops a prepared transition and forgets peers that were only
+// reachable for its sake — unless nothing is pending at epoch, or the
+// coordinator names the ring it abandons and a different one is pending: a
+// coordinator that lost the prepare race holds the winner's epoch number and
+// must not cancel the winner's transition.
+func (n *Node) Abort(epoch uint64, st *RingState) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.next == nil || n.next.Epoch != epoch || (st != nil && !n.next.equal(*st)) {
+		return
+	}
+	n.next, n.nextRing = nil, nil
+	n.syncPeersLocked()
 }
 
 // RunHandoff streams every owned record that moves under the prepared
@@ -327,55 +289,54 @@ func (n *Node) RunHandoff(ctx context.Context, epoch uint64) (int, error) {
 		return 0, nil
 	}
 	_, recs := n.cfg.OwnedRecords()
-	moved := map[string][]wal.Record{}
+	moved := recs[:0]
 	for _, rec := range recs {
-		if oldRing.Owner(rec.ID) != n.cfg.Self {
-			continue
-		}
-		if target := newRing.Owner(rec.ID); target != n.cfg.Self {
-			moved[target] = append(moved[target], rec)
+		if oldRing.Owner(rec.ID) == n.cfg.Self && newRing.Owner(rec.ID) != n.cfg.Self {
+			moved = append(moved, rec)
 		}
 	}
-	targets := make([]string, 0, len(moved))
-	for t := range moved {
+	return n.sendMoved(ctx, newRing, epoch, moved, n.cfg.HandoffRate)
+}
+
+// sendMoved is the one sender of owned records to their owners under ring;
+// the handoff stream and commit's final sweep both end here. Records go to
+// each new owner (in sorted order) as WAL-frame batches of at most
+// sendBatchMax with bounded retries, paced to rate records per second, or
+// back to back at rate 0 (the final sweep holds the store's mutation lock).
+// Returns how many records were acked.
+func (n *Node) sendMoved(ctx context.Context, ring *Ring, epoch uint64, recs []wal.Record, rate int) (int, error) {
+	byOwner := map[string][]wal.Record{}
+	for _, rec := range recs {
+		owner := ring.Owner(rec.ID)
+		byOwner[owner] = append(byOwner[owner], rec)
+	}
+	targets := make([]string, 0, len(byOwner))
+	for t := range byOwner {
 		targets = append(targets, t)
 	}
 	sort.Strings(targets)
-	total := 0
-	for _, target := range targets {
-		sent, err := n.streamHandoff(ctx, epoch, target, moved[target])
-		total += sent
-		if err != nil {
-			return total, fmt.Errorf("handoff to %s: %w", target, err)
-		}
-	}
-	return total, nil
-}
-
-// streamHandoff ships one target's moved records in rate-bounded batches.
-func (n *Node) streamHandoff(ctx context.Context, epoch uint64, target string, recs []wal.Record) (int, error) {
-	url := n.PeerURL(target)
-	if url == "" {
-		return 0, fmt.Errorf("unknown target %q", target)
-	}
 	sent := 0
-	for len(recs) > 0 {
-		batch := recs
-		if len(batch) > sendBatchMax {
-			batch = batch[:sendBatchMax]
+	for _, target := range targets {
+		url := n.PeerURL(target)
+		if url == "" {
+			return sent, fmt.Errorf("handoff to %s: unknown node", target)
 		}
-		if err := n.postHandoffBatch(ctx, url, target, epoch, batch); err != nil {
-			return sent, err
-		}
-		sent += len(batch)
-		recs = recs[len(batch):]
-		n.counter("cluster_handoff_records_total", "peer", target).Add(int64(len(batch)))
-		if len(recs) > 0 && n.cfg.HandoffRate > 0 {
-			pause := time.Duration(len(batch)) * time.Second / time.Duration(n.cfg.HandoffRate)
-			select {
-			case <-ctx.Done():
-				return sent, ctx.Err()
-			case <-time.After(pause):
+		url += PathHandoffApply + "?from=" + n.cfg.Self
+		for rest := byOwner[target]; len(rest) > 0; {
+			batch := rest[:min(len(rest), sendBatchMax)]
+			rest = rest[len(batch):]
+			if err := n.postHandoffBatch(ctx, target, url, epoch, batch); err != nil {
+				return sent, fmt.Errorf("handoff to %s: %w", target, err)
+			}
+			sent += len(batch)
+			n.counter("cluster_handoff_records_total", "peer", target).Add(int64(len(batch)))
+			if len(rest) > 0 && rate > 0 {
+				pause := time.Duration(len(batch)) * time.Second / time.Duration(rate)
+				select {
+				case <-ctx.Done():
+					return sent, ctx.Err()
+				case <-time.After(pause):
+				}
 			}
 		}
 	}
@@ -383,12 +344,11 @@ func (n *Node) streamHandoff(ctx context.Context, epoch uint64, target string, r
 }
 
 // postHandoffBatch delivers one frame batch with bounded retries.
-func (n *Node) postHandoffBatch(ctx context.Context, url, target string, epoch uint64, batch []wal.Record) error {
+func (n *Node) postHandoffBatch(ctx context.Context, target, url string, epoch uint64, batch []wal.Record) error {
 	body := wal.EncodeRecords(batch)
-	path := url + PathHandoffApply + "?from=" + n.cfg.Self + "&epoch=" + strconv.FormatUint(epoch, 10)
 	var err error
 	for try := 0; try < 5; try++ {
-		if err = n.postJSON(ctx, path, body, 10*time.Second); err == nil {
+		if err = n.call(ctx, 10*time.Second, target, url, epoch, body, nil); err == nil {
 			return nil
 		}
 		select {
@@ -430,8 +390,8 @@ func (n *Node) ApplyHandoffFrames(epoch uint64, body []byte) (int, error) {
 
 // IsWrongEpoch classifies an error as an epoch-mismatch rejection.
 func IsWrongEpoch(err error) bool {
-	_, ok := err.(*errWrongEpoch)
-	return ok
+	var we *errWrongEpoch
+	return errors.As(err, &we)
 }
 
 // Commit activates a prepared transition: swap the ring, drop departed
@@ -456,12 +416,7 @@ func (n *Node) Commit(epoch uint64) error {
 	n.next, n.nextRing = nil, nil
 	n.detached = !n.ring.Has(n.cfg.Self)
 	newRing := n.ring
-	for id, p := range n.peers {
-		if _, ok := n.state.Members[id]; !ok {
-			close(p.done)
-			delete(n.peers, id)
-		}
-	}
+	n.syncPeersLocked()
 	n.mu.Unlock()
 	n.gauge("cluster_ring_epoch").Set(int64(epoch))
 	n.counter("cluster_transitions_total").Inc()
@@ -486,13 +441,17 @@ func (n *Node) Commit(epoch uint64) error {
 
 	// Final sweep: under the store's mutation lock, re-read the moved
 	// shards (catching every mutation acked since the handoff snapshot),
-	// flush them to their new owners, and evict only after the flush acks.
+	// flush them to their new owners — unpaced and on a tight deadline, the
+	// lock is held — and evict only after the flush acks.
 	if n.cfg.SweepAndEvict != nil {
 		movedPred := func(id string) bool {
 			return oldRing.Owner(id) == n.cfg.Self && newRing.Owner(id) != n.cfg.Self
 		}
 		evicted, err := n.cfg.SweepAndEvict(movedPred, func(recs []wal.Record) error {
-			return n.flushMoved(newRing, epoch, recs)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			_, err := n.sendMoved(ctx, newRing, epoch, recs, 0)
+			return err
 		})
 		if err != nil {
 			// The records stay local — redundant but safe; anti-entropy and
@@ -504,27 +463,6 @@ func (n *Node) Commit(epoch uint64) error {
 	}
 
 	n.MarkAllNeedSync()
-	return nil
-}
-
-// flushMoved delivers the final-sweep records to their new owners. Runs
-// under the store's mutation lock, so retries are kept tight.
-func (n *Node) flushMoved(newRing *Ring, epoch uint64, recs []wal.Record) error {
-	byOwner := map[string][]wal.Record{}
-	for _, rec := range recs {
-		byOwner[newRing.Owner(rec.ID)] = append(byOwner[newRing.Owner(rec.ID)], rec)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for target, batch := range byOwner {
-		url := n.PeerURL(target)
-		if url == "" {
-			return fmt.Errorf("unknown new owner %q", target)
-		}
-		if err := n.postHandoffBatch(ctx, url, target, epoch, batch); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -559,24 +497,7 @@ func (n *Node) AdoptIfNewer(st RingState) (bool, error) {
 	n.state = st.Clone()
 	n.ring = ring
 	n.detached = !ring.Has(n.cfg.Self)
-	for id, url := range st.Members {
-		if id == n.cfg.Self {
-			continue
-		}
-		if _, ok := n.peers[id]; !ok {
-			p := n.newPeer(id, url)
-			n.peers[id] = p
-			if n.cfg.Replicate {
-				n.startPeer(p)
-			}
-		}
-	}
-	for id, p := range n.peers {
-		if _, ok := st.Members[id]; !ok {
-			close(p.done)
-			delete(n.peers, id)
-		}
-	}
+	n.syncPeersLocked()
 	n.mu.Unlock()
 	n.gauge("cluster_ring_epoch").Set(int64(st.Epoch))
 	n.counter("cluster_ring_adoptions_total").Inc()

@@ -1,14 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -38,8 +42,6 @@ type Config struct {
 	// Peers maps every boot-time node ID (including Self) to its base URL,
 	// e.g. "n1" -> "http://10.0.0.1:8344".
 	Peers map[string]string
-	// VNodes is the virtual nodes per peer (0 = DefaultVirtualNodes).
-	VNodes int
 	// Replicas is the replication factor R: the owner plus R−1 followers
 	// hold each profile (0 = DefaultReplicas). Every node must boot with
 	// the same value; joiners adopt the cluster's value from the ring
@@ -85,9 +87,6 @@ type Config struct {
 	SweepAndEvict func(moved func(id string) bool, flush func(recs []wal.Record) error) (int, error)
 	// Metrics receives the cluster gauges and counters (nil = none).
 	Metrics *obs.Registry
-	// Client overrides the HTTP client used for probes, replication and
-	// sync (tests inject httptest clients).
-	Client *http.Client
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -117,16 +116,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.AntiEntropy == 0 {
 		c.AntiEntropy = 5 * time.Second
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			// Replication and proxying reuse connections; the short dial
-			// timeout bounds failover latency when a peer host blackholes
-			// instead of refusing.
-			DialContext:         (&net.Dialer{Timeout: time.Second}).DialContext,
-			MaxIdleConnsPerHost: 32,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 	return c, nil
 }
 
@@ -136,11 +125,16 @@ func (c Config) withDefaults() (Config, error) {
 // background prober and live proxy attempts), the replication senders,
 // and the replica store for the shards this node follows.
 type Node struct {
-	cfg     Config
-	replica *ReplicaStore
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	once    sync.Once
+	cfg        Config
+	httpClient *http.Client // probes, replication, sync and the server's proxy hop
+	replica    *ReplicaStore
+	stop       chan struct{}
+	wg         sync.WaitGroup
+	once       sync.Once
+
+	// transitionMu serializes the transitions this node coordinates; other
+	// nodes' coordinators are held off by Prepare's guard on every member.
+	transitionMu sync.Mutex
 
 	mu       sync.RWMutex
 	state    RingState // active membership
@@ -202,21 +196,21 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	state := RingState{
-		Epoch:    0,
-		Replicas: cfg.Replicas,
-		Members:  map[string]string{},
-		VNodes:   cfg.VNodes,
-	}
-	for id, url := range cfg.Peers {
-		state.Members[id] = url
-	}
+	state := RingState{Replicas: cfg.Replicas, Members: maps.Clone(cfg.Peers)}
 	ring, err := state.Build()
 	if err != nil {
 		return nil, err
 	}
 	n := &Node{
-		cfg:     cfg,
+		cfg: cfg,
+		httpClient: &http.Client{Transport: &http.Transport{
+			// Replication and proxying reuse connections; the short dial
+			// timeout bounds failover latency when a peer host blackholes
+			// instead of refusing.
+			DialContext:         (&net.Dialer{Timeout: time.Second}).DialContext,
+			MaxIdleConnsPerHost: 32,
+			IdleConnTimeout:     90 * time.Second,
+		}},
 		state:   state,
 		ring:    ring,
 		replica: NewReplicaStore(),
@@ -234,7 +228,7 @@ func New(cfg Config) (*Node, error) {
 }
 
 // newPeer builds one peer's breaker and sender state. Callers holding
-// n.mu add it to n.peers; startPeer launches its sender.
+// n.mu add it to n.peers and, when replicating, launch its sendLoop.
 func (n *Node) newPeer(id, url string) *peerState {
 	p := &peerState{
 		id:  id,
@@ -265,24 +259,19 @@ func (n *Node) newPeer(id, url string) *peerState {
 // replication is enabled — one sender per peer.
 func (n *Node) Start() {
 	n.wg.Add(1)
-	go n.probeLoop()
+	go n.every(n.cfg.ProbeInterval, n.probeRound)
 	if n.cfg.Replicate {
 		n.mu.RLock()
 		for _, p := range n.peers {
-			n.startPeer(p)
+			n.wg.Add(1)
+			go n.sendLoop(p)
 		}
 		n.mu.RUnlock()
 		if n.cfg.AntiEntropy > 0 {
 			n.wg.Add(1)
-			go n.antiEntropyLoop()
+			go n.every(n.cfg.AntiEntropy, n.antiEntropyRound)
 		}
 	}
-}
-
-// startPeer launches the peer's replication sender.
-func (n *Node) startPeer(p *peerState) {
-	n.wg.Add(1)
-	go n.sendLoop(p)
 }
 
 // Close stops the background loops and waits for them.
@@ -328,7 +317,7 @@ func (n *Node) Detached() bool {
 func (n *Node) Replica() *ReplicaStore { return n.replica }
 
 // Client returns the cluster's HTTP client (shared by the server's proxy).
-func (n *Node) Client() *http.Client { return n.cfg.Client }
+func (n *Node) Client() *http.Client { return n.httpClient }
 
 // Owner returns the node that owns id.
 func (n *Node) Owner(id string) string { return n.Ring().Owner(id) }
@@ -450,12 +439,8 @@ func (n *Node) Status() Status {
 		Replicating:     n.cfg.Replicate,
 		ReplicaProfiles: n.replica.Len(),
 	}
-	peers := make([]*peerState, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
 	n.mu.RUnlock()
-	for _, p := range peers {
+	for _, p := range n.snapshotPeers() {
 		lag, acked := p.pending.get()
 		n.gauge("cluster_replication_lag_records", "peer", p.id).Set(lag)
 		st.Peers = append(st.Peers, PeerStatus{
@@ -469,86 +454,136 @@ func (n *Node) Status() Status {
 	return st
 }
 
-// probeLoop pings every peer each interval, settling its breaker, and
-// gossips ring epochs: a peer that answers with a newer epoch is pulled
-// from, one with an older epoch is pushed the current ring — so a node
-// that rebooted on a stale static peer list converges within a probe
-// interval without any traffic hitting wrong_epoch first.
-func (n *Node) probeLoop() {
+// every runs round each interval until the node closes (the prober and
+// anti-entropy).
+func (n *Node) every(interval time.Duration, round func()) {
 	defer n.wg.Done()
-	t := time.NewTicker(n.cfg.ProbeInterval)
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-n.stop:
 			return
 		case <-t.C:
-			for _, p := range n.snapshotPeers() {
-				if !p.breaker.Allow() {
-					continue // open; wait out the timeout
-				}
-				ok, peerEpoch := n.ping(p)
-				if ok {
-					p.breaker.Success()
-					n.gossipEpoch(p, peerEpoch)
-				} else {
-					p.breaker.Failure()
-					n.counter("cluster_probe_failures_total", "peer", p.id).Inc()
-				}
-			}
+			round()
 		}
 	}
 }
 
-// gossipEpoch reconciles ring versions after a successful probe.
-func (n *Node) gossipEpoch(p *peerState, peerEpoch uint64) {
-	mine := n.Epoch()
-	switch {
-	case peerEpoch > mine:
-		n.RefreshFromPeer(p.id)
-	case peerEpoch < mine:
-		n.pushRing(p)
+// probeRound pings every peer, settling its breaker, and gossips ring
+// epochs: a peer that answers with a newer epoch is pulled from, one with
+// an older epoch is pushed the current ring — so a node that rebooted on a
+// stale static peer list converges within a probe interval without any
+// traffic hitting wrong_epoch first.
+func (n *Node) probeRound() {
+	for _, p := range n.snapshotPeers() {
+		if !p.breaker.Allow() {
+			continue // open; wait out the timeout
+		}
+		ok, peerEpoch := n.ping(p)
+		if !ok {
+			p.breaker.Failure()
+			n.counter("cluster_probe_failures_total", "peer", p.id).Inc()
+			continue
+		}
+		p.breaker.Success()
+		switch mine := n.Epoch(); {
+		case peerEpoch > mine:
+			n.RefreshFromPeer(p.id)
+		case peerEpoch < mine:
+			n.pushRing(p)
+		}
 	}
 }
 
 // pushRing installs this node's active ring on a lagging peer.
 func (n *Node) pushRing(p *peerState) {
 	st := n.State()
-	body, err := json.Marshal(RingMessage{Mode: "install", State: &st})
-	if err != nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	n.postJSON(ctx, p.url+PathRing, body, 0)
+	_ = n.call(context.Background(), 2*time.Second, p.id, p.url+PathRing,
+		st.Epoch, RingMessage{Mode: "install", State: &st}, nil) // best effort: the next probe retries
 }
 
-// ping checks one peer's readiness and returns its ring epoch: 200 on
-// /cluster/ping means recovered, caught up, and serving.
-func (n *Node) ping(p *peerState) (bool, uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*n.cfg.ProbeInterval)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+PathPing, nil)
-	if err != nil {
-		return false, 0
+// call is the one HTTP round trip every node-to-node request makes. It
+// stamps the ring epoch the caller acted under (the active one, or the
+// pending one on handoff traffic), bounds the deadline (timeout 0 leaves it
+// to ctx), drains and closes the response so the keep-alive connection is
+// reused, and maps a 409 carrying the peer's epoch to *errWrongEpoch; any
+// other non-2xx is an error quoting the peer. body nil is a GET, []byte is
+// POSTed as WAL frames, anything else as JSON; reply nil discards the
+// answer, *[]byte takes it raw, anything else decodes it from JSON.
+func (n *Node) call(ctx context.Context, timeout time.Duration, peer, url string, epoch uint64, body, reply any) error {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	resp, err := n.cfg.Client.Do(req)
+	method, ctype, rd := http.MethodGet, "", io.Reader(nil)
+	switch b := body.(type) {
+	case nil:
+	case []byte:
+		method, ctype, rd = http.MethodPost, "application/octet-stream", bytes.NewReader(b)
+	default:
+		js, err := json.Marshal(b)
+		if err != nil {
+			return err
+		}
+		method, ctype, rd = http.MethodPost, "application/json", bytes.NewReader(js)
+	}
+	sep := "?"
+	if strings.Contains(url, "?") {
+		sep = "&"
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url+sep+"epoch="+strconv.FormatUint(epoch, 10), rd)
 	if err != nil {
-		return false, 0
+		return err
+	}
+	if ctype != "" {
+		req.Header.Set("Content-Type", ctype)
+	}
+	resp, err := n.httpClient.Do(req)
+	if err != nil {
+		return err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode == http.StatusConflict {
+		if peerEpoch, err := strconv.ParseUint(resp.Header.Get(HeaderEpoch), 10, 64); err == nil {
+			return &errWrongEpoch{peer: peer, peerEpoch: peerEpoch, sentEpoch: epoch}
+		}
+	}
+	if resp.StatusCode/100 != 2 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("%s %s: status %d: %s", peer, req.URL.Path, resp.StatusCode, bytes.TrimSpace(msg))
+	}
+	switch out := reply.(type) {
+	case nil:
+		return nil
+	case *[]byte:
+		*out, err = io.ReadAll(resp.Body)
+	default:
+		err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(out)
+	}
+	if err != nil {
+		return fmt.Errorf("%s %s: reading the answer: %w", peer, req.URL.Path, err)
+	}
+	return nil
+}
+
+// ping checks one peer's readiness and returns its ring epoch: 200 on
+// /cluster/ping means recovered, caught up, and serving.
+func (n *Node) ping(p *peerState) (bool, uint64) {
+	epoch := n.Epoch()
+	var raw []byte
+	if err := n.call(context.Background(), 2*n.cfg.ProbeInterval, p.id, p.url+PathPing, epoch, nil, &raw); err != nil {
 		return false, 0
 	}
-	var pong struct {
+	// A pong without an epoch (an old peer) reads as "same ring".
+	pong := struct {
 		Epoch uint64 `json:"epoch"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&pong); err != nil {
-		return true, n.Epoch() // old peer without epoch in the pong
-	}
+	}{Epoch: epoch}
+	_ = json.Unmarshal(raw, &pong)
 	return true, pong.Epoch
 }
 
@@ -559,27 +594,10 @@ func (n *Node) RefreshFromPeer(peer string) bool {
 	if url == "" {
 		return false
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+PathState, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
 	var st struct {
 		RingState RingState `json:"ring"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
+	if n.call(context.Background(), 2*time.Second, peer, url+PathState, n.Epoch(), nil, &st) != nil {
 		return false
 	}
 	adopted, err := n.AdoptIfNewer(st.RingState)
@@ -592,16 +610,13 @@ func (n *Node) RefreshFromPeer(peer string) bool {
 
 // CatchUp first adopts the newest ring any peer advertises (a node
 // rebooted on a stale static peer list must route by the live membership,
-// not its boot flags), then pulls a full sync from every peer: each peer
+// not its boot flags), then pulls every bucket from every peer: each peer
 // returns its clock and the live records it owns that this node follows,
-// which replace the local replica view of that peer's shards. Unreachable
-// peers are skipped after attempts tries — a cold-start cluster must not
-// deadlock waiting for peers that are themselves waiting — and the error
-// reports them.
+// which are installed over the local replica view of that peer's keys.
+// Unreachable peers are skipped after attempts tries — a cold-start cluster
+// must not deadlock waiting for peers that are themselves waiting — and
+// the error reports them.
 func (n *Node) CatchUp(ctx context.Context, attempts int) error {
-	if attempts <= 0 {
-		attempts = 5
-	}
 	for _, p := range n.snapshotPeers() {
 		n.RefreshFromPeer(p.id)
 	}
@@ -609,7 +624,7 @@ func (n *Node) CatchUp(ctx context.Context, attempts int) error {
 	for _, p := range n.snapshotPeers() {
 		var err error
 		for try := 0; try < attempts; try++ {
-			if err = n.pullSync(ctx, p); err == nil {
+			if _, err = n.pull(ctx, 0, p, allBuckets); err == nil {
 				break
 			}
 			select {
@@ -631,35 +646,36 @@ func (n *Node) CatchUp(ctx context.Context, attempts int) error {
 	return nil
 }
 
-// pullSync fetches one peer's catch-up payload and applies it.
-func (n *Node) pullSync(ctx context.Context, p *peerState) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		p.url+PathSync+"?node="+n.cfg.Self, nil)
+// allBuckets as a bucket argument selects an owner's whole key space.
+const allBuckets = -1
+
+// pull fetches owner p's snapshot of the records this node follows — every
+// bucket (boot catch-up) or one diverged digest bucket (anti-entropy) — and
+// installs it.
+func (n *Node) pull(ctx context.Context, timeout time.Duration, p *peerState, bucket int) (int, error) {
+	url := p.url + PathSync + "?node=" + n.cfg.Self
+	if bucket != allBuckets {
+		url += "&bucket=" + strconv.Itoa(bucket)
+	}
+	var payload []byte
+	if err := n.call(ctx, timeout, p.id, url, n.Epoch(), nil, &payload); err != nil {
+		return 0, err
+	}
+	return n.install(p.id, bucket, payload)
+}
+
+// install puts owner's sync payload — pulled, or pushed by the owner's
+// sender after an overflow or a ring change — over the replica's view of
+// the keys owner owns under the active ring, within bucket.
+func (n *Node) install(owner string, bucket int, payload []byte) (int, error) {
+	clock, recs, err := DecodeSyncPayload(payload)
 	if err != nil {
-		return err
+		return 0, fmt.Errorf("cluster: sync from %s: %w", owner, err)
 	}
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: sync from %s: status %d", p.id, resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	clock, recs, err := DecodeSyncPayload(body)
-	if err != nil {
-		return fmt.Errorf("cluster: sync from %s: %w", p.id, err)
-	}
-	owner := p.id
-	n.replica.FullSync(owner, clock, recs, func(id string) bool { return n.Owner(id) == owner })
-	return nil
+	ring := n.Ring()
+	return n.replica.Install(owner, clock, recs, func(id string) bool {
+		return ring.Owner(id) == owner && (bucket == allBuckets || Bucket(id) == bucket)
+	}), nil
 }
 
 // EncodeSyncPayload frames a catch-up payload: the owner's version clock
@@ -683,16 +699,11 @@ func DecodeSyncPayload(buf []byte) (clock uint64, recs []wal.Record, err error) 
 	return clock, recs, err
 }
 
+// A nil registry hands out nil metrics, and those ignore updates.
 func (n *Node) gauge(name string, labels ...string) *obs.Gauge {
-	if n.cfg.Metrics == nil {
-		return nil
-	}
 	return n.cfg.Metrics.Gauge(name, labels...)
 }
 
 func (n *Node) counter(name string, labels ...string) *obs.Counter {
-	if n.cfg.Metrics == nil {
-		return nil
-	}
 	return n.cfg.Metrics.Counter(name, labels...)
 }

@@ -43,14 +43,21 @@ func (rs *ReplicaStore) Apply(owner string, rec wal.Record) bool {
 	return true
 }
 
-// FullSync replaces this store's view of owner's shards with a snapshot:
-// recs is the owner's complete live state (for the keys this node
-// follows) captured at clock. Entries the snapshot does not contain, for
-// IDs the owner owns (per ownedBy), at versions the snapshot supersedes
-// (≤ clock), are deleted — that absence is how a full sync carries
-// deletions. Entries newer than clock (streamed concurrently with the
-// snapshot capture) are kept; the version guard makes overlap idempotent.
-func (rs *ReplicaStore) FullSync(owner string, clock uint64, recs []wal.Record, ownedBy func(id string) bool) {
+// Install is the one way a snapshot enters the store: it makes this store's
+// view of the IDs in scope — the keys owner owns, optionally one digest
+// bucket of them — equal owner's snapshot recs, captured at clock. Nothing
+// outside scope is touched. Within it the owner is the authority for
+// everything its clock covers: a snapshot record replaces the local entry
+// at versions ≤ clock, equal versions included (the only way a silently
+// corrupted same-version replica heals), and a live entry ≤ clock that the
+// snapshot lacks is deleted — absence carries deletions, which is sound
+// because the owner counts a mutation in its clock only after its store
+// holds it (ProfileStore.commit). An entry newer than clock (streamed while
+// the snapshot was in flight) is kept, so a late install never rolls the
+// stream back. Tombstones are never dropped by absence: an older snapshot
+// may still be in flight, and without the tombstone it would resurrect the
+// profile. Returns how many entries changed.
+func (rs *ReplicaStore) Install(owner string, clock uint64, recs []wal.Record, scope func(id string) bool) (changed int) {
 	incoming := make(map[string]bool, len(recs))
 	for _, r := range recs {
 		incoming[r.ID] = true
@@ -58,19 +65,25 @@ func (rs *ReplicaStore) FullSync(owner string, clock uint64, recs []wal.Record, 
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	for id, cur := range rs.m {
-		if !incoming[id] && cur.Version <= clock && ownedBy(id) {
+		if cur.Op == wal.OpPut && cur.Version <= clock && !incoming[id] && scope(id) {
 			delete(rs.m, id)
+			changed++
 		}
 	}
 	for _, rec := range recs {
-		if cur, ok := rs.m[rec.ID]; ok && cur.Version >= rec.Version {
+		cur, ok := rs.m[rec.ID]
+		if ok && cur.Version > clock && cur.Version >= rec.Version {
 			continue
+		}
+		if !ok || cur != rec {
+			changed++
 		}
 		rs.m[rec.ID] = rec
 	}
 	if clock > rs.applied[owner] {
 		rs.applied[owner] = clock
 	}
+	return changed
 }
 
 // Get returns the live replica record for id (tombstones read as absent).
@@ -111,82 +124,36 @@ type BucketDigest struct {
 	Sum   uint64 `json:"sum"`
 }
 
+// Digest is the anti-entropy summary of a record set, one entry per
+// bucket.
+type Digest = [DigestBuckets]BucketDigest
+
 // DigestRecords buckets a record set into the anti-entropy digest. Only
 // live records count — the owner's store snapshot has no tombstones, so
 // replica tombstones must not perturb the comparison.
-func DigestRecords(recs []wal.Record) [DigestBuckets]BucketDigest {
-	var d [DigestBuckets]BucketDigest
+func DigestRecords(recs []wal.Record) Digest {
+	var d Digest
 	for _, rec := range recs {
-		if rec.Op != wal.OpPut {
-			continue
+		if rec.Op == wal.OpPut {
+			b := &d[Bucket(rec.ID)]
+			b.Count++
+			b.Sum += DigestChecksum(rec.ID, rec.Version, rec.Text)
 		}
-		b := Bucket(rec.ID)
-		d[b].Count++
-		d[b].Sum += DigestChecksum(rec.ID, rec.Version, rec.Text)
 	}
 	return d
 }
 
-// Digest computes this store's anti-entropy digest over the live entries
+// Digest computes this store's anti-entropy digest over the entries
 // selected by pred (typically: owned by one peer). Garbage entries this
 // node no longer follows still count — the resulting mismatch is what
 // gets them repaired away.
-func (rs *ReplicaStore) Digest(pred func(id string) bool) [DigestBuckets]BucketDigest {
-	rs.mu.RLock()
-	defer rs.mu.RUnlock()
-	var d [DigestBuckets]BucketDigest
-	for id, rec := range rs.m {
-		if rec.Op != wal.OpPut || !pred(id) {
-			continue
-		}
-		b := Bucket(id)
-		d[b].Count++
-		d[b].Sum += DigestChecksum(id, rec.Version, rec.Text)
-	}
-	return d
+func (rs *ReplicaStore) Digest(pred func(id string) bool) Digest {
+	return DigestRecords(rs.OwnedBy(pred))
 }
 
-// RepairBucket replaces this store's view of one diverged digest bucket
-// with the owner's snapshot of it (recs, captured at clock; pred selects
-// the bucket's IDs owned by owner). Unlike FullSync's strict version
-// guard, entries at versions the snapshot supersedes (≤ clock) are
-// overwritten even when versions are equal — that is the only way a
-// silently corrupted same-version replica heals. Entries newer than clock
-// (streamed concurrently with the snapshot) are kept.
-func (rs *ReplicaStore) RepairBucket(owner string, clock uint64, recs []wal.Record, pred func(id string) bool) (changed int) {
-	incoming := make(map[string]wal.Record, len(recs))
-	for _, r := range recs {
-		incoming[r.ID] = r
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	for id, cur := range rs.m {
-		if !pred(id) {
-			continue
-		}
-		if _, ok := incoming[id]; !ok && cur.Version <= clock {
-			delete(rs.m, id)
-			changed++
-		}
-	}
-	for id, rec := range incoming {
-		cur, ok := rs.m[id]
-		if ok && cur.Version > clock && cur.Version >= rec.Version {
-			continue
-		}
-		if !ok || cur != rec {
-			changed++
-		}
-		rs.m[id] = rec
-	}
-	if clock > rs.applied[owner] {
-		rs.applied[owner] = clock
-	}
-	return changed
-}
-
-// OwnedBy lists the live replica records selected by pred — the records
-// this node would promote into its store if pred's owner died.
+// OwnedBy lists the live replica records selected by pred, sorted by ID —
+// the records this node would promote into its store if pred's owner died,
+// or, with an all-true pred, the listing /cluster/state serves.
 func (rs *ReplicaStore) OwnedBy(pred func(id string) bool) []wal.Record {
 	rs.mu.RLock()
 	defer rs.mu.RUnlock()
@@ -222,19 +189,4 @@ func (rs *ReplicaStore) DropForTest(id string) bool {
 	_, ok := rs.m[id]
 	delete(rs.m, id)
 	return ok
-}
-
-// List returns every live replica record, sorted by ID — the
-// deterministic order the drill diffs against the owner's state.
-func (rs *ReplicaStore) List() []wal.Record {
-	rs.mu.RLock()
-	defer rs.mu.RUnlock()
-	out := make([]wal.Record, 0, len(rs.m))
-	for _, rec := range rs.m {
-		if rec.Op == wal.OpPut {
-			out = append(out, rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -1,13 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"strconv"
 	"time"
 
 	"cqp/internal/wal"
@@ -70,14 +66,14 @@ type replicateResponse struct {
 }
 
 // Replicate enqueues one acked record for shipment to each of its
-// followers. Called from the WAL's OnAppend hook (owner's mutation path,
+// followers. Called from the store's commit point (owner's mutation path,
 // lock held), so it must not block: when a peer's queue is full the record
 // is dropped and that peer is marked for a full sync instead.
 //
 // Only the profile's current owner replicates. The guard matters at
-// handoff cutover: the old owner's eviction tombstones hit the same WAL
-// hook, and without it they would ship to the new ring's followers and
-// delete live replicas.
+// handoff cutover: the old owner's eviction tombstones pass through the
+// same commit point, and without it they would ship to the new ring's
+// followers and delete live replicas.
 func (n *Node) Replicate(rec wal.Record) {
 	if !n.cfg.Replicate {
 		return
@@ -99,10 +95,13 @@ func (n *Node) Replicate(rec wal.Record) {
 	}
 	n.mu.RUnlock()
 	for _, p := range targets {
+		// Counted before it is queued: the sender may ship and subtract the
+		// record before this goroutine runs again, and the counter clamps at 0.
+		p.pending.add(1)
 		select {
 		case p.ch <- rec:
-			p.pending.add(1)
 		default:
+			p.pending.add(-1)
 			n.markNeedSync(p)
 			n.counter("cluster_replication_dropped_total", "peer", p.id).Inc()
 		}
@@ -183,9 +182,9 @@ func (n *Node) sendLoop(p *peerState) {
 			}
 		full:
 		}
-		if err := n.postReplicate(p, batch); err != nil {
+		if err := n.ship(p, wal.EncodeRecords(batch), false); err != nil {
 			n.handleSendError(p, err)
-			if _, wrong := err.(*errWrongEpoch); wrong {
+			if IsWrongEpoch(err) {
 				// These frames were routed under a stale ring; the full sync
 				// that follows recomputes this peer's view from scratch.
 				p.pending.add(int64(-len(batch)))
@@ -207,7 +206,8 @@ func (n *Node) sendLoop(p *peerState) {
 // handleSendError counts a failed push and, on an epoch mismatch with a
 // peer that is ahead, adopts the peer's newer ring.
 func (n *Node) handleSendError(p *peerState, err error) {
-	if we, ok := err.(*errWrongEpoch); ok {
+	var we *errWrongEpoch
+	if errors.As(err, &we) {
 		n.counter("cluster_wrong_epoch_total", "path", "replicate").Inc()
 		if we.peerEpoch > n.Epoch() {
 			n.RefreshFromPeer(p.id)
@@ -247,81 +247,42 @@ func (n *Node) sleepPeer(p *peerState, backoff *time.Duration) bool {
 	return true
 }
 
-// postReplicate ships one batch of frames and records the follower's ack.
-func (n *Node) postReplicate(p *peerState, batch []wal.Record) error {
-	body := wal.EncodeRecords(batch)
-	resp, err := n.doReplicatePost(p, PathReplicate+"?from="+n.cfg.Self, body)
-	if err != nil {
-		return err
-	}
-	p.pending.setAcked(resp.Applied)
-	return nil
-}
-
 // pushFullSync replaces the peer's replica view of this node's shards
 // with a fresh snapshot from SyncSource.
 func (n *Node) pushFullSync(p *peerState) error {
 	if n.cfg.SyncSource == nil {
 		return fmt.Errorf("cluster: no sync source configured")
 	}
-	clock, recs := n.cfg.SyncSource(p.id)
-	body := EncodeSyncPayload(clock, recs)
-	resp, err := n.doReplicatePost(p, PathReplicate+"?from="+n.cfg.Self+"&sync=1", body)
-	if err != nil {
+	return n.ship(p, EncodeSyncPayload(n.cfg.SyncSource(p.id)), true)
+}
+
+// ship POSTs one replicate body — a frame batch or, with sync, a snapshot
+// — stamped with the sender's current ring epoch, and records the
+// follower's cumulative ack.
+func (n *Node) ship(p *peerState, body []byte, sync bool) error {
+	url := p.url + PathReplicate + "?from=" + n.cfg.Self
+	if sync {
+		url += "&sync=1"
+	}
+	var ack replicateResponse
+	if err := n.call(context.Background(), 5*time.Second, p.id, url, n.Epoch(), body, &ack); err != nil {
 		return err
 	}
-	p.pending.setAcked(resp.Applied)
+	p.pending.setAcked(ack.Applied)
 	return nil
 }
 
-// doReplicatePost performs one replication POST with a bounded deadline,
-// stamped with the sender's current ring epoch.
-func (n *Node) doReplicatePost(p *peerState, path string, body []byte) (*replicateResponse, error) {
-	epoch := n.Epoch()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	url := p.url + path + "&epoch=" + strconv.FormatUint(epoch, 10)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusConflict {
-		if peerEpoch, err := strconv.ParseUint(resp.Header.Get(HeaderEpoch), 10, 64); err == nil {
-			return nil, &errWrongEpoch{peer: p.id, peerEpoch: peerEpoch, sentEpoch: epoch}
-		}
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: replicate to %s: status %d", p.id, resp.StatusCode)
-	}
-	var rr replicateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return nil, fmt.Errorf("cluster: replicate ack from %s: %w", p.id, err)
-	}
-	return &rr, nil
-}
-
 // ApplyReplicate is the follower half of the replicate endpoint: sync=1
-// bodies replace the owner's shard view, plain bodies stream frames into
-// the version-guarded replica. Returns the ack the owner expects. The
-// caller (the server handler) has already enforced the epoch guard.
+// bodies are installed over the owner's whole key space, plain bodies
+// stream frames into the version-guarded replica. Returns the ack the owner
+// expects. The caller (the server handler) has already enforced the epoch
+// guard.
 func (n *Node) ApplyReplicate(from string, sync bool, body []byte) (applied uint64, changed int, err error) {
 	if sync {
-		clock, recs, err := DecodeSyncPayload(body)
-		if err != nil {
+		if changed, err = n.install(from, allBuckets, body); err != nil {
 			return 0, 0, err
 		}
-		owner := from
-		n.replica.FullSync(owner, clock, recs, func(id string) bool { return n.Owner(id) == owner })
-		return n.replica.Applied(from), len(recs), nil
+		return n.replica.Applied(from), changed, nil
 	}
 	recs, err := wal.DecodeFrames(body)
 	if err != nil {

@@ -23,6 +23,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -64,13 +65,16 @@ func (st RingState) Build() (*Ring, error) {
 	return r, nil
 }
 
+// equal reports whether o describes the same ring: same epoch, replication
+// factor, vnode count and member set.
+func (st RingState) equal(o RingState) bool {
+	return st.Epoch == o.Epoch && st.Replicas == o.Replicas && st.VNodes == o.VNodes &&
+		maps.Equal(st.Members, o.Members)
+}
+
 // Clone deep-copies the state (the member map is shared otherwise).
 func (st RingState) Clone() RingState {
-	m := make(map[string]string, len(st.Members))
-	for id, url := range st.Members {
-		m[id] = url
-	}
-	st.Members = m
+	st.Members = maps.Clone(st.Members)
 	return st
 }
 
@@ -198,9 +202,6 @@ func (r *Ring) HasFollower(key, node string) bool {
 	}
 	return false
 }
-
-// Members returns the ring's node IDs, sorted.
-func (r *Ring) Members() []string { return append([]string(nil), r.nodes...) }
 
 // Has reports whether node is a ring member.
 func (r *Ring) Has(node string) bool {

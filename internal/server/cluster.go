@@ -8,9 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
-	"cqp"
 	"cqp/internal/cluster"
 	"cqp/internal/wal"
 )
@@ -53,6 +51,9 @@ const (
 	clusterSyncMaxBytes = 64 << 20
 	// routeRetries bounds wrong_epoch re-route attempts per request.
 	routeRetries = 3
+	// catchUpAttempts bounds per-peer catch-up pulls (at 200ms spacing)
+	// before a rejoining node gives up waiting and advertises ready anyway.
+	catchUpAttempts = 15
 )
 
 // replicaServeKey marks a request context as replica-serving: profile
@@ -72,7 +73,7 @@ func replicaServing(ctx context.Context) bool {
 // must run on the owner; reads may fail over.
 func (s *Server) routeByPath(mutation bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.routeRequest(w, r, mutation, r.PathValue("id"), h)
+		s.routeRequest(w, r, mutation, r.PathValue("id"), nil, h)
 	}
 }
 
@@ -91,9 +92,9 @@ type routePeek struct {
 }
 
 // routeByBody routes a pipeline request by the profile_id inside its JSON
-// body. The body is buffered (bounded) and restored, so the local handler
-// or the proxy reads it unchanged; malformed JSON routes locally and gets
-// the handler's own 400.
+// body. The body is buffered (bounded) once: the local handler reads the
+// restored copy, the proxy forwards the same bytes; malformed JSON routes
+// locally and gets the handler's own 400.
 func (s *Server) routeByBody(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.cluster == nil {
@@ -115,7 +116,7 @@ func (s *Server) routeByBody(h http.HandlerFunc) http.HandlerFunc {
 			}
 			id = it.ProfileID
 		}
-		s.routeRequest(w, r, false, id, h)
+		s.routeRequest(w, r, false, id, body, h)
 	}
 }
 
@@ -133,8 +134,10 @@ func (s *Server) writeWrongEpoch(w http.ResponseWriter, path string) {
 // id: local when this node owns it (or no cluster, or no id, or the
 // request was already forwarded), proxy to the owner otherwise — re-
 // routing on a fresh ring after a wrong_epoch rejection — and failover
-// along the follower list when the owner is unreachable.
-func (s *Server) routeRequest(w http.ResponseWriter, r *http.Request, mutation bool, id string, h http.HandlerFunc) {
+// along the follower list when the owner is unreachable. body is the
+// request body when the caller already buffered it (r.Body then holds a
+// fresh copy for h), nil when it is still unread in r.Body.
+func (s *Server) routeRequest(w http.ResponseWriter, r *http.Request, mutation bool, id string, body []byte, h http.HandlerFunc) {
 	c := s.cluster
 	if c == nil || id == "" {
 		h(w, r)
@@ -172,10 +175,13 @@ func (s *Server) routeRequest(w http.ResponseWriter, r *http.Request, mutation b
 	}
 	// The profile lives elsewhere: buffer the body once so a failed proxy
 	// attempt can still fall back without losing it.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+	if body == nil {
+		var err error
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, err)
+			return
+		}
 	}
 	owner := c.Owner(id)
 	for attempt := 0; attempt < routeRetries; attempt++ {
@@ -292,17 +298,8 @@ func (s *Server) replicaProfile(id string) (*StoredProfile, bool) {
 	if !ok {
 		return nil, false
 	}
-	prof, err := cqp.ParseProfile(rec.Text)
-	if err != nil || prof.Validate(s.db.Schema()) != nil {
-		return nil, false
-	}
-	return &StoredProfile{
-		ID:        rec.ID,
-		Version:   rec.Version,
-		Profile:   prof,
-		Text:      rec.Text,
-		UpdatedAt: time.Unix(0, rec.UpdatedAt),
-	}, true
+	sp, err := newStoredProfile(s.db.Schema(), rec)
+	return sp, err == nil
 }
 
 // syncRecords is the node's replication SyncSource: its version clock and
@@ -447,17 +444,17 @@ func (s *Server) handleClusterState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_, recs := s.store.Records()
-	store := make([]clusterStateEntry, 0, len(recs))
-	for _, rec := range recs {
-		store = append(store, clusterStateEntry{ID: rec.ID, Version: rec.Version})
-	}
-	replica := make([]clusterStateEntry, 0)
-	for _, rec := range s.cluster.Replica().List() {
-		replica = append(replica, clusterStateEntry{ID: rec.ID, Version: rec.Version})
-	}
-	out["store"] = store
-	out["replica"] = replica
+	out["store"] = stateEntries(recs)
+	out["replica"] = stateEntries(s.cluster.Replica().OwnedBy(func(string) bool { return true }))
 	writeJSON(w, http.StatusOK, out)
+}
+
+func stateEntries(recs []wal.Record) []clusterStateEntry {
+	out := make([]clusterStateEntry, 0, len(recs)) // never nil: the listing is [] when empty
+	for _, rec := range recs {
+		out = append(out, clusterStateEntry{ID: rec.ID, Version: rec.Version})
+	}
+	return out
 }
 
 // handleClusterRing applies one membership-transition message (prepare /
@@ -520,44 +517,37 @@ func (s *Server) handleClusterHandoffApply(w http.ResponseWriter, r *http.Reques
 	writeJSON(w, http.StatusOK, map[string]any{"records": applied})
 }
 
-// handleClusterJoin coordinates adding a member: POST {"id","url"} to any
-// existing node; it drives prepare → handoff → commit across the cluster
-// and answers with the new ring. The transition is detached from the
-// request context — an admin client disconnecting must not strand the
-// cluster mid-transition.
-func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		ID  string `json:"id"`
-		URL string `json:"url"`
+// handleClusterMember coordinates a membership change. Join: POST
+// {"id","url"} to any existing node; leave: POST {"id"} (add "force":true
+// for a dead node whose shards must be promoted from replicas instead of
+// handed off). It drives prepare → handoff → commit across the cluster and
+// answers with the new ring. The transition is detached from the request
+// context — an admin client disconnecting must not strand the cluster
+// mid-transition.
+func (s *Server) handleClusterMember(join bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			ID    string `json:"id"`
+			URL   string `json:"url"`
+			Force bool   `json:"force"`
+		}
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
+			s.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		var (
+			st  cluster.RingState
+			err error
+		)
+		if join {
+			st, err = s.cluster.AddNode(context.Background(), req.ID, req.URL)
+		} else {
+			st, err = s.cluster.RemoveNode(context.Background(), req.ID, req.Force)
+		}
+		if err != nil {
+			writeError(w, http.StatusConflict, "transition_failed", err.Error())
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"ring": st})
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	st, err := s.cluster.AddNode(context.Background(), req.ID, req.URL)
-	if err != nil {
-		writeError(w, http.StatusConflict, "transition_failed", err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"ring": st})
-}
-
-// handleClusterLeave coordinates removing a member: POST {"id"} (add
-// "force":true for a dead node whose shards must be promoted from
-// replicas instead of handed off).
-func (s *Server) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		ID    string `json:"id"`
-		Force bool   `json:"force"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	st, err := s.cluster.RemoveNode(context.Background(), req.ID, req.Force)
-	if err != nil {
-		writeError(w, http.StatusConflict, "transition_failed", err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"ring": st})
 }

@@ -66,8 +66,7 @@ type ProfileStore struct {
 	// serialized by the single log file anyway.
 	mutMu sync.Mutex
 	log   *wal.Log // nil for a memory-only store
-	// onMutate observes acked mutations on a memory-only store (the
-	// durable store delegates to the log's OnAppend hook instead). Set
+	// onMutate observes every committed record (the replication tap). Set
 	// before serving; called under mutMu.
 	onMutate func(wal.Record)
 }
@@ -98,10 +97,7 @@ func NewDurableProfileStore(s *cqp.Schema, dir string, opts wal.Options) (*Profi
 	ps := NewProfileStore(s)
 	ps.log = log
 	for _, r := range rec.Profiles {
-		prof, err := cqp.ParseProfile(r.Text)
-		if err == nil {
-			err = prof.Validate(s)
-		}
+		sp, err := newStoredProfile(s, r)
 		if err != nil {
 			// Recovered bytes passed their checksums, so this is acked
 			// state that no longer parses (e.g. a schema change). Refusing
@@ -109,14 +105,7 @@ func NewDurableProfileStore(s *cqp.Schema, dir string, opts wal.Options) (*Profi
 			log.Close()
 			return nil, nil, fmt.Errorf("server: recovered profile %q invalid: %w", r.ID, err)
 		}
-		sh := ps.shard(r.ID)
-		sh.m[r.ID] = &StoredProfile{
-			ID:        r.ID,
-			Version:   r.Version,
-			Profile:   prof,
-			Text:      r.Text,
-			UpdatedAt: time.Unix(0, r.UpdatedAt),
-		}
+		ps.shard(r.ID).m[r.ID] = sp
 	}
 	ps.clock.Store(rec.Clock)
 	return ps, rec, nil
@@ -125,46 +114,118 @@ func NewDurableProfileStore(s *cqp.Schema, dir string, opts wal.Options) (*Profi
 // WAL returns the store's write-ahead log (nil for a memory-only store).
 func (ps *ProfileStore) WAL() *wal.Log { return ps.log }
 
-// SetOnMutate registers fn to observe every acked mutation as its WAL
-// record — the replication tap. A durable store delegates to the log's
-// OnAppend hook, so fn fires exactly when the record has entered acked
-// history; a memory-only store calls fn after the mutation is applied.
-// Either way fn runs with the mutation lock held and must not call back
-// into the store. Register before serving; nil unregisters.
+// SetOnMutate registers fn to observe every committed mutation as its WAL
+// record — the replication tap. fn fires once the record is in the log
+// (fsynced, per policy) and visible to Records, so a sender that empties
+// its queue and then snapshots cannot lose a record between the two. It
+// runs under the mutation lock and must not call back into the store.
+// Register before serving; nil unregisters.
 func (ps *ProfileStore) SetOnMutate(fn func(wal.Record)) {
-	if ps.log != nil {
-		ps.log.OnAppend(fn)
-		return
-	}
 	ps.mutMu.Lock()
 	ps.onMutate = fn
 	ps.mutMu.Unlock()
 }
 
-// Records snapshots the store as WAL records: the version clock and every
-// live profile, sorted by ID. The clock is read before the shard scan, so
-// any profile the scan misses (a concurrent Put) carries a version above
-// the returned clock — exactly the invariant a replication full sync
-// needs to treat absence at-or-below the clock as deletion.
-func (ps *ProfileStore) Records() (uint64, []wal.Record) {
-	clock := ps.clock.Load()
+// newStoredProfile parses and schema-validates a put record's text — the
+// one conversion from the log's and the wire's form of a profile to the
+// one the store serves.
+func newStoredProfile(s *cqp.Schema, rec wal.Record) (*StoredProfile, error) {
+	prof, err := cqp.ParseProfile(rec.Text)
+	if err != nil {
+		return nil, err
+	}
+	if err := prof.Validate(s); err != nil {
+		return nil, err
+	}
+	return &StoredProfile{
+		ID:        rec.ID,
+		Version:   rec.Version,
+		Profile:   prof,
+		Text:      rec.Text,
+		UpdatedAt: time.Unix(0, rec.UpdatedAt),
+	}, nil
+}
+
+// record is newStoredProfile's inverse: the put record that recreates sp.
+func (sp *StoredProfile) record() wal.Record {
+	return wal.Record{
+		Op:        wal.OpPut,
+		ID:        sp.ID,
+		Text:      sp.Text,
+		Version:   sp.Version,
+		UpdatedAt: sp.UpdatedAt.UnixNano(),
+	}
+}
+
+// commit is the one way a record enters the store: append to the log (a
+// failed append leaves the store unchanged), install or remove the shard
+// entry, notify the replication tap, and only then publish the version
+// clock — so a reader that loads clock c finds every mutation at a version
+// ≤ c already in its shard, which is what Records promises. sp is the
+// parsed profile of a put, nil for a delete. The caller holds mutMu, which
+// keeps the log in version order.
+func (ps *ProfileStore) commit(rec wal.Record, sp *StoredProfile) error {
+	if ps.log != nil {
+		if err := ps.log.Append(rec); err != nil {
+			return fmt.Errorf("%w: %v", errDurability, err)
+		}
+	}
+	sh := ps.shard(rec.ID)
+	sh.mu.Lock()
+	if sp != nil {
+		sh.m[rec.ID] = sp
+	} else {
+		delete(sh.m, rec.ID)
+	}
+	sh.mu.Unlock()
+	if ps.onMutate != nil {
+		ps.onMutate(rec)
+	}
+	if rec.Version > ps.clock.Load() {
+		ps.clock.Store(rec.Version)
+	}
+	return nil
+}
+
+// remove commits a tombstone for id at the next version (mutMu held).
+func (ps *ProfileStore) remove(id string) error {
+	return ps.commit(wal.Record{
+		Op:        wal.OpDelete,
+		ID:        id,
+		Version:   ps.clock.Load() + 1,
+		UpdatedAt: time.Now().UnixNano(),
+	}, nil)
+}
+
+// snapshot lists the live profiles selected by keep (nil = all) as put
+// records, sorted by ID.
+func (ps *ProfileStore) snapshot(keep func(id string) bool) []wal.Record {
 	var out []wal.Record
 	for i := range ps.shards {
 		sh := &ps.shards[i]
 		sh.mu.RLock()
-		for _, sp := range sh.m {
-			out = append(out, wal.Record{
-				Op:        wal.OpPut,
-				ID:        sp.ID,
-				Text:      sp.Text,
-				Version:   sp.Version,
-				UpdatedAt: sp.UpdatedAt.UnixNano(),
-			})
+		for id, sp := range sh.m {
+			if keep == nil || keep(id) {
+				out = append(out, sp.record())
+			}
 		}
 		sh.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return clock, out
+	return out
+}
+
+// Records snapshots the store as WAL records: the version clock and every
+// live profile, sorted by ID. The clock is read before the shard scan and
+// commit publishes it after the shard entry, so the scan reflects every
+// mutation at a version ≤ the returned clock and whatever it misses (a
+// concurrent Put) is newer — the invariant a replica install needs to read
+// absence at-or-below the clock as deletion. (ApplyRecord keeps the version
+// a record's previous owner gave it, possibly below this clock; a snapshot
+// that raced it is corrected by the resync every ring change ends with.)
+func (ps *ProfileStore) Records() (uint64, []wal.Record) {
+	clock := ps.clock.Load()
+	return clock, ps.snapshot(nil)
 }
 
 // shard routes an ID to its lock stripe with FNV-1a inlined: hash/fnv's
@@ -188,44 +249,16 @@ func (ps *ProfileStore) Put(id, text string) (*StoredProfile, error) {
 	if id == "" {
 		return nil, fmt.Errorf("server: empty profile id")
 	}
-	prof, err := cqp.ParseProfile(text)
+	sp, err := newStoredProfile(ps.schema, wal.Record{ID: id, Text: text})
 	if err != nil {
-		return nil, err
-	}
-	if err := prof.Validate(ps.schema); err != nil {
 		return nil, err
 	}
 	ps.mutMu.Lock()
 	defer ps.mutMu.Unlock()
-	sp := &StoredProfile{
-		ID:        id,
-		Version:   ps.clock.Load() + 1,
-		Profile:   prof,
-		Text:      text,
-		UpdatedAt: time.Now(),
-	}
-	if ps.log != nil {
-		err := ps.log.Append(wal.Record{
-			Op:        wal.OpPut,
-			ID:        id,
-			Text:      text,
-			Version:   sp.Version,
-			UpdatedAt: sp.UpdatedAt.UnixNano(),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errDurability, err)
-		}
-	}
-	ps.clock.Store(sp.Version)
-	sh := ps.shard(id)
-	sh.mu.Lock()
-	sh.m[id] = sp
-	sh.mu.Unlock()
-	if ps.log == nil && ps.onMutate != nil {
-		ps.onMutate(wal.Record{
-			Op: wal.OpPut, ID: id, Text: text,
-			Version: sp.Version, UpdatedAt: sp.UpdatedAt.UnixNano(),
-		})
+	sp.Version = ps.clock.Load() + 1
+	sp.UpdatedAt = time.Now()
+	if err := ps.commit(sp.record(), sp); err != nil {
+		return nil, err
 	}
 	return sp, nil
 }
@@ -246,32 +279,11 @@ func (ps *ProfileStore) Get(id string) (*StoredProfile, bool) {
 func (ps *ProfileStore) Delete(id string) (bool, error) {
 	ps.mutMu.Lock()
 	defer ps.mutMu.Unlock()
-	sh := ps.shard(id)
-	sh.mu.RLock()
-	_, ok := sh.m[id]
-	sh.mu.RUnlock()
-	if !ok {
+	if _, ok := ps.Get(id); !ok {
 		return false, nil
 	}
-	v := ps.clock.Load() + 1
-	now := time.Now().UnixNano()
-	if ps.log != nil {
-		err := ps.log.Append(wal.Record{
-			Op:        wal.OpDelete,
-			ID:        id,
-			Version:   v,
-			UpdatedAt: now,
-		})
-		if err != nil {
-			return false, fmt.Errorf("%w: %v", errDurability, err)
-		}
-	}
-	ps.clock.Store(v)
-	sh.mu.Lock()
-	delete(sh.m, id)
-	sh.mu.Unlock()
-	if ps.log == nil && ps.onMutate != nil {
-		ps.onMutate(wal.Record{Op: wal.OpDelete, ID: id, Version: v, UpdatedAt: now})
+	if err := ps.remove(id); err != nil {
+		return false, err
 	}
 	return true, nil
 }
@@ -287,14 +299,10 @@ func (ps *ProfileStore) ApplyRecord(rec wal.Record) error {
 	if rec.ID == "" {
 		return fmt.Errorf("server: record without id")
 	}
-	var prof *cqp.Profile
+	var sp *StoredProfile
 	if rec.Op == wal.OpPut {
 		var err error
-		prof, err = cqp.ParseProfile(rec.Text)
-		if err == nil {
-			err = prof.Validate(ps.schema)
-		}
-		if err != nil {
+		if sp, err = newStoredProfile(ps.schema, rec); err != nil {
 			// The original owner validated this text before acking it, so a
 			// parse failure means corruption in transit — refuse it.
 			return fmt.Errorf("server: handed-off profile %q invalid: %w", rec.ID, err)
@@ -302,41 +310,14 @@ func (ps *ProfileStore) ApplyRecord(rec wal.Record) error {
 	}
 	ps.mutMu.Lock()
 	defer ps.mutMu.Unlock()
-	sh := ps.shard(rec.ID)
-	sh.mu.RLock()
-	cur, exists := sh.m[rec.ID]
-	sh.mu.RUnlock()
+	cur, exists := ps.Get(rec.ID)
 	if exists && cur.Version >= rec.Version {
 		return nil
 	}
 	if rec.Op == wal.OpDelete && !exists {
 		return nil
 	}
-	if ps.log != nil {
-		if err := ps.log.Append(rec); err != nil {
-			return fmt.Errorf("%w: %v", errDurability, err)
-		}
-	}
-	if rec.Version > ps.clock.Load() {
-		ps.clock.Store(rec.Version)
-	}
-	sh.mu.Lock()
-	if rec.Op == wal.OpPut {
-		sh.m[rec.ID] = &StoredProfile{
-			ID:        rec.ID,
-			Version:   rec.Version,
-			Profile:   prof,
-			Text:      rec.Text,
-			UpdatedAt: time.Unix(0, rec.UpdatedAt),
-		}
-	} else {
-		delete(sh.m, rec.ID)
-	}
-	sh.mu.Unlock()
-	if ps.log == nil && ps.onMutate != nil {
-		ps.onMutate(rec)
-	}
-	return nil
+	return ps.commit(rec, sp)
 }
 
 // SweepAndEvict atomically hands moved shards to their new owner at a
@@ -349,52 +330,21 @@ func (ps *ProfileStore) ApplyRecord(rec wal.Record) error {
 func (ps *ProfileStore) SweepAndEvict(moved func(id string) bool, flush func(recs []wal.Record) error) (int, error) {
 	ps.mutMu.Lock()
 	defer ps.mutMu.Unlock()
-	var recs []wal.Record
-	for i := range ps.shards {
-		sh := &ps.shards[i]
-		sh.mu.RLock()
-		for id, sp := range sh.m {
-			if moved(id) {
-				recs = append(recs, wal.Record{
-					Op:        wal.OpPut,
-					ID:        id,
-					Text:      sp.Text,
-					Version:   sp.Version,
-					UpdatedAt: sp.UpdatedAt.UnixNano(),
-				})
-			}
-		}
-		sh.mu.RUnlock()
-	}
+	recs := ps.snapshot(moved)
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
 	if err := flush(recs); err != nil {
 		return 0, err
 	}
-	evicted := 0
-	for _, rec := range recs {
-		v := ps.clock.Load() + 1
-		now := time.Now().UnixNano()
-		if ps.log != nil {
-			if err := ps.log.Append(wal.Record{Op: wal.OpDelete, ID: rec.ID, Version: v, UpdatedAt: now}); err != nil {
-				// The un-evicted remainder stays local — already flushed to
-				// the new owner, so redundant, never lost.
-				return evicted, fmt.Errorf("%w: %v", errDurability, err)
-			}
+	for evicted, rec := range recs {
+		if err := ps.remove(rec.ID); err != nil {
+			// The un-evicted remainder stays local — already flushed to
+			// the new owner, so redundant, never lost.
+			return evicted, err
 		}
-		ps.clock.Store(v)
-		sh := ps.shard(rec.ID)
-		sh.mu.Lock()
-		delete(sh.m, rec.ID)
-		sh.mu.Unlock()
-		if ps.log == nil && ps.onMutate != nil {
-			ps.onMutate(wal.Record{Op: wal.OpDelete, ID: rec.ID, Version: v, UpdatedAt: now})
-		}
-		evicted++
 	}
-	return evicted, nil
+	return len(recs), nil
 }
 
 // Close syncs and closes the store's log, if any (graceful shutdown).

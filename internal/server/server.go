@@ -125,12 +125,6 @@ type Config struct {
 	// AntiEntropy is the period of the background replica digest-diff
 	// repair loop (default 5s; negative disables).
 	AntiEntropy time.Duration
-	// VNodes is the consistent-hash virtual nodes per peer (default 64).
-	VNodes int
-	// CatchUpAttempts bounds per-peer catch-up pulls before a rejoining
-	// node gives up waiting and advertises ready anyway (default 15, at
-	// 200ms spacing).
-	CatchUpAttempts int
 	// Backend names the database backend for /healthz ("mem" when empty).
 	Backend string
 }
@@ -174,9 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlightRecords == 0 {
 		c.FlightRecords = 256
-	}
-	if c.CatchUpAttempts <= 0 {
-		c.CatchUpAttempts = 15
 	}
 	if c.Backend == "" {
 		c.Backend = "mem"
@@ -272,7 +263,6 @@ func New(db *cqp.DB, cfg Config) (*Server, error) {
 		node, err := cluster.New(cluster.Config{
 			Self:          cfg.NodeID,
 			Peers:         cfg.ClusterPeers,
-			VNodes:        cfg.VNodes,
 			Replicas:      cfg.Replicas,
 			PeerStrikes:   cfg.PeerStrikes,
 			ProbeInterval: cfg.ProbeInterval,
@@ -305,7 +295,7 @@ func New(db *cqp.DB, cfg Config) (*Server, error) {
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			if err := s.cluster.CatchUp(ctx, s.cfg.CatchUpAttempts); err != nil && s.log != nil {
+			if err := s.cluster.CatchUp(ctx, catchUpAttempts); err != nil && s.log != nil {
 				s.log.Warn("cluster catch-up incomplete", "error", err)
 			}
 			s.ready.Store(true)
@@ -373,8 +363,8 @@ func (s *Server) routes() {
 		s.mux.HandleFunc("POST "+cluster.PathRing, s.handleClusterRing)
 		s.mux.HandleFunc("POST "+cluster.PathHandoff, s.handleClusterHandoff)
 		s.mux.HandleFunc("POST "+cluster.PathHandoffApply, s.handleClusterHandoffApply)
-		s.mux.HandleFunc("POST "+cluster.PathJoin, s.handleClusterJoin)
-		s.mux.HandleFunc("POST "+cluster.PathLeave, s.handleClusterLeave)
+		s.mux.HandleFunc("POST "+cluster.PathJoin, s.handleClusterMember(true))
+		s.mux.HandleFunc("POST "+cluster.PathLeave, s.handleClusterMember(false))
 	}
 
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)

@@ -2,9 +2,7 @@ package wal
 
 // This file is the log's exported frame surface: the same CRC-framed
 // record encoding the files use, usable as a wire format (the cluster
-// replicator ships acked frames to followers verbatim), plus the tailing
-// hook replication rides — a callback invoked for every record the moment
-// it becomes acked history.
+// replicator ships acked frames to followers verbatim).
 
 // EncodeFrame appends rec to buf as one CRC32C-framed record — the exact
 // byte layout Append writes to the log file, so a shipped frame is
@@ -55,30 +53,3 @@ func EncodeRecords(recs []Record) []byte {
 // FrameOverhead is the per-record framing cost in bytes beyond ID and
 // Text, exported so transports can size batches.
 const FrameOverhead = frameHeaderBytes + recordFixedBytes
-
-// OnAppend registers fn to be called for every record that Append commits
-// to acked history, in commit order, after the record is durable under
-// the configured sync policy. The callback runs with the log's internal
-// lock held: it must be fast, must not block, and must not call back into
-// the Log. One subscriber is supported (the cluster replicator); a second
-// registration replaces the first. Pass nil to unsubscribe.
-func (l *Log) OnAppend(fn func(Record)) {
-	l.mu.Lock()
-	l.onAppend = fn
-	l.mu.Unlock()
-}
-
-// StateRecords returns the store-global version clock and a copy of the
-// live profile state (OpPut records only, unsorted) — the snapshot half
-// of a snapshot + frame-tail catch-up sync. Records appended after the
-// call reach the subscriber via OnAppend; version guards make the overlap
-// idempotent.
-func (l *Log) StateRecords() (clock uint64, recs []Record) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	recs = make([]Record, 0, len(l.state))
-	for _, r := range l.state {
-		recs = append(recs, r)
-	}
-	return l.clock, recs
-}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -57,42 +56,6 @@ func TestDecodeFramesRejectsPartial(t *testing.T) {
 			}
 			t.Fatalf("DecodeFrames accepted a %d/%d-byte truncation", cut, len(buf))
 		}
-	}
-}
-
-// TestOnAppendTailsAckedRecords: the subscriber sees exactly the records
-// that became acked history, in commit order.
-func TestOnAppendTailsAckedRecords(t *testing.T) {
-	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
-	defer l.Close()
-	var tailed []Record
-	l.OnAppend(func(r Record) { tailed = append(tailed, r) })
-	want := []Record{put(1, "a", "x"), put(2, "b", "y"), del(3, "a")}
-	mustAppend(t, l, want...)
-	if !reflect.DeepEqual(tailed, want) {
-		t.Fatalf("tailed %+v, want %+v", tailed, want)
-	}
-
-	l.OnAppend(nil)
-	mustAppend(t, l, put(4, "c", "z"))
-	if len(tailed) != 3 {
-		t.Fatalf("unsubscribed hook still fired: %d records", len(tailed))
-	}
-}
-
-// TestStateRecords: the snapshot half of catch-up — clock plus live puts,
-// deletes absent.
-func TestStateRecords(t *testing.T) {
-	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
-	defer l.Close()
-	mustAppend(t, l, put(1, "a", "x"), put(2, "b", "y"), del(3, "a"), put(4, "c", "z"))
-	clock, recs := l.StateRecords()
-	if clock != 4 {
-		t.Fatalf("clock %d, want 4", clock)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	if len(recs) != 2 || recs[0].ID != "b" || recs[1].ID != "c" {
-		t.Fatalf("state records %+v", recs)
 	}
 }
 

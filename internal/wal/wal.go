@@ -150,7 +150,6 @@ type Log struct {
 	snapshotting bool
 	closed       bool
 	buf          []byte
-	onAppend     func(Record) // tailing subscriber (OnAppend)
 
 	dirf     *os.File
 	lastSnap time.Time
@@ -418,9 +417,6 @@ func (l *Log) Append(rec Record) error {
 	}
 	l.sinceSnap++
 	l.counter("wal_appends_total").Inc()
-	if l.onAppend != nil {
-		l.onAppend(rec)
-	}
 	var job *snapshotJob
 	if l.opts.SnapshotEvery > 0 && l.sinceSnap >= l.opts.SnapshotEvery && !l.snapshotting {
 		job = l.rotateLocked()
