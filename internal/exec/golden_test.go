@@ -123,6 +123,70 @@ var goldenPlain = []struct{ name, spill, sql string }{
 	{"duplicates", "multiset", "SELECT genre FROM MOVIE, GENRE WHERE MOVIE.mid = GENRE.mid AND MOVIE.year >= 1995"},
 }
 
+// goldenShapes are personalized unions written out sub-query by sub-query,
+// for the shapes the preference grid above does not produce: what the
+// sub-queries share and what each adds is what a union-aware plan factors on,
+// so each entry varies that split. tails extend "SELECT <project> FROM <from>";
+// runs lists the (minMatches, k) pairs to record, minMatches 0 meaning all.
+var goldenShapes = []struct {
+	name    string
+	project string
+	tails   []string
+	runs    [][2]int
+}{
+	// A merged sub-query (rewrite.ConstructMerged's shape: two preferences on
+	// one functional path plus a selection on the anchor) beside
+	// single-preference ones: every condition of sub-query 0 must hold at once.
+	{"merged", "title FROM MOVIE", []string{
+		", DIRECTOR WHERE MOVIE.did = DIRECTOR.did AND DIRECTOR.did <= 6 AND DIRECTOR.name <> 'Director 0002' AND MOVIE.year >= 1950",
+		", GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00'",
+		" WHERE MOVIE.duration <= 150",
+	}, [][2]int{{0, 0}, {1, 0}}},
+	// The shared part joins CAST, which repeats a movie once per credit, and
+	// the preferences hang off CAST, MOVIE and both at once (GENRE.mid against
+	// MOVIE.mid and CAST.mid: a two-column attachment).
+	{"cast-base", "title, role FROM MOVIE, CAST", []string{
+		", ACTOR WHERE MOVIE.mid = CAST.mid AND MOVIE.year >= 1990 AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00001'",
+		", ACTOR WHERE MOVIE.mid = CAST.mid AND MOVIE.year >= 1990 AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00002'",
+		", ACTOR WHERE MOVIE.mid = CAST.mid AND MOVIE.year >= 1990 AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00003'",
+		", GENRE WHERE MOVIE.mid = CAST.mid AND MOVIE.year >= 1990 AND MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00'",
+		", GENRE WHERE MOVIE.mid = CAST.mid AND MOVIE.year >= 1990 AND GENRE.mid = MOVIE.mid AND GENRE.mid = CAST.mid AND GENRE.genre = 'genre01'",
+		", DIRECTOR WHERE MOVIE.mid = CAST.mid AND MOVIE.year >= 1990 AND MOVIE.did = DIRECTOR.did AND DIRECTOR.did <= 4",
+	}, [][2]int{{1, 0}, {2, 0}, {1, 10}}},
+	// Every sub-query names the same relations and joins; they differ in one
+	// selection on the far end (TestSpillCutsWorkingSet's shape).
+	{"same-path", "title FROM MOVIE, CAST, ACTOR", []string{
+		" WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00001'",
+		" WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00002'",
+		" WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00003'",
+		" WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.aid <= 4",
+	}, [][2]int{{1, 0}, {2, 0}, {0, 0}}},
+	// One sub-query is exactly what the others share.
+	{"equals-base", "title FROM MOVIE", []string{
+		" WHERE MOVIE.year >= 1960",
+		", GENRE WHERE MOVIE.year >= 1960 AND MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00'",
+		" WHERE MOVIE.year >= 1960 AND MOVIE.duration <= 120",
+	}, [][2]int{{1, 0}, {0, 0}}},
+	// One sub-query adds two unrelated relations; another adds two that hang
+	// off the same attribute (both must hold, not either).
+	{"two-components", "title FROM MOVIE", []string{
+		", GENRE, DIRECTOR WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00' AND MOVIE.did = DIRECTOR.did AND DIRECTOR.did <= 5",
+		", GENRE, CAST, ACTOR WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre01' AND MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.aid <= 3",
+		", GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00'",
+	}, [][2]int{{1, 0}, {2, 0}}},
+	// A relation joined to nothing (a cross product in the sub-query: the
+	// answer only asks whether it has a qualifying row, and DIRECTOR 9999 does
+	// not exist), and joins between two shared relations that only one
+	// sub-query states.
+	{"detached", "title FROM MOVIE, CAST, GENRE", []string{
+		", DIRECTOR WHERE MOVIE.mid = CAST.mid AND MOVIE.mid = GENRE.mid AND DIRECTOR.did = 3",
+		", DIRECTOR WHERE MOVIE.mid = CAST.mid AND MOVIE.mid = GENRE.mid AND DIRECTOR.did = 9999",
+		" WHERE MOVIE.mid = CAST.mid AND MOVIE.mid = GENRE.mid AND CAST.mid = GENRE.mid AND GENRE.genre = 'genre02'",
+		" WHERE MOVIE.mid = CAST.mid AND MOVIE.mid = GENRE.mid AND CAST.aid = GENRE.mid",
+		" WHERE MOVIE.mid = CAST.mid AND MOVIE.mid = GENRE.mid AND MOVIE.year <= 1980",
+	}, [][2]int{{1, 0}, {2, 0}, {3, 0}}},
+}
+
 // goldenProfile is a hand-written profile over the popular end of the
 // workload's Zipf-skewed domains, so that most sub-queries return rows and
 // their answers overlap (a generated profile names directors and actors
@@ -167,8 +231,9 @@ func goldenProfile(t testing.TB) *prefs.Profile {
 // goldenQueries builds the grid over env: for every base query, the
 // personalized unions of its L best preferences for L ∈ {1, 3, 10} under
 // all-match and any-match, top-k at k ∈ {1, 10} over the L = 3 all-match and
-// L = 10 any-match unions, the no-preference union (nil dois), and the plain
-// conjunctive queries.
+// L = 10 any-match unions, the no-preference union (nil dois), the plain
+// conjunctive queries, and last — new cases are only ever appended — the
+// hand-written union shapes.
 func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 	t.Helper()
 	profile := goldenProfile(t)
@@ -241,6 +306,36 @@ func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 			return goldenFromResult(name, res), nil
 		}})
 	}
+	// Sub-query i of a shape carries doi top·(1 − 0.9·i/L).
+	shape := func(name, project string, tails []string, top float64, runs [][2]int) {
+		var subs []*query.Query
+		var dois []float64
+		for i, tail := range tails {
+			subs = append(subs, sqlparse.MustParse(env.DB.Schema(), "SELECT "+project+tail))
+			dois = append(dois, top*(1-0.9*float64(i)/float64(len(tails))))
+		}
+		for _, r := range runs {
+			min, label := r[0], fmt.Sprintf("min%d", r[0])
+			if min == 0 {
+				min, label = len(subs), "all"
+			}
+			if r[1] > 0 {
+				label += fmt.Sprintf("/top%d", r[1])
+			}
+			union("shape/"+name+"/"+label, subs, dois, min, r[1])
+		}
+	}
+	for _, s := range goldenShapes {
+		shape(s.name, s.project, s.tails, 0.95, s.runs)
+	}
+	// Seventy sub-queries, so a row's matches span two bitset words; their
+	// dois are small enough that seventy of them do not round to 1.
+	var wide []string
+	for i := 0; i < 35; i++ {
+		wide = append(wide, fmt.Sprintf(" WHERE MOVIE.year >= %d", 1925+2*i),
+			fmt.Sprintf(" WHERE MOVIE.duration <= %d", 175-2*i))
+	}
+	shape("wide", "title FROM MOVIE", wide, 0.1, [][2]int{{1, 0}, {1, 10}, {40, 0}})
 	return out
 }
 
