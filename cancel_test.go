@@ -15,8 +15,8 @@ import (
 // deadline checkpoints into an enumerable set: fuse = n dies exactly at the
 // n-th checkpoint, wherever in the Figure-2 pipeline that is, so one table
 // covers cancellation at every phase boundary without sleeping or racing a
-// real timer. Err() calls are counted atomically — the executor's union
-// goroutines poll concurrently.
+// real timer. Err() calls are counted atomically: nothing promises that a
+// pipeline polls from one goroutine only.
 type countdownCtx struct {
 	context.Context
 	calls atomic.Int64

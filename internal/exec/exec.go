@@ -1,34 +1,31 @@
 // Package exec evaluates conjunctive queries and personalized union queries
 // against a storage backend, with block-granular I/O accounting.
 //
-// The executor deliberately mirrors the paper's cost-model assumptions
+// The accounting deliberately mirrors the paper's cost-model assumptions
 // (Section 7.1): every relation in a (sub-)query is read from disk exactly
 // once via a full scan (no indexes) and charged its full block count, and a
-// personalized query executes its sub-queries independently, so a relation
+// personalized query's sub-queries are charged independently, so a relation
 // shared by two sub-queries is charged twice — exactly as Formula 6 sums
-// per-sub-query costs. Figure 15's "real" execution time is the counter's
-// block total times b plus the measured in-memory CPU time.
+// per-sub-query costs. They do not execute independently: the union plan
+// (union.go) reads what they share once, and the charge is arithmetic.
+// Figure 15's "real" execution time is the block total times b plus the
+// measured in-memory CPU time.
 //
-// Since the streaming rewrite, evaluation is a thin driver over an
-// internal/iter operator tree: scans stream rows from backend cursors
-// through filters, hash joins, projection and dedup, polling the context
-// inside every loop. Intermediate results no longer materialize per
-// stage — the stateful operators (join builds, DISTINCT sets, the union's
-// group table) hold working state only, and spill it to temp-file
-// partitions when a per-query budget (iter.WithBudget) says so. The block
-// charge is unchanged by any of this: a scan pays its relation's full
-// logical block count at open, even if a LIMIT stops pulling early,
-// because that is the cost model the estimator mirrors.
+// Evaluation is a thin driver over an internal/iter operator tree: scans
+// stream rows from backend cursors through filters, hash joins, projection
+// and dedup, polling the context inside every loop. The stateful operators
+// (join builds, DISTINCT sets, the union's tag relations and group table)
+// spill to temp-file partitions when a per-query budget (iter.WithBudget)
+// says so. A scan pays its relation's full logical block count at open, even
+// if a LIMIT stops pulling early: that is the model the estimator mirrors.
 package exec
 
 import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"cqp/internal/fault"
@@ -376,13 +373,15 @@ type RankedRow struct {
 
 // SubQueryStat instruments one sub-query of a personalized union: the
 // paper's Formula 6 charges the union as the sum over sub-queries, and
-// this is where each summand's actual time and I/O becomes visible.
+// this is where each summand becomes visible.
 type SubQueryStat struct {
 	// Rows is the sub-query's (deduplicated) result cardinality.
 	Rows int
-	// BlockReads is the sub-query's simulated I/O.
+	// BlockReads is the sub-query's simulated I/O, as if it ran alone.
 	BlockReads int64
-	// Elapsed is the sub-query's in-memory evaluation time.
+	// Elapsed is the time of the reducers this sub-query fed the union plan,
+	// zero if it only adds conditions over the shared relations. The values
+	// are not additive: what the sub-queries share runs once (UnionResult.Base).
 	Elapsed time.Duration
 }
 
@@ -393,8 +392,11 @@ type UnionResult struct {
 	Rows       []RankedRow
 	BlockReads int64
 	Elapsed    time.Duration
-	// Subs holds per-sub-query timings aligned with the union's
-	// sub-queries, for tracing and metrics.
+	// Base is the time of the one pass over what the sub-queries share, Rank
+	// that of ranking its groups; with Subs' reducers they make up Elapsed.
+	Base, Rank time.Duration
+	// Subs holds per-sub-query figures aligned with the union's sub-queries,
+	// for tracing and metrics.
 	Subs []SubQueryStat
 }
 
@@ -438,50 +440,40 @@ func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []
 	if err := fault.Inject(fault.ExecUnion); err != nil {
 		return nil, fmt.Errorf("exec: union: %w", err)
 	}
-	if minMatches < 1 {
-		minMatches = 1
+	minMatches = max(minMatches, 1)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("exec: union: %w", err)
+	}
+	stats := make([]SubQueryStat, len(subs))
+	for i, sq := range subs {
+		if err := sq.Validate(db.Schema()); err != nil {
+			return nil, fmt.Errorf("exec: sub-query %d: %w", i, err)
+		}
+		// The plan runs the sub-queries as one: they answer over one projection,
+		// and a LIMIT, which would cut one of them short alone, has no meaning.
+		if !slices.Equal(sq.Project, subs[0].Project) || sq.Limit > 0 {
+			return nil, fmt.Errorf("exec: sub-query %d: a union's sub-queries share one projection and carry no LIMIT", i)
+		}
+		// Formula 6: a sub-query is charged every heap file it names, as if
+		// it ran alone, however few physical passes the plan makes.
+		for _, r := range sq.From {
+			stats[i].BlockReads += db.MustTable(r).Blocks()
+		}
 	}
 	start := time.Now()
-
-	// Sub-queries are independent reads over immutable tables: evaluate
-	// them concurrently (bounded by GOMAXPROCS), then merge sequentially
-	// so grouping stays deterministic.
-	results := make([]*Result, len(subs))
-	errs := make([]error, len(subs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, sq := range subs {
-		wg.Add(1)
-		go func(i int, sq *query.Query) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			dq := sq.Clone()
-			dq.Distinct = true // dedup within a sub-query: HAVING counts sub-queries, not duplicates
-			results[i], errs[i] = EvalContext(ctx, db, dq)
-		}(i, sq)
-	}
-	wg.Wait()
-
-	var io int64
+	var io storage.IOCounter
 	grouper := iter.NewGrouper(ctx, len(subs))
 	defer grouper.Close()
-	subs2 := make([]SubQueryStat, len(results))
-	for i, res := range results {
-		if errs[i] != nil {
-			// %w: the cause's class (injected fault, context death) must
-			// survive for retry and degradation policies to read.
-			return nil, fmt.Errorf("exec: sub-query %d: %w", i, errs[i])
-		}
-		io += res.BlockReads
-		subs2[i] = SubQueryStat{Rows: len(res.Rows), BlockReads: res.BlockReads, Elapsed: res.Elapsed}
-		for _, r := range res.Rows {
-			if err := grouper.Add(r, i); err != nil {
-				return nil, fmt.Errorf("exec: union group: %w", err)
-			}
-		}
+	// %w: the cause's class (injected fault, context death) must survive for
+	// retry and degradation policies to read.
+	if err := factor(subs).run(ctx, db, &io, grouper, stats); err != nil {
+		return nil, fmt.Errorf("exec: union: %w", err)
 	}
-	out := &UnionResult{Columns: subs[0].Project, BlockReads: io, Subs: subs2}
+	based := time.Since(start)
+	out := &UnionResult{Columns: subs[0].Project, BlockReads: io.BlockReads, Subs: stats, Base: based}
+	for _, s := range stats {
+		out.Base -= s.Elapsed
+	}
 	rank := ranking{k: k}
 	err := grouper.Each(func(row storage.Row, tags []uint64) error {
 		// Fold the dois over the matched sub-queries in ascending order —
@@ -492,8 +484,12 @@ func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []
 		doi.Reset()
 		for w, word := range tags {
 			matches += bits.OnesCount64(word)
-			for ; dois != nil && word != 0; word &= word - 1 {
-				doi.Add(dois[w*64+bits.TrailingZeros64(word)])
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				stats[i].Rows++
+				if dois != nil {
+					doi.Add(dois[i])
+				}
 			}
 		}
 		if matches >= minMatches {
@@ -507,15 +503,16 @@ func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []
 	sort.Sort(&rank)
 	out.Rows = rank.rows
 	out.Elapsed = time.Since(start)
+	out.Rank = out.Elapsed - based
 	if reg := db.Metrics(); reg != nil {
 		reg.Counter("exec_unions_total").Inc()
 		reg.Counter("exec_subqueries_total").Add(int64(len(subs)))
-		reg.Counter("exec_block_reads_total").Add(io)
+		reg.Counter("exec_block_reads_total").Add(out.BlockReads)
 		reg.Counter("exec_rows_returned_total").Add(int64(len(out.Rows)))
 		reg.Histogram("exec_union_ms", obs.DurationBucketsMS).
 			Observe(float64(out.Elapsed) / float64(time.Millisecond))
 		hsub := reg.Histogram("exec_subquery_ms", obs.DurationBucketsMS)
-		for _, s := range subs2 {
+		for _, s := range stats {
 			hsub.Observe(float64(s.Elapsed) / float64(time.Millisecond))
 		}
 	}

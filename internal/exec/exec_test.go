@@ -315,8 +315,9 @@ func TestJoinOrderInvariance(t *testing.T) {
 	}
 }
 
-// TestEvalUnionConcurrencyDeterminism: the concurrent sub-query evaluation
-// must produce identical ranked output across repeated runs.
+// TestEvalUnionConcurrencyDeterminism: the union must produce identical
+// ranked output across repeated runs (it was written against the
+// goroutine-per-sub-query executor; the one-pass plan keeps the promise).
 func TestEvalUnionConcurrencyDeterminism(t *testing.T) {
 	db := testutil.MovieDB(0)
 	subs := make([]*query.Query, 0, 8)

@@ -1,0 +1,256 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"math/bits"
+	"slices"
+	"time"
+
+	"cqp/internal/iter"
+	"cqp/internal/query"
+	"cqp/internal/schema"
+	"cqp/internal/storage"
+)
+
+// unionPlan is a personalized union factored for one pass (DESIGN §12). A
+// sub-query is deduplicated on a projection that only the shared relations
+// supply, so it is a semi-join: the base tuples that all its parts accept.
+type unionPlan struct {
+	// base is B: the relations, joins and selections every sub-query has. It
+	// projects the union's projection — the first project columns — and then
+	// the further attributes the parts read.
+	base    *query.Query
+	project int
+	// residual[i] is the first kind of part: the conditions of sub-query i
+	// over B's own columns (only Selections and Joins are set).
+	residual []query.Query
+	tags     []tagRel
+}
+
+// tagRel is the second kind of part, folded: the key → sub-query-bitset
+// relation of the reducers that attach at the base attributes on, at most one
+// per sub-query. A reducer is one connected component of the relations a
+// sub-query adds, reduced to the distinct values of its side of the attaching
+// joins (aligned with on); with none, the one key is empty: an existence test.
+type tagRel struct {
+	on       []schema.AttrRef
+	reducers []reducer
+}
+
+type reducer struct {
+	sub int
+	q   *query.Query
+}
+
+// factor derives the plan from validated sub-queries over one projection.
+func factor(subs []*query.Query) *unionPlan {
+	base := subs[0].Clone() // of which buildJoinTree reads FROM, WHERE and the projection
+	for _, s := range subs[1:] {
+		base.From = slices.DeleteFunc(base.From, func(r string) bool { return !s.HasRelation(r) })
+		base.Joins = slices.DeleteFunc(base.Joins, func(j query.Join) bool { return !s.HasJoin(j) })
+		base.Selections = slices.DeleteFunc(base.Selections, func(x query.Selection) bool { return !slices.Contains(s.Selections, x) })
+	}
+	p := &unionPlan{base: base, project: len(base.Project), residual: make([]query.Query, len(subs))}
+	carry := func(a schema.AttrRef) {
+		if !slices.Contains(base.Project, a) {
+			base.Project = append(base.Project, a)
+		}
+	}
+	for i, s := range subs {
+		comps, at := components(s, base)
+		on := make([][]schema.AttrRef, len(comps))
+		// attach joins component c at the base attribute left, in s's join order.
+		attach := func(c int, left, right schema.AttrRef) {
+			on[c], comps[c].Project = append(on[c], left), append(comps[c].Project, right)
+			carry(left)
+		}
+		for _, sel := range s.Selections {
+			if c, added := at[sel.Attr.Relation]; added {
+				comps[c].Selections = append(comps[c].Selections, sel)
+			} else if !slices.Contains(base.Selections, sel) {
+				p.residual[i].Selections = append(p.residual[i].Selections, sel)
+				carry(sel.Attr)
+			}
+		}
+		for _, j := range s.Joins {
+			lc, ladded := at[j.Left.Relation]
+			rc, radded := at[j.Right.Relation]
+			switch {
+			case ladded && radded:
+				comps[lc].Joins = append(comps[lc].Joins, j)
+			case ladded:
+				attach(lc, j.Right, j.Left)
+			case radded:
+				attach(rc, j.Left, j.Right)
+			case !base.HasJoin(j):
+				p.residual[i].Joins = append(p.residual[i].Joins, j)
+				carry(j.Left)
+				carry(j.Right)
+			}
+		}
+		for c, q := range comps {
+			// A second component of this sub-query at the same attributes must
+			// hold as well as the first, not instead: a relation of its own.
+			rel := slices.IndexFunc(p.tags, func(t tagRel) bool {
+				return slices.Equal(t.on, on[c]) && t.reducers[len(t.reducers)-1].sub != i
+			})
+			if rel < 0 {
+				rel = len(p.tags)
+				p.tags = append(p.tags, tagRel{on: on[c]})
+			}
+			p.tags[rel].reducers = append(p.tags[rel].reducers, reducer{sub: i, q: q})
+		}
+	}
+	return p
+}
+
+// components splits the relations s adds to the base into the groups its
+// joins connect — one query each, so far only its FROM — and maps every added
+// relation to its group. A group lists its relations from the first one s
+// names outwards: a preference path's selective far end is a join's build side.
+func components(s, base *query.Query) ([]*query.Query, map[string]int) {
+	var comps []*query.Query
+	at := make(map[string]int)
+	var grow func(r string)
+	grow = func(r string) {
+		if _, seen := at[r]; seen || base.HasRelation(r) {
+			return
+		}
+		q := comps[len(comps)-1]
+		q.From, at[r] = append(q.From, r), len(comps)-1
+		for _, j := range s.Joins {
+			if j.Left.Relation == r {
+				grow(j.Right.Relation)
+			} else if j.Right.Relation == r {
+				grow(j.Left.Relation)
+			}
+		}
+	}
+	for _, r := range s.From {
+		if _, seen := at[r]; !seen && !base.HasRelation(r) {
+			comps = append(comps, &query.Query{})
+			grow(r)
+		}
+	}
+	return comps, at
+}
+
+// run executes the plan into grouper: B's join tree runs once, left-outer-joined
+// to each tag relation, and every tuple's projection is added under the bits of
+// the sub-queries whose parts all hold. A reducer's time is booked to its
+// sub-query in stats. Every relation opens through buildJoinTree, hence through
+// the batch's scan share, and io is charged by the share's rule: a physical
+// open pays through Backend.Open, the len(stats) − 1 further sub-queries that
+// read a base relation pay its blocks directly.
+func (p *unionPlan) run(ctx context.Context, db *storage.DB, io *storage.IOCounter, grouper *iter.Grouper, stats []SubQueryStat) (err error) {
+	tree, err := buildJoinTree(ctx, db, io, p.base)
+	if err != nil {
+		return err
+	}
+	// Whatever is built from here on hangs off tree: one Close releases it.
+	defer func() { err = closing(tree, err) }()
+	for _, r := range p.base.From {
+		io.Add(int64(len(stats)-1) * db.MustTable(r).Blocks())
+	}
+	full := make([]uint64, (len(stats)+63)/64) // every sub-query's bit
+	for i := range stats {
+		full[i/64] |= 1 << (i % 64)
+	}
+	words, width := len(full), len(p.base.Project)
+	col := func(a schema.AttrRef) int { return position(p.base.Project, a) }
+	// free[t] has the bits of the sub-queries that ask nothing of tag
+	// relation t, whose words sit at column width + t·words of a tuple.
+	free := make([][]uint64, len(p.tags))
+	for ti, t := range p.tags {
+		rel := iter.NewGrouper(ctx, len(stats))
+		free[ti] = slices.Clone(full)
+		for _, r := range t.reducers {
+			free[ti][r.sub/64] &^= 1 << (r.sub % 64)
+			// The reducer drains into the relation, whose grouping is its DISTINCT.
+			start := time.Now()
+			red, err := buildJoinTree(ctx, db, io, r.q)
+			if err == nil {
+				err = closing(red, each(red, func(row storage.Row) error { return rel.Add(row, r.sub) }))
+			}
+			stats[r.sub].Elapsed += time.Since(start)
+			if err != nil {
+				rel.Close()
+				return fmt.Errorf("sub-query %d: %w", r.sub, err)
+			}
+		}
+		at := width + ti*words
+		var probeIdx, buildIdx, out []int
+		for k, a := range t.on {
+			probeIdx, buildIdx = append(probeIdx, col(a)), append(buildIdx, k)
+		}
+		for c := 0; c < at+words; c++ {
+			out = append(out, c)
+			if c >= at {
+				out[c] += len(t.on) // the words follow the key on the build side
+			}
+		}
+		tree = op(iter.LeftOuterJoin(ctx, tree, op(rel), probeIdx, buildIdx, at, out, 0))
+	}
+	// holds[i] are the residual conditions of sub-query i over a tuple.
+	holds := make([][]func(storage.Row) bool, len(p.residual))
+	for i, res := range p.residual {
+		for _, sel := range res.Selections {
+			c := col(sel.Attr)
+			holds[i] = append(holds[i], func(r storage.Row) bool { return sel.Op.Eval(r[c], sel.Value) })
+		}
+		for _, j := range res.Joins {
+			l, r := col(j.Left), col(j.Right)
+			holds[i] = append(holds[i], func(row storage.Row) bool { return row[l].Compare(row[r]) == 0 })
+		}
+	}
+	mask := make([]uint64, words)
+	return each(tree, func(row storage.Row) error {
+		var hit uint64
+		for w := range mask {
+			m := full[w]
+			for ti := range p.tags {
+				tagged := free[ti][w]
+				if v := row[width+ti*words+w]; !v.IsNull() {
+					tagged |= uint64(v.AsInt())
+				}
+				m &= tagged
+			}
+			for rest := m; rest != 0; rest &= rest - 1 {
+				i := w*64 + bits.TrailingZeros64(rest)
+				for _, test := range holds[i] {
+					if !test(row) {
+						m &^= 1 << (i % 64)
+						break
+					}
+				}
+			}
+			mask[w], hit = m, hit|m
+		}
+		if hit == 0 {
+			return nil
+		}
+		return grouper.AddMask(row[:p.project], mask)
+	})
+}
+
+// each pulls every row of it through fn.
+func each(it iter.Iterator, fn func(storage.Row) error) error {
+	for {
+		row, ok, err := it.Next()
+		if !ok || err != nil {
+			return err
+		}
+		if err := fn(row); err != nil {
+			return err
+		}
+	}
+}
+
+// closing closes it, returning err or else what Close reports.
+func closing(it iter.Iterator, err error) error {
+	if cerr := it.Close(); err == nil {
+		return cerr
+	}
+	return err
+}

@@ -1,0 +1,264 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"cqp/internal/obs"
+	"cqp/internal/query"
+	"cqp/internal/sqlparse"
+	"cqp/internal/storage"
+	"cqp/internal/workload"
+)
+
+// renderPlan writes a factored union out: the base, then per sub-query its
+// conditions over the base's columns, then per tag relation what it attaches
+// at and the reducer behind each sub-query's bit.
+func renderPlan(p *unionPlan) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "base: %s\n", p.base.SQL())
+	for i, res := range p.residual {
+		fmt.Fprintf(&b, "sub %d:", i)
+		for _, sel := range res.Selections {
+			fmt.Fprintf(&b, " [%s]", sel)
+		}
+		for _, j := range res.Joins {
+			fmt.Fprintf(&b, " [%s]", j)
+		}
+		b.WriteString("\n")
+	}
+	for ti, t := range p.tags {
+		fmt.Fprintf(&b, "tag %d on %v\n", ti, t.on)
+		for _, r := range t.reducers {
+			fmt.Fprintf(&b, "  sub %d: %s\n", r.sub, r.q.SQL())
+		}
+	}
+	return b.String()
+}
+
+// TestUnionFactor pins the factoring step on hand-written sub-queries.
+func TestUnionFactor(t *testing.T) {
+	sch := workload.Schema()
+	for _, c := range []struct {
+		name, project string
+		tails         []string
+		want          string
+	}{
+		{"disjoint extra relations fold by attachment", "title FROM MOVIE", []string{
+			", GENRE WHERE MOVIE.year >= 1950 AND MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00'",
+			", DIRECTOR WHERE MOVIE.year >= 1950 AND DIRECTOR.did = MOVIE.did AND DIRECTOR.name = 'Director 0001'",
+			", CAST, ACTOR WHERE MOVIE.year >= 1950 AND MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00001'",
+			", GENRE WHERE MOVIE.year >= 1950 AND GENRE.mid = MOVIE.mid AND GENRE.genre = 'genre01'",
+		}, `base: SELECT MOVIE.title, MOVIE.mid, MOVIE.did FROM MOVIE WHERE MOVIE.year >= 1950
+sub 0:
+sub 1:
+sub 2:
+sub 3:
+tag 0 on [MOVIE.mid]
+  sub 0: SELECT GENRE.mid FROM GENRE WHERE GENRE.genre = 'genre00'
+  sub 2: SELECT CAST.mid FROM CAST, ACTOR WHERE CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00001'
+  sub 3: SELECT GENRE.mid FROM GENRE WHERE GENRE.genre = 'genre01'
+tag 1 on [MOVIE.did]
+  sub 1: SELECT DIRECTOR.did FROM DIRECTOR WHERE DIRECTOR.name = 'Director 0001'
+`},
+		{"a sub-query equal to the base has no parts", "title FROM MOVIE, DIRECTOR", []string{
+			" WHERE MOVIE.did = DIRECTOR.did",
+			" WHERE DIRECTOR.did = MOVIE.did AND DIRECTOR.name = 'Director 0001'",
+		}, `base: SELECT MOVIE.title, DIRECTOR.name FROM MOVIE, DIRECTOR WHERE MOVIE.did = DIRECTOR.did
+sub 0:
+sub 1: [DIRECTOR.name = 'Director 0001']
+`},
+		{"no common selection: every selection is residual", "title FROM MOVIE", []string{
+			" WHERE MOVIE.year >= 1950 AND MOVIE.duration <= 100",
+			" WHERE MOVIE.year >= 1960",
+		}, `base: SELECT MOVIE.title, MOVIE.year, MOVIE.duration FROM MOVIE
+sub 0: [MOVIE.year >= 1950] [MOVIE.duration <= 100]
+sub 1: [MOVIE.year >= 1960]
+`},
+		{"composite attachment, and a join only one sub-query states", "title FROM MOVIE, CAST", []string{
+			", GENRE WHERE MOVIE.mid = CAST.mid AND GENRE.mid = MOVIE.mid AND CAST.mid = GENRE.mid AND GENRE.genre = 'genre00'",
+			" WHERE MOVIE.mid = CAST.mid AND MOVIE.did = CAST.aid",
+		}, `base: SELECT MOVIE.title, MOVIE.mid, CAST.mid, MOVIE.did, CAST.aid FROM MOVIE, CAST WHERE MOVIE.mid = CAST.mid
+sub 0:
+sub 1: [MOVIE.did = CAST.aid]
+tag 0 on [MOVIE.mid CAST.mid]
+  sub 0: SELECT GENRE.mid, GENRE.mid FROM GENRE WHERE GENRE.genre = 'genre00'
+`},
+		{"disconnected components are existence tests", "title FROM MOVIE", []string{
+			", DIRECTOR WHERE DIRECTOR.did = 3",
+			", CAST, ACTOR WHERE CAST.aid = ACTOR.aid AND ACTOR.aid = 7",
+			", GENRE, DIRECTOR WHERE MOVIE.mid = GENRE.mid AND DIRECTOR.did = 9999",
+		}, `base: SELECT MOVIE.title, MOVIE.mid FROM MOVIE
+sub 0:
+sub 1:
+sub 2:
+tag 0 on []
+  sub 0: SELECT  FROM DIRECTOR WHERE DIRECTOR.did = 3
+  sub 1: SELECT  FROM CAST, ACTOR WHERE CAST.aid = ACTOR.aid AND ACTOR.aid = 7
+  sub 2: SELECT  FROM DIRECTOR WHERE DIRECTOR.did = 9999
+tag 1 on [MOVIE.mid]
+  sub 2: SELECT GENRE.mid FROM GENRE
+`},
+		{"two components at one attachment must both hold: a relation each", "title FROM MOVIE", []string{
+			", GENRE, CAST WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre01' AND MOVIE.mid = CAST.mid AND CAST.aid <= 3",
+			", GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00'",
+			", CAST WHERE MOVIE.year >= 1990 AND MOVIE.mid = CAST.mid AND CAST.aid = 9",
+			"",
+		}, `base: SELECT MOVIE.title, MOVIE.mid, MOVIE.year FROM MOVIE
+sub 0:
+sub 1:
+sub 2: [MOVIE.year >= 1990]
+sub 3:
+tag 0 on [MOVIE.mid]
+  sub 0: SELECT GENRE.mid FROM GENRE WHERE GENRE.genre = 'genre01'
+  sub 1: SELECT GENRE.mid FROM GENRE WHERE GENRE.genre = 'genre00'
+  sub 2: SELECT CAST.mid FROM CAST WHERE CAST.aid = 9
+tag 1 on [MOVIE.mid]
+  sub 0: SELECT CAST.mid FROM CAST WHERE CAST.aid <= 3
+`},
+	} {
+		var subs []*query.Query
+		for _, tail := range c.tails {
+			subs = append(subs, sqlparse.MustParse(sch, "SELECT "+c.project+tail))
+		}
+		if got := renderPlan(factor(subs)); got != c.want {
+			t.Errorf("%s:\n%s\nwant:\n%s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestUnionPhysicalPasses: the union plan reads what the sub-queries share
+// once and every relation a sub-query adds once for that sub-query, while
+// the charge stays Formula 6's — each sub-query pays every heap file it names.
+func TestUnionPhysicalPasses(t *testing.T) {
+	db := workload.GenerateDB(workload.DBConfig{Movies: 400, Directors: 40, Actors: 200, Seed: 151})
+	reg := obs.NewRegistry()
+	db.SetMetrics(reg)
+	subs, dois := allocUnion(db)
+	res, err := EvalUnionContext(context.Background(), db, subs, dois, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naming := make(map[string]int64) // relation → sub-queries that name it
+	var charge int64
+	for i, s := range subs {
+		var own int64
+		for _, r := range s.From {
+			naming[r]++
+			own += db.MustTable(r).Blocks()
+		}
+		if res.Subs[i].BlockReads != own {
+			t.Errorf("sub-query %d charged %d blocks, names %d", i, res.Subs[i].BlockReads, own)
+		}
+		charge += own
+	}
+	if res.BlockReads != charge || reg.Counter("exec_block_reads_total").Value() != charge {
+		t.Errorf("union charged %d blocks (counter %d), its sub-queries name %d",
+			res.BlockReads, reg.Counter("exec_block_reads_total").Value(), charge)
+	}
+	for rel, n := range naming {
+		scans := reg.Counter("storage_scans_total", "table", rel).Value()
+		if rel == "MOVIE" {
+			n = 1
+		}
+		if scans < 1 || scans > n {
+			t.Errorf("%s opened %d times, want at least once and at most %d", rel, scans, n)
+		}
+	}
+}
+
+// independentUnion is the reference the plan is held against: every
+// sub-query evaluated alone as SELECT DISTINCT, the answers merged by key.
+func independentUnion(t *testing.T, db *storage.DB, subs []*query.Query) (matched map[string][]int, blocks int64) {
+	t.Helper()
+	matched = make(map[string][]int)
+	for i, s := range subs {
+		d := s.Clone()
+		d.Distinct = true
+		res, err := Eval(db, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks += res.BlockReads
+		for _, r := range res.Rows {
+			matched[renderKey(r)] = append(matched[renderKey(r)], i)
+		}
+	}
+	return matched, blocks
+}
+
+// TestUnionMatchesIndependentEvaluation draws unions whose sub-queries share
+// and add relations at random — paths hanging off MOVIE or CAST, conditions on
+// shared columns, detached relations, the same relation twice over different
+// joins — and requires the one-pass plan to match every key with exactly the
+// sub-queries that return it when each runs alone, at the same charge.
+func TestUnionMatchesIndependentEvaluation(t *testing.T) {
+	db := workload.GenerateDB(workload.DBConfig{Movies: 120, Directors: 12, Actors: 40, Seed: 7})
+	rng := rand.New(rand.NewSource(18))
+	pick := func(options ...string) string { return options[rng.Intn(len(options))] }
+	for trial := 0; trial < 300; trial++ {
+		shared := pick("title FROM MOVIE", "title, year FROM MOVIE", "title, role FROM MOVIE, CAST", "DIRECTOR.name FROM MOVIE, DIRECTOR")
+		var sqls []string
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			from, where := "", []string{}
+			has := func(rel string) bool { return strings.Contains(shared+from, rel) }
+			if has("CAST") {
+				where = append(where, pick("MOVIE.mid = CAST.mid", "CAST.mid = MOVIE.mid"))
+			}
+			if has("DIRECTOR") {
+				where = append(where, "MOVIE.did = DIRECTOR.did")
+			}
+			for _, part := range rng.Perm(6)[:rng.Intn(4)] {
+				switch {
+				case part == 0:
+					where = append(where, pick("MOVIE.year >= 1960", "MOVIE.year < 1990", "MOVIE.duration <= 120", "MOVIE.mid <> 7"))
+				case part == 1 && !has("GENRE"):
+					from += ", GENRE"
+					where = append(where, pick("MOVIE.mid = GENRE.mid", "GENRE.mid = MOVIE.mid", "MOVIE.did = GENRE.mid"),
+						"GENRE.genre "+pick("= 'genre00'", "= 'genre01'", "<> 'genre00'", ">= 'genre02'"))
+				case part == 2 && !has("DIRECTOR"):
+					from += ", DIRECTOR"
+					where = append(where, pick("MOVIE.did = DIRECTOR.did", "DIRECTOR.did = 3", "DIRECTOR.did = 99"))
+					if rng.Intn(2) == 0 {
+						where = append(where, "DIRECTOR.did "+pick("<= 4", "> 4", "= 2"))
+					}
+				case part == 3 && !has("CAST"):
+					from += ", CAST, ACTOR"
+					where = append(where, "MOVIE.mid = CAST.mid", pick("CAST.aid = ACTOR.aid", "ACTOR.aid = CAST.aid"),
+						pick("ACTOR.aid <= 3", "ACTOR.name = 'Actor 00002'", "CAST.role = 'lead'", "ACTOR.aid > 38"))
+				case part == 4 && has("CAST") && !has("ACTOR"):
+					from += ", ACTOR"
+					where = append(where, "CAST.aid = ACTOR.aid", pick("ACTOR.aid <= 5", "ACTOR.aid > 30", "ACTOR.aid = MOVIE.did"))
+				case part == 5 && has("CAST") && !has("GENRE"):
+					from += ", GENRE"
+					where = append(where, "GENRE.mid = CAST.mid", pick("GENRE.mid = MOVIE.mid", "GENRE.genre = 'genre01'", "CAST.aid = GENRE.mid"))
+				}
+			}
+			sql := "SELECT " + shared + from
+			if len(where) > 0 {
+				sql += " WHERE " + strings.Join(where, " AND ")
+			}
+			sqls = append(sqls, sql)
+		}
+		var subs []*query.Query
+		for _, sql := range sqls {
+			subs = append(subs, sqlparse.MustParse(db.Schema(), sql))
+		}
+		want, blocks := independentUnion(t, db, subs)
+		got, err := EvalUnion(db, subs, nil, 1)
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, strings.Join(sqls, "\n"))
+		}
+		ok := got.BlockReads == blocks && len(got.Rows) == len(want)
+		for _, r := range got.Rows {
+			ok = ok && fmt.Sprint(r.Matched) == fmt.Sprint(want[renderKey(r.Key)])
+		}
+		if !ok {
+			t.Fatalf("trial %d: %d keys and %d blocks, want %d and %d, or some key's matches differ\n%s\n%s",
+				trial, len(got.Rows), got.BlockReads, len(want), blocks, strings.Join(sqls, "\n"), renderPlan(factor(subs)))
+		}
+	}
+}

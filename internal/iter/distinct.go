@@ -65,12 +65,13 @@ func (it *distinctIter) next() (storage.Row, bool, error) {
 		if !ok {
 			return nil, false, nil
 		}
-		// From here on the row is the set's copy: spill drains src, which
-		// overwrites r.
-		r, added := it.set.add(r)
+		i, added := it.set.add(r)
 		if !added {
 			continue
 		}
+		// From here on the row is the set's copy: spill drains src, which
+		// overwrites r.
+		r = it.set.Rows()[i]
 		if it.budget.Bytes > 0 && it.set.Bytes() > it.budget.Bytes {
 			// r itself is in the set, hence spilled as markEmitted — but the
 			// caller has not seen it yet. It is emitted below; the mark keeps
@@ -99,7 +100,7 @@ func (it *distinctIter) next() (storage.Row, bool, error) {
 					it.set.Add(row)
 					continue
 				}
-				if row, added := it.set.add(row); added {
+				if it.set.Add(row) {
 					return row, true, nil
 				}
 			}

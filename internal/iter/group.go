@@ -3,158 +3,180 @@ package iter
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"cqp/internal/storage"
 	"cqp/internal/value"
 )
 
-// Grouper is the personalized union's GROUP BY operator: it accumulates
-// (row, tag) pairs — tag being the index of the sub-query that produced
-// the row — and yields each distinct row with the set of tags that matched
-// it. Groups live in flat slices indexed by a chain over the 64-bit row
-// hash (no per-group allocation, no string keys); a group's tags are a
-// ⌈nTags/64⌉-word bitset. When the table outgrows the context budget the
-// grouper spills pairs to hash partitions (the tag rides along as one extra
-// encoded column) and regroups partition by partition at drain time,
-// bounding memory by the largest partition.
+// Grouper is a key → tag-set relation: it accumulates (row, tags) pairs and
+// yields each distinct row once with the union of the tags added under it. It
+// is the personalized union's GROUP BY — tag i being sub-query i — and the
+// union plan's tag relations, where the row is a join key and tag i says
+// sub-query i's reducer produced it. The rows are a RowSet (its own copies,
+// so callers may add transient rows), their tags ⌈nTags/64⌉-word bitsets in
+// one flat slice. When the table outgrows the context budget the grouper
+// spills its groups to hash partitions as frames, and regroups partition by
+// partition at drain time, bounding memory by the largest partition.
 type Grouper struct {
 	poll
 	budget Budget
 	words  int // bitset words per group
 
-	idx   chain
-	hash  []uint64
-	rows  []storage.Row
-	tags  []uint64 // group i's bitset is tags[i*words : (i+1)*words]
-	bytes int64
+	set  *RowSet
+	tags []uint64    // row i's bitset is tags[i*words : (i+1)*words]
+	one  []uint64    // scratch mask: Add's one bit, a loaded frame's words
+	wide storage.Row // the frame being written or emitted
 
 	spilled bool
 	run     *spillRun
+	part    int // partition being drained, once spilled
+	at      int // next group of the table in memory to yield
 }
 
-// NewGrouper returns an empty grouper for tags in [0, nTags) under ctx's
-// budget.
+// NewGrouper returns an empty grouper for tags in [0, nTags) under ctx's budget.
 func NewGrouper(ctx context.Context, nTags int) *Grouper {
-	return &Grouper{poll: poll{ctx: ctx}, budget: BudgetFromContext(ctx), words: (nTags + 63) / 64, idx: newChain(0)}
+	words := (nTags + 63) / 64
+	return &Grouper{poll: poll{ctx: ctx}, budget: BudgetFromContext(ctx), words: words,
+		set: NewRowSet(), one: make([]uint64, words), part: -1}
 }
 
-// Add records that sub-query tag produced row. Duplicate (row, tag) pairs
-// collapse. The grouper holds row by reference: the caller must own it
-// (the union adds rows of collected sub-query results).
+// Add records row under the one tag.
 func (g *Grouper) Add(row storage.Row, tag int) error {
+	g.one[tag/64] = 1 << (tag % 64)
+	err := g.AddMask(row, g.one)
+	g.one[tag/64] = 0
+	return err
+}
+
+// AddMask records row under every tag set in mask (one word per 64 tags).
+// Tags already recorded for the row collapse.
+func (g *Grouper) AddMask(row storage.Row, mask []uint64) error {
 	if err := g.check(); err != nil {
 		return err
 	}
 	if g.spilled {
-		return g.write(row, tag)
+		return g.run.write(HashRow(row), 0, g.frame(row, mask))
 	}
-	g.add(row, tag)
-	if g.budget.Bytes > 0 && g.bytes > g.budget.Bytes {
+	g.add(row, mask)
+	if g.budget.Bytes > 0 && g.set.Bytes()+int64(8*len(g.tags)) > g.budget.Bytes {
 		return g.spill()
 	}
 	return nil
 }
 
-// write spills one (row, tag) pair: the tag rides as an extra column.
-func (g *Grouper) write(row storage.Row, tag int) error {
-	return g.run.write(HashRow(row), 0, append(row[:len(row):len(row)], value.Int(int64(tag))))
-}
-
-func (g *Grouper) add(row storage.Row, tag int) {
-	h := HashRow(row)
-	word, bit := tag/64, uint64(1)<<(tag%64)
-	for i := g.idx.first(h); i >= 0; i = g.idx.next[i] {
-		if g.hash[i] == h && EqualRows(g.rows[i], row) {
-			if w := &g.tags[int(i)*g.words+word]; *w&bit == 0 {
-				*w |= bit
-				g.bytes += 8
-			}
-			return
-		}
+// frame lays a group out as its row followed by its tag words, one INT column
+// per word — what a spill frame holds and what Next emits.
+func (g *Grouper) frame(row storage.Row, tags []uint64) storage.Row {
+	g.wide = append(g.wide[:0], row...)
+	for _, w := range tags {
+		g.wide = append(g.wide, value.Int(int64(w)))
 	}
-	g.rows = append(g.rows, row)
-	g.hash = append(g.hash, h)
-	g.idx.push(g.hash)
-	g.tags = append(g.tags, make([]uint64, g.words)...)
-	g.tags[len(g.tags)-g.words+word] = bit
-	g.bytes += rowBytes(row) + 24
+	return g.wide
 }
 
-// each yields the groups held in memory, in first-appearance order.
-func (g *Grouper) each(fn func(row storage.Row, tags []uint64) error) error {
-	for i, row := range g.rows {
-		if err := g.check(); err != nil {
-			return err
-		}
-		if err := fn(row, g.tags[i*g.words:(i+1)*g.words]); err != nil {
-			return err
-		}
+func (g *Grouper) add(row storage.Row, mask []uint64) {
+	i, added := g.set.add(row)
+	if added {
+		g.tags = append(g.tags, mask...)
+		return
 	}
-	return nil
+	for w, m := range mask {
+		g.tags[i*g.words+w] |= m
+	}
 }
 
-// spill converts the in-memory table into partitioned (row, tag) frames.
+// spill converts the in-memory table into partitioned frames.
 func (g *Grouper) spill() error {
 	run, err := newSpillRun(g.budget.Dir)
 	if err != nil {
 		return err
 	}
-	g.run = run
-	err = g.each(func(row storage.Row, tags []uint64) error {
-		for w, word := range tags {
-			for ; word != 0; word &= word - 1 {
-				if err := g.write(row, w*64+bits.TrailingZeros64(word)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	g.reset()
-	g.spilled = true
-	return err
-}
-
-func (g *Grouper) reset() {
-	g.idx, g.hash, g.rows, g.tags = newChain(0), g.hash[:0], g.rows[:0], g.tags[:0]
-}
-
-// Each yields every (row, tags) group once; tags is the bitset of the
-// sub-queries that produced the row, valid only during the call, while row
-// stays valid for as long as the caller holds it. Group order is
-// unspecified — callers rank or sort above. Each may be called once.
-func (g *Grouper) Each(fn func(row storage.Row, tags []uint64) error) error {
-	if !g.spilled {
-		return g.each(fn)
-	}
-	if err := g.run.finish(); err != nil {
-		return err
-	}
-	for p := 0; p < spillFanout; p++ {
-		g.reset()
-		r := g.run.reader(p)
-		for {
-			if err := g.check(); err != nil {
-				return err
-			}
-			_, wide, ok, err := r.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if len(wide) == 0 {
-				return fmt.Errorf("iter: group spill frame with no tag column")
-			}
-			g.add(wide[:len(wide)-1], int(wide[len(wide)-1].AsInt()))
-		}
-		if err := g.each(fn); err != nil {
+	g.run, g.spilled = run, true
+	for i, row := range g.set.Rows() {
+		if err := g.run.write(HashRow(row), 0, g.frame(row, g.tags[i*g.words:(i+1)*g.words])); err != nil {
 			return err
 		}
 	}
+	g.reset()
 	return nil
+}
+
+// reset empties the table in memory; rows already yielded stay valid.
+func (g *Grouper) reset() { g.set, g.tags, g.at = NewRowSet(), g.tags[:0], 0 }
+
+// next yields the groups one at a time: the table in memory, or once spilled
+// each partition's regrouped frames in turn.
+func (g *Grouper) next() (storage.Row, []uint64, bool, error) {
+	for {
+		if err := g.check(); err != nil {
+			return nil, nil, false, err
+		}
+		if rows := g.set.Rows(); g.at < len(rows) {
+			g.at++
+			return rows[g.at-1], g.tags[(g.at-1)*g.words : g.at*g.words], true, nil
+		}
+		if !g.spilled || g.part+1 >= spillFanout {
+			return nil, nil, false, nil
+		}
+		if g.part < 0 {
+			if err := g.run.finish(); err != nil {
+				return nil, nil, false, err
+			}
+		}
+		g.part++
+		if err := g.load(g.run.reader(g.part)); err != nil {
+			return nil, nil, false, err
+		}
+	}
+}
+
+// load regroups one partition's frames into the (emptied) table in memory.
+func (g *Grouper) load(r *spillReader) error {
+	g.reset()
+	for {
+		if err := g.check(); err != nil {
+			return err
+		}
+		_, wide, ok, err := r.next()
+		if !ok || err != nil {
+			return err
+		}
+		n := len(wide) - g.words
+		if n < 0 {
+			return fmt.Errorf("iter: group spill frame of %d columns, want %d tag words", len(wide), g.words)
+		}
+		for w, v := range wide[n:] {
+			g.one[w] = uint64(v.AsInt())
+		}
+		g.add(wide[:n], g.one)
+		clear(g.one)
+	}
+}
+
+// Each yields every (row, tags) group once; tags is the bitset of the tags
+// added under the row, valid only during the call, while row stays valid for
+// as long as the caller holds it. Group order is unspecified — callers rank
+// or sort above. A grouper drains once, through Each or Next.
+func (g *Grouper) Each(fn func(row storage.Row, tags []uint64) error) error {
+	for {
+		row, tags, ok, err := g.next()
+		if !ok || err != nil {
+			return err
+		}
+		if err := fn(row, tags); err != nil {
+			return err
+		}
+	}
+}
+
+// Next makes a filled grouper an Iterator over its groups, each laid out as
+// a frame: a join's build side reads a tag relation through it.
+func (g *Grouper) Next() (storage.Row, bool, error) {
+	row, tags, ok, err := g.next()
+	if !ok || err != nil {
+		return nil, false, err
+	}
+	return g.frame(row, tags), true, nil
 }
 
 // Close releases spill state.

@@ -1,0 +1,146 @@
+package iter
+
+import (
+	"context"
+	"fmt"
+	"math/bits"
+	"testing"
+
+	"cqp/internal/storage"
+	"cqp/internal/value"
+)
+
+// grouperInput feeds g 300 keys under tags in [0, 130) — three words, bits 63
+// and 127 among them (a tag word rides a spill frame as a signed INT) — from
+// one reused row, mixing Add with AddMask, and returns what each key owes.
+func grouperInput(t *testing.T, g *Grouper) map[int64][]uint64 {
+	t.Helper()
+	want := make(map[int64][]uint64)
+	row := make(storage.Row, 1)
+	for n := 0; n < 3000; n++ {
+		key := int64(n*7919) % 300
+		row[0] = value.Int(key)
+		if want[key] == nil {
+			want[key] = make([]uint64, 3)
+		}
+		var err error
+		if n%3 == 0 {
+			mask := []uint64{1 << 63, uint64(n), 1<<(n%2) | 1<<1}
+			for w, m := range mask {
+				want[key][w] |= m
+			}
+			err = g.AddMask(row, mask)
+		} else {
+			tag := []int{0, 63, 64, 127, 129}[n%5]
+			want[key][tag/64] |= 1 << (tag % 64)
+			err = g.Add(row, tag)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// TestGrouper: Each and Next yield every key once with the union of its
+// tags, whether the table stayed in memory or spilled and regrouped.
+func TestGrouper(t *testing.T) {
+	for _, budget := range []int64{0, 512} {
+		for _, drain := range []string{"Each", "Next"} {
+			t.Run(fmt.Sprintf("budget%d/%s", budget, drain), func(t *testing.T) {
+				ctx := WithBudget(context.Background(), Budget{Bytes: budget, Dir: t.TempDir()})
+				runs0, _, _ := SpillStats()
+				g := NewGrouper(ctx, 130)
+				want := grouperInput(t, g)
+				if runs1, _, _ := SpillStats(); (runs1 > runs0) != (budget > 0) {
+					t.Fatalf("spill runs %d under budget %d", runs1-runs0, budget)
+				}
+				got := make(map[int64][]uint64)
+				see := func(key storage.Row, tags []uint64) error {
+					if len(key) != 1 || got[key[0].AsInt()] != nil {
+						return fmt.Errorf("group %v malformed or yielded twice", key)
+					}
+					got[key[0].AsInt()] = append([]uint64(nil), tags...)
+					return nil
+				}
+				if drain == "Each" {
+					if err := g.Each(see); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					rows, err := Collect(g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range rows {
+						tags := make([]uint64, 3)
+						for w := range tags {
+							tags[w] = uint64(r[1+w].AsInt())
+						}
+						if err := see(r[:1], tags); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%d groups, want %d", len(got), len(want))
+				}
+				for key, tags := range want {
+					for w := range tags {
+						if got[key][w] != tags[w] {
+							t.Fatalf("key %d word %d: %d tags, want %d", key, w,
+								bits.OnesCount64(got[key][w]), bits.OnesCount64(tags[w]))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestLeftOuterJoin: every probe row comes out — with its match's columns,
+// or once with NULLs — in memory and through the Grace partitions alike.
+func TestLeftOuterJoin(t *testing.T) {
+	var probe, build []storage.Row
+	want := make(map[string]int)
+	for i := 0; i < 2000; i++ {
+		probe = append(probe, intRow(int64(i), int64(i%400)))
+		switch k := i % 400; {
+		case k%3 != 0:
+			want[fmt.Sprintf("%d|%d|NULL|", i, k)]++
+		case k%2 == 0: // twice on the build side
+			want[fmt.Sprintf("%d|%d|%d|", i, k, 1000+k)] += 2
+		default:
+			want[fmt.Sprintf("%d|%d|%d|", i, k, 1000+k)]++
+		}
+	}
+	for k := 0; k < 400; k += 3 {
+		build = append(build, intRow(int64(k), int64(1000+k)))
+		if k%2 == 0 {
+			build = append(build, intRow(int64(k), int64(1000+k)))
+		}
+	}
+	for _, budget := range []int64{0, 512} {
+		ctx := WithBudget(context.Background(), Budget{Bytes: budget, Dir: t.TempDir()})
+		runs0, _, _ := SpillStats()
+		got, err := Collect(LeftOuterJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 3}, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs1, _, _ := SpillStats(); (runs1 > runs0) != (budget > 0) {
+			t.Fatalf("spill runs %d under budget %d", runs1-runs0, budget)
+		}
+		seen := make(map[string]int)
+		for _, s := range rowStrings(got) {
+			seen[s]++
+		}
+		if len(seen) != len(want) {
+			t.Fatalf("budget %d: %d distinct rows, want %d", budget, len(seen), len(want))
+		}
+		for s, n := range want {
+			if seen[s] != n {
+				t.Fatalf("budget %d: row %s came out %d times, want %d", budget, s, seen[s], n)
+			}
+		}
+	}
+}

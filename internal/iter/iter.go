@@ -117,8 +117,8 @@ func keep(s *Slab[value.Value], r storage.Row) storage.Row {
 	return out
 }
 
-// chain is the hash index the keepers (RowSet, Grouper, the join build)
-// share: slot heads over a power-of-two array plus one link per entry, so
+// chain is the hash index the keepers (RowSet, and with it Grouper; the join
+// build) share: slot heads over a power-of-two array plus one link per entry, so
 // an entry costs four bytes and no allocation of its own. Entries are the
 // caller's row numbers; the caller compares rows, the chain only narrows
 // the candidates.
@@ -425,21 +425,20 @@ func (s *RowSet) Add(r storage.Row) bool {
 	return added
 }
 
-// add is Add also returning the set's own copy of the row, which stays
-// valid for as long as the caller holds it.
-func (s *RowSet) add(r storage.Row) (storage.Row, bool) {
+// add is Add also returning where in Rows the set's own copy of the row
+// sits; the copy stays valid for as long as the caller holds it.
+func (s *RowSet) add(r storage.Row) (int, bool) {
 	h := HashRow(r)
 	for i := s.idx.first(h); i >= 0; i = s.idx.next[i] {
 		if s.hash[i] == h && EqualRows(s.rows[i], r) {
-			return s.rows[i], false
+			return int(i), false
 		}
 	}
-	k := keep(&s.kept, r)
-	s.rows = append(s.rows, k)
+	s.rows = append(s.rows, keep(&s.kept, r))
 	s.hash = append(s.hash, h)
 	s.idx.push(s.hash)
 	s.bytes += rowBytes(r)
-	return k, true
+	return len(s.rows) - 1, true
 }
 
 // Bytes returns the approximate memory held by the set's rows.

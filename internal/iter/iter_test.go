@@ -286,7 +286,26 @@ func TestCancellationAtEveryCheckpoint(t *testing.T) {
 	run := func(ctx context.Context) error {
 		bctx := WithBudget(ctx, Budget{Bytes: 512, Dir: t.TempDir()})
 		it := Distinct(bctx, HashJoin(bctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, 0))
-		_, err := Collect(it)
+		// Group what comes out (the grouper spills too), then read the groups
+		// back through an outer join's build side.
+		g := NewGrouper(bctx, 2)
+		defer g.Close()
+		for n := 0; ; n++ {
+			row, ok, err := it.Next()
+			if err == nil && ok {
+				err = g.Add(row, n%2)
+			}
+			if !ok || err != nil {
+				if cerr := it.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					return err
+				}
+				break
+			}
+		}
+		_, err := Collect(LeftOuterJoin(bctx, FromRows(probe), g, []int{0}, []int{0}, 2, []int{0, 1, 6}, 0))
 		return err
 	}
 	if err := run(context.Background()); err != nil {
@@ -299,7 +318,7 @@ func TestCancellationAtEveryCheckpoint(t *testing.T) {
 	}
 	polls := 1<<30 - probeCtx.left
 	if polls < 10 {
-		t.Fatalf("only %d ctx polls in a spilling join+distinct; checkpoints missing", polls)
+		t.Fatalf("only %d ctx polls in a spilling join+distinct+group; checkpoints missing", polls)
 	}
 	step := polls / 50
 	if step == 0 {

@@ -67,6 +67,14 @@ func HashJoin(ctx context.Context, probe, build Iterator, probeIdx, buildIdx []i
 	}
 }
 
+// LeftOuterJoin is HashJoin also emitting a probe row no build row matches,
+// once, NULL in the build's columns (in Grace mode too: a partition is whole).
+func LeftOuterJoin(ctx context.Context, probe, build Iterator, probeIdx, buildIdx []int, probeWidth int, out []int, buildRows int) Iterator {
+	it := HashJoin(ctx, probe, build, probeIdx, buildIdx, probeWidth, out, buildRows).(*hashJoinIter)
+	it.outer = true
+	return it
+}
+
 type hashJoinIter struct {
 	poll
 	probe, build Iterator
@@ -74,6 +82,7 @@ type hashJoinIter struct {
 	out          joinOut
 	hint         int
 	budget       Budget
+	outer        bool
 
 	inited bool
 	// The build table: rows numbered in arrival order, chained by key hash.
@@ -87,9 +96,10 @@ type hashJoinIter struct {
 	part     int
 	pr       *spillReader
 
-	cur  storage.Row // probe row in hand; valid until the next probe pull
-	cand int32       // next build candidate for cur, -1 when exhausted
-	done bool
+	cur     storage.Row // probe row in hand; valid until the next probe pull
+	cand    int32       // next build candidate for cur, -1 when exhausted
+	unmatch bool        // outer: cur has matched no build row so far
+	done    bool
 }
 
 // index chains the build rows under their key hashes. Linking from the last
@@ -204,8 +214,16 @@ func (it *hashJoinIter) Next() (storage.Row, bool, error) {
 			r := it.rows[it.cand]
 			it.cand = it.idx.next[it.cand]
 			if it.equalOn(it.cur, r) {
+				it.unmatch = false
 				return it.out.emit(r), true, nil
 			}
+		}
+		if it.unmatch {
+			it.unmatch = false
+			for _, m := range it.out.build {
+				it.out.row[m.to] = value.Null()
+			}
+			return it.out.row, true, nil
 		}
 		row, ok, err := it.nextProbe()
 		if !ok || err != nil {
@@ -215,6 +233,7 @@ func (it *hashJoinIter) Next() (storage.Row, bool, error) {
 		it.cur = row
 		it.out.setProbe(row)
 		it.cand = it.idx.first(Hash(row, it.pIdx))
+		it.unmatch = it.outer
 	}
 }
 

@@ -184,6 +184,16 @@ func (q *Query) HasRelation(name string) bool {
 	return false
 }
 
+// HasJoin reports whether the query states the join, in either orientation.
+func (q *Query) HasJoin(j Join) bool {
+	for _, have := range q.Joins {
+		if have == j || (have.Left == j.Right && have.Right == j.Left) {
+			return true
+		}
+	}
+	return false
+}
+
 // AddRelation appends the relation to FROM if not already present.
 func (q *Query) AddRelation(name string) {
 	if !q.HasRelation(name) {

@@ -12,9 +12,13 @@ import (
 
 // This file implements the optimization the paper's footnote 1 leaves open:
 // "there are various cases where multiple preferences can be effectively
-// combined into one sub-query". Combining preferences lets the union query
-// scan the shared relations once instead of once per preference, cutting
-// cost without changing the answer — when it is safe.
+// combined into one sub-query". Under the paper's cost model (Formula 6 sums
+// per-sub-query costs) a combined sub-query is charged the shared relations
+// once instead of once per preference, cutting cost without changing the
+// answer — when it is safe. What merging saves is charged blocks
+// (EXPERIMENTS.md, "merge"), no longer physical scans: the executor's union
+// plan (internal/exec/union.go) reads what the sub-queries share once either
+// way, and a merged sub-query reaches it as a multi-part one.
 //
 // Safety: a sub-query's conditions share one tuple binding per relation,
 // while separate sub-queries bind existentially per preference. The two
@@ -66,7 +70,7 @@ func ConstructMerged(q *query.Query, selected []prefspace.Pref, sch *schema.Sche
 		dois := make([]float64, 0, len(g.prefs))
 		for _, pref := range g.prefs {
 			for _, j := range pref.Imp.Path {
-				if !hasJoin(sq, j.AsJoin()) {
+				if !sq.HasJoin(j.AsJoin()) {
 					sq.AddJoin(j.AsJoin())
 				}
 			}

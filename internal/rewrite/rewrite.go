@@ -60,24 +60,12 @@ func Construct(q *query.Query, selected []prefspace.Pref, allMatch bool) *Person
 func Integrate(q *query.Query, pref prefspace.Pref) *query.Query {
 	sq := q.Clone()
 	for _, j := range pref.Imp.Path {
-		if !hasJoin(sq, j.AsJoin()) {
+		if !sq.HasJoin(j.AsJoin()) {
 			sq.AddJoin(j.AsJoin())
 		}
 	}
 	sq.AddSelection(pref.Imp.Sel.AsSelection())
 	return sq
-}
-
-// hasJoin reports whether the query already contains the join (in either
-// orientation), so integrating a preference over Q's own relations does not
-// duplicate conditions.
-func hasJoin(q *query.Query, j query.Join) bool {
-	for _, have := range q.Joins {
-		if have == j || (have.Left == j.Right && have.Right == j.Left) {
-			return true
-		}
-	}
-	return false
 }
 
 // MinMatches returns the HAVING COUNT(*) threshold: L for all-match, 1 for
@@ -123,7 +111,7 @@ func (p *Personalized) Execute(db *storage.DB) (*exec.UnionResult, error) {
 }
 
 // ExecuteContext is Execute honoring cancellation, which the executor
-// checks before each sub-query and between its relation scans.
+// polls inside every operator loop of the union plan.
 func (p *Personalized) ExecuteContext(ctx context.Context, db *storage.DB) (*exec.UnionResult, error) {
 	dois := p.Dois
 	if len(dois) == 0 {

@@ -242,52 +242,64 @@ func (r *Result) Execute() (*exec.UnionResult, error) {
 }
 
 // ExecuteContext is Execute with tracing: when ctx carries a trace it opens
-// an "execute" span with one child per sub-query. Every execution also
+// an "execute" span laid out like the executor's union plan — attributes
+// base (the one pass over what the sub-queries share) and rank, and one
+// "subquery[i]" child per sub-query (the reducers it fed; zero when it only
+// adds conditions), so the children are not additive. Every execution also
 // feeds the estimator-accuracy tracker (when the personalizer observes a
 // registry) with estimated versus actual cost and size — the live
-// counterpart of the paper's Figure 15 comparison.
+// counterpart of the paper's Figure 15 comparison — and an all-match
+// execution is checked against the problem's own bounds:
+// cqp_constraint_violation_total{param="cost"|"size"} counts the answers
+// whose real cost exceeded cmax or whose size fell outside [smin, smax].
 func (r *Result) ExecuteContext(ctx context.Context) (*exec.UnionResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("cqp: execute: %w", err)
-	}
-	_, span := obs.StartSpan(ctx, "execute")
-	res, err := r.pq.ExecuteContext(ctx, r.db)
-	span.End()
-	if err != nil {
-		return nil, err
-	}
-	span.SetAttr("rows", len(res.Rows))
-	span.SetAttr("blocks", res.BlockReads)
-	for i, s := range res.Subs {
-		span.AddChild(fmt.Sprintf("subquery[%d]", i), s.Elapsed,
-			obs.Attr{Key: "rows", Value: fmt.Sprint(s.Rows)},
-			obs.Attr{Key: "blocks", Value: fmt.Sprint(s.BlockReads)})
-	}
-	b := time.Duration(r.blockMillis * float64(time.Millisecond))
-	actMS := float64(exec.RealCost(res.BlockReads, res.Elapsed, b)) / float64(time.Millisecond)
-	r.acc.Record(r.Solution.Cost, actMS, r.Solution.Size, float64(len(res.Rows)))
-	return res, nil
+	return r.execute(ctx, r.pq.AllMatch, func() (*exec.UnionResult, error) { return r.pq.ExecuteContext(ctx, r.db) })
 }
 
 // ExecuteTopKContext is ExecuteContext keeping only the k best-ranked
 // rows via the executor's bounded heap — the full ranked answer never
 // materializes. The accuracy tracker records the kept rows against the
-// estimate, so top-k executions still feed Figure 15's comparison.
+// estimate, so top-k executions still feed Figure 15's comparison; the
+// problem's bounds speak of the whole answer and are not checked.
 func (r *Result) ExecuteTopKContext(ctx context.Context, k int) (*exec.UnionResult, error) {
+	return r.execute(ctx, false, func() (*exec.UnionResult, error) { return r.pq.ExecuteTopKContext(ctx, r.db, k) })
+}
+
+// execute runs the personalized query and accounts for it. bounded says the
+// answer is the one the problem's constraints were stated for.
+func (r *Result) execute(ctx context.Context, bounded bool, run func() (*exec.UnionResult, error)) (*exec.UnionResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cqp: execute: %w", err)
 	}
 	_, span := obs.StartSpan(ctx, "execute")
-	res, err := r.pq.ExecuteTopKContext(ctx, r.db, k)
+	res, err := run()
 	span.End()
 	if err != nil {
 		return nil, err
 	}
-	span.SetAttr("rows", len(res.Rows))
-	span.SetAttr("blocks", res.BlockReads)
+	if span != nil {
+		span.SetAttr("rows", len(res.Rows))
+		span.SetAttr("blocks", res.BlockReads)
+		span.SetAttr("base", obs.FormatDuration(res.Base))
+		span.SetAttr("rank", obs.FormatDuration(res.Rank))
+		for i, s := range res.Subs {
+			span.AddChild(fmt.Sprintf("subquery[%d]", i), s.Elapsed,
+				obs.Attr{Key: "rows", Value: fmt.Sprint(s.Rows)},
+				obs.Attr{Key: "blocks", Value: fmt.Sprint(s.BlockReads)})
+		}
+	}
 	b := time.Duration(r.blockMillis * float64(time.Millisecond))
 	actMS := float64(exec.RealCost(res.BlockReads, res.Elapsed, b)) / float64(time.Millisecond)
-	r.acc.Record(r.Solution.Cost, actMS, r.Solution.Size, float64(len(res.Rows)))
+	rows := float64(len(res.Rows))
+	r.acc.Record(r.Solution.Cost, actMS, r.Solution.Size, rows)
+	if reg := r.db.Metrics(); reg != nil && bounded {
+		if r.prob.CostMax > 0 && actMS > r.prob.CostMax {
+			reg.Counter("cqp_constraint_violation_total", "param", "cost").Inc()
+		}
+		if rows < r.prob.SizeMin || (r.prob.SizeMax > 0 && rows > r.prob.SizeMax) {
+			reg.Counter("cqp_constraint_violation_total", "param", "size").Inc()
+		}
+	}
 	return res, nil
 }
 
