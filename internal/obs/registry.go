@@ -3,15 +3,15 @@ package obs
 import (
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // Registry holds named metrics. Lookup (Counter, Gauge, Histogram) takes a
-// read lock and is meant to run once per instrumented object — hot paths
-// cache the returned instrument and then record with plain atomics, so the
-// Portfolio racer's goroutines never contend on a lock while searching.
+// read lock and allocates nothing for a metric that exists, so a request
+// path may look its instruments up by name and labels each time; recording
+// is plain atomics. A tight loop (the Portfolio racer's goroutines) still
+// keeps the returned instrument, to stay off the lock while searching.
 //
 // A nil *Registry is a valid "observability off" registry: it returns nil
 // instruments whose methods no-op.
@@ -30,35 +30,35 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[metricKey]any)}
 }
 
-// labelString canonicalizes "k,v,k,v" pairs into `k="v",k="v"`.
-func labelString(pairs []string) string {
-	if len(pairs) == 0 {
-		return ""
-	}
-	var b strings.Builder
+// appendLabels canonicalizes "k,v,k,v" pairs into `k="v",k="v"`.
+func appendLabels(b []byte, pairs []string) []byte {
 	for i := 0; i+1 < len(pairs); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(pairs[i])
-		b.WriteString(`="`)
-		b.WriteString(pairs[i+1])
-		b.WriteString(`"`)
+		b = append(b, pairs[i]...)
+		b = append(b, `="`...)
+		b = append(b, pairs[i+1]...)
+		b = append(b, '"')
 	}
-	return b.String()
+	return b
 }
 
 // lookup returns the metric under (name, labels), creating it with mk on
 // first use. A metric name must keep one kind; a kind clash panics, which
 // surfaces the programming error at the recording site.
 func (r *Registry) lookup(name string, labels []string, mk func(key metricKey) any) any {
-	key := metricKey{name: name, labels: labelString(labels)}
+	// Rendered on the stack, and the compiler does not materialize a string
+	// converted inside a map index: only creating a metric allocates its key.
+	var buf [128]byte
+	text := appendLabels(buf[:0], labels)
 	r.mu.RLock()
-	m, ok := r.metrics[key]
+	m, ok := r.metrics[metricKey{name: name, labels: string(text)}]
 	r.mu.RUnlock()
 	if ok {
 		return m
 	}
+	key := metricKey{name: name, labels: string(text)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok = r.metrics[key]; !ok {

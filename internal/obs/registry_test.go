@@ -185,6 +185,62 @@ func TestPrometheusAndExpvar(t *testing.T) {
 	r.PublishExpvar("obs_test_registry") // second publish must not panic
 }
 
+// TestRegistryLookupAllocs: looking up a metric that exists allocates
+// nothing — the label text is rendered on the stack and only a new metric
+// keeps a copy — whatever the text's length, and the rendered output is what
+// it was when every lookup built the string (the golden strings below were
+// recorded at the commit before the change).
+func TestRegistryLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("plain_total").Add(3)
+	r.Counter("server_requests_total", "endpoint", "personalize", "code", "200").Add(7)
+	r.Counter("server_requests_total", "endpoint", "execute", "code", "400").Inc()
+	r.Gauge("server_queue_depth").Set(2)
+	r.Gauge("coalesce_inflight", "endpoint", "topk").Set(-1)
+	h := r.Histogram("server_phase_ms", []float64{0.1, 1, 10}, "endpoint", "personalize", "phase", "parse")
+	for _, v := range []float64{0.05, 0.5, 0.7, 20} {
+		h.Observe(v)
+	}
+	r.Histogram("empty_ms", []float64{1}).Observe(0.25)
+
+	const wantRender = "coalesce_inflight{endpoint=\"topk\"}                        -1\nempty_ms                                                  count 1  mean 0.25  p50 0.5  p99 0.99  ≤1:1\nplain_total                                               3\nserver_phase_ms{endpoint=\"personalize\",phase=\"parse\"}     count 4  mean 5.31  p50 0.55  p99 10  ≤0.1:1 ≤1:2 ≤inf:1\nserver_queue_depth                                        2\nserver_requests_total{endpoint=\"execute\",code=\"400\"}      1\nserver_requests_total{endpoint=\"personalize\",code=\"200\"}  7\n"
+	const wantProm = "# TYPE coalesce_inflight gauge\ncoalesce_inflight{endpoint=\"topk\"} -1\n# TYPE empty_ms histogram\nempty_ms_bucket{le=\"1\"} 1\nempty_ms_bucket{le=\"+Inf\"} 1\nempty_ms_sum 0.25\nempty_ms_count 1\n# TYPE plain_total counter\nplain_total 3\n# TYPE server_phase_ms histogram\nserver_phase_ms_bucket{endpoint=\"personalize\",phase=\"parse\",le=\"0.1\"} 1\nserver_phase_ms_bucket{endpoint=\"personalize\",phase=\"parse\",le=\"1\"} 3\nserver_phase_ms_bucket{endpoint=\"personalize\",phase=\"parse\",le=\"10\"} 3\nserver_phase_ms_bucket{endpoint=\"personalize\",phase=\"parse\",le=\"+Inf\"} 4\nserver_phase_ms_sum{endpoint=\"personalize\",phase=\"parse\"} 21.25\nserver_phase_ms_count{endpoint=\"personalize\",phase=\"parse\"} 4\n# TYPE server_queue_depth gauge\nserver_queue_depth 2\n# TYPE server_requests_total counter\nserver_requests_total{endpoint=\"execute\",code=\"400\"} 1\nserver_requests_total{endpoint=\"personalize\",code=\"200\"} 7\n"
+	if got := r.Render(); got != wantRender {
+		t.Errorf("Render drifted:\n got %q\nwant %q", got, wantRender)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != wantProm {
+		t.Errorf("WritePrometheus drifted:\n got %q\nwant %q", got, wantProm)
+	}
+
+	// Label text longer than lookup's stack buffer: same instrument back.
+	long := strings.Repeat("x", 300)
+	lc := r.Counter("long_total", "text", long, "n", "1")
+	lc.Add(9)
+	if again := r.Counter("long_total", "text", long, "n", "1"); again != lc || again.Value() != 9 {
+		t.Fatalf("long label text: got counter %p (value %d), want %p (9)", again, again.Value(), lc)
+	}
+	if other := r.Counter("long_total", "text", long[:299]+"y", "n", "1"); other == lc {
+		t.Fatal("label texts that differ past the stack buffer share a counter")
+	}
+	for name, lookup := range map[string]func(){
+		"counter": func() {
+			r.Counter("server_requests_total", "endpoint", "personalize", "code", "200").Inc()
+		},
+		"gauge": func() { r.Gauge("coalesce_inflight", "endpoint", "topk").Add(1) },
+		"histogram": func() {
+			r.Histogram("server_phase_ms", DurationBucketsMS, "endpoint", "personalize", "phase", "parse").Observe(1)
+		},
+	} {
+		if n := testing.AllocsPerRun(100, lookup); n != 0 {
+			t.Errorf("%s lookup: %v allocations per call, want 0", name, n)
+		}
+	}
+}
+
 // BenchmarkDisabledInstruments measures the observability-off hot path: a
 // nil counter/gauge/histogram touch per operation must be a nil check.
 func BenchmarkDisabledInstruments(b *testing.B) {

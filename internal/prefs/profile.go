@@ -19,7 +19,7 @@ type SelectionCond struct {
 
 // String renders the condition in SQL syntax.
 func (c SelectionCond) String() string {
-	return fmt.Sprintf("%s %s %s", c.Attr, c.Op, c.Value.SQL())
+	return c.Attr.Relation + "." + c.Attr.Attr + " " + c.Op.String() + " " + c.Value.SQL()
 }
 
 // AsSelection converts the condition to a query selection.

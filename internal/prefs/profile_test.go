@@ -264,3 +264,50 @@ func TestImplicitValidation(t *testing.T) {
 		t.Error("cyclic path should fail")
 	}
 }
+
+// TestSelectionString pins the rendered text of a selection condition — the
+// estimate memo's key and a response's preferences are made of it. The expected
+// strings were recorded from the fmt-based rendering this replaced.
+func TestSelectionString(t *testing.T) {
+	for _, tc := range []struct {
+		op   query.Op
+		v    value.Value
+		want string
+	}{
+		{query.OpEq, value.Int(-42), "MOVIE.year = -42"},
+		{query.OpEq, value.Float(2.5), "MOVIE.year = 2.5"},
+		{query.OpEq, value.Str("O'Hara's"), "MOVIE.year = 'O''Hara''s'"},
+		{query.OpEq, value.Bool(true), "MOVIE.year = true"},
+		{query.OpEq, value.Null(), "MOVIE.year = NULL"},
+		{query.OpNe, value.Int(-42), "MOVIE.year <> -42"},
+		{query.OpNe, value.Float(2.5), "MOVIE.year <> 2.5"},
+		{query.OpNe, value.Str("O'Hara's"), "MOVIE.year <> 'O''Hara''s'"},
+		{query.OpNe, value.Bool(true), "MOVIE.year <> true"},
+		{query.OpNe, value.Null(), "MOVIE.year <> NULL"},
+		{query.OpLt, value.Int(-42), "MOVIE.year < -42"},
+		{query.OpLt, value.Float(2.5), "MOVIE.year < 2.5"},
+		{query.OpLt, value.Str("O'Hara's"), "MOVIE.year < 'O''Hara''s'"},
+		{query.OpLt, value.Bool(true), "MOVIE.year < true"},
+		{query.OpLt, value.Null(), "MOVIE.year < NULL"},
+		{query.OpLe, value.Int(-42), "MOVIE.year <= -42"},
+		{query.OpLe, value.Float(2.5), "MOVIE.year <= 2.5"},
+		{query.OpLe, value.Str("O'Hara's"), "MOVIE.year <= 'O''Hara''s'"},
+		{query.OpLe, value.Bool(true), "MOVIE.year <= true"},
+		{query.OpLe, value.Null(), "MOVIE.year <= NULL"},
+		{query.OpGt, value.Int(-42), "MOVIE.year > -42"},
+		{query.OpGt, value.Float(2.5), "MOVIE.year > 2.5"},
+		{query.OpGt, value.Str("O'Hara's"), "MOVIE.year > 'O''Hara''s'"},
+		{query.OpGt, value.Bool(true), "MOVIE.year > true"},
+		{query.OpGt, value.Null(), "MOVIE.year > NULL"},
+		{query.OpGe, value.Int(-42), "MOVIE.year >= -42"},
+		{query.OpGe, value.Float(2.5), "MOVIE.year >= 2.5"},
+		{query.OpGe, value.Str("O'Hara's"), "MOVIE.year >= 'O''Hara''s'"},
+		{query.OpGe, value.Bool(true), "MOVIE.year >= true"},
+		{query.OpGe, value.Null(), "MOVIE.year >= NULL"},
+	} {
+		s := SelectionCond{Attr: schema.AttrRef{Relation: "MOVIE", Attr: "year"}, Op: tc.op, Value: tc.v}
+		if got := s.String(); got != tc.want {
+			t.Errorf("%v %v: got %q, want %q", tc.op, tc.v, got, tc.want)
+		}
+	}
+}

@@ -107,7 +107,7 @@ type Selection struct {
 
 // String renders the selection in SQL syntax.
 func (s Selection) String() string {
-	return fmt.Sprintf("%s %s %s", s.Attr, s.Op, s.Value.SQL())
+	return s.Attr.Relation + "." + s.Attr.Attr + " " + s.Op.String() + " " + s.Value.SQL()
 }
 
 // Join is an equality join condition between two attributes.

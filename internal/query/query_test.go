@@ -260,3 +260,50 @@ func TestOrderKeyStringAndSQL(t *testing.T) {
 		t.Error("clone aliases OrderBy/Limit")
 	}
 }
+
+// TestSelectionString pins the rendered text of a selection — it is part of
+// every fingerprint, estimate-memo key and response SQL. The expected
+// strings were recorded from the fmt-based rendering this replaced.
+func TestSelectionString(t *testing.T) {
+	for _, tc := range []struct {
+		op   Op
+		v    value.Value
+		want string
+	}{
+		{OpEq, value.Int(-42), "MOVIE.year = -42"},
+		{OpEq, value.Float(2.5), "MOVIE.year = 2.5"},
+		{OpEq, value.Str("O'Hara's"), "MOVIE.year = 'O''Hara''s'"},
+		{OpEq, value.Bool(true), "MOVIE.year = true"},
+		{OpEq, value.Null(), "MOVIE.year = NULL"},
+		{OpNe, value.Int(-42), "MOVIE.year <> -42"},
+		{OpNe, value.Float(2.5), "MOVIE.year <> 2.5"},
+		{OpNe, value.Str("O'Hara's"), "MOVIE.year <> 'O''Hara''s'"},
+		{OpNe, value.Bool(true), "MOVIE.year <> true"},
+		{OpNe, value.Null(), "MOVIE.year <> NULL"},
+		{OpLt, value.Int(-42), "MOVIE.year < -42"},
+		{OpLt, value.Float(2.5), "MOVIE.year < 2.5"},
+		{OpLt, value.Str("O'Hara's"), "MOVIE.year < 'O''Hara''s'"},
+		{OpLt, value.Bool(true), "MOVIE.year < true"},
+		{OpLt, value.Null(), "MOVIE.year < NULL"},
+		{OpLe, value.Int(-42), "MOVIE.year <= -42"},
+		{OpLe, value.Float(2.5), "MOVIE.year <= 2.5"},
+		{OpLe, value.Str("O'Hara's"), "MOVIE.year <= 'O''Hara''s'"},
+		{OpLe, value.Bool(true), "MOVIE.year <= true"},
+		{OpLe, value.Null(), "MOVIE.year <= NULL"},
+		{OpGt, value.Int(-42), "MOVIE.year > -42"},
+		{OpGt, value.Float(2.5), "MOVIE.year > 2.5"},
+		{OpGt, value.Str("O'Hara's"), "MOVIE.year > 'O''Hara''s'"},
+		{OpGt, value.Bool(true), "MOVIE.year > true"},
+		{OpGt, value.Null(), "MOVIE.year > NULL"},
+		{OpGe, value.Int(-42), "MOVIE.year >= -42"},
+		{OpGe, value.Float(2.5), "MOVIE.year >= 2.5"},
+		{OpGe, value.Str("O'Hara's"), "MOVIE.year >= 'O''Hara''s'"},
+		{OpGe, value.Bool(true), "MOVIE.year >= true"},
+		{OpGe, value.Null(), "MOVIE.year >= NULL"},
+	} {
+		s := Selection{Attr: schema.AttrRef{Relation: "MOVIE", Attr: "year"}, Op: tc.op, Value: tc.v}
+		if got := s.String(); got != tc.want {
+			t.Errorf("%v %v: got %q, want %q", tc.op, tc.v, got, tc.want)
+		}
+	}
+}

@@ -2,9 +2,9 @@ package server
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 
 	"cqp/internal/exec"
@@ -68,14 +68,10 @@ func batchIdentity(c *call) string {
 	if c.key != "" {
 		return c.key
 	}
-	in := c.req.base()
-	prof := in.ProfileID
-	if prof == "" {
-		h := fnv.New64a()
-		h.Write([]byte(in.Profile))
-		prof = fmt.Sprintf("inline:%016x", h.Sum64())
-	}
-	return fmt.Sprintf("%s|%s@%d|%s|nc=%v", c.q.Fingerprint(), prof, c.version, c.req.extra(), in.NoCache)
+	var buf [512]byte
+	b := c.appendIdentity(buf[:0])
+	b = strconv.AppendUint(append(b, '@'), c.version, 10)
+	return string(strconv.AppendBool(append(b, "nc="...), c.req.base().NoCache))
 }
 
 // rungSeverity orders degradation rungs for the batch's worst-rung
@@ -173,8 +169,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var hit bool
-			if answers[i], hit = s.lookup(c); !hit {
+			if hit := s.lookup(c); hit != nil {
+				answers[i] = answer{resp: c.ep.stamp(hit.val, true, ""), role: "hit"}
+			} else {
 				answers[i] = s.run(ctx, c)
 			}
 		}()

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
+	"sync/atomic"
 
+	"cqp"
 	"cqp/internal/obs"
 )
 
@@ -15,10 +18,28 @@ type lru struct {
 	items map[string]*list.Element
 }
 
+// cacheEntry is immutable once stored: a reader keeps using the one it got
+// after the cache's lock is gone.
 type cacheEntry struct {
 	key       string
 	profileID string
 	val       any
+	body      atomic.Pointer[[]byte] // hitBody's; nil until the first hit
+}
+
+// hitBody returns what an untraced hit on the entry writes — the encoding of
+// stamp(val, true, "") — made by the first caller, outside any lock; racing
+// first callers encode the same bytes twice and neither waits.
+func (e *cacheEntry) hitBody(ep *endpoint) []byte {
+	if b := e.body.Load(); b != nil {
+		return *b
+	}
+	var buf bytes.Buffer
+	// An unencodable value leaves the body empty, as writeJSON does.
+	_ = encodeJSON(&buf, ep.stamp(e.val, true, ""))
+	b := buf.Bytes()
+	e.body.Store(&b)
+	return b
 }
 
 func newLRU(max int) *lru {
@@ -35,12 +56,14 @@ func (l *lru) get(key string) (*cacheEntry, bool) {
 	return el.Value.(*cacheEntry), true
 }
 
-// put stores val under key — replacing the value of an existing entry,
-// which keeps its profileID — and returns the least-recently-used entry it
-// evicted to stay within capacity (nil when none).
+// put stores val under key and returns the least-recently-used entry it
+// evicted to stay within capacity (nil when none). An existing key gets a new
+// entry under the old profileID, never a write into the old entry: whoever
+// still holds that keeps a value and the bytes that encode it.
 func (l *lru) put(key, profileID string, val any) *cacheEntry {
-	if e, ok := l.get(key); ok {
-		e.val = val
+	if el, ok := l.items[key]; ok {
+		l.ll.MoveToFront(el)
+		el.Value = &cacheEntry{key: key, profileID: el.Value.(*cacheEntry).profileID, val: val}
 		return nil
 	}
 	l.items[key] = l.ll.PushFront(&cacheEntry{key: key, profileID: profileID, val: val})
@@ -106,18 +129,18 @@ func NewCache(max int, reg *obs.Registry) *Cache {
 	}
 }
 
-// Get returns the cached value and whether it was present, refreshing the
-// entry's recency and counting a hit or miss.
-func (c *Cache) Get(key string) (any, bool) {
+// Get returns the entry cached under key and whether there was one,
+// refreshing its recency and counting a hit or miss.
+func (c *Cache) Get(key string) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.exact.get(key)
-	if !ok {
+	if ok {
+		c.hits.Inc()
+	} else {
 		c.misses.Inc()
-		return nil, false
 	}
-	c.hits.Inc()
-	return e.val, true
+	return e, ok
 }
 
 // Put stores val under key, attributed to profileID for eager
@@ -199,4 +222,62 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.exact.ll.Len()
+}
+
+// maxMemoSQL is the longest SQL text the query memo keeps: with the entry cap
+// it bounds the memo's text at maxMemoSQL × entries bytes.
+const maxMemoSQL = 8 << 10
+
+// parsedQuery is a SQL text's parsed form and fingerprint. Requests that sent
+// the text share the query and must not write to it (rewrite works on clones).
+type parsedQuery struct {
+	q  *cqp.Query
+	fp string
+}
+
+// queryMemo remembers SQL text → parsed query, so a text the server has seen
+// is neither parsed nor fingerprinted again. The schema is fixed for the
+// server's lifetime, so an entry is never wrong; at capacity the map is
+// flushed (the estimate memo's rule) and refills at one parse per live text.
+type queryMemo struct {
+	mu           sync.RWMutex
+	m            map[string]parsedQuery
+	max          int
+	hits, misses *obs.Counter
+}
+
+func newQueryMemo(max int, reg *obs.Registry) *queryMemo {
+	return &queryMemo{
+		m:      make(map[string]parsedQuery),
+		max:    max,
+		hits:   reg.Counter("server_query_memo_hits_total"),
+		misses: reg.Counter("server_query_memo_misses_total"),
+	}
+}
+
+// parse returns the parsed form of sql, from the memo when it is there. A
+// text that fails to parse, or is longer than maxMemoSQL, is never stored.
+func (m *queryMemo) parse(schema *cqp.Schema, sql string) (parsedQuery, error) {
+	m.mu.RLock()
+	p, ok := m.m[sql]
+	m.mu.RUnlock()
+	if ok {
+		m.hits.Inc()
+		return p, nil
+	}
+	m.misses.Inc()
+	q, err := cqp.ParseQuery(schema, sql)
+	if err != nil {
+		return parsedQuery{}, err
+	}
+	p = parsedQuery{q: q, fp: q.Fingerprint()}
+	if len(sql) <= maxMemoSQL {
+		m.mu.Lock()
+		if len(m.m) >= m.max {
+			clear(m.m)
+		}
+		m.m[sql] = p
+		m.mu.Unlock()
+	}
+	return p, nil
 }

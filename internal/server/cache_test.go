@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"testing"
 
 	"cqp/internal/obs"
@@ -13,8 +14,8 @@ func TestCacheHitMissCounters(t *testing.T) {
 		t.Fatal("hit on empty cache")
 	}
 	c.Put("a", "u1", 1)
-	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
-		t.Fatalf("Get = %v, %v", v, ok)
+	if e, ok := c.Get("a"); !ok || e.val.(int) != 1 {
+		t.Fatalf("Get = %v, %v", e, ok)
 	}
 	if h := reg.Counter("server_cache_hits").Value(); h != 1 {
 		t.Errorf("hits = %d, want 1", h)
@@ -80,20 +81,38 @@ func TestCachePurge(t *testing.T) {
 	}
 	// The cache still works after a purge.
 	c.Put("k1", "u1", 9)
-	if v, ok := c.Get("k1"); !ok || v.(int) != 9 {
+	if e, ok := c.Get("k1"); !ok || e.val.(int) != 9 {
 		t.Error("cache broken after purge")
 	}
 }
 
+// TestCacheUpdateExisting: Put on a live key replaces the entry, it does not
+// write into it — whoever still holds the old entry keeps its value and the
+// bytes that encode it, and a new Get sees neither.
 func TestCacheUpdateExisting(t *testing.T) {
 	c := NewCache(2, nil)
-	c.Put("a", "u1", 1)
-	c.Put("a", "u1", 2)
+	c.Put("a", "u1", &topkResponse{Answers: []rowJSON{{Doi: 1}}})
+	old, _ := c.Get("a")
+	oldBody := string(old.hitBody(topkEndpoint))
+	c.Put("a", "u1", &topkResponse{Answers: []rowJSON{{Doi: 2}}})
 	if c.Len() != 1 {
 		t.Fatalf("duplicate key grew the cache to %d", c.Len())
 	}
-	if v, _ := c.Get("a"); v.(int) != 2 {
-		t.Errorf("value not replaced: %v", v)
+	if got := old.val.(*topkResponse).Answers[0].Doi; got != 1 || string(old.hitBody(topkEndpoint)) != oldBody {
+		t.Errorf("the old entry changed under its holder: doi %v, body %s (was %s)", got, old.hitBody(topkEndpoint), oldBody)
+	}
+	e, _ := c.Get("a")
+	if e == old || e.val.(*topkResponse).Answers[0].Doi != 2 {
+		t.Fatalf("value not replaced: %+v", e.val)
+	}
+	if e.body.Load() != nil {
+		t.Error("the new entry was born with bytes")
+	}
+	if body := string(e.hitBody(topkEndpoint)); body == oldBody || !strings.Contains(body, `"doi":2`) {
+		t.Errorf("the new entry's body is %s; the old one's was %s", body, oldBody)
+	}
+	if n := c.InvalidateProfile("u1"); n != 1 || c.Len() != 0 {
+		t.Errorf("the replaced entry lost its profile: invalidated %d, %d left", n, c.Len())
 	}
 }
 

@@ -321,12 +321,11 @@ type laps struct {
 	last time.Time
 }
 
-func startLaps(rec *obs.Request) *laps {
-	l := &laps{rec: rec, last: time.Now()}
-	if rec != nil {
-		l.last = rec.Start()
+func startLaps(rec *obs.Request) laps {
+	if rec == nil {
+		return laps{last: time.Now()}
 	}
-	return l
+	return laps{rec: rec, last: rec.Start()}
 }
 
 // lap closes the current interval under the given phase and starts the next.
@@ -341,7 +340,8 @@ func profileLabel(id string, version uint64) string {
 	if id == "" {
 		return "inline"
 	}
-	return fmt.Sprintf("%s@%d", id, version)
+	var buf [64]byte
+	return string(strconv.AppendUint(append(append(buf[:0], id...), '@'), version, 10))
 }
 
 // attribution renders a flight record's response-embedded view: the request
@@ -361,12 +361,18 @@ func attribution(rec *obs.Request) (string, map[string]int64) {
 	return id, out
 }
 
+// encodeJSON is the one rendering of a JSON body: HTML escaping off, a
+// trailing newline. Nothing reaches w when v cannot be encoded.
+func encodeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(v)
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_ = encodeJSON(w, v) // an error is the client gone
 }
 
 // statusClass names the failure class for a status code — the stable token

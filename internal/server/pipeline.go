@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net/http"
+	"strconv"
 	"time"
 
 	"cqp"
@@ -25,10 +27,9 @@ type request interface {
 	base() *common
 	// check validates and defaults the endpoint's own fields.
 	check(s *Server) error
-	// extra fingerprints the solver parameters — the part of the cache key,
-	// the stale key and the batch identity that is neither query nor
-	// profile.
-	extra() string
+	// extra returns the solver parameters — the part of the cache key, the
+	// stale key and the batch identity that is neither query nor profile.
+	extra() keyParams
 	// ladder names the degradation rungs below the stale rung, cheapest
 	// last; solve computes the response at one of them ("" is full
 	// fidelity).
@@ -89,9 +90,14 @@ func (r *personalizeRequest) check(s *Server) (err error) {
 	return err
 }
 
-func (r *personalizeRequest) extra() string {
-	return fmt.Sprintf("%s|a=%s k=%d b=%d any=%v merge=%v lim=%d",
-		r.prob, r.Algorithm, r.K, r.Budget, r.AnyMatch, r.Merge, r.Limit)
+func (r *personalizeRequest) extra() keyParams {
+	p := r.prob
+	return keyParams{
+		floats: [4]float64{p.CostMax, p.DoiMin, p.SizeMin, p.SizeMax},
+		ints:   [4]int{int(p.Objective), r.K, r.Budget, r.Limit},
+		flags:  [2]bool{r.AnyMatch, r.Merge},
+		text:   r.Algorithm,
+	}
 }
 
 // ladder: the D-HeurDoi heuristic, then the heuristic under a tightened
@@ -151,8 +157,8 @@ func executeResponseFrom(pr *personalizeResponse, rows *exec.UnionResult, limit 
 
 func (r *frontRequest) check(*Server) error { return nil }
 
-func (r *frontRequest) extra() string {
-	return fmt.Sprintf("c=%g s=[%g,%g] n=%d k=%d b=%d", r.CmaxMS, r.Smin, r.Smax, r.MaxPoints, r.K, r.Budget)
+func (r *frontRequest) extra() keyParams {
+	return keyParams{floats: [4]float64{r.CmaxMS, r.Smin, r.Smax}, ints: [4]int{r.MaxPoints, r.K, r.Budget}}
 }
 
 // ladder: the doi/cost Pareto frontier has no heuristic rung — the frontier
@@ -201,8 +207,8 @@ func (r *topkRequest) check(*Server) error {
 	return nil
 }
 
-func (r *topkRequest) extra() string {
-	return fmt.Sprintf("c=%g k=%d maxk=%d", r.CmaxMS, r.K, r.MaxK)
+func (r *topkRequest) extra() keyParams {
+	return keyParams{floats: [4]float64{r.CmaxMS}, ints: [4]int{r.K, r.MaxK}}
 }
 
 // ladder: like /front, /topk degrades by tightening cmax — fewer union
@@ -236,7 +242,9 @@ type call struct {
 	ep  *endpoint
 	req request
 
-	q       *cqp.Query
+	// q is shared with every request that sent the same SQL text (the query
+	// memo's parse) — read, never written; fp is its fingerprint.
+	parsedQuery
 	prof    *cqp.Profile
 	version uint64
 	// replica marks a profile resolved from a failover replica: the answer
@@ -257,14 +265,62 @@ type answer struct {
 	rung string // degradation rung; "unavailable" when the ladder ran dry
 }
 
-// prepare resolves a decoded body into a runnable call: the parsed query,
-// the endpoint's own validation, the profile — a stored one by ID, at its
-// version, or an inline parsed one — and, for a cacheable request, the cache
-// keys.
+// keyParams are an endpoint's solver parameters in the one shape a key takes
+// them in; a slot the endpoint does not use stays zero. A request returns
+// them by value — a buffer handed to an interface method would escape — so
+// the cache key, the stale key and the batch identity are appended on the
+// caller's stack: no fmt, one string at the end. Keys never leave the
+// process; the layout only has to give distinct work distinct keys.
+type keyParams struct {
+	floats [4]float64
+	ints   [4]int
+	flags  [2]bool
+	text   string
+}
+
+func (p keyParams) appendTo(b []byte) []byte {
+	for _, f := range p.floats {
+		b = append(strconv.AppendFloat(b, f, 'g', -1, 64), ' ')
+	}
+	for _, n := range p.ints {
+		b = append(strconv.AppendInt(b, int64(n), 10), ' ')
+	}
+	for _, f := range p.flags {
+		b = append(strconv.AppendBool(b, f), ' ')
+	}
+	return appendText(b, p.text)
+}
+
+// appendText appends client-chosen text behind its length, so no choice of
+// text can imitate the key parts next to it.
+func appendText(b []byte, s string) []byte {
+	b = append(strconv.AppendInt(b, int64(len(s)), 10), ':')
+	return append(b, s...)
+}
+
+// appendIdentity appends what names the call's work at any profile version:
+// endpoint, solver parameters, profile (ID or inline text's hash), fingerprint.
+func (c *call) appendIdentity(b []byte) []byte {
+	b = append(append(b, c.ep.name...), '|')
+	b = c.req.extra().appendTo(b)
+	if in := c.req.base(); in.ProfileID != "" {
+		b = appendText(append(b, "|id"...), in.ProfileID)
+	} else {
+		h := fnv.New64a()
+		h.Write([]byte(in.Profile))
+		b = strconv.AppendUint(append(b, "|inline"...), h.Sum64(), 16)
+	}
+	return append(append(b, '|'), c.fp...)
+}
+
+// prepare resolves a decoded body into a runnable call: the parsed query
+// (from the query memo when the text has been seen), the endpoint's own
+// validation, the profile — a stored one by ID, at its version, or an inline
+// parsed one — and, for a cacheable request, the cache keys.
 func (s *Server) prepare(ctx context.Context, c *call) error {
 	in := c.req.base()
 	var err error
-	if c.q, err = cqp.ParseQuery(s.db.Schema(), in.SQL); err != nil {
+	if c.parsedQuery, err = s.queries.parse(s.db.Schema(), in.SQL); err != nil {
 		return err
 	}
 	if err = c.req.check(s); err != nil {
@@ -300,23 +356,27 @@ func (s *Server) prepare(ctx context.Context, c *call) error {
 		// The exact key names the profile at its exact version and the
 		// statistics generation, so a profile PUT or a Refresh invalidates.
 		// The stale key deliberately omits both: its entry stays addressable
-		// when either rotates — that staleness is the point.
-		fp, extra := c.q.Fingerprint(), c.req.extra()
-		c.key = fmt.Sprintf("%s|%s|%s@%d|g%d|%s", c.ep.name, fp, in.ProfileID, c.version, s.p.Generation(), extra)
-		c.staleKey = fmt.Sprintf("%s|%s|%s|%s", c.ep.name, fp, in.ProfileID, extra)
+		// when either rotates — that staleness is the point. Both go last, so
+		// the stale key is the exact key's prefix and one string serves both.
+		var buf [512]byte
+		b := c.appendIdentity(buf[:0])
+		stale := len(b)
+		b = strconv.AppendUint(append(b, '@'), c.version, 10)
+		b = strconv.AppendUint(append(b, 'g'), s.p.Generation(), 10)
+		c.key = string(b)
+		c.staleKey = c.key[:stale]
 	}
 	return nil
 }
 
-// lookup is the warm path: a cacheable call whose exact key is in the
-// result cache is answered without entering the pipeline at all.
-func (s *Server) lookup(c *call) (answer, bool) {
-	if c.key != "" && !s.cacheFault() {
-		if v, ok := s.cache.Get(c.key); ok {
-			return answer{resp: c.ep.stamp(v, true, ""), role: "hit"}, true
-		}
+// lookup is the warm path: a cacheable call whose exact key is in the result
+// cache is answered from that entry (nil: none) without entering the pipeline.
+func (s *Server) lookup(c *call) *cacheEntry {
+	if c.key == "" || s.cacheFault() {
+		return nil
 	}
-	return answer{}, false
+	e, _ := s.cache.Get(c.key)
+	return e
 }
 
 // run is the cold path, under a context that carries the request's deadline
@@ -397,18 +457,30 @@ func (s *Server) handle(ep *endpoint) http.HandlerFunc {
 		in := c.req.base()
 		rec.SetProfile(profileLabel(in.ProfileID, c.version))
 		lp.lap(obs.PhaseParse)
-		a, hit := s.lookup(&c)
+		hit := s.lookup(&c)
 		if c.key != "" {
 			lp.lap(obs.PhaseCache)
 		}
-		trace := in.Trace || r.URL.Query().Get("trace") == "1"
-		if !hit {
+		trace := in.Trace || (r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1")
+		var a answer
+		switch {
+		case hit == nil:
 			ctx, cancel, tr := s.requestContext(r.Context(), in.TimeoutMS, ep.name)
 			defer cancel()
 			a = s.run(ctx, &c)
 			tr.End()
-		} else if trace {
+		case trace:
+			// The trace payload is the request's own: the struct path.
+			a = answer{resp: ep.stamp(hit.val, true, ""), role: "hit"}
 			cacheHitTrace(rec, ep.name)
+		default:
+			// A warm request is bytes out: what stamp and writeJSON make of
+			// this entry, encoded once by its first untraced hit.
+			rec.SetRole("hit")
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(hit.hitBody(ep)) // an error is the client gone
+			return
 		}
 		rec.SetRole(a.role)
 		rec.SetRung(a.rung)

@@ -184,6 +184,7 @@ type Server struct {
 	reg      *obs.Registry
 	store    *ProfileStore
 	cache    *Cache
+	queries  *queryMemo
 	pool     *Pool
 	flights  *flightTable
 	flight   *obs.Flight
@@ -224,6 +225,7 @@ func New(db *cqp.DB, cfg Config) (*Server, error) {
 		p:       p,
 		reg:     reg,
 		cache:   NewCache(cfg.CacheEntries, reg),
+		queries: newQueryMemo(cfg.CacheEntries, reg),
 		pool:    NewPool(cfg.Workers, cfg.QueueDepth, reg),
 		flights: newFlightTable(),
 		flight:  obs.NewFlight(cfg.FlightRecords),

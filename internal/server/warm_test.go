@@ -1,0 +1,354 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"cqp"
+	"cqp/internal/fault"
+)
+
+// endpointOf finds a pipeline endpoint by name.
+func endpointOf(t *testing.T, name string) *endpoint {
+	t.Helper()
+	for _, ep := range []*endpoint{personalizeEndpoint, executeEndpoint, frontEndpoint, topkEndpoint} {
+		if ep.name == name {
+			return ep
+		}
+	}
+	t.Fatalf("no endpoint %q", name)
+	return nil
+}
+
+// TestHitBytesIdentical: an untraced cache hit writes the entry's encoded
+// body, and that body is exactly what the struct path would have written —
+// for every endpoint, whatever happens between two hits — while everything
+// that must turn a hit into a miss still does, and the request is counted,
+// attributed and recorded as before.
+func TestHitBytesIdentical(t *testing.T) {
+	for _, cc := range contractCases[:4] {
+		t.Run(cc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			putProfile(t, ts.URL, "alice", testProfileText())
+			ep := endpointOf(t, cc.name)
+			body := map[string]any{"sql": testSQL, "profile_id": "alice"}
+			for k, v := range cc.params {
+				body[k] = v
+			}
+			post := func(step, query string, cached bool) (*http.Response, string) {
+				t.Helper()
+				resp, raw := doJSON(t, http.MethodPost, ts.URL+cc.path+query, body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: %d: %s", step, resp.StatusCode, raw)
+				}
+				if want := fmt.Sprintf(`"cached":%v`, cached); !strings.Contains(string(raw), want) {
+					t.Fatalf("%s: no %s in %s", step, want, raw)
+				}
+				return resp, string(raw)
+			}
+			// The one live entry of the result cache.
+			entry := func() *cacheEntry {
+				t.Helper()
+				s.cache.mu.Lock()
+				defer s.cache.mu.Unlock()
+				if n := s.cache.exact.ll.Len(); n != 1 {
+					t.Fatalf("%d cache entries, want 1", n)
+				}
+				return s.cache.exact.ll.Front().Value.(*cacheEntry)
+			}
+			hits, misses := s.reg.Counter("server_cache_hits"), s.reg.Counter("server_cache_misses")
+
+			missResp, miss := post("miss", "", false)
+			e := entry()
+			if e.body.Load() != nil {
+				t.Fatal("the fill encoded the entry: a miss paid for a hit that may never come")
+			}
+			hitResp, hit := post("first hit", "", true)
+			if e.body.Load() == nil {
+				t.Fatal("the first untraced hit left the entry without bytes")
+			}
+			_, again := post("second hit", "", true)
+			if hit != again {
+				t.Errorf("two hits differ:\n%s\n%s", hit, again)
+			}
+			direct := httptest.NewRecorder()
+			writeJSON(direct, http.StatusOK, ep.stamp(e.val, true, ""))
+			if hit != direct.Body.String() {
+				t.Errorf("hit body is not writeJSON(stamp(value)):\n%s\n%s", hit, direct.Body)
+			}
+			if want := strings.Replace(miss, `"cached":false`, `"cached":true`, 1); hit != want {
+				t.Errorf("hit body is not the miss body marked cached:\n%s\n%s", hit, want)
+			}
+			if got, want := hitResp.Header.Get("Content-Type"), missResp.Header.Get("Content-Type"); got != want || got != direct.Header().Get("Content-Type") {
+				t.Errorf("hit Content-Type %q, miss %q", got, want)
+			}
+			if hits.Value() != 2 || misses.Value() != 1 {
+				t.Errorf("server_cache_hits %d, server_cache_misses %d after miss, hit, hit", hits.Value(), misses.Value())
+			}
+
+			// The flight record of a hit served from bytes.
+			id := hitResp.Header.Get("X-Request-ID")
+			waitObs(t, "flight record "+id, func() bool { _, _, ok := s.flight.Get(id); return ok })
+			snap, _, _ := s.flight.Get(id)
+			if snap.Role != "hit" || snap.Rung != "" || snap.Status != http.StatusOK || snap.Profile == "" {
+				t.Errorf("flight record of a hit: %+v", snap)
+			}
+			for _, phase := range []string{"parse", "cache", "encode"} {
+				if _, ok := snap.PhasesUS[phase]; !ok {
+					t.Errorf("hit has no %s phase: %v", phase, snap.PhasesUS)
+				}
+				if s.reg.Histogram("server_phase_ms", nil, "endpoint", ep.name, "phase", phase).Count() == 0 {
+					t.Errorf("no server_phase_ms observation for %s", phase)
+				}
+			}
+
+			// A traced hit is the request's own and leaves the bytes alone.
+			for _, traced := range []func() string{
+				func() string { _, raw := post("?trace=1 hit", "?trace=1", true); return raw },
+				func() string {
+					body["trace"] = true
+					defer delete(body, "trace")
+					_, raw := post("trace:true hit", "", true)
+					return raw
+				},
+			} {
+				var env envelope
+				raw := traced()
+				if err := json.Unmarshal([]byte(raw), &env); err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(env.Trace, "cache_hit") || env.RequestID == "" || env.AttributionUS["total"] <= 0 {
+					t.Errorf("traced hit carries no trace payload: %s", raw)
+				}
+				if _, next := post("hit after a traced hit", "", true); next != hit {
+					t.Errorf("a traced hit changed the untraced body:\n%s\n%s", next, hit)
+				}
+			}
+
+			// A batch item that hits takes the struct path too.
+			if ep == personalizeEndpoint || ep == executeEndpoint {
+				resp, raw := doJSON(t, http.MethodPost, ts.URL+"/personalize/batch",
+					map[string]any{"items": []any{body}, "execute": ep == executeEndpoint})
+				var br struct{ Results []personalizeResponse }
+				if err := json.Unmarshal(raw, &br); err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("batch: %d %v: %s", resp.StatusCode, err, raw)
+				}
+				var single personalizeResponse
+				if err := json.Unmarshal([]byte(hit), &single); err != nil {
+					t.Fatal(err)
+				}
+				if !br.Results[0].Cached || !reflect.DeepEqual(br.Results[0], single) {
+					t.Errorf("batch item over a warm key is not the singleton's hit:\n%s\n%s", raw, hit)
+				}
+				if _, next := post("hit after a batch hit", "", true); next != hit {
+					t.Errorf("a batch hit changed the untraced body:\n%s\n%s", next, hit)
+				}
+			}
+
+			// What must turn the next request into a miss still does.
+			putProfile(t, ts.URL, "alice", testProfileText())
+			post("after a profile PUT", "", false)
+			post("warm again", "", true)
+			if resp, raw := doJSON(t, http.MethodPost, ts.URL+"/refresh", nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("refresh: %d: %s", resp.StatusCode, raw)
+			}
+			post("after a refresh", "", false)
+			post("warm again", "", true)
+			armPlan(t, "server.cache:err", 1)
+			post("under server.cache:err", "", false)
+			fault.Disarm()
+			post("disarmed", "", true)
+		})
+	}
+}
+
+// TestHitAllocs is the allocation tripwire of the warm path, measured as
+// BenchmarkServePersonalizeCacheHit measures it (httptest request and
+// recorder included): 101 before a hit was served from bytes, 49 now.
+func TestHitAllocs(t *testing.T) {
+	s := newTestDaemon(t, Config{})
+	if _, err := s.store.Put("alice", testProfileText()); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{
+		"sql": testSQL, "profile_id": "alice",
+		"problem": map[string]any{"number": 2, "cmax_ms": 10000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/personalize", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // miss
+	serve() // the hit that encodes
+	if n := testing.AllocsPerRun(200, serve); n > 60 {
+		t.Errorf("a warm POST /personalize allocates %.0f times, want ≤ 60", n)
+	}
+	if hits := s.reg.Counter("server_cache_hits").Value(); hits < 200 {
+		t.Errorf("only %d cache hits: the measured requests were not warm", hits)
+	}
+}
+
+// TestParsedQueryShared: the query memo hands one parsed *Query to every
+// request that sends the same text, concurrently — nothing below prepare may
+// write to it. Run under -race.
+func TestParsedQueryShared(t *testing.T) {
+	const sql = "SELECT title FROM MOVIE WHERE year >= 1990"
+	const users = 8
+	paths := []string{"/personalize", "/execute", "/front", "/topk", "/personalize/batch"}
+	request := func(path string, user int) map[string]any {
+		id := fmt.Sprintf("u%d", user)
+		switch path {
+		case "/front":
+			return map[string]any{"sql": sql, "profile_id": id, "no_cache": true, "cmax_ms": 10000, "max_points": 4}
+		case "/topk":
+			return map[string]any{"sql": sql, "profile_id": id, "no_cache": true, "cmax_ms": 10000, "k": 3}
+		case "/personalize/batch":
+			other := fmt.Sprintf("u%d", (user+1)%users)
+			return batchBody(
+				map[string]any{"sql": sql, "profile_id": id, "no_cache": true, "problem": solveParams["problem"]},
+				map[string]any{"sql": sql, "profile_id": other, "no_cache": true, "problem": solveParams["problem"]})
+		}
+		return map[string]any{"sql": sql, "profile_id": id, "no_cache": true, "problem": solveParams["problem"], "limit": 5}
+	}
+	// stable strips what differs between two runs of one request: timings.
+	stable := func(t *testing.T, raw []byte) any {
+		t.Helper()
+		var v any
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Errorf("%v: %s", err, raw)
+		}
+		var strip func(v any)
+		strip = func(v any) {
+			switch v := v.(type) {
+			case map[string]any:
+				delete(v, "duration_us")
+				delete(v, "exec_ms")
+				for _, c := range v {
+					strip(c)
+				}
+			case []any:
+				for _, c := range v {
+					strip(c)
+				}
+			}
+		}
+		strip(v)
+		return v
+	}
+	serve := func(t *testing.T, s *Server, path string, user int) any {
+		t.Helper()
+		body, err := json.Marshal(request(path, user))
+		if err != nil {
+			t.Error(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s user %d: %d: %s", path, user, rec.Code, rec.Body)
+		}
+		return stable(t, rec.Body.Bytes())
+	}
+	newServer := func(cfg Config) *Server {
+		s := newTestDaemon(t, cfg)
+		for u := 0; u < users; u++ {
+			if _, err := s.store.Put(fmt.Sprintf("u%d", u), cqp.SyntheticProfile(40, int64(2+u)).String()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+
+	shared, fresh := newServer(Config{}), newServer(Config{})
+	got := make([][]any, users)
+	var wg sync.WaitGroup
+	for u := 0; u < users; u++ {
+		got[u] = make([]any, len(paths))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, path := range paths {
+				got[u][i] = serve(t, shared, path, u)
+			}
+		}()
+	}
+	wg.Wait()
+	for u := 0; u < users; u++ {
+		for i, path := range paths {
+			if want := serve(t, fresh, path, u); !reflect.DeepEqual(got[u][i], want) {
+				t.Errorf("%s user %d: the shared query answered\n%v\na fresh server\n%v", path, u, got[u][i], want)
+			}
+		}
+	}
+	want, err := cqp.ParseQuery(shared.db.Schema(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pq := shared.queries.m[sql]; !reflect.DeepEqual(pq.q, want) || pq.fp != want.Fingerprint() {
+		t.Errorf("the memoized query changed under its readers: %+v (fingerprint %q), a fresh parse is %+v", pq.q, pq.fp, want)
+	}
+	parses := int64(users * (len(paths) + 1)) // a batch prepares its two items
+	if h, m := shared.queries.hits.Value(), shared.queries.misses.Value(); m < 1 || m > users || h+m != parses {
+		t.Errorf("server_query_memo: %d hits, %d misses over %d parses of one text", h, m, parses)
+	}
+
+	t.Run("bounds", func(t *testing.T) {
+		s := newServer(Config{CacheEntries: 4})
+		schema := s.db.Schema()
+		for i := 0; i < 3; i++ {
+			if _, err := s.queries.parse(schema, "SELECT nothing FROM NOWHERE"); err == nil {
+				t.Fatal("a text that does not parse parsed")
+			}
+		}
+		if _, err := s.queries.parse(schema, "SELECT title FROM MOVIE WHERE title = '"+strings.Repeat("x", maxMemoSQL)+"'"); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(s.queries.m); n != 0 {
+			t.Fatalf("%d texts stored after a failing and an oversized one", n)
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := s.queries.parse(schema, fmt.Sprintf("SELECT title FROM MOVIE WHERE year >= %d", 1990+i)); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(s.queries.m); n > 4 {
+				t.Fatalf("%d texts stored, CacheEntries is 4", n)
+			}
+		}
+		if n := len(s.queries.m); n == 0 {
+			t.Fatal("the memo stores nothing")
+		}
+	})
+
+	// The result cache is keyed by fingerprint, not text: two spellings of
+	// one query are two memo entries and one cache entry.
+	t.Run("spellings", func(t *testing.T) {
+		s := newServer(Config{})
+		for i, text := range []string{
+			"SELECT title FROM MOVIE WHERE year >= 1990 AND duration < 120",
+			"select  title from MOVIE where duration < 120 and year >= 1990",
+		} {
+			body, _ := json.Marshal(map[string]any{"sql": text, "profile_id": "u0", "problem": solveParams["problem"]})
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/personalize", bytes.NewReader(body)))
+			if want := fmt.Sprintf(`"cached":%v`, i == 1); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), want) {
+				t.Fatalf("spelling %d: %d, want %s: %s", i, rec.Code, want, rec.Body)
+			}
+		}
+		if len(s.queries.m) != 2 || s.cache.Len() != 1 {
+			t.Errorf("%d memo entries and %d cache entries, want 2 and 1", len(s.queries.m), s.cache.Len())
+		}
+	})
+}
