@@ -29,14 +29,17 @@ func (s *space) suffixBest(in *Instance) [][]float64 {
 }
 
 // bestBelow finds the maximum-doi state lying on or below the boundary r
-// (same group size, componentwise position ≥ r) that satisfies accept.
-// It enumerates canonical assignments y_0 < y_1 < … < y_{g−1} with
+// (same group size, componentwise position ≥ r) whose cost and size satisfy
+// accept. It enumerates canonical assignments y_0 < y_1 < … < y_{g−1} with
 // y_i ≥ r[i], pruning with an optimistic doi bound, and returns the best
-// accepted node (nil if none). Used by the windowed problem adapters
+// accepted node (nil if none). Slots are filled in ascending position —
+// costOf's and sizeOf's own fold order — so the cost and size carried down
+// the recursion are bit for bit what those would compute at the leaf. r is
+// a boundary, hence not empty. Used by the windowed problem adapters
 // (Problems 1, 3, 5, 6), where the second search phase must respect
 // constraints beyond the space's own upper bound.
 func bestBelow(in *Instance, sp *space, r node, suffixBest [][]float64,
-	accept func(n node) bool, incumbent float64, st *Stats) (node, float64) {
+	accept func(cost, size float64) bool, incumbent float64, st *Stats) (node, float64) {
 
 	// floors[i] is r's i-th position, the least slot i may take.
 	floors := make([]int, 0, r.size())
@@ -50,14 +53,14 @@ func bestBelow(in *Instance, sp *space, r node, suffixBest [][]float64,
 	cur := sp.nodeOf()
 	acc := prefs.NewConjAccum()
 
-	var rec func(slot, floor int)
-	rec = func(slot, floor int) {
+	var rec func(slot, floor int, cost, size float64)
+	rec = func(slot, floor int, cost, size float64) {
 		if in.overBudget(st) {
 			return
 		}
 		if slot == g {
 			st.StatesVisited++
-			if acc.Doi() > bestDoi && accept(cur) {
+			if acc.Doi() > bestDoi && accept(cost, size) {
 				bestDoi = acc.Doi()
 				best = append(best[:0], cur...)
 			}
@@ -78,13 +81,14 @@ func bestBelow(in *Instance, sp *space, r node, suffixBest [][]float64,
 			return
 		}
 		for y := lo; y <= sp.K-need; y++ {
+			p := sp.vec[y]
 			cur.insert(y)
-			acc.Add(in.Doi[sp.vec[y]])
-			rec(slot+1, y+1)
-			acc.Remove(in.Doi[sp.vec[y]])
+			acc.Add(in.Doi[p])
+			rec(slot+1, y+1, cost+in.Cost[p], size*in.Shrink[p])
+			acc.Remove(in.Doi[p])
 			cur.remove(y)
 		}
 	}
-	rec(0, 0)
+	rec(0, 0, 0, in.BaseSize)
 	return best, bestDoi
 }

@@ -51,6 +51,7 @@ func findBoundary(in *Instance, sp *space, pr primary, st *Stats, mem *memTracke
 		return boundaries
 	}
 	visited := newVisitedSet(in, sp, st, mem)
+	defer visited.release()
 	rq := newNodeDeque(sp, st, mem)
 	r := sp.nodeOf(0) // the state in hand, seeded with the top of the vector
 	visited.seen(r)
@@ -60,12 +61,13 @@ func findBoundary(in *Instance, sp *space, pr primary, st *Stats, mem *memTracke
 		byLen[g] = sp.newList()
 	}
 
-	// prune implements the paper's prune(.): a candidate is dropped when
-	// already visited or when it lies below a boundary already found in its
-	// group (it is then reachable from that boundary and cannot be one).
-	prune := func(n node) bool {
+	// unpruned is the complement of the paper's prune(.): a candidate is
+	// dropped when already visited or when it lies below a boundary already
+	// found in its group (it is then reachable from that boundary and cannot
+	// be one).
+	unpruned := func(n node) bool {
 		if visited.seen(n) {
-			return true
+			return false
 		}
 		group := &byLen[n.size()]
 		// Scan only the most recent dominators: full scans over large
@@ -73,10 +75,10 @@ func findBoundary(in *Instance, sp *space, pr primary, st *Stats, mem *memTracke
 		// of boundaries (visited-set pruning keeps correctness).
 		for i := max(0, group.len()-maxDominanceScan); i < group.len(); i++ {
 			if dominatedBy(n, group.at(i)) {
-				return true
+				return false
 			}
 		}
-		return false
+		return true
 	}
 
 	vr := sp.newList()
@@ -95,13 +97,11 @@ func findBoundary(in *Instance, sp *space, pr primary, st *Stats, mem *memTracke
 			}
 			continue
 		}
-		sp.vertical(r, &vr)
+		sp.vertical(r, &vr, unpruned)
 		// Head insertion preserves within-group processing; push in reverse
 		// so the highest-cost neighbor pops first (the paper's ordering).
 		for i := vr.len() - 1; i >= 0; i-- {
-			if v := vr.at(i); !prune(v) {
-				rq.pushHead(v)
-			}
+			rq.pushHead(vr.at(i))
 		}
 	}
 	return boundaries

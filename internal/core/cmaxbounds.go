@@ -28,8 +28,8 @@ func cMaxBoundsOn(in *Instance, sp *space, cmax float64, name string) Solution {
 
 	maxBounds := sp.newList()
 	visited := newVisitedSet(in, sp, &st, &mem)
+	defer visited.release()
 	rq := newNodeDeque(sp, &st, &mem)
-	pr := costPrimary(in, sp, cmax)
 	r, vr := sp.nodeOf(), sp.newList() // the state in hand and its Vertical neighbors
 
 	// findMaxBound is the paper's FINDMAXBOUND: grow maximal boundaries that
@@ -43,34 +43,29 @@ func cMaxBoundsOn(in *Instance, sp *space, cmax float64, name string) Solution {
 			return 0
 		}
 		rq.pushTail(r)
+		// Only build boundaries containing the seed. Pruning is
+		// visited-only: every Vertical neighbor of a maximal boundary lies
+		// below it by construction, so dominance pruning here would cut the
+		// entire branch phase and collapse the algorithm to a greedy.
+		keep := func(v node) bool { return v.contains(k) && !visited.seen(v) }
 		for rq.len() > 0 {
 			if in.overBudget(&st) {
 				break
 			}
 			rq.popHead(r)
 			st.StatesVisited++
-			if pr.ok(pr.value(r)) {
+			if cost := sp.costOf(in, r); cost <= cmax {
 				// Greedy maximal extension: repeatedly add the most
 				// expensive absent position that keeps the state feasible.
-				if greedyGrow(sp, r, -1, pr, &st) || r.size() == 1 {
+				if growByCost(in, sp, r, cost, cmax, &st) || r.size() == 1 {
 					maxBounds.push(r)
 					mem.add(r.memBytes())
 					largest = max(largest, r.size())
 				}
 			}
-			sp.vertical(r, &vr)
+			sp.vertical(r, &vr, keep)
 			for i := 0; i < vr.len(); i++ {
-				v := vr.at(i)
-				if !v.contains(k) {
-					continue // only build boundaries containing the seed
-				}
-				// Pruning is visited-only: every Vertical neighbor of a
-				// maximal boundary lies below it by construction, so
-				// dominance pruning here would cut the entire branch phase
-				// and collapse the algorithm to a greedy.
-				if !visited.seen(v) {
-					rq.pushHead(v)
-				}
+				rq.pushHead(vr.at(i))
 			}
 		}
 		return largest
@@ -90,4 +85,33 @@ func cMaxBoundsOn(in *Instance, sp *space, cmax float64, name string) Solution {
 	st.PeakMemBytes = mem.peak
 	sol.Stats = st
 	return sol
+}
+
+// growByCost is greedyGrow on the cost space, where the space's order is the
+// constraint's own: w[pos] is the cost a position adds and is non-increasing,
+// and floating-point addition is monotone, so when the cheapest absent
+// position does not fit under cmax none does. That step's probes are then
+// charged to StatesVisited — one per absent position, what the scan would
+// have counted — without being walked; a step that can grow scans as
+// greedyGrow does. cur is cost(r) on entry. Spaces whose w is not exactly
+// ordered (costOrdered) scan every step.
+func growByCost(in *Instance, sp *space, r node, cur, cmax float64, st *Stats) bool {
+	grew := false
+grow:
+	for {
+		if last := sp.lastAbsent(r); sp.costOrdered && (last < 0 || cur+sp.w[last] > cmax) {
+			st.StatesVisited += sp.K - r.size()
+			return grew
+		}
+		for pos := sp.horizontal2From(r, 0); pos >= 0; pos = sp.horizontal2From(r, pos+1) {
+			st.StatesVisited++
+			if cur+sp.w[pos] <= cmax {
+				r.insert(pos)
+				grew = true
+				cur = sp.costOf(in, r) // refolded, not cur+w: the fold order is part of the answer
+				continue grow
+			}
+		}
+		return grew
+	}
 }

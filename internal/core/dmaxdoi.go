@@ -38,12 +38,14 @@ func findOptimal(in *Instance, sp *space, pr primary, st *Stats, mem *memTracker
 		return solutions
 	}
 	visited := newVisitedSet(in, sp, st, mem)
+	defer visited.release()
 	rq := newNodeDeque(sp, st, mem)
 	r := sp.nodeOf(0) // the state in hand, seeded with the top of the vector
 	visited.seen(r)
 	rq.pushTail(r)
 	h := sp.nodeOf() // r's Horizontal successor
 	vr := sp.newList()
+	unseen := func(v node) bool { return !visited.seen(v) }
 
 	for rq.len() > 0 {
 		if in.overBudget(st) {
@@ -73,11 +75,9 @@ func findOptimal(in *Instance, sp *space, pr primary, st *Stats, mem *memTracker
 			}
 			branch = h
 		}
-		sp.vertical(branch, &vr)
+		sp.vertical(branch, &vr, unseen)
 		for i := 0; i < vr.len(); i++ {
-			if v := vr.at(i); !visited.seen(v) {
-				rq.pushHead(v)
-			}
+			rq.pushHead(vr.at(i))
 		}
 	}
 	return solutions

@@ -25,6 +25,7 @@ func DSingleMaxDoi(in *Instance, cmax float64) Solution {
 	var best []int
 	suffix := suffixConj(in)
 	visited := newVisitedSet(in, sp, &st, &mem)
+	defer visited.release()
 	rq := newNodeDeque(sp, &st, &mem)
 	pr := costPrimary(in, sp, cmax)
 	r, vr := sp.nodeOf(), sp.newList() // the state in hand and its Vertical neighbors
@@ -36,6 +37,7 @@ func DSingleMaxDoi(in *Instance, cmax float64) Solution {
 			continue
 		}
 		rq.pushTail(r)
+		keep := func(v node) bool { return v.contains(k) && !visited.seen(v) } // branches retain the seed
 		for rq.len() > 0 {
 			if in.overBudget(&st) {
 				break
@@ -50,11 +52,9 @@ func DSingleMaxDoi(in *Instance, cmax float64) Solution {
 				}
 				mem.add(r.memBytes())
 			}
-			sp.vertical(r, &vr)
+			sp.vertical(r, &vr, keep)
 			for i := 0; i < vr.len(); i++ {
-				if v := vr.at(i); v.contains(k) && !visited.seen(v) {
-					rq.pushHead(v)
-				}
+				rq.pushHead(vr.at(i))
 			}
 		}
 	}

@@ -27,13 +27,17 @@ func (in *Instance) topConj() []float64 {
 // the most constrained (largest position) to the least, and each slot takes
 // the unused preference with the best doi among vector positions ≥ the
 // slot's position. The greedy is optimal because slot availability sets are
-// nested suffixes. Boundaries are visited in decreasing group size so the
-// BestExpectedDoi bound can stop the scan early.
+// nested suffixes — which also makes it one sweep: walk the positions from
+// the edge of the space down to R's lowest member, adding each position's
+// preference to the available set, and at a member take the best of the set
+// (P is doi-sorted, so the best is the smallest index). Boundaries are
+// visited in decreasing group size so the BestExpectedDoi bound can stop
+// the scan early.
 func findMaxDoi(sp *space, in *Instance, boundaries *nodeList, st *Stats, mem *memTracker) ([]int, float64) {
 	bound := in.topConj()
 	maxDoi := -1.0
 	var best []int
-	usedPos := make([]bool, sp.K)
+	avail := sp.nodeOf() // P indices at positions swept so far and not yet taken
 	set := make([]int, 0, sp.K)
 	mem.add(int64(sp.K)) // scratch accounting
 
@@ -49,23 +53,19 @@ func findMaxDoi(sp *space, in *Instance, boundaries *nodeList, st *Stats, mem *m
 			}
 		}
 		// Greedy best-doi substitution below r.
-		clear(usedPos)
+		clear(avail)
 		set = set[:0]
 		var acc prefs.ConjAccum
 		acc.Reset()
-		for k := r.max(); k >= 0; k = r.prev(k - 1) {
-			bestP, bestPos := sp.K, -1
-			for j := k; j < sp.K; j++ {
-				if usedPos[j] {
-					continue
-				}
-				if sp.vec[j] < bestP {
-					bestP, bestPos = sp.vec[j], j
-				}
+		// A boundary is never empty, so lowest is a position.
+		for pos, lowest := sp.K-1, r.next(0); pos >= lowest; pos-- {
+			avail.insert(sp.vec[pos])
+			if r.contains(pos) {
+				bestP := avail.next(0)
+				avail.remove(bestP)
+				set = append(set, bestP)
+				acc.Add(in.Doi[bestP])
 			}
-			usedPos[bestPos] = true
-			set = append(set, bestP)
-			acc.Add(in.Doi[bestP])
 		}
 		st.StatesVisited++
 		if acc.Doi() > maxDoi {

@@ -132,17 +132,24 @@ func dominatedBy(a, b node) bool {
 type nodeList struct {
 	words  []uint64
 	stride int
+	n      int // nodes held, len(words)/stride: stored, because len sits in every loop condition
 }
 
-func (l *nodeList) len() int { return len(l.words) / l.stride }
+func (l *nodeList) len() int { return l.n }
 
 // at returns a view of the i-th node, valid until the list next grows.
 func (l *nodeList) at(i int) node { return l.words[i*l.stride : (i+1)*l.stride] }
 
 // push appends a copy of n.
-func (l *nodeList) push(n node) { l.words = append(l.words, n...) }
+func (l *nodeList) push(n node) {
+	l.words = append(l.words, n...)
+	l.n++
+}
 
-func (l *nodeList) reset() { l.words = l.words[:0] }
+// truncate keeps the first n nodes.
+func (l *nodeList) truncate(n int) { l.words, l.n = l.words[:n*l.stride], n }
+
+func (l *nodeList) reset() { l.truncate(0) }
 
 func (l *nodeList) swap(i, j int) {
 	a, b := l.at(i), l.at(j)

@@ -269,7 +269,7 @@ func TestBestBelowMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		sizeCut := in.BaseSize * (0.05 + 0.5*rng.Float64())
-		accept := func(n node) bool { return sp.sizeOf(in, n) >= sizeCut }
+		accept := func(_, size float64) bool { return size >= sizeCut }
 
 		suffixBest := sp.suffixBest(in)
 		var st Stats
@@ -281,7 +281,7 @@ func TestBestBelowMatchesBruteForce(t *testing.T) {
 		var iter func(slot, floor int)
 		iter = func(slot, floor int) {
 			if slot == len(r) {
-				if accept(cur) {
+				if accept(sp.costOf(in, cur), sp.sizeOf(in, cur)) {
 					if d := sp.doiOf(in, cur); d > bestDoi {
 						bestDoi = d
 					}

@@ -39,20 +39,33 @@ type space struct {
 	w      []float64 // per-position weight, non-increasing
 	stride int       // words per node: ⌈K/64⌉, and 1 for the empty space
 	keys   []float64 // vertical's sort keys, one per neighbor
+	nbr    node      // vertical's neighbor in the making
+	// costOrdered says that w is the cost of each position and is exactly
+	// non-increasing, which is what lets growByCost decide a growth step by
+	// one comparison. Only costSpace sets it, from what it observes.
+	costOrdered bool
 }
 
 // newSpace is the one place the node width is chosen: K alone picks it.
 func newSpace(vec []int) *space {
 	k := len(vec)
-	return &space{K: k, vec: vec, w: make([]float64, k),
+	s := &space{K: k, vec: vec, w: make([]float64, k),
 		stride: max(1, (k+63)/64), keys: make([]float64, 0, k)}
+	s.nbr = s.nodeOf()
+	return s
 }
 
-// costSpace builds the C-based space (Section 5.2.1).
+// costSpace builds the C-based space (Section 5.2.1). rankBy orders C by
+// exactly non-increasing cost, but Instance.C is an exported field and
+// Validate tolerates 1e-9, so the order is checked here, not assumed.
 func (in *Instance) costSpace() *space {
 	s := newSpace(in.C)
+	s.costOrdered = true
 	for pos, p := range in.C {
 		s.w[pos] = in.Cost[p]
+		if pos > 0 && !(s.w[pos] <= s.w[pos-1]) {
+			s.costOrdered = false
+		}
 	}
 	return s
 }
@@ -208,9 +221,17 @@ func (s *space) horizontal(n node) bool {
 // the least of the space's parameter. Neighbors of equal weight keep their
 // generation order, largest replaced position first. The neighbors go into
 // the caller's list, which is reused from call to call.
-func (s *space) vertical(n node, out *nodeList) {
+//
+// Only neighbors that pass keep are copied, weighed and sorted. keep sees
+// each neighbor once, in generation order, as a view it must not retain, and
+// must not depend on that order; the result is then the kept subsequence of
+// the full transition set, in the same stable order. keep is called, never
+// stored: a capturing closure stays on the caller's stack.
+func (s *space) vertical(n node, out *nodeList, keep func(node) bool) {
 	out.reset()
 	keys := s.keys[:0]
+	v := s.nbr
+	copy(v, n)
 	for i := len(n) - 1; i >= 0; i-- {
 		// Members whose successor is absent: bit p set, bit p+1 (the low bit
 		// of the next word, for p = 63) clear.
@@ -225,11 +246,14 @@ func (s *space) vertical(n node, out *nodeList) {
 			if p+1 >= s.K {
 				continue // the successor is off the edge of the space
 			}
-			out.push(n)
-			v := out.at(len(keys))
 			v.remove(p)
 			v.insert(p + 1)
-			keys = append(keys, s.weight(v))
+			if keep(v) {
+				out.push(v)
+				keys = append(keys, s.weight(v))
+			}
+			v.remove(p + 1)
+			v.insert(p)
 		}
 	}
 	// Stable insertion sort on the precomputed keys: at most K neighbors.
@@ -239,6 +263,21 @@ func (s *space) vertical(n node, out *nodeList) {
 			out.swap(j, j-1)
 		}
 	}
+}
+
+// lastAbsent returns the largest position of the space that is not in n, or
+// −1 for the full node: the Horizontal2 neighbor of least resulting weight.
+func (s *space) lastAbsent(n node) int {
+	for i := len(n) - 1; i >= 0; i-- {
+		w := ^n[i]
+		if valid := s.K - i<<6; valid < 64 {
+			w &= 1<<uint(valid) - 1 // the top word ends at position K−1
+		}
+		if w != 0 {
+			return i<<6 + 63 - bits.LeadingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // horizontal2From walks the paper's Horizontal2 transition set

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"sync"
 	"time"
 )
 
@@ -13,7 +14,9 @@ type Stats struct {
 	Algorithm string
 	// Duration is the wall-clock optimization time.
 	Duration time.Duration
-	// StatesVisited counts states whose parameters were evaluated.
+	// StatesVisited counts states whose parameters were evaluated. Growth
+	// probes that the cost order decides without a walk (growByCost) are
+	// charged as evaluated.
 	StatesVisited int
 	// PeakMemBytes is the maximum simultaneous footprint of the search's
 	// live data structures (queues, boundary lists, visited set), in bytes,
@@ -50,25 +53,53 @@ func (m *memTracker) add(b int64) {
 
 func (m *memTracker) sub(b int64) { m.cur -= b }
 
+// bitmapMaxK is the largest K whose states are indexed directly: a node of
+// K ≤ 24 positions is a number below 2^24, so the visited set is a bitmap of
+// 2^K bits — 128 KiB at the serving default K = 20, 2 MiB at the limit,
+// always less than the map a budget-sized search grows.
+const bitmapMaxK = 24
+
+// bitmapPool holds all-zero bitmaps between searches. Each search takes its
+// own, so concurrent searches (Portfolio's five) share nothing.
+var bitmapPool sync.Pool // of *[]uint64
+
 // visitedSet is the set of states a search has already expanded, with memory
-// accounting. It is exact: a one-word node is its own key, and a wider node
-// is keyed by its words' bytes. A disabled set (paper-faithful mode) reports
-// nothing as seen.
+// accounting. It is exact in every representation: a bit per state where a
+// state is a small number, and above that a map keyed by the node's one word
+// or by its words' bytes. A disabled set (paper-faithful mode) holds nothing
+// and reports nothing as seen. The memory model charges 16 bytes per entry
+// whatever the representation (Figure 13 measures the algorithm).
 type visitedSet struct {
-	word     map[uint64]struct{} // stride 1
-	wide     map[string]struct{} // stride > 1
-	key      []byte              // scratch for wide keys
-	st       *Stats
-	mem      *memTracker
-	disabled bool
+	bits   []uint64            // K ≤ bitmapMaxK: bit n[0], the first 2^K bits of *pooled
+	pooled *[]uint64           // what release hands back to bitmapPool
+	lo, hi int                 // range of words of bits that may be non-zero
+	word   map[uint64]struct{} // K ≤ 64
+	wide   map[string]struct{} // K > 64
+	key    []byte              // scratch for wide keys
+	n      int                 // states recorded
+	st     *Stats
+	mem    *memTracker
 }
 
-// newVisitedSet builds a visited set honoring the instance's memo mode.
-func newVisitedSet(in *Instance, sp *space, st *Stats, mem *memTracker) *visitedSet {
-	v := &visitedSet{st: st, mem: mem, disabled: in.DisableMemo}
-	if sp.stride == 1 {
+// newVisitedSet is the one place the representation is chosen, from K and
+// the instance's memo mode alone. The caller defers release.
+func newVisitedSet(in *Instance, sp *space, st *Stats, mem *memTracker) visitedSet {
+	v := visitedSet{st: st, mem: mem}
+	switch {
+	case in.DisableMemo:
+	case sp.K <= bitmapMaxK:
+		words := max(1, 1<<sp.K>>6)
+		v.pooled, _ = bitmapPool.Get().(*[]uint64)
+		if v.pooled == nil || len(*v.pooled) < words {
+			// A pooled bitmap that is too short is dropped, not grown: the
+			// next search of its size allocates 128 bytes, not 2 MiB.
+			b := make([]uint64, words)
+			v.pooled = &b
+		}
+		v.bits, v.lo, v.hi = (*v.pooled)[:words], words, -1
+	case sp.stride == 1:
 		v.word = make(map[uint64]struct{})
-	} else {
+	default:
 		v.wide = make(map[string]struct{})
 	}
 	return v
@@ -77,15 +108,19 @@ func newVisitedSet(in *Instance, sp *space, st *Stats, mem *memTracker) *visited
 // seen reports whether the node was recorded before, recording it if not.
 // Re-encounters count as memo hits in the run's Stats.
 func (v *visitedSet) seen(n node) bool {
-	if v.disabled {
-		return false
-	}
 	var dup bool
-	if len(n) == 1 {
+	switch {
+	case v.bits != nil:
+		i, bit := int(n[0]>>6), uint64(1)<<(n[0]&63)
+		if dup = v.bits[i]&bit != 0; !dup {
+			v.bits[i] |= bit
+			v.lo, v.hi = min(v.lo, i), max(v.hi, i)
+		}
+	case v.word != nil:
 		if _, dup = v.word[n[0]]; !dup {
 			v.word[n[0]] = struct{}{}
 		}
-	} else {
+	case v.wide != nil:
 		v.key = v.key[:0]
 		for _, w := range n {
 			v.key = binary.LittleEndian.AppendUint64(v.key, w)
@@ -93,13 +128,32 @@ func (v *visitedSet) seen(n node) bool {
 		if _, dup = v.wide[string(v.key)]; !dup {
 			v.wide[string(v.key)] = struct{}{}
 		}
+	default:
+		return false // disabled, or released
 	}
 	if dup {
 		v.st.MemoHits++
 		return true
 	}
+	v.n++
 	v.mem.add(16) // 8-byte key + bucket overhead
 	return false
+}
+
+// len is the number of states recorded.
+func (v *visitedSet) len() int { return v.n }
+
+// release ends the set's use and gives a bitmap back to the pool, zeroed
+// over the words the search dirtied only: a search of a dozen states does
+// not pay for 128 KiB.
+func (v *visitedSet) release() {
+	if v.pooled != nil {
+		if v.lo <= v.hi {
+			clear(v.bits[v.lo : v.hi+1])
+		}
+		bitmapPool.Put(v.pooled)
+	}
+	*v = visitedSet{}
 }
 
 // nodeDeque is a double-ended queue of nodes with memory accounting: the
@@ -144,7 +198,7 @@ func (d *nodeDeque) pushHead(n node) {
 func (d *nodeDeque) popHead(dst node) {
 	if last := d.front.len() - 1; last >= 0 {
 		copy(dst, d.front.at(last))
-		d.front.words = d.front.words[:last*d.front.stride]
+		d.front.truncate(last)
 	} else {
 		copy(dst, d.back.at(d.backAt))
 		d.backAt++

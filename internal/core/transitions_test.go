@@ -53,10 +53,13 @@ func horizontalOf(sp *space, n node) node {
 	return h
 }
 
+// keepAll is vertical's predicate for the whole transition set.
+func keepAll(node) bool { return true }
+
 // verticalOf returns Vertical(n) as fresh nodes, in the transition's order.
 func verticalOf(sp *space, n node) []node {
 	vr := sp.newList()
-	sp.vertical(n, &vr)
+	sp.vertical(n, &vr, keepAll)
 	out := make([]node, vr.len())
 	for i := range out {
 		out[i] = append(node(nil), vr.at(i)...)
@@ -138,7 +141,7 @@ func TestTable4Directions(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		in := randInstance(t, rng, 8)
 		sp := in.costSpace()
-		n := randomNode(rng, sp.K)
+		n := randomNode(rng, sp.K, 1.0/3)
 		if n.size() == 0 {
 			continue
 		}
@@ -167,7 +170,7 @@ func TestTable5Directions(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		in := randInstance(t, rng, 8)
 		sp := in.doiSpace()
-		n := randomNode(rng, sp.K)
+		n := randomNode(rng, sp.K, 1.0/3)
 		if n.size() == 0 {
 			continue
 		}
@@ -196,7 +199,7 @@ func TestProposition1(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		in := randInstance(t, rng, 10)
 		for _, sp := range []*space{in.costSpace(), in.doiSpace(), in.sizeSpace()} {
-			n := randomNode(rng, sp.K)
+			n := randomNode(rng, sp.K, 1.0/3)
 			var dests []node
 			if h := horizontalOf(sp, n); h != nil {
 				dests = append(dests, h)
@@ -222,10 +225,11 @@ func checkValidNode(t *testing.T, n node, sp *space) {
 	}
 }
 
-func randomNode(rng *rand.Rand, k int) node {
+// randomNode draws a node over k positions, each present with probability p.
+func randomNode(rng *rand.Rand, k int, p float64) node {
 	n := make(node, max(1, (k+63)/64))
 	for i := 0; i < k; i++ {
-		if rng.Intn(3) == 0 {
+		if rng.Float64() < p {
 			n.insert(i)
 		}
 	}
@@ -429,10 +433,11 @@ func TestNodeWidths(t *testing.T) {
 				t.Fatalf("K=%d: node {%d} forgotten", k, pos)
 			}
 		}
-		if want := max(0, 2*k-1); len(visited.word)+len(visited.wide) != want || st.MemoHits != k {
+		if want := max(0, 2*k-1); visited.len() != want || st.MemoHits != k {
 			t.Errorf("K=%d: %d states recorded, %d hits; want %d and %d",
-				k, len(visited.word)+len(visited.wide), st.MemoHits, want, k)
+				k, visited.len(), st.MemoHits, want, k)
 		}
+		visited.release()
 
 		// Every algorithm solves at this width, within the bound.
 		in.StateBudget = 5000

@@ -50,9 +50,7 @@ func windowedBoundaries(in *Instance, sp *space, name string, prob Problem) Solu
 
 	// Problems 1 and 3 have no doi constraint, so the acceptance check only
 	// concerns cost and size; doi 1 neutralizes Feasible's DoiMin term.
-	accept := func(n node) bool {
-		return prob.Feasible(1, sp.costOf(in, n), sp.sizeOf(in, n))
-	}
+	accept := func(cost, size float64) bool { return prob.Feasible(1, cost, size) }
 	suffixBest := sp.suffixBest(in)
 	bound := in.topConj()
 	maxSize, minSize := sizeEnvelopes(in)
