@@ -70,6 +70,20 @@ func TestExactAlgorithmsMatchExhaustive(t *testing.T) {
 			}
 		}
 	}
+	// The adversarial families, against plain enumeration — EXHAUSTIVE
+	// prunes on cost order and is under test here too.
+	for _, c := range adversarialCases(t) {
+		if c.prob != Problem2(c.prob.CostMax) {
+			continue
+		}
+		for _, name := range []string{"EXHAUSTIVE", "C_Boundaries", "D_MaxDoi", "BRANCH-BOUND"} {
+			solver, err := SolverByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExact(t, c.name, name, c.prob, solver(c.in, c.prob.CostMax), c.want)
+		}
+	}
 }
 
 // TestHeuristicsFeasibleAndBounded: the heuristic algorithms must return
@@ -103,6 +117,28 @@ func TestHeuristicsFeasibleAndBounded(t *testing.T) {
 	// are harsher, but heuristics should stay within a few percent.
 	if worst > 0.05 {
 		t.Errorf("worst heuristic gap %g is suspiciously large", worst)
+	}
+	// On the adversarial families a heuristic may say infeasible or fall
+	// short; what it calls feasible is, and never tops the optimum.
+	for _, c := range adversarialCases(t) {
+		if c.prob != Problem2(c.prob.CostMax) {
+			continue
+		}
+		for _, a := range Algorithms {
+			if a.Exact {
+				continue
+			}
+			got := a.Solve(c.in, c.prob.CostMax)
+			if !got.Feasible {
+				continue
+			}
+			if !c.want.Feasible || !c.prob.Feasible(got.Doi, got.Cost, got.Size) {
+				t.Fatalf("%s: %s calls %v feasible (cost %g)", c.name, a.Name, got.Set, got.Cost)
+			}
+			if got.Doi > c.want.Doi+1e-12 {
+				t.Fatalf("%s: %s doi %v beats the optimum %v", c.name, a.Name, got.Doi, c.want.Doi)
+			}
+		}
 	}
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -72,6 +75,139 @@ func allIndices(k int) []int {
 	return out
 }
 
+// oracleCase is one adversarial input of the oracle tests with bruteForce's
+// verdict on it.
+type oracleCase struct {
+	name string
+	in   *Instance
+	prob Problem
+	want Solution
+}
+
+var (
+	adversarialOnce sync.Once
+	adversarial     []oracleCase
+)
+
+// adversarialCases returns the families randInstance's continuous draws do
+// not reach, each at K = 6, 10 and 14 and under all six problems over a
+// spread of bounds: all dois equal, all costs equal, dois and costs (and
+// shrinks) tied on a few values, one dominant preference as expensive as
+// the rest together, shrink = 1 throughout, BaseCost above every cmax, a
+// size window no subset lands in, and a dmin above the all-K doi. The
+// enumeration runs once per test binary.
+func adversarialCases(t testing.TB) []oracleCase {
+	t.Helper()
+	adversarialOnce.Do(func() {
+		rng := rand.New(rand.NewSource(26))
+		for _, k := range []int{6, 10, 14} {
+			draw := func(lo, hi float64) []float64 {
+				v := make([]float64, k)
+				for i := range v {
+					v[i] = lo + (hi-lo)*rng.Float64()
+				}
+				return v
+			}
+			oneOf := func(vals ...float64) []float64 {
+				v := make([]float64, k)
+				for i := range v {
+					v[i] = vals[rng.Intn(len(vals))]
+				}
+				return v
+			}
+			dominantDois, dominantCosts := draw(0.01, 0.1), draw(1, 10)
+			dominantDois[0], dominantCosts[0] = 0.999, 0
+			for _, c := range dominantCosts[1:] {
+				dominantCosts[0] += c
+			}
+			for _, f := range []struct {
+				name                 string
+				dois, costs, shrinks []float64
+				baseCost             float64
+			}{
+				{"equal-dois", oneOf(0.5), draw(1, 100), draw(0.05, 1), 1},
+				{"equal-costs", draw(0.01, 0.99), oneOf(10), draw(0.05, 1), 1},
+				{"tied", oneOf(0.2, 0.5, 0.8), oneOf(10, 20), oneOf(0.5, 1), 1},
+				{"dominant", dominantDois, dominantCosts, draw(0.05, 1), 1},
+				{"shrink-one", draw(0.01, 0.99), draw(1, 100), oneOf(1), 1},
+				{"base-over-cmax", draw(0.01, 0.99), draw(1, 100), draw(0.05, 1), 1e4},
+				{"empty-window", draw(0.01, 0.99), draw(1, 100), oneOf(0.5), 1},
+			} {
+				sort.Sort(sort.Reverse(sort.Float64Slice(f.dois)))
+				in, err := NewInstance(f.dois, f.costs, f.shrinks, f.baseCost, 1000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, prob := range spreadProblems(in) {
+					if prob.Validate() != nil {
+						continue
+					}
+					adversarial = append(adversarial, oracleCase{
+						name: fmt.Sprintf("%s/k%d/%d (%s)", f.name, k, i, prob),
+						in:   in, prob: prob, want: bruteForce(in, prob),
+					})
+				}
+			}
+		}
+	})
+	return adversarial
+}
+
+// spreadProblems instantiates all six problems on the instance: cmax from
+// half the cheapest preference to past the Supreme cost, windows from the
+// whole size range down to a sliver, the window [300, 400] that halving
+// shrinks step over from a base of 1000, dmin up to the all-K doi and above
+// it. The cost and size bounds sit off the values a subset attains: on one,
+// a search's own fold order decides (S_BoundariesP1 tests size ≥ smin
+// without Problem.Feasible's tolerance and misses the all-K set when smin
+// is that set's size to the last bit).
+func spreadProblems(in *Instance) []Problem {
+	all := allIndices(in.K)
+	sup, top, minSize := in.SupremeCost(), in.SetDoi(all), in.SetSize(all)
+	type window struct{ lo, hi float64 }
+	windows := []window{{300, 400}}
+	for _, ab := range [][2]float64{{0, 1}, {0.25, 0.5}, {0.5, 0.1}} {
+		lo := 0.999*minSize + ab[0]*(in.BaseSize-minSize)
+		windows = append(windows, window{lo, lo + ab[1]*(in.BaseSize-lo)})
+	}
+	var out []Problem
+	for _, cmax := range []float64{in.Cost[in.C[in.K-1]] / 2, 0.15 * sup, 0.5 * sup, 1.001 * sup} {
+		out = append(out, Problem2(cmax))
+	}
+	for _, dmin := range []float64{0.5 * top, 0.9 * top, top, (1 + top) / 2} {
+		out = append(out, Problem4(dmin))
+	}
+	for _, w := range windows {
+		out = append(out, Problem1(w.lo, w.hi), Problem6(w.lo, w.hi),
+			Problem3(0.15*sup, w.lo, w.hi), Problem3(0.5*sup, w.lo, w.hi),
+			Problem5(0.5*top, w.lo, w.hi), Problem5((1+top)/2, w.lo, w.hi))
+	}
+	return out
+}
+
+// checkExact fails unless an exact solver's answer agrees with the oracle's
+// on feasibility, equals its objective within 1e-12 (relative, for costs
+// above 1) and satisfies the constraints itself.
+func checkExact(t *testing.T, label, solver string, prob Problem, got, want Solution) {
+	t.Helper()
+	if got.Feasible != want.Feasible {
+		t.Fatalf("%s: %s feasible %v, want %v (sets %v vs %v)",
+			label, solver, got.Feasible, want.Feasible, got.Set, want.Set)
+	}
+	if !want.Feasible {
+		return
+	}
+	if !prob.Feasible(got.Doi, got.Cost, got.Size) {
+		t.Fatalf("%s: %s returned the infeasible %v", label, solver, got.Set)
+	}
+	if prob.Objective == ObjMaxDoi && math.Abs(got.Doi-want.Doi) > 1e-12 {
+		t.Fatalf("%s: %s doi %v, want %v (sets %v vs %v)", label, solver, got.Doi, want.Doi, got.Set, want.Set)
+	}
+	if prob.Objective == ObjMinCost && math.Abs(got.Cost-want.Cost) > 1e-12*math.Max(1, want.Cost) {
+		t.Fatalf("%s: %s cost %v, want %v (sets %v vs %v)", label, solver, got.Cost, want.Cost, got.Set, want.Set)
+	}
+}
+
 func TestProblemConstructorsAndValidate(t *testing.T) {
 	cases := []struct {
 		p  Problem
@@ -103,7 +239,7 @@ func TestProblemConstructorsAndValidate(t *testing.T) {
 }
 
 // TestBranchBoundMatchesBruteForce validates the family-wide exact solver
-// on all six problems over random instances.
+// on all six problems, over random instances and the adversarial families.
 func TestBranchBoundMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
@@ -114,65 +250,47 @@ func TestBranchBoundMatchesBruteForce(t *testing.T) {
 		if prob.Validate() != nil {
 			continue
 		}
-		want := bruteForce(in, prob)
-		got := BranchBound(in, prob)
-		if got.Feasible != want.Feasible {
-			t.Fatalf("trial %d P%d (%s): feasible %v, want %v",
-				trial, kind, prob, got.Feasible, want.Feasible)
-		}
-		if !want.Feasible {
-			continue
-		}
-		switch prob.Objective {
-		case ObjMaxDoi:
-			if math.Abs(got.Doi-want.Doi) > 1e-9 {
-				t.Fatalf("trial %d P%d: doi %v, want %v (sets %v vs %v)",
-					trial, kind, got.Doi, want.Doi, got.Set, want.Set)
-			}
-		case ObjMinCost:
-			if math.Abs(got.Cost-want.Cost) > 1e-6 {
-				t.Fatalf("trial %d P%d: cost %v, want %v (sets %v vs %v)",
-					trial, kind, got.Cost, want.Cost, got.Set, want.Set)
-			}
-		}
-		if !prob.Feasible(got.Doi, got.Cost, got.Size) {
-			t.Fatalf("trial %d P%d: returned infeasible solution", trial, kind)
-		}
+		checkExact(t, fmt.Sprintf("trial %d P%d (%s)", trial, kind, prob), "BranchBound",
+			prob, BranchBound(in, prob), bruteForce(in, prob))
+	}
+	for _, c := range adversarialCases(t) {
+		checkExact(t, c.name, "BranchBound", c.prob, BranchBound(c.in, c.prob), c.want)
+	}
+}
+
+// windowedAdapter runs the Section 6 state-space adaptation for the
+// problem's shape, or reports that there is none (Problems 2 and 4–6).
+func windowedAdapter(in *Instance, p Problem) (string, Solution, bool) {
+	switch {
+	case p.Objective != ObjMaxDoi || p.SizeMin == 0 && p.SizeMax == 0:
+		return "", Solution{}, false
+	case p.CostMax > 0:
+		return "C_BoundariesP3", CBoundariesP3(in, p.CostMax, p.SizeMin, p.SizeMax), true
+	default:
+		return "S_BoundariesP1", SBoundariesP1(in, p.SizeMin, p.SizeMax), true
 	}
 }
 
 // TestWindowedAdaptersMatchBruteForce validates the Section 6 state-space
-// adaptations for Problems 1 and 3.
+// adaptations for Problems 1 and 3, over random instances and the
+// adversarial families.
 func TestWindowedAdaptersMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 150; trial++ {
 		k := 2 + rng.Intn(9)
 		in := randInstance(t, rng, k)
-
-		p1 := randProblem(rng, in, 1)
-		if p1.Validate() == nil {
-			want := bruteForce(in, p1)
-			got := SBoundariesP1(in, p1.SizeMin, p1.SizeMax)
-			if got.Feasible != want.Feasible {
-				t.Fatalf("trial %d P1 (%s): feasible %v want %v", trial, p1, got.Feasible, want.Feasible)
+		for _, kind := range []int{1, 3} {
+			prob := randProblem(rng, in, kind)
+			if prob.Validate() != nil {
+				continue
 			}
-			if want.Feasible && math.Abs(got.Doi-want.Doi) > 1e-9 {
-				t.Fatalf("trial %d P1: doi %v want %v (sets %v vs %v)",
-					trial, got.Doi, want.Doi, got.Set, want.Set)
-			}
+			name, got, _ := windowedAdapter(in, prob)
+			checkExact(t, fmt.Sprintf("trial %d (%s)", trial, prob), name, prob, got, bruteForce(in, prob))
 		}
-
-		p3 := randProblem(rng, in, 3)
-		if p3.Validate() == nil {
-			want := bruteForce(in, p3)
-			got := CBoundariesP3(in, p3.CostMax, p3.SizeMin, p3.SizeMax)
-			if got.Feasible != want.Feasible {
-				t.Fatalf("trial %d P3 (%s): feasible %v want %v", trial, p3, got.Feasible, want.Feasible)
-			}
-			if want.Feasible && math.Abs(got.Doi-want.Doi) > 1e-9 {
-				t.Fatalf("trial %d P3: doi %v want %v (sets %v vs %v)",
-					trial, got.Doi, want.Doi, got.Set, want.Set)
-			}
+	}
+	for _, c := range adversarialCases(t) {
+		if name, got, ok := windowedAdapter(c.in, c.prob); ok {
+			checkExact(t, c.name, name, c.prob, got, c.want)
 		}
 	}
 }
