@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"cqp/internal/prefs"
-)
+import "time"
 
 // BranchBound is the exact reference solver for the full CQP family: a
 // depth-first branch-and-bound over subsets of P (in doi order) that
@@ -55,19 +51,21 @@ func BranchBound(in *Instance, prob Problem) Solution {
 	// The empty personalization (the original query) is always a candidate.
 	consider(nil, 0, in.BaseCost, in.BaseSize)
 
-	acc := prefs.NewConjAccum()
 	cur := make([]int, 0, in.K)
-	var rec func(k int, cost, size float64)
-	rec = func(k int, cost, size float64) {
+	// rest is Π(1 − dᵢ) over cur, multiplied in ascending index order — the
+	// fold SetDoi makes, so every cut is decided on the doi solutionFor will
+	// report, and backing out of a branch has nothing to undo.
+	var rec func(k int, rest, cost, size float64)
+	rec = func(k int, rest, cost, size float64) {
 		if k == in.K || in.overBudget(&st) {
 			return
 		}
 		// Bound: best doi any completion can reach.
-		maxDoi := 1 - (1-acc.Doi())*(1-suffix[k])
+		maxDoi := 1 - rest*(1-suffix[k])
 		if prob.DoiMin > 0 && maxDoi < prob.DoiMin-1e-12 {
 			return
 		}
-		if prob.Objective == ObjMaxDoi && bestFound && maxDoi <= bestDoi+1e-15 {
+		if prob.Objective == ObjMaxDoi && bestFound && maxDoi <= bestDoi {
 			return
 		}
 		// Bound: size can only shrink; if even taking everything stays
@@ -83,16 +81,15 @@ func BranchBound(in *Instance, prob Problem) Solution {
 		minCostOK := prob.Objective != ObjMinCost || !bestFound || nc < bestCost
 		if costOK && sizeOK && minCostOK {
 			cur = append(cur, k)
-			acc.Add(in.Doi[k])
-			consider(cur, acc.Doi(), nc, ns)
-			rec(k+1, nc, ns)
-			acc.Remove(in.Doi[k])
+			nr := rest * (1 - in.Doi[k])
+			consider(cur, 1-nr, nc, ns)
+			rec(k+1, nr, nc, ns)
 			cur = cur[:len(cur)-1]
 		}
 		// Branch 2: exclude preference k.
-		rec(k+1, cost, size)
+		rec(k+1, rest, cost, size)
 	}
-	rec(0, 0, in.BaseSize)
+	rec(0, 1, 0, in.BaseSize)
 
 	var sol Solution
 	if bestFound {

@@ -18,7 +18,13 @@ import (
 // itself, which must pass it unmodified.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_search.json from the current code")
 
-const goldenPath = "testdata/golden_search.json"
+// updateGoldenBB regenerates testdata/golden_bb.json, BranchBound's record.
+var updateGoldenBB = flag.Bool("update-bb", false, "rewrite testdata/golden_bb.json from the current code")
+
+const (
+	goldenPath   = "testdata/golden_search.json"
+	goldenBBPath = "testdata/golden_bb.json"
+)
 
 // goldenRun is one solver run pinned bit for bit: the answer and every
 // Stats field but Duration.
@@ -118,12 +124,57 @@ func goldenRuns(t testing.TB) []goldenRun {
 	return runs
 }
 
+// goldenBBRuns solves all six problems with BranchBound on the same
+// instances, each under the serving default budget of 2^20 states.
+func goldenBBRuns(t testing.TB) []goldenRun {
+	var runs []goldenRun
+	for _, k := range []int{8, 20, 40, 64, 65, 80} {
+		for _, tied := range []bool{false, true} {
+			in := goldenInstance(t, k, int64(1000+k), tied)
+			in.StateBudget = 1 << 20
+			cmax := in.SupremeCost() * 0.4
+			if tied {
+				cmax = in.SupremeCost() * 0.25
+			}
+			smin, smax := 5.0, 300.0
+			for i, prob := range []Problem{
+				Problem1(smin, smax), Problem2(cmax), Problem3(cmax, smin, smax),
+				Problem4(0.95), Problem5(0.95, smin, smax), Problem6(smin, smax),
+			} {
+				sol := BranchBound(in, prob)
+				set := sol.Set
+				if set == nil {
+					set = []int{}
+				}
+				runs = append(runs, goldenRun{
+					Case: fmt.Sprintf("k%d/tied=%v", k, tied), Solver: fmt.Sprintf("BranchBound/P%d", i+1),
+					Set: set, Doi: sol.Doi, Cost: sol.Cost, Size: sol.Size, Feasible: sol.Feasible,
+					StatesVisited: sol.Stats.StatesVisited,
+					Truncated:     sol.Stats.Truncated,
+				})
+			}
+		}
+	}
+	return runs
+}
+
 // TestGoldenSearch is the differential oracle for the search's state
 // representation: every answer and every counter must equal, bit for bit,
 // what the recorded commit produced. It is also the K > 64 regression test.
 func TestGoldenSearch(t *testing.T) {
-	got := goldenRuns(t)
-	if *updateGolden {
+	checkGolden(t, goldenPath, *updateGolden, goldenRuns(t))
+}
+
+// TestGoldenBB pins BranchBound the same way. A change that claims speed
+// never rewrites its file: it may lower states_visited only by showing the
+// answers equal and neither run truncated.
+func TestGoldenBB(t *testing.T) {
+	checkGolden(t, goldenBBPath, *updateGoldenBB, goldenBBRuns(t))
+}
+
+// checkGolden compares the runs with the recorded file, or rewrites it.
+func checkGolden(t *testing.T, path string, update bool, got []goldenRun) {
+	if update {
 		b, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
 			t.Fatal(err)
@@ -131,19 +182,19 @@ func TestGoldenSearch(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d runs to %s", len(got), goldenPath)
+		t.Logf("wrote %d runs to %s", len(got), path)
 		return
 	}
-	b, err := os.ReadFile(goldenPath)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []goldenRun
 	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatalf("%s: %v", goldenPath, err)
+		t.Fatalf("%s: %v", path, err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("grid has %d runs, golden file %d", len(got), len(want))

@@ -258,6 +258,22 @@ func TestBranchBoundMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestBranchBoundNonBinding: under a cmax nothing exceeds, the optimum is
+// known without enumeration — the doi of all K preferences, to the last
+// bit, since BranchBound folds its products in SetDoi's order. K = 40
+// saturates Formula 10 to within a few ulps of 1, where an incumbent cut
+// with slack, or a product maintained by division, stops short of it.
+func TestBranchBoundNonBinding(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		in := randInstance(t, rand.New(rand.NewSource(seed)), 40)
+		got := BranchBound(in, Problem2(1.001*in.SupremeCost()))
+		if want := in.SetDoi(allIndices(in.K)); got.Doi != want {
+			t.Errorf("seed %d: %d of %d preferences, doi short of all-K by %g",
+				seed, len(got.Set), in.K, want-got.Doi)
+		}
+	}
+}
+
 // windowedAdapter runs the Section 6 state-space adaptation for the
 // problem's shape, or reports that there is none (Problems 2 and 4–6).
 func windowedAdapter(in *Instance, p Problem) (string, Solution, bool) {
