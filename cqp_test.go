@@ -414,23 +414,6 @@ func TestPersonalizeTopK(t *testing.T) {
 	}
 }
 
-func TestPortfolioThroughFacade(t *testing.T) {
-	db := paperDB(t)
-	p := NewPersonalizer(db)
-	profile, _ := ParseProfile(figure1)
-	q, _ := ParseQuery(db.Schema(), "select title from MOVIE")
-	res, err := p.Personalize(q, profile, Problem2(1000), WithAlgorithm("PORTFOLIO"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Solution.Doi != 0.89 {
-		t.Errorf("portfolio doi = %v", res.Solution.Doi)
-	}
-	if !strings.HasPrefix(res.Solution.Stats.Algorithm, "PORTFOLIO(") {
-		t.Errorf("algorithm = %s", res.Solution.Stats.Algorithm)
-	}
-}
-
 func TestEmptyProfilePersonalization(t *testing.T) {
 	db := paperDB(t)
 	p := NewPersonalizer(db)

@@ -360,29 +360,3 @@ func TestNoMemoModeStillExact(t *testing.T) {
 		}
 	}
 }
-
-// TestPortfolio: the concurrent portfolio matches the exhaustive optimum
-// (it contains exact members) and aggregates stats.
-func TestPortfolio(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	for trial := 0; trial < 30; trial++ {
-		in := randInstance(t, rng, 3+rng.Intn(8))
-		cmax := in.SupremeCost() * (0.2 + 0.6*rng.Float64())
-		want := Exhaustive(in, cmax)
-		got, stats := Portfolio(in, cmax)
-		if math.Abs(got.Doi-want.Doi) > 1e-9 {
-			t.Fatalf("trial %d: portfolio doi %v, want %v", trial, got.Doi, want.Doi)
-		}
-		if len(stats) != len(Algorithms) {
-			t.Fatalf("stats for %d algorithms", len(stats))
-		}
-		if got.Stats.StatesVisited == 0 || got.Stats.Duration <= 0 {
-			t.Fatal("portfolio stats empty")
-		}
-	}
-	// Infeasible instance: portfolio reports infeasible.
-	in, _ := NewInstance([]float64{0.5}, []float64{10}, []float64{0.5}, 5, 100)
-	if got, _ := Portfolio(in, 1); got.Feasible {
-		t.Error("portfolio must report infeasibility")
-	}
-}

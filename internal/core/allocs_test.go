@@ -9,7 +9,8 @@ import "testing"
 // from the pool, warm after the first solve — so what remains is those lists
 // doubling (C_Boundaries keeps one per group size) and a dozen fixed-size
 // pieces. The bounds are about twice what a solve makes (45, 32, 157, 39 and
-// 12), on either of the runtime's maps.
+// 12; 9 for the serving path, a Solve that names no algorithm), on either of
+// the runtime's maps.
 func TestSearchAllocs(t *testing.T) {
 	in := goldenInstance(t, 20, 1020, false)
 	cmax := 0.4 * in.SupremeCost()
@@ -19,15 +20,23 @@ func TestSearchAllocs(t *testing.T) {
 		"C_Boundaries":   320,
 		"C_MaxBounds":    80,
 		"D_HeurDoi":      25,
+		"Solve":          20,
 	}
-	for _, a := range Algorithms {
+	check := func(name string, solve func() Solution) {
 		var states int
-		got := testing.AllocsPerRun(3, func() { states = a.Solve(in, cmax).Stats.StatesVisited })
-		t.Logf("%s: %.0f allocs for %d states", a.Name, got, states)
-		if got > bounds[a.Name] {
-			t.Errorf("%s: %.0f allocs per solve, want ≤ %.0f", a.Name, got, bounds[a.Name])
+		got := testing.AllocsPerRun(3, func() { states = solve().Stats.StatesVisited })
+		t.Logf("%s: %.0f allocs for %d states", name, got, states)
+		if got > bounds[name] {
+			t.Errorf("%s: %.0f allocs per solve, want ≤ %.0f", name, got, bounds[name])
 		}
 	}
+	for _, a := range Algorithms {
+		check(a.Name, func() Solution { return a.Solve(in, cmax) })
+	}
+	check("Solve", func() Solution {
+		sol, _ := Solve(in, Problem2(cmax), "")
+		return sol
+	})
 }
 
 // TestSearchAllocsVertical: a Vertical transition into a reused buffer

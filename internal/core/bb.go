@@ -2,10 +2,11 @@ package core
 
 import "time"
 
-// BranchBound is the exact reference solver for the full CQP family: a
-// depth-first branch-and-bound over subsets of P (in doi order) that
-// handles every Problem of Table 1. It exploits the same monotone partial
-// orders as the state-space algorithms (Formulas 4, 7, 8) for pruning:
+// BranchBound is the exact solver for the full CQP family and what Solve
+// runs when no algorithm is named: a depth-first branch-and-bound over
+// subsets of P (in doi order) that handles every Problem of Table 1. It
+// exploits the same monotone partial orders as the state-space algorithms
+// (Formulas 4, 7, 8) for pruning:
 //
 //   - cost only grows with additions → subtrees beyond CostMax are cut;
 //   - size only shrinks with additions → subtrees already below SizeMin
@@ -16,9 +17,9 @@ import "time"
 //   - under ObjMinCost a partial sum at or above the incumbent is cut.
 //
 // The paper introduces its algorithms because exhaustive search is O(2^K);
-// BranchBound is the tightened exhaustive baseline used to validate them
-// and to solve Problems 1 and 3–6 exactly (Section 6 sketches, but does
-// not fully specify, the adapted state-space variants).
+// they are the reproduction and run by name. The worst case here is
+// exponential too: StateBudget bounds it and the incumbent is returned
+// with Stats.Truncated set.
 func BranchBound(in *Instance, prob Problem) Solution {
 	start := time.Now()
 	st := Stats{Algorithm: "BRANCH-BOUND"}

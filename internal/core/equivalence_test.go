@@ -124,13 +124,13 @@ func TestVisitedSetAgreement(t *testing.T) {
 }
 
 // TestVisitedPoolConcurrent: searches running at once each hold their own
-// bitmap. Eight goroutines run Portfolio (five concurrent searches each) on
-// distinct K = 20 instances; every answer and counter equals the same solve
-// run alone. Run it under -race.
+// bitmap. Eight goroutines each start the five algorithms on goroutines of
+// their own, on distinct K = 20 instances; every answer and counter equals
+// the same solve run alone. Run it under -race.
 func TestVisitedPoolConcurrent(t *testing.T) {
 	const workers = 8
 	type outcome struct {
-		set   []int
+		sets  [][]int
 		stats []Stats
 	}
 	ins := make([]*Instance, workers)
@@ -139,11 +139,20 @@ func TestVisitedPoolConcurrent(t *testing.T) {
 		ins[i].StateBudget = 20000 // keeps the exact searches short under -race
 	}
 	solve := func(i int) outcome {
-		sol, stats := Portfolio(ins[i], (0.2+0.03*float64(i))*ins[i].SupremeCost())
-		for j := range stats {
-			stats[j].Duration = 0 // every counter, not the wall clock
+		out := outcome{make([][]int, len(Algorithms)), make([]Stats, len(Algorithms))}
+		cmax := (0.2 + 0.03*float64(i)) * ins[i].SupremeCost()
+		var wg sync.WaitGroup
+		for j, a := range Algorithms {
+			wg.Add(1)
+			go func(j int, solve Problem2Solver) {
+				defer wg.Done()
+				sol := solve(ins[i], cmax)
+				sol.Stats.Duration = 0 // every counter, not the wall clock
+				out.sets[j], out.stats[j] = sol.Set, sol.Stats
+			}(j, a.Solve)
 		}
-		return outcome{sol.Set, stats}
+		wg.Wait()
+		return out
 	}
 	want := make([]outcome, workers)
 	for i := range want {

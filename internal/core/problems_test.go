@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -311,69 +312,40 @@ func TestWindowedAdaptersMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestMinCostGreedy: feasible when the exact solver is, never cheaper than
-// the optimum.
-func TestMinCostGreedy(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	degraded := 0
-	for trial := 0; trial < 150; trial++ {
-		k := 2 + rng.Intn(9)
-		in := randInstance(t, rng, k)
-		kind := 4 + rng.Intn(3)
-		prob := randProblem(rng, in, kind)
-		if prob.Validate() != nil {
-			continue
-		}
-		want := bruteForce(in, prob)
-		got := MinCostGreedy(in, prob)
-		if got.Feasible && !prob.Feasible(got.Doi, got.Cost, got.Size) {
-			t.Fatalf("trial %d: greedy returned invalid solution", trial)
-		}
-		if got.Feasible && want.Feasible && got.Cost < want.Cost-1e-6 {
-			t.Fatalf("trial %d: greedy cost %v beats optimum %v", trial, got.Cost, want.Cost)
-		}
-		if want.Feasible && !got.Feasible {
-			degraded++ // greedy may miss windowed feasibility; count it
-		}
-	}
-	t.Logf("greedy missed feasibility in %d trials (heuristic, expected small)", degraded)
-}
-
-// TestSolveDispatch exercises the Table 1 router.
+// TestSolveDispatch exercises Solve's one rule: no name → BranchBound on
+// every problem; a name must be registered whatever the problem, and picks
+// the solver on Problem 2 alone.
 func TestSolveDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	in := randInstance(t, rng, 8)
 	cmax := in.SupremeCost() * 0.5
+	minSize := in.SetSize(allIndices(in.K))
+	smin := (minSize + in.BaseSize) / 4
+	smax := in.BaseSize
+	six := []Problem{
+		Problem1(smin, smax), Problem2(cmax), Problem3(cmax, smin, smax),
+		Problem4(0.5), Problem5(0.5, smin, smax), Problem6(smin, smax),
+	}
 
 	if _, err := Solve(in, Problem{Objective: ObjMaxDoi}, ""); err == nil {
 		t.Error("invalid problem must be rejected")
 	}
-	if _, err := Solve(in, Problem2(cmax), "NOPE"); err == nil {
-		t.Error("unknown algorithm must be rejected")
+	for i, prob := range six {
+		if _, err := Solve(in, prob, "NOPE"); err == nil || !strings.Contains(err.Error(), `unknown algorithm "NOPE"`) {
+			t.Errorf("P%d: unknown algorithm: err = %v", i+1, err)
+		}
+		if s, err := Solve(in, prob, ""); err != nil || s.Stats.Algorithm != "BRANCH-BOUND" {
+			t.Errorf("P%d default route: %v %v", i+1, s.Stats.Algorithm, err)
+		}
 	}
-	s2, err := Solve(in, Problem2(cmax), "")
-	if err != nil || s2.Stats.Algorithm != "C-MAXBOUNDS" {
-		t.Errorf("default P2 solver: %v %v", s2.Stats.Algorithm, err)
+	if s, err := Solve(in, Problem2(cmax), "D_MaxDoi"); err != nil || s.Stats.Algorithm != "D-MAXDOI" {
+		t.Errorf("named P2 solver: %v %v", s.Stats.Algorithm, err)
 	}
-	s2b, err := Solve(in, Problem2(cmax), "D_MaxDoi")
-	if err != nil || s2b.Stats.Algorithm != "D-MAXDOI" {
-		t.Errorf("named P2 solver: %v %v", s2b.Stats.Algorithm, err)
-	}
-
-	minSize := in.SetSize(allIndices(in.K))
-	smin := (minSize + in.BaseSize) / 4
-	smax := in.BaseSize
-	if s, err := Solve(in, Problem1(smin, smax), ""); err != nil || s.Stats.Algorithm != "S-BOUNDARIES-P1" {
-		t.Errorf("P1 route: %v %v", s.Stats.Algorithm, err)
-	}
-	if s, err := Solve(in, Problem3(cmax, smin, smax), ""); err != nil || s.Stats.Algorithm != "C-BOUNDARIES-P3" {
-		t.Errorf("P3 route: %v %v", s.Stats.Algorithm, err)
-	}
-	if s, err := Solve(in, Problem4(0.5), ""); err != nil || s.Stats.Algorithm != "BRANCH-BOUND" {
-		t.Errorf("P4 route: %v %v", s.Stats.Algorithm, err)
-	}
-	if s, err := Solve(in, Problem6(smin, smax), ""); err != nil || s.Stats.Algorithm != "BRANCH-BOUND" {
-		t.Errorf("P6 route: %v %v", s.Stats.Algorithm, err)
+	// A Problem-2 name on another problem is valid and has nothing to say.
+	for _, prob := range []Problem{six[2], six[3]} {
+		if s, err := Solve(in, prob, "D_HeurDoi"); err != nil || s.Stats.Algorithm != "BRANCH-BOUND" {
+			t.Errorf("%s with a Problem-2 name: %v %v", prob, s.Stats.Algorithm, err)
+		}
 	}
 }
 
@@ -463,13 +435,14 @@ func dedupPositions(r []int, k int) []int {
 	return out
 }
 
-// TestWindowedFallback: a budget-starved windowed search must escalate to
-// branch-and-bound instead of reporting unproven infeasibility.
-func TestWindowedFallback(t *testing.T) {
+// TestStarvedBudgetKeepsFeasibility: a state budget far below what the
+// problem needs may cost Solve optimality, never a feasible answer the
+// unbudgeted solver finds.
+func TestStarvedBudgetKeepsFeasibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 20; trial++ {
 		in := randInstance(t, rng, 16)
-		in.StateBudget = 200 // starve the boundary search
+		in.StateBudget = 200
 		prob := Problem3(in.SupremeCost()*0.4, in.SetSize(allIndices(in.K))*2, in.BaseSize*0.9)
 		if prob.Validate() != nil {
 			continue
@@ -482,14 +455,10 @@ func TestWindowedFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want.Feasible && !got.Feasible {
-			t.Fatalf("trial %d: fallback failed to find the feasible answer", trial)
+			t.Fatalf("trial %d: the starved solve lost the feasible answer", trial)
 		}
-		if want.Feasible && math.Abs(got.Doi-want.Doi) > 1e-9 {
-			// The fallback runs under the budget too; allow truncation to
-			// cost optimality but never feasibility.
-			if !got.Stats.Truncated {
-				t.Fatalf("trial %d: untruncated fallback doi %v, want %v", trial, got.Doi, want.Doi)
-			}
+		if want.Feasible && math.Abs(got.Doi-want.Doi) > 1e-9 && !got.Stats.Truncated {
+			t.Fatalf("trial %d: untruncated doi %v, want %v", trial, got.Doi, want.Doi)
 		}
 	}
 }

@@ -28,11 +28,6 @@ func SolverByName(name string) (Problem2Solver, error) {
 	switch name {
 	case "EXHAUSTIVE":
 		return Exhaustive, nil
-	case "PORTFOLIO":
-		return func(in *Instance, cmax float64) Solution {
-			sol, _ := Portfolio(in, cmax)
-			return sol
-		}, nil
 	case "BRANCH-BOUND":
 		return func(in *Instance, cmax float64) Solution {
 			return BranchBound(in, Problem2(cmax))
@@ -46,42 +41,26 @@ func SolverByName(name string) (Problem2Solver, error) {
 	return nil, fmt.Errorf("core: unknown algorithm %q", name)
 }
 
-// Solve dispatches a full CQP Problem (Table 1) to the appropriate engine:
-//
-//   - Problem 2 → the requested state-space algorithm (algo name, default
-//     C-MAXBOUNDS);
-//   - Problem 1 → S-space boundary search (Section 6 adaptation);
-//   - Problem 3 → cost-space boundary search with the size window in the
-//     second phase;
-//   - Problems 4–6 → exact branch-and-bound (MinCostGreedy is available
-//     separately as the fast heuristic).
+// Solve answers any CQP Problem of Table 1 by one rule: BranchBound, which
+// is exact on all six and cuts on the monotonicity the paper's algorithms
+// exploit. The paper's algorithms are the reproduction and run by name: a
+// non-empty algo must be one SolverByName knows, and on Problem 2 — the
+// problem they solve — it runs in BranchBound's place. On any other problem
+// a Problem-2 algorithm has nothing to say and the default answers.
 func Solve(in *Instance, prob Problem, algo string) (Solution, error) {
 	if err := prob.Validate(); err != nil {
 		return Solution{}, err
 	}
-	switch {
-	case prob.Objective == ObjMaxDoi && prob.CostMax > 0 && prob.SizeMin == 0 && prob.SizeMax == 0:
-		// Problem 2.
-		if algo == "" {
-			algo = "C_MaxBounds"
-		}
+	if algo != "" {
 		solver, err := SolverByName(algo)
 		if err != nil {
 			return Solution{}, err
 		}
-		return surfaceFault(solver(in, prob.CostMax))
-	case prob.Objective == ObjMaxDoi && prob.CostMax > 0:
-		// Problem 3.
-		return surfaceFault(windowedWithFallback(in, prob,
-			CBoundariesP3(in, prob.CostMax, prob.SizeMin, prob.SizeMax)))
-	case prob.Objective == ObjMaxDoi:
-		// Problem 1.
-		return surfaceFault(windowedWithFallback(in, prob,
-			SBoundariesP1(in, prob.SizeMin, prob.SizeMax)))
-	default:
-		// Problems 4–6.
-		return surfaceFault(BranchBound(in, prob))
+		if prob == Problem2(prob.CostMax) {
+			return surfaceFault(solver(in, prob.CostMax))
+		}
 	}
+	return surfaceFault(BranchBound(in, prob))
 }
 
 // surfaceFault turns a solution's recorded injected-fault abort into
@@ -89,26 +68,4 @@ func Solve(in *Instance, prob Problem, algo string) (Solution, error) {
 // callers that want the best-so-far answer despite the fault.
 func surfaceFault(sol Solution) (Solution, error) {
 	return sol, sol.Stats.Fault
-}
-
-// windowedWithFallback escalates a truncated, answerless windowed search to
-// the branch-and-bound solver (same state budget, much stronger pruning):
-// the paper's state-space adaptation stays primary, but a budget-starved
-// run must not report infeasibility it has not proven.
-func windowedWithFallback(in *Instance, prob Problem, sol Solution) Solution {
-	if sol.Feasible || !sol.Stats.Truncated {
-		return sol
-	}
-	fb := BranchBound(in, prob)
-	fb.Stats.Algorithm = sol.Stats.Algorithm + "+BB-FALLBACK"
-	fb.Stats.StatesVisited += sol.Stats.StatesVisited
-	fb.Stats.Duration += sol.Stats.Duration
-	fb.Stats.MemoHits += sol.Stats.MemoHits
-	if sol.Stats.QueueHighWater > fb.Stats.QueueHighWater {
-		fb.Stats.QueueHighWater = sol.Stats.QueueHighWater
-	}
-	if sol.Stats.PeakMemBytes > fb.Stats.PeakMemBytes {
-		fb.Stats.PeakMemBytes = sol.Stats.PeakMemBytes
-	}
-	return fb
 }

@@ -23,10 +23,6 @@ type Solution struct {
 	Feasible bool
 	// Stats carries the run's instrumentation.
 	Stats Stats
-	// Portfolio carries the per-algorithm stats of a PORTFOLIO run (nil
-	// for single-algorithm solves) so tracing can attach one child span
-	// per raced algorithm.
-	Portfolio []Stats
 }
 
 // solutionFor materializes a Solution for a P-index set.

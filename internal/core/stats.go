@@ -60,7 +60,7 @@ func (m *memTracker) sub(b int64) { m.cur -= b }
 const bitmapMaxK = 24
 
 // bitmapPool holds all-zero bitmaps between searches. Each search takes its
-// own, so concurrent searches (Portfolio's five) share nothing.
+// own, so searches running at once (one per request worker) share nothing.
 var bitmapPool sync.Pool // of *[]uint64
 
 // visitedSet is the set of states a search has already expanded, with memory

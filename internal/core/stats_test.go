@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -89,51 +88,5 @@ func TestTruncatedExactlyWhenBudgetHit(t *testing.T) {
 			t.Errorf("%s: budget hit (%d > %d) but Truncated not set",
 				a.Name, free.Stats.StatesVisited, in.StateBudget)
 		}
-	}
-}
-
-// TestPortfolioStatsAggregation checks the racer's aggregate Stats: states
-// and memo hits sum across the five algorithms, peak memory and queue
-// high-water take the max, and the per-algorithm breakdown rides along on
-// Solution.Portfolio.
-func TestPortfolioStatsAggregation(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	in := randInstance(t, rng, 10)
-	cmax := in.SupremeCost() * 0.5
-	sol, stats := Portfolio(in, cmax)
-
-	if len(sol.Portfolio) != len(Algorithms) {
-		t.Fatalf("Solution.Portfolio has %d entries, want %d", len(sol.Portfolio), len(Algorithms))
-	}
-	var states, memo, highWater int
-	var peak int64
-	for i, st := range stats {
-		if sol.Portfolio[i] != st {
-			t.Errorf("Portfolio[%d] diverges from returned stats", i)
-		}
-		states += st.StatesVisited
-		memo += st.MemoHits
-		if st.QueueHighWater > highWater {
-			highWater = st.QueueHighWater
-		}
-		if st.PeakMemBytes > peak {
-			peak = st.PeakMemBytes
-		}
-	}
-	agg := sol.Stats
-	if agg.StatesVisited != states {
-		t.Errorf("aggregate states %d, want sum %d", agg.StatesVisited, states)
-	}
-	if agg.MemoHits != memo {
-		t.Errorf("aggregate memo hits %d, want sum %d", agg.MemoHits, memo)
-	}
-	if agg.PeakMemBytes != peak {
-		t.Errorf("aggregate peak %d, want max %d", agg.PeakMemBytes, peak)
-	}
-	if agg.QueueHighWater != highWater {
-		t.Errorf("aggregate high-water %d, want max %d", agg.QueueHighWater, highWater)
-	}
-	if !strings.HasPrefix(agg.Algorithm, "PORTFOLIO(") {
-		t.Errorf("aggregate algorithm = %q", agg.Algorithm)
 	}
 }

@@ -119,72 +119,3 @@ func sizeEnvelopes(in *Instance) (maxSize, minSize []float64) {
 	}
 	return maxSize, minSize
 }
-
-// MinCostGreedy is a fast heuristic for the cost-minimization problems
-// (4–6): it walks the doi vector greedily, adding the cheapest preference
-// (per unit of log-domain doi gained) until the doi and size constraints
-// hold, then tries to shed redundant members. It is the Section 6
-// philosophy — Horizontal transitions until feasibility, then local
-// descent — packaged as a one-pass heuristic; BranchBound gives the exact
-// answer for comparison.
-func MinCostGreedy(in *Instance, prob Problem) Solution {
-	start := time.Now()
-	st := Stats{Algorithm: "MINCOST-GREEDY"}
-
-	type cand struct {
-		idx  int
-		rate float64 // cost per unit of −log(1−doi): lower is better value
-	}
-	cands := make([]cand, 0, in.K)
-	for i := 0; i < in.K; i++ {
-		w := logWeight(1 - in.Doi[i])
-		if w <= 0 {
-			w = 1e-12
-		}
-		cands = append(cands, cand{idx: i, rate: in.Cost[i] / w})
-	}
-	// Stable selection by ascending rate.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].rate < cands[j-1].rate; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-
-	chosen := make([]int, 0, in.K)
-	feasibleAt := func(set []int) bool {
-		st.StatesVisited++
-		return prob.Feasible(in.SetDoi(set), in.SetCost(set), in.SetSize(set))
-	}
-	if feasibleAt(nil) {
-		sol := in.solutionFor(nil, true)
-		st.Duration = time.Since(start)
-		sol.Stats = st
-		return sol
-	}
-	for _, c := range cands {
-		chosen = append(chosen, c.idx)
-		if feasibleAt(chosen) {
-			break
-		}
-	}
-	if !feasibleAt(chosen) {
-		sol := Solution{Feasible: false}
-		st.Duration = time.Since(start)
-		sol.Stats = st
-		return sol
-	}
-	// Shed pass: drop members whose removal keeps feasibility (cheapest
-	// solution should not carry dead weight).
-	for i := len(chosen) - 1; i >= 0; i-- {
-		trial := make([]int, 0, len(chosen)-1)
-		trial = append(trial, chosen[:i]...)
-		trial = append(trial, chosen[i+1:]...)
-		if feasibleAt(trial) {
-			chosen = trial
-		}
-	}
-	sol := in.solutionFor(chosen, true)
-	st.Duration = time.Since(start)
-	sol.Stats = st
-	return sol
-}

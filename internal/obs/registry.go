@@ -10,8 +10,8 @@ import (
 // Registry holds named metrics. Lookup (Counter, Gauge, Histogram) takes a
 // read lock and allocates nothing for a metric that exists, so a request
 // path may look its instruments up by name and labels each time; recording
-// is plain atomics. A tight loop (the Portfolio racer's goroutines) still
-// keeps the returned instrument, to stay off the lock while searching.
+// is plain atomics. A tight loop still keeps the returned instrument, to
+// stay off the lock.
 //
 // A nil *Registry is a valid "observability off" registry: it returns nil
 // instruments whose methods no-op.

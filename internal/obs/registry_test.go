@@ -97,8 +97,8 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestRegistryConcurrent hammers one registry from many goroutines — the
-// exact shape of the Portfolio racer recording search metrics — and is the
-// test the CI race detector watches.
+// shape of request workers recording search metrics — and is the test the
+// CI race detector watches.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const goroutines = 16

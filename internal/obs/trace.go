@@ -9,14 +9,15 @@ import (
 )
 
 // Span is one timed node of a trace tree: a pipeline phase (the paper's
-// Figure 2 modules), a portfolio algorithm run, or one executed sub-query.
+// Figure 2 modules) or one executed sub-query.
 // Spans are created through a parent (or NewTrace for the root) and
 // propagate via context.Context; a nil *Span is an inert span whose
 // methods no-op, which is how tracing stays free when disabled.
 //
-// Children may be attached from concurrent goroutines (the Portfolio racer
-// records one child per algorithm), so mutation is mutex-guarded — spans
-// live on the once-per-query control path, not in the search loop.
+// A tree may be read while it still grows (a request that gave up on its
+// deadline renders its trace while the worker it left behind attaches
+// spans), so mutation is mutex-guarded — spans live on the once-per-query
+// control path, not in the search loop.
 type Span struct {
 	name  string
 	start time.Time
@@ -86,9 +87,8 @@ func (s *Span) StartChild(name string) *Span {
 }
 
 // AddChild attaches an already-measured child span — used for work whose
-// duration is known but whose interval was not wrapped (per-algorithm
-// portfolio stats, per-sub-query executor timings, accumulated estimator
-// time). Nil-safe.
+// duration is known but whose interval was not wrapped (per-sub-query
+// executor timings, accumulated estimator time). Nil-safe.
 func (s *Span) AddChild(name string, d time.Duration, attrs ...Attr) *Span {
 	if s == nil {
 		return nil

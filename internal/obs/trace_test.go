@@ -52,8 +52,8 @@ func TestStartSpanWithoutTrace(t *testing.T) {
 	}
 }
 
-// TestSpanConcurrentChildren mirrors the Portfolio racer: several
-// goroutines attach children to one parent span.
+// TestSpanConcurrentChildren: several goroutines attach children to one
+// parent span.
 func TestSpanConcurrentChildren(t *testing.T) {
 	parent := NewTrace("search")
 	var wg sync.WaitGroup

@@ -447,11 +447,18 @@ func TestBadRequests(t *testing.T) {
 		{"sql": testSQL}, // no profile
 		{"sql": testSQL, "profile_id": "alice", "profile": "doi(x) = 1"},                // both profile forms
 		{"sql": testSQL, "profile_id": "alice", "problem": map[string]any{"number": 9}}, // bad problem
+		// An unknown algorithm is the caller's mistake on every problem, not
+		// on Problem 2 alone.
+		{"sql": testSQL, "profile_id": "alice", "algorithm": "NOPE",
+			"problem": map[string]any{"number": 3, "cmax_ms": 1000, "smin": 1, "smax": 1000}},
 	}
 	for i, c := range cases {
-		resp, _ := doJSON(t, http.MethodPost, ts.URL+"/personalize", c)
+		resp, data := doJSON(t, http.MethodPost, ts.URL+"/personalize", c)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: %d, want 400", i, resp.StatusCode)
+		}
+		if c["algorithm"] != nil && !strings.Contains(string(data), `unknown algorithm \"NOPE\"`) {
+			t.Errorf("case %d: %s", i, data)
 		}
 	}
 }

@@ -47,7 +47,8 @@ func safeRun(ctx context.Context, fn func(context.Context) (any, error)) (v any,
 // algorithm, tightened cmax) can miss solutions the full-fidelity search
 // would find, so its infeasibility proves nothing about the caller's
 // problem. A genuinely infeasible problem surfaces from the primary
-// attempt, which is exact.
+// attempt, which is exact on all six problems unless the caller named a
+// heuristic.
 func (s *Server) step(name string, run func(context.Context) (any, error)) resilience.Step {
 	return resilience.Step{Name: name, Run: func(ctx context.Context) (any, error) {
 		v, err := safeRun(ctx, run)
@@ -67,10 +68,10 @@ func (s *Server) step(name string, run func(context.Context) (any, error)) resil
 // rung that produced it ("" = full fidelity), and the terminal error.
 //
 // This is the operational reading of the paper's algorithm family: exact
-// search (C-BOUNDARIES, D-MAXDOI) down to the D-HEURDOI heuristic and a
-// tighter cmax are all answers to the same question at different
-// quality/cost points, so the daemon sheds quality before it sheds
-// requests.
+// search (the branch-and-bound default; C-BOUNDARIES, D-MAXDOI by name)
+// down to the D-HEURDOI heuristic and a tighter cmax are all answers to the
+// same question at different quality/cost points, so the daemon sheds
+// quality before it sheds requests.
 func (s *Server) runResilient(ctx context.Context, endpoint, staleKey string, primary func(context.Context) (any, error), rungs ...resilience.Step) (any, string, error) {
 	bypass := ""
 	switch {

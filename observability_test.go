@@ -55,29 +55,6 @@ func TestTracedPipeline(t *testing.T) {
 	}
 }
 
-// TestTracedPortfolio checks that a PORTFOLIO solve attaches one child span
-// per raced algorithm under the search span.
-func TestTracedPortfolio(t *testing.T) {
-	db := paperDB(t)
-	p := NewPersonalizer(db)
-	profile, _ := ParseProfile(figure1)
-	q, _ := ParseQuery(db.Schema(), "select title from MOVIE")
-
-	ctx, tr := StartTrace(context.Background(), "req")
-	if _, err := p.PersonalizeContext(ctx, q, profile, Problem2(10000),
-		WithAlgorithm("PORTFOLIO")); err != nil {
-		t.Fatal(err)
-	}
-	tr.End()
-	search := tr.Find("search")
-	if search == nil {
-		t.Fatalf("no search span:\n%s", tr.Tree())
-	}
-	if got := len(search.Children()); got != 5 {
-		t.Errorf("search span has %d algorithm children, want 5:\n%s", got, tr.Tree())
-	}
-}
-
 // TestObservedPipelineMetrics attaches a registry and checks that every
 // layer — search, storage, executor, estimator accuracy — records into it.
 func TestObservedPipelineMetrics(t *testing.T) {

@@ -186,10 +186,11 @@ func defaultOptions() options {
 // Option customizes one Personalize call.
 type Option func(*options)
 
-// WithAlgorithm selects the Problem-2 search algorithm by its figure name
-// (see AlgorithmNames), "PORTFOLIO" to race all five concurrently, or
-// "EXHAUSTIVE" for ground-truth enumeration on small K. Default
-// C_MaxBounds.
+// WithAlgorithm runs one of the paper's Problem-2 algorithms by its figure
+// name (see AlgorithmNames), "EXHAUSTIVE" for ground-truth enumeration on
+// small K, or "BRANCH-BOUND". Without it every problem is solved by the
+// exact branch-and-bound; on problems other than Problem 2 a valid name
+// changes nothing, and an unknown one is an error on all six.
 func WithAlgorithm(name string) Option { return func(o *options) { o.algorithm = name } }
 
 // WithMaxK caps the number of preferences extracted from the profile
@@ -354,9 +355,8 @@ func (p *Personalizer) Personalize(q *Query, u *Profile, prob Problem, opts ...O
 // PersonalizeContext is Personalize with tracing: when ctx carries a trace
 // (see StartTrace), the pipeline records one span per Figure-2 phase —
 // prefspace (with the estimator's accumulated share as an "estimate"
-// child), search (with one child per raced portfolio algorithm), and
-// construct; ExecuteContext adds the execute phase. Without a trace in ctx
-// the call behaves exactly like Personalize.
+// child), search, and construct; ExecuteContext adds the execute phase.
+// Without a trace in ctx the call behaves exactly like Personalize.
 func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Profile, prob Problem, opts ...Option) (*Result, error) {
 	o := defaultOptions()
 	for _, fn := range opts {
@@ -424,12 +424,7 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 	if sol.Stats.Truncated {
 		searchSpan.SetAttr("truncated", true)
 	}
-	for _, st := range sol.Portfolio {
-		searchSpan.AddChild(st.Algorithm, st.Duration,
-			obs.Attr{Key: "states", Value: fmt.Sprint(st.StatesVisited)},
-			obs.Attr{Key: "peak_mem", Value: fmt.Sprint(st.PeakMemBytes)})
-	}
-	recordSearch(metrics, sol)
+	recordSearchStats(metrics, sol.Stats)
 	if !sol.Feasible {
 		return nil, fmt.Errorf("%w (%s)", ErrInfeasible, prob)
 	}
@@ -475,33 +470,24 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 	}, nil
 }
 
-// recordSearch feeds one solve's Stats into the registry, per algorithm —
-// the live counterparts of the paper's Figures 12 and 13. Portfolio runs
-// record each raced algorithm under its own label as well as the
-// aggregate.
-func recordSearch(reg *obs.Registry, sol Solution) {
-	recordSearchStats(reg, append([]core.Stats{sol.Stats}, sol.Portfolio...)...)
-}
-
-// recordSearchStats records per-algorithm search counters; PARETO frontier
-// enumerations report through here too.
-func recordSearchStats(reg *obs.Registry, stats ...core.Stats) {
+// recordSearchStats feeds one search's Stats into the registry under its
+// algorithm's label — the live counterparts of the paper's Figures 12 and
+// 13; PARETO frontier enumerations report through here too.
+func recordSearchStats(reg *obs.Registry, st core.Stats) {
 	if reg == nil {
 		return
 	}
-	for _, st := range stats {
-		algo := st.Algorithm
-		reg.Counter("search_solves_total", "algorithm", algo).Inc()
-		reg.Counter("search_states_visited_total", "algorithm", algo).Add(int64(st.StatesVisited))
-		reg.Counter("search_memo_hits_total", "algorithm", algo).Add(int64(st.MemoHits))
-		reg.Gauge("search_queue_high_water", "algorithm", algo).SetMax(int64(st.QueueHighWater))
-		reg.Gauge("search_peak_mem_bytes", "algorithm", algo).SetMax(st.PeakMemBytes)
-		if st.Truncated {
-			reg.Counter("search_truncated_total", "algorithm", algo).Inc()
-		}
-		reg.Histogram("search_ms", obs.DurationBucketsMS, "algorithm", algo).
-			Observe(float64(st.Duration) / float64(time.Millisecond))
+	algo := st.Algorithm
+	reg.Counter("search_solves_total", "algorithm", algo).Inc()
+	reg.Counter("search_states_visited_total", "algorithm", algo).Add(int64(st.StatesVisited))
+	reg.Counter("search_memo_hits_total", "algorithm", algo).Add(int64(st.MemoHits))
+	reg.Gauge("search_queue_high_water", "algorithm", algo).SetMax(int64(st.QueueHighWater))
+	reg.Gauge("search_peak_mem_bytes", "algorithm", algo).SetMax(st.PeakMemBytes)
+	if st.Truncated {
+		reg.Counter("search_truncated_total", "algorithm", algo).Inc()
 	}
+	reg.Histogram("search_ms", obs.DurationBucketsMS, "algorithm", algo).
+		Observe(float64(st.Duration) / float64(time.Millisecond))
 }
 
 // FrontPoint is one non-dominated personalized query candidate: no other
