@@ -144,9 +144,9 @@ func TestVisitedPoolConcurrent(t *testing.T) {
 		var wg sync.WaitGroup
 		for j, a := range Algorithms {
 			wg.Add(1)
-			go func(j int, solve Problem2Solver) {
+			go func(j int, search Problem2Solver) {
 				defer wg.Done()
-				sol := solve(ins[i], cmax)
+				sol := search(ins[i], cmax)
 				sol.Stats.Duration = 0 // every counter, not the wall clock
 				out.sets[j], out.stats[j] = sol.Set, sol.Stats
 			}(j, a.Solve)
