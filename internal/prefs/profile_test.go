@@ -310,4 +310,57 @@ func TestSelectionString(t *testing.T) {
 			t.Errorf("%v %v: got %q, want %q", tc.op, tc.v, got, tc.want)
 		}
 	}
+
+	// The doi side of Atomic.String and Implicit.String, over values whose
+	// shortest form is an integer, a fraction, seventeen digits, an exponent
+	// and a small fraction — once on literal atoms and once on the atoms a
+	// profile hands back.
+	join := JoinCond{Left: schema.AttrRef{Relation: "MOVIE", Attr: "did"}, Right: schema.AttrRef{Relation: "DIRECTOR", Attr: "did"}}
+	sel := SelectionCond{Attr: schema.AttrRef{Relation: "DIRECTOR", Attr: "name"}, Op: query.OpEq, Value: value.Str("W. Allen")}
+	for _, tc := range []struct {
+		doi                 float64
+		atomSel, atomJoin   string
+		implicit, implicit0 string
+	}{
+		{1, "doi(DIRECTOR.name = 'W. Allen') = 1", "doi(MOVIE.did = DIRECTOR.did) = 1",
+			"doi(MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'W. Allen') = 1", "doi(DIRECTOR.name = 'W. Allen') = 1"},
+		{0.5, "doi(DIRECTOR.name = 'W. Allen') = 0.5", "doi(MOVIE.did = DIRECTOR.did) = 0.5",
+			"doi(MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'W. Allen') = 0.5", "doi(DIRECTOR.name = 'W. Allen') = 0.5"},
+		{0.30000000000000004, "doi(DIRECTOR.name = 'W. Allen') = 0.30000000000000004", "doi(MOVIE.did = DIRECTOR.did) = 0.30000000000000004",
+			"doi(MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'W. Allen') = 0.30000000000000004", "doi(DIRECTOR.name = 'W. Allen') = 0.30000000000000004"},
+		{1e-07, "doi(DIRECTOR.name = 'W. Allen') = 1e-07", "doi(MOVIE.did = DIRECTOR.did) = 1e-07",
+			"doi(MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'W. Allen') = 1e-07", "doi(DIRECTOR.name = 'W. Allen') = 1e-07"},
+		{0.001, "doi(DIRECTOR.name = 'W. Allen') = 0.001", "doi(MOVIE.did = DIRECTOR.did) = 0.001",
+			"doi(MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'W. Allen') = 0.001", "doi(DIRECTOR.name = 'W. Allen') = 0.001"},
+	} {
+		literal := []Atomic{{Sel: &sel, Doi: tc.doi}, {Join: &join, Doi: 1}, {Join: &join, Doi: tc.doi}}
+		p := NewProfile()
+		if err := p.Add(literal[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Add(literal[1]); err != nil {
+			t.Fatal(err)
+		}
+		for _, atoms := range [][]Atomic{literal, p.Atoms()} {
+			if got := atoms[0].String(); got != tc.atomSel {
+				t.Errorf("doi %v: selection atom %q, want %q", tc.doi, got, tc.atomSel)
+			}
+			imp, err := NewImplicit(atoms[1:2], atoms[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := imp.String(); got != tc.implicit {
+				t.Errorf("doi %v: implicit %q, want %q", tc.doi, got, tc.implicit)
+			}
+			if imp, err = NewImplicit(nil, atoms[0]); err != nil {
+				t.Fatal(err)
+			}
+			if got := imp.String(); got != tc.implicit0 {
+				t.Errorf("doi %v: atomic implicit %q, want %q", tc.doi, got, tc.implicit0)
+			}
+		}
+		if got := literal[2].String(); got != tc.atomJoin {
+			t.Errorf("doi %v: join atom %q, want %q", tc.doi, got, tc.atomJoin)
+		}
+	}
 }
