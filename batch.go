@@ -33,44 +33,36 @@ type BatchResult struct {
 }
 
 // fingerprint derives the batch-dedup identity of an item: the query's
-// canonical fingerprint, the profile text (rendered once per distinct
-// Profile by the caller), the problem, and the resolved options — written
+// canonical fingerprint, the profile text, the problem, and the resolved
+// options — written
 // as explicit named fields, not a %+v of the options struct, so a field
 // rename or reorder can never silently change dedup identity. Two items
 // with equal fingerprints would run the exact same pipeline, so one run
 // can answer both.
-func (it BatchItem) fingerprint(profileText string) string {
+func (it BatchItem) fingerprint() string {
 	o := defaultOptions()
 	for _, fn := range it.Opts {
 		fn(&o)
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s|%s|a=%s k=%d any=%v merge=%v b=%d",
-		it.Query.Fingerprint(), profileText, it.Problem,
+		it.Query.Fingerprint(), it.Profile.String(), it.Problem,
 		o.algorithm, o.maxK, o.anyMatch, o.merge, o.budget)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // dedupBatch partitions items into leaders (first item per fingerprint)
-// and followers, recording input errors for invalid items. Profile text is
-// rendered once per distinct *Profile — a batch fanning one profile across
-// many queries used to re-render it per item.
+// and followers, recording input errors for invalid items.
 func dedupBatch(items []BatchItem, out []BatchResult) (leaders []int, followers map[int][]int) {
 	leaders = make([]int, 0, len(items))
 	leaderOf := make(map[string]int, len(items))
 	followers = make(map[int][]int)
-	profText := make(map[*Profile]string)
 	for i, it := range items {
 		if it.Query == nil || it.Profile == nil {
 			out[i].Err = fmt.Errorf("cqp: batch item %d: query and profile are required", i)
 			continue
 		}
-		text, ok := profText[it.Profile]
-		if !ok {
-			text = it.Profile.String()
-			profText[it.Profile] = text
-		}
-		fp := it.fingerprint(text)
+		fp := it.fingerprint()
 		if li, ok := leaderOf[fp]; ok {
 			followers[li] = append(followers[li], i)
 			continue

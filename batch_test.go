@@ -91,18 +91,25 @@ func TestPersonalizeBatchCancelled(t *testing.T) {
 
 // TestMergeAnyMatchRejectedUpFront pins the option-validation fix: the
 // incompatible WithMergedSubQueries+WithAnyMatch combination must be
-// rejected before the prefspace build, so the estimator sees zero calls.
+// rejected before the prefspace build, so the estimator does no work — not
+// even a memo lookup, which every extracted preference costs.
 func TestMergeAnyMatchRejectedUpFront(t *testing.T) {
 	p, q, u, cost := batchSetup(t)
-	p.Observe(NewMetrics()) // enables estimator call accounting
-	est, _, _ := p.pipeline()
-	calls0, _ := est.TimingTotals()
+	hits0, misses0 := p.EstimateMemoCounts()
 	_, err := p.Personalize(q, u, Problem2(cost*20), WithMergedSubQueries(), WithAnyMatch())
 	if err == nil || !strings.Contains(err.Error(), "all-match") {
 		t.Fatalf("err = %v, want merged/any-match incompatibility", err)
 	}
-	if calls1, _ := est.TimingTotals(); calls1 != calls0 {
-		t.Errorf("estimator ran %d calls for an invalid option combo, want 0", calls1-calls0)
+	if hits1, misses1 := p.EstimateMemoCounts(); hits1 != hits0 || misses1 != misses0 {
+		t.Errorf("estimator answered %d memo lookups for an invalid option combo, want 0",
+			hits1-hits0+misses1-misses0)
+	}
+	// The counter does see a build: the same request without the conflict.
+	if _, err := p.Personalize(q, u, Problem2(cost*20), WithMergedSubQueries()); err != nil {
+		t.Fatal(err)
+	}
+	if hits1, misses1 := p.EstimateMemoCounts(); hits1+misses1 == hits0+misses0 {
+		t.Error("a valid personalization left the memo counters untouched")
 	}
 }
 

@@ -445,8 +445,8 @@ func (r *Runner) Merge() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			subs += float64(len(plain.Subs))
-			msubs += float64(len(merged.Subs))
+			subs += float64(plain.NumSubs())
+			msubs += float64(merged.NumSubs())
 			plainIO += float64(pres.BlockReads)
 			mergedIO += float64(mres.BlockReads)
 			runs++

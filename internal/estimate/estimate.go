@@ -17,7 +17,6 @@ package estimate
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"cqp/internal/catalog"
 	"cqp/internal/fault"
@@ -34,23 +33,14 @@ const DefaultBlockMillis = 1.0
 //
 // An Estimator is safe for concurrent use: the estimation entry points
 // (QueryCost, QuerySize, SubQueryCost, Shrink) only read the catalog —
-// whose maps and histograms are immutable after catalog.Build — and the
-// call-accounting state is atomic. prefspace.Build leans on this to fan
+// whose maps and histograms are immutable after catalog.Build.
+// prefspace.Build leans on this to fan
 // its per-candidate estimations across a worker group; a statistics
 // refresh swaps in a whole new Estimator rather than mutating this one.
 type Estimator struct {
 	cat *catalog.Catalog
 	// BlockMillis is b, the milliseconds charged per block read.
 	BlockMillis float64
-
-	// Opt-in call accounting. Estimation is interleaved with preference
-	// extraction inside prefspace.Build, so the pipeline's "estimate" phase
-	// has no contiguous wall-clock interval of its own; instead the
-	// estimator totals its calls and time here, and the tracer reports the
-	// deltas. Off (one atomic load per call) unless EnableTiming ran.
-	timing   atomic.Bool
-	estCalls atomic.Int64
-	estNanos atomic.Int64
 
 	// memo caches per-preference (SubQueryCost, Shrink) pairs across calls
 	// and across requests (see memo.go). It lives and dies with this
@@ -90,30 +80,9 @@ func (e *Estimator) CheckFault() error {
 	return nil
 }
 
-// EnableTiming switches on per-call accounting for the estimation entry
-// points (QueryCost, QuerySize, SubQueryCost, Shrink). Safe to call
-// concurrently with estimation.
-func (e *Estimator) EnableTiming() { e.timing.Store(true) }
-
-// TimingTotals returns the number of estimation calls and their cumulative
-// time since EnableTiming. Zeros until timing is enabled.
-func (e *Estimator) TimingTotals() (calls int64, spent time.Duration) {
-	return e.estCalls.Load(), time.Duration(e.estNanos.Load())
-}
-
-// track records one completed estimation call; used as
-// `defer e.track(time.Now())` so disabled timing costs one atomic load.
-func (e *Estimator) track(t0 time.Time) {
-	e.estCalls.Add(1)
-	e.estNanos.Add(int64(time.Since(t0)))
-}
-
 // QueryCost estimates the execution cost of a conjunctive query in
 // milliseconds: b × Σ blocks over its FROM relations (Formula 11).
 func (e *Estimator) QueryCost(q *query.Query) float64 {
-	if e.timing.Load() {
-		defer e.track(time.Now())
-	}
 	var blocks int64
 	for _, r := range q.From {
 		blocks += e.cat.Blocks(r)
@@ -124,9 +93,6 @@ func (e *Estimator) QueryCost(q *query.Query) float64 {
 // QuerySize estimates the result cardinality of a conjunctive query under
 // the independence assumption: Π |R| × Π joinSel × Π selectionSel.
 func (e *Estimator) QuerySize(q *query.Query) float64 {
-	if e.timing.Load() {
-		defer e.track(time.Now())
-	}
 	size := 1.0
 	for _, r := range q.From {
 		size *= float64(e.cat.RowCount(r))
@@ -145,20 +111,21 @@ func (e *Estimator) QuerySize(q *query.Query) float64 {
 // path introduces. Relations already in Q are not double-charged within
 // the one sub-query.
 func (e *Estimator) SubQueryCost(q *query.Query, p prefs.Implicit) float64 {
-	if e.timing.Load() {
-		defer e.track(time.Now())
-	}
 	var blocks int64
 	seen := make(map[string]bool, len(q.From)+len(p.Path))
 	for _, r := range q.From {
 		seen[r] = true
 		blocks += e.cat.Blocks(r)
 	}
-	for _, r := range p.Relations() {
+	charge := func(r string) {
 		if !seen[r] {
 			seen[r] = true
 			blocks += e.cat.Blocks(r)
 		}
+	}
+	charge(p.Anchor())
+	for _, j := range p.Path {
+		charge(j.Right.Relation)
 	}
 	return float64(blocks) * e.BlockMillis
 }
@@ -168,9 +135,6 @@ func (e *Estimator) SubQueryCost(q *query.Query, p prefs.Implicit) float64 {
 // independence estimate is clamped to [0, 1] so that Formula 8 holds in the
 // model (a conjunct can never enlarge a result under set semantics).
 func (e *Estimator) Shrink(q *query.Query, p prefs.Implicit) float64 {
-	if e.timing.Load() {
-		defer e.track(time.Now())
-	}
 	f := 1.0
 	seen := make(map[string]bool, len(q.From))
 	for _, r := range q.From {

@@ -21,6 +21,13 @@ type Implicit struct {
 	Sel SelectionCond
 	// Doi is the composed degree of interest.
 	Doi float64
+
+	// cond is Condition() as NewImplicit joined it from the atoms' kept
+	// texts, and selAt where the terminal selection starts in it. An
+	// Implicit is not modified once built, so the text stays true; a
+	// literal carries none and renders on demand.
+	cond  string
+	selAt int
 }
 
 // NewImplicit composes a path of join atoms with a terminal selection atom,
@@ -30,32 +37,45 @@ func NewImplicit(path []Atomic, sel Atomic) (Implicit, error) {
 	if !sel.IsSelection() {
 		return Implicit{}, fmt.Errorf("prefs: terminal preference %s is not a selection", sel)
 	}
-	imp := Implicit{Sel: *sel.Sel, Doi: sel.Doi}
-	seen := map[string]bool{}
+	imp := Implicit{Sel: *sel.Sel, Doi: sel.Doi, cond: sel.Condition()}
+	if len(path) == 0 {
+		return imp, nil
+	}
+	imp.Path = make([]JoinCond, 0, len(path))
+	size := len(imp.cond)
 	for i, a := range path {
 		if a.IsSelection() {
 			return Implicit{}, fmt.Errorf("prefs: path element %s is not a join", a)
 		}
 		j := *a.Join
-		if i == 0 {
-			seen[j.Left.Relation] = true
-		} else if path[i-1].Join.Right.Relation != j.Left.Relation {
+		if i > 0 && path[i-1].Join.Right.Relation != j.Left.Relation {
 			return Implicit{}, fmt.Errorf("prefs: path is not connected at %s", j)
 		}
-		if seen[j.Right.Relation] {
+		// A path is a handful of hops: scanning it beats a set.
+		revisits := path[0].Join.Left.Relation == j.Right.Relation
+		for _, before := range imp.Path {
+			revisits = revisits || before.Right.Relation == j.Right.Relation
+		}
+		if revisits {
 			return Implicit{}, fmt.Errorf("prefs: path revisits relation %s (cyclic)", j.Right.Relation)
 		}
-		seen[j.Right.Relation] = true
 		imp.Path = append(imp.Path, j)
 		imp.Doi = Compose(imp.Doi, a.Doi)
+		size += len(a.Condition()) + len(" AND ")
 	}
-	if len(imp.Path) > 0 {
-		last := imp.Path[len(imp.Path)-1]
-		if last.Right.Relation != imp.Sel.Attr.Relation {
-			return Implicit{}, fmt.Errorf("prefs: selection %s not attached to path end %s",
-				imp.Sel, last.Right.Relation)
-		}
+	if last := imp.Path[len(imp.Path)-1]; last.Right.Relation != imp.Sel.Attr.Relation {
+		return Implicit{}, fmt.Errorf("prefs: selection %s not attached to path end %s",
+			imp.Sel, last.Right.Relation)
 	}
+	var cond strings.Builder
+	cond.Grow(size)
+	for _, a := range path {
+		cond.WriteString(a.Condition())
+		cond.WriteString(" AND ")
+	}
+	imp.selAt = cond.Len()
+	cond.WriteString(imp.cond)
+	imp.cond = cond.String()
 	return imp, nil
 }
 
@@ -78,17 +98,42 @@ func (i Implicit) Relations() []string {
 	return out
 }
 
-// Condition renders the full conjunction in SQL syntax.
-func (i Implicit) Condition() string {
-	parts := make([]string, 0, len(i.Path)+1)
-	for _, j := range i.Path {
-		parts = append(parts, j.String())
+// text returns the full conjunction in SQL syntax and the offset at which
+// its terminal selection starts.
+func (i Implicit) text() (string, int) {
+	if i.cond != "" {
+		return i.cond, i.selAt
 	}
-	parts = append(parts, i.Sel.String())
-	return strings.Join(parts, " AND ")
+	var b strings.Builder
+	for _, j := range i.Path {
+		b.WriteString(j.String())
+		b.WriteString(" AND ")
+	}
+	at := b.Len()
+	b.WriteString(i.Sel.String())
+	return b.String(), at
+}
+
+// Condition renders the full conjunction in SQL syntax. It is the
+// preference's identity wherever one is needed as text: the estimate memo's
+// key, a response's preferences, Explain.
+func (i Implicit) Condition() string {
+	cond, _ := i.text()
+	return cond
+}
+
+// SelectionText is the terminal selection's part of Condition.
+func (i Implicit) SelectionText() string {
+	cond, at := i.text()
+	return cond[at:]
+}
+
+// PathText is the join path's part of Condition ("" for an atomic selection
+// preference): equal for two preferences exactly when their paths are.
+func (i Implicit) PathText() string {
+	cond, at := i.text()
+	return cond[:at]
 }
 
 // String renders the preference with its doi.
-func (i Implicit) String() string {
-	return fmt.Sprintf("doi(%s) = %g", i.Condition(), i.Doi)
-}
+func (i Implicit) String() string { return doiText(i.Condition(), i.Doi) }

@@ -2,7 +2,9 @@ package prefs
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"cqp/internal/query"
 	"cqp/internal/schema"
@@ -49,6 +51,12 @@ type Atomic struct {
 	Sel  *SelectionCond
 	Join *JoinCond
 	Doi  float64
+
+	// text is Condition() as Profile.Add rendered it for its duplicate
+	// guard. Every later reader of the condition as text — the implicit
+	// preferences built on the atom, the profile's own String — takes it
+	// from here; an atom no profile has taken carries none.
+	text string
 }
 
 // IsSelection reports whether the preference is a selection preference.
@@ -56,6 +64,13 @@ func (a Atomic) IsSelection() bool { return a.Sel != nil }
 
 // Condition renders the underlying condition in SQL syntax.
 func (a Atomic) Condition() string {
+	if a.text != "" {
+		return a.text
+	}
+	return a.render()
+}
+
+func (a Atomic) render() string {
 	if a.Sel != nil {
 		return a.Sel.String()
 	}
@@ -63,8 +78,22 @@ func (a Atomic) Condition() string {
 }
 
 // String renders the preference in the profile text format.
-func (a Atomic) String() string {
-	return fmt.Sprintf("doi(%s) = %g", a.Condition(), a.Doi)
+func (a Atomic) String() string { return doiText(a.Condition(), a.Doi) }
+
+// doiText renders "doi(<cond>) = <doi>", the doi as fmt's %g would.
+func doiText(cond string, doi float64) string {
+	var b strings.Builder
+	b.Grow(len(cond) + 32)
+	writeDoi(&b, cond, doi)
+	return b.String()
+}
+
+func writeDoi(b *strings.Builder, cond string, doi float64) {
+	var num [24]byte
+	b.WriteString("doi(")
+	b.WriteString(cond)
+	b.WriteString(") = ")
+	b.Write(strconv.AppendFloat(num[:0], doi, 'g', -1, 64))
 }
 
 // Profile is a user profile: a set of atomic preferences over the
@@ -75,6 +104,9 @@ type Profile struct {
 	joinsFrom  map[string][]int // relation -> indices of join prefs with Left in relation
 	selsOn     map[string][]int // relation -> indices of selection prefs on relation
 	fingerSeen map[string]bool  // duplicate-condition guard
+	// validFor is the schema Validate last passed against. A schema only
+	// grows, so the verdict holds until Add changes the profile.
+	validFor atomic.Pointer[schema.Schema]
 }
 
 // NewProfile returns an empty profile.
@@ -95,11 +127,12 @@ func (p *Profile) Add(a Atomic) error {
 	if (a.Sel == nil) == (a.Join == nil) {
 		return fmt.Errorf("prefs: atomic preference must have exactly one of selection/join")
 	}
-	key := a.Condition()
-	if p.fingerSeen[key] {
-		return fmt.Errorf("prefs: duplicate preference on condition %s", key)
+	a.text = a.render()
+	if p.fingerSeen[a.text] {
+		return fmt.Errorf("prefs: duplicate preference on condition %s", a.text)
 	}
-	p.fingerSeen[key] = true
+	p.fingerSeen[a.text] = true
+	p.validFor.Store(nil)
 	idx := len(p.atoms)
 	p.atoms = append(p.atoms, a)
 	if a.Sel != nil {
@@ -128,32 +161,28 @@ func (p *Profile) Len() int { return len(p.atoms) }
 // Atoms returns all atomic preferences in insertion order.
 func (p *Profile) Atoms() []Atomic { return append([]Atomic(nil), p.atoms...) }
 
-// JoinsFrom returns the join preferences whose left-hand relation is the
-// given one — the edges a traversal may follow out of that relation.
-func (p *Profile) JoinsFrom(relation string) []Atomic {
-	idxs := p.joinsFrom[relation]
-	out := make([]Atomic, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, p.atoms[i])
-	}
-	return out
-}
+// Atom returns the i-th atomic preference in insertion order.
+func (p *Profile) Atom(i int) Atomic { return p.atoms[i] }
 
-// SelectionsOn returns the selection preferences on attributes of the given
-// relation.
-func (p *Profile) SelectionsOn(relation string) []Atomic {
-	idxs := p.selsOn[relation]
-	out := make([]Atomic, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, p.atoms[i])
-	}
-	return out
-}
+// JoinsFrom returns the positions (as Atom takes them) of the join
+// preferences whose left-hand relation is the given one — the edges a
+// traversal may follow out of that relation. The slice is the profile's
+// own index: read it, do not modify it.
+func (p *Profile) JoinsFrom(relation string) []int { return p.joinsFrom[relation] }
+
+// SelectionsOn returns the positions of the selection preferences on
+// attributes of the given relation, on JoinsFrom's terms.
+func (p *Profile) SelectionsOn(relation string) []int { return p.selsOn[relation] }
 
 // Validate checks every preference against the schema: attributes resolve,
 // selection literals are comparable with their column, join endpoints are
-// type-compatible and cross-relation.
+// type-compatible and cross-relation. A profile that passed is not walked
+// again for the same schema, so the store's check at Put also serves every
+// request that reads the profile. Safe for concurrent use.
 func (p *Profile) Validate(s *schema.Schema) error {
+	if s != nil && p.validFor.Load() == s {
+		return nil
+	}
 	for _, a := range p.atoms {
 		if a.Sel != nil {
 			c, err := s.ResolveAttr(a.Sel.Attr)
@@ -181,6 +210,7 @@ func (p *Profile) Validate(s *schema.Schema) error {
 			return fmt.Errorf("prefs: %s: join within one relation", a)
 		}
 	}
+	p.validFor.Store(s)
 	return nil
 }
 
@@ -204,8 +234,8 @@ func kindProbe(k value.Kind) value.Value {
 func (p *Profile) String() string {
 	var b strings.Builder
 	for _, a := range p.atoms {
-		b.WriteString(a.String())
-		b.WriteString("\n")
+		writeDoi(&b, a.text, a.Doi)
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package prefs
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"cqp/internal/query"
@@ -46,7 +47,7 @@ func TestProfileIndexes(t *testing.T) {
 		t.Error("join preferences are directed; GENRE has no outgoing edges")
 	}
 	sels := p.SelectionsOn("DIRECTOR")
-	if len(sels) != 1 || sels[0].Doi != 0.8 {
+	if len(sels) != 1 || p.Atom(sels[0]).Doi != 0.8 {
 		t.Errorf("SelectionsOn(DIRECTOR) = %v", sels)
 	}
 	if len(p.SelectionsOn("MOVIE")) != 0 {
@@ -105,6 +106,42 @@ func TestProfileValidateAgainstSchema(t *testing.T) {
 	_ = bad4.AddJoin(schema.AttrRef{Relation: "MOVIE", Attr: "mid"}, schema.AttrRef{Relation: "MOVIE", Attr: "did"}, 0.5)
 	if err := bad4.Validate(s); err == nil {
 		t.Error("intra-relation join must fail validation")
+	}
+}
+
+// TestValidateRemembersSchema: a verdict is kept per schema and dropped by
+// Add, so the shortcut never answers for a profile or a schema it did not
+// walk. Run under -race: a stored profile is validated by many requests.
+func TestValidateRemembersSchema(t *testing.T) {
+	s := testutil.MovieSchema()
+	p := figure1Profile(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.Validate(s); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if p.validFor.Load() != s {
+		t.Fatal("a passed validation was not remembered")
+	}
+	// Another schema is walked on its own terms and becomes the remembered one.
+	if err := p.Validate(schema.New()); err == nil {
+		t.Error("the profile validated against an empty schema")
+	}
+	if err := p.Validate(s); err != nil {
+		t.Error(err)
+	}
+	// Add forgets: the new atom is checked even though the schema is the same.
+	if err := p.AddSelection(schema.AttrRef{Relation: "NOPE", Attr: "x"}, query.OpEq, value.Int(1), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(s); err == nil {
+		t.Error("an atom added after a passed validation was not validated")
 	}
 }
 

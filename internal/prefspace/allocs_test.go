@@ -1,0 +1,69 @@
+package prefspace
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"cqp/internal/prefs"
+	"cqp/internal/workload"
+)
+
+// TestBuildAllocs bounds what a K = 20 extraction allocates once the
+// estimator's memo is warm — the serving path's build: the space, the
+// queue, one batch, and per preference with a join path its Path and its
+// condition text. No per-candidate object, no boxed queue entry, no copied
+// atom slices.
+func TestBuildAllocs(t *testing.T) {
+	env, _ := parallelSetup()
+	q := workload.Queries(1, 7)[0]
+	generated := workload.GenerateProfile(workload.ProfileConfig{Seed: 11})
+	profile, err := prefs.ParseProfile(generated.String()) // as the server stores it
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []Options{{MaxK: 20}, {MaxK: 20, CostMax: 800}} {
+		build := func() {
+			sp, err := Build(q, profile, env.Est, opt)
+			if err != nil || sp.K != 20 {
+				t.Fatalf("K = %d, err = %v", sp.K, err)
+			}
+		}
+		build() // fills the memo
+		if n := testing.AllocsPerRun(100, build); n > 75 {
+			t.Errorf("a memo-warm K = 20 build with %+v allocates %.0f times, want ≤ 75", opt, n)
+		}
+	}
+}
+
+// TestCandQueueOrder: the queue pops by doi descending and, among equal
+// dois, in push order — whatever the pushes and pops in between.
+func TestCandQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var q candQueue
+	var ref []candidate // what is queued, best first
+	pop := func() {
+		got := q.pop()
+		if got.doi != ref[0].doi || got.seq != ref[0].seq {
+			t.Fatalf("popped doi %g seq %d, want doi %g seq %d", got.doi, got.seq, ref[0].doi, ref[0].seq)
+		}
+		ref = ref[1:]
+	}
+	for i := 0; i < 2000; i++ {
+		if len(ref) > 0 && rng.Intn(3) == 0 {
+			pop()
+			continue
+		}
+		// A few distinct dois, so most comparisons are ties.
+		c := candidate{doi: float64(rng.Intn(6)) / 8, seq: q.pushed, sel: -1}
+		q.push(c)
+		ref = append(ref, c)
+		sort.SliceStable(ref, func(i, j int) bool { return ref[i].doi > ref[j].doi })
+	}
+	for len(ref) > 0 {
+		pop()
+	}
+	if len(q.h) != 0 {
+		t.Errorf("%d candidates left in the queue", len(q.h))
+	}
+}

@@ -21,15 +21,17 @@
 package prefspace
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cqp/internal/estimate"
+	"cqp/internal/obs"
 	"cqp/internal/prefs"
 	"cqp/internal/query"
 )
@@ -92,33 +94,83 @@ type Options struct {
 }
 
 // candidate is a queue entry: a join path under construction or a completed
-// implicit preference.
+// implicit preference. Atoms are named by their position in the profile.
 type candidate struct {
 	doi  float64
-	path []prefs.Atomic // join atoms so far
-	sel  *prefs.Atomic  // terminal selection; nil while still a path
 	seq  int            // FIFO tie-break for determinism
+	path []prefs.Atomic // join atoms so far; shared, read-only
+	sel  int            // terminal selection; -1 while still a path
 }
 
-// candQueue is a max-heap on doi (ties broken by insertion order).
-type candQueue []*candidate
+// candQueue is a binary max-heap of candidates by doi, ties broken by push
+// order. The order is strict and total, so the pop sequence does not depend
+// on how the heap arranges its elements.
+type candQueue struct {
+	h      []candidate
+	pushed int
+}
 
-func (q candQueue) Len() int { return len(q) }
-func (q candQueue) Less(i, j int) bool {
-	if q[i].doi != q[j].doi {
-		return q[i].doi > q[j].doi
+func (q *candQueue) before(i, j int) bool {
+	if q.h[i].doi != q.h[j].doi {
+		return q.h[i].doi > q.h[j].doi
 	}
-	return q[i].seq < q[j].seq
+	return q.h[i].seq < q.h[j].seq
 }
-func (q candQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *candQueue) Push(x any)   { *q = append(*q, x.(*candidate)) }
-func (q *candQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+
+func (q *candQueue) push(c candidate) {
+	c.seq = q.pushed
+	q.pushed++
+	q.h = append(q.h, c)
+	for i := len(q.h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.before(i, parent) {
+			break
+		}
+		q.h[i], q.h[parent] = q.h[parent], q.h[i]
+		i = parent
+	}
+}
+
+func (q *candQueue) pop() candidate {
+	top, last := q.h[0], len(q.h)-1
+	q.h[0] = q.h[last]
+	q.h[last] = candidate{}
+	q.h = q.h[:last]
+	for i := 0; ; {
+		best := i
+		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
+			if q.before(c, best) {
+				best = c
+			}
+		}
+		if best == i {
+			return top
+		}
+		q.h[i], q.h[best] = q.h[best], q.h[i]
+		i = best
+	}
+}
+
+// estimateTally is a traced build's account of its own estimator calls:
+// how many entry points it ran and the wall time it spent in them. It is
+// nil, and free, on an untraced build.
+type estimateTally struct {
+	calls int
+	spent time.Duration
+}
+
+func (t *estimateTally) start() (t0 time.Time) {
+	if t != nil {
+		t0 = time.Now()
+	}
+	return t0
+}
+
+func (t *estimateTally) done(calls int, t0 time.Time) {
+	if t != nil {
+		t.calls += calls
+		t.spent += time.Since(t0)
+	}
 }
 
 // Build runs the Preference Space algorithm without a context (it cannot
@@ -148,30 +200,37 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 	if err := est.CheckFault(); err != nil {
 		return nil, fmt.Errorf("prefspace: base query estimate: %w", err)
 	}
+	// Estimation is interleaved with extraction and has no interval of its
+	// own to wrap, so a traced build keeps the account itself and reports it
+	// as an "estimate" child of the span it runs under: base cost and size,
+	// path probes, and a cost and a shrink per preference the memo did not
+	// answer. The account is this build's alone — concurrent builds share
+	// the Estimator, not each other's calls.
+	span := obs.FromContext(ctx)
+	var tally *estimateTally
+	if span != nil {
+		tally = &estimateTally{}
+	}
+	t0 := tally.start()
 	sp := &Space{
 		Query:    q,
 		BaseCost: est.QueryCost(q),
 		BaseSize: est.QuerySize(q),
 	}
+	tally.done(2, t0)
 	if opt.MaxK > 0 {
 		sp.P = make([]Pref, 0, opt.MaxK)
 	}
 
-	var qp candQueue
-	seq := 0
-	push := func(c *candidate) {
-		c.seq = seq
-		seq++
-		heap.Push(&qp, c)
-	}
+	qp := candQueue{h: make([]candidate, 0, profile.Len())}
 	// Step 2: seed with atomic preferences syntactically related to Q.
 	for _, rel := range q.From {
-		for _, a := range profile.SelectionsOn(rel) {
-			a := a
-			push(&candidate{doi: a.Doi, sel: &a})
+		for _, i := range profile.SelectionsOn(rel) {
+			qp.push(candidate{doi: profile.Atom(i).Doi, sel: i})
 		}
-		for _, a := range profile.JoinsFrom(rel) {
-			push(&candidate{doi: a.Doi, path: []prefs.Atomic{a}})
+		for _, i := range profile.JoinsFrom(rel) {
+			a := profile.Atom(i)
+			qp.push(candidate{doi: a.Doi, path: []prefs.Atomic{a}, sel: -1})
 		}
 	}
 
@@ -182,7 +241,7 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 	// order. A candidate rejected by the CostMax filter leaves a gap the
 	// next round refills, keeping the estimated set identical to the
 	// sequential build's.
-	for qp.Len() > 0 {
+	for len(qp.h) > 0 {
 		if opt.MaxK > 0 && sp.K >= opt.MaxK {
 			break
 		}
@@ -192,12 +251,12 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 		want := opt.MaxK - sp.K // ≤ 0 means "no cap": gather everything
 		room := want
 		if opt.MaxK <= 0 {
-			room = qp.Len()
+			room = len(qp.h)
 		}
-		batch := make([]*candidate, 0, room)
-		for qp.Len() > 0 && (opt.MaxK <= 0 || len(batch) < want) {
-			c := heap.Pop(&qp).(*candidate)
-			if c.sel != nil {
+		batch := make([]candidate, 0, room)
+		for len(qp.h) > 0 && (opt.MaxK <= 0 || len(batch) < want) {
+			c := qp.pop()
+			if c.sel >= 0 {
 				// A complete (implicit) selection preference; materialized
 				// and estimated by the worker group below.
 				batch = append(batch, c)
@@ -205,34 +264,35 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 			}
 			// A join path: expand through preferences adjacent to its end.
 			end := c.path[len(c.path)-1].Join.Right.Relation
-			if opt.CostMax > 0 && pathCost(est, q, c.path) > opt.CostMax {
-				continue // extensions only get more expensive
+			if opt.CostMax > 0 {
+				t0 := tally.start()
+				cost := pathCost(est, q, c.path)
+				tally.done(1, t0)
+				if cost > opt.CostMax {
+					continue // extensions only get more expensive
+				}
 			}
-			for _, a := range profile.SelectionsOn(end) {
-				a := a
-				push(&candidate{
-					doi:  prefs.Compose(c.doi, a.Doi),
-					path: c.path,
-					sel:  &a,
-				})
+			for _, i := range profile.SelectionsOn(end) {
+				qp.push(candidate{doi: prefs.Compose(c.doi, profile.Atom(i).Doi), path: c.path, sel: i})
 			}
 			if len(c.path) >= maxPath {
 				continue
 			}
-			for _, a := range profile.JoinsFrom(end) {
+			for _, i := range profile.JoinsFrom(end) {
+				a := profile.Atom(i)
 				if revisits(c.path, a.Join.Right.Relation) {
 					continue // acyclicity (Figure 3's "p ∧ pi is acyclic")
 				}
 				next := make([]prefs.Atomic, len(c.path)+1)
 				copy(next, c.path)
 				next[len(c.path)] = a
-				push(&candidate{doi: prefs.Compose(c.doi, a.Doi), path: next})
+				qp.push(candidate{doi: prefs.Compose(c.doi, a.Doi), path: next, sel: -1})
 			}
 		}
 		if len(batch) == 0 {
 			break // heap drained without completing another selection
 		}
-		results := estimateBatch(ctx, est, q, batch, opt.Parallelism)
+		results := estimateBatch(ctx, est, q, profile, batch, opt.Parallelism, tally)
 		for _, r := range results {
 			if r.impErr != nil {
 				return nil, fmt.Errorf("prefspace: %v", r.impErr)
@@ -258,6 +318,9 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 		}
 	}
 
+	if span != nil {
+		span.AddChild("estimate", tally.spent, obs.Attr{Key: "calls", Value: strconv.Itoa(tally.calls)})
+	}
 	sp.buildVectors(opt)
 	return sp, nil
 }
@@ -271,26 +334,21 @@ type estResult struct {
 	err    error // fault point or context fired before estimation
 }
 
-// estimateBatch materializes every candidate selection (NewImplicit),
-// answers what it can from the estimator's cross-request memo, and runs the
-// remaining SubQueryCost/Shrink estimations across a bounded worker group,
-// preserving input order in the result slice. A memoized candidate skips
-// the worker group entirely — including its estimate.histogram fault poll
-// and catalog reads, which is exactly the work the memo exists to elide
-// (the pair was computed against this same immutable catalog). Workers
-// poll the fault point and ctx before every computed candidate, exactly as
-// the sequential build does between estimations, and store their results
-// back into the memo. The estimator's entry points are safe for concurrent
-// use: they read the catalog, which is immutable after catalog.Build, and
-// touch only atomic timing counters; the memo itself is lock-guarded;
-// candidate paths are shared between candidates but read-only here.
-func estimateBatch(ctx context.Context, est *estimate.Estimator, q *query.Query, cands []*candidate, parallelism int) []estResult {
+// estimateBatch materializes every candidate selection (NewImplicit) and
+// answers what it can from the estimator's cross-request memo; the rest go
+// to estimateMisses. Results keep the input order. A memoized candidate
+// skips the worker group entirely — including its estimate.histogram fault
+// poll and catalog reads, which is exactly the work the memo exists to
+// elide (the pair was computed against this same immutable catalog). The
+// tally is charged two calls per computed candidate and the wall time of
+// computing them all.
+func estimateBatch(ctx context.Context, est *estimate.Estimator, q *query.Query, profile *prefs.Profile, cands []candidate, parallelism int, tally *estimateTally) []estResult {
 	out := make([]estResult, len(cands))
 	scope := est.ScopeKey(q)
-	misses := make([]int, 0, len(cands))
+	var misses []int
 	for i, c := range cands {
 		r := &out[i]
-		r.imp, r.impErr = prefs.NewImplicit(c.path, *c.sel)
+		r.imp, r.impErr = prefs.NewImplicit(c.path, profile.Atom(c.sel))
 		if r.impErr != nil {
 			continue
 		}
@@ -300,9 +358,22 @@ func estimateBatch(ctx context.Context, est *estimate.Estimator, q *query.Query,
 		}
 		misses = append(misses, i)
 	}
-	if len(misses) == 0 {
-		return out
+	if len(misses) > 0 {
+		t0 := tally.start()
+		estimateMisses(ctx, est, q, scope, out, misses, parallelism)
+		tally.done(2*len(misses), t0)
 	}
+	return out
+}
+
+// estimateMisses runs the SubQueryCost/Shrink estimations the memo could
+// not answer across a bounded worker group and stores them back into it.
+// Workers poll the fault point and ctx before every candidate, exactly as
+// the sequential build does between estimations. The estimator's entry
+// points are safe for concurrent use: they read the catalog, which is
+// immutable after catalog.Build; the memo itself is lock-guarded; each
+// worker writes only its own candidates' results.
+func estimateMisses(ctx context.Context, est *estimate.Estimator, q *query.Query, scope string, out []estResult, misses []int, parallelism int) {
 	estimate := func(i int) {
 		r := &out[i]
 		if r.err = ctx.Err(); r.err != nil {
@@ -326,7 +397,7 @@ func estimateBatch(ctx context.Context, est *estimate.Estimator, q *query.Query,
 		for _, i := range misses {
 			estimate(i)
 		}
-		return out
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -344,15 +415,14 @@ func estimateBatch(ctx context.Context, est *estimate.Estimator, q *query.Query,
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // pathCost estimates the sub-query cost of a partial path (without its
 // terminal selection — the selection adds no relations beyond the path).
 func pathCost(est *estimate.Estimator, q *query.Query, path []prefs.Atomic) float64 {
-	imp := prefs.Implicit{}
-	for _, a := range path {
-		imp.Path = append(imp.Path, *a.Join)
+	imp := prefs.Implicit{Path: make([]prefs.JoinCond, len(path))}
+	for i, a := range path {
+		imp.Path[i] = *a.Join
 	}
 	// Anchor the probe selection at the path end so Relations() is complete.
 	imp.Sel.Attr = path[len(path)-1].Join.Right

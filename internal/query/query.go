@@ -10,6 +10,7 @@ package query
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cqp/internal/catalog"
@@ -330,43 +331,145 @@ func (q *Query) Connected() bool {
 	return len(seen) == len(q.From)
 }
 
-// SQL renders the query as a SQL string.
-func (q *Query) SQL() string {
+// Clauses is the text of a query's clauses, rendered once. A union of
+// sub-queries that each extend the query repeats them by copy (WriteSQL);
+// the query's own SQL is the same layout with nothing added.
+type Clauses struct {
+	project    string // "R.a, S.b"
+	from       string // "R, S"
+	joins      string // "R.a = S.a AND …", "" without joins
+	selections string // "R.b >= 1 AND …", "" without selections
+	tail       string // " ORDER BY … LIMIT n", "" without either
+}
+
+// Clauses renders the query's clauses.
+func (q *Query) Clauses() Clauses {
 	var b strings.Builder
-	b.WriteString("SELECT ")
-	if q.Distinct {
-		b.WriteString("DISTINCT ")
-	}
+	b.Grow(256) // most queries' clauses fit; a longer one grows the buffer
+	var end [4]int
 	for i, p := range q.Project {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(p.String())
+		writeAttr(&b, p)
 	}
-	b.WriteString(" FROM ")
-	b.WriteString(strings.Join(q.From, ", "))
-	var conds []string
-	for _, j := range q.Joins {
-		conds = append(conds, j.String())
-	}
-	for _, s := range q.Selections {
-		conds = append(conds, s.String())
-	}
-	if len(conds) > 0 {
-		b.WriteString(" WHERE ")
-		b.WriteString(strings.Join(conds, " AND "))
-	}
-	if len(q.OrderBy) > 0 {
-		keys := make([]string, len(q.OrderBy))
-		for i, o := range q.OrderBy {
-			keys[i] = o.String()
+	end[0] = b.Len()
+	for i, r := range q.From {
+		if i > 0 {
+			b.WriteString(", ")
 		}
-		b.WriteString(" ORDER BY ")
-		b.WriteString(strings.Join(keys, ", "))
+		b.WriteString(r)
+	}
+	end[1] = b.Len()
+	for i, j := range q.Joins {
+		if i > 0 {
+			b.WriteString(" AND ")
+		}
+		writeJoin(&b, j)
+	}
+	end[2] = b.Len()
+	for i, s := range q.Selections {
+		if i > 0 {
+			b.WriteString(" AND ")
+		}
+		b.WriteString(s.String())
+	}
+	end[3] = b.Len()
+	for i, o := range q.OrderBy {
+		if i == 0 {
+			b.WriteString(" ORDER BY ")
+		} else {
+			b.WriteString(", ")
+		}
+		writeAttr(&b, o.Attr)
+		if o.Desc {
+			b.WriteString(" DESC")
+		}
 	}
 	if q.Limit > 0 {
-		fmt.Fprintf(&b, " LIMIT %d", q.Limit)
+		b.WriteString(" LIMIT ")
+		b.WriteString(strconv.Itoa(q.Limit))
 	}
+	text := b.String()
+	return Clauses{
+		project:    text[:end[0]],
+		from:       text[end[0]:end[1]],
+		joins:      text[end[1]:end[2]],
+		selections: text[end[2]:end[3]],
+		tail:       text[end[3]:],
+	}
+}
+
+// Project is the projection list, which a union's outer SELECT and GROUP BY
+// repeat.
+func (c *Clauses) Project() string { return c.project }
+
+// Len is the length of the query's own SQL, DISTINCT included: what one
+// WriteSQL with nothing added writes at most.
+func (c *Clauses) Len() int {
+	return len("SELECT DISTINCT  FROM  WHERE  AND ") +
+		len(c.project) + len(c.from) + len(c.joins) + len(c.selections) + len(c.tail)
+}
+
+// WriteSQL writes one conjunctive query in the one layout a query's text
+// has — SELECT [DISTINCT] projection FROM relations [WHERE joins AND
+// selections] [ORDER BY keys] [LIMIT n] — the base query's clauses each
+// followed by what a sub-query adds to them: relations, joins, and
+// selections already rendered as text.
+func (c *Clauses) WriteSQL(b *strings.Builder, distinct bool, rels []string, joins []Join, sels []string) {
+	b.WriteString("SELECT ")
+	if distinct {
+		b.WriteString("DISTINCT ")
+	}
+	b.WriteString(c.project)
+	b.WriteString(" FROM ")
+	b.WriteString(c.from)
+	for _, r := range rels {
+		b.WriteString(", ")
+		b.WriteString(r)
+	}
+	sep := " WHERE "
+	cond := func() {
+		b.WriteString(sep)
+		sep = " AND "
+	}
+	if c.joins != "" {
+		cond()
+		b.WriteString(c.joins)
+	}
+	for _, j := range joins {
+		cond()
+		writeJoin(b, j)
+	}
+	if c.selections != "" {
+		cond()
+		b.WriteString(c.selections)
+	}
+	for _, s := range sels {
+		cond()
+		b.WriteString(s)
+	}
+	b.WriteString(c.tail)
+}
+
+func writeAttr(b *strings.Builder, a schema.AttrRef) {
+	b.WriteString(a.Relation)
+	b.WriteByte('.')
+	b.WriteString(a.Attr)
+}
+
+func writeJoin(b *strings.Builder, j Join) {
+	writeAttr(b, j.Left)
+	b.WriteString(" = ")
+	writeAttr(b, j.Right)
+}
+
+// SQL renders the query as a SQL string.
+func (q *Query) SQL() string {
+	c := q.Clauses()
+	var b strings.Builder
+	b.Grow(c.Len())
+	c.WriteSQL(&b, q.Distinct, nil, nil, nil)
 	return b.String()
 }
 

@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"fmt"
-	"strings"
 
 	"cqp/internal/prefs"
 	"cqp/internal/prefspace"
@@ -42,42 +41,28 @@ import (
 func ConstructMerged(q *query.Query, selected []prefspace.Pref, sch *schema.Schema) *Personalized {
 	p := &Personalized{Base: q, AllMatch: true}
 	if len(selected) == 0 {
-		p.Subs = []*query.Query{q.Clone()}
 		return p
 	}
-	type group struct {
-		prefs []prefspace.Pref
-	}
 	var order []string
-	groups := make(map[string]*group)
+	groups := make(map[string][]prefspace.Pref)
 	for idx, pref := range selected {
-		key := pathKey(sch, pref.Imp)
-		if key == "" {
-			// Non-functional path: isolate in its own sub-query.
+		key, functional := pathKey(sch, pref.Imp)
+		if !functional {
+			// Isolate in its own sub-query.
 			key = fmt.Sprintf("#%d", idx)
 		}
-		g, ok := groups[key]
-		if !ok {
-			g = &group{}
-			groups[key] = g
+		if _, ok := groups[key]; !ok {
 			order = append(order, key)
 		}
-		g.prefs = append(g.prefs, pref)
+		groups[key] = append(groups[key], pref)
 	}
 	for _, key := range order {
-		g := groups[key]
-		sq := q.Clone()
-		dois := make([]float64, 0, len(g.prefs))
-		for _, pref := range g.prefs {
-			for _, j := range pref.Imp.Path {
-				if !sq.HasJoin(j.AsJoin()) {
-					sq.AddJoin(j.AsJoin())
-				}
-			}
-			sq.AddSelection(pref.Imp.Sel.AsSelection())
+		dois := make([]float64, 0, len(groups[key]))
+		for _, pref := range groups[key] {
 			dois = append(dois, pref.Doi)
 		}
-		p.Subs = append(p.Subs, sq)
+		p.integrated = append(p.integrated, groups[key]...)
+		p.ends = append(p.ends, len(p.integrated))
 		// The group's doi contribution is the conjunction of its members
 		// (they are jointly satisfied or jointly absent after merging).
 		p.Dois = append(p.Dois, prefs.Conjunction(dois...))
@@ -85,28 +70,22 @@ func ConstructMerged(q *query.Query, selected []prefspace.Pref, sch *schema.Sche
 	return p
 }
 
-// pathKey returns a canonical identity for a preference's join path when
-// every step is functional (joins onto the right relation's key), or ""
-// when the path must not be merged.
-func pathKey(sch *schema.Schema, imp prefs.Implicit) string {
-	parts := make([]string, 0, len(imp.Path))
+// pathKey returns a canonical identity for a preference's join path and
+// whether every step of it is functional (joins onto the right relation's
+// key); a path that is not must not be merged.
+func pathKey(sch *schema.Schema, imp prefs.Implicit) (key string, functional bool) {
 	for _, j := range imp.Path {
 		rel := sch.Relation(j.Right.Relation)
 		if rel == nil || rel.Key == "" || rel.Key != j.Right.Attr {
-			return ""
+			return "", false
 		}
-		parts = append(parts, j.String())
 	}
-	if len(parts) == 0 {
-		return "<anchor>"
-	}
-	return strings.Join(parts, "&")
+	return imp.PathText(), true
 }
 
 // MergedSavings reports how many sub-queries merging eliminates for a
 // selection — a quick cost-delta proxy (each eliminated sub-query saves one
 // scan of the base query's relations plus the shared path's).
 func MergedSavings(q *query.Query, selected []prefspace.Pref, sch *schema.Schema) int {
-	merged := ConstructMerged(q, selected, sch)
-	return len(selected) - len(merged.Subs)
+	return len(selected) - ConstructMerged(q, selected, sch).NumSubs()
 }

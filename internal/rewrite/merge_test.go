@@ -50,15 +50,15 @@ func TestConstructMergedGrouping(t *testing.T) {
 	// 5 preferences; the two DIRECTOR-path ones share a sub-query, the
 	// MOVIE-anchor one is alone, the two GENRE ones stay separate:
 	// 4 sub-queries total.
-	if len(merged.Subs) != 4 {
-		t.Fatalf("merged into %d sub-queries, want 4:\n%s", len(merged.Subs), merged.SQL())
+	if merged.NumSubs() != 4 {
+		t.Fatalf("merged into %d sub-queries, want 4:\n%s", merged.NumSubs(), merged.SQL())
 	}
 	if got := MergedSavings(sp.Query, sp.P, db.Schema()); got != 1 {
 		t.Errorf("savings = %d, want 1", got)
 	}
 	// A merged sub-query holds both DIRECTOR selections.
 	foundBoth := false
-	for _, sq := range merged.Subs {
+	for _, sq := range merged.Subs() {
 		s := sq.SQL()
 		if strings.Contains(s, "S. Kubrick") && strings.Contains(s, "DIRECTOR.did <= 3") {
 			foundBoth = true
@@ -71,7 +71,7 @@ func TestConstructMergedGrouping(t *testing.T) {
 		t.Errorf("DIRECTOR preferences not merged:\n%s", merged.SQL())
 	}
 	// GENRE preferences must never merge (multi-valued path).
-	for _, sq := range merged.Subs {
+	for _, sq := range merged.Subs() {
 		s := sq.SQL()
 		if strings.Contains(s, "comedy") && strings.Contains(s, "musical") {
 			t.Errorf("multi-valued GENRE path wrongly merged: %s", s)

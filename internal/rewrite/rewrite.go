@@ -17,8 +17,9 @@ package rewrite
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"cqp/internal/exec"
 	"cqp/internal/prefspace"
@@ -26,82 +27,179 @@ import (
 	"cqp/internal/storage"
 )
 
-// Personalized is a constructed personalized query Qx = Q ∧ Px.
+// Personalized is a constructed personalized query Qx = Q ∧ Px. It records
+// what each sub-query is — Q plus the preferences it integrates — and
+// derives the two things a caller can ask for from that: the SQL text,
+// written in one pass, and the sub-queries as *query.Query values, built the
+// first time an execution needs them. A personalization that is only shown
+// (or cached and never executed) builds none.
 type Personalized struct {
 	// Base is the original query Q.
 	Base *query.Query
-	// Subs holds one sub-query per integrated preference; just [Q] when no
-	// preferences were selected.
-	Subs []*query.Query
-	// Dois holds each integrated preference's doi, aligned with Subs
-	// (empty when no preferences were selected).
+	// Dois holds each sub-query's doi, aligned with Subs (empty when no
+	// preferences were selected).
 	Dois []float64
 	// AllMatch selects the paper's HAVING COUNT(*) = L semantics; false
 	// selects the any-match (>= 1) ranking variant.
 	AllMatch bool
+
+	// integrated lists the selected preferences in sub-query order. Sub-query
+	// i integrates integrated[ends[i-1]:ends[i]]; a nil ends means one
+	// preference each.
+	integrated []prefspace.Pref
+	ends       []int
+
+	build sync.Once
+	subs  []*query.Query
 }
 
-// Construct integrates the selected preferences into Q.
+// Construct integrates the selected preferences into Q, one sub-query per
+// preference. It keeps selected; the caller must not modify it afterwards.
 func Construct(q *query.Query, selected []prefspace.Pref, allMatch bool) *Personalized {
-	p := &Personalized{Base: q, AllMatch: allMatch}
-	if len(selected) == 0 {
-		p.Subs = []*query.Query{q.Clone()}
-		return p
-	}
-	for _, pref := range selected {
-		p.Subs = append(p.Subs, Integrate(q, pref))
-		p.Dois = append(p.Dois, pref.Doi)
+	p := &Personalized{Base: q, AllMatch: allMatch, integrated: selected}
+	if len(selected) > 0 {
+		p.Dois = make([]float64, len(selected))
+		for i, pref := range selected {
+			p.Dois[i] = pref.Doi
+		}
 	}
 	return p
 }
 
-// Integrate builds the sub-query Q ∧ p for one preference: Q plus the
-// preference's join path and terminal selection.
-func Integrate(q *query.Query, pref prefspace.Pref) *query.Query {
+// Integrate builds the sub-query Q ∧ p1 ∧ … for the preferences one
+// sub-query integrates: Q plus each preference's join path and terminal
+// selection. A join Q or an earlier preference already states is not
+// repeated.
+func Integrate(q *query.Query, group ...prefspace.Pref) *query.Query {
 	sq := q.Clone()
-	for _, j := range pref.Imp.Path {
-		if !sq.HasJoin(j.AsJoin()) {
-			sq.AddJoin(j.AsJoin())
+	for _, pref := range group {
+		for _, j := range pref.Imp.Path {
+			if !sq.HasJoin(j.AsJoin()) {
+				sq.AddJoin(j.AsJoin())
+			}
 		}
+		sq.AddSelection(pref.Imp.Sel.AsSelection())
 	}
-	sq.AddSelection(pref.Imp.Sel.AsSelection())
 	return sq
+}
+
+// NumSubs is the number of sub-queries: one per integrated preference (or
+// merged group), or just Q when no preferences were selected.
+func (p *Personalized) NumSubs() int {
+	switch {
+	case p.ends != nil:
+		return len(p.ends)
+	case len(p.integrated) > 0:
+		return len(p.integrated)
+	}
+	return 1
+}
+
+// group returns the preferences sub-query i integrates.
+func (p *Personalized) group(i int) []prefspace.Pref {
+	switch {
+	case p.ends == nil:
+		return p.integrated[i : i+1]
+	case i == 0:
+		return p.integrated[:p.ends[0]]
+	}
+	return p.integrated[p.ends[i-1]:p.ends[i]]
+}
+
+// Subs returns the sub-queries, building them on first use; just [Q] when
+// no preferences were selected. Safe for concurrent use.
+func (p *Personalized) Subs() []*query.Query {
+	p.build.Do(func() {
+		if len(p.integrated) == 0 {
+			p.subs = []*query.Query{Integrate(p.Base)}
+			return
+		}
+		p.subs = make([]*query.Query, p.NumSubs())
+		for i := range p.subs {
+			p.subs[i] = Integrate(p.Base, p.group(i)...)
+		}
+	})
+	return p.subs
 }
 
 // MinMatches returns the HAVING COUNT(*) threshold: L for all-match, 1 for
 // any-match.
 func (p *Personalized) MinMatches() int {
 	if p.AllMatch {
-		return len(p.Subs)
+		return p.NumSubs()
 	}
 	return 1
 }
 
 // SQL renders the personalized query in the paper's union form. With no
-// integrated preferences it is simply the base query.
+// integrated preferences it is simply the base query. Q's clauses are
+// rendered once and each sub-query is written as those clauses plus what
+// its preferences add — the text Subs()[i].SQL() would give with DISTINCT
+// set, without building Subs()[i].
 func (p *Personalized) SQL() string {
-	if len(p.Dois) == 0 {
+	if len(p.integrated) == 0 {
 		return p.Base.SQL()
 	}
-	proj := make([]string, len(p.Base.Project))
-	for i, a := range p.Base.Project {
-		proj[i] = a.String()
+	base := p.Base.Clauses()
+	n := p.NumSubs()
+	size := 2*len(base.Project()) + n*(base.Len()+len(" UNION ALL ")) + 64
+	for i := range p.integrated {
+		imp := &p.integrated[i].Imp
+		size += len(" AND ") + len(imp.Condition())
+		for j := range imp.Path {
+			size += len(", ") + len(imp.Path[j].Right.Relation)
+		}
 	}
-	projList := strings.Join(proj, ", ")
-	subs := make([]string, len(p.Subs))
-	for i, s := range p.Subs {
-		d := s.Clone()
-		d.Distinct = true
-		subs[i] = d.SQL()
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString("SELECT ")
+	b.WriteString(base.Project())
+	b.WriteString(" FROM (")
+	// What one sub-query adds to Q, as Integrate would: relations and joins
+	// collected in a scratch query so its Has* tests apply, selections as
+	// the text the preferences already carry.
+	var relBuf, selBuf [4]string
+	var joinBuf [4]query.Join
+	add := query.Query{From: relBuf[:0], Joins: joinBuf[:0]}
+	sels := selBuf[:0]
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteString(" UNION ALL ")
+		}
+		add.From, add.Joins, sels = add.From[:0], add.Joins[:0], sels[:0]
+		group := p.group(i)
+		for g := range group {
+			imp := &group[g].Imp
+			for _, jc := range imp.Path {
+				j := jc.AsJoin()
+				if p.Base.HasJoin(j) || add.HasJoin(j) {
+					continue
+				}
+				p.addRelation(&add, j.Left.Relation)
+				p.addRelation(&add, j.Right.Relation)
+				add.Joins = append(add.Joins, j)
+			}
+			p.addRelation(&add, imp.Sel.Attr.Relation)
+			sels = append(sels, imp.SelectionText())
+		}
+		base.WriteSQL(&b, true, add.From, add.Joins, sels)
 	}
-	cmp := ">="
-	n := 1
+	b.WriteString(") GROUP BY ")
+	b.WriteString(base.Project())
 	if p.AllMatch {
-		cmp = "="
-		n = len(p.Subs)
+		b.WriteString(" HAVING COUNT(*) = ")
+	} else {
+		b.WriteString(" HAVING COUNT(*) >= ")
 	}
-	return fmt.Sprintf("SELECT %s FROM (%s) GROUP BY %s HAVING COUNT(*) %s %d",
-		projList, strings.Join(subs, " UNION ALL "), projList, cmp, n)
+	b.WriteString(strconv.Itoa(p.MinMatches()))
+	return b.String()
+}
+
+// addRelation notes a relation a sub-query's FROM needs beyond Q's.
+func (p *Personalized) addRelation(add *query.Query, name string) {
+	if !p.Base.HasRelation(name) {
+		add.AddRelation(name)
+	}
 }
 
 // Execute evaluates the personalized query on the store, returning ranked
@@ -117,7 +215,7 @@ func (p *Personalized) ExecuteContext(ctx context.Context, db *storage.DB) (*exe
 	if len(dois) == 0 {
 		dois = nil
 	}
-	return exec.EvalUnionContext(ctx, db, p.Subs, dois, p.MinMatches())
+	return exec.EvalUnionContext(ctx, db, p.Subs(), dois, p.MinMatches())
 }
 
 // ExecuteTopKContext evaluates the personalized query keeping only the k
@@ -129,5 +227,5 @@ func (p *Personalized) ExecuteTopKContext(ctx context.Context, db *storage.DB, k
 	if len(dois) == 0 {
 		dois = nil
 	}
-	return exec.EvalUnionTopK(ctx, db, p.Subs, dois, p.MinMatches(), k)
+	return exec.EvalUnionTopK(ctx, db, p.Subs(), dois, p.MinMatches(), k)
 }

@@ -202,6 +202,46 @@ func TestHitAllocs(t *testing.T) {
 	}
 }
 
+// TestMissAllocs bounds the allocations of the cold path the same way: a
+// /personalize miss at K = 20 — a bound no earlier request carried, so the
+// whole pipeline runs — for a stored 64-atom profile, through the handler.
+// What is left is net/http, the decode, the response's encode and the
+// pipeline's own results; nothing is cloned or rendered twice on the way.
+func TestMissAllocs(t *testing.T) {
+	s := newTestDaemon(t, Config{})
+	if _, err := s.store.Put("alice", cqp.SyntheticProfile(60, 3).String()); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	bodies := make([][]byte, runs+2)
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf(
+			`{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","problem":{"number":2,"cmax_ms":%d}}`, 100000+i))
+	}
+	h := s.Handler()
+	next, k := 0, 0
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/personalize", bytes.NewReader(bodies[next])))
+		next++
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%d: %s", rec.Code, rec.Body)
+		}
+		k = bytes.Count(rec.Body.Bytes(), []byte("UNION ALL")) + 1
+	}
+	serve() // warms the query memo and the estimate memo
+	misses := s.reg.Counter("server_cache_misses").Value()
+	if n := testing.AllocsPerRun(runs, serve); n > 320 {
+		t.Errorf("a cold POST /personalize at K = %d allocates %.0f times, want ≤ 320", k, n)
+	}
+	if k != 20 {
+		t.Errorf("the measured answers integrate %d preferences, want 20", k)
+	}
+	if got := s.reg.Counter("server_cache_misses").Value() - misses; got < runs {
+		t.Errorf("only %d cache misses: the measured requests were not cold", got)
+	}
+}
+
 // TestParsedQueryShared: the query memo hands one parsed *Query to every
 // request that sends the same text, concurrently — nothing below prepare may
 // write to it. Run under -race.

@@ -2,7 +2,10 @@ package cqp
 
 import (
 	"context"
+	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"cqp/internal/obs"
@@ -161,4 +164,74 @@ func TestRefreshKeepsObservability(t *testing.T) {
 	if p.Metrics() != reg {
 		t.Error("registry lost after Refresh")
 	}
+}
+
+// TestEstimateSpanPerRequest: the "estimate" child of a request's prefspace
+// span is that request's own — the calls its build made and the time it
+// spent in them — however many other requests share the estimator. With the
+// memo off every run makes the same calls, so each of 400 concurrent traces
+// must report exactly what a run alone reports, and no child may outlast
+// the span it hangs under.
+func TestEstimateSpanPerRequest(t *testing.T) {
+	db := SyntheticMovieDB(300, 1)
+	p := NewPersonalizer(db)
+	p.Observe(NewMetrics()) // as cqpd runs it
+	p.SetEstimateMemo(false)
+	u := SyntheticProfile(60, 3)
+	q, err := ParseQuery(db.Schema(), "SELECT title FROM MOVIE WHERE year >= 1950")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, _, _ := p.EstimateQuery(q)
+	// estimateOf runs one traced personalization and returns its estimate
+	// child's calls attribute, or what is wrong with the tree.
+	estimateOf := func() (string, error) {
+		ctx, tr := StartTrace(context.Background(), "req")
+		if _, err := p.PersonalizeContext(ctx, q, u, Problem2(cost*8)); err != nil {
+			return "", err
+		}
+		tr.End()
+		ps := tr.Find("prefspace")
+		if ps == nil {
+			return "", fmt.Errorf("no prefspace span:\n%s", tr.Tree())
+		}
+		for _, c := range ps.Children() {
+			if c.Name() != "estimate" {
+				continue
+			}
+			if c.Duration() <= 0 || c.Duration() > ps.Duration() {
+				return "", fmt.Errorf("estimate took %v inside a prefspace span of %v", c.Duration(), ps.Duration())
+			}
+			for _, a := range c.Attrs() {
+				if a.Key == "calls" {
+					return a.Value, nil
+				}
+			}
+		}
+		return "", fmt.Errorf("no estimate child with a calls attribute under prefspace:\n%s", tr.Tree())
+	}
+	solo, err := estimateOf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := strconv.Atoi(solo); n < 2+2*20 {
+		t.Fatalf("a memo-off K = 20 build reports %s estimator calls, want at least 42", solo)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if calls, err := estimateOf(); err != nil {
+					t.Error(err)
+					return
+				} else if calls != solo {
+					t.Errorf("a concurrent request was billed %s estimator calls, %s alone", calls, solo)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

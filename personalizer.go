@@ -89,7 +89,6 @@ func (p *Personalizer) Refresh() error {
 		p.est.DisableMemo()
 	}
 	if p.metrics != nil {
-		p.est.EnableTiming()
 		p.est.ObserveMemo(p.metrics)
 	}
 	p.mu.Unlock()
@@ -132,9 +131,6 @@ func (p *Personalizer) Observe(reg *obs.Registry) {
 	p.metrics = reg
 	p.db.SetMetrics(reg)
 	p.acc = obs.NewAccuracy(reg)
-	if reg != nil {
-		p.est.EnableTiming()
-	}
 	p.est.ObserveMemo(reg)
 	p.mu.Unlock()
 }
@@ -354,7 +350,7 @@ func (p *Personalizer) Personalize(q *Query, u *Profile, prob Problem, opts ...O
 
 // PersonalizeContext is Personalize with tracing: when ctx carries a trace
 // (see StartTrace), the pipeline records one span per Figure-2 phase —
-// prefspace (with the estimator's accumulated share as an "estimate"
+// prefspace (with the estimator calls that build made as an "estimate"
 // child), search, and construct; ExecuteContext adds the execute phase.
 // Without a trace in ctx the call behaves exactly like Personalize.
 func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Profile, prob Problem, opts ...Option) (*Result, error) {
@@ -380,11 +376,6 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "personalize")
 	defer span.End()
-	if span != nil {
-		// Estimation happens inside prefspace.Build; per-call accounting is
-		// what lets the trace carve out the estimate phase.
-		est.EnableTiming()
-	}
 	// Deadline checks sit at the Figure-2 phase boundaries: a canceled or
 	// expired context aborts before the next phase starts (the daemon's
 	// per-request deadlines ride on this).
@@ -392,9 +383,9 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 		return nil, fmt.Errorf("cqp: personalize: %w", err)
 	}
 
-	_, psSpan := obs.StartSpan(ctx, "prefspace")
-	calls0, spent0 := est.TimingTotals()
-	sp, err := prefspace.BuildContext(ctx, q, u, est, prefspace.Options{
+	// The build runs under its own span: it hangs the "estimate" child there.
+	psCtx, psSpan := obs.StartSpan(ctx, "prefspace")
+	sp, err := prefspace.BuildContext(psCtx, q, u, est, prefspace.Options{
 		MaxK:    o.maxK,
 		CostMax: prob.CostMax,
 	})
@@ -403,10 +394,6 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 		return nil, err
 	}
 	psSpan.SetAttr("k", sp.K)
-	if calls1, spent1 := est.TimingTotals(); calls1 > calls0 {
-		psSpan.AddChild("estimate", spent1-spent0,
-			obs.Attr{Key: "calls", Value: fmt.Sprint(calls1 - calls0)})
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cqp: personalize: %w", err)
 	}
@@ -448,7 +435,7 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 		pq = rewrite.Construct(q, chosen, !o.anyMatch)
 	}
 	conSpan.End()
-	conSpan.SetAttr("subqueries", len(pq.Subs))
+	conSpan.SetAttr("subqueries", pq.NumSubs())
 
 	if reg := metrics; reg != nil {
 		reg.Counter("personalize_total").Inc()
