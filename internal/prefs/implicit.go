@@ -22,10 +22,9 @@ type Implicit struct {
 	// Doi is the composed degree of interest.
 	Doi float64
 
-	// cond is Condition() as NewImplicit joined it from the atoms' kept
-	// texts, and selAt where the terminal selection starts in it. An
-	// Implicit is not modified once built, so the text stays true; a
-	// literal carries none and renders on demand.
+	// cond is Condition() as NewImplicit joined it from the atoms' texts, and
+	// selAt where the terminal selection starts in it. An Implicit is not
+	// modified once built; a literal carries no text and renders on demand.
 	cond  string
 	selAt int
 }
@@ -89,15 +88,6 @@ func (i Implicit) Anchor() string {
 	return i.Sel.Attr.Relation
 }
 
-// Relations returns every relation the preference touches, anchor first.
-func (i Implicit) Relations() []string {
-	out := []string{i.Anchor()}
-	for _, j := range i.Path {
-		out = append(out, j.Right.Relation)
-	}
-	return out
-}
-
 // text returns the full conjunction in SQL syntax and the offset at which
 // its terminal selection starts.
 func (i Implicit) text() (string, int) {
@@ -122,17 +112,12 @@ func (i Implicit) Condition() string {
 	return cond
 }
 
-// SelectionText is the terminal selection's part of Condition.
-func (i Implicit) SelectionText() string {
+// Split returns Condition in its two parts: the join path's ("" for an
+// atomic selection preference; equal for two preferences exactly when their
+// paths are) and the terminal selection's.
+func (i Implicit) Split() (path, selection string) {
 	cond, at := i.text()
-	return cond[at:]
-}
-
-// PathText is the join path's part of Condition ("" for an atomic selection
-// preference): equal for two preferences exactly when their paths are.
-func (i Implicit) PathText() string {
-	cond, at := i.text()
-	return cond[:at]
+	return cond[:at], cond[at:]
 }
 
 // String renders the preference with its doi.

@@ -52,10 +52,8 @@ type Atomic struct {
 	Join *JoinCond
 	Doi  float64
 
-	// text is Condition() as Profile.Add rendered it for its duplicate
-	// guard. Every later reader of the condition as text — the implicit
-	// preferences built on the atom, the profile's own String — takes it
-	// from here; an atom no profile has taken carries none.
+	// text is Condition() as Profile.Add rendered it for its duplicate guard,
+	// kept for every later reader; an atom no profile has taken carries none.
 	text string
 }
 
@@ -64,14 +62,10 @@ func (a Atomic) IsSelection() bool { return a.Sel != nil }
 
 // Condition renders the underlying condition in SQL syntax.
 func (a Atomic) Condition() string {
-	if a.text != "" {
+	switch {
+	case a.text != "":
 		return a.text
-	}
-	return a.render()
-}
-
-func (a Atomic) render() string {
-	if a.Sel != nil {
+	case a.Sel != nil:
 		return a.Sel.String()
 	}
 	return a.Join.String()
@@ -127,7 +121,8 @@ func (p *Profile) Add(a Atomic) error {
 	if (a.Sel == nil) == (a.Join == nil) {
 		return fmt.Errorf("prefs: atomic preference must have exactly one of selection/join")
 	}
-	a.text = a.render()
+	a.text = "" // whatever the atom carried, the guard's key is rendered from its condition
+	a.text = a.Condition()
 	if p.fingerSeen[a.text] {
 		return fmt.Errorf("prefs: duplicate preference on condition %s", a.text)
 	}
@@ -166,12 +161,12 @@ func (p *Profile) Atom(i int) Atomic { return p.atoms[i] }
 
 // JoinsFrom returns the positions (as Atom takes them) of the join
 // preferences whose left-hand relation is the given one — the edges a
-// traversal may follow out of that relation. The slice is the profile's
-// own index: read it, do not modify it.
+// traversal may follow out of that relation. The slice is the profile's own
+// index: read it, do not modify it.
 func (p *Profile) JoinsFrom(relation string) []int { return p.joinsFrom[relation] }
 
-// SelectionsOn returns the positions of the selection preferences on
-// attributes of the given relation, on JoinsFrom's terms.
+// SelectionsOn does the same for the selection preferences on attributes of
+// the given relation.
 func (p *Profile) SelectionsOn(relation string) []int { return p.selsOn[relation] }
 
 // Validate checks every preference against the schema: attributes resolve,

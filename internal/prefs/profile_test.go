@@ -251,9 +251,11 @@ func TestImplicitComposition(t *testing.T) {
 	if imp.Anchor() != "MOVIE" {
 		t.Errorf("anchor = %s", imp.Anchor())
 	}
-	rels := imp.Relations()
-	if len(rels) != 2 || rels[0] != "MOVIE" || rels[1] != "DIRECTOR" {
-		t.Errorf("relations = %v", rels)
+	if len(imp.Path) != 1 || imp.Path[0].Right.Relation != "DIRECTOR" {
+		t.Errorf("path = %v", imp.Path)
+	}
+	if path, sel := imp.Split(); path != "MOVIE.did = DIRECTOR.did AND " || sel != "DIRECTOR.name = 'W. Allen'" {
+		t.Errorf("split = %q, %q", path, sel)
 	}
 	want := "MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'W. Allen'"
 	if imp.Condition() != want {

@@ -151,9 +151,9 @@ func (q *candQueue) pop() candidate {
 	}
 }
 
-// estimateTally is a traced build's account of its own estimator calls:
-// how many entry points it ran and the wall time it spent in them. It is
-// nil, and free, on an untraced build.
+// estimateTally is a traced build's account of the estimator entry points
+// it ran and the wall time it spent in them; nil, and free, on an untraced
+// build.
 type estimateTally struct {
 	calls int
 	spent time.Duration
@@ -201,11 +201,9 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 		return nil, fmt.Errorf("prefspace: base query estimate: %w", err)
 	}
 	// Estimation is interleaved with extraction and has no interval of its
-	// own to wrap, so a traced build keeps the account itself and reports it
-	// as an "estimate" child of the span it runs under: base cost and size,
-	// path probes, and a cost and a shrink per preference the memo did not
-	// answer. The account is this build's alone — concurrent builds share
-	// the Estimator, not each other's calls.
+	// own to wrap, so a traced build keeps the account itself — its own
+	// calls, whoever else shares the Estimator — and reports it as an
+	// "estimate" child of the span it runs under.
 	span := obs.FromContext(ctx)
 	var tally *estimateTally
 	if span != nil {
@@ -334,18 +332,24 @@ type estResult struct {
 	err    error // fault point or context fired before estimation
 }
 
-// estimateBatch materializes every candidate selection (NewImplicit) and
-// answers what it can from the estimator's cross-request memo; the rest go
-// to estimateMisses. Results keep the input order. A memoized candidate
-// skips the worker group entirely — including its estimate.histogram fault
-// poll and catalog reads, which is exactly the work the memo exists to
-// elide (the pair was computed against this same immutable catalog). The
-// tally is charged two calls per computed candidate and the wall time of
-// computing them all.
+// estimateBatch materializes every candidate selection (NewImplicit),
+// answers what it can from the estimator's cross-request memo, and runs the
+// remaining SubQueryCost/Shrink estimations across a bounded worker group,
+// preserving input order in the result slice. A memoized candidate skips
+// the worker group entirely — including its estimate.histogram fault poll
+// and catalog reads, which is exactly the work the memo exists to elide
+// (the pair was computed against this same immutable catalog). Workers
+// poll the fault point and ctx before every computed candidate, exactly as
+// the sequential build does between estimations, and store their results
+// back into the memo. The estimator's entry points are safe for concurrent
+// use: they read the catalog, which is immutable after catalog.Build; the
+// memo itself is lock-guarded; candidate paths are shared between
+// candidates but read-only here. The tally is charged two calls per
+// computed candidate and the wall time of computing them all.
 func estimateBatch(ctx context.Context, est *estimate.Estimator, q *query.Query, profile *prefs.Profile, cands []candidate, parallelism int, tally *estimateTally) []estResult {
 	out := make([]estResult, len(cands))
 	scope := est.ScopeKey(q)
-	var misses []int
+	var missed []int
 	for i, c := range cands {
 		r := &out[i]
 		r.imp, r.impErr = prefs.NewImplicit(c.path, profile.Atom(c.sel))
@@ -356,24 +360,13 @@ func estimateBatch(ctx context.Context, est *estimate.Estimator, q *query.Query,
 			r.cost, r.shrink = cost, shrink
 			continue
 		}
-		misses = append(misses, i)
+		missed = append(missed, i)
 	}
-	if len(misses) > 0 {
-		t0 := tally.start()
-		estimateMisses(ctx, est, q, scope, out, misses, parallelism)
-		tally.done(2*len(misses), t0)
+	if len(missed) == 0 {
+		return out
 	}
-	return out
-}
-
-// estimateMisses runs the SubQueryCost/Shrink estimations the memo could
-// not answer across a bounded worker group and stores them back into it.
-// Workers poll the fault point and ctx before every candidate, exactly as
-// the sequential build does between estimations. The estimator's entry
-// points are safe for concurrent use: they read the catalog, which is
-// immutable after catalog.Build; the memo itself is lock-guarded; each
-// worker writes only its own candidates' results.
-func estimateMisses(ctx context.Context, est *estimate.Estimator, q *query.Query, scope string, out []estResult, misses []int, parallelism int) {
+	misses := missed // the variable the workers share: only a batch with misses pays for one
+	defer tally.done(2*len(misses), tally.start())
 	estimate := func(i int) {
 		r := &out[i]
 		if r.err = ctx.Err(); r.err != nil {
@@ -397,7 +390,7 @@ func estimateMisses(ctx context.Context, est *estimate.Estimator, q *query.Query
 		for _, i := range misses {
 			estimate(i)
 		}
-		return
+		return out
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -415,6 +408,7 @@ func estimateMisses(ctx context.Context, est *estimate.Estimator, q *query.Query
 		}()
 	}
 	wg.Wait()
+	return out
 }
 
 // pathCost estimates the sub-query cost of a partial path (without its
@@ -424,8 +418,6 @@ func pathCost(est *estimate.Estimator, q *query.Query, path []prefs.Atomic) floa
 	for i, a := range path {
 		imp.Path[i] = *a.Join
 	}
-	// Anchor the probe selection at the path end so Relations() is complete.
-	imp.Sel.Attr = path[len(path)-1].Join.Right
 	return est.SubQueryCost(q, imp)
 }
 

@@ -335,80 +335,45 @@ func (q *Query) Connected() bool {
 // sub-queries that each extend the query repeats them by copy (WriteSQL);
 // the query's own SQL is the same layout with nothing added.
 type Clauses struct {
-	project    string // "R.a, S.b"
-	from       string // "R, S"
-	joins      string // "R.a = S.a AND …", "" without joins
-	selections string // "R.b >= 1 AND …", "" without selections
-	tail       string // " ORDER BY … LIMIT n", "" without either
+	Project    string // "R.a, S.b"
+	From       string // "R, S"
+	Joins      string // "R.a = S.a AND …", "" without joins
+	Selections string // "R.b >= 1 AND …", "" without selections
+	Tail       string // " ORDER BY … LIMIT n", "" without either
 }
 
 // Clauses renders the query's clauses.
 func (q *Query) Clauses() Clauses {
 	var b strings.Builder
 	b.Grow(256) // most queries' clauses fit; a longer one grows the buffer
-	var end [4]int
-	for i, p := range q.Project {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		writeAttr(&b, p)
+	end := [4]int{
+		writeList(&b, q.Project, ", ", writeAttr),
+		writeList(&b, q.From, ", ", func(b *strings.Builder, r string) { b.WriteString(r) }),
+		writeList(&b, q.Joins, " AND ", writeJoin),
+		writeList(&b, q.Selections, " AND ", func(b *strings.Builder, s Selection) { b.WriteString(s.String()) }),
 	}
-	end[0] = b.Len()
-	for i, r := range q.From {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(r)
-	}
-	end[1] = b.Len()
-	for i, j := range q.Joins {
-		if i > 0 {
-			b.WriteString(" AND ")
-		}
-		writeJoin(&b, j)
-	}
-	end[2] = b.Len()
-	for i, s := range q.Selections {
-		if i > 0 {
-			b.WriteString(" AND ")
-		}
-		b.WriteString(s.String())
-	}
-	end[3] = b.Len()
-	for i, o := range q.OrderBy {
-		if i == 0 {
-			b.WriteString(" ORDER BY ")
-		} else {
-			b.WriteString(", ")
-		}
-		writeAttr(&b, o.Attr)
-		if o.Desc {
-			b.WriteString(" DESC")
-		}
+	if len(q.OrderBy) > 0 {
+		b.WriteString(" ORDER BY ")
+		writeList(&b, q.OrderBy, ", ", func(b *strings.Builder, o OrderKey) { b.WriteString(o.String()) })
 	}
 	if q.Limit > 0 {
 		b.WriteString(" LIMIT ")
 		b.WriteString(strconv.Itoa(q.Limit))
 	}
 	text := b.String()
-	return Clauses{
-		project:    text[:end[0]],
-		from:       text[end[0]:end[1]],
-		joins:      text[end[1]:end[2]],
-		selections: text[end[2]:end[3]],
-		tail:       text[end[3]:],
-	}
+	return Clauses{text[:end[0]], text[end[0]:end[1]], text[end[1]:end[2]], text[end[2]:end[3]], text[end[3]:]}
 }
 
-// Project is the projection list, which a union's outer SELECT and GROUP BY
-// repeat.
-func (c *Clauses) Project() string { return c.project }
-
-// Len is the length of the query's own SQL, DISTINCT included: what one
-// WriteSQL with nothing added writes at most.
-func (c *Clauses) Len() int {
-	return len("SELECT DISTINCT  FROM  WHERE  AND ") +
-		len(c.project) + len(c.from) + len(c.joins) + len(c.selections) + len(c.tail)
+// writeList writes the items with sep between them and returns where the
+// text written so far ends.
+func writeList[T any](b *strings.Builder, items []T, sep string, write func(*strings.Builder, T)) int {
+	for i, item := range items {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		write(b, item)
+	}
+	return b.Len()
 }
 
 // WriteSQL writes one conjunctive query in the one layout a query's text
@@ -421,35 +386,33 @@ func (c *Clauses) WriteSQL(b *strings.Builder, distinct bool, rels []string, joi
 	if distinct {
 		b.WriteString("DISTINCT ")
 	}
-	b.WriteString(c.project)
+	b.WriteString(c.Project)
 	b.WriteString(" FROM ")
-	b.WriteString(c.from)
+	b.WriteString(c.From)
 	for _, r := range rels {
 		b.WriteString(", ")
 		b.WriteString(r)
 	}
 	sep := " WHERE "
-	cond := func() {
+	cond := func(text string) {
 		b.WriteString(sep)
+		b.WriteString(text)
 		sep = " AND "
 	}
-	if c.joins != "" {
-		cond()
-		b.WriteString(c.joins)
+	if c.Joins != "" {
+		cond(c.Joins)
 	}
 	for _, j := range joins {
-		cond()
+		cond("")
 		writeJoin(b, j)
 	}
-	if c.selections != "" {
-		cond()
-		b.WriteString(c.selections)
+	if c.Selections != "" {
+		cond(c.Selections)
 	}
 	for _, s := range sels {
-		cond()
-		b.WriteString(s)
+		cond(s)
 	}
-	b.WriteString(c.tail)
+	b.WriteString(c.Tail)
 }
 
 func writeAttr(b *strings.Builder, a schema.AttrRef) {
@@ -468,7 +431,6 @@ func writeJoin(b *strings.Builder, j Join) {
 func (q *Query) SQL() string {
 	c := q.Clauses()
 	var b strings.Builder
-	b.Grow(c.Len())
 	c.WriteSQL(&b, q.Distinct, nil, nil, nil)
 	return b.String()
 }

@@ -39,10 +39,10 @@ import (
 // sub-queries. Only the paper's all-match semantics is supported (merging
 // under any-match would turn per-preference unions into conjunctions).
 func ConstructMerged(q *query.Query, selected []prefspace.Pref, sch *schema.Schema) *Personalized {
-	p := &Personalized{Base: q, AllMatch: true}
 	if len(selected) == 0 {
-		return p
+		return Construct(q, nil, true)
 	}
+	p := &Personalized{Base: q, AllMatch: true}
 	var order []string
 	groups := make(map[string][]prefspace.Pref)
 	for idx, pref := range selected {
@@ -80,7 +80,8 @@ func pathKey(sch *schema.Schema, imp prefs.Implicit) (key string, functional boo
 			return "", false
 		}
 	}
-	return imp.PathText(), true
+	key, _ = imp.Split()
+	return key, true
 }
 
 // MergedSavings reports how many sub-queries merging eliminates for a

@@ -28,24 +28,23 @@ import (
 )
 
 // Personalized is a constructed personalized query Qx = Q ∧ Px. It records
-// what each sub-query is — Q plus the preferences it integrates — and
-// derives the two things a caller can ask for from that: the SQL text,
-// written in one pass, and the sub-queries as *query.Query values, built the
-// first time an execution needs them. A personalization that is only shown
-// (or cached and never executed) builds none.
+// what each sub-query is — Q plus the preferences it integrates — and from
+// that derives the SQL text, written in one pass, and the sub-queries as
+// *query.Query values, built the first time an execution needs them: a
+// personalization that is only shown, or cached, builds none.
 type Personalized struct {
 	// Base is the original query Q.
 	Base *query.Query
-	// Dois holds each sub-query's doi, aligned with Subs (empty when no
+	// Dois holds each sub-query's doi, aligned with Subs (nil when no
 	// preferences were selected).
 	Dois []float64
 	// AllMatch selects the paper's HAVING COUNT(*) = L semantics; false
 	// selects the any-match (>= 1) ranking variant.
 	AllMatch bool
 
-	// integrated lists the selected preferences in sub-query order. Sub-query
-	// i integrates integrated[ends[i-1]:ends[i]]; a nil ends means one
-	// preference each.
+	// integrated lists the selected preferences in sub-query order:
+	// sub-query i integrates integrated[ends[i-1]:ends[i]] — nothing, in the
+	// one sub-query of a personalization that selected no preference.
 	integrated []prefspace.Pref
 	ends       []int
 
@@ -56,64 +55,56 @@ type Personalized struct {
 // Construct integrates the selected preferences into Q, one sub-query per
 // preference. It keeps selected; the caller must not modify it afterwards.
 func Construct(q *query.Query, selected []prefspace.Pref, allMatch bool) *Personalized {
-	p := &Personalized{Base: q, AllMatch: allMatch, integrated: selected}
+	p := &Personalized{Base: q, AllMatch: allMatch, integrated: selected, ends: []int{0}}
 	if len(selected) > 0 {
-		p.Dois = make([]float64, len(selected))
-		for i, pref := range selected {
-			p.Dois[i] = pref.Doi
+		p.Dois, p.ends = make([]float64, len(selected)), make([]int, len(selected))
+		for i := range selected {
+			p.Dois[i], p.ends[i] = selected[i].Doi, i+1
 		}
 	}
 	return p
 }
 
 // Integrate builds the sub-query Q ∧ p1 ∧ … for the preferences one
-// sub-query integrates: Q plus each preference's join path and terminal
-// selection. A join Q or an earlier preference already states is not
-// repeated.
+// sub-query integrates.
 func Integrate(q *query.Query, group ...prefspace.Pref) *query.Query {
 	sq := q.Clone()
-	for _, pref := range group {
-		for _, j := range pref.Imp.Path {
+	integrate(sq, group)
+	return sq
+}
+
+// integrate adds each preference's join path and terminal selection to sq. A
+// join sq already states — Q's own, or an earlier preference's — is not
+// repeated.
+func integrate(sq *query.Query, group []prefspace.Pref) {
+	for i := range group {
+		imp := &group[i].Imp
+		for _, j := range imp.Path {
 			if !sq.HasJoin(j.AsJoin()) {
 				sq.AddJoin(j.AsJoin())
 			}
 		}
-		sq.AddSelection(pref.Imp.Sel.AsSelection())
+		sq.AddSelection(imp.Sel.AsSelection())
 	}
-	return sq
 }
 
 // NumSubs is the number of sub-queries: one per integrated preference (or
 // merged group), or just Q when no preferences were selected.
-func (p *Personalized) NumSubs() int {
-	switch {
-	case p.ends != nil:
-		return len(p.ends)
-	case len(p.integrated) > 0:
-		return len(p.integrated)
-	}
-	return 1
-}
+func (p *Personalized) NumSubs() int { return len(p.ends) }
 
 // group returns the preferences sub-query i integrates.
 func (p *Personalized) group(i int) []prefspace.Pref {
-	switch {
-	case p.ends == nil:
-		return p.integrated[i : i+1]
-	case i == 0:
-		return p.integrated[:p.ends[0]]
+	start := 0
+	if i > 0 {
+		start = p.ends[i-1]
 	}
-	return p.integrated[p.ends[i-1]:p.ends[i]]
+	return p.integrated[start:p.ends[i]]
 }
 
 // Subs returns the sub-queries, building them on first use; just [Q] when
 // no preferences were selected. Safe for concurrent use.
 func (p *Personalized) Subs() []*query.Query {
 	p.build.Do(func() {
-		if len(p.integrated) == 0 {
-			p.subs = []*query.Query{Integrate(p.Base)}
-			return
-		}
 		p.subs = make([]*query.Query, p.NumSubs())
 		for i := range p.subs {
 			p.subs[i] = Integrate(p.Base, p.group(i)...)
@@ -142,7 +133,8 @@ func (p *Personalized) SQL() string {
 	}
 	base := p.Base.Clauses()
 	n := p.NumSubs()
-	size := 2*len(base.Project()) + n*(base.Len()+len(" UNION ALL ")) + 64
+	size := len(base.Project) + len(base.From) + len(base.Joins) + len(base.Selections) + len(base.Tail)
+	size = 2*len(base.Project) + n*(size+len("SELECT DISTINCT  FROM  WHERE  AND  UNION ALL ")) + 64
 	for i := range p.integrated {
 		imp := &p.integrated[i].Imp
 		size += len(" AND ") + len(imp.Condition())
@@ -153,39 +145,31 @@ func (p *Personalized) SQL() string {
 	var b strings.Builder
 	b.Grow(size)
 	b.WriteString("SELECT ")
-	b.WriteString(base.Project())
+	b.WriteString(base.Project)
 	b.WriteString(" FROM (")
-	// What one sub-query adds to Q, as Integrate would: relations and joins
-	// collected in a scratch query so its Has* tests apply, selections as
-	// the text the preferences already carry.
-	var relBuf, selBuf [4]string
-	var joinBuf [4]query.Join
-	add := query.Query{From: relBuf[:0], Joins: joinBuf[:0]}
-	sels := selBuf[:0]
+	// One scratch query stands in for every sub-query in turn: Q's relations
+	// and joins, then what integrate adds to them, which is what is written
+	// after Q's clauses. The added selections are written as the text the
+	// preferences already carry.
+	var relBuf, selBuf [8]string
+	var joinBuf [8]query.Join
+	sq := query.Query{From: append(relBuf[:0], p.Base.From...), Joins: append(joinBuf[:0], p.Base.Joins...)}
+	nf, nj, sels := len(sq.From), len(sq.Joins), selBuf[:0]
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			b.WriteString(" UNION ALL ")
 		}
-		add.From, add.Joins, sels = add.From[:0], add.Joins[:0], sels[:0]
+		sq.From, sq.Joins, sq.Selections, sels = sq.From[:nf], sq.Joins[:nj], sq.Selections[:0], sels[:0]
 		group := p.group(i)
+		integrate(&sq, group)
 		for g := range group {
-			imp := &group[g].Imp
-			for _, jc := range imp.Path {
-				j := jc.AsJoin()
-				if p.Base.HasJoin(j) || add.HasJoin(j) {
-					continue
-				}
-				p.addRelation(&add, j.Left.Relation)
-				p.addRelation(&add, j.Right.Relation)
-				add.Joins = append(add.Joins, j)
-			}
-			p.addRelation(&add, imp.Sel.Attr.Relation)
-			sels = append(sels, imp.SelectionText())
+			_, sel := group[g].Imp.Split()
+			sels = append(sels, sel)
 		}
-		base.WriteSQL(&b, true, add.From, add.Joins, sels)
+		base.WriteSQL(&b, true, sq.From[nf:], sq.Joins[nj:], sels)
 	}
 	b.WriteString(") GROUP BY ")
-	b.WriteString(base.Project())
+	b.WriteString(base.Project)
 	if p.AllMatch {
 		b.WriteString(" HAVING COUNT(*) = ")
 	} else {
@@ -193,13 +177,6 @@ func (p *Personalized) SQL() string {
 	}
 	b.WriteString(strconv.Itoa(p.MinMatches()))
 	return b.String()
-}
-
-// addRelation notes a relation a sub-query's FROM needs beyond Q's.
-func (p *Personalized) addRelation(add *query.Query, name string) {
-	if !p.Base.HasRelation(name) {
-		add.AddRelation(name)
-	}
 }
 
 // Execute evaluates the personalized query on the store, returning ranked
@@ -211,11 +188,7 @@ func (p *Personalized) Execute(db *storage.DB) (*exec.UnionResult, error) {
 // ExecuteContext is Execute honoring cancellation, which the executor
 // polls inside every operator loop of the union plan.
 func (p *Personalized) ExecuteContext(ctx context.Context, db *storage.DB) (*exec.UnionResult, error) {
-	dois := p.Dois
-	if len(dois) == 0 {
-		dois = nil
-	}
-	return exec.EvalUnionContext(ctx, db, p.Subs(), dois, p.MinMatches())
+	return exec.EvalUnionContext(ctx, db, p.Subs(), p.Dois, p.MinMatches())
 }
 
 // ExecuteTopKContext evaluates the personalized query keeping only the k
@@ -223,9 +196,5 @@ func (p *Personalized) ExecuteContext(ctx context.Context, db *storage.DB) (*exe
 // stream out of the union's group table, so the full ranked answer never
 // materializes.
 func (p *Personalized) ExecuteTopKContext(ctx context.Context, db *storage.DB, k int) (*exec.UnionResult, error) {
-	dois := p.Dois
-	if len(dois) == 0 {
-		dois = nil
-	}
-	return exec.EvalUnionTopK(ctx, db, p.Subs(), dois, p.MinMatches(), k)
+	return exec.EvalUnionTopK(ctx, db, p.Subs(), p.Dois, p.MinMatches(), k)
 }

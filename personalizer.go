@@ -350,8 +350,8 @@ func (p *Personalizer) Personalize(q *Query, u *Profile, prob Problem, opts ...O
 
 // PersonalizeContext is Personalize with tracing: when ctx carries a trace
 // (see StartTrace), the pipeline records one span per Figure-2 phase —
-// prefspace (with the estimator calls that build made as an "estimate"
-// child), search, and construct; ExecuteContext adds the execute phase.
+// prefspace (which hangs the estimator calls it made under its span as an
+// "estimate" child), search, and construct; ExecuteContext adds execute.
 // Without a trace in ctx the call behaves exactly like Personalize.
 func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Profile, prob Problem, opts ...Option) (*Result, error) {
 	o := defaultOptions()
@@ -383,7 +383,6 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 		return nil, fmt.Errorf("cqp: personalize: %w", err)
 	}
 
-	// The build runs under its own span: it hangs the "estimate" child there.
 	psCtx, psSpan := obs.StartSpan(ctx, "prefspace")
 	sp, err := prefspace.BuildContext(psCtx, q, u, est, prefspace.Options{
 		MaxK:    o.maxK,
