@@ -34,11 +34,10 @@ type BatchResult struct {
 
 // fingerprint derives the batch-dedup identity of an item: the query's
 // canonical fingerprint, the profile text, the problem, and the resolved
-// options — written
-// as explicit named fields, not a %+v of the options struct, so a field
-// rename or reorder can never silently change dedup identity. Two items
-// with equal fingerprints would run the exact same pipeline, so one run
-// can answer both.
+// options — written as explicit named fields, not a %+v of the options
+// struct, so a field rename or reorder can never silently change dedup
+// identity. Two items with equal fingerprints would run the exact same
+// pipeline, so one run can answer both.
 func (it BatchItem) fingerprint() string {
 	o := defaultOptions()
 	for _, fn := range it.Opts {

@@ -3,6 +3,11 @@
 // selection and join preferences over a personalization graph, implicit
 // preferences composed along acyclic paths, and the degree-of-interest
 // algebra used to score conjunctions of preferences.
+//
+// A condition is rendered as text once: Profile.Add keeps what it renders
+// for its duplicate guard on the atom, NewImplicit joins the atoms' texts,
+// and the estimate memo's key, a response's preferences and the SQL writer
+// all read that one string.
 package prefs
 
 // Compose implements f⊗ (Formula 1/9): the degree of interest in an

@@ -121,8 +121,7 @@ func (p *Profile) Add(a Atomic) error {
 	if (a.Sel == nil) == (a.Join == nil) {
 		return fmt.Errorf("prefs: atomic preference must have exactly one of selection/join")
 	}
-	a.text = "" // whatever the atom carried, the guard's key is rendered from its condition
-	a.text = a.Condition()
+	a.text = Atomic{Sel: a.Sel, Join: a.Join}.Condition() // rendered, whatever text the atom carried
 	if p.fingerSeen[a.text] {
 		return fmt.Errorf("prefs: duplicate preference on condition %s", a.text)
 	}
@@ -172,8 +171,8 @@ func (p *Profile) SelectionsOn(relation string) []int { return p.selsOn[relation
 // Validate checks every preference against the schema: attributes resolve,
 // selection literals are comparable with their column, join endpoints are
 // type-compatible and cross-relation. A profile that passed is not walked
-// again for the same schema, so the store's check at Put also serves every
-// request that reads the profile. Safe for concurrent use.
+// again for the same schema: the store's check at Put serves every request
+// that reads the profile. Safe for concurrent use.
 func (p *Profile) Validate(s *schema.Schema) error {
 	if s != nil && p.validFor.Load() == s {
 		return nil

@@ -133,8 +133,7 @@ func (q *candQueue) push(c candidate) {
 
 func (q *candQueue) pop() candidate {
 	top, last := q.h[0], len(q.h)-1
-	q.h[0] = q.h[last]
-	q.h[last] = candidate{}
+	q.h[0], q.h[last] = q.h[last], candidate{}
 	q.h = q.h[:last]
 	for i := 0; ; {
 		best := i
@@ -151,9 +150,8 @@ func (q *candQueue) pop() candidate {
 	}
 }
 
-// estimateTally is a traced build's account of the estimator entry points
-// it ran and the wall time it spent in them; nil, and free, on an untraced
-// build.
+// estimateTally is a traced build's account of the estimator entry points it
+// ran and the wall time it spent in them; nil, and free, on an untraced build.
 type estimateTally struct {
 	calls int
 	spent time.Duration
@@ -200,10 +198,9 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 	if err := est.CheckFault(); err != nil {
 		return nil, fmt.Errorf("prefspace: base query estimate: %w", err)
 	}
-	// Estimation is interleaved with extraction and has no interval of its
-	// own to wrap, so a traced build keeps the account itself — its own
-	// calls, whoever else shares the Estimator — and reports it as an
-	// "estimate" child of the span it runs under.
+	// Estimation is interleaved with extraction, with no interval of its own
+	// to wrap: a traced build keeps its own account, whoever else shares the
+	// Estimator, and reports it as an "estimate" child of the span it runs under.
 	span := obs.FromContext(ctx)
 	var tally *estimateTally
 	if span != nil {

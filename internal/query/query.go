@@ -378,9 +378,8 @@ func writeList[T any](b *strings.Builder, items []T, sep string, write func(*str
 
 // WriteSQL writes one conjunctive query in the one layout a query's text
 // has — SELECT [DISTINCT] projection FROM relations [WHERE joins AND
-// selections] [ORDER BY keys] [LIMIT n] — the base query's clauses each
-// followed by what a sub-query adds to them: relations, joins, and
-// selections already rendered as text.
+// selections] [ORDER BY keys] [LIMIT n] — each of the base query's clauses
+// followed by what a sub-query adds to it (selections already as text).
 func (c *Clauses) WriteSQL(b *strings.Builder, distinct bool, rels []string, joins []Join, sels []string) {
 	b.WriteString("SELECT ")
 	if distinct {

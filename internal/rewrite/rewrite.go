@@ -13,6 +13,10 @@
 // COUNT(*) >= 1) with r-based result ranking is also provided, matching the
 // paper's remark that results "may be ranked based on their degree of
 // interest".
+//
+// The union's text is written in one pass over Q's clauses rendered once
+// (query.Clauses, the one clause layout a query's text has); the sub-queries
+// as values exist only once something executes them.
 package rewrite
 
 import (
@@ -28,10 +32,8 @@ import (
 )
 
 // Personalized is a constructed personalized query Qx = Q ∧ Px. It records
-// what each sub-query is — Q plus the preferences it integrates — and from
-// that derives the SQL text, written in one pass, and the sub-queries as
-// *query.Query values, built the first time an execution needs them: a
-// personalization that is only shown, or cached, builds none.
+// what each sub-query is — Q plus the preferences it integrates — and
+// derives the SQL text and, on first execution, the sub-queries from that.
 type Personalized struct {
 	// Base is the original query Q.
 	Base *query.Query
@@ -42,9 +44,8 @@ type Personalized struct {
 	// selects the any-match (>= 1) ranking variant.
 	AllMatch bool
 
-	// integrated lists the selected preferences in sub-query order:
-	// sub-query i integrates integrated[ends[i-1]:ends[i]] — nothing, in the
-	// one sub-query of a personalization that selected no preference.
+	// integrated lists the selected preferences in sub-query order: sub-query
+	// i integrates integrated[ends[i-1]:ends[i]] (nothing, if none was selected).
 	integrated []prefspace.Pref
 	ends       []int
 
@@ -73,9 +74,8 @@ func Integrate(q *query.Query, group ...prefspace.Pref) *query.Query {
 	return sq
 }
 
-// integrate adds each preference's join path and terminal selection to sq. A
-// join sq already states — Q's own, or an earlier preference's — is not
-// repeated.
+// integrate adds each preference's join path and terminal selection to sq,
+// but no join sq already states — Q's own, or an earlier preference's.
 func integrate(sq *query.Query, group []prefspace.Pref) {
 	for i := range group {
 		imp := &group[i].Imp
@@ -149,8 +149,7 @@ func (p *Personalized) SQL() string {
 	b.WriteString(" FROM (")
 	// One scratch query stands in for every sub-query in turn: Q's relations
 	// and joins, then what integrate adds to them, which is what is written
-	// after Q's clauses. The added selections are written as the text the
-	// preferences already carry.
+	// after Q's clauses — the selections as the text the preferences carry.
 	var relBuf, selBuf [8]string
 	var joinBuf [8]query.Join
 	sq := query.Query{From: append(relBuf[:0], p.Base.From...), Joins: append(joinBuf[:0], p.Base.Joins...)}
