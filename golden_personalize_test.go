@@ -171,12 +171,14 @@ func TestGoldenPersonalize(t *testing.T) {
 		var data bytes.Buffer
 		enc := json.NewEncoder(&data)
 		enc.SetEscapeHTML(false)
-		for i, g := range got {
-			data.WriteString(map[bool]string{true: "[\n", false: ",\n"}[i == 0])
+		sep := "[\n"
+		for _, g := range got {
+			data.WriteString(sep)
 			if err := enc.Encode(g); err != nil {
 				t.Fatal(err)
 			}
 			data.Truncate(data.Len() - 1) // Encode's newline; the separator brings its own
+			sep = ",\n"
 		}
 		data.WriteString("\n]\n")
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -34,9 +34,9 @@ const DefaultBlockMillis = 1.0
 // An Estimator is safe for concurrent use: the estimation entry points
 // (QueryCost, QuerySize, SubQueryCost, Shrink) only read the catalog —
 // whose maps and histograms are immutable after catalog.Build.
-// prefspace.Build leans on this to fan
-// its per-candidate estimations across a worker group; a statistics
-// refresh swaps in a whole new Estimator rather than mutating this one.
+// prefspace.Build leans on this to fan its per-candidate estimations across
+// a worker group; a statistics refresh swaps in a whole new Estimator rather
+// than mutating this one.
 type Estimator struct {
 	cat *catalog.Catalog
 	// BlockMillis is b, the milliseconds charged per block read.

@@ -346,7 +346,7 @@ type estResult struct {
 func estimateBatch(ctx context.Context, est *estimate.Estimator, q *query.Query, profile *prefs.Profile, cands []candidate, parallelism int, tally *estimateTally) []estResult {
 	out := make([]estResult, len(cands))
 	scope := est.ScopeKey(q)
-	var missed []int
+	var misses []int
 	for i, c := range cands {
 		r := &out[i]
 		r.imp, r.impErr = prefs.NewImplicit(c.path, profile.Atom(c.sel))
@@ -357,12 +357,11 @@ func estimateBatch(ctx context.Context, est *estimate.Estimator, q *query.Query,
 			r.cost, r.shrink = cost, shrink
 			continue
 		}
-		missed = append(missed, i)
+		misses = append(misses, i)
 	}
-	if len(missed) == 0 {
+	if len(misses) == 0 {
 		return out
 	}
-	misses := missed // the variable the workers share: only a batch with misses pays for one
 	defer tally.done(2*len(misses), tally.start())
 	estimate := func(i int) {
 		r := &out[i]

@@ -133,8 +133,9 @@ func (p *Personalized) SQL() string {
 	}
 	base := p.Base.Clauses()
 	n := p.NumSubs()
-	size := len(base.Project) + len(base.From) + len(base.Joins) + len(base.Selections) + len(base.Tail)
-	size = 2*len(base.Project) + n*(size+len("SELECT DISTINCT  FROM  WHERE  AND  UNION ALL ")) + 64
+	perSub := len("SELECT DISTINCT  FROM  WHERE  AND  UNION ALL ") +
+		len(base.Project) + len(base.From) + len(base.Joins) + len(base.Selections) + len(base.Tail)
+	size := 2*len(base.Project) + n*perSub + 64 // 64: the outer SELECT, GROUP BY and HAVING
 	for i := range p.integrated {
 		imp := &p.integrated[i].Imp
 		size += len(" AND ") + len(imp.Condition())

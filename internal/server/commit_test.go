@@ -26,18 +26,18 @@ func TestCommitTapSeesAckedRecordsInOrder(t *testing.T) {
 	for name, ps := range map[string]*ProfileStore{"memory": newStore(), "durable": durable} {
 		var tapped []wal.Record
 		ps.SetOnMutate(func(r wal.Record) { tapped = append(tapped, r) })
-		a, err := ps.Put("a", profText)
+		a, err := ps.Put("a", storedText)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ps.Put("b", profText)
+		b, err := ps.Put("b", storedText)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok, err := ps.Delete("a"); !ok || err != nil {
 			t.Fatalf("%s: delete: %v %v", name, ok, err)
 		}
-		handed := wal.Record{Op: wal.OpPut, ID: "c", Text: profText, Version: 40, UpdatedAt: 7}
+		handed := wal.Record{Op: wal.OpPut, ID: "c", Text: storedText, Version: 40, UpdatedAt: 7}
 		if err := ps.ApplyRecord(handed); err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestCommitTapSeesAckedRecordsInOrder(t *testing.T) {
 			t.Fatalf("%s: tapped\n %+v\nwant\n %+v", name, tapped, want)
 		}
 		ps.SetOnMutate(nil)
-		if _, err := ps.Put("d", profText); err != nil {
+		if _, err := ps.Put("d", storedText); err != nil {
 			t.Fatal(err)
 		}
 		if len(tapped) != len(want) {
@@ -80,7 +80,7 @@ func TestCommitTapSeesAckedRecordsInOrder(t *testing.T) {
 	fault.Arm(plan)
 	defer fault.Disarm()
 	clock, _ := durable.Records()
-	if _, err := durable.Put("e", profText); !errors.Is(err, errDurability) {
+	if _, err := durable.Put("e", storedText); !errors.Is(err, errDurability) {
 		t.Fatalf("put under a failing log: %v, want errDurability", err)
 	}
 	if _, ok := durable.Get("e"); ok || tapped != 0 {
@@ -119,7 +119,7 @@ func TestRecordsSnapshotInvariant(t *testing.T) {
 			if i%5 == 4 {
 				_, err = ps.Delete(id)
 			} else {
-				_, err = ps.Put(id, profText)
+				_, err = ps.Put(id, storedText)
 			}
 			if err != nil {
 				t.Error(err)

@@ -10,7 +10,7 @@ import (
 	"cqp"
 )
 
-const profText = `doi(GENRE.genre = 'musical') = 0.5
+const storedText = `doi(GENRE.genre = 'musical') = 0.5
 doi(MOVIE.mid = GENRE.mid) = 0.9
 `
 
@@ -21,7 +21,7 @@ func TestProfileStoreCRUD(t *testing.T) {
 	if _, ok := ps.Get("u1"); ok {
 		t.Fatal("empty store returned a profile")
 	}
-	sp, err := ps.Put("u1", profText)
+	sp, err := ps.Put("u1", storedText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestProfileStoreCRUD(t *testing.T) {
 		t.Fatalf("stored version %d, %d prefs; want 1, 2", sp.Version, sp.Profile.Len())
 	}
 	got, ok := ps.Get("u1")
-	if !ok || got.Text != profText {
+	if !ok || got.Text != storedText {
 		t.Fatalf("Get returned %+v, %v", got, ok)
 	}
 	if n := ps.Len(); n != 1 {
@@ -52,7 +52,7 @@ func TestProfileStoreCRUD(t *testing.T) {
 
 func TestProfileStoreRejectsBadInput(t *testing.T) {
 	ps := newStore()
-	if _, err := ps.Put("", profText); err == nil {
+	if _, err := ps.Put("", storedText); err == nil {
 		t.Error("empty id accepted")
 	}
 	if _, err := ps.Put("u1", "doi(GENRE.genre = 'musical') = 7"); err == nil {
@@ -70,7 +70,7 @@ func TestProfileStoreVersionsNeverRepeat(t *testing.T) {
 	ps := newStore()
 	seen := map[uint64]bool{}
 	for i := 0; i < 3; i++ {
-		sp, err := ps.Put("u1", profText)
+		sp, err := ps.Put("u1", storedText)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestProfileStoreVersionsNeverRepeat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sp, _ := ps.Put("u2", profText)
+	sp, _ := ps.Put("u2", storedText)
 	if seen[sp.Version] {
 		t.Fatalf("version %d reused across IDs", sp.Version)
 	}
@@ -119,7 +119,7 @@ func TestProfileStoreListSorted(t *testing.T) {
 	ps := newStore()
 	ids := []string{"zeta", "alpha", "mu", "beta", "omega", "kappa"}
 	for _, id := range ids {
-		if _, err := ps.Put(id, profText); err != nil {
+		if _, err := ps.Put(id, storedText); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func TestProfileStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("user-%d", g%4)
 			for i := 0; i < 50; i++ {
-				if _, err := ps.Put(id, profText); err != nil {
+				if _, err := ps.Put(id, storedText); err != nil {
 					t.Error(err)
 					return
 				}
