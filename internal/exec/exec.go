@@ -35,6 +35,7 @@ import (
 	"cqp/internal/query"
 	"cqp/internal/schema"
 	"cqp/internal/storage"
+	"cqp/internal/value"
 )
 
 // Result is the outcome of evaluating one conjunctive query.
@@ -205,8 +206,8 @@ func buildJoinTree(ctx context.Context, db *storage.DB, io *storage.IOCounter, q
 			idx[i] = t.Relation().ColumnIndex(s.Attr.Attr)
 		}
 		return op(iter.Filter(src, func(r storage.Row) bool {
-			for i, s := range sels {
-				if !s.Op.Eval(r[idx[i]], s.Value) {
+			for i := range sels {
+				if !sels[i].Op.Test(&r[idx[i]], &sels[i].Value) {
 					return false
 				}
 			}
@@ -526,12 +527,16 @@ func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []
 //
 // With k > 0 it keeps only the k best rows, as a heap whose root is the
 // worst kept row, and a row's Matched slice is built only if it is kept.
+//
+// It is a keeper (DESIGN §12): a key it is offered is the group table's, and
+// it copies the key of a row it keeps, so the result outlives the table.
 type ranking struct {
 	rows []RankedRow
 	tie  [][]string // tie[i] renders rows[i].Key; nil until a tie needs it
 	k    int
-	ints iter.Slab[int]    // backs the Matched slices
-	strs iter.Slab[string] // backs the rendered keys
+	keys iter.Slab[value.Value] // backs the Keys
+	ints iter.Slab[int]         // backs the Matched slices
+	strs iter.Slab[string]      // backs the rendered keys
 }
 
 func (r *ranking) Len() int { return len(r.rows) }
@@ -584,6 +589,8 @@ func (r *ranking) offer(key storage.Row, doi float64, tags []uint64, matches int
 		}
 	}
 	r.rows[at].Matched = matched
+	r.rows[at].Key = r.keys.Take(len(key))
+	copy(r.rows[at].Key, key)
 	if r.k > 0 {
 		r.fix(at)
 	}

@@ -197,7 +197,7 @@ func (p *unionPlan) run(ctx context.Context, db *storage.DB, io *storage.IOCount
 	for i, res := range p.residual {
 		for _, sel := range res.Selections {
 			c := col(sel.Attr)
-			holds[i] = append(holds[i], func(r storage.Row) bool { return sel.Op.Eval(r[c], sel.Value) })
+			holds[i] = append(holds[i], func(r storage.Row) bool { return sel.Op.Test(&r[c], &sel.Value) })
 		}
 		for _, j := range res.Joins {
 			l, r := col(j.Left), col(j.Right)

@@ -3,6 +3,7 @@ package iter
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"cqp/internal/storage"
 	"cqp/internal/value"
@@ -17,13 +18,15 @@ import (
 // one flat slice. When the table outgrows the context budget the grouper
 // spills its groups to hash partitions as frames, and regroups partition by
 // partition at drain time, bounding memory by the largest partition.
+//
+// The table is recycled: Close hands it to the next grouper, so nothing a
+// grouper yields — row or tags — may be held past the call that yielded it.
 type Grouper struct {
 	poll
 	budget Budget
 	words  int // bitset words per group
 
-	set  *RowSet
-	tags []uint64    // row i's bitset is tags[i*words : (i+1)*words]
+	*groupTable
 	one  []uint64    // scratch mask: Add's one bit, a loaded frame's words
 	wide storage.Row // the frame being written or emitted
 
@@ -33,11 +36,26 @@ type Grouper struct {
 	at      int // next group of the table in memory to yield
 }
 
+// groupTable is a grouper's memory: chain heads and links, hashes, row headers,
+// slab chunks and tag words. It outlives the grouper in tablePool, emptied.
+type groupTable struct {
+	set  RowSet
+	tags []uint64 // row i's bitset is tags[i*words : (i+1)*words]
+}
+
+// tablePool holds empty tables between groupers. Each grouper takes its own,
+// so unions running at once (one per request worker) share nothing.
+var tablePool sync.Pool // of *groupTable
+
 // NewGrouper returns an empty grouper for tags in [0, nTags) under ctx's budget.
 func NewGrouper(ctx context.Context, nTags int) *Grouper {
+	tab, _ := tablePool.Get().(*groupTable)
+	if tab == nil {
+		tab = &groupTable{set: RowSet{idx: newChain(0)}}
+	}
 	words := (nTags + 63) / 64
 	return &Grouper{poll: poll{ctx: ctx}, budget: BudgetFromContext(ctx), words: words,
-		set: NewRowSet(), one: make([]uint64, words), part: -1}
+		groupTable: tab, one: make([]uint64, words), part: -1}
 }
 
 // Add records row under the one tag.
@@ -101,8 +119,11 @@ func (g *Grouper) spill() error {
 	return nil
 }
 
-// reset empties the table in memory; rows already yielded stay valid.
-func (g *Grouper) reset() { g.set, g.tags, g.at = NewRowSet(), g.tags[:0], 0 }
+// reset empties the table in memory.
+func (g *Grouper) reset() {
+	g.set.reset()
+	g.tags, g.at = g.tags[:0], 0
+}
 
 // next yields the groups one at a time: the table in memory, or once spilled
 // each partition's regrouped frames in turn.
@@ -154,9 +175,9 @@ func (g *Grouper) load(r *spillReader) error {
 }
 
 // Each yields every (row, tags) group once; tags is the bitset of the tags
-// added under the row, valid only during the call, while row stays valid for
-// as long as the caller holds it. Group order is unspecified — callers rank
-// or sort above. A grouper drains once, through Each or Next.
+// added under the row, and both are the table's, valid only during the call:
+// a caller that keeps a row copies it. Group order is unspecified — callers
+// rank or sort above. A grouper drains once, through Each or Next.
 func (g *Grouper) Each(fn func(row storage.Row, tags []uint64) error) error {
 	for {
 		row, tags, ok, err := g.next()
@@ -179,5 +200,13 @@ func (g *Grouper) Next() (storage.Row, bool, error) {
 	return g.frame(row, tags), true, nil
 }
 
-// Close releases spill state.
-func (g *Grouper) Close() error { return g.run.Close() }
+// Close releases spill state and gives the table back, emptied — unless the
+// grouper spilled: a table a budget cut short is left to the collector.
+func (g *Grouper) Close() error {
+	if tab := g.groupTable; tab != nil && !g.spilled {
+		g.reset()
+		tablePool.Put(tab)
+	}
+	g.groupTable = nil
+	return g.run.Close()
+}

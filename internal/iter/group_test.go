@@ -144,3 +144,81 @@ func TestLeftOuterJoin(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinKeyRange: a join that skips INT probe keys outside its build's key
+// range emits, row for row, what the same join emits with the build keys boxed
+// as FLOAT — equal numbers, equal hashes, and no range kept. Inner and outer,
+// over an empty, a one-row and a many-row build, in memory and through the
+// Grace partitions (where the range is each partition's own), with NULL,
+// FLOAT and far-away probe keys.
+func TestJoinKeyRange(t *testing.T) {
+	var probe []storage.Row
+	for i := 0; i < 1200; i++ {
+		key := value.Int(int64(i%400) - 50)
+		switch i % 97 {
+		case 0:
+			key = value.Null()
+		case 1:
+			key = value.Float(float64(i % 400)) // equals an INT build key when in range
+		case 2:
+			key = value.Float(float64(i%400) + 0.5)
+		case 3:
+			key = value.Int(int64(i) << 40)
+		}
+		probe = append(probe, storage.Row{value.Int(int64(i)), key})
+	}
+	builds := map[string][]storage.Row{"empty": nil, "one row": {intRow(7, 1007)}}
+	for k := int64(100); k < 300; k += 2 {
+		builds["many rows"] = append(builds["many rows"], intRow(k, 1000+k))
+		if k%3 == 0 {
+			builds["many rows"] = append(builds["many rows"], intRow(k, 2000+k))
+		}
+	}
+	for name, build := range builds {
+		boxed := make([]storage.Row, len(build))
+		for i, r := range build {
+			boxed[i] = storage.Row{value.Float(float64(r[0].AsInt())), r[1]}
+		}
+		for _, outer := range []bool{false, true} {
+			// The oracle: nested loops, probe order, a probe row's matches in build order.
+			var oracle []storage.Row
+			for _, p := range probe {
+				matched := false
+				for _, b := range build {
+					if p[1].Compare(b[0]) == 0 {
+						oracle, matched = append(oracle, storage.Row{p[0], p[1], b[1]}), true
+					}
+				}
+				if outer && !matched {
+					oracle = append(oracle, storage.Row{p[0], p[1], value.Null()})
+				}
+			}
+			for _, budget := range []int64{0, 1024} {
+				ctx := WithBudget(context.Background(), Budget{Bytes: budget, Dir: t.TempDir()})
+				run := func(build []storage.Row, ranged bool) []storage.Row {
+					join := HashJoin
+					if outer {
+						join = LeftOuterJoin
+					}
+					it := join(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 3}, 0).(*hashJoinIter)
+					rows, err := Collect(it)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if it.ranged != ranged || it.spilled != (budget > 0 && len(build) > 64) {
+						t.Fatalf("%s build, outer %v, budget %d: ranged %v (want %v), spilled %v",
+							name, outer, budget, it.ranged, ranged, it.spilled)
+					}
+					return rows
+				}
+				got, want := run(build, true), run(boxed, len(build) == 0)
+				if !equalStrings(rowStrings(got), rowStrings(want)) {
+					t.Fatalf("%s build, outer %v, budget %d: %d rows with the range, %d without", name, outer, budget, len(got), len(want))
+				}
+				if !equalStrings(sortedRowStrings(got), sortedRowStrings(oracle)) {
+					t.Fatalf("%s build, outer %v, budget %d: %d rows, nested loops give %d", name, outer, budget, len(got), len(oracle))
+				}
+			}
+		}
+	}
+}

@@ -91,24 +91,40 @@ func retains(it Iterator) bool {
 // anything refers to it. Chunks double up to slabMax elements: a small
 // result allocates little, a large one a chunk per few hundred rows instead
 // of a slice per row. The keepers hold their copies of transient rows in
-// one; the executor's ranking takes its per-row slices from others.
+// one; the executor's ranking takes its per-row slices from others. A slab
+// whose slices are all dead can be Reset and filled again from the chunks it
+// has (the recycled group table's is).
 type Slab[T any] struct {
-	free  []T
-	chunk int
+	free   []T
+	chunk  int
+	chunks [][]T // every chunk made, in order; the first used are in use
+	used   int
 }
 
 const slabMax = 4096
 
 // Take returns a zeroed slice of n elements with no spare capacity.
 func (s *Slab[T]) Take(n int) []T {
-	if n > len(s.free) {
-		s.chunk = min(max(2*s.chunk, 64), slabMax)
-		s.free = make([]T, max(s.chunk, n))
+	for n > len(s.free) {
+		if s.used < len(s.chunks) {
+			// A chunk from before Reset: zeroed now that it is handed out again.
+			s.free = s.chunks[s.used]
+			clear(s.free)
+		} else {
+			s.chunk = min(max(2*s.chunk, 64), slabMax)
+			s.free = make([]T, max(s.chunk, n))
+			s.chunks = append(s.chunks, s.free)
+		}
+		s.used++
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
 }
+
+// Reset takes every slice handed out back — their holders must be gone — and
+// keeps the chunks for the Takes to come.
+func (s *Slab[T]) Reset() { s.free, s.used = nil, 0 }
 
 // keep returns the slab's own copy of a transient row.
 func keep(s *Slab[value.Value], r storage.Row) storage.Row {
@@ -145,6 +161,14 @@ func (c *chain) resize(slots int) {
 		c.heads[i] = -1
 	}
 	c.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
+}
+
+// reset unlinks every entry, keeping the slots.
+func (c *chain) reset() {
+	for i := range c.heads {
+		c.heads[i] = -1
+	}
+	c.next = c.next[:0]
 }
 
 // slot spreads h over the slots by its high bits after a Fibonacci
@@ -439,6 +463,14 @@ func (s *RowSet) add(r storage.Row) (int, bool) {
 	s.idx.push(s.hash)
 	s.bytes += rowBytes(r)
 	return len(s.rows) - 1, true
+}
+
+// reset empties the set, keeping its memory for the rows to come: every row
+// it handed out is dead.
+func (s *RowSet) reset() {
+	s.idx.reset()
+	s.kept.Reset()
+	s.hash, s.rows, s.bytes = s.hash[:0], s.rows[:0], 0
 }
 
 // Bytes returns the approximate memory held by the set's rows.

@@ -2,6 +2,7 @@ package iter
 
 import (
 	"context"
+	"math"
 
 	"cqp/internal/storage"
 	"cqp/internal/value"
@@ -89,6 +90,10 @@ type hashJoinIter struct {
 	rows []storage.Row
 	idx  chain
 	kept Slab[value.Value] // copies of build rows the build side would overwrite
+	// ranged: one key column, every build key an INT, all within [lo, hi]. An
+	// INT probe key outside matches nothing and is not hashed.
+	ranged bool
+	lo, hi int64
 
 	spilled  bool
 	buildRun *spillRun
@@ -108,9 +113,25 @@ type hashJoinIter struct {
 func (it *hashJoinIter) index() {
 	it.idx = newChain(len(it.rows))
 	it.idx.next = it.idx.next[:len(it.rows)]
+	// The range of no key at all: an empty build leaves every probe key outside.
+	it.ranged, it.lo, it.hi = len(it.bIdx) == 1, math.MaxInt64, math.MinInt64
 	for i := len(it.rows) - 1; i >= 0; i-- {
 		it.idx.link(int32(i), Hash(it.rows[i], it.bIdx))
+		if !it.ranged {
+			continue
+		}
+		k, v, _ := it.rows[i][it.bIdx[0]].Peek()
+		it.ranged, it.lo, it.hi = k == value.KindInt, min(it.lo, v), max(it.hi, v)
 	}
+}
+
+// outside reports whether the probe row's key is an INT no build key can equal.
+func (it *hashJoinIter) outside(row storage.Row) bool {
+	if !it.ranged {
+		return false
+	}
+	k, v, _ := row[it.pIdx[0]].Peek()
+	return k == value.KindInt && (v < it.lo || v > it.hi)
 }
 
 // init drains the build side, spilling to partitions if it outgrows the
@@ -230,10 +251,13 @@ func (it *hashJoinIter) Next() (storage.Row, bool, error) {
 			it.done = true
 			return nil, false, err
 		}
-		it.cur = row
+		it.cur, it.unmatch = row, it.outer
+		if !it.outside(row) {
+			it.cand = it.idx.first(Hash(row, it.pIdx))
+		} else if !it.outer {
+			continue
+		}
 		it.out.setProbe(row)
-		it.cand = it.idx.first(Hash(row, it.pIdx))
-		it.unmatch = it.outer
 	}
 }
 

@@ -79,6 +79,36 @@ func (o Op) Eval(a, b value.Value) bool {
 	}
 }
 
+// Test is Eval over two values read where they lie — a tuple's column and a
+// selection's literal — for the executor's per-tuple loops. INT pairs and
+// string (in)equality are decided on the payloads; every other pairing (NULL,
+// FLOAT, mixed numerics, BOOL, string order) is Eval's, which stays the
+// definition: TestOpTestMatchesEval and FuzzOpTest hold the two equal.
+func (o Op) Test(a, b *value.Value) bool {
+	ak, ai, as := a.Peek()
+	bk, bi, bs := b.Peek()
+	switch {
+	case ak == value.KindInt && bk == value.KindInt:
+		switch o {
+		case OpEq:
+			return ai == bi
+		case OpNe:
+			return ai != bi
+		case OpLt:
+			return ai < bi
+		case OpLe:
+			return ai <= bi
+		case OpGt:
+			return ai > bi
+		case OpGe:
+			return ai >= bi
+		}
+	case ak == value.KindString && bk == value.KindString && o <= OpNe:
+		return (as == bs) == (o == OpEq)
+	}
+	return o.Eval(*a, *b)
+}
+
 // ParseOp parses a SQL comparison operator.
 func ParseOp(s string) (Op, error) {
 	switch s {

@@ -260,6 +260,12 @@ func (s *Server) proxyToPeer(w http.ResponseWriter, r *http.Request, peer string
 		return proxyServed
 	}
 	req.Header = r.Header.Clone()
+	// One id across the hop: the one instrument put on the response (the
+	// client's, sanitized, or minted here), so /debug/requests/{id} on the
+	// two nodes shows the same request.
+	if id := w.Header().Get("X-Request-ID"); id != "" {
+		req.Header.Set("X-Request-ID", id)
+	}
 	req.Header.Set(headerForwarded, c.Self())
 	req.Header.Set(cluster.HeaderEpoch, strconv.FormatUint(c.Epoch(), 10))
 	if replica {

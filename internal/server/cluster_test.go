@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -322,6 +323,52 @@ func TestClusterRoutingProxiesToOwner(t *testing.T) {
 	}
 	if _, ok := tc.node(owner).store.Get("alice"); ok {
 		t.Fatal("delete did not reach the owner")
+	}
+}
+
+// TestClusterProxyForwardsRequestID: a proxied request keeps one id across
+// the hop — the entry node's response and the owner's flight record carry
+// the same one, whether the client supplied it or the entry node minted it.
+func TestClusterProxyForwardsRequestID(t *testing.T) {
+	tc := newTestCluster(t, []string{"n1", "n2"}, false)
+	key := tc.keyOwnedBy("n1")
+	putProfile(t, tc.url("n1"), key, testProfileText())
+	body, err := json.Marshal(map[string]any{"sql": testSQL, "profile_id": key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sent := range []string{"hop-client-1", ""} {
+		req, err := http.NewRequest(http.MethodPost, tc.url("n2")+"/personalize", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent != "" {
+			req.Header.Set("X-Request-ID", sent)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		id := resp.Header.Get("X-Request-ID")
+		if resp.StatusCode != http.StatusOK || id == "" || (sent != "" && id != sent) {
+			t.Fatalf("sent id %q: status %d, response id %q", sent, resp.StatusCode, id)
+		}
+		// A flight record is filed after the response is written: wait for both.
+		for _, n := range []string{"n2", "n1"} {
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				snap, _, ok := tc.node(n).FlightRecorder().Get(id)
+				if ok && snap.Endpoint == "personalize" {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("sent id %q: node %s has no personalize flight record under %q", sent, n, id)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
 	}
 }
 

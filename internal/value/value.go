@@ -127,6 +127,11 @@ func (v Value) AsBool() bool {
 	return v.b
 }
 
+// Peek reads v where it lies: its kind, with the payload of an INT and of a
+// STRING (zero for every other kind). A per-tuple loop branches on the kind
+// and compares the payload without copying the 48-byte value.
+func (v *Value) Peek() (Kind, int64, string) { return v.kind, v.i, v.s }
+
 // numericKinds reports whether both values are numeric (INT or FLOAT).
 func numericKinds(a, b Value) bool {
 	return (a.kind == KindInt || a.kind == KindFloat) &&
