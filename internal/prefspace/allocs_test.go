@@ -1,6 +1,8 @@
 package prefspace
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,13 +11,36 @@ import (
 	"cqp/internal/workload"
 )
 
+// workloadEnv builds a workload-scale environment: with its generated
+// profiles an extraction at K = 20 pops through join paths and dozens of
+// candidate selections.
+func workloadEnv() *workload.Env {
+	return workload.NewEnv(workload.DBConfig{Movies: 2000, Seed: 9}, 1)
+}
+
+// TestBuildContextCancelled: a dead context aborts extraction with the
+// context's error, before anything is estimated.
+func TestBuildContextCancelled(t *testing.T) {
+	env := workloadEnv()
+	profile := workload.GenerateProfile(workload.ProfileConfig{Seed: 11})
+	q := workload.Queries(1, 7)[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := BuildContext(ctx, q, profile, env.Est, Options{MaxK: 20}); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if hits, misses := env.Est.MemoCounts(); hits+misses != 0 {
+		t.Errorf("the cancelled build looked up %d estimates", hits+misses)
+	}
+}
+
 // TestBuildAllocs bounds what a K = 20 extraction allocates once the
 // estimator's memo is warm — the serving path's build: the space, the
-// queue, one batch, and per preference with a join path its Path and its
-// condition text. No per-candidate object, no boxed queue entry, no copied
+// queue, and per preference with a join path its Path and its condition
+// text. No per-candidate object, no boxed queue entry, no copied
 // atom slices.
 func TestBuildAllocs(t *testing.T) {
-	env, _ := parallelSetup()
+	env := workloadEnv()
 	q := workload.Queries(1, 7)[0]
 	generated := workload.GenerateProfile(workload.ProfileConfig{Seed: 11})
 	profile, err := prefs.ParseProfile(generated.String()) // as the server stores it
@@ -30,8 +55,8 @@ func TestBuildAllocs(t *testing.T) {
 			}
 		}
 		build() // fills the memo
-		if n := testing.AllocsPerRun(100, build); n > 75 {
-			t.Errorf("a memo-warm K = 20 build with %+v allocates %.0f times, want ≤ 75", opt, n)
+		if n := testing.AllocsPerRun(100, build); n > 70 {
+			t.Errorf("a memo-warm K = 20 build with %+v allocates %.0f times, want ≤ 70", opt, n)
 		}
 	}
 }

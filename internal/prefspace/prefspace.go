@@ -24,10 +24,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cqp/internal/estimate"
@@ -84,13 +81,6 @@ type Options struct {
 	// paper's D_PrefSelTime configuration (doi-only ordering) in Fig. 12(b).
 	SkipCostVector bool
 	SkipSizeVector bool
-	// Parallelism bounds the worker group that runs the per-candidate
-	// cost/shrink estimations (Formula 6 per preference — the dominant cost
-	// of extraction, and embarrassingly parallel). 0 selects GOMAXPROCS;
-	// 1 forces the sequential build. Output is identical at every setting:
-	// estimation results are committed in pop order regardless of which
-	// worker finished first.
-	Parallelism int
 }
 
 // candidate is a queue entry: a join path under construction or a completed
@@ -177,16 +167,11 @@ func Build(q *query.Query, profile *prefs.Profile, est *estimate.Estimator, opt 
 	return BuildContext(context.Background(), q, profile, est, opt)
 }
 
-// BuildContext runs the Preference Space algorithm.
-//
-// The best-first traversal itself is sequential (it is heap operations and
-// doi arithmetic), but the per-candidate cost(Q ∧ pi)/shrink estimations of
-// Formula 6 — the dominant cost of extraction — are independent of one
-// another, so they run across a bounded worker group (see
-// Options.Parallelism). Rounds pop exactly the selections the sequential
-// build would pop, estimate them concurrently, and commit the results in
-// pop order, so the output is byte-identical to the sequential build.
-// A canceled ctx aborts between estimations with ctx's error.
+// BuildContext runs the Preference Space algorithm: one best-first loop that
+// estimates each selection as it pops. The estimations of Formula 6 are
+// independent of one another, but at ≈ 0.3 µs each they are too small to
+// hand to another goroutine (DESIGN §10), and most come from the estimator's
+// memo. A canceled ctx aborts between estimations with ctx's error.
 func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, est *estimate.Estimator, opt Options) (*Space, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("prefspace: query has no relations")
@@ -229,87 +214,56 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 		}
 	}
 
-	// Step 3: best-first expansion, in rounds. Each round pops candidates
-	// until it has gathered the selections still needed (MaxK minus what is
-	// committed — exactly the set the sequential build would estimate next),
-	// estimates the batch across the worker group, and commits in pop
-	// order. A candidate rejected by the CostMax filter leaves a gap the
-	// next round refills, keeping the estimated set identical to the
-	// sequential build's.
-	for len(qp.h) > 0 {
-		if opt.MaxK > 0 && sp.K >= opt.MaxK {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("prefspace: %w", err)
-		}
-		want := opt.MaxK - sp.K // ≤ 0 means "no cap": gather everything
-		room := want
-		if opt.MaxK <= 0 {
-			room = len(qp.h)
-		}
-		batch := make([]candidate, 0, room)
-		for len(qp.h) > 0 && (opt.MaxK <= 0 || len(batch) < want) {
-			c := qp.pop()
-			if c.sel >= 0 {
-				// A complete (implicit) selection preference; materialized
-				// and estimated by the worker group below.
-				batch = append(batch, c)
-				continue
+	// Step 3: best-first expansion (Figure 3). A popped selection is a
+	// complete preference: estimated and, unless the CostMax filter rejects
+	// it, committed at once. A popped join path is expanded through the
+	// preferences adjacent to its end.
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("prefspace: %w", err)
+	}
+	scope := est.ScopeKey(q)
+	for len(qp.h) > 0 && (opt.MaxK <= 0 || sp.K < opt.MaxK) {
+		c := qp.pop()
+		if c.sel >= 0 {
+			imp, err := prefs.NewImplicit(c.path, profile.Atom(c.sel))
+			if err != nil {
+				return nil, fmt.Errorf("prefspace: %v", err)
 			}
-			// A join path: expand through preferences adjacent to its end.
-			end := c.path[len(c.path)-1].Join.Right.Relation
-			if opt.CostMax > 0 {
-				t0 := tally.start()
-				cost := pathCost(est, q, c.path)
-				tally.done(1, t0)
-				if cost > opt.CostMax {
-					continue // extensions only get more expensive
-				}
+			cost, shrink, err := prefParams(ctx, est, q, scope, imp, tally)
+			if err != nil {
+				return nil, fmt.Errorf("prefspace: estimating preference %d: %w", sp.K, err)
 			}
-			for _, i := range profile.SelectionsOn(end) {
-				qp.push(candidate{doi: prefs.Compose(c.doi, profile.Atom(i).Doi), path: c.path, sel: i})
-			}
-			if len(c.path) >= maxPath {
-				continue
-			}
-			for _, i := range profile.JoinsFrom(end) {
-				a := profile.Atom(i)
-				if revisits(c.path, a.Join.Right.Relation) {
-					continue // acyclicity (Figure 3's "p ∧ pi is acyclic")
-				}
-				next := make([]prefs.Atomic, len(c.path)+1)
-				copy(next, c.path)
-				next[len(c.path)] = a
-				qp.push(candidate{doi: prefs.Compose(c.doi, a.Doi), path: next, sel: -1})
-			}
-		}
-		if len(batch) == 0 {
-			break // heap drained without completing another selection
-		}
-		results := estimateBatch(ctx, est, q, profile, batch, opt.Parallelism, tally)
-		for _, r := range results {
-			if r.impErr != nil {
-				return nil, fmt.Errorf("prefspace: %v", r.impErr)
-			}
-			if r.err != nil {
-				return nil, fmt.Errorf("prefspace: estimating preference %d: %w", sp.K, r.err)
-			}
-			p := Pref{
-				Imp:    r.imp,
-				Doi:    r.imp.Doi,
-				Cost:   r.cost,
-				Shrink: r.shrink,
-			}
-			p.Size = sp.BaseSize * p.Shrink
-			if opt.CostMax > 0 && p.Cost > opt.CostMax {
+			if opt.CostMax > 0 && cost > opt.CostMax {
 				continue // can never participate in a feasible query
 			}
-			sp.P = append(sp.P, p)
+			sp.P = append(sp.P, Pref{Imp: imp, Doi: imp.Doi, Cost: cost, Shrink: shrink, Size: sp.BaseSize * shrink})
 			sp.K++
-			if opt.MaxK > 0 && sp.K >= opt.MaxK {
-				break
+			continue
+		}
+		end := c.path[len(c.path)-1].Join.Right.Relation
+		if opt.CostMax > 0 {
+			t0 := tally.start()
+			cost := pathCost(est, q, c.path)
+			tally.done(1, t0)
+			if cost > opt.CostMax {
+				continue // extensions only get more expensive
 			}
+		}
+		for _, i := range profile.SelectionsOn(end) {
+			qp.push(candidate{doi: prefs.Compose(c.doi, profile.Atom(i).Doi), path: c.path, sel: i})
+		}
+		if len(c.path) >= maxPath {
+			continue
+		}
+		for _, i := range profile.JoinsFrom(end) {
+			a := profile.Atom(i)
+			if revisits(c.path, a.Join.Right.Relation) {
+				continue // acyclicity (Figure 3's "p ∧ pi is acyclic")
+			}
+			next := make([]prefs.Atomic, len(c.path)+1)
+			copy(next, c.path)
+			next[len(c.path)] = a
+			qp.push(candidate{doi: prefs.Compose(c.doi, a.Doi), path: next, sel: -1})
 		}
 	}
 
@@ -320,91 +274,27 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 	return sp, nil
 }
 
-// estResult is one candidate's materialization + estimation outcome.
-type estResult struct {
-	imp    prefs.Implicit
-	cost   float64
-	shrink float64
-	impErr error // NewImplicit rejected the candidate (malformed path)
-	err    error // fault point or context fired before estimation
-}
-
-// estimateBatch materializes every candidate selection (NewImplicit),
-// answers what it can from the estimator's cross-request memo, and runs the
-// remaining SubQueryCost/Shrink estimations across a bounded worker group,
-// preserving input order in the result slice. A memoized candidate skips
-// the worker group entirely — including its estimate.histogram fault poll
-// and catalog reads, which is exactly the work the memo exists to elide
-// (the pair was computed against this same immutable catalog). Workers
-// poll the fault point and ctx before every computed candidate, exactly as
-// the sequential build does between estimations, and store their results
-// back into the memo. The estimator's entry points are safe for concurrent
-// use: they read the catalog, which is immutable after catalog.Build; the
-// memo itself is lock-guarded; candidate paths are shared between
-// candidates but read-only here. The tally is charged two calls per
-// computed candidate and the wall time of computing them all.
-func estimateBatch(ctx context.Context, est *estimate.Estimator, q *query.Query, profile *prefs.Profile, cands []candidate, parallelism int, tally *estimateTally) []estResult {
-	out := make([]estResult, len(cands))
-	scope := est.ScopeKey(q)
-	var misses []int
-	for i, c := range cands {
-		r := &out[i]
-		r.imp, r.impErr = prefs.NewImplicit(c.path, profile.Atom(c.sel))
-		if r.impErr != nil {
-			continue
-		}
-		if cost, shrink, ok := est.PrefParams(scope, r.imp); ok {
-			r.cost, r.shrink = cost, shrink
-			continue
-		}
-		misses = append(misses, i)
+// prefParams returns cost(Q ∧ p) and p's shrink factor. A pair this
+// Estimator computed before comes from its cross-request memo, skipping the
+// estimate.histogram fault poll and the catalog reads — exactly the work the
+// memo exists to elide (the pair was computed against this same immutable
+// catalog). Otherwise ctx and the fault point are polled, the pair is computed
+// and stored, and the tally is charged its two calls.
+func prefParams(ctx context.Context, est *estimate.Estimator, q *query.Query, scope string, imp prefs.Implicit, tally *estimateTally) (cost, shrink float64, err error) {
+	if cost, shrink, ok := est.PrefParams(scope, imp); ok {
+		return cost, shrink, nil
 	}
-	if len(misses) == 0 {
-		return out
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
 	}
-	defer tally.done(2*len(misses), tally.start())
-	estimate := func(i int) {
-		r := &out[i]
-		if r.err = ctx.Err(); r.err != nil {
-			return
-		}
-		if r.err = est.CheckFault(); r.err != nil {
-			return
-		}
-		r.cost = est.SubQueryCost(q, r.imp)
-		r.shrink = est.Shrink(q, r.imp)
-		est.StorePrefParams(scope, r.imp, r.cost, r.shrink)
+	if err := est.CheckFault(); err != nil {
+		return 0, 0, err
 	}
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(misses) {
-		workers = len(misses)
-	}
-	if workers <= 1 || len(misses) < 2 {
-		for _, i := range misses {
-			estimate(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(misses) {
-					return
-				}
-				estimate(misses[n])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	t0 := tally.start()
+	cost, shrink = est.SubQueryCost(q, imp), est.Shrink(q, imp)
+	tally.done(2, t0)
+	est.StorePrefParams(scope, imp, cost, shrink)
+	return cost, shrink, nil
 }
 
 // pathCost estimates the sub-query cost of a partial path (without its

@@ -10,21 +10,13 @@ import (
 	"cqp/internal/obs"
 )
 
-// lru is a bounded map in recency order. It is not safe for concurrent
-// use: Cache guards both of its instances with one mutex.
-type lru struct {
-	max   int
-	ll    *list.List // front = most recent
-	items map[string]*list.Element
-}
-
 // cacheEntry is immutable once stored: a reader keeps using the one it got
 // after the cache's lock is gone.
 type cacheEntry struct {
-	key       string
-	profileID string
-	val       any
-	body      atomic.Pointer[[]byte] // hitBody's; nil until the first hit
+	key   string // the exact key val was computed under
+	ident int    // key[:ident] is the request identity, the entry's place in the cache
+	val   any
+	body  atomic.Pointer[[]byte] // hitBody's; nil until the first hit
 }
 
 // hitBody returns what an untraced hit on the entry writes — the encoding of
@@ -42,66 +34,19 @@ func (e *cacheEntry) hitBody(ep *endpoint) []byte {
 	return b
 }
 
-func newLRU(max int) *lru {
-	return &lru{max: max, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-// get returns the entry under key, refreshing its recency.
-func (l *lru) get(key string) (*cacheEntry, bool) {
-	el, ok := l.items[key]
-	if !ok {
-		return nil, false
-	}
-	l.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry), true
-}
-
-// put stores val under key and returns the least-recently-used entry it
-// evicted to stay within capacity (nil when none). An existing key gets a new
-// entry under the old profileID, never a write into the old entry: whoever
-// still holds that keeps a value and the bytes that encode it.
-func (l *lru) put(key, profileID string, val any) *cacheEntry {
-	if el, ok := l.items[key]; ok {
-		l.ll.MoveToFront(el)
-		el.Value = &cacheEntry{key: key, profileID: el.Value.(*cacheEntry).profileID, val: val}
-		return nil
-	}
-	l.items[key] = l.ll.PushFront(&cacheEntry{key: key, profileID: profileID, val: val})
-	if l.ll.Len() > l.max {
-		return l.remove(l.ll.Back().Value.(*cacheEntry).key)
-	}
-	return nil
-}
-
-// remove unlinks the entry under key, returning it (nil when absent).
-func (l *lru) remove(key string) *cacheEntry {
-	el, ok := l.items[key]
-	if !ok {
-		return nil
-	}
-	delete(l.items, key)
-	return l.ll.Remove(el).(*cacheEntry)
-}
-
-// Cache is the daemon's LRU result cache. Keys are built by the request
-// driver from (endpoint, normalized query fingerprint, profile ID@version,
-// statistics generation, problem, options), so a profile mutation or a
-// Personalizer.Refresh changes the key and logically invalidates every
-// dependent entry; InvalidateProfile and Purge reclaim the dead entries
-// eagerly. Values are immutable response objects.
+// Cache is the daemon's result cache: one LRU with one entry per request
+// identity — (endpoint, solver parameters, profile ID, query fingerprint), the
+// exact key without its @<profile version>g<statistics generation> suffix —
+// holding the identity's last full-fidelity answer and the exact key it was
+// computed under. A request hits iff that key is its own, so a profile
+// mutation or a Personalizer.Refresh invalidates by rotating the suffix. The
+// superseded answer stays, reachable by identity alone as the degradation
+// ladder's stale rung, until the next fill replaces it or it ages out.
 type Cache struct {
-	mu        sync.Mutex
-	exact     *lru
-	byProfile map[string]map[string]struct{} // profile id -> live exact keys
-
-	// The stale index is the degradation ladder's first rung: a second LRU
-	// of the same capacity keyed WITHOUT profile version or statistics
-	// generation, so the last good answer for (endpoint, query, profile,
-	// options) stays reachable after the exact key has rotated away. It
-	// deliberately survives InvalidateProfile and Purge — serving from it is
-	// explicitly marked stale in the response, and a deleted profile 404s
-	// before any lookup.
-	stale *lru
+	mu    sync.Mutex
+	max   int
+	ll    *list.List               // of *cacheEntry; front = most recent
+	items map[string]*list.Element // request identity -> its entry
 
 	hits      *obs.Counter
 	misses    *obs.Counter
@@ -110,17 +55,17 @@ type Cache struct {
 	staleHits *obs.Counter
 }
 
-// NewCache builds an LRU cache of at most max entries (max < 1 selects 1),
-// recording server_cache_hits/misses/evictions and server_cache_entries
-// into reg (nil disables recording).
+// NewCache builds a cache of at most max identities (max < 1 selects 1),
+// recording server_cache_hits/misses/stale_hits/evictions_total and
+// server_cache_entries into reg (nil disables recording).
 func NewCache(max int, reg *obs.Registry) *Cache {
 	if max < 1 {
 		max = 1
 	}
 	return &Cache{
-		exact:     newLRU(max),
-		byProfile: make(map[string]map[string]struct{}),
-		stale:     newLRU(max),
+		max:       max,
+		ll:        list.New(),
+		items:     make(map[string]*list.Element),
 		hits:      reg.Counter("server_cache_hits"),
 		misses:    reg.Counter("server_cache_misses"),
 		evictions: reg.Counter("server_cache_evictions_total"),
@@ -129,99 +74,66 @@ func NewCache(max int, reg *obs.Registry) *Cache {
 	}
 }
 
-// Get returns the entry cached under key and whether there was one,
-// refreshing its recency and counting a hit or miss.
-func (c *Cache) Get(key string) (*cacheEntry, bool) {
+// Get returns the entry computed under exactly key, whose first ident bytes
+// are the request identity, refreshing its recency; nil is a miss. An entry
+// computed under another key of the same identity is a miss too and keeps
+// its place: it is not what was asked for.
+func (c *Cache) Get(key string, ident int) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.exact.get(key)
-	if ok {
-		c.hits.Inc()
-	} else {
-		c.misses.Inc()
+	if el, ok := c.items[key[:ident]]; ok {
+		if e := el.Value.(*cacheEntry); e.key == key {
+			c.ll.MoveToFront(el)
+			c.hits.Inc()
+			return e
+		}
 	}
-	return e, ok
+	c.misses.Inc()
+	return nil
 }
 
-// Put stores val under key, attributed to profileID for eager
-// invalidation, evicting the least-recently-used entry beyond capacity.
-func (c *Cache) Put(key, profileID string, val any) {
+// Put stores val as the answer of the identity key[:ident], computed under
+// key, evicting the least recent identity beyond capacity. An identity that is
+// already there gets a new entry in the old one's place, never a write into
+// it: whoever still holds that keeps a value and the bytes that encode it.
+func (c *Cache) Put(key string, ident int, val any) {
+	e := &cacheEntry{key: key, ident: ident, val: val}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.exact.items[key]; !ok && profileID != "" {
-		keys := c.byProfile[profileID]
-		if keys == nil {
-			keys = make(map[string]struct{})
-			c.byProfile[profileID] = keys
-		}
-		keys[key] = struct{}{}
-	}
-	if old := c.exact.put(key, profileID, val); old != nil {
-		c.evictions.Inc()
-		if keys := c.byProfile[old.profileID]; keys != nil {
-			delete(keys, old.key)
-			if len(keys) == 0 {
-				delete(c.byProfile, old.profileID)
-			}
-		}
-	}
-	c.entries.Set(int64(c.exact.ll.Len()))
-}
-
-// PutStale records val as the last good answer under a version-free key
-// (see the stale index comment on Cache), evicting the least-recently-
-// served entry beyond capacity.
-func (c *Cache) PutStale(staleKey string, val any) {
-	if staleKey == "" {
+	if el, ok := c.items[key[:ident]]; ok {
+		el.Value = e
+		c.ll.MoveToFront(el)
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stale.put(staleKey, "", val)
+	c.items[key[:ident]] = c.ll.PushFront(e)
+	if c.ll.Len() > c.max {
+		old := c.ll.Remove(c.ll.Back()).(*cacheEntry)
+		delete(c.items, old.key[:old.ident])
+		c.evictions.Inc()
+	}
+	c.entries.Set(int64(c.ll.Len()))
 }
 
-// GetStale returns the last good answer recorded under the version-free key.
+// GetStale returns the identity's last good answer, whatever profile version
+// and statistics generation it was computed under, refreshing its recency.
 // Callers must mark any response served from here as degraded.
-func (c *Cache) GetStale(staleKey string) (any, bool) {
+func (c *Cache) GetStale(identity string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.stale.get(staleKey)
+	el, ok := c.items[identity]
 	if !ok {
 		return nil, false
 	}
+	c.ll.MoveToFront(el)
 	c.staleHits.Inc()
-	return e.val, true
+	return el.Value.(*cacheEntry).val, true
 }
 
-// InvalidateProfile drops every entry attributed to the profile ID,
-// returning how many were removed. Version-in-key already keeps stale
-// entries unreachable; this reclaims their memory on profile PUT/DELETE.
-func (c *Cache) InvalidateProfile(id string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := c.byProfile[id]
-	for key := range keys {
-		c.exact.remove(key)
-	}
-	delete(c.byProfile, id)
-	c.entries.Set(int64(c.exact.ll.Len()))
-	return len(keys)
-}
-
-// Purge drops everything — the Refresh hook.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.exact = newLRU(c.exact.max)
-	c.byProfile = make(map[string]map[string]struct{})
-	c.entries.Set(0)
-}
-
-// Len returns the number of live entries.
+// Len returns the number of identities held, superseded answers included.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.exact.ll.Len()
+	return c.ll.Len()
 }
 
 // maxMemoSQL is the longest SQL text the query memo keeps: with the entry cap

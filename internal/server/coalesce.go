@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cqp/internal/obs"
-	"cqp/internal/resilience"
 )
 
 // flightOutcome is everything one pipeline run produces, in the shape the
@@ -94,11 +93,11 @@ func (t *flightTable) finish(key string, f *flight, o flightOutcome) {
 // running; a follower that inherits a leader-specific failure (the
 // leader's context died) retries, becoming the new leader if the key is
 // still uncontested.
-func (s *Server) runPipeline(ctx context.Context, endpoint, key, staleKey string, primary func(context.Context) (any, error), rungs ...resilience.Step) (flightOutcome, bool) {
+func (s *Server) runPipeline(ctx context.Context, endpoint, key, staleKey string, ladder []string, solve solver) (flightOutcome, bool) {
 	run := func() flightOutcome {
 		var o flightOutcome
 		admitErr := s.pool.Do(ctx, func(ctx context.Context) {
-			o.out, o.degraded, o.perr = s.runResilient(ctx, endpoint, staleKey, primary, rungs...)
+			o.out, o.degraded, o.perr = s.runResilient(ctx, endpoint, staleKey, ladder, solve)
 		})
 		if admitErr != nil {
 			// A context-error return from Do can race the worker still

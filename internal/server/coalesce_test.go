@@ -35,7 +35,7 @@ func TestCoalesceHerd(t *testing.T) {
 		return s.reg.Counter("coalesce_followers_total", "endpoint", "personalize").Value()
 	}
 	var runs atomic.Int64
-	primary := func(ctx context.Context) (any, error) {
+	primary := func(ctx context.Context, _ string) (any, error) {
 		runs.Add(1)
 		// Hold the run open until every other member of the herd has joined
 		// as a follower, so no late arrival can start a second flight.
@@ -56,7 +56,7 @@ func TestCoalesceHerd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			o, led := s.runPipeline(context.Background(), "personalize", "key", "stale-key", primary)
+			o, led := s.runPipeline(context.Background(), "personalize", "key", "stale-key", nil, primary)
 			if led {
 				leaders.Add(1)
 			}
@@ -98,7 +98,7 @@ func TestCoalesceFollowerHonorsOwnContext(t *testing.T) {
 	s := newTestDaemon(t, Config{})
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	primary := func(ctx context.Context) (any, error) {
+	primary := func(ctx context.Context, _ string) (any, error) {
 		close(started)
 		<-gate
 		return &personalizeResponse{SQL: "late"}, nil
@@ -106,7 +106,7 @@ func TestCoalesceFollowerHonorsOwnContext(t *testing.T) {
 
 	leaderCh := make(chan flightOutcome, 1)
 	go func() {
-		o, _ := s.runPipeline(context.Background(), "personalize", "key", "stale-key", primary)
+		o, _ := s.runPipeline(context.Background(), "personalize", "key", "stale-key", nil, primary)
 		leaderCh <- o
 	}()
 	select {
@@ -119,7 +119,7 @@ func TestCoalesceFollowerHonorsOwnContext(t *testing.T) {
 	followerCh := make(chan flightOutcome, 1)
 	var followerLed atomic.Bool
 	go func() {
-		o, led := s.runPipeline(fctx, "personalize", "key", "stale-key", primary)
+		o, led := s.runPipeline(fctx, "personalize", "key", "stale-key", nil, primary)
 		followerLed.Store(led)
 		followerCh <- o
 	}()
@@ -154,7 +154,7 @@ func TestCoalesceFollowerRetriesAfterLeaderDeath(t *testing.T) {
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderStarted := make(chan struct{})
 	var runs atomic.Int64
-	primary := func(ctx context.Context) (any, error) {
+	primary := func(ctx context.Context, _ string) (any, error) {
 		if runs.Add(1) == 1 {
 			close(leaderStarted)
 			<-ctx.Done()
@@ -165,7 +165,7 @@ func TestCoalesceFollowerRetriesAfterLeaderDeath(t *testing.T) {
 
 	leaderCh := make(chan flightOutcome, 1)
 	go func() {
-		o, _ := s.runPipeline(leaderCtx, "personalize", "key", "stale-key", primary)
+		o, _ := s.runPipeline(leaderCtx, "personalize", "key", "stale-key", nil, primary)
 		leaderCh <- o
 	}()
 	select {
@@ -180,7 +180,7 @@ func TestCoalesceFollowerRetriesAfterLeaderDeath(t *testing.T) {
 	}
 	followerCh := make(chan res, 1)
 	go func() {
-		o, led := s.runPipeline(context.Background(), "personalize", "key", "stale-key", primary)
+		o, led := s.runPipeline(context.Background(), "personalize", "key", "stale-key", nil, primary)
 		followerCh <- res{o, led}
 	}()
 	waitFor(t, func() bool {

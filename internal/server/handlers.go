@@ -539,10 +539,10 @@ type profileJSON struct {
 
 // handleProfilePut serves PUT /profiles/{id}: the body is the profile in
 // the text format (one "doi(<condition>) = <number>" per line). A
-// replacement bumps the version and eagerly invalidates dependent cache
-// entries. With a durable store the mutation is in the write-ahead log
-// before the 200 goes out; a failed append is a 503 and the store is
-// unchanged.
+// replacement bumps the version, which is in every dependent result's key:
+// the next request for one misses and its fill replaces the old answer.
+// With a durable store the mutation is in the write-ahead log before the
+// 200 goes out; a failed append is a 503 and the store is unchanged.
 func (s *Server) handleProfilePut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
@@ -555,7 +555,6 @@ func (s *Server) handleProfilePut(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	s.cache.InvalidateProfile(id)
 	writeJSON(w, http.StatusOK, profileJSON{
 		ID: sp.ID, Version: sp.Version, Preferences: sp.Profile.Len(), UpdatedAt: sp.UpdatedAt,
 	})
@@ -590,7 +589,6 @@ func (s *Server) handleProfileDelete(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("server: no profile %q", id))
 		return
 	}
-	s.cache.InvalidateProfile(id)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -603,8 +601,9 @@ func (s *Server) handleProfileList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleRefresh serves POST /refresh: rebuild catalog statistics after a
-// bulk load and purge every cached result (the statistics generation in
-// the cache key makes stale entries unreachable; the purge reclaims them).
+// bulk load. The statistics generation is in every result's key, so each
+// remembered answer is superseded at once; the fill that follows a miss
+// replaces it.
 func (s *Server) handleRefresh(w http.ResponseWriter, _ *http.Request) {
 	if err := s.p.Refresh(); err != nil {
 		// A failed statistics scan (persistent backend read error) leaves
@@ -613,7 +612,6 @@ func (s *Server) handleRefresh(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusInternalServerError, "refresh_failed", err.Error())
 		return
 	}
-	s.cache.Purge()
 	writeJSON(w, http.StatusOK, map[string]any{"generation": s.p.Generation()})
 }
 

@@ -216,8 +216,8 @@ func TestProfileVersionInvalidatesCache(t *testing.T) {
 	if v2.Version <= v1.Version {
 		t.Fatalf("version did not advance: %d -> %d", v1.Version, v2.Version)
 	}
-	if s.ResultCache().Len() != 0 {
-		t.Fatalf("profile PUT left %d stale cache entries", s.ResultCache().Len())
+	if s.cache.Len() != 1 {
+		t.Fatalf("%d cache entries after the profile PUT, want 1: the identity's, superseded", s.cache.Len())
 	}
 	_, body = doJSON(t, http.MethodPost, ts.URL+"/personalize", personalizeBody("alice"))
 	var second personalizeResponse
@@ -233,13 +233,13 @@ func TestProfileVersionInvalidatesCache(t *testing.T) {
 }
 
 // TestRefreshInvalidatesCache: POST /refresh bumps the statistics
-// generation and purges the cache.
+// generation, which supersedes every cached answer.
 func TestRefreshInvalidatesCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	putProfile(t, ts.URL, "alice", testProfileText())
 	doJSON(t, http.MethodPost, ts.URL+"/personalize", personalizeBody("alice"))
-	if s.ResultCache().Len() != 1 {
-		t.Fatalf("cache has %d entries, want 1", s.ResultCache().Len())
+	if s.cache.Len() != 1 {
+		t.Fatalf("cache has %d entries, want 1", s.cache.Len())
 	}
 	gen := s.Personalizer().Generation()
 	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/refresh", nil)
@@ -249,8 +249,8 @@ func TestRefreshInvalidatesCache(t *testing.T) {
 	if s.Personalizer().Generation() != gen+1 {
 		t.Fatal("refresh did not advance the generation")
 	}
-	if s.ResultCache().Len() != 0 {
-		t.Fatal("refresh did not purge the cache")
+	if s.cache.Len() != 1 {
+		t.Fatalf("%d cache entries after the refresh, want 1: the identity's, superseded", s.cache.Len())
 	}
 	_, body := doJSON(t, http.MethodPost, ts.URL+"/personalize", personalizeBody("alice"))
 	var after personalizeResponse
@@ -284,8 +284,8 @@ func TestInlineProfileNeverCached(t *testing.T) {
 			t.Fatal("inline-profile request served from cache")
 		}
 	}
-	if s.ResultCache().Len() != 0 {
-		t.Fatalf("inline requests left %d cache entries", s.ResultCache().Len())
+	if s.cache.Len() != 0 {
+		t.Fatalf("inline requests left %d cache entries", s.cache.Len())
 	}
 }
 

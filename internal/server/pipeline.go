@@ -353,20 +353,25 @@ func (s *Server) prepare(ctx context.Context, c *call) error {
 		return fmt.Errorf("server: request needs profile_id or profile")
 	}
 	if in.ProfileID != "" && !c.replica && !in.NoCache {
-		// The exact key names the profile at its exact version and the
-		// statistics generation, so a profile PUT or a Refresh invalidates.
-		// The stale key deliberately omits both: its entry stays addressable
-		// when either rotates — that staleness is the point. Both go last, so
-		// the stale key is the exact key's prefix and one string serves both.
-		var buf [512]byte
-		b := c.appendIdentity(buf[:0])
-		stale := len(b)
-		b = strconv.AppendUint(append(b, '@'), c.version, 10)
-		b = strconv.AppendUint(append(b, 'g'), s.p.Generation(), 10)
-		c.key = string(b)
-		c.staleKey = c.key[:stale]
+		c.setKeys(s.p.Generation())
 	}
 	return nil
+}
+
+// setKeys names a cacheable call. The exact key names the profile at its
+// exact version and the statistics generation, so a profile PUT or a Refresh
+// invalidates. The stale key — the request's identity, the result cache's
+// index — deliberately omits both: its entry stays addressable when either
+// rotates, and that staleness is the point. Both go last, so the stale key
+// is the exact key's prefix and one string serves both.
+func (c *call) setKeys(generation uint64) {
+	var buf [512]byte
+	b := c.appendIdentity(buf[:0])
+	stale := len(b)
+	b = strconv.AppendUint(append(b, '@'), c.version, 10)
+	b = strconv.AppendUint(append(b, 'g'), generation, 10)
+	c.key = string(b)
+	c.staleKey = c.key[:stale]
 }
 
 // lookup is the warm path: a cacheable call whose exact key is in the result
@@ -375,8 +380,7 @@ func (s *Server) lookup(c *call) *cacheEntry {
 	if c.key == "" || s.cacheFault() {
 		return nil
 	}
-	e, _ := s.cache.Get(c.key)
-	return e
+	return s.cache.Get(c.key, len(c.staleKey))
 }
 
 // run is the cold path, under a context that carries the request's deadline
@@ -384,18 +388,13 @@ func (s *Server) lookup(c *call) *cacheEntry {
 // shedding the request, mark what was degraded, fill the cache from a
 // full-fidelity leader.
 func (s *Server) run(ctx context.Context, c *call) answer {
-	// The closures capture the call's fields, not the call: they escape to a
+	// The closure captures the call's fields, not the call: it escapes to a
 	// pool worker, and a warm request's call must stay on the stack.
 	req, q, prof, version := c.req, c.q, c.prof, c.version
-	solve := func(rung string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) { return req.solve(ctx, s, q, prof, version, rung) }
+	solve := func(ctx context.Context, rung string) (any, error) {
+		return req.solve(ctx, s, q, prof, version, rung)
 	}
-	ladder := req.ladder()
-	rungs := make([]resilience.Step, 0, len(ladder))
-	for _, rung := range ladder {
-		rungs = append(rungs, s.step(rung, solve(rung)))
-	}
-	o, led := s.runPipeline(ctx, c.ep.name, c.key, c.staleKey, solve(""), rungs...)
+	o, led := s.runPipeline(ctx, c.ep.name, c.key, c.staleKey, req.ladder(), solve)
 	a := answer{role: "follower"}
 	switch {
 	case c.key == "":
@@ -430,8 +429,7 @@ func (s *Server) run(ctx context.Context, c *call) answer {
 		a.rung = degradedStaleReplica
 	}
 	if led && o.degraded == "" && c.key != "" && !s.cacheFault() {
-		s.cache.Put(c.key, c.req.base().ProfileID, o.out)
-		s.cache.PutStale(c.staleKey, o.out)
+		s.cache.Put(c.key, len(c.staleKey), o.out)
 	}
 	// A stale-rung answer came out of the cache, whichever route led there.
 	a.resp = c.ep.stamp(o.out, o.degraded == "stale", a.rung)

@@ -208,7 +208,7 @@ func TestBatchRoleDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		s.cache.Purge() // the cacheable unit misses, and leads, every run
+		putProfile(t, ts.URL, "alice", testProfileText()) // the cacheable unit misses, and leads, every run
 		id := fmt.Sprintf("batch-role-%d", i)
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/personalize/batch", strings.NewReader(string(body)))
 		if err != nil {

@@ -29,34 +29,20 @@ func transientFault(err error) bool {
 // resilience.Walk's predicate wants.
 func permanentErr(err error) bool { return !transientFault(err) }
 
+// solver computes a request's response at one rung of its ladder ("" is full
+// fidelity): request.solve bound to the call's query and profile.
+type solver func(ctx context.Context, rung string) (any, error)
+
 // safeRun executes one pipeline attempt, converting a panic into an
 // errPanic-classed error. First line of panic containment: the pool worker
 // and the HTTP middleware behind it are belt and braces.
-func safeRun(ctx context.Context, fn func(context.Context) (any, error)) (v any, err error) {
+func safeRun(ctx context.Context, solve solver, rung string) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			v, err = nil, fmt.Errorf("%w: %v", errPanic, r)
 		}
 	}()
-	return fn(ctx)
-}
-
-// step builds one degradation-ladder rung over a pipeline closure: panics
-// are contained, and an infeasibility verdict is treated as "rung
-// unavailable" rather than a request error — a degraded search (heuristic
-// algorithm, tightened cmax) can miss solutions the full-fidelity search
-// would find, so its infeasibility proves nothing about the caller's
-// problem. A genuinely infeasible problem surfaces from the primary
-// attempt, which is exact on all six problems unless the caller named a
-// heuristic.
-func (s *Server) step(name string, run func(context.Context) (any, error)) resilience.Step {
-	return resilience.Step{Name: name, Run: func(ctx context.Context) (any, error) {
-		v, err := safeRun(ctx, run)
-		if err != nil && errors.Is(err, cqp.ErrInfeasible) {
-			return nil, resilience.ErrStepUnavailable
-		}
-		return v, err
-	}}
+	return solve(ctx, rung)
 }
 
 // runResilient executes one pipeline request with the daemon's full fault
@@ -64,15 +50,17 @@ func (s *Server) step(name string, run func(context.Context) (any, error)) resil
 // breaker and the retry policy; when it fails transiently, when the breaker
 // is open, or when the admission queue is past its high-water mark, the
 // degradation ladder runs instead: (1) the stale-cache rung, then (2+) the
-// endpoint's cheaper rungs, in order. Returns the answer, the name of the
-// rung that produced it ("" = full fidelity), and the terminal error.
+// endpoint's cheaper rungs (ladder), in order — built here, where they are
+// walked, not by every request that never degrades. Returns the answer, the
+// name of the rung that produced it ("" = full fidelity), and the terminal
+// error.
 //
 // This is the operational reading of the paper's algorithm family: exact
 // search (the branch-and-bound default; C-BOUNDARIES, D-MAXDOI by name)
 // down to the D-HEURDOI heuristic and a tighter cmax are all answers to the
 // same question at different quality/cost points, so the daemon sheds
 // quality before it sheds requests.
-func (s *Server) runResilient(ctx context.Context, endpoint, staleKey string, primary func(context.Context) (any, error), rungs ...resilience.Step) (any, string, error) {
+func (s *Server) runResilient(ctx context.Context, endpoint, staleKey string, ladder []string, solve solver) (any, string, error) {
 	bypass := ""
 	switch {
 	case s.pool.Pressured():
@@ -90,7 +78,7 @@ func (s *Server) runResilient(ctx context.Context, endpoint, staleKey string, pr
 			},
 		}
 		err := resilience.Retry(ctx, pol, func(ctx context.Context) error {
-			v, err := safeRun(ctx, primary)
+			v, err := safeRun(ctx, solve, "")
 			if err != nil {
 				return err
 			}
@@ -116,14 +104,29 @@ func (s *Server) runResilient(ctx context.Context, endpoint, staleKey string, pr
 			"endpoint", endpoint, "reason", bypass).Inc()
 	}
 
-	steps := make([]resilience.Step, 0, len(rungs)+1)
+	steps := make([]resilience.Step, 0, len(ladder)+1)
 	steps = append(steps, resilience.Step{Name: "stale", Run: func(context.Context) (any, error) {
 		if v, ok := s.cache.GetStale(staleKey); ok {
 			return v, nil
 		}
 		return nil, resilience.ErrStepUnavailable
 	}})
-	steps = append(steps, rungs...)
+	for _, rung := range ladder {
+		// Panics are contained, and an infeasibility verdict is "rung
+		// unavailable" rather than a request error: a degraded search
+		// (heuristic algorithm, tightened cmax) can miss solutions the
+		// full-fidelity search would find, so its infeasibility proves
+		// nothing about the caller's problem. A genuinely infeasible problem
+		// surfaces from the primary attempt, which is exact on all six
+		// problems unless the caller named a heuristic.
+		steps = append(steps, resilience.Step{Name: rung, Run: func(ctx context.Context) (any, error) {
+			v, err := safeRun(ctx, solve, rung)
+			if err != nil && errors.Is(err, cqp.ErrInfeasible) {
+				return nil, resilience.ErrStepUnavailable
+			}
+			return v, err
+		}})
+	}
 	v, rung, err := resilience.Walk(ctx, permanentErr, steps...)
 	if err != nil {
 		// The ladder ran dry: every rung was unavailable or failed. Counted

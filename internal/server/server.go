@@ -327,9 +327,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Profiles returns the daemon's profile store.
 func (s *Server) Profiles() *ProfileStore { return s.store }
 
-// ResultCache returns the daemon's LRU result cache.
-func (s *Server) ResultCache() *Cache { return s.cache }
-
 // FlightRecorder returns the daemon's request flight recorder.
 func (s *Server) FlightRecorder() *obs.Flight { return s.flight }
 
