@@ -107,19 +107,19 @@ func TestCacheStaleIndex(t *testing.T) {
 	put := func(c *Cache, ident string, val any) { cachePut(c, ident, "@1g1", val) }
 	cases := []struct {
 		name    string
-		do      func(c *Cache)
+		do      func(t *testing.T, c *Cache)
 		present []string // GetStale must find these…
 		absent  []string // …and must not find these
 	}{
 		{
 			name:    "bounded by capacity",
-			do:      func(c *Cache) { put(c, "a", 1); put(c, "b", 2); put(c, "c", 3) },
+			do:      func(_ *testing.T, c *Cache) { put(c, "a", 1); put(c, "b", 2); put(c, "c", 3) },
 			present: []string{"b", "c"},
 			absent:  []string{"a"},
 		},
 		{
 			name: "GetStale refreshes recency",
-			do: func(c *Cache) {
+			do: func(t *testing.T, c *Cache) {
 				put(c, "a", 1)
 				put(c, "b", 2)
 				c.GetStale("a") // b is now the victim
@@ -130,7 +130,7 @@ func TestCacheStaleIndex(t *testing.T) {
 		},
 		{
 			name: "Put of a live identity refreshes it without growing",
-			do: func(c *Cache) {
+			do: func(t *testing.T, c *Cache) {
 				put(c, "a", 1)
 				put(c, "b", 2)
 				cachePut(c, "a", "@2g1", 9) // b is now the victim
@@ -141,27 +141,27 @@ func TestCacheStaleIndex(t *testing.T) {
 		},
 		{
 			name: "survives a profile PUT",
-			do: func(c *Cache) {
+			do: func(t *testing.T, c *Cache) {
 				put(c, "a", 1)
 				if _, ok := cacheGet(c, "a", "@2g1"); ok {
-					panic("the rotated version hit")
+					t.Error("the rotated version hit")
 				}
 			},
 			present: []string{"a"},
 		},
 		{
 			name: "survives a Refresh",
-			do: func(c *Cache) {
+			do: func(t *testing.T, c *Cache) {
 				put(c, "a", 1)
 				if _, ok := cacheGet(c, "a", "@1g2"); ok {
-					panic("the rotated generation hit")
+					t.Error("the rotated generation hit")
 				}
 			},
 			present: []string{"a"},
 		},
 		{
 			name:    "the empty key is never stored",
-			do:      func(c *Cache) { put(c, "a", 1) },
+			do:      func(_ *testing.T, c *Cache) { put(c, "a", 1) },
 			present: []string{"a"},
 			absent:  []string{""}, // what a shed uncacheable request asks for
 		},
@@ -170,7 +170,7 @@ func TestCacheStaleIndex(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			c := NewCache(2, reg)
-			tc.do(c)
+			tc.do(t, c)
 			before := reg.Counter("server_cache_stale_hits").Value()
 			for _, k := range tc.present {
 				if _, ok := c.GetStale(k); !ok {
