@@ -240,11 +240,13 @@ func TestProblemConstructorsAndValidate(t *testing.T) {
 }
 
 // TestBranchBoundMatchesBruteForce validates the family-wide exact solver
-// on all six problems, over random instances and the adversarial families.
+// on all six problems, over random instances, the adversarial families and
+// the edges of a doi bound under cmax: zero-cost preferences, doi = 1,
+// equal weight/cost ratios, small dois and cmax on a subset's exact cost.
 func TestBranchBoundMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
-		k := 2 + rng.Intn(9)
+		k := 2 + rng.Intn(13)
 		in := randInstance(t, rng, k)
 		kind := 1 + rng.Intn(6)
 		prob := randProblem(rng, in, kind)
@@ -256,6 +258,23 @@ func TestBranchBoundMatchesBruteForce(t *testing.T) {
 	}
 	for _, c := range adversarialCases(t) {
 		checkExact(t, c.name, "BranchBound", c.prob, BranchBound(c.in, c.prob), c.want)
+	}
+	for _, fam := range []edgeFamily{
+		famZeroCost, famDoiOne, famEqualRatio, famSmallDoi,
+		famEqualRatio | famSmallDoi, famTied | famZeroCost | famDoiOne,
+	} {
+		for _, k := range []int{6, 10, 14} {
+			in := edgeInstance(t, rng, k, fam)
+			for draw := 0; draw < 12; draw++ {
+				kind := 1 + draw%6
+				prob := edgeProblem(rng, in, kind)
+				if prob.Validate() != nil {
+					continue
+				}
+				checkExact(t, fmt.Sprintf("%v/k%d/%d P%d (%s)", fam, k, draw, kind, prob), "BranchBound",
+					prob, BranchBound(in, prob), bruteForce(in, prob))
+			}
+		}
 	}
 }
 
