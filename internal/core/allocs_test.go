@@ -9,8 +9,9 @@ import "testing"
 // from the pool, warm after the first solve — so what remains is those lists
 // doubling (C_Boundaries keeps one per group size) and a dozen fixed-size
 // pieces. The bounds are about twice what a solve makes (45, 32, 157, 39 and
-// 12; 9 for the serving path, a Solve that names no algorithm), on either of
-// the runtime's maps.
+// 12), on either of the runtime's maps. The serving path, a Solve that names
+// no algorithm, keeps its tables, path and incumbent on the stack and
+// allocates once: the answer's set.
 func TestSearchAllocs(t *testing.T) {
 	in := goldenInstance(t, 20, 1020, false)
 	cmax := 0.4 * in.SupremeCost()
@@ -20,7 +21,7 @@ func TestSearchAllocs(t *testing.T) {
 		"C_Boundaries":   320,
 		"C_MaxBounds":    80,
 		"D_HeurDoi":      25,
-		"Solve":          20,
+		"Solve":          2,
 	}
 	check := func(name string, solve func() Solution) {
 		var states int
