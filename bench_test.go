@@ -18,7 +18,6 @@ import (
 
 	"cqp/internal/core"
 	"cqp/internal/exec"
-	"cqp/internal/metaheur"
 	"cqp/internal/prefspace"
 	"cqp/internal/rewrite"
 	"cqp/internal/workload"
@@ -211,40 +210,6 @@ func BenchmarkTable1Problems(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationBaselines times the generic optimizers the paper cites
-// (Section 2) against the same Problem-2 instance.
-func BenchmarkAblationBaselines(b *testing.B) {
-	benchSetup(b)
-	in := benchIns[20]
-	baselines := []struct {
-		name  string
-		solve func(*core.Instance, float64) core.Solution
-	}{
-		{"GREEDY", metaheur.Greedy},
-		{"KNAPSACK-DP", func(in *core.Instance, cmax float64) core.Solution {
-			return metaheur.KnapsackDP(in, cmax, 0)
-		}},
-		{"GENETIC", func(in *core.Instance, cmax float64) core.Solution {
-			return metaheur.Genetic(in, cmax, metaheur.GAConfig{Seed: 1})
-		}},
-		{"ANNEAL", func(in *core.Instance, cmax float64) core.Solution {
-			return metaheur.Anneal(in, cmax, metaheur.SAConfig{Seed: 1})
-		}},
-		{"TABU", func(in *core.Instance, cmax float64) core.Solution {
-			return metaheur.Tabu(in, cmax, metaheur.TabuConfig{Seed: 1})
-		}},
-	}
-	for _, bl := range baselines {
-		b.Run(bl.name, func(b *testing.B) {
-			var doi float64
-			for i := 0; i < b.N; i++ {
-				doi = bl.solve(in, 400).Doi
-			}
-			b.ReportMetric(doi, "doi")
 		})
 	}
 }

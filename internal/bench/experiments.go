@@ -6,7 +6,6 @@ import (
 
 	"cqp/internal/core"
 	"cqp/internal/exec"
-	"cqp/internal/metaheur"
 	"cqp/internal/prefspace"
 	"cqp/internal/rewrite"
 	"cqp/internal/workload"
@@ -350,68 +349,47 @@ func (r *Runner) Table1() (*Table, error) {
 	return t, nil
 }
 
-// Ablation compares the paper's algorithms against the generic baselines it
-// cites (GA, SA, tabu) and the knapsack ablation, at the default setting.
+// Ablation compares the paper's fast heuristics with the exact solver,
+// whose knapsack bound is the log-domain reading of Formulas 6 and 10, at
+// the default setting.
 func (r *Runner) Ablation() (*Table, error) {
 	t := &Table{
 		ID:     "ablation",
-		Title:  fmt.Sprintf("CQP algorithms vs generic baselines (K = %d, cmax = %.0f ms)", r.Cfg.DefaultK, r.Cfg.DefaultCmaxMS),
+		Title:  fmt.Sprintf("CQP heuristics vs the exact knapsack-bounded solver (K = %d, cmax = %.0f ms)", r.Cfg.DefaultK, r.Cfg.DefaultCmaxMS),
 		Header: []string{"method", "mean time", "mean doi", "gap ×1e7 vs best"},
 	}
-	type entry struct {
+	entries := []struct {
 		name  string
 		solve func(in *core.Instance, cmax float64) core.Solution
-	}
-	entries := []entry{
+	}{
 		{"C_MaxBounds", core.CMaxBounds},
 		{"D_HeurDoi", core.DHeurDoi},
-		{"GREEDY", metaheur.Greedy},
-		{"KNAPSACK-DP", func(in *core.Instance, cmax float64) core.Solution {
-			return metaheur.KnapsackDP(in, cmax, 0)
-		}},
-		{"GENETIC", func(in *core.Instance, cmax float64) core.Solution {
-			return metaheur.Genetic(in, cmax, metaheur.GAConfig{Seed: r.Cfg.Seed})
-		}},
-		{"ANNEAL", func(in *core.Instance, cmax float64) core.Solution {
-			return metaheur.Anneal(in, cmax, metaheur.SAConfig{Seed: r.Cfg.Seed})
-		}},
-		{"TABU", func(in *core.Instance, cmax float64) core.Solution {
-			return metaheur.Tabu(in, cmax, metaheur.TabuConfig{Seed: r.Cfg.Seed})
+		{"BRANCH-BOUND", func(in *core.Instance, cmax float64) core.Solution {
+			return core.BranchBound(in, core.Problem2(cmax))
 		}},
 	}
-	type agg struct {
-		dur time.Duration
-		doi float64
-	}
-	results := make(map[string]*agg)
+	results := make([]point, len(entries))
 	best := make([]float64, r.Pairs())
-	for _, e := range entries {
-		a := &agg{}
+	for i, e := range entries {
 		for pair := 0; pair < r.Pairs(); pair++ {
 			in, err := r.Instance(pair, r.Cfg.DefaultK)
 			if err != nil {
 				return nil, err
 			}
 			sol := e.solve(in, r.Cfg.DefaultCmaxMS)
-			a.dur += sol.Stats.Duration
-			a.doi += sol.Doi
-			if sol.Doi > best[pair] {
-				best[pair] = sol.Doi
-			}
+			results[i].add(sol)
+			best[pair] = max(best[pair], sol.Doi)
 		}
-		results[e.name] = a
 	}
 	var bestTotal float64
 	for _, b := range best {
 		bestTotal += b
 	}
 	n := float64(r.Pairs())
-	for _, e := range entries {
-		a := results[e.name]
-		t.AddRow(e.name,
-			fmtDur(a.dur/time.Duration(r.Pairs())),
-			fmt.Sprintf("%.6f", a.doi/n),
-			fmt.Sprintf("%.2f", (bestTotal-a.doi)/n*1e7))
+	for i, e := range entries {
+		p := &results[i]
+		t.AddRow(e.name, fmtDur(p.meanDur()), fmt.Sprintf("%.6f", p.meanDoi()),
+			fmt.Sprintf("%.2f", (bestTotal-p.totalDoi)/n*1e7))
 	}
 	return t, nil
 }
@@ -516,10 +494,10 @@ func (r *Runner) Pareto() (*Table, error) {
 		return nil, err
 	}
 	front, _ := core.ParetoFront(in, core.ParetoOptions{MaxPoints: 12})
-	knee, _ := core.KneePoint(front)
+	knee, hasKnee := core.KneeIndex(front)
 	for i, p := range front {
 		mark := ""
-		if p.Cost == knee.Cost && p.Doi == knee.Doi {
+		if hasKnee && i == knee {
 			mark = "*"
 		}
 		t.AddRow(fmt.Sprintf("%d", i+1),
@@ -574,36 +552,43 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
+// experiments is the one list of experiments, in paper order: All runs it,
+// ByID looks an id up in it and ExperimentIDs names it.
+var experiments = []struct {
+	id  string
+	run func(*Runner) (*Table, error)
+}{
+	{"table1", (*Runner).Table1},
+	{"fig12a", (*Runner).Fig12a},
+	{"fig12b", (*Runner).Fig12b},
+	{"fig12c", (*Runner).Fig12c},
+	{"fig12d", (*Runner).Fig12d},
+	{"fig13a", (*Runner).Fig13a},
+	{"fig13b", (*Runner).Fig13b},
+	{"fig14a", (*Runner).Fig14a},
+	{"fig14b", (*Runner).Fig14b},
+	{"fig15", (*Runner).Fig15},
+	{"ablation", (*Runner).Ablation},
+	{"merge", (*Runner).Merge},
+	{"pareto", (*Runner).Pareto},
+	{"memo", (*Runner).Memo},
+	{"dbscale", (*Runner).DBScale},
+}
+
+// runAs runs one experiment with its solver runs rolled up under id.
+func (r *Runner) runAs(id string, run func(*Runner) (*Table, error)) (*Table, error) {
+	r.current = id
+	defer func() { r.current = "" }()
+	return run(r)
+}
+
 // All runs every experiment in paper order.
 func (r *Runner) All() ([]*Table, error) {
-	type gen struct {
-		name string
-		f    func() (*Table, error)
-	}
-	gens := []gen{
-		{"table1", r.Table1},
-		{"fig12a", r.Fig12a},
-		{"fig12b", r.Fig12b},
-		{"fig12c", r.Fig12c},
-		{"fig12d", r.Fig12d},
-		{"fig13a", r.Fig13a},
-		{"fig13b", r.Fig13b},
-		{"fig14a", r.Fig14a},
-		{"fig14b", r.Fig14b},
-		{"fig15", r.Fig15},
-		{"ablation", r.Ablation},
-		{"merge", r.Merge},
-		{"pareto", r.Pareto},
-		{"memo", r.Memo},
-		{"dbscale", r.DBScale},
-	}
 	var out []*Table
-	for _, g := range gens {
-		r.current = g.name
-		t, err := g.f()
-		r.current = ""
+	for _, e := range experiments {
+		t, err := r.runAs(e.id, e.run)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %v", g.name, err)
+			return nil, fmt.Errorf("bench: %s: %v", e.id, err)
 		}
 		out = append(out, t)
 	}
@@ -612,47 +597,19 @@ func (r *Runner) All() ([]*Table, error) {
 
 // ByID runs one experiment by id.
 func (r *Runner) ByID(id string) (*Table, error) {
-	r.current = id
-	defer func() { r.current = "" }()
-	switch id {
-	case "table1":
-		return r.Table1()
-	case "fig12a":
-		return r.Fig12a()
-	case "fig12b":
-		return r.Fig12b()
-	case "fig12c":
-		return r.Fig12c()
-	case "fig12d":
-		return r.Fig12d()
-	case "fig13a":
-		return r.Fig13a()
-	case "fig13b":
-		return r.Fig13b()
-	case "fig14a":
-		return r.Fig14a()
-	case "fig14b":
-		return r.Fig14b()
-	case "fig15":
-		return r.Fig15()
-	case "ablation":
-		return r.Ablation()
-	case "merge":
-		return r.Merge()
-	case "pareto":
-		return r.Pareto()
-	case "memo":
-		return r.Memo()
-	case "dbscale":
-		return r.DBScale()
-	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q", id)
+	for _, e := range experiments {
+		if e.id == id {
+			return r.runAs(e.id, e.run)
+		}
 	}
+	return nil, fmt.Errorf("bench: unknown experiment %q", id)
 }
 
 // ExperimentIDs lists the available experiments.
 func ExperimentIDs() []string {
-	return []string{"table1", "fig12a", "fig12b", "fig12c", "fig12d",
-		"fig13a", "fig13b", "fig14a", "fig14b", "fig15", "ablation",
-		"merge", "pareto", "memo", "dbscale"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }

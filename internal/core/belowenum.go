@@ -36,7 +36,7 @@ func (s *space) suffixBest(in *Instance) [][]float64 {
 // costOf's and sizeOf's own fold order — so the cost and size carried down
 // the recursion are bit for bit what those would compute at the leaf. r is
 // a boundary, hence not empty. Used by the windowed problem adapters
-// (Problems 1, 3, 5, 6), where the second search phase must respect
+// (SBoundariesP1, CBoundariesP3), where the second search phase must respect
 // constraints beyond the space's own upper bound.
 func bestBelow(in *Instance, sp *space, r node, suffixBest [][]float64,
 	accept func(cost, size float64) bool, incumbent float64, st *Stats) (node, float64) {

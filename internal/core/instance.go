@@ -11,8 +11,8 @@
 // Algorithms provided: EXHAUSTIVE (ground truth), C-BOUNDARIES and
 // C-MAXBOUNDS on the cost space, D-MAXDOI, D-SINGLEMAXDOI and D-HEURDOI on
 // the doi space (Section 5.2), a branch-and-bound exact solver covering all
-// six CQP problems of Table 1, and adapters that re-orient the transitions
-// for Problems 1 and 3–6 (Section 6).
+// six CQP problems of Table 1, and the Section 6 adapters that re-orient
+// the transitions for Problems 1 and 3 (SBoundariesP1, CBoundariesP3).
 package core
 
 import (

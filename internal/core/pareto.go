@@ -161,19 +161,10 @@ func ParetoFront(in *Instance, opt ParetoOptions) ([]ParetoPoint, Stats) {
 	return front, st
 }
 
-// KneePoint picks the front's knee: the point maximizing doi-per-log-cost
-// improvement over the cheapest point — a reasonable single answer when
-// the context gives no explicit bounds.
-func KneePoint(front []ParetoPoint) (ParetoPoint, bool) {
-	i, ok := KneeIndex(front)
-	if !ok {
-		return ParetoPoint{}, false
-	}
-	return front[i], true
-}
-
-// KneeIndex returns the index of the front's knee, so callers can mark the
-// knee by position instead of comparing float parameters for equality.
+// KneeIndex returns the index of the front's knee: the point farthest above
+// the normalized chord from the cheapest point to the best — a reasonable
+// single answer when the context gives no explicit bounds. Callers mark the
+// knee by position, not by comparing float parameters for equality.
 func KneeIndex(front []ParetoPoint) (int, bool) {
 	if len(front) == 0 {
 		return 0, false

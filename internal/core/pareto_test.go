@@ -167,12 +167,13 @@ func TestParetoEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
+// TestKneePoint pins which point of a front KneeIndex names.
 func TestKneePoint(t *testing.T) {
-	if _, ok := KneePoint(nil); ok {
+	if _, ok := KneeIndex(nil); ok {
 		t.Error("empty front has no knee")
 	}
 	single := []ParetoPoint{{Doi: 0.5, Cost: 10}}
-	if p, ok := KneePoint(single); !ok || p.Doi != 0.5 {
+	if i, ok := KneeIndex(single); !ok || single[i].Doi != 0.5 {
 		t.Error("single-point knee")
 	}
 	// A front with an obvious knee: big doi jump early, diminishing after.
@@ -182,23 +183,15 @@ func TestKneePoint(t *testing.T) {
 		{Doi: 0.85, Cost: 60},
 		{Doi: 0.88, Cost: 100},
 	}
-	p, ok := KneePoint(front)
-	if !ok || p.Cost != 20 {
-		t.Errorf("knee = %v, want the 20-cost point", p)
+	i, ok := KneeIndex(front)
+	if !ok || front[i].Cost != 20 {
+		t.Errorf("knee = %v, want the 20-cost point", front[i])
 	}
 	rng := rand.New(rand.NewSource(44))
 	in := randInstance(t, rng, 8)
 	f, _ := ParetoFront(in, ParetoOptions{})
-	if p, ok := KneePoint(f); ok {
-		found := false
-		for _, q := range f {
-			if q.Cost == p.Cost && q.Doi == p.Doi {
-				found = true
-			}
-		}
-		if !found {
-			t.Error("knee must be a member of the front")
-		}
+	if i, ok := KneeIndex(f); ok && (i < 0 || i >= len(f)) {
+		t.Errorf("knee index %d outside the %d-point front", i, len(f))
 	}
 }
 
