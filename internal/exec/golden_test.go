@@ -123,6 +123,24 @@ var goldenPlain = []struct{ name, spill, sql string }{
 	{"duplicates", "multiset", "SELECT genre FROM MOVIE, GENRE WHERE MOVIE.mid = GENRE.mid AND MOVIE.year >= 1995"},
 }
 
+// goldenAccess are conjunctive queries whose equality selections an
+// in-memory table can answer from a per-column hash index, at its edges: a
+// literal no row holds, a duplicated string column, the seed relation of a
+// join, a filtered build side, a NULL literal (which matches nothing), and
+// FLOAT literals against an INT column (an integral one that matches, and one
+// that cannot). They are recorded after every other case.
+var goldenAccess = []struct{ name, spill, sql string }{
+	{"absent", "same", "SELECT title FROM MOVIE, GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'no such genre'"},
+	{"absent-seed", "same", "SELECT title, year FROM MOVIE WHERE MOVIE.title = 'No Such Movie'"},
+	{"duplicated-string", "same", "SELECT mid, genre FROM GENRE WHERE GENRE.genre = 'genre01'"},
+	{"seed", "multiset", "SELECT title, name FROM MOVIE, DIRECTOR WHERE MOVIE.did = DIRECTOR.did AND MOVIE.did = 3"},
+	{"filtered-build", "multiset", "SELECT title, name FROM MOVIE, DIRECTOR WHERE MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'Director 0001'"},
+	{"both-sides", "multiset", "SELECT title, genre FROM MOVIE, GENRE WHERE MOVIE.mid = GENRE.mid AND MOVIE.did = 2 AND GENRE.genre = 'genre00'"},
+	{"null-literal", "same", "SELECT title FROM MOVIE WHERE MOVIE.did = NULL"},
+	{"float-on-int", "same", "SELECT title, year FROM MOVIE WHERE MOVIE.year = 1950.0"},
+	{"fraction-on-int", "same", "SELECT title, year FROM MOVIE WHERE MOVIE.year = 1950.5"},
+}
+
 // goldenShapes are personalized unions written out sub-query by sub-query,
 // for the shapes the preference grid above does not produce: what the
 // sub-queries share and what each adds is what a union-aware plan factors on,
@@ -232,8 +250,9 @@ func goldenProfile(t testing.TB) *prefs.Profile {
 // personalized unions of its L best preferences for L ∈ {1, 3, 10} under
 // all-match and any-match, top-k at k ∈ {1, 10} over the L = 3 all-match and
 // L = 10 any-match unions, the no-preference union (nil dois), the plain
-// conjunctive queries, and last — new cases are only ever appended — the
-// hand-written union shapes.
+// conjunctive queries, the hand-written union shapes, and last — new cases
+// are only ever appended — the equality access paths (goldenAccess and two
+// more shapes).
 func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 	t.Helper()
 	profile := goldenProfile(t)
@@ -295,16 +314,18 @@ func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 			}
 		}
 	}
-	for _, p := range goldenPlain {
-		q := sqlparse.MustParse(env.DB.Schema(), p.sql)
-		name := "plain/" + p.name
-		out = append(out, goldenQuery{name: name, spill: p.spill, run: func(ctx context.Context, db *storage.DB) (goldenCase, error) {
+	plain := func(name, spill, sql string) {
+		q := sqlparse.MustParse(env.DB.Schema(), sql)
+		out = append(out, goldenQuery{name: name, spill: spill, run: func(ctx context.Context, db *storage.DB) (goldenCase, error) {
 			res, err := EvalContext(ctx, db, q)
 			if err != nil {
 				return goldenCase{}, err
 			}
 			return goldenFromResult(name, res), nil
 		}})
+	}
+	for _, p := range goldenPlain {
+		plain("plain/"+p.name, p.spill, p.sql)
 	}
 	// Sub-query i of a shape carries doi top·(1 − 0.9·i/L).
 	shape := func(name, project string, tails []string, top float64, runs [][2]int) {
@@ -336,6 +357,23 @@ func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 			fmt.Sprintf(" WHERE MOVIE.duration <= %d", 175-2*i))
 	}
 	shape("wide", "title FROM MOVIE", wide, 0.1, [][2]int{{1, 0}, {1, 10}, {40, 0}})
+	for _, p := range goldenAccess {
+		plain("access/"+p.name, p.spill, p.sql)
+	}
+	// A union whose base is an equality on the seed relation, with reducers
+	// that are equalities too; and one whose sub-queries differ only in the
+	// sign of a FLOAT zero, which are the same condition.
+	shape("eq-base", "title FROM MOVIE", []string{
+		" WHERE MOVIE.did = 3",
+		", GENRE WHERE MOVIE.did = 3 AND MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00'",
+		", DIRECTOR WHERE MOVIE.did = 3 AND MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'Director 0003'",
+		", GENRE WHERE MOVIE.did = 3 AND MOVIE.mid = GENRE.mid AND GENRE.genre = 'no such genre'",
+	}, 0.9, [][2]int{{1, 0}, {2, 0}})
+	shape("signed-zero", "title FROM MOVIE", []string{
+		" WHERE MOVIE.duration >= 0.0 AND MOVIE.year >= 1990",
+		" WHERE MOVIE.duration >= -0.0 AND MOVIE.year >= 1990",
+		", GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00' AND MOVIE.year >= -0.0",
+	}, 0.9, [][2]int{{1, 0}, {0, 0}})
 	return out
 }
 
