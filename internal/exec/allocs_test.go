@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cqp/internal/query"
@@ -36,6 +37,31 @@ func allocUnion(db *storage.DB) ([]*query.Query, []float64) {
 	return subs, dois
 }
 
+// joinedUnion is allocUnion over a base that joins GENRE: the shape of every
+// request whose query names GENRE, where the unfiltered GENRE side of the
+// base's join is the build a request would otherwise drain, hash and chain.
+func joinedUnion(db *storage.DB) ([]*query.Query, []float64) {
+	var subs []*query.Query
+	var dois []float64
+	for i, tail := range []string{
+		" WHERE MOVIE.year >= 1950",
+		" WHERE GENRE.genre = 'genre00'",
+		", DIRECTOR WHERE MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'Director 0001'",
+		" WHERE MOVIE.duration <= 150",
+		" WHERE GENRE.genre = 'genre01'",
+		", CAST, ACTOR WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00001'",
+		" WHERE GENRE.genre = 'genre02'",
+		", DIRECTOR WHERE MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'Director 0002'",
+		", CAST, ACTOR WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00002'",
+		" WHERE MOVIE.year <= 1995",
+	} {
+		tail = strings.Replace(tail, " WHERE ", " WHERE MOVIE.mid = GENRE.mid AND ", 1)
+		subs = append(subs, sqlparse.MustParse(db.Schema(), "SELECT title FROM MOVIE, GENRE"+tail))
+		dois = append(dois, 0.9-0.05*float64(i))
+	}
+	return subs, dois
+}
+
 // TestExecAllocs is the executor's allocation tripwire: a personalized
 // union at L = 10 over the 400-movie database allocates per operator and
 // per slab chunk, not per row — what is left per ranked row is the one
@@ -46,10 +72,12 @@ func allocUnion(db *storage.DB) ([]*query.Query, []float64) {
 // sit half again above that.
 //
 // The count barely sees the recycled tables; the bytes do. TotalAlloc of a
-// union once the pool is warm: 237 KiB full (the join builds, and the kept
-// keys, Matched and tie-break strings of 400 rows) and 100 KiB for top-10,
-// where the parent allocated 357 and 240 KiB growing its tables from empty.
-// The byte bounds are ×1.35 and ×1.5: both below what the parent allocated.
+// union once the pool is warm: 213 KiB full (the reducers' builds, and the
+// kept keys, Matched and tie-break strings of 400 rows) and 82 KiB for
+// top-10 (237 and 100 KiB with the 48-byte value). A top-10 union over a base
+// that joins GENRE allocates 53 KiB; when every request drained, hashed and
+// chained GENRE to build that join, it allocated 88 KiB. The byte bounds sit
+// at ×1.35 of today's, so the joined base's is below a per-request build.
 func TestExecAllocs(t *testing.T) {
 	db := workload.GenerateDB(workload.DBConfig{Movies: 400, Directors: 40, Actors: 200, Seed: 151})
 	subs, dois := allocUnion(db)
@@ -80,14 +108,21 @@ func TestExecAllocs(t *testing.T) {
 	}
 	full, fullBytes := run(300, func() (*UnionResult, error) { return EvalUnionContext(ctx, db, subs, dois, 1) })
 	topk, topkBytes := run(10, func() (*UnionResult, error) { return EvalUnionTopK(ctx, db, subs, dois, 1, 10) })
-	t.Logf("union: %.0f allocs, %.0f bytes; top-10: %.0f allocs, %.0f bytes", full, fullBytes, topk, topkBytes)
-	const fullMax, topkMax = 1020, 490
-	const fullBytesMax, topkBytesMax = 320 << 10, 150 << 10
+	jsubs, jdois := joinedUnion(db)
+	joined, joinedBytes := run(10, func() (*UnionResult, error) { return EvalUnionTopK(ctx, db, jsubs, jdois, 1, 10) })
+	t.Logf("union: %.0f allocs, %.0f bytes; top-10: %.0f allocs, %.0f bytes; joined base: %.0f allocs, %.0f bytes",
+		full, fullBytes, topk, topkBytes, joined, joinedBytes)
+	const fullMax, topkMax, joinedMax = 1020, 490, 440
+	const fullBytesMax, topkBytesMax, joinedBytesMax = 288 << 10, 111 << 10, 72 << 10
 	if full > fullMax || fullBytes > fullBytesMax {
 		t.Errorf("EvalUnionContext at L=10: %.0f allocs and %.0f bytes, bounds %d and %d", full, fullBytes, fullMax, fullBytesMax)
 	}
 	if topk > topkMax || topkBytes > topkBytesMax {
 		t.Errorf("EvalUnionTopK at L=10, k=10: %.0f allocs and %.0f bytes, bounds %d and %d", topk, topkBytes, topkMax, topkBytesMax)
+	}
+	if joined > joinedMax || joinedBytes > joinedBytesMax {
+		t.Errorf("EvalUnionTopK at L=10, k=10 over MOVIE ⋈ GENRE: %.0f allocs and %.0f bytes, bounds %d and %d",
+			joined, joinedBytes, joinedMax, joinedBytesMax)
 	}
 }
 

@@ -2,12 +2,14 @@
 // against a storage backend, with block-granular I/O accounting.
 //
 // The accounting deliberately mirrors the paper's cost-model assumptions
-// (Section 7.1): every relation in a (sub-)query is read from disk exactly
-// once via a full scan (no indexes) and charged its full block count, and a
-// personalized query's sub-queries are charged independently, so a relation
-// shared by two sub-queries is charged twice — exactly as Formula 6 sums
-// per-sub-query costs. They do not execute independently: the union plan
-// (union.go) reads what they share once, and the charge is arithmetic.
+// (Section 7.1): every relation in a (sub-)query is charged its full block
+// count, as one full scan with no indexes, and a personalized query's
+// sub-queries are charged independently, so a relation shared by two
+// sub-queries is charged twice — exactly as Formula 6 sums per-sub-query
+// costs. "No indexes" is the charge, not the access path: the union plan
+// (union.go) reads what the sub-queries share once, an equality selection on
+// an in-memory table reads only its literal's rows, and a join builds from an
+// in-memory table's index without scanning it (storage.Table.Index).
 // Figure 15's "real" execution time is the block total times b plus the
 // measured in-memory CPU time.
 //
@@ -176,9 +178,10 @@ func buildJoinTree(ctx context.Context, db *storage.DB, io *storage.IOCounter, q
 	// openRel opens a filtered scan of one relation — through the batch's
 	// scan share when the context carries one (one physical pass feeds
 	// every consumer; the I/O charge per open is unchanged), privately
-	// otherwise. Either way the rows are the table's own, which a join
-	// build holds by reference.
+	// (openPrivate) otherwise. Either way the rows are the table's own,
+	// which a join build holds by reference.
 	openRel := func(t storage.Backend) (iter.Iterator, error) {
+		sels := selsFor[t.Relation().Name]
 		var src iter.Iterator
 		if sh := ScanShareFromContext(ctx); sh != nil {
 			shared, used, err := sh.open(ctx, t, io)
@@ -190,14 +193,13 @@ func buildJoinTree(ctx context.Context, db *storage.DB, io *storage.IOCounter, q
 			}
 		}
 		if src == nil {
-			cur, err := t.Open(io)
+			cur, err := openPrivate(t, io, sels)
 			if err != nil {
 				return nil, err
 			}
 			src = iter.FromCursor(ctx, cur)
 		}
 		opened = append(opened, src)
-		sels := selsFor[t.Relation().Name]
 		if len(sels) == 0 {
 			return op(src), nil
 		}
@@ -284,12 +286,13 @@ func buildJoinTree(ctx context.Context, db *storage.DB, io *storage.IOCounter, q
 				probeIdx[i] = position(layout, c.Left)
 				buildIdx[i] = t.Relation().ColumnIndex(c.Right.Attr)
 			}
-			// Only an unfiltered build is as large as its table.
-			buildRows := 0
-			if len(selsFor[next]) == 0 {
-				buildRows = t.RowCount()
+			// A private, unfiltered build on one column of an in-memory table
+			// is that table's index on the column: nothing to drain or hash.
+			var pre *storage.Index
+			if mt, ok := t.(*storage.Table); ok && len(conds) == 1 && len(selsFor[next]) == 0 && ScanShareFromContext(ctx) == nil {
+				pre = mt.Index(buildIdx[0])
 			}
-			current = op(iter.HashJoin(ctx, current, build, probeIdx, buildIdx, width, out, buildRows))
+			current = op(iter.HashJoin(ctx, current, build, probeIdx, buildIdx, width, out, pre))
 		}
 		layout = make([]schema.AttrRef, len(out))
 		for i, c := range out {
@@ -322,6 +325,22 @@ func buildJoinTree(ctx context.Context, db *storage.DB, io *storage.IOCounter, q
 		current = op(iter.Project(current, idx))
 	}
 	return current, nil
+}
+
+// openPrivate opens a private scan of t: for an in-memory table with an
+// equality selection, only the rows of the first such literal's index chain —
+// a superset of the rows the selections keep, in table order, which the
+// caller's filter narrows to exactly those — and a full scan otherwise. Both
+// pay Open's fault point, block charge and scan metrics.
+func openPrivate(t storage.Backend, io *storage.IOCounter, sels []query.Selection) (storage.Cursor, error) {
+	if mt, ok := t.(*storage.Table); ok {
+		for _, s := range sels {
+			if s.Op == query.OpEq {
+				return mt.OpenEq(io, t.Relation().ColumnIndex(s.Attr.Attr), s.Value)
+			}
+		}
+	}
+	return t.Open(io)
 }
 
 // pickNext selects an unjoined relation connected to the joined set by at

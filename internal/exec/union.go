@@ -190,7 +190,7 @@ func (p *unionPlan) run(ctx context.Context, db *storage.DB, io *storage.IOCount
 				out[c] += len(t.on) // the words follow the key on the build side
 			}
 		}
-		tree = op(iter.LeftOuterJoin(ctx, tree, op(rel), probeIdx, buildIdx, at, out, 0))
+		tree = op(iter.LeftOuterJoin(ctx, tree, op(rel), probeIdx, buildIdx, at, out, nil))
 	}
 	// holds[i] are the residual conditions of sub-query i over a tuple.
 	holds := make([][]func(storage.Row) bool, len(p.residual))

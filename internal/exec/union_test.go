@@ -190,6 +190,39 @@ func independentUnion(t *testing.T, db *storage.DB, subs []*query.Query) (matche
 	return matched, blocks
 }
 
+// TestUnionSignedZeroLiterals: factor finds what sub-queries share by struct
+// equality of their selections, and a FLOAT literal's payload is its bits, so
+// ">= 0.0" and ">= -0.0" — one condition under Op.Eval — are two selections
+// there: neither joins the base, each stays its sub-query's residual. The
+// answer must still be what each sub-query returns alone.
+func TestUnionSignedZeroLiterals(t *testing.T) {
+	db := workload.GenerateDB(workload.DBConfig{Movies: 120, Directors: 12, Actors: 40, Seed: 7})
+	var subs []*query.Query
+	for _, sql := range []string{
+		"SELECT title FROM MOVIE WHERE MOVIE.duration >= 0.0 AND MOVIE.year >= 1990",
+		"SELECT title FROM MOVIE WHERE MOVIE.duration >= -0.0 AND MOVIE.year >= 1990",
+		"SELECT title FROM MOVIE, GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00' AND MOVIE.duration >= -0.0",
+	} {
+		subs = append(subs, sqlparse.MustParse(db.Schema(), sql))
+	}
+	if p := factor(subs); len(p.base.Selections) != 0 || len(p.residual[0].Selections) != 2 || len(p.residual[1].Selections) != 2 {
+		t.Errorf("signed zeros shared a selection:\n%s", renderPlan(p))
+	}
+	want, blocks := independentUnion(t, db, subs)
+	got, err := EvalUnion(db, subs, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.BlockReads != blocks || len(got.Rows) != len(want) || len(want) == 0 {
+		t.Fatalf("%d keys and %d blocks, want %d and %d", len(got.Rows), got.BlockReads, len(want), blocks)
+	}
+	for _, r := range got.Rows {
+		if fmt.Sprint(r.Matched) != fmt.Sprint(want[renderKey(r.Key)]) {
+			t.Errorf("%s matched %v alone, %v in the union", renderKey(r.Key), want[renderKey(r.Key)], r.Matched)
+		}
+	}
+}
+
 // TestUnionMatchesIndependentEvaluation draws unions whose sub-queries share
 // and add relations at random — paths hanging off MOVIE or CAST, conditions on
 // shared columns, detached relations, the same relation twice over different

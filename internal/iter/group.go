@@ -51,7 +51,7 @@ var tablePool sync.Pool // of *groupTable
 func NewGrouper(ctx context.Context, nTags int) *Grouper {
 	tab, _ := tablePool.Get().(*groupTable)
 	if tab == nil {
-		tab = &groupTable{set: RowSet{idx: newChain(0)}}
+		tab = &groupTable{set: RowSet{idx: storage.NewChain(0)}}
 	}
 	words := (nTags + 63) / 64
 	return &Grouper{poll: poll{ctx: ctx}, budget: BudgetFromContext(ctx), words: words,

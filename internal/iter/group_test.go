@@ -123,7 +123,7 @@ func TestLeftOuterJoin(t *testing.T) {
 	for _, budget := range []int64{0, 512} {
 		ctx := WithBudget(context.Background(), Budget{Bytes: budget, Dir: t.TempDir()})
 		runs0, _, _ := SpillStats()
-		got, err := Collect(LeftOuterJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 3}, 0))
+		got, err := Collect(LeftOuterJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 3}, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,14 +200,14 @@ func TestJoinKeyRange(t *testing.T) {
 					if outer {
 						join = LeftOuterJoin
 					}
-					it := join(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 3}, 0).(*hashJoinIter)
+					it := join(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 3}, nil).(*hashJoinIter)
 					rows, err := Collect(it)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if it.ranged != ranged || it.spilled != (budget > 0 && len(build) > 64) {
+					if it.tab.Ranged != ranged || it.spilled != (budget > 0 && len(build) > 64) {
 						t.Fatalf("%s build, outer %v, budget %d: ranged %v (want %v), spilled %v",
-							name, outer, budget, it.ranged, ranged, it.spilled)
+							name, outer, budget, it.tab.Ranged, ranged, it.spilled)
 					}
 					return rows
 				}

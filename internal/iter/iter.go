@@ -25,7 +25,6 @@ package iter
 import (
 	"context"
 	"io"
-	"math/bits"
 
 	"cqp/internal/storage"
 	"cqp/internal/value"
@@ -133,72 +132,6 @@ func keep(s *Slab[value.Value], r storage.Row) storage.Row {
 	return out
 }
 
-// chain is the hash index the keepers (RowSet, and with it Grouper; the join
-// build) share: slot heads over a power-of-two array plus one link per entry, so
-// an entry costs four bytes and no allocation of its own. Entries are the
-// caller's row numbers; the caller compares rows, the chain only narrows
-// the candidates.
-type chain struct {
-	heads []int32 // slot → entry linked last, -1 when empty
-	next  []int32 // entry → entry linked before it in the same slot, or -1
-	shift uint8   // 64 − log2(len(heads))
-}
-
-// newChain returns an index with room for n entries before it regrows.
-func newChain(n int) chain {
-	slots := 16
-	for slots < n {
-		slots *= 2
-	}
-	c := chain{next: make([]int32, 0, n)}
-	c.resize(slots)
-	return c
-}
-
-func (c *chain) resize(slots int) {
-	c.heads = make([]int32, slots)
-	for i := range c.heads {
-		c.heads[i] = -1
-	}
-	c.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
-}
-
-// reset unlinks every entry, keeping the slots.
-func (c *chain) reset() {
-	for i := range c.heads {
-		c.heads[i] = -1
-	}
-	c.next = c.next[:0]
-}
-
-// slot spreads h over the slots by its high bits after a Fibonacci
-// multiply: the row hashes are FNV products, whose low bits mix poorly.
-func (c *chain) slot(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> c.shift }
-
-// first returns the entry linked last under h's slot; follow next from it.
-func (c *chain) first(h uint64) int32 { return c.heads[c.slot(h)] }
-
-// link puts entry i, already present in next, at the head of h's slot.
-func (c *chain) link(i int32, h uint64) {
-	s := c.slot(h)
-	c.next[i] = c.heads[s]
-	c.heads[s] = i
-}
-
-// push links a new entry whose hash the caller has just appended to
-// hashes, doubling the slots (and relinking from hashes) at load factor 1.
-func (c *chain) push(hashes []uint64) {
-	c.next = append(c.next, -1)
-	if len(c.next) <= len(c.heads) {
-		c.link(int32(len(c.next)-1), hashes[len(c.next)-1])
-		return
-	}
-	c.resize(2 * len(c.heads))
-	for i, h := range hashes {
-		c.link(int32(i), h)
-	}
-}
-
 // Budget caps the in-memory state of one stateful operator (hash-join
 // build table, distinct set). Bytes == 0 means unlimited (never spill);
 // Dir == "" spills to the OS temp directory.
@@ -223,18 +156,6 @@ func WithBudget(ctx context.Context, b Budget) context.Context {
 func BudgetFromContext(ctx context.Context) Budget {
 	b, _ := ctx.Value(budgetKey{}).(Budget)
 	return b
-}
-
-// Hash hashes the row's values at idx — the one join/grouping key hash
-// shared by every operator (and by package exec), replacing the
-// duplicated per-call-site helpers of the seed executor. Values that are
-// Equal hash identically.
-func Hash(r storage.Row, idx []int) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, i := range idx {
-		h = (h ^ r[i].Hash()) * 1099511628211
-	}
-	return h
 }
 
 // HashRow hashes all values of the row.
@@ -433,7 +354,7 @@ func Collect(it Iterator) ([]storage.Row, error) {
 // costs one hash and, on a slot collision, value comparisons; a new row
 // costs its copy and no allocation of its own.
 type RowSet struct {
-	idx   chain
+	idx   storage.Chain
 	hash  []uint64
 	rows  []storage.Row
 	kept  Slab[value.Value]
@@ -441,7 +362,7 @@ type RowSet struct {
 }
 
 // NewRowSet returns an empty set.
-func NewRowSet() *RowSet { return &RowSet{idx: newChain(0)} }
+func NewRowSet() *RowSet { return &RowSet{idx: storage.NewChain(0)} }
 
 // Add inserts a copy of r if absent, reporting whether it was newly added.
 func (s *RowSet) Add(r storage.Row) bool {
@@ -453,14 +374,14 @@ func (s *RowSet) Add(r storage.Row) bool {
 // sits; the copy stays valid for as long as the caller holds it.
 func (s *RowSet) add(r storage.Row) (int, bool) {
 	h := HashRow(r)
-	for i := s.idx.first(h); i >= 0; i = s.idx.next[i] {
+	for i := s.idx.First(h); i >= 0; i = s.idx.Next(i) {
 		if s.hash[i] == h && EqualRows(s.rows[i], r) {
 			return int(i), false
 		}
 	}
 	s.rows = append(s.rows, keep(&s.kept, r))
 	s.hash = append(s.hash, h)
-	s.idx.push(s.hash)
+	s.idx.Push(s.hash)
 	s.bytes += rowBytes(r)
 	return len(s.rows) - 1, true
 }
@@ -468,7 +389,7 @@ func (s *RowSet) add(r storage.Row) (int, bool) {
 // reset empties the set, keeping its memory for the rows to come: every row
 // it handed out is dead.
 func (s *RowSet) reset() {
-	s.idx.reset()
+	s.idx.Reset()
 	s.kept.Reset()
 	s.hash, s.rows, s.bytes = s.hash[:0], s.rows[:0], 0
 }

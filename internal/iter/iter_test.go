@@ -93,7 +93,7 @@ func joinInputs(n, m int) (probe, build []storage.Row, want []string) {
 func TestHashJoinInMemory(t *testing.T) {
 	probe, build, want := joinInputs(500, 20)
 	it := HashJoin(context.Background(), FromRows(probe), FromRows(build),
-		[]int{1}, []int{0}, 2, []int{0, 1, 2, 3}, 0)
+		[]int{1}, []int{0}, 2, []int{0, 1, 2, 3}, nil)
 	got, err := Collect(it)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestHashJoinSpillMatchesInMemory(t *testing.T) {
 	probe, build, want := joinInputs(2000, 300)
 	ctx := WithBudget(context.Background(), Budget{Bytes: 512, Dir: t.TempDir()})
 	r0, _, _ := SpillStats()
-	it := HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, 0)
+	it := HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, nil)
 	got, err := Collect(it)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 	}
 	for _, budget := range []Budget{{}, {Bytes: 256}} {
 		ctx := WithBudget(context.Background(), budget)
-		it := HashJoin(ctx, FromRows(probe), FromRows(build), []int{0}, []int{0}, 2, []int{0, 1, 2, 3}, 0)
+		it := HashJoin(ctx, FromRows(probe), FromRows(build), []int{0}, []int{0}, 2, []int{0, 1, 2, 3}, nil)
 		got, err := Collect(it)
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +285,7 @@ func TestCancellationAtEveryCheckpoint(t *testing.T) {
 	probe, build, _ := joinInputs(2000, 300)
 	run := func(ctx context.Context) error {
 		bctx := WithBudget(ctx, Budget{Bytes: 512, Dir: t.TempDir()})
-		it := Distinct(bctx, HashJoin(bctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, 0))
+		it := Distinct(bctx, HashJoin(bctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, nil))
 		// Group what comes out (the grouper spills too), then read the groups
 		// back through an outer join's build side.
 		g := NewGrouper(bctx, 2)
@@ -305,7 +305,7 @@ func TestCancellationAtEveryCheckpoint(t *testing.T) {
 				break
 			}
 		}
-		_, err := Collect(LeftOuterJoin(bctx, FromRows(probe), g, []int{0}, []int{0}, 2, []int{0, 1, 6}, 0))
+		_, err := Collect(LeftOuterJoin(bctx, FromRows(probe), g, []int{0}, []int{0}, 2, []int{0, 1, 6}, nil))
 		return err
 	}
 	if err := run(context.Background()); err != nil {
@@ -346,7 +346,7 @@ func TestSpillFaultInjection(t *testing.T) {
 	fault.Arm(plan)
 	defer fault.Disarm()
 
-	_, jerr := Collect(HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, 0))
+	_, jerr := Collect(HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, nil))
 	if !errors.Is(jerr, fault.ErrInjected) {
 		t.Fatalf("join spill under fault: err = %v, want ErrInjected", jerr)
 	}
@@ -357,7 +357,7 @@ func TestSpillFaultInjection(t *testing.T) {
 	}
 
 	fault.Disarm()
-	if _, err := Collect(HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, 0)); err != nil {
+	if _, err := Collect(HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, []int{0, 1, 2, 3}, nil)); err != nil {
 		t.Fatalf("join after disarm: %v", err)
 	}
 }
@@ -437,8 +437,12 @@ func TestExecAllocsPerOutputRow(t *testing.T) {
 		rows1, rows int
 	}{
 		{"HashJoin",
-			func() Iterator { return HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, all, 0) },
-			func() Iterator { return HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{1}, 2, all, 0) },
+			func() Iterator {
+				return HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{0}, 2, all, nil)
+			},
+			func() Iterator {
+				return HashJoin(ctx, FromRows(probe), FromRows(build), []int{1}, []int{1}, 2, all, nil)
+			},
 			n, 4 * n},
 		{"Cross",
 			func() Iterator { return Cross(ctx, FromRows(probe[:n/4]), FromRows(build[:4]), 2, all) },

@@ -2,7 +2,6 @@ package iter
 
 import (
 	"context"
-	"math"
 
 	"cqp/internal/storage"
 	"cqp/internal/value"
@@ -48,10 +47,14 @@ func (o *joinOut) emit(build storage.Row) storage.Row {
 // HashJoin equi-joins probe rows against build rows on probe[probeIdx[k]] =
 // build[buildIdx[k]], emitting the columns out selects from probe[:probeWidth]
 // ++ build (the executor's left-deep layout) into one reused row. The build
-// side is drained on the first Next — buildRows, when the caller knows it,
-// presizes the table — and the probe side streams, so output arrives in
-// probe order, a probe row's matches in build order, while the build fits in
-// memory.
+// side is drained into a build table on the first Next and the probe side
+// streams, so output arrives in probe order, a probe row's matches in build
+// order, while the build fits in memory.
+//
+// pre, when not nil, is the build table already made: the index of an
+// in-memory table on its one build column (storage.Table.Index), whose rows
+// the build side would scan. build is then only closed — nothing is drained,
+// hashed or held per join, so nothing spills — and the output is the same.
 //
 // When the build table exceeds the context budget (WithBudget), the join
 // switches to Grace mode: build rows are hash-partitioned to spill files,
@@ -59,19 +62,22 @@ func (o *joinOut) emit(build storage.Row) storage.Row {
 // pairwise — each pass holds only ~1/spillFanout of the build side.
 // Output order then follows partition order; callers that need a total
 // order sort above the join (the personalized union ranks by doi anyway).
-func HashJoin(ctx context.Context, probe, build Iterator, probeIdx, buildIdx []int, probeWidth int, out []int, buildRows int) Iterator {
-	return &hashJoinIter{
+func HashJoin(ctx context.Context, probe, build Iterator, probeIdx, buildIdx []int, probeWidth int, out []int, pre *storage.Index) Iterator {
+	it := &hashJoinIter{
 		poll: poll{ctx: ctx}, probe: probe, build: build,
-		pIdx: probeIdx, bIdx: buildIdx,
-		out: newJoinOut(out, probeWidth), hint: buildRows,
-		budget: BudgetFromContext(ctx), idx: newChain(0), cand: -1,
+		pIdx: probeIdx, bIdx: buildIdx, out: newJoinOut(out, probeWidth),
+		budget: BudgetFromContext(ctx), cand: -1,
 	}
+	if pre != nil {
+		it.tab, it.inited = *pre, true
+	}
+	return it
 }
 
 // LeftOuterJoin is HashJoin also emitting a probe row no build row matches,
 // once, NULL in the build's columns (in Grace mode too: a partition is whole).
-func LeftOuterJoin(ctx context.Context, probe, build Iterator, probeIdx, buildIdx []int, probeWidth int, out []int, buildRows int) Iterator {
-	it := HashJoin(ctx, probe, build, probeIdx, buildIdx, probeWidth, out, buildRows).(*hashJoinIter)
+func LeftOuterJoin(ctx context.Context, probe, build Iterator, probeIdx, buildIdx []int, probeWidth int, out []int, pre *storage.Index) Iterator {
+	it := HashJoin(ctx, probe, build, probeIdx, buildIdx, probeWidth, out, pre).(*hashJoinIter)
 	it.outer = true
 	return it
 }
@@ -81,19 +87,15 @@ type hashJoinIter struct {
 	probe, build Iterator
 	pIdx, bIdx   []int
 	out          joinOut
-	hint         int
 	budget       Budget
 	outer        bool
 
 	inited bool
-	// The build table: rows numbered in arrival order, chained by key hash.
-	rows []storage.Row
-	idx  chain
+	// The build table: rows numbered in arrival order, chained by key hash once
+	// they are all in. An INT probe key outside its range (Ranged) matches
+	// nothing and is not hashed.
+	tab  storage.Index
 	kept Slab[value.Value] // copies of build rows the build side would overwrite
-	// ranged: one key column, every build key an INT, all within [lo, hi]. An
-	// INT probe key outside matches nothing and is not hashed.
-	ranged bool
-	lo, hi int64
 
 	spilled  bool
 	buildRun *spillRun
@@ -107,38 +109,19 @@ type hashJoinIter struct {
 	done    bool
 }
 
-// index chains the build rows under their key hashes. Linking from the last
-// row back leaves every slot's chain in arrival order, which is the order a
-// probe row's matches are emitted in.
-func (it *hashJoinIter) index() {
-	it.idx = newChain(len(it.rows))
-	it.idx.next = it.idx.next[:len(it.rows)]
-	// The range of no key at all: an empty build leaves every probe key outside.
-	it.ranged, it.lo, it.hi = len(it.bIdx) == 1, math.MaxInt64, math.MinInt64
-	for i := len(it.rows) - 1; i >= 0; i-- {
-		it.idx.link(int32(i), Hash(it.rows[i], it.bIdx))
-		if !it.ranged {
-			continue
-		}
-		k, v, _ := it.rows[i][it.bIdx[0]].Peek()
-		it.ranged, it.lo, it.hi = k == value.KindInt, min(it.lo, v), max(it.hi, v)
-	}
-}
-
 // outside reports whether the probe row's key is an INT no build key can equal.
 func (it *hashJoinIter) outside(row storage.Row) bool {
-	if !it.ranged {
+	if !it.tab.Ranged {
 		return false
 	}
 	k, v, _ := row[it.pIdx[0]].Peek()
-	return k == value.KindInt && (v < it.lo || v > it.hi)
+	return k == value.KindInt && (v < it.tab.Lo || v > it.tab.Hi)
 }
 
 // init drains the build side, spilling to partitions if it outgrows the
 // budget, and in that case also partitions the entire probe side.
 func (it *hashJoinIter) init() error {
 	it.inited = true
-	it.rows = make([]storage.Row, 0, it.hint)
 	byRef := retains(it.build)
 	var bytes int64
 	for !it.spilled {
@@ -150,13 +133,13 @@ func (it *hashJoinIter) init() error {
 			return err
 		}
 		if !ok {
-			it.index()
+			it.tab = storage.NewIndex(it.tab.Rows, it.bIdx)
 			return nil
 		}
 		if !byRef {
 			r = keep(&it.kept, r)
 		}
-		it.rows = append(it.rows, r)
+		it.tab.Rows = append(it.tab.Rows, r)
 		if it.budget.Bytes == 0 {
 			continue
 		}
@@ -167,14 +150,14 @@ func (it *hashJoinIter) init() error {
 		}
 	}
 	// Partition the rest of the build side, and the probe side the same way.
-	err := it.buildRun.route(&it.poll, it.build, 0, func(r storage.Row) uint64 { return Hash(r, it.bIdx) })
+	err := it.buildRun.route(&it.poll, it.build, 0, func(r storage.Row) uint64 { return storage.Hash(r, it.bIdx) })
 	if err != nil {
 		return err
 	}
 	if it.probeRun, err = newSpillRun(it.budget.Dir); err != nil {
 		return err
 	}
-	err = it.probeRun.route(&it.poll, it.probe, 0, func(r storage.Row) uint64 { return Hash(r, it.pIdx) })
+	err = it.probeRun.route(&it.poll, it.probe, 0, func(r storage.Row) uint64 { return storage.Hash(r, it.pIdx) })
 	if err != nil {
 		return err
 	}
@@ -195,12 +178,12 @@ func (it *hashJoinIter) startSpill() error {
 		return err
 	}
 	it.buildRun = run
-	for _, r := range it.rows {
-		if err := it.buildRun.write(Hash(r, it.bIdx), 0, r); err != nil {
+	for _, r := range it.tab.Rows {
+		if err := it.buildRun.write(storage.Hash(r, it.bIdx), 0, r); err != nil {
 			return err
 		}
 	}
-	it.rows, it.kept = nil, Slab[value.Value]{}
+	it.tab.Rows, it.kept = nil, Slab[value.Value]{}
 	it.spilled = true
 	return nil
 }
@@ -232,8 +215,8 @@ func (it *hashJoinIter) Next() (storage.Row, bool, error) {
 		// Drain the current probe row's candidates. The probe side is not
 		// pulled while they last, so cur stays valid throughout.
 		for it.cand >= 0 {
-			r := it.rows[it.cand]
-			it.cand = it.idx.next[it.cand]
+			r := it.tab.Rows[it.cand]
+			it.cand = it.tab.Chain.Next(it.cand)
 			if it.equalOn(it.cur, r) {
 				it.unmatch = false
 				return it.out.emit(r), true, nil
@@ -253,7 +236,7 @@ func (it *hashJoinIter) Next() (storage.Row, bool, error) {
 		}
 		it.cur, it.unmatch = row, it.outer
 		if !it.outside(row) {
-			it.cand = it.idx.first(Hash(row, it.pIdx))
+			it.cand = it.tab.Chain.First(storage.Hash(row, it.pIdx))
 		} else if !it.outer {
 			continue
 		}
@@ -284,7 +267,7 @@ func (it *hashJoinIter) nextProbe() (storage.Row, bool, error) {
 			return nil, false, nil
 		}
 		// Load this partition's build side.
-		it.rows = it.rows[:0]
+		it.tab.Rows = it.tab.Rows[:0]
 		br := it.buildRun.reader(it.part)
 		for {
 			if err := it.check(); err != nil {
@@ -297,9 +280,9 @@ func (it *hashJoinIter) nextProbe() (storage.Row, bool, error) {
 			if !ok {
 				break
 			}
-			it.rows = append(it.rows, row)
+			it.tab.Rows = append(it.tab.Rows, row)
 		}
-		it.index()
+		it.tab = storage.NewIndex(it.tab.Rows, it.bIdx)
 		it.pr = it.probeRun.reader(it.part)
 	}
 }

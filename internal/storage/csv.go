@@ -118,6 +118,7 @@ func (t *Table) ReadCSV(r io.Reader) (n int, err error) {
 		if err != nil {
 			t.rows = t.rows[:snapRows]
 			t.tally = snapTally
+			t.dropIndexes()
 			n = 0
 		}
 	}()

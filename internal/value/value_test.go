@@ -3,6 +3,7 @@ package value
 import (
 	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -244,6 +245,42 @@ func TestHashMatchesReference(t *testing.T) {
 	}
 }
 
+// TestValueSize pins the in-memory layout: rows are slices of values, so
+// every stored row, copy and scan moves this many bytes per column (48
+// before the payloads shared one word).
+func TestValueSize(t *testing.T) {
+	if got := reflect.TypeOf(Value{}).Size(); got != 32 {
+		t.Errorf("value.Value is %d bytes, want 32", got)
+	}
+}
+
+// TestPayloadWord: the one payload word keeps every kind's value, and
+// struct equality of FLOAT values is by bits now, which only the signed
+// zeros and NaN payloads can tell apart from Compare.
+func TestPayloadWord(t *testing.T) {
+	for _, i := range []int64{0, -1, 1, math.MaxInt64, math.MinInt64} {
+		if Int(i).AsInt() != i {
+			t.Errorf("Int(%d) reads back %d", i, Int(i).AsInt())
+		}
+	}
+	for _, f := range []float64{0, 2.5, -1e300, math.Inf(1), math.SmallestNonzeroFloat64} {
+		if Float(f).AsFloat() != f {
+			t.Errorf("Float(%g) reads back %g", f, Float(f).AsFloat())
+		}
+	}
+	if !Bool(true).AsBool() || Bool(false).AsBool() {
+		t.Error("Bool payload lost")
+	}
+	str := Str("x")
+	if k, n, s := str.Peek(); k != KindString || n != 0 || s != "x" {
+		t.Errorf("Peek(Str) = %v %d %q", k, n, s)
+	}
+	negZero := Float(math.Copysign(0, -1))
+	if negZero == Float(0) || !negZero.Equal(Float(0)) || negZero.Hash() != Float(0).Hash() {
+		t.Error("-0.0 and 0.0: struct-unequal by bits, Equal and hashing alike")
+	}
+}
+
 func TestWidth(t *testing.T) {
 	if Int(5).Width() != 8 || Float(1).Width() != 8 || Bool(true).Width() != 8 {
 		t.Error("fixed-width kinds must be 8 bytes")
@@ -263,6 +300,7 @@ func TestStringAndSQL(t *testing.T) {
 	}{
 		{Int(7), "7", "7"},
 		{Float(2.5), "2.5", "2.5"},
+		{Float(math.Copysign(0, -1)), "0", "0"}, // "-0" would read back as INT 0
 		{Str("o'hara"), "o'hara", "'o''hara'"},
 		{Bool(true), "true", "true"},
 		{Null(), "NULL", "NULL"},
