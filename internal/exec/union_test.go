@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cqp/internal/iter"
 	"cqp/internal/obs"
 	"cqp/internal/query"
 	"cqp/internal/sqlparse"
@@ -223,75 +224,144 @@ func TestUnionSignedZeroLiterals(t *testing.T) {
 	}
 }
 
-// TestUnionMatchesIndependentEvaluation draws unions whose sub-queries share
-// and add relations at random — paths hanging off MOVIE or CAST, conditions on
-// shared columns, detached relations, the same relation twice over different
-// joins — and requires the one-pass plan to match every key with exactly the
-// sub-queries that return it when each runs alone, at the same charge.
-func TestUnionMatchesIndependentEvaluation(t *testing.T) {
-	db := workload.GenerateDB(workload.DBConfig{Movies: 120, Directors: 12, Actors: 40, Seed: 7})
-	rng := rand.New(rand.NewSource(18))
-	pick := func(options ...string) string { return options[rng.Intn(len(options))] }
-	for trial := 0; trial < 300; trial++ {
-		shared := pick("title FROM MOVIE", "title, year FROM MOVIE", "title, role FROM MOVIE, CAST", "DIRECTOR.name FROM MOVIE, DIRECTOR")
-		var sqls []string
-		for n := 1 + rng.Intn(5); n > 0; n-- {
-			from, where := "", []string{}
-			has := func(rel string) bool { return strings.Contains(shared+from, rel) }
-			if has("CAST") {
-				where = append(where, pick("MOVIE.mid = CAST.mid", "CAST.mid = MOVIE.mid"))
-			}
-			if has("DIRECTOR") {
-				where = append(where, "MOVIE.did = DIRECTOR.did")
-			}
-			for _, part := range rng.Perm(6)[:rng.Intn(4)] {
-				switch {
-				case part == 0:
-					where = append(where, pick("MOVIE.year >= 1960", "MOVIE.year < 1990", "MOVIE.duration <= 120", "MOVIE.mid <> 7"))
-				case part == 1 && !has("GENRE"):
-					from += ", GENRE"
-					where = append(where, pick("MOVIE.mid = GENRE.mid", "GENRE.mid = MOVIE.mid", "MOVIE.did = GENRE.mid"),
-						"GENRE.genre "+pick("= 'genre00'", "= 'genre01'", "<> 'genre00'", ">= 'genre02'"))
-				case part == 2 && !has("DIRECTOR"):
-					from += ", DIRECTOR"
-					where = append(where, pick("MOVIE.did = DIRECTOR.did", "DIRECTOR.did = 3", "DIRECTOR.did = 99"))
-					if rng.Intn(2) == 0 {
-						where = append(where, "DIRECTOR.did "+pick("<= 4", "> 4", "= 2"))
-					}
-				case part == 3 && !has("CAST"):
-					from += ", CAST, ACTOR"
-					where = append(where, "MOVIE.mid = CAST.mid", pick("CAST.aid = ACTOR.aid", "ACTOR.aid = CAST.aid"),
-						pick("ACTOR.aid <= 3", "ACTOR.name = 'Actor 00002'", "CAST.role = 'lead'", "ACTOR.aid > 38"))
-				case part == 4 && has("CAST") && !has("ACTOR"):
-					from += ", ACTOR"
-					where = append(where, "CAST.aid = ACTOR.aid", pick("ACTOR.aid <= 5", "ACTOR.aid > 30", "ACTOR.aid = MOVIE.did"))
-				case part == 5 && has("CAST") && !has("GENRE"):
-					from += ", GENRE"
-					where = append(where, "GENRE.mid = CAST.mid", pick("GENRE.mid = MOVIE.mid", "GENRE.genre = 'genre01'", "CAST.aid = GENRE.mid"))
+// drawUnion draws the sub-queries of one union: they share and add relations
+// at random — paths hanging off MOVIE or CAST, conditions on shared columns,
+// detached relations, the same relation twice over different joins. Every
+// choice is one pick(n) in [0, n), so a *rand.Rand and a fuzz input drive
+// the same generator.
+func drawUnion(pick func(n int) int) []string {
+	choose := func(options ...string) string { return options[pick(len(options))] }
+	shared := choose("title FROM MOVIE", "title, year FROM MOVIE", "title, role FROM MOVIE, CAST", "DIRECTOR.name FROM MOVIE, DIRECTOR")
+	var sqls []string
+	for n := 1 + pick(5); n > 0; n-- {
+		from, where := "", []string{}
+		has := func(rel string) bool { return strings.Contains(shared+from, rel) }
+		if has("CAST") {
+			where = append(where, choose("MOVIE.mid = CAST.mid", "CAST.mid = MOVIE.mid"))
+		}
+		if has("DIRECTOR") {
+			where = append(where, "MOVIE.did = DIRECTOR.did")
+		}
+		for _, part := range perm(pick, 6)[:pick(4)] {
+			switch {
+			case part == 0:
+				where = append(where, choose("MOVIE.year >= 1960", "MOVIE.year < 1990", "MOVIE.duration <= 120", "MOVIE.mid <> 7"))
+			case part == 1 && !has("GENRE"):
+				from += ", GENRE"
+				where = append(where, choose("MOVIE.mid = GENRE.mid", "GENRE.mid = MOVIE.mid", "MOVIE.did = GENRE.mid"),
+					"GENRE.genre "+choose("= 'genre00'", "= 'genre01'", "<> 'genre00'", ">= 'genre02'"))
+			case part == 2 && !has("DIRECTOR"):
+				from += ", DIRECTOR"
+				where = append(where, choose("MOVIE.did = DIRECTOR.did", "DIRECTOR.did = 3", "DIRECTOR.did = 99"))
+				if pick(2) == 0 {
+					where = append(where, "DIRECTOR.did "+choose("<= 4", "> 4", "= 2"))
 				}
+			case part == 3 && !has("CAST"):
+				from += ", CAST, ACTOR"
+				where = append(where, "MOVIE.mid = CAST.mid", choose("CAST.aid = ACTOR.aid", "ACTOR.aid = CAST.aid"),
+					choose("ACTOR.aid <= 3", "ACTOR.name = 'Actor 00002'", "CAST.role = 'lead'", "ACTOR.aid > 38"))
+			case part == 4 && has("CAST") && !has("ACTOR"):
+				from += ", ACTOR"
+				where = append(where, "CAST.aid = ACTOR.aid", choose("ACTOR.aid <= 5", "ACTOR.aid > 30", "ACTOR.aid = MOVIE.did"))
+			case part == 5 && has("CAST") && !has("GENRE"):
+				from += ", GENRE"
+				where = append(where, "GENRE.mid = CAST.mid", choose("GENRE.mid = MOVIE.mid", "GENRE.genre = 'genre01'", "CAST.aid = GENRE.mid"))
 			}
-			sql := "SELECT " + shared + from
-			if len(where) > 0 {
-				sql += " WHERE " + strings.Join(where, " AND ")
-			}
-			sqls = append(sqls, sql)
 		}
-		var subs []*query.Query
-		for _, sql := range sqls {
-			subs = append(subs, sqlparse.MustParse(db.Schema(), sql))
+		sql := "SELECT " + shared + from
+		if len(where) > 0 {
+			sql += " WHERE " + strings.Join(where, " AND ")
 		}
-		want, blocks := independentUnion(t, db, subs)
-		got, err := EvalUnion(db, subs, nil, 1)
+		sqls = append(sqls, sql)
+	}
+	return sqls
+}
+
+// perm is math/rand's Perm with pick as its Intn: over a *rand.Rand it draws
+// what that generator's Perm would.
+func perm(pick func(n int) int, n int) []int {
+	m := make([]int, n)
+	for i := range m {
+		j := pick(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
+
+// unionBudget is small enough that most tag relations the generator draws
+// spill (and with them the base's builds and the union's group table), large
+// enough that a relation of a few keys stays in memory beside one that spills:
+// of the 409 tag relations TestUnionMatchesIndependentEvaluation's unions
+// build, 267 spill under it, and 87 of its unions hold both kinds. Unbudgeted,
+// none spills.
+const unionBudget = 512
+
+// checkUnion evaluates the union once unbudgeted and once under unionBudget,
+// and holds both to each sub-query evaluated alone: every key with exactly the
+// sub-queries that return it, at the same charge.
+func checkUnion(t *testing.T, db *storage.DB, trial string, sqls []string) {
+	t.Helper()
+	var subs []*query.Query
+	for _, sql := range sqls {
+		subs = append(subs, sqlparse.MustParse(db.Schema(), sql))
+	}
+	want, blocks := independentUnion(t, db, subs)
+	for _, ctx := range []context.Context{
+		context.Background(),
+		iter.WithBudget(context.Background(), iter.Budget{Bytes: unionBudget, Dir: t.TempDir()}),
+	} {
+		got, err := EvalUnionContext(ctx, db, subs, nil, 1)
 		if err != nil {
-			t.Fatalf("trial %d: %v\n%s", trial, err, strings.Join(sqls, "\n"))
+			t.Fatalf("%s, budget %d: %v\n%s", trial, iter.BudgetFromContext(ctx).Bytes, err, strings.Join(sqls, "\n"))
 		}
 		ok := got.BlockReads == blocks && len(got.Rows) == len(want)
 		for _, r := range got.Rows {
 			ok = ok && fmt.Sprint(r.Matched) == fmt.Sprint(want[renderKey(r.Key)])
 		}
 		if !ok {
-			t.Fatalf("trial %d: %d keys and %d blocks, want %d and %d, or some key's matches differ\n%s\n%s",
-				trial, len(got.Rows), got.BlockReads, len(want), blocks, strings.Join(sqls, "\n"), renderPlan(factor(subs)))
+			t.Fatalf("%s, budget %d: %d keys and %d blocks, want %d and %d, or some key's matches differ\n%s\n%s",
+				trial, iter.BudgetFromContext(ctx).Bytes, len(got.Rows), got.BlockReads, len(want), blocks,
+				strings.Join(sqls, "\n"), renderPlan(factor(subs)))
 		}
 	}
+}
+
+// TestUnionMatchesIndependentEvaluation draws 300 unions and requires the
+// one-pass plan to match each sub-query evaluated alone, in memory and with
+// its tag relations spilled.
+func TestUnionMatchesIndependentEvaluation(t *testing.T) {
+	db := unionDB()
+	rng := rand.New(rand.NewSource(18))
+	runs0, _, _ := iter.SpillStats()
+	for trial := 0; trial < 300; trial++ {
+		checkUnion(t, db, fmt.Sprint("trial ", trial), drawUnion(rng.Intn))
+	}
+	// About 1 100 runs: tag relations, builds and group tables.
+	if runs1, _, _ := iter.SpillStats(); runs1-runs0 < 300 {
+		t.Errorf("%d spill runs over 300 budgeted unions", runs1-runs0)
+	}
+}
+
+// unionDB is the database the drawn unions run over.
+func unionDB() *storage.DB {
+	return workload.GenerateDB(workload.DBConfig{Movies: 120, Directors: 12, Actors: 40, Seed: 7})
+}
+
+// FuzzUnionPlan searches the generator's space instead of sampling it: the
+// input's bytes are its choices (each one pick, modulo its range; zero once
+// the input runs out).
+func FuzzUnionPlan(f *testing.F) {
+	db := unionDB()
+	f.Fuzz(func(t *testing.T, choices []byte) {
+		rest := choices
+		checkUnion(t, db, fmt.Sprintf("choices %q", choices), drawUnion(func(n int) int {
+			if len(rest) == 0 {
+				return 0
+			}
+			c := int(rest[0]) % n
+			rest = rest[1:]
+			return c
+		}))
+	})
 }
