@@ -3,6 +3,7 @@ package iter
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"cqp/internal/storage"
@@ -13,14 +14,16 @@ import (
 // yields each distinct row once with the union of the tags added under it. It
 // is the personalized union's GROUP BY — tag i being sub-query i — and the
 // union plan's tag relations, where the row is a join key and tag i says
-// sub-query i's reducer produced it. The rows are a RowSet (its own copies,
+// sub-query i's reducer produced it (probed in place with Lookup, or joined
+// through Next once spilled). The rows are a RowSet (its own copies,
 // so callers may add transient rows), their tags ⌈nTags/64⌉-word bitsets in
 // one flat slice. When the table outgrows the context budget the grouper
 // spills its groups to hash partitions as frames, and regroups partition by
 // partition at drain time, bounding memory by the largest partition.
 //
 // The table is recycled: Close hands it to the next grouper, so nothing a
-// grouper yields — row or tags — may be held past the call that yielded it.
+// grouper yields — row or tags — may be held past the call that yielded it,
+// nor the tags Lookup returns past the next Add or Close.
 type Grouper struct {
 	poll
 	budget Budget
@@ -198,6 +201,48 @@ func (g *Grouper) Next() (storage.Row, bool, error) {
 		return nil, false, err
 	}
 	return g.frame(row, tags), true, nil
+}
+
+// Spilled reports whether the grouper's groups went to spill partitions: it
+// is then drained through Each or Next only, never probed with Lookup.
+func (g *Grouper) Spilled() bool { return g.spilled }
+
+// Lookup probes a grouper that has not spilled with the key columns of a row:
+// it returns the tags of the group whose row equals probe at key, or nil if
+// there is none — the tag words a LeftOuterJoin on those columns would emit
+// for probe, read where they lie, valid until the next Add. Key columns hash
+// as their own row would (storage.Hash, which folds like HashRow) and compare
+// with Compare, as the join's do. Compare is not transitive across INT and
+// FLOAT above 2^53, so a FLOAT key can equal two INT groups; their tags are
+// then ORed into a copy, as the join would emit one row for each.
+func (g *Grouper) Lookup(probe storage.Row, key []int) []uint64 {
+	h := storage.Hash(probe, key)
+	var tags []uint64
+	for i := g.set.idx.First(h); i >= 0; i = g.set.idx.Next(i) {
+		if g.set.hash[i] != h || !equalAt(probe, key, g.set.rows[i]) {
+			continue
+		}
+		words := g.tags[int(i)*g.words : (int(i)+1)*g.words]
+		if tags == nil {
+			tags = words
+			continue
+		}
+		tags = slices.Clone(tags)
+		for w, m := range words {
+			tags[w] |= m
+		}
+	}
+	return tags
+}
+
+// equalAt reports whether probe's key columns equal row, column by column.
+func equalAt(probe storage.Row, key []int, row storage.Row) bool {
+	for k, c := range key {
+		if probe[c].Compare(row[k]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Close releases spill state and gives the table back, emptied — unless the

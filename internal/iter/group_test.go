@@ -3,7 +3,9 @@ package iter
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"cqp/internal/storage"
@@ -95,6 +97,114 @@ func TestGrouper(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGrouperLookup: Lookup returns, for every probe row, exactly the tag
+// words a LeftOuterJoin on the same key columns emits for it over an equally
+// filled grouper — nil where the join pads with NULL, the OR of its rows where
+// it emits more than one — and allocates only then. Keys of one column, of two
+// (read from the probe in the other order) and of none; INT and FLOAT
+// spellings of one number, ±0, NaN, NULL, strings, BOOL, and two INT groups
+// above 2^53 that one FLOAT equals. The hash Lookup probes with is the one the
+// grouper's rows were chained by: storage.Hash over the key columns is HashRow
+// of the key row.
+func TestGrouperLookup(t *testing.T) {
+	big := int64(1) << 53
+	vals := []value.Value{
+		value.Int(0), value.Float(math.Copysign(0, -1)), value.Float(0), value.Int(7), value.Float(7), value.Float(7.5),
+		value.Float(math.NaN()), value.Null(), value.Str(""), value.Str("a"), value.Str("7"), value.Bool(true),
+		value.Int(big), value.Float(float64(big)), value.Int(big + 1),
+	}
+	probeOnly := []value.Value{value.Int(8), value.Str("b"), value.Float(-1), value.Bool(false)}
+	all := append(slices.Clone(vals), probeOnly...)
+	for _, c := range []struct {
+		name   string
+		key    []int // probe columns, aligned with a group row's
+		groups []storage.Row
+		probes []storage.Row // column 0 is the probe's number
+	}{
+		{name: "one column", key: []int{1}},
+		{name: "two columns", key: []int{2, 1}},
+		{name: "no column", key: []int{}, groups: []storage.Row{{}, {}}},
+		{name: "no column, no group", key: []int{}},
+		{name: "no group", key: []int{1}, groups: []storage.Row{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			drawGroups := c.groups == nil
+			for i, a := range all {
+				for j, b := range all {
+					if len(c.key) < 2 && j > 0 || len(c.key) == 0 && i > 0 {
+						continue
+					}
+					c.probes = append(c.probes, storage.Row{value.Int(int64(len(c.probes))), a, b})
+					if drawGroups && i < len(vals) && j < len(vals) && (len(c.key) == 1 || (i*7+3)%len(vals) == j) {
+						c.groups = append(c.groups, storage.Row{b, a}[2-len(c.key):])
+					}
+				}
+			}
+			fill := func() *Grouper {
+				g := NewGrouper(context.Background(), 70)
+				for i, r := range c.groups {
+					for _, tag := range []int{i * 11 % 70, (i*11 + 64) % 70} {
+						if err := g.Add(r, tag); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				return g
+			}
+			// The join's rows, ORed per probe; a probe it pads with NULL stays nil.
+			buildIdx, out := []int{}, []int{0, 1, 2, 3 + len(c.key), 4 + len(c.key)}
+			for k := range c.key {
+				buildIdx = append(buildIdx, k)
+			}
+			rows, err := Collect(LeftOuterJoin(context.Background(), FromRows(c.probes), fill(), c.key, buildIdx, 3, out, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, extra := make([][]uint64, len(c.probes)), 0
+			for _, r := range rows {
+				p := r[0].AsInt()
+				if r[3].IsNull() {
+					continue
+				}
+				if want[p] != nil {
+					extra++
+				} else {
+					want[p] = make([]uint64, 2)
+				}
+				want[p][0] |= uint64(r[3].AsInt())
+				want[p][1] |= uint64(r[4].AsInt())
+			}
+			g := fill()
+			defer g.Close()
+			matched := 0
+			for _, p := range c.probes {
+				keyRow := make(storage.Row, len(c.key))
+				for k, col := range c.key {
+					keyRow[k] = p[col]
+				}
+				if HashRow(keyRow) != storage.Hash(p, c.key) {
+					t.Fatalf("key %v: HashRow %x, storage.Hash %x", keyRow, HashRow(keyRow), storage.Hash(p, c.key))
+				}
+				got, join := g.Lookup(p, c.key), want[p[0].AsInt()]
+				if (got == nil) != (join == nil) || !slices.Equal(got, join) {
+					t.Fatalf("key %v: Lookup %v, the join %v", keyRow, got, join)
+				}
+				if got != nil {
+					matched++
+				}
+			}
+			if allocs := testing.AllocsPerRun(1, func() {
+				for _, p := range c.probes {
+					g.Lookup(p, c.key)
+				}
+			}); allocs != float64(extra) {
+				t.Errorf("%.0f allocations over %d probes, want one per extra match: %d", allocs, len(c.probes), extra)
+			}
+			t.Logf("%d rows grouped, %d probes, %d matched, %d matching two groups", len(c.groups), len(c.probes), matched, extra)
+		})
 	}
 }
 
