@@ -252,11 +252,18 @@ func goldenProfile(t testing.TB) *prefs.Profile {
 // L = 10 any-match unions, the no-preference union (nil dois), the plain
 // conjunctive queries, the hand-written union shapes, and last — new cases
 // are only ever appended — the equality access paths (goldenAccess and two
-// more shapes).
+// more shapes) and top-20 over every base's L = 1 and L = 3 all-match unions.
 func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 	t.Helper()
 	profile := goldenProfile(t)
 	var out []goldenQuery
+	// allMatch keeps each base's all-match unions at L = 1 and 3 for the
+	// top-20 cases appended last.
+	type ranked struct {
+		subs []*query.Query
+		dois []float64
+	}
+	allMatch := make([]map[int]ranked, len(goldenBases))
 	union := func(name string, subs []*query.Query, dois []float64, min, k int) {
 		out = append(out, goldenQuery{name: name, run: func(ctx context.Context, db *storage.DB) (goldenCase, error) {
 			var res *UnionResult
@@ -282,6 +289,7 @@ func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 			t.Fatalf("base %d: only %d preferences extracted, want 10", bi, len(sp.P))
 		}
 		union(fmt.Sprintf("b%d/nodoi", bi), []*query.Query{base.Clone()}, nil, 1, 0)
+		allMatch[bi] = make(map[int]ranked)
 		for _, l := range []int{1, 3, 10} {
 			var subs []*query.Query
 			var dois []float64
@@ -302,6 +310,7 @@ func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 				subs = append(subs, sq)
 				dois = append(dois, p.Doi)
 			}
+			allMatch[bi][l] = ranked{subs, dois}
 			union(fmt.Sprintf("b%d/L%d/all", bi, l), subs, dois, l, 0)
 			union(fmt.Sprintf("b%d/L%d/any", bi, l), subs, dois, 1, 0)
 			for _, k := range []int{1, 10} {
@@ -374,6 +383,14 @@ func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 		" WHERE MOVIE.duration >= -0.0 AND MOVIE.year >= 1990",
 		", GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00' AND MOVIE.year >= -0.0",
 	}, 0.9, [][2]int{{1, 0}, {0, 0}})
+	// The /execute shape: the top 20 rows of an all-match union, whose rows
+	// all tie on doi, so the key's tie-break orders every one of them.
+	for bi := range goldenBases {
+		for _, l := range []int{1, 3} {
+			r := allMatch[bi][l]
+			union(fmt.Sprintf("b%d/L%d/all/top20", bi, l), r.subs, r.dois, l, 20)
+		}
+	}
 	return out
 }
 
