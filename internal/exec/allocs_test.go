@@ -62,24 +62,46 @@ func joinedUnion(db *storage.DB) ([]*query.Query, []float64) {
 	return subs, dois
 }
 
+// tiedUnion is the /execute shape: an all-match union of broad preferences,
+// whose answer is a third of the movies, every row tied on doi, of which a
+// response ships the top 20.
+func tiedUnion(db *storage.DB) ([]*query.Query, []float64) {
+	var subs []*query.Query
+	for _, tail := range []string{
+		" WHERE MOVIE.year >= 1950",
+		" WHERE MOVIE.duration <= 150",
+		", GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre <> 'genre00'",
+		" WHERE MOVIE.year <= 1995",
+	} {
+		subs = append(subs, sqlparse.MustParse(db.Schema(), "SELECT title FROM MOVIE"+tail))
+	}
+	return subs, []float64{0.9, 0.8, 0.7, 0.6}
+}
+
 // TestExecAllocs is the executor's allocation tripwire: a personalized
 // union at L = 10 over the 400-movie database allocates per operator and
-// per slab chunk, not per row — what is left per ranked row is the one
-// rendering of its tie-break key. The parent of the slab rewrite made
-// 14 324 allocations for the full union and 12 462 for top-10, the slab
-// rewrite 1 176 and 828 over ten join trees, the one-pass union plan 768
-// and 423; with the group tables recycled it is 679 and 327, and the bounds
-// sit half again above that.
+// per slab chunk, not per row. The parent of the slab rewrite made 14 324
+// allocations for the full union and 12 462 for top-10, the slab rewrite
+// 1 176 and 828 over ten join trees, the one-pass union plan 768 and 423;
+// with the group tables recycled 679 and 327, and the bounds sit half again
+// above that. Since the tie-break compares keys without rendering them
+// (value.CompareSQL) it is 260 and 248.
 //
 // The count barely sees the recycled tables; the bytes do. TotalAlloc of a
-// union once the pool is warm: 156 KiB full (the reducers' builds, and the
-// kept keys, Matched and tie-break strings of 400 rows) and 25 KiB for
-// top-10. A top-10 union over a base that joins GENRE allocates 24 KiB. While
-// the tagged pass left-outer-joined each tag relation, copying its groups
-// into the join's build, the three were 213, 82 and 53 KiB (237 and 100 KiB
-// full and top-10 with the 48-byte value; 88 KiB over the joined base when
-// every request drained, hashed and chained GENRE to build that join). The
-// byte bounds sit at ×1.35 of today's, below every one of those.
+// union once the pool is warm: 111 KiB full (the reducers' builds, and the
+// kept keys and Matched of 400 rows) and 22 KiB for top-10. A top-10 union
+// over a base that joins GENRE allocates 21 KiB. While a tie rendered both
+// keys the three were 156, 25 and 24 KiB; while the tagged pass
+// left-outer-joined each tag relation, copying its groups into the join's
+// build, 213, 82 and 53 KiB (237 and 100 KiB full and top-10 with the
+// 48-byte value; 88 KiB over the joined base when every request drained,
+// hashed and chained GENRE to build that join). The byte bounds sit at ×1.35
+// of today's, below every one of those.
+//
+// The /execute shape — top-20 of an all-match union, every row tied on doi
+// (tiedUnion) — makes 83 allocations and 12 KiB whether the answer has 146
+// rows (400 movies) or 606 (1 600): nothing is allocated per ranked row.
+// While a tie rendered both keys it made 239 and 702 allocations.
 func TestExecAllocs(t *testing.T) {
 	db := workload.GenerateDB(workload.DBConfig{Movies: 400, Directors: 40, Actors: 200, Seed: 151})
 	subs, dois := allocUnion(db)
@@ -90,20 +112,21 @@ func TestExecAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Rows) < wantRows {
-				t.Fatalf("fixture too small: %d union rows, want %d", len(res.Rows), wantRows)
+			if res.Total < wantRows {
+				t.Fatalf("fixture too small: %d union rows, want %d", res.Total, wantRows)
 			}
 		}
-		allocs = testing.AllocsPerRun(20, once) // its warm-up run and these fill the pool
+		once() // fills the pool
 		// The least of twenty unions: one that found the pool empty — after a
 		// collection, or under -race, where sync.Pool drops a Put in four —
 		// says nothing about the code.
-		bytes = math.Inf(1)
+		allocs, bytes = math.Inf(1), math.Inf(1)
 		for i := 0; i < 20; i++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			once()
 			runtime.ReadMemStats(&after)
+			allocs = min(allocs, float64(after.Mallocs-before.Mallocs))
 			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
 		}
 		return allocs, bytes
@@ -112,10 +135,16 @@ func TestExecAllocs(t *testing.T) {
 	topk, topkBytes := run(10, func() (*UnionResult, error) { return EvalUnionTopK(ctx, db, subs, dois, 1, 10) })
 	jsubs, jdois := joinedUnion(db)
 	joined, joinedBytes := run(10, func() (*UnionResult, error) { return EvalUnionTopK(ctx, db, jsubs, jdois, 1, 10) })
-	t.Logf("union: %.0f allocs, %.0f bytes; top-10: %.0f allocs, %.0f bytes; joined base: %.0f allocs, %.0f bytes",
-		full, fullBytes, topk, topkBytes, joined, joinedBytes)
-	const fullMax, topkMax, joinedMax = 1020, 490, 440
-	const fullBytesMax, topkBytesMax, joinedBytesMax = 211 << 10, 33 << 10, 32 << 10
+	tied := func(db *storage.DB, wantRows int) (allocs, bytes float64) {
+		tsubs, tdois := tiedUnion(db)
+		return run(wantRows, func() (*UnionResult, error) { return EvalUnionTopK(ctx, db, tsubs, tdois, len(tsubs), 20) })
+	}
+	top20, top20Bytes := tied(db, 100)
+	top20Large, _ := tied(workload.GenerateDB(workload.DBConfig{Movies: 1600, Directors: 160, Actors: 800, Seed: 151}), 400)
+	t.Logf("union: %.0f allocs, %.0f bytes; top-10: %.0f allocs, %.0f bytes; joined base: %.0f allocs, %.0f bytes; tied top-20: %.0f allocs, %.0f bytes, %.0f allocs at 1600 movies",
+		full, fullBytes, topk, topkBytes, joined, joinedBytes, top20, top20Bytes, top20Large)
+	const fullMax, topkMax, joinedMax, top20Max = 1020, 490, 440, 125
+	const fullBytesMax, topkBytesMax, joinedBytesMax, top20BytesMax = 149 << 10, 30 << 10, 29 << 10, 16 << 10
 	if full > fullMax || fullBytes > fullBytesMax {
 		t.Errorf("EvalUnionContext at L=10: %.0f allocs and %.0f bytes, bounds %d and %d", full, fullBytes, fullMax, fullBytesMax)
 	}
@@ -126,25 +155,44 @@ func TestExecAllocs(t *testing.T) {
 		t.Errorf("EvalUnionTopK at L=10, k=10 over MOVIE ⋈ GENRE: %.0f allocs and %.0f bytes, bounds %d and %d",
 			joined, joinedBytes, joinedMax, joinedBytesMax)
 	}
+	if top20 > top20Max || top20Bytes > top20BytesMax {
+		t.Errorf("EvalUnionTopK of a tied all-match union, k=20: %.0f allocs and %.0f bytes, bounds %d and %d",
+			top20, top20Bytes, top20Max, top20BytesMax)
+	}
+	// A small constant slack, not a per-row one: the larger answer has 460
+	// more rows to rank.
+	if top20Large > top20+8 {
+		t.Errorf("EvalUnionTopK of a tied all-match union, k=20: %.0f allocs at 1600 movies, %.0f at 400; the count must not grow with the answer",
+			top20Large, top20)
+	}
 }
 
 // BenchmarkEvalUnion is the profiling target for the union path at the
 // repo benchmark's scale (execute_cold runs it over 6000 movies): any-match,
-// which ranks every group, and all-match, which is what execute_cold sends —
-// the same pass over the base, a handful of rows kept. All-match allocates
-// about 17 KB per union with the tag relations probed in place; 95 % of the
-// 675 KB it allocated before was the outer joins copying them into builds.
+// which ranks every group, and all-match, the same pass over the base with a
+// handful of rows kept; both return the whole answer, as the library's
+// Execute does. All-match allocates about 17 KB per union with the tag
+// relations probed in place; 95 % of the 675 KB it allocated before was the
+// outer joins copying them into builds. top20 is what /execute runs: the
+// first 20 rows of an all-match union whose 2 000-odd rows all tie on doi.
 func BenchmarkEvalUnion(b *testing.B) {
 	db := workload.GenerateDB(workload.DBConfig{Movies: 6000, Seed: 151})
 	subs, dois := allocUnion(db)
+	tsubs, tdois := tiedUnion(db)
 	for _, c := range []struct {
-		name       string
-		minMatches int
-	}{{"any", 1}, {"all", len(subs)}} {
+		name string
+		run  func() (*UnionResult, error)
+	}{
+		{"any", func() (*UnionResult, error) { return EvalUnionContext(context.Background(), db, subs, dois, 1) }},
+		{"all", func() (*UnionResult, error) { return EvalUnionContext(context.Background(), db, subs, dois, len(subs)) }},
+		{"top20", func() (*UnionResult, error) {
+			return EvalUnionTopK(context.Background(), db, tsubs, tdois, len(tsubs), 20)
+		}},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := EvalUnionContext(context.Background(), db, subs, dois, c.minMatches); err != nil {
+				if _, err := c.run(); err != nil {
 					b.Fatal(err)
 				}
 			}

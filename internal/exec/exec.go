@@ -409,7 +409,10 @@ type SubQueryStat struct {
 type UnionResult struct {
 	Columns []schema.AttrRef
 	// Rows are ranked by decreasing doi, ties broken by key for determinism.
-	Rows       []RankedRow
+	Rows []RankedRow
+	// Total counts the rows of the whole answer, the groups that pass
+	// minMatches: len(Rows) unless a top-k evaluation kept fewer.
+	Total      int
 	BlockReads int64
 	Elapsed    time.Duration
 	// Base is the time of the one pass over what the sub-queries share, Rank
@@ -513,6 +516,7 @@ func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []
 			}
 		}
 		if matches >= minMatches {
+			out.Total++
 			rank.offer(row, doi.Doi(), tags, matches)
 		}
 		return nil
@@ -541,8 +545,8 @@ func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []
 
 // ranking collects ranked rows and orders them best first: higher doi,
 // then the key's SQL rendering position by position (the deterministic
-// tie-break; numbers order as text). A key is rendered at most once, and
-// only when its row first ties another on doi.
+// tie-break; numbers order as text), compared without rendering it
+// (value.CompareSQL).
 //
 // With k > 0 it keeps only the k best rows, as a heap whose root is the
 // worst kept row, and a row's Matched slice is built only if it is kept.
@@ -551,36 +555,27 @@ func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []
 // it copies the key of a row it keeps, so the result outlives the table.
 type ranking struct {
 	rows []RankedRow
-	tie  [][]string // tie[i] renders rows[i].Key; nil until a tie needs it
 	k    int
 	keys iter.Slab[value.Value] // backs the Keys
 	ints iter.Slab[int]         // backs the Matched slices
-	strs iter.Slab[string]      // backs the rendered keys
 }
 
 func (r *ranking) Len() int { return len(r.rows) }
 
-func (r *ranking) Swap(i, j int) {
-	r.rows[i], r.rows[j] = r.rows[j], r.rows[i]
-	r.tie[i], r.tie[j] = r.tie[j], r.tie[i]
-}
+func (r *ranking) Swap(i, j int) { r.rows[i], r.rows[j] = r.rows[j], r.rows[i] }
 
 // Less reports whether row i ranks before row j.
 func (r *ranking) Less(i, j int) bool {
-	if r.rows[i].Doi != r.rows[j].Doi {
-		return r.rows[i].Doi > r.rows[j].Doi
+	a, b := &r.rows[i], &r.rows[j]
+	if a.Doi != b.Doi {
+		return a.Doi > b.Doi
 	}
-	return slices.Compare(r.rendered(i), r.rendered(j)) < 0
-}
-
-func (r *ranking) rendered(i int) []string {
-	if r.tie[i] == nil {
-		r.tie[i] = r.strs.Take(len(r.rows[i].Key))
-		for c, v := range r.rows[i].Key {
-			r.tie[i][c] = v.SQL()
+	for c := range a.Key {
+		if d := value.CompareSQL(a.Key[c], b.Key[c]); d != 0 {
+			return d < 0
 		}
 	}
-	return r.tie[i]
+	return false
 }
 
 // offer adds a row matched by the matches sub-queries in the tags bitset,
@@ -588,14 +583,13 @@ func (r *ranking) rendered(i int) []string {
 func (r *ranking) offer(key storage.Row, doi float64, tags []uint64, matches int) {
 	at := len(r.rows)
 	r.rows = append(r.rows, RankedRow{Key: key, Doi: doi})
-	r.tie = append(r.tie, nil)
 	if r.k > 0 && at == r.k {
 		// The candidate sits one past the heap; compare, then drop the slot.
 		better := r.Less(at, 0)
 		if better {
 			r.Swap(at, 0)
 		}
-		r.rows, r.tie = r.rows[:at], r.tie[:at]
+		r.rows = r.rows[:at]
 		if !better {
 			return
 		}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -517,5 +518,86 @@ func TestGracefulShutdown(t *testing.T) {
 	// Pool rejects new work after drain.
 	if err := s.pool.Do(context.Background(), func(context.Context) {}); err != ErrShuttingDown {
 		t.Fatalf("pool after shutdown: %v", err)
+	}
+}
+
+// TestExecuteLimitTotalRows: /execute and an execute-mode batch item keep a
+// heap of limit rows instead of ranking the whole answer, and still answer
+// what the library's full execution does — its first limit rows, and its
+// length as total_rows.
+func TestExecuteLimitTotalRows(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	putProfile(t, ts.URL, "alice", testProfileText())
+	q, err := cqp.ParseQuery(s.db.Schema(), testSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := s.store.Get("alice")
+	res, err := s.p.Personalize(q, stored.Profile, cqp.Problem2(10000), buildOpts("", 0, 0, true, false)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := res.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 3
+	if len(full.Rows) <= limit {
+		t.Fatalf("fixture too small: the library's answer has %d rows, want more than %d", len(full.Rows), limit)
+	}
+	var want []rowJSON
+	for _, rr := range full.Rows[:limit] {
+		vals := make([]string, len(rr.Key))
+		for j, v := range rr.Key {
+			vals[j] = v.String()
+		}
+		want = append(want, rowJSON{Values: vals, Doi: rr.Doi, Matched: len(rr.Matched)})
+	}
+	check := func(what string, rows []rowJSON, total int) {
+		t.Helper()
+		if total != len(full.Rows) {
+			t.Errorf("%s: total_rows %d, the library's answer has %d", what, total, len(full.Rows))
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Errorf("%s: rows %+v, the library's first %d are %+v", what, rows, limit, want)
+		}
+	}
+	// no_cache on both: each runs its own execution, neither replays the other.
+	item := map[string]any{
+		"sql": testSQL, "profile_id": "alice", "any_match": true, "no_cache": true,
+		"problem": map[string]any{"number": 2, "cmax_ms": 10000},
+	}
+	resp, data := doJSON(t, http.MethodPost, ts.URL+"/personalize/batch",
+		map[string]any{"execute": true, "limit": limit, "items": []map[string]any{item}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d: %s", resp.StatusCode, data)
+	}
+	var br struct {
+		Results []struct {
+			Rows      []rowJSON  `json:"rows"`
+			TotalRows int        `json:"total_rows"`
+			Error     *errorBody `json:"error"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(data, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 1 || br.Results[0].Error != nil {
+		t.Fatalf("batch: %s", data)
+	}
+	check("batch item", br.Results[0].Rows, br.Results[0].TotalRows)
+
+	item["limit"] = limit
+	resp, data = doJSON(t, http.MethodPost, ts.URL+"/execute", item)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("execute: %d: %s", resp.StatusCode, data)
+	}
+	var er executeResponse
+	if err := json.Unmarshal(data, &er); err != nil {
+		t.Fatal(err)
+	}
+	check("/execute", er.Rows, er.TotalRows)
+	if er.RowCount != limit {
+		t.Errorf("/execute: row_count %d, want %d", er.RowCount, limit)
 	}
 }

@@ -125,26 +125,25 @@ func (r *personalizeRequest) solve(ctx context.Context, s *Server, q *cqp.Query,
 	if !r.execute {
 		return pr, nil
 	}
-	rows, err := res.ExecuteContext(ctx)
+	// The response ships limit rows (check defaults it), so the executor
+	// keeps a limit-row heap instead of ranking the whole answer.
+	rows, err := res.ExecuteTopKContext(ctx, r.Limit)
 	if err != nil {
 		return nil, err
 	}
-	return executeResponseFrom(pr, rows, r.Limit), nil
+	return executeResponseFrom(pr, rows), nil
 }
 
 // executeResponseFrom extends a personalization's response with its
-// executed rows, truncated to limit.
-func executeResponseFrom(pr *personalizeResponse, rows *exec.UnionResult, limit int) *executeResponse {
+// executed top rows and the size of the whole answer.
+func executeResponseFrom(pr *personalizeResponse, rows *exec.UnionResult) *executeResponse {
 	er := &executeResponse{
 		personalizeResponse: *pr,
-		TotalRows:           len(rows.Rows),
+		TotalRows:           rows.Total,
 		BlockReads:          rows.BlockReads,
 		ExecMS:              float64(rows.Elapsed) / float64(time.Millisecond),
 	}
-	for i, rr := range rows.Rows {
-		if i >= limit {
-			break
-		}
+	for _, rr := range rows.Rows {
 		vals := make([]string, len(rr.Key))
 		for j, v := range rr.Key {
 			vals[j] = v.String()

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -401,4 +402,74 @@ func TestNaNHandling(t *testing.T) {
 			t.Errorf("ParseLiteral(%q) must reject non-finite numbers", bad)
 		}
 	}
+}
+
+// compareSQLValues are the pairs CompareSQL decides without rendering: a
+// string that is a prefix of another followed by a byte below or above the
+// closing quote, quotes that render doubled, the empty string, and every
+// other kind's text, whose first byte is all a string compares with.
+var compareSQLValues = []Value{
+	Null(), Bool(false), Bool(true),
+	Int(0), Int(-5), Int(9), Int(10), Int(math.MinInt64),
+	Float(0), Float(math.Copysign(0, -1)), Float(1.5), Float(-1.5), Float(1e21), Float(1e300),
+	Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+	Str(""), Str("'"), Str("''"), Str("a"), Str("a'"), Str("a''"), Str("a'b"), Str("a b"),
+	Str("Star"), Str("Star Wars"), Str("Star!"), Str("O'Hara"), Str("O''Hara"), Str("\x00"), Str("\xff"),
+}
+
+// TestCompareSQL holds CompareSQL to its definition on every pair of
+// compareSQLValues.
+func TestCompareSQL(t *testing.T) {
+	for _, a := range compareSQLValues {
+		for _, b := range compareSQLValues {
+			if got, want := CompareSQL(a, b), strings.Compare(a.SQL(), b.SQL()); got != want {
+				t.Errorf("CompareSQL(%s, %s) = %d, want %d", a.SQL(), b.SQL(), got, want)
+			}
+		}
+	}
+}
+
+// TestCompareSQLAllocs: the tie-break of a ranked union compares keys with
+// CompareSQL once per heap step, so it must not allocate — strings, INTs and
+// FLOATs, the kinds of every key column, alike.
+func TestCompareSQLAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		a, b Value
+	}{
+		{"string", Str("Movie 000123"), Str("Movie 000124")},
+		{"int", Int(1950), Int(-17)},
+		{"float", Float(-1.2345678901234567e-300), Float(1e21)},
+		{"mixed", Str("O'Hara"), Float(1.5)},
+	} {
+		if n := testing.AllocsPerRun(100, func() { CompareSQL(c.a, c.b) }); n != 0 {
+			t.Errorf("%s: CompareSQL allocates %.0f times, want 0", c.name, n)
+		}
+	}
+}
+
+// FuzzCompareSQL searches for a pair of values that CompareSQL orders unlike
+// their rendered literals; testdata/fuzz/FuzzCompareSQL seeds it. A value is
+// of kind k%5 built from the fuzzed primitives (a BOOL is i's low bit).
+func FuzzCompareSQL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ak uint8, ai int64, af float64, as string, bk uint8, bi int64, bf float64, bs string) {
+		a, b := fuzzValue(ak, ai, af, as), fuzzValue(bk, bi, bf, bs)
+		if got, want := CompareSQL(a, b), strings.Compare(a.SQL(), b.SQL()); got != want {
+			t.Fatalf("CompareSQL(%s, %s) = %d, want %d", a.SQL(), b.SQL(), got, want)
+		}
+	})
+}
+
+func fuzzValue(k uint8, i int64, f float64, s string) Value {
+	switch Kind(k % 5) {
+	case KindInt:
+		return Int(i)
+	case KindFloat:
+		return Float(f)
+	case KindString:
+		return Str(s)
+	case KindBool:
+		return Bool(i&1 == 1)
+	}
+	return Null()
 }

@@ -250,21 +250,19 @@ func (r *Result) Execute() (*exec.UnionResult, error) {
 // cqp_constraint_violation_total{param="cost"|"size"} counts the answers
 // whose real cost exceeded cmax or whose size fell outside [smin, smax].
 func (r *Result) ExecuteContext(ctx context.Context) (*exec.UnionResult, error) {
-	return r.execute(ctx, r.pq.AllMatch, func() (*exec.UnionResult, error) { return r.pq.ExecuteContext(ctx, r.db) })
+	return r.execute(ctx, func() (*exec.UnionResult, error) { return r.pq.ExecuteContext(ctx, r.db) })
 }
 
 // ExecuteTopKContext is ExecuteContext keeping only the k best-ranked
 // rows via the executor's bounded heap — the full ranked answer never
-// materializes. The accuracy tracker records the kept rows against the
-// estimate, so top-k executions still feed Figure 15's comparison; the
-// problem's bounds speak of the whole answer and are not checked.
+// materializes. It is accounted as ExecuteContext is, by the size of the
+// whole answer (UnionResult.Total), not by the rows kept.
 func (r *Result) ExecuteTopKContext(ctx context.Context, k int) (*exec.UnionResult, error) {
-	return r.execute(ctx, false, func() (*exec.UnionResult, error) { return r.pq.ExecuteTopKContext(ctx, r.db, k) })
+	return r.execute(ctx, func() (*exec.UnionResult, error) { return r.pq.ExecuteTopKContext(ctx, r.db, k) })
 }
 
-// execute runs the personalized query and accounts for it. bounded says the
-// answer is the one the problem's constraints were stated for.
-func (r *Result) execute(ctx context.Context, bounded bool, run func() (*exec.UnionResult, error)) (*exec.UnionResult, error) {
+// execute runs the personalized query and accounts for it.
+func (r *Result) execute(ctx context.Context, run func() (*exec.UnionResult, error)) (*exec.UnionResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cqp: execute: %w", err)
 	}
@@ -275,7 +273,7 @@ func (r *Result) execute(ctx context.Context, bounded bool, run func() (*exec.Un
 		return nil, err
 	}
 	if span != nil {
-		span.SetAttr("rows", len(res.Rows))
+		span.SetAttr("rows", res.Total)
 		span.SetAttr("blocks", res.BlockReads)
 		span.SetAttr("base", obs.FormatDuration(res.Base))
 		span.SetAttr("rank", obs.FormatDuration(res.Rank))
@@ -287,9 +285,10 @@ func (r *Result) execute(ctx context.Context, bounded bool, run func() (*exec.Un
 	}
 	b := time.Duration(r.blockMillis * float64(time.Millisecond))
 	actMS := float64(exec.RealCost(res.BlockReads, res.Elapsed, b)) / float64(time.Millisecond)
-	rows := float64(len(res.Rows))
+	rows := float64(res.Total)
 	r.acc.Record(r.Solution.Cost, actMS, r.Solution.Size, rows)
-	if reg := r.db.Metrics(); reg != nil && bounded {
+	// The bounds speak of the all-match answer; an any-match answer is not it.
+	if reg := r.db.Metrics(); reg != nil && r.pq.AllMatch {
 		if r.prob.CostMax > 0 && actMS > r.prob.CostMax {
 			reg.Counter("cqp_constraint_violation_total", "param", "cost").Inc()
 		}
