@@ -1,3 +1,6 @@
+// Package resilience provides the circuit breaker the cqpd daemon guards
+// its pipeline with, and the cluster its peers: three states, consecutive
+// failures to open, a timed open window, bounded half-open probes.
 package resilience
 
 import (

@@ -1,105 +1,11 @@
 package resilience
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 )
-
-var errBoom = errors.New("boom")
-
-func fastPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    2 * time.Millisecond,
-		rand:        func() float64 { return 0.5 }, // no jitter spread
-	}
-}
-
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	calls, retries := 0, 0
-	pol := fastPolicy()
-	pol.OnRetry = func(int, error) { retries++ }
-	err := Retry(context.Background(), pol, func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return errBoom
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Retry = %v", err)
-	}
-	if calls != 3 || retries != 2 {
-		t.Fatalf("calls = %d, retries = %d, want 3 and 2", calls, retries)
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	calls := 0
-	err := Retry(context.Background(), fastPolicy(), func(context.Context) error {
-		calls++
-		return errBoom
-	})
-	if !errors.Is(err, errBoom) || calls != 3 {
-		t.Fatalf("err = %v after %d calls", err, calls)
-	}
-}
-
-func TestRetryStopsOnPermanentError(t *testing.T) {
-	perm := errors.New("permanent")
-	pol := fastPolicy()
-	pol.Retryable = func(err error) bool { return !errors.Is(err, perm) }
-	calls := 0
-	err := Retry(context.Background(), pol, func(context.Context) error {
-		calls++
-		return perm
-	})
-	if !errors.Is(err, perm) || calls != 1 {
-		t.Fatalf("err = %v after %d calls, want permanent after 1", err, calls)
-	}
-}
-
-func TestRetryHonorsContextDuringBackoff(t *testing.T) {
-	pol := fastPolicy()
-	pol.BaseDelay = time.Hour // only a ctx cancel can end the sleep
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- Retry(ctx, pol, func(context.Context) error { return errBoom })
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, errBoom) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want boom joined with Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Retry did not return after cancel")
-	}
-}
-
-func TestRetryDefaultClassifierRejectsContextErrors(t *testing.T) {
-	for _, err := range []error{context.Canceled, context.DeadlineExceeded} {
-		if RetryableDefault(err) {
-			t.Errorf("RetryableDefault(%v) = true", err)
-		}
-		if RetryableDefault(fmt.Errorf("wrap: %w", err)) {
-			t.Errorf("RetryableDefault(wrapped %v) = true", err)
-		}
-	}
-	if !RetryableDefault(errBoom) {
-		t.Error("RetryableDefault(boom) = false")
-	}
-	if RetryableDefault(nil) {
-		t.Error("RetryableDefault(nil) = true")
-	}
-}
 
 // testClock is a manual clock for breaker tests.
 type testClock struct {
@@ -227,60 +133,5 @@ func TestBreakerConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if b.State() != Closed {
 		t.Fatalf("state = %s", b.State())
-	}
-}
-
-func TestWalkFirstRungWins(t *testing.T) {
-	v, name, err := Walk(context.Background(), nil,
-		Step{Name: "stale", Run: func(context.Context) (any, error) { return "cached", nil }},
-		Step{Name: "heuristic", Run: func(context.Context) (any, error) { t.Fatal("walked too far"); return nil, nil }},
-	)
-	if err != nil || v != "cached" || name != "stale" {
-		t.Fatalf("Walk = (%v, %q, %v)", v, name, err)
-	}
-}
-
-func TestWalkSkipsUnavailableAndFallsThrough(t *testing.T) {
-	v, name, err := Walk(context.Background(), nil,
-		Step{Name: "stale", Run: func(context.Context) (any, error) { return nil, ErrStepUnavailable }},
-		Step{Name: "heuristic", Run: func(context.Context) (any, error) { return nil, errBoom }},
-		Step{Name: "tight-cmax", Run: func(context.Context) (any, error) { return 42, nil }},
-	)
-	if err != nil || v != 42 || name != "tight-cmax" {
-		t.Fatalf("Walk = (%v, %q, %v)", v, name, err)
-	}
-}
-
-func TestWalkExhaustion(t *testing.T) {
-	_, _, err := Walk(context.Background(), nil,
-		Step{Name: "a", Run: func(context.Context) (any, error) { return nil, errBoom }},
-		Step{Name: "b", Run: func(context.Context) (any, error) { return nil, errBoom }},
-	)
-	if !errors.Is(err, ErrExhausted) || !errors.Is(err, errBoom) {
-		t.Fatalf("Walk err = %v, want ErrExhausted wrapping boom", err)
-	}
-}
-
-func TestWalkStopsOnPermanentError(t *testing.T) {
-	perm := errors.New("infeasible")
-	calls := 0
-	_, name, err := Walk(context.Background(),
-		func(err error) bool { return errors.Is(err, perm) },
-		Step{Name: "a", Run: func(context.Context) (any, error) { calls++; return nil, perm }},
-		Step{Name: "b", Run: func(context.Context) (any, error) { calls++; return nil, nil }},
-	)
-	if !errors.Is(err, perm) || calls != 1 || name != "a" {
-		t.Fatalf("Walk = (%q, %v) after %d calls", name, err, calls)
-	}
-}
-
-func TestWalkHonorsDeadContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := Walk(ctx, nil,
-		Step{Name: "a", Run: func(context.Context) (any, error) { t.Fatal("ran with dead ctx"); return nil, nil }},
-	)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Walk err = %v", err)
 	}
 }

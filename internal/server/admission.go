@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cqp/internal/obs"
@@ -16,34 +17,29 @@ var ErrSaturated = errors.New("server: admission queue full")
 // ErrShuttingDown reports that the pool no longer accepts work (HTTP 503).
 var ErrShuttingDown = errors.New("server: shutting down")
 
-// Pool is the admission-control layer: a fixed set of workers draining a
-// bounded queue. Work beyond the queue's capacity is shed immediately, and
-// a caller whose context expires while its task is queued gets the context
-// error without the task ever running.
+// Pool is the admission-control layer: a counting semaphore of workers
+// slots, each a token in a buffered channel, and a bound on how many callers
+// may wait for one. The work runs on the caller's own goroutine; the pool
+// starts none. Channel senders are admitted in arrival order, so a caller
+// that finds a slot free never jumps ahead of one already waiting.
 type Pool struct {
-	mu     sync.RWMutex // guards closed against concurrent enqueue/Close
-	closed bool
-	queue  chan *task
-	wg     sync.WaitGroup
+	slots      chan struct{}
+	waiting    atomic.Int64
+	queueDepth int64
 
-	depth  *obs.Gauge
-	busy   *obs.Gauge
-	shed   *obs.Counter
-	waits  *obs.Histogram
-	panics *obs.Counter
+	mu       sync.RWMutex // guards closed against concurrent admission/Close
+	closed   bool
+	admitted sync.WaitGroup // callers inside Do, waiting or running
+
+	depth *obs.Gauge
+	busy  *obs.Gauge
+	shed  *obs.Counter
+	waits *obs.Histogram
 }
 
-type task struct {
-	ctx  context.Context
-	fn   func(context.Context)
-	enq  time.Time
-	done chan struct{}
-	ran  bool // written by the worker before close(done)
-}
-
-// NewPool starts workers goroutines over a queue of queueDepth waiting
-// slots, recording queue depth, busy workers, shed requests and queue-wait
-// time into reg (nil disables recording).
+// NewPool builds a pool of workers slots with queueDepth places to wait,
+// recording queue depth, busy slots, shed requests and queue-wait time into
+// reg (nil disables recording).
 func NewPool(workers, queueDepth int, reg *obs.Registry) *Pool {
 	if workers < 1 {
 		workers = 1
@@ -51,56 +47,71 @@ func NewPool(workers, queueDepth int, reg *obs.Registry) *Pool {
 	if queueDepth < 0 {
 		queueDepth = 0
 	}
-	p := &Pool{
-		queue:  make(chan *task, queueDepth),
-		depth:  reg.Gauge("server_queue_depth"),
-		busy:   reg.Gauge("server_workers_busy"),
-		shed:   reg.Counter("server_shed_total"),
-		waits:  reg.Histogram("server_queue_wait_ms", obs.DurationBucketsMS),
-		panics: reg.Counter("server_pool_panics_total"),
-	}
 	reg.Gauge("server_workers").Set(int64(workers))
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
+	return &Pool{
+		slots:      make(chan struct{}, workers),
+		queueDepth: int64(queueDepth),
+		depth:      reg.Gauge("server_queue_depth"),
+		busy:       reg.Gauge("server_workers_busy"),
+		shed:       reg.Counter("server_shed_total"),
+		waits:      reg.Histogram("server_queue_wait_ms", obs.DurationBucketsMS),
 	}
-	return p
 }
 
-// Do runs fn on a pool worker, passing ctx through, and returns nil only
-// when fn actually ran to completion. ErrSaturated means the queue was full
-// and fn never ran; ErrShuttingDown means the pool is closed; a context
-// error means either the caller stopped waiting (the task may still be
-// queued — the worker will observe the dead context and skip it) or the
-// worker skipped the task because its deadline expired while it was queued.
+// Do runs fn on the caller's goroutine once a slot is free, passing ctx
+// through, and returns nil only when fn ran. ErrSaturated means queueDepth
+// callers were already waiting; ErrShuttingDown means the pool is closed; a
+// context error means ctx died before fn could start. In none of those
+// cases did fn run. The slot is released even when fn panics.
 func (p *Pool) Do(ctx context.Context, fn func(context.Context)) error {
-	t := &task{ctx: ctx, fn: fn, enq: time.Now(), done: make(chan struct{})}
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
 		return ErrShuttingDown
 	}
+	p.admitted.Add(1)
+	p.mu.RUnlock()
+	defer p.admitted.Done()
+
+	enq := time.Now()
+	var err error
 	select {
-	case p.queue <- t:
-		p.mu.RUnlock()
-		p.depth.Set(int64(len(p.queue)))
+	case p.slots <- struct{}{}:
 	default:
-		p.mu.RUnlock()
+		if err = p.wait(ctx); errors.Is(err, ErrSaturated) {
+			return err
+		}
+	}
+	wait := time.Since(enq)
+	p.waits.Observe(float64(wait) / float64(time.Millisecond))
+	obs.RequestFromContext(ctx).AddPhase(obs.PhaseQueue, wait)
+	if err != nil {
+		return err
+	}
+	p.busy.Add(1)
+	defer func() {
+		p.busy.Add(-1)
+		<-p.slots
+	}()
+	if err := ctx.Err(); err != nil {
+		return err // the context died as its slot came free
+	}
+	fn(ctx)
+	return nil
+}
+
+// wait queues the caller for a slot: ErrSaturated when queueDepth callers
+// already wait, the context's error when it dies first.
+func (p *Pool) wait(ctx context.Context) error {
+	n := p.waiting.Add(1)
+	defer func() { p.depth.Set(p.waiting.Add(-1)) }()
+	if n > p.queueDepth {
 		p.shed.Inc()
 		return ErrSaturated
 	}
+	p.depth.Set(n)
 	select {
-	case <-t.done:
-		// close(t.done) happens after the worker's write of t.ran, so the
-		// read is safe. When the worker skipped fn (deadline expired while
-		// queued) both t.done and ctx.Done() can be ready at once; returning
-		// nil here would let callers mistake the skip for success.
-		if !t.ran {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return context.Canceled
-		}
+	case p.slots <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -108,55 +119,19 @@ func (p *Pool) Do(ctx context.Context, fn func(context.Context)) error {
 }
 
 // Pressured reports whether the queue has crossed its high-water mark
-// (three quarters of capacity): the degradation ladder's signal to stop
+// (three quarters of its depth): the degradation ladder's signal to stop
 // spending full-fidelity search time and serve cheaper answers until the
-// backlog drains. Always false for an unbuffered queue.
+// backlog drains. Always false for a pool with no queue.
 func (p *Pool) Pressured() bool {
-	c := cap(p.queue)
-	return c > 0 && len(p.queue) >= (3*c+3)/4
+	c := p.queueDepth
+	return c > 0 && p.waiting.Load() >= (3*c+3)/4
 }
 
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for t := range p.queue {
-		p.depth.Set(int64(len(p.queue)))
-		wait := time.Since(t.enq)
-		p.waits.Observe(float64(wait) / float64(time.Millisecond))
-		obs.RequestFromContext(t.ctx).AddPhase(obs.PhaseQueue, wait)
-		if t.ctx.Err() == nil {
-			p.busy.Add(1)
-			p.runTask(t)
-			p.busy.Add(-1)
-			t.ran = true
-		}
-		close(t.done)
-	}
-}
-
-// runTask executes one task, containing any panic so a poisoned request can
-// never kill a worker (and with it the whole daemon — worker exit would
-// strand the queue). Handlers wrap their own closures with recovery too;
-// this is the pool's last line of defense, and a panic that reaches it
-// leaves the task "ran" with whatever partial state the closure wrote.
-func (p *Pool) runTask(t *task) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.panics.Inc()
-		}
-	}()
-	t.fn(t.ctx)
-}
-
-// Close stops accepting work and blocks until queued tasks drain and all
-// workers exit. Idempotent.
+// Close stops admitting work and blocks until every caller already inside
+// Do — running or waiting for a slot — has returned. Idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
 	p.closed = true
-	close(p.queue)
 	p.mu.Unlock()
-	p.wg.Wait()
+	p.admitted.Wait()
 }

@@ -124,6 +124,32 @@ func TestPoolSkippedTaskNeverReportsSuccess(t *testing.T) {
 	}
 }
 
+// TestPoolPanicReleasesSlot: fn runs on the caller's goroutine, so a panic
+// in it is the caller's to recover — but the slot is released on the way
+// out, and with one slot the next caller still runs.
+func TestPoolPanicReleasesSlot(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := NewPool(1, 1, reg)
+	defer p.Close()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the task's panic did not reach its caller")
+			}
+		}()
+		_ = p.Do(context.Background(), func(context.Context) { panic("task") })
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var ran atomic.Bool
+	if err := p.Do(ctx, func(context.Context) { ran.Store(true) }); err != nil || !ran.Load() {
+		t.Fatalf("next task: err=%v ran=%v, want it run on the released slot", err, ran.Load())
+	}
+	if n := reg.Gauge("server_workers_busy").Value(); n != 0 {
+		t.Errorf("server_workers_busy = %d after both tasks, want 0", n)
+	}
+}
+
 func TestPoolCloseIdempotentAndRejects(t *testing.T) {
 	p := NewPool(1, 1, obs.NewRegistry())
 	p.Close()

@@ -168,7 +168,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		wg.Add(1)
 		go func() {
-			defer wg.Done()
+			// The item runs the pipeline on this goroutine: a panic here
+			// fails the item, not the daemon.
+			defer func() {
+				if r := recover(); r != nil {
+					s.reg.Counter("server_panics_total", "endpoint", "batch").Inc()
+					answers[i] = answer{err: fmt.Errorf("%w: %v", errPanic, r)}
+				}
+				wg.Done()
+			}()
 			if hit := s.lookup(c); hit != nil {
 				answers[i] = answer{resp: c.ep.stamp(hit.val, true, ""), role: "hit"}
 			} else {

@@ -109,7 +109,7 @@ func TestCacheScript(t *testing.T) {
 	armPlan(t, "exec.union:err", 1)
 	post("execute takes the stale rung", "/execute")
 	step("execute, nothing stale", http.MethodPost, "/execute", body(q2, nil))
-	if st := s.Breaker().State(); st != resilience.Open {
+	if st := s.breaker.State(); st != resilience.Open {
 		t.Fatalf("breaker %v after two hard-down requests, want open", st)
 	}
 	post("open breaker, stale rung", "/execute")

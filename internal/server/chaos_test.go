@@ -123,12 +123,12 @@ func TestChaosStorageErrorRatio(t *testing.T) {
 	for {
 		resp, body := doJSON(t, http.MethodPost, ts.URL+"/execute", chaosBody("/execute", 1000, true))
 		if resp.StatusCode == http.StatusOK && checkChaosBody(t, resp.StatusCode, body) == "" &&
-			s.Breaker().State() == resilience.Closed {
+			s.breaker.State() == resilience.Closed {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("daemon did not recover full fidelity after disarm: %d breaker=%v: %s",
-				resp.StatusCode, s.Breaker().State(), body)
+				resp.StatusCode, s.breaker.State(), body)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -201,12 +201,12 @@ func TestChaosRandomizedAllEndpoints(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		resp, body := doJSON(t, http.MethodPost, ts.URL+"/personalize", probe)
-		if resp.StatusCode == http.StatusOK && s.Breaker().State() == resilience.Closed {
+		if resp.StatusCode == http.StatusOK && s.breaker.State() == resilience.Closed {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("daemon did not recover after disarm: %d breaker=%v: %s",
-				resp.StatusCode, s.Breaker().State(), body)
+				resp.StatusCode, s.breaker.State(), body)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -253,7 +253,7 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	if !sawExhausted {
 		t.Error("no response carried class degraded_unavailable")
 	}
-	if st := s.Breaker().State(); st != resilience.Open {
+	if st := s.breaker.State(); st != resilience.Open {
 		t.Fatalf("breaker %v after hard-down burst, want open", st)
 	}
 	if n := s.reg.Counter("server_degraded_bypass_total",
@@ -266,7 +266,7 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		resp, body := doJSON(t, http.MethodPost, ts.URL+"/execute", chaosBody("/execute", 99, true))
-		if resp.StatusCode == http.StatusOK && s.Breaker().State() == resilience.Closed {
+		if resp.StatusCode == http.StatusOK && s.breaker.State() == resilience.Closed {
 			if d := checkChaosBody(t, resp.StatusCode, body); d != "" {
 				t.Fatalf("recovered response still degraded %q", d)
 			}
@@ -274,7 +274,7 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("breaker never recovered: state=%v code=%d body=%s",
-				s.Breaker().State(), resp.StatusCode, body)
+				s.breaker.State(), resp.StatusCode, body)
 		}
 		time.Sleep(30 * time.Millisecond)
 	}
@@ -367,10 +367,12 @@ func TestChaosHeuristicLadderRung(t *testing.T) {
 	}
 }
 
-// TestChaosPanicContainment injects panics at the two layers with different
-// recovery paths: the result cache (handler goroutine — middleware recovery,
-// a counted 500) and the search (pool goroutine — safeRun converts it to a
-// retryable error, the request still succeeds).
+// TestChaosPanicContainment injects panics at the three layers with
+// different recovery paths: the result cache on a request's handler
+// goroutine (middleware recovery, a counted 500), the result cache on a
+// batch item's goroutine (the item's own recovery, an item error), and the
+// search (safeRun converts it to a retryable error, the request still
+// succeeds).
 func TestChaosPanicContainment(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	putProfile(t, ts.URL, "alice", testProfileText())
@@ -389,8 +391,42 @@ func TestChaosPanicContainment(t *testing.T) {
 		t.Errorf("server_panics_total = %d, want 1", n)
 	}
 
-	// Pipeline-goroutine panic: safeRun turns it into a retry, the retry
-	// succeeds once the x1 cap drains, and the answer is full fidelity.
+	// Batch-item panic: an item's goroutine runs the lookup and the pipeline
+	// itself, so only its own recovery stands between the panic and the
+	// process. The struck item fails with class internal; the other answers.
+	armPlan(t, "server.cache:panic:x1", 5)
+	resp, raw = doJSON(t, http.MethodPost, ts.URL+"/personalize/batch", batchBody(
+		batchItem("alice", testSQL), batchItem("alice", "SELECT title FROM MOVIE WHERE year >= 1990")))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch item panic: %d, want 200: %s", resp.StatusCode, raw)
+	}
+	var batch struct {
+		Results []struct {
+			SQL   string     `json:"sql"`
+			Error *errorBody `json:"error"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(raw, &batch); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, it := range batch.Results {
+		switch {
+		case it.Error != nil && it.Error.Class == "internal":
+			failed++
+		case it.Error != nil || it.SQL == "":
+			t.Errorf("batch item: %+v, want an answer or an internal error", it)
+		}
+	}
+	if failed != 1 {
+		t.Errorf("%d batch items failed with class internal, want 1: %s", failed, raw)
+	}
+	if n := s.reg.Counter("server_panics_total", "endpoint", "batch").Value(); n != 1 {
+		t.Errorf("server_panics_total{endpoint=batch} = %d, want 1", n)
+	}
+
+	// Pipeline panic: safeRun turns it into a retry, the retry succeeds once
+	// the x1 cap drains, and the answer is full fidelity.
 	armPlan(t, "search.expand:panic:x1", 6)
 	resp, raw = doJSON(t, http.MethodPost, ts.URL+"/personalize", personalizeBody("alice"))
 	if resp.StatusCode != http.StatusOK {
@@ -406,7 +442,7 @@ func TestChaosPanicContainment(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic request: %d: %s", resp.StatusCode, raw)
 	}
-	if got := fmt.Sprint(s.Breaker().State()); got != "closed" {
+	if got := fmt.Sprint(s.breaker.State()); got != "closed" {
 		t.Errorf("breaker %s after contained panics", got)
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"cqp/internal/cluster"
+	"cqp/internal/obs"
 	"cqp/internal/wal"
 )
 
@@ -271,7 +273,9 @@ func (s *Server) proxyToPeer(w http.ResponseWriter, r *http.Request, peer string
 	if replica {
 		req.Header.Set(headerReplica, "1")
 	}
+	start := time.Now()
 	resp, err := c.Client().Do(req)
+	obs.RequestFromContext(r.Context()).AddPhase(obs.PhaseProxy, time.Since(start))
 	if err != nil {
 		c.ReportPeerFailure(peer)
 		return proxyTransportErr

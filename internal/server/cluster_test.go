@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cqp"
+	"cqp/internal/obs"
 	"cqp/internal/wal"
 )
 
@@ -288,12 +289,20 @@ func TestClusterRoutingProxiesToOwner(t *testing.T) {
 		}
 	}
 
-	// A pipeline request entering at a non-owner is proxied too.
+	// A pipeline request entering at a non-owner is proxied too, and the
+	// entry node charges the hop to the proxy phase.
 	resp, body := doJSON(t, http.MethodPost, tc.url(entry)+"/personalize", map[string]any{
 		"sql": testSQL, "profile_id": "alice",
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("proxied personalize: %d: %s", resp.StatusCode, body)
+	}
+	waitObs(t, "entry node's flight record", func() bool {
+		_, _, ok := tc.node(entry).flight.Get(resp.Header.Get("X-Request-ID"))
+		return ok
+	})
+	if snap, _, _ := tc.node(entry).flight.Get(resp.Header.Get("X-Request-ID")); snap.PhasesUS[obs.PhaseProxy] <= 0 {
+		t.Errorf("proxied request's phases_us = %v, want proxy > 0", snap.PhasesUS)
 	}
 	var pr personalizeResponse
 	if err := json.Unmarshal(body, &pr); err != nil {
@@ -359,7 +368,7 @@ func TestClusterProxyForwardsRequestID(t *testing.T) {
 		for _, n := range []string{"n2", "n1"} {
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				snap, _, ok := tc.node(n).FlightRecorder().Get(id)
+				snap, _, ok := tc.node(n).flight.Get(id)
 				if ok && snap.Endpoint == "personalize" {
 					break
 				}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cqp"
+	"cqp/internal/resilience"
 )
 
 // newTestDaemon builds a daemon without the httptest wrapper, for tests
@@ -206,5 +207,84 @@ func TestCoalesceFollowerRetriesAfterLeaderDeath(t *testing.T) {
 	}
 	if got := runs.Load(); got != 2 {
 		t.Fatalf("pipeline ran %d times, want 2 (dead leader + retry)", got)
+	}
+}
+
+// TestCoalesceLeaderPanic: a panic under a leader that safeRun cannot see —
+// here in a breaker transition hook, at the top of runResilient — still
+// publishes the flight. The followers do not hang: they retry, and the
+// first to rejoin leads the key's next run on the slot the panicking leader
+// released (there is one); after them the next request for the key leads.
+func TestCoalesceLeaderPanic(t *testing.T) {
+	s := newTestDaemon(t, Config{Workers: 1, QueueDepth: 8})
+	const followers = 3
+	followersIn := func() int64 {
+		return s.reg.Counter("coalesce_followers_total", "endpoint", "personalize").Value()
+	}
+	var hooked atomic.Bool
+	s.breaker = resilience.NewBreaker(resilience.BreakerConfig{
+		OpenTimeout: time.Nanosecond,
+		OnTransition: func(_, to resilience.BreakerState) {
+			if to != resilience.HalfOpen || !hooked.CompareAndSwap(false, true) {
+				return
+			}
+			for deadline := time.Now().Add(5 * time.Second); followersIn() < followers && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			panic("injected: breaker transition hook")
+		},
+	})
+	s.breaker.Trip() // the leader's Allow lapses it to half-open, and the hook fires
+	var runs atomic.Int64
+	solve := func(context.Context, string) (any, error) {
+		runs.Add(1)
+		return &personalizeResponse{SQL: "after the panic"}, nil
+	}
+
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		s.runPipeline(context.Background(), "personalize", "key", "stale-key", nil, solve)
+	}()
+	waitFor(t, func() bool { return s.reg.Gauge("coalesce_inflight").Value() == 1 })
+
+	type res struct {
+		o   flightOutcome
+		led bool
+	}
+	results := make(chan res, followers)
+	for i := 0; i < followers; i++ {
+		go func() {
+			o, led := s.runPipeline(context.Background(), "personalize", "key", "stale-key", nil, solve)
+			results <- res{o, led}
+		}()
+	}
+	if r := <-leaderPanic; r == nil {
+		t.Fatal("the leader did not panic")
+	}
+	leaders := 0
+	for i := 0; i < followers; i++ {
+		select {
+		case r := <-results:
+			if r.o.perr != nil || r.o.admitErr != nil || r.o.out.(*personalizeResponse).SQL != "after the panic" {
+				t.Fatalf("follower outcome %+v, want the retried run's answer", r.o)
+			}
+			if r.led {
+				leaders++
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("followers stranded behind a panicked leader")
+		}
+	}
+	// The retries race each other: one leads and the rest follow it, unless
+	// its run is over before they rejoin. Either way a run has a leader.
+	if leaders == 0 || runs.Load() != int64(leaders) {
+		t.Fatalf("%d followers led and the solver ran %d times, want one run per leader", leaders, runs.Load())
+	}
+	if _, led := s.runPipeline(context.Background(), "personalize", "key", "stale-key", nil, solve); !led {
+		t.Fatal("the next request for the key did not lead")
+	}
+	if n := s.reg.Gauge("coalesce_inflight").Value(); n != 0 {
+		t.Errorf("coalesce_inflight = %d after the panic, want 0", n)
 	}
 }

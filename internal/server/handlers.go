@@ -14,7 +14,6 @@ import (
 	"cqp"
 	"cqp/internal/iter"
 	"cqp/internal/obs"
-	"cqp/internal/resilience"
 )
 
 // problemSpec is the JSON form of a Table-1 problem: the number plus the
@@ -184,12 +183,6 @@ type errorResponse struct {
 
 // errNoProfile marks a request naming a stored profile that does not exist.
 var errNoProfile = errors.New("server: no profile")
-
-// errDeadlineSkipped is the belt-and-braces answer when the pool reports
-// success yet the task produced neither a response nor an error: the worker
-// skipped a queued task whose deadline had expired. Handlers must never
-// cache or dereference the nil response that state leaves behind.
-var errDeadlineSkipped = fmt.Errorf("server: deadline expired before the pipeline ran: %w", context.DeadlineExceeded)
 
 // statusWriter captures the response code for per-endpoint metrics, whether
 // the header went out (panic recovery must not write a second one), when the
@@ -418,7 +411,7 @@ func errorStatus(err error, fallback int) (int, string) {
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, cqp.ErrInfeasible):
 		code = http.StatusUnprocessableEntity
-	case errors.Is(err, resilience.ErrExhausted):
+	case errors.Is(err, ErrExhausted):
 		return http.StatusServiceUnavailable, "degraded_unavailable"
 	case transientFault(err):
 		code = http.StatusInternalServerError

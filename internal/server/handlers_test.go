@@ -242,12 +242,12 @@ func TestRefreshInvalidatesCache(t *testing.T) {
 	if s.cache.Len() != 1 {
 		t.Fatalf("cache has %d entries, want 1", s.cache.Len())
 	}
-	gen := s.Personalizer().Generation()
+	gen := s.p.Generation()
 	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/refresh", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("refresh: %d", resp.StatusCode)
 	}
-	if s.Personalizer().Generation() != gen+1 {
+	if s.p.Generation() != gen+1 {
 		t.Fatal("refresh did not advance the generation")
 	}
 	if s.cache.Len() != 1 {

@@ -4,38 +4,47 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"time"
 
 	"cqp"
 	"cqp/internal/fault"
-	"cqp/internal/resilience"
 )
 
 // errPanic marks a pipeline panic that the serving path recovered: the
-// request failed, the worker lives. Classified transient — injected panics
-// (the fault harness's panic mode) and genuine pipeline bugs both warrant a
-// retry and, failing that, the degradation ladder.
+// attempt failed, the request goes on. Classified transient — injected
+// panics (the fault harness's panic mode) and genuine pipeline bugs both
+// warrant a retry and, failing that, the degradation ladder.
 var errPanic = errors.New("server: pipeline panicked")
+
+// ErrExhausted reports that every rung of the degradation ladder was
+// unavailable or failed; handlers map it to 503 degraded_unavailable. The
+// text is the one clients have always seen.
+var ErrExhausted = errors.New("resilience: degradation ladder exhausted")
+
+// The primary attempt's backoff: the first retry sleeps retryBase, each
+// later one twice the last up to retryMax, every sleep spread by ±25 %.
+const (
+	retryBase = 5 * time.Millisecond
+	retryMax  = 250 * time.Millisecond
+)
 
 // transientFault reports whether an error is a backend fault the serving
 // path may retry or degrade around. ONLY injected faults and recovered
 // panics qualify; context errors, cqp.ErrInfeasible and caller mistakes
 // (unknown algorithms, bad SQL) are permanent — retrying them would mask
-// the caller's error and burn workers.
+// the caller's error and burn slots.
 func transientFault(err error) bool {
 	return errors.Is(err, fault.ErrInjected) || errors.Is(err, errPanic)
 }
-
-// permanentErr is transientFault's complement, in the shape
-// resilience.Walk's predicate wants.
-func permanentErr(err error) bool { return !transientFault(err) }
 
 // solver computes a request's response at one rung of its ladder ("" is full
 // fidelity): request.solve bound to the call's query and profile.
 type solver func(ctx context.Context, rung string) (any, error)
 
 // safeRun executes one pipeline attempt, converting a panic into an
-// errPanic-classed error. First line of panic containment: the pool worker
-// and the HTTP middleware behind it are belt and braces.
+// errPanic-classed error, so a poisoned attempt is retried or degraded like
+// any other transient fault.
 func safeRun(ctx context.Context, solve solver, rung string) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -45,15 +54,26 @@ func safeRun(ctx context.Context, solve solver, rung string) (v any, err error) 
 	return solve(ctx, rung)
 }
 
+// sleep waits d or until ctx dies, reporting whether the full wait elapsed.
+func sleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
 // runResilient executes one pipeline request with the daemon's full fault
-// posture. The primary (full-fidelity) attempt runs under the circuit
-// breaker and the retry policy; when it fails transiently, when the breaker
-// is open, or when the admission queue is past its high-water mark, the
-// degradation ladder runs instead: (1) the stale-cache rung, then (2+) the
-// endpoint's cheaper rungs (ladder), in order — built here, where they are
-// walked, not by every request that never degrades. Returns the answer, the
-// name of the rung that produced it ("" = full fidelity), and the terminal
-// error.
+// posture, and is the whole of it: the primary (full-fidelity) attempt runs
+// under the circuit breaker with RetryAttempts tries; when it fails
+// transiently, when the breaker is open, or when the admission queue is
+// past its high-water mark, the degradation ladder runs instead: (1) the
+// stale-cache rung, then (2+) the endpoint's cheaper rungs (ladder), in
+// order. Returns the answer, the name of the rung that produced it ("" =
+// full fidelity), and the terminal error.
 //
 // This is the operational reading of the paper's algorithm family: exact
 // search (the branch-and-bound default; C-BOUNDARIES, D-MAXDOI by name)
@@ -68,81 +88,84 @@ func (s *Server) runResilient(ctx context.Context, endpoint, staleKey string, la
 	case !s.breaker.Allow():
 		bypass = "breaker-open"
 	}
-	if bypass == "" {
-		var val any
-		pol := resilience.RetryPolicy{
-			MaxAttempts: s.cfg.RetryAttempts,
-			Retryable:   transientFault,
-			OnRetry: func(int, error) {
-				s.reg.Counter("server_retries_total", "endpoint", endpoint).Inc()
-			},
-		}
-		err := resilience.Retry(ctx, pol, func(ctx context.Context) error {
-			v, err := safeRun(ctx, solve, "")
-			if err != nil {
-				return err
-			}
-			val = v
-			return nil
-		})
-		switch {
-		case err == nil:
-			s.breaker.Success()
-			return val, "", nil
-		case !transientFault(err):
-			// The backend did its job; the request failed on its own terms
-			// (infeasible problem, dead deadline, caller mistake). Settles
-			// the breaker grant as a success: this is not backend illness.
-			s.breaker.Success()
-			return nil, "", err
-		default:
-			s.breaker.Failure()
-			s.reg.Counter("server_pipeline_faults_total", "endpoint", endpoint).Inc()
-		}
+	if bypass != "" {
+		s.reg.Counter("server_degraded_bypass_total", "endpoint", endpoint, "reason", bypass).Inc()
 	} else {
-		s.reg.Counter("server_degraded_bypass_total",
-			"endpoint", endpoint, "reason", bypass).Inc()
+		for attempt, delay := 1, retryBase; ; attempt++ {
+			v, err := safeRun(ctx, solve, "")
+			if !transientFault(err) {
+				// An answer, or a failure on the request's own terms
+				// (infeasible problem, dead deadline, caller mistake): the
+				// backend did its job, so the breaker grant settles as a
+				// success.
+				s.breaker.Success()
+				return v, "", err
+			}
+			if attempt >= s.cfg.RetryAttempts {
+				break
+			}
+			s.reg.Counter("server_retries_total", "endpoint", endpoint).Inc()
+			if !sleep(ctx, time.Duration(float64(delay)*(0.75+0.5*rand.Float64()))) {
+				break
+			}
+			delay = min(2*delay, retryMax)
+		}
+		s.breaker.Failure()
+		s.reg.Counter("server_pipeline_faults_total", "endpoint", endpoint).Inc()
 	}
 
-	steps := make([]resilience.Step, 0, len(ladder)+1)
-	steps = append(steps, resilience.Step{Name: "stale", Run: func(context.Context) (any, error) {
-		if v, ok := s.cache.GetStale(staleKey); ok {
-			return v, nil
+	var last error // the last transient failure of a rung
+	for i := 0; i <= len(ladder); i++ {
+		if err := ctx.Err(); err != nil {
+			return s.unavailable(endpoint, errors.Join(last, err))
 		}
-		return nil, resilience.ErrStepUnavailable
-	}})
-	for _, rung := range ladder {
-		// Panics are contained, and an infeasibility verdict is "rung
-		// unavailable" rather than a request error: a degraded search
-		// (heuristic algorithm, tightened cmax) can miss solutions the
-		// full-fidelity search would find, so its infeasibility proves
-		// nothing about the caller's problem. A genuinely infeasible problem
-		// surfaces from the primary attempt, which is exact on all six
-		// problems unless the caller named a heuristic.
-		steps = append(steps, resilience.Step{Name: rung, Run: func(ctx context.Context) (any, error) {
-			v, err := safeRun(ctx, solve, rung)
-			if err != nil && errors.Is(err, cqp.ErrInfeasible) {
-				return nil, resilience.ErrStepUnavailable
+		rung, v, err := "stale", any(nil), error(nil)
+		if i == 0 {
+			var ok bool
+			if v, ok = s.cache.GetStale(staleKey); !ok {
+				continue
 			}
-			return v, err
-		}})
+		} else {
+			rung = ladder[i-1]
+			v, err = safeRun(ctx, solve, rung)
+		}
+		switch {
+		case err == nil:
+			s.reg.Counter("server_degraded_total", "endpoint", endpoint, "rung", rung).Inc()
+			return v, rung, nil
+		case errors.Is(err, cqp.ErrInfeasible):
+			// A degraded search (heuristic algorithm, tightened cmax) can
+			// miss solutions the full-fidelity search would find, so its
+			// infeasibility proves nothing about the caller's problem: the
+			// rung is unavailable. A genuinely infeasible problem surfaces
+			// from the primary attempt, which is exact on all six problems
+			// unless the caller named a heuristic.
+		case !transientFault(err):
+			// A request that is wrong rather than unlucky: degrading
+			// cannot fix it.
+			return s.unavailable(endpoint, err)
+		default:
+			last = err
+		}
 	}
-	v, rung, err := resilience.Walk(ctx, permanentErr, steps...)
-	if err != nil {
-		// The ladder ran dry: every rung was unavailable or failed. Counted
-		// under its own rung so the degradation spectrum (stale → heuristic →
-		// tight-cmax → unavailable) reads off one metric.
-		s.reg.Counter("server_degraded_total", "endpoint", endpoint, "rung", "unavailable").Inc()
-		return nil, "", err
+	if last == nil {
+		last = errors.New("resilience: degradation step unavailable")
 	}
-	s.reg.Counter("server_degraded_total", "endpoint", endpoint, "rung", rung).Inc()
-	return v, rung, nil
+	return s.unavailable(endpoint, fmt.Errorf("%w: %w", ErrExhausted, last))
+}
+
+// unavailable ends a ladder that produced no answer. It is counted under its
+// own rung, so the degradation spectrum (stale → heuristic → tight-cmax →
+// unavailable) reads off one metric.
+func (s *Server) unavailable(endpoint string, err error) (any, string, error) {
+	s.reg.Counter("server_degraded_total", "endpoint", endpoint, "rung", "unavailable").Inc()
+	return nil, "", err
 }
 
 // cacheFault is the server.cache fault point, evaluated before every result-
 // cache read and fill: an injected error makes the read a miss and skips
 // the fill (the cache is an optimization, never a correctness dependency);
-// an injected panic exercises the middleware recovery.
+// an injected panic exercises the recovery of the goroutine it fires on.
 func (s *Server) cacheFault() bool {
 	if err := fault.Inject(fault.ServerCache); err != nil {
 		s.reg.Counter("server_cache_faults_total").Inc()
