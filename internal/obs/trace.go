@@ -14,10 +14,10 @@ import (
 // propagate via context.Context; a nil *Span is an inert span whose
 // methods no-op, which is how tracing stays free when disabled.
 //
-// A tree may be read while it still grows (a request that gave up on its
-// deadline renders its trace while the worker it left behind attaches
-// spans), so mutation is mutex-guarded — spans live on the once-per-query
-// control path, not in the search loop.
+// One tree may grow from several goroutines at once (the items of a
+// batch attach their spans to the batch's one tree concurrently), so
+// mutation is mutex-guarded — spans live on the once-per-query control
+// path, not in the search loop.
 type Span struct {
 	name  string
 	start time.Time

@@ -115,8 +115,24 @@ var roleOrder = []string{"", "hit", "follower", "leader", "solo"}
 // per-rung counts.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
+	body, err := s.decodeJSON(w, r, &req)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	// A batch is routed as one request by its first stored-profile item: the
+	// endpoint's shape is one user's list page, so items overwhelmingly share
+	// one owner. A mixed-owner batch resolves its foreign items against the
+	// serving node's store and they fail item-wise, so callers wanting
+	// cross-owner batches should split them per user.
+	id := ""
+	for _, it := range req.Items {
+		if id = it.ProfileID; id != "" {
+			break
+		}
+	}
+	local, replica := s.route(w, r, false, id, body)
+	if !local {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -148,7 +164,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		item := &req.Items[i]
 		item.execute, item.Limit = req.Execute, req.Limit
 		c := &call{ep: ep, req: item}
-		if err := s.prepare(r.Context(), c); err != nil {
+		if err := s.prepare(c, replica); err != nil {
 			answers[i] = answer{err: err}
 			continue
 		}

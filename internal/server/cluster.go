@@ -58,70 +58,6 @@ const (
 	catchUpAttempts = 15
 )
 
-// replicaServeKey marks a request context as replica-serving: profile
-// resolution may fall back to the follower's replicated snapshot.
-type replicaServeKey struct{}
-
-func withReplicaServe(ctx context.Context) context.Context {
-	return context.WithValue(ctx, replicaServeKey{}, true)
-}
-
-func replicaServing(ctx context.Context) bool {
-	v, _ := ctx.Value(replicaServeKey{}).(bool)
-	return v
-}
-
-// routeByPath routes a /profiles/{id} request by its path ID. Mutations
-// must run on the owner; reads may fail over.
-func (s *Server) routeByPath(mutation bool, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.routeRequest(w, r, mutation, r.PathValue("id"), nil, h)
-	}
-}
-
-// routePeek is the routing view of a pipeline request body: the top-level
-// profile_id, or (for /personalize/batch) the first item's. A batch is
-// routed as one request by its first stored-profile item — the endpoint's
-// shape is one user's list page, so items overwhelmingly share one owner;
-// a mixed-owner batch resolves its foreign items against the serving
-// node's local store and they fail item-wise, so callers wanting
-// cross-owner batches should split them per user.
-type routePeek struct {
-	ProfileID string `json:"profile_id"`
-	Items     []struct {
-		ProfileID string `json:"profile_id"`
-	} `json:"items"`
-}
-
-// routeByBody routes a pipeline request by the profile_id inside its JSON
-// body. The body is buffered (bounded) once: the local handler reads the
-// restored copy, the proxy forwards the same bytes; malformed JSON routes
-// locally and gets the handler's own 400.
-func (s *Server) routeByBody(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.cluster == nil {
-			h(w, r)
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		var peek routePeek
-		_ = json.Unmarshal(body, &peek)
-		id := peek.ProfileID
-		for _, it := range peek.Items {
-			if id != "" {
-				break
-			}
-			id = it.ProfileID
-		}
-		s.routeRequest(w, r, false, id, body, h)
-	}
-}
-
 // writeWrongEpoch rejects traffic routed on a stale ring: 409 with this
 // node's epoch in the header, so the sender can tell it must refetch.
 func (s *Server) writeWrongEpoch(w http.ResponseWriter, path string) {
@@ -132,20 +68,22 @@ func (s *Server) writeWrongEpoch(w http.ResponseWriter, path string) {
 		fmt.Sprintf("server: this node is at ring epoch %d; refetch /cluster/state", epoch))
 }
 
-// routeRequest is the routing decision for one request touching profile
-// id: local when this node owns it (or no cluster, or no id, or the
-// request was already forwarded), proxy to the owner otherwise — re-
-// routing on a fresh ring after a wrong_epoch rejection — and failover
-// along the follower list when the owner is unreachable. body is the
-// request body when the caller already buffered it (r.Body then holds a
-// fresh copy for h), nil when it is still unread in r.Body.
-func (s *Server) routeRequest(w http.ResponseWriter, r *http.Request, mutation bool, id string, body []byte, h http.HandlerFunc) {
+// route is the driver's routing step for a request touching profile id,
+// taken once the body is decoded. local reports that this node answers it;
+// replica, that it answers from the replica store. When local is false the
+// answer is already written: the owner's or a follower's, proxied, or a
+// wrong_epoch or owner_down refusal. This node answers when it owns id (or
+// there is no cluster, or no id, or the request was already forwarded);
+// otherwise it proxies body to the owner — re-routing on a fresh ring after
+// a wrong_epoch rejection — and fails over along the follower list when the
+// owner is unreachable. Mutations never fail over.
+func (s *Server) route(w http.ResponseWriter, r *http.Request, mutation bool, id string, body []byte) (local, replica bool) {
 	c := s.cluster
 	if c == nil || id == "" {
-		h(w, r)
-		return
+		return true, false
 	}
-	if fwd := r.Header.Get(headerForwarded); fwd != "" {
+	if r.Header.Get(headerForwarded) != "" {
+		replica = r.Header.Get(headerReplica) == "1"
 		// Reject only senders routing on an OLDER ring — and even then
 		// only when they actually misrouted: if this node is still the
 		// right destination under its newer ring (owner for a normal
@@ -153,66 +91,42 @@ func (s *Server) routeRequest(w http.ResponseWriter, r *http.Request, mutation b
 		// the right door anyway and rejecting would just force a
 		// pointless retry loop against a sender that may not be able to
 		// adopt the new ring until its own commit lands.
-		if eh := r.Header.Get(cluster.HeaderEpoch); eh != "" {
-			if se, err := strconv.ParseUint(eh, 10, 64); err == nil && se < c.Epoch() {
-				valid := c.IsOwner(id)
-				if r.Header.Get(headerReplica) == "1" {
-					valid = c.IsFollower(id)
-				}
-				if !valid {
-					s.writeWrongEpoch(w, "proxy")
-					return
-				}
+		if se, err := strconv.ParseUint(r.Header.Get(cluster.HeaderEpoch), 10, 64); err == nil && se < c.Epoch() {
+			valid := c.IsOwner(id)
+			if replica {
+				valid = c.IsFollower(id)
+			}
+			if !valid {
+				s.writeWrongEpoch(w, "proxy")
+				return false, false
 			}
 		}
-		if r.Header.Get(headerReplica) == "1" {
-			r = r.WithContext(withReplicaServe(r.Context()))
-		}
-		h(w, r)
-		return
+		return true, replica
 	}
-	if c.IsOwner(id) {
-		h(w, r)
-		return
-	}
-	// The profile lives elsewhere: buffer the body once so a failed proxy
-	// attempt can still fall back without losing it.
-	if body == nil {
-		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	owner := c.Owner(id)
+	var owner string
 	for attempt := 0; attempt < routeRetries; attempt++ {
-		owner = c.Owner(id)
-		if owner == c.Self() {
-			// A ring refetch moved ownership here mid-request.
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			h(w, r)
-			return
+		// A ring refetch may have moved ownership here mid-request.
+		if owner = c.Owner(id); owner == c.Self() {
+			return true, false
 		}
 		if !c.Up(owner) {
 			break
 		}
 		res := s.proxyToPeer(w, r, owner, body, false)
 		if res == proxyServed {
-			return
+			return false, false
 		}
-		if res == proxyWrongEpoch {
-			// The owner is on a newer ring than us: adopt it and re-route.
-			c.RefreshFromPeer(owner)
-			continue
+		if res != proxyWrongEpoch {
+			break // transport failure → failover
 		}
-		break // transport failure → failover
+		// The owner is on a newer ring than us: adopt it and re-route.
+		c.RefreshFromPeer(owner)
 	}
 	s.reg.Counter("cluster_failovers_total", "owner", owner).Inc()
 	if mutation {
 		writeError(w, http.StatusServiceUnavailable, "owner_down",
 			fmt.Sprintf("server: node %s owning profile %q is unreachable; mutations do not fail over", owner, id))
-		return
+		return false, false
 	}
 	if c.Replicating() {
 		// Walk the follower list in failover order; with R=3 the read
@@ -223,17 +137,16 @@ func (s *Server) routeRequest(w http.ResponseWriter, r *http.Request, mutation b
 			}
 			if f == c.Self() {
 				s.reg.Counter("cluster_failover_serves_total").Inc()
-				r.Body = io.NopCloser(bytes.NewReader(body))
-				h(w, r.WithContext(withReplicaServe(r.Context())))
-				return
+				return true, true
 			}
 			if c.Up(f) && s.proxyToPeer(w, r, f, body, true) == proxyServed {
-				return
+				return false, false
 			}
 		}
 	}
 	writeError(w, http.StatusServiceUnavailable, "owner_down",
 		fmt.Sprintf("server: node %s owning profile %q is unreachable and no replica can serve it", owner, id))
+	return false, false
 }
 
 // proxyResult is one proxy attempt's outcome.
@@ -300,16 +213,20 @@ func (s *Server) proxyToPeer(w http.ResponseWriter, r *http.Request, peer string
 	return proxyServed
 }
 
-// replicaProfile materializes a replica record as a StoredProfile. The
-// text was validated by the owner before it was acked, so a parse failure
-// here means replica corruption and reads as absence.
-func (s *Server) replicaProfile(id string) (*StoredProfile, bool) {
+// profile resolves a stored profile for the pipeline and GET /profiles/{id}:
+// from the local store or, when route chose this node as a failover
+// follower, from its replica, which marks the answer stale. The owner checked
+// the text before acking it, so a replica that fails to parse is corrupt.
+func (s *Server) profile(id string, replica bool) (sp *StoredProfile, stale, ok bool) {
+	if sp, ok = s.store.Get(id); ok || !replica {
+		return sp, false, ok
+	}
 	rec, ok := s.cluster.Replica().Get(id)
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
 	sp, err := newStoredProfile(s.db.Schema(), rec)
-	return sp, err == nil
+	return sp, err == nil, err == nil
 }
 
 // syncRecords is the node's replication SyncSource: its version clock and

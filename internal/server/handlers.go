@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -434,11 +435,29 @@ func (s *Server) fail(w http.ResponseWriter, fallback int, err error) {
 	writeError(w, code, class, err.Error())
 }
 
-// decodeJSON parses the bounded request body into v.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// decodeJSON parses the bounded request body into v: one JSON value and
+// nothing after it but whitespace. In a cluster it also returns the body's
+// bytes, which route forwards when another node owns the profile.
+// Standalone the body streams into the decoder and nothing is kept.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, error) {
+	var body []byte
+	var src io.Reader = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if s.cluster != nil {
+		var err error
+		if body, err = io.ReadAll(src); err != nil {
+			return nil, err
+		}
+		src = bytes.NewReader(body)
+	}
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("server: request body has data after its JSON value")
+	}
+	return body, nil
 }
 
 // requestContext derives the per-request deadline (request value, capped by
@@ -543,6 +562,9 @@ func (s *Server) handleProfilePut(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
+	if local, _ := s.route(w, r, true, id, body); !local {
+		return
+	}
 	sp, err := s.store.Put(id, string(body))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -555,12 +577,11 @@ func (s *Server) handleProfilePut(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sp, ok := s.store.Get(id)
-	stale := false
-	if !ok && s.cluster != nil && replicaServing(r.Context()) {
-		sp, ok = s.replicaProfile(id)
-		stale = ok
+	local, replica := s.route(w, r, false, id, nil)
+	if !local {
+		return
 	}
+	sp, stale, ok := s.profile(id, replica)
 	if !ok {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("server: no profile %q", id))
 		return
@@ -573,6 +594,9 @@ func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleProfileDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	if local, _ := s.route(w, r, true, id, nil); !local {
+		return
+	}
 	ok, err := s.store.Delete(id)
 	if errors.Is(err, errDurability) {
 		s.fail(w, http.StatusServiceUnavailable, err)

@@ -464,6 +464,60 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected: a pipeline body is one JSON value with nothing
+// after it but whitespace. Anything else is 400 bad_request, standalone and
+// at a cluster node that does not own the profile alike (that node used to
+// peek at the body leniently, fail, serve it from its own store and answer
+// 404 no profile).
+func TestTrailingDataRejected(t *testing.T) {
+	post := func(t *testing.T, url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, errorClass(data)
+	}
+	value := `{"sql":"` + testSQL + `","profile_id":"alice"}`
+
+	t.Run("standalone", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{})
+		putProfile(t, ts.URL, "alice", testProfileText())
+		cases := []struct {
+			path, body string
+			want       int
+		}{
+			{"/personalize", value, http.StatusOK},
+			{"/personalize", value + " \n\t\r\n", http.StatusOK},
+			{"/personalize", value + "  trailing-garbage", http.StatusBadRequest},
+			{"/personalize", value + `{"sql":"x"}`, http.StatusBadRequest},
+			{"/execute", value + " 1", http.StatusBadRequest},
+			{"/personalize/batch", `{"items":[` + value + `]} x`, http.StatusBadRequest},
+		}
+		for _, c := range cases {
+			code, class := post(t, ts.URL+c.path, c.body)
+			if code != c.want || (c.want == http.StatusBadRequest && class != "bad_request") {
+				t.Errorf("%s %q: %d %s, want %d", c.path, c.body, code, class, c.want)
+			}
+		}
+	})
+
+	t.Run("cluster non-owner", func(t *testing.T) {
+		tc := newTestCluster(t, []string{"n1", "n2"}, false)
+		key := tc.keyOwnedBy("n1")
+		putProfile(t, tc.url("n1"), key, testProfileText())
+		body := strings.Replace(value, "alice", key, 1)
+		if code, _ := post(t, tc.url("n2")+"/personalize", body); code != http.StatusOK {
+			t.Fatalf("via n2: %d, want 200", code)
+		}
+		if code, class := post(t, tc.url("n2")+"/personalize", body+" x"); code != http.StatusBadRequest || class != "bad_request" {
+			t.Fatalf("via n2 with trailing data: %d %s, want 400 bad_request", code, class)
+		}
+	})
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	putProfile(t, ts.URL, "alice", testProfileText())

@@ -60,6 +60,11 @@ var (
 // endpoint walks the part of it that applies.
 var solveLadder = []string{"heuristic", "tight-cmax"}
 
+// tightenFactor is the cmax multiplier of the "tight-cmax" rung: a cheaper,
+// lower-quality search under the paper's own knob (a smaller feasible
+// region is faster to search).
+const tightenFactor = 0.5
+
 // cloneAs copies a shared *T response.
 func cloneAs[T any, P interface {
 	*T
@@ -114,7 +119,7 @@ func (r *personalizeRequest) solve(ctx context.Context, s *Server, q *cqp.Query,
 		alg = "D_HeurDoi"
 	}
 	if rung == "tight-cmax" {
-		prob.CostMax *= s.cfg.TightenFactor
+		prob.CostMax *= tightenFactor
 	}
 	res, err := s.p.PersonalizeContext(ctx, q, prof, prob, buildOpts(alg, r.K, r.Budget, r.AnyMatch, r.Merge)...)
 	if err != nil {
@@ -172,7 +177,7 @@ func (r *frontRequest) ladder() []string {
 func (r *frontRequest) solve(ctx context.Context, s *Server, q *cqp.Query, prof *cqp.Profile, _ uint64, rung string) (any, error) {
 	cmax := r.CmaxMS
 	if rung == "tight-cmax" {
-		cmax *= s.cfg.TightenFactor
+		cmax *= tightenFactor
 	}
 	front, err := s.p.PersonalizeFrontContext(ctx, q, prof, cmax, r.Smin, r.Smax, r.MaxPoints,
 		buildOpts("", r.K, r.Budget, false, false)...)
@@ -217,7 +222,7 @@ func (r *topkRequest) ladder() []string { return solveLadder[1:] }
 func (r *topkRequest) solve(ctx context.Context, s *Server, q *cqp.Query, prof *cqp.Profile, _ uint64, rung string) (any, error) {
 	cmax := r.CmaxMS
 	if rung == "tight-cmax" {
-		cmax *= s.cfg.TightenFactor
+		cmax *= tightenFactor
 	}
 	answers, err := s.p.PersonalizeTopKContext(ctx, q, prof, cmax, r.K, buildOpts("", r.MaxK, 0, false, false)...)
 	if err != nil {
@@ -313,9 +318,10 @@ func (c *call) appendIdentity(b []byte) []byte {
 
 // prepare resolves a decoded body into a runnable call: the parsed query
 // (from the query memo when the text has been seen), the endpoint's own
-// validation, the profile — a stored one by ID, at its version, or an inline
-// parsed one — and, for a cacheable request, the cache keys.
-func (s *Server) prepare(ctx context.Context, c *call) error {
+// validation, the profile — a stored one by ID, at its version (a replica's
+// when route chose this node as a failover follower), or an inline parsed
+// one — and, for a cacheable request, the cache keys.
+func (s *Server) prepare(c *call, replica bool) error {
 	in := c.req.base()
 	var err error
 	if c.parsedQuery, err = s.queries.parse(s.db.Schema(), in.SQL); err != nil {
@@ -328,17 +334,11 @@ func (s *Server) prepare(ctx context.Context, c *call) error {
 	case in.ProfileID != "" && in.Profile != "":
 		return fmt.Errorf("server: profile_id and profile are mutually exclusive")
 	case in.ProfileID != "":
-		sp, ok := s.store.Get(in.ProfileID)
-		if !ok && s.cluster != nil && replicaServing(ctx) {
-			// Cluster failover: the owner is down and this node follows the
-			// profile, so a local-store miss falls back to the replicated
-			// snapshot.
-			sp, ok = s.replicaProfile(in.ProfileID)
-			c.replica = ok
-		}
+		sp, stale, ok := s.profile(in.ProfileID, replica)
 		if !ok {
 			return fmt.Errorf("%w %q", errNoProfile, in.ProfileID)
 		}
+		c.replica = stale
 		c.prof, c.version = sp.Profile, sp.Version
 	case in.Profile != "":
 		if c.prof, err = cqp.ParseProfile(in.Profile); err == nil {
@@ -432,16 +432,20 @@ func (s *Server) run(ctx context.Context, c *call) answer {
 }
 
 // handle is the driver's HTTP face, the same for every endpoint: decode,
-// prepare, the warm path or the pipeline under a fresh request context,
+// route, prepare, the warm path or the pipeline under a fresh request context,
 // then the flight record, the trace payload if asked for, and the response.
 func (s *Server) handle(ep *endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rec := obs.RequestFromContext(r.Context())
 		lp := startLaps(rec)
 		c := call{ep: ep, req: ep.newRequest()}
-		err := s.decodeJSON(w, r, c.req)
+		body, err := s.decodeJSON(w, r, c.req)
 		if err == nil {
-			err = s.prepare(r.Context(), &c)
+			local, replica := s.route(w, r, false, c.req.base().ProfileID, body)
+			if !local {
+				return
+			}
+			err = s.prepare(&c, replica)
 		}
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, err)

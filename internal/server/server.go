@@ -52,11 +52,6 @@ type Config struct {
 	// how long it stays open before half-open probes (default 5s).
 	BreakerThreshold   int
 	BreakerOpenTimeout time.Duration
-	// TightenFactor is the cmax multiplier the degradation ladder's third
-	// rung applies — a cheaper, lower-quality search under the paper's own
-	// knob (a smaller feasible region is faster to search). In (0,1),
-	// default 0.5.
-	TightenFactor float64
 
 	// Logger receives the per-request structured log lines (one per
 	// finished request, plus slow-query lines). Nil disables request
@@ -80,12 +75,9 @@ type Config struct {
 	// memory-only store.
 	DataDir string
 	// FsyncPolicy is when log appends reach stable storage: "always"
-	// (default — fsync before ack), "interval" (background ticker), or
-	// "never" (OS page cache).
+	// (default — fsync before ack), "interval" (a background ticker, every
+	// 100ms), or "never" (OS page cache).
 	FsyncPolicy string
-	// FsyncInterval is the "interval" policy's ticker period (default
-	// 100ms).
-	FsyncInterval time.Duration
 	// SnapshotEvery is how many logged mutations trigger a snapshot and
 	// log truncation (default 1024; negative disables automatic
 	// snapshots).
@@ -159,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerOpenTimeout <= 0 {
 		c.BreakerOpenTimeout = 5 * time.Second
-	}
-	if c.TightenFactor <= 0 || c.TightenFactor >= 1 {
-		c.TightenFactor = 0.5
 	}
 	if c.BatchMaxItems <= 0 {
 		c.BatchMaxItems = 64
@@ -241,7 +230,6 @@ func New(db *cqp.DB, cfg Config) (*Server, error) {
 		}
 		store, rec, err := NewDurableProfileStore(db.Schema(), cfg.DataDir, wal.Options{
 			Sync:          policy,
-			SyncEvery:     cfg.FsyncInterval,
 			SnapshotEvery: cfg.SnapshotEvery,
 			Metrics:       reg,
 		})
@@ -323,17 +311,18 @@ func (s *Server) Profiles() *ProfileStore { return s.store }
 
 // routes mounts every endpoint on the daemon's mux.
 func (s *Server) routes() {
-	// Pipeline endpoints run through admission control; in cluster mode the
-	// routing wrapper proxies them to the profile's owner first.
+	// Pipeline endpoints run through admission control. In cluster mode
+	// each handler routes a request touching a profile another node owns to
+	// that owner (route) once it has decoded the body or read the path id.
 	for _, ep := range []*endpoint{personalizeEndpoint, executeEndpoint, frontEndpoint, topkEndpoint} {
-		s.mux.HandleFunc("POST /"+ep.name, s.instrument(ep.name, s.routeByBody(s.handle(ep))))
+		s.mux.HandleFunc("POST /"+ep.name, s.instrument(ep.name, s.handle(ep)))
 	}
-	s.mux.HandleFunc("POST /personalize/batch", s.instrument("batch", s.routeByBody(s.handleBatch)))
+	s.mux.HandleFunc("POST /personalize/batch", s.instrument("batch", s.handleBatch))
 
 	// Profile CRUD and admin bypass the pool: they are O(profile) work.
-	s.mux.HandleFunc("PUT /profiles/{id}", s.instrument("profile_put", s.routeByPath(true, s.handleProfilePut)))
-	s.mux.HandleFunc("GET /profiles/{id}", s.instrument("profile_get", s.routeByPath(false, s.handleProfileGet)))
-	s.mux.HandleFunc("DELETE /profiles/{id}", s.instrument("profile_delete", s.routeByPath(true, s.handleProfileDelete)))
+	s.mux.HandleFunc("PUT /profiles/{id}", s.instrument("profile_put", s.handleProfilePut))
+	s.mux.HandleFunc("GET /profiles/{id}", s.instrument("profile_get", s.handleProfileGet))
+	s.mux.HandleFunc("DELETE /profiles/{id}", s.instrument("profile_delete", s.handleProfileDelete))
 	s.mux.HandleFunc("GET /profiles", s.instrument("profile_list", s.handleProfileList))
 	s.mux.HandleFunc("POST /refresh", s.instrument("refresh", s.handleRefresh))
 
