@@ -1,20 +1,27 @@
-package prefs
+package prefs_test
 
-import "testing"
+import (
+	"testing"
 
-// FuzzParseProfile holds the profile text format to its round trip: parsing
-// never panics, and a profile that parses renders (String) a text that parses
-// again and renders to the same text, so String is a canonical form.
-// testdata/fuzz/FuzzParseProfile seeds it with the profiles of the prefs
-// tests.
+	"cqp/internal/prefs"
+)
+
+// FuzzParseProfile holds the profile text format to its round trip and to
+// the reference parser: parsing never panics, ParseProfile and ParseAtomic
+// answer as parseProfileRef and parseAtomicRef do (atoms, texts, indexes
+// and error messages), and a profile that parses renders (String) a text
+// that parses again and renders to the same text, so String is a canonical
+// form. testdata/fuzz/FuzzParseProfile seeds it with the profiles of the
+// prefs tests.
 func FuzzParseProfile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
-		p, err := ParseProfile(src)
+		checkAgainstRef(t, src)
+		p, err := prefs.ParseProfile(src)
 		if err != nil {
 			return
 		}
 		text := p.String()
-		p2, err := ParseProfile(text)
+		p2, err := prefs.ParseProfile(text)
 		if err != nil {
 			t.Fatalf("%q parses, its rendering %q does not: %v", src, text, err)
 		}

@@ -82,6 +82,18 @@ func TestProfileAddValidation(t *testing.T) {
 	}
 }
 
+// TestNaNDoiRejected: a NaN doi is outside [0,1], whether added or parsed.
+func TestNaNDoiRejected(t *testing.T) {
+	sel := &SelectionCond{Attr: schema.AttrRef{Relation: "MOVIE", Attr: "year"}, Op: query.OpEq, Value: value.Int(1990)}
+	if err := NewProfile().Add(Atomic{Sel: sel, Doi: math.NaN()}); err == nil || err.Error() != "prefs: doi NaN outside [0,1]" {
+		t.Errorf("Add with a NaN doi: %v", err)
+	}
+	_, err := ParseProfile("doi(MOVIE.year = 1990) = NaN")
+	if err == nil || err.Error() != "prefs: line 1: prefs: doi NaN outside [0,1]" {
+		t.Errorf("ParseProfile with a NaN doi: %v", err)
+	}
+}
+
 func TestProfileValidateAgainstSchema(t *testing.T) {
 	s := testutil.MovieSchema()
 	if err := figure1Profile(t).Validate(s); err != nil {

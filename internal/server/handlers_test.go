@@ -149,6 +149,25 @@ func TestProfileCRUDOverHTTP(t *testing.T) {
 	}
 }
 
+// TestProfilePutNaNDoiRejected: a profile with a NaN doi is a 400, and
+// nothing is stored.
+func TestProfilePutNaNDoiRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/profiles/nan", strings.NewReader("doi(MOVIE.year = 1990) = NaN\n"))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "outside [0,1]") {
+		t.Fatalf("PUT with a NaN doi: %d %s, want 400 outside [0,1]", resp.StatusCode, body)
+	}
+	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/profiles/nan", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET after the rejected PUT: %d, want 404", resp.StatusCode)
+	}
+}
+
 // TestPersonalizeCacheMissThenHit is the acceptance check: the second
 // identical request answers from the cache — server_cache_hits increments
 // and the trace carries no search span, i.e. the pipeline never ran.
