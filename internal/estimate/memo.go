@@ -110,13 +110,17 @@ func (e *Estimator) PrefParams(scope string, p prefs.Implicit) (cost, shrink flo
 	return params.cost, params.shrink, ok
 }
 
-// StorePrefParams memoizes one computed (SubQueryCost, Shrink) pair.
+// StorePrefParams memoizes one computed (SubQueryCost, Shrink) pair. The
+// key's texts are copied: a condition is a substring of a block — a
+// profile's text or a preference space's arena — that an entry living as
+// long as the Estimator must not keep alive.
 func (e *Estimator) StorePrefParams(scope string, p prefs.Implicit, cost, shrink float64) {
 	pm := e.memo.Load()
 	if pm == nil {
 		return
 	}
-	pm.store(prefKey{scope: scope, pref: p.Condition()}, prefParams{cost: cost, shrink: shrink})
+	key := prefKey{scope: strings.Clone(scope), pref: strings.Clone(p.Condition())}
+	pm.store(key, prefParams{cost: cost, shrink: shrink})
 }
 
 // MemoCounts reports the memo's lifetime hit/miss totals (zeros when the
