@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"cqp/internal/prefs"
 	"cqp/internal/workload"
@@ -35,10 +36,10 @@ func TestBuildContextCancelled(t *testing.T) {
 }
 
 // TestBuildAllocs bounds what a K = 20 extraction allocates once the
-// estimator's memo is warm — the serving path's build: the space, the
-// queue, and per preference with a join path its Path and its condition
-// text. No per-candidate object, no boxed queue entry, no copied
-// atom slices.
+// estimator's memo is warm — the serving path's build: the space, its P,
+// D, C and S, the queue, and the blocks of the path slab and the text
+// arena. Nothing per candidate or per preference: no boxed queue entry,
+// no copied atom slice, no Path or condition text of its own.
 func TestBuildAllocs(t *testing.T) {
 	env := workloadEnv()
 	q := workload.Queries(1, 7)[0]
@@ -55,9 +56,38 @@ func TestBuildAllocs(t *testing.T) {
 			}
 		}
 		build() // fills the memo
-		if n := testing.AllocsPerRun(100, build); n > 70 {
-			t.Errorf("a memo-warm K = 20 build with %+v allocates %.0f times, want ≤ 70", opt, n)
+		n := testing.AllocsPerRun(100, build)
+		if n > 14 {
+			t.Errorf("a memo-warm K = 20 build with %+v allocates %.0f times, want ≤ 14", opt, n)
 		}
+	}
+}
+
+// TestStringsOneBlock: a response's K preferences are rendered into one
+// buffer — one allocation beside the slice of their headers — each text as
+// Implicit.String renders it, each directly after the one before.
+func TestStringsOneBlock(t *testing.T) {
+	env := workloadEnv()
+	q := workload.Queries(1, 7)[0]
+	profile := workload.GenerateProfile(workload.ProfileConfig{Seed: 11})
+	sp, err := Build(q, profile, env.Est, Options{MaxK: 20})
+	if err != nil || sp.K != 20 {
+		t.Fatalf("K = %d, err = %v", sp.K, err)
+	}
+	set := []int{19, 0, 7, 3, 12, 5, 1, 2, 4, 6, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18}
+	got := sp.Strings(set)
+	for k, i := range set {
+		if want := sp.P[i].Imp.String(); got[k] != want {
+			t.Fatalf("text %d = %q, want %q", k, got[k], want)
+		}
+		if k > 0 && unsafe.Pointer(unsafe.StringData(got[k])) != unsafe.Add(unsafe.Pointer(unsafe.StringData(got[k-1])), len(got[k-1])) {
+			t.Fatalf("text %d does not follow text %d in one block", k, k-1)
+		}
+	}
+	dst := make([]string, 0, len(set))
+	at := func(k int) prefs.Implicit { return sp.P[set[k]].Imp }
+	if n := testing.AllocsPerRun(100, func() { dst = prefs.AppendStrings(dst[:0], len(set), at) }); n != 1 {
+		t.Errorf("rendering K = %d preferences allocates %.0f times, want 1", len(set), n)
 	}
 }
 

@@ -231,8 +231,9 @@ func TestMissAllocs(t *testing.T) {
 	}
 	serve() // warms the query memo and the estimate memo
 	misses := s.reg.Counter("server_cache_misses").Value()
-	if n := testing.AllocsPerRun(runs, serve); n > 310 {
-		t.Errorf("a cold POST /personalize at K = %d allocates %.0f times, want ≤ 310", k, n)
+	n := testing.AllocsPerRun(runs, serve)
+	if n > 130 {
+		t.Errorf("a cold POST /personalize at K = %d allocates %.0f times, want ≤ 130", k, n)
 	}
 	if k != 20 {
 		t.Errorf("the measured answers integrate %d preferences, want 20", k)

@@ -418,13 +418,12 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 	}
 
 	chosen := make([]prefspace.Pref, 0, len(sol.Set))
-	prefStrs := make([]string, 0, len(sol.Set))
 	prefDois := make([]float64, 0, len(sol.Set))
 	for _, i := range sol.Set {
 		chosen = append(chosen, sp.P[i])
-		prefStrs = append(prefStrs, sp.P[i].Imp.String())
 		prefDois = append(prefDois, sp.P[i].Doi)
 	}
+	prefStrs := sp.Strings(sol.Set)
 	_, conSpan := obs.StartSpan(ctx, "construct")
 	var pq *rewrite.Personalized
 	if o.merge {
@@ -548,12 +547,8 @@ func (p *Personalizer) PersonalizeFrontContext(ctx context.Context, q *Query, u 
 	kneeIdx, hasKnee := core.KneeIndex(front)
 	out := &Front{Points: make([]FrontPoint, 0, len(front)), Truncated: stats.Truncated, Stats: stats}
 	for fi, fp := range front {
-		names := make([]string, 0, len(fp.Set))
-		for _, i := range fp.Set {
-			names = append(names, sp.P[i].Imp.String())
-		}
 		out.Points = append(out.Points, FrontPoint{
-			Preferences: names,
+			Preferences: sp.Strings(fp.Set),
 			Doi:         fp.Doi,
 			CostMS:      fp.Cost,
 			Size:        fp.Size,
