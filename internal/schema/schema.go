@@ -83,13 +83,15 @@ type AttrRef struct {
 // String renders the reference as Relation.Attr.
 func (a AttrRef) String() string { return a.Relation + "." + a.Attr }
 
-// ParseAttrRef parses "REL.attr".
+// ParseAttrRef parses "REL.attr": exactly one dot, with text on both sides.
+// The names are substrings of s.
 func ParseAttrRef(s string) (AttrRef, error) {
-	parts := strings.Split(strings.TrimSpace(s), ".")
-	if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
+	t := strings.TrimSpace(s)
+	dot := strings.IndexByte(t, '.')
+	if dot <= 0 || dot == len(t)-1 || strings.IndexByte(t[dot+1:], '.') >= 0 {
 		return AttrRef{}, fmt.Errorf("schema: invalid attribute reference %q", s)
 	}
-	return AttrRef{Relation: parts[0], Attr: parts[1]}, nil
+	return AttrRef{Relation: t[:dot], Attr: t[dot+1:]}, nil
 }
 
 // JoinEdge is an undirected potential join condition between two attributes

@@ -101,7 +101,7 @@ func TestParseAttrRef(t *testing.T) {
 	if a.String() != "MOVIE.did" {
 		t.Errorf("String: %s", a.String())
 	}
-	for _, bad := range []string{"MOVIE", "MOVIE.", ".did", "a.b.c", ""} {
+	for _, bad := range []string{"MOVIE", "MOVIE.", ".did", "a.b.c", "", ".", "a..b", " . "} {
 		if _, err := ParseAttrRef(bad); err == nil {
 			t.Errorf("ParseAttrRef(%q) should fail", bad)
 		}
