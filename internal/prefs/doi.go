@@ -5,7 +5,8 @@
 // algebra used to score conjunctions of preferences.
 //
 // A condition is rendered as text once: Profile.Add keeps what it renders
-// for its duplicate guard on the atom, NewImplicit joins the atoms' texts,
+// for its duplicate guard on the atom (ParseProfile writes every atom's into
+// one string per profile), NewImplicit or an Arena joins the atoms' texts,
 // and the estimate memo's key, a response's preferences and the SQL writer
 // all read that one string.
 package prefs
