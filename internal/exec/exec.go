@@ -277,23 +277,20 @@ func buildJoinTree(ctx context.Context, db *storage.DB, io *storage.IOCounter, q
 				}
 			}
 		}
-		if len(conds) == 0 {
-			current = op(iter.Cross(ctx, current, build, width, out))
-		} else {
-			probeIdx := make([]int, len(conds))
-			buildIdx := make([]int, len(conds))
-			for i, c := range conds {
-				probeIdx[i] = position(layout, c.Left)
-				buildIdx[i] = t.Relation().ColumnIndex(c.Right.Attr)
-			}
-			// A private, unfiltered build on one column of an in-memory table
-			// is that table's index on the column: nothing to drain or hash.
-			var pre *storage.Index
-			if mt, ok := t.(*storage.Table); ok && len(conds) == 1 && len(selsFor[next]) == 0 && ScanShareFromContext(ctx) == nil {
-				pre = mt.Index(buildIdx[0])
-			}
-			current = op(iter.HashJoin(ctx, current, build, probeIdx, buildIdx, width, out, pre))
+		// With no conds the join is keyless: every build row matches.
+		probeIdx := make([]int, len(conds))
+		buildIdx := make([]int, len(conds))
+		for i, c := range conds {
+			probeIdx[i] = position(layout, c.Left)
+			buildIdx[i] = t.Relation().ColumnIndex(c.Right.Attr)
 		}
+		// A private, unfiltered build on one column of an in-memory table
+		// is that table's index on the column: nothing to drain or hash.
+		var pre *storage.Index
+		if mt, ok := t.(*storage.Table); ok && len(conds) == 1 && len(selsFor[next]) == 0 && ScanShareFromContext(ctx) == nil {
+			pre = mt.Index(buildIdx[0])
+		}
+		current = op(iter.HashJoin(ctx, current, build, probeIdx, buildIdx, width, out, pre))
 		layout = make([]schema.AttrRef, len(out))
 		for i, c := range out {
 			layout[i] = wide[c]

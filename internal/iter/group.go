@@ -12,12 +12,12 @@ import (
 
 // Grouper is a key → tag-set relation: it accumulates (row, tags) pairs and
 // yields each distinct row once with the union of the tags added under it. It
-// is the personalized union's GROUP BY — tag i being sub-query i — and the
-// union plan's tag relations, where the row is a join key and tag i says
-// sub-query i's reducer produced it (probed in place with Lookup, or joined
-// through Next once spilled). The rows are a RowSet (its own copies,
-// so callers may add transient rows), their tags ⌈nTags/64⌉-word bitsets in
-// one flat slice. When the table outgrows the context budget the grouper
+// is the personalized union's GROUP BY — tag i being sub-query i — the union
+// plan's tag relations, where the row is a join key and tag i says sub-query
+// i's reducer produced it (probed in place with Lookup, or joined through Next
+// once spilled), and with no tags at all Distinct. The rows are a RowSet (its
+// own copies, so callers may add transient rows), their tags ⌈nTags/64⌉-word
+// bitsets in one flat slice. When the table outgrows the context budget the grouper
 // spills its groups to hash partitions as frames, and regroups partition by
 // partition at drain time, bounding memory by the largest partition.
 //
@@ -76,7 +76,7 @@ func (g *Grouper) AddMask(row storage.Row, mask []uint64) error {
 		return err
 	}
 	if g.spilled {
-		return g.run.write(HashRow(row), 0, g.frame(row, mask))
+		return g.run.write(HashRow(row), g.frame(row, mask))
 	}
 	g.add(row, mask)
 	if g.budget.Bytes > 0 && g.set.Bytes()+int64(8*len(g.tags)) > g.budget.Bytes {
@@ -114,7 +114,7 @@ func (g *Grouper) spill() error {
 	}
 	g.run, g.spilled = run, true
 	for i, row := range g.set.Rows() {
-		if err := g.run.write(HashRow(row), 0, g.frame(row, g.tags[i*g.words:(i+1)*g.words])); err != nil {
+		if err := g.run.write(HashRow(row), g.frame(row, g.tags[i*g.words:(i+1)*g.words])); err != nil {
 			return err
 		}
 	}
@@ -161,7 +161,7 @@ func (g *Grouper) load(r *spillReader) error {
 		if err := g.check(); err != nil {
 			return err
 		}
-		_, wide, ok, err := r.next()
+		wide, ok, err := r.next()
 		if !ok || err != nil {
 			return err
 		}

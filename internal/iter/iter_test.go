@@ -153,7 +153,7 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 func TestCross(t *testing.T) {
 	probe := []storage.Row{intRow(1), intRow(2)}
 	build := []storage.Row{intRow(10), intRow(20), intRow(30)}
-	got, err := Collect(Cross(context.Background(), FromRows(probe), FromRows(build), 1, []int{0, 1}))
+	got, err := Collect(HashJoin(context.Background(), FromRows(probe), FromRows(build), nil, nil, 1, []int{0, 1}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,8 +445,10 @@ func TestExecAllocsPerOutputRow(t *testing.T) {
 			},
 			n, 4 * n},
 		{"Cross",
-			func() Iterator { return Cross(ctx, FromRows(probe[:n/4]), FromRows(build[:4]), 2, all) },
-			func() Iterator { return Cross(ctx, FromRows(probe), FromRows(build[:4]), 2, all) },
+			func() Iterator {
+				return HashJoin(ctx, FromRows(probe[:n/4]), FromRows(build[:4]), nil, nil, 2, all, nil)
+			},
+			func() Iterator { return HashJoin(ctx, FromRows(probe), FromRows(build[:4]), nil, nil, 2, all, nil) },
 			n, 4 * n},
 		{"Project",
 			func() Iterator { return Project(FromRows(probe[:n/4]), []int{1, 0}) },

@@ -49,7 +49,8 @@ func (o *joinOut) emit(build storage.Row) storage.Row {
 // ++ build (the executor's left-deep layout) into one reused row. The build
 // side is drained into a build table on the first Next and the probe side
 // streams, so output arrives in probe order, a probe row's matches in build
-// order, while the build fits in memory.
+// order, while the build fits in memory. On no key columns every build row
+// matches: the join is the cartesian product (a disconnected query's).
 //
 // pre, when not nil, is the build table already made: the index of an
 // in-memory table on its one build column (storage.Table.Index), whose rows
@@ -150,14 +151,14 @@ func (it *hashJoinIter) init() error {
 		}
 	}
 	// Partition the rest of the build side, and the probe side the same way.
-	err := it.buildRun.route(&it.poll, it.build, 0, func(r storage.Row) uint64 { return storage.Hash(r, it.bIdx) })
+	err := it.buildRun.route(&it.poll, it.build, func(r storage.Row) uint64 { return storage.Hash(r, it.bIdx) })
 	if err != nil {
 		return err
 	}
 	if it.probeRun, err = newSpillRun(it.budget.Dir); err != nil {
 		return err
 	}
-	err = it.probeRun.route(&it.poll, it.probe, 0, func(r storage.Row) uint64 { return storage.Hash(r, it.pIdx) })
+	err = it.probeRun.route(&it.poll, it.probe, func(r storage.Row) uint64 { return storage.Hash(r, it.pIdx) })
 	if err != nil {
 		return err
 	}
@@ -179,7 +180,7 @@ func (it *hashJoinIter) startSpill() error {
 	}
 	it.buildRun = run
 	for _, r := range it.tab.Rows {
-		if err := it.buildRun.write(storage.Hash(r, it.bIdx), 0, r); err != nil {
+		if err := it.buildRun.write(storage.Hash(r, it.bIdx), r); err != nil {
 			return err
 		}
 	}
@@ -254,7 +255,7 @@ func (it *hashJoinIter) nextProbe() (storage.Row, bool, error) {
 	}
 	for {
 		if it.pr != nil {
-			_, row, ok, err := it.pr.next()
+			row, ok, err := it.pr.next()
 			if err != nil {
 				return nil, false, err
 			}
@@ -273,7 +274,7 @@ func (it *hashJoinIter) nextProbe() (storage.Row, bool, error) {
 			if err := it.check(); err != nil {
 				return nil, false, err
 			}
-			_, row, ok, err := br.next()
+			row, ok, err := br.next()
 			if err != nil {
 				return nil, false, err
 			}
@@ -290,57 +291,3 @@ func (it *hashJoinIter) nextProbe() (storage.Row, bool, error) {
 func (it *hashJoinIter) Close() error {
 	return closeAll(it.probe, it.build, it.buildRun, it.probeRun)
 }
-
-// Cross emits the cartesian product probe × build (the executor's
-// fallback for disconnected queries), selecting output columns like
-// HashJoin. The build side is materialized — disconnected products are
-// degenerate plans over small inputs, so no spill path exists here.
-func Cross(ctx context.Context, probe, build Iterator, probeWidth int, out []int) Iterator {
-	return &crossIter{poll: poll{ctx: ctx}, probe: probe, build: build, out: newJoinOut(out, probeWidth)}
-}
-
-type crossIter struct {
-	poll
-	probe, build Iterator
-	out          joinOut
-
-	inited bool
-	rows   []storage.Row
-	i      int
-	done   bool
-}
-
-func (it *crossIter) Next() (storage.Row, bool, error) {
-	if it.done {
-		return nil, false, nil
-	}
-	if !it.inited {
-		it.inited = true
-		var err error
-		it.rows, err = drain(it.ctx, it.build)
-		if err != nil {
-			it.done = true
-			return nil, false, err
-		}
-		it.i = len(it.rows) // force a probe pull
-	}
-	for {
-		if err := it.check(); err != nil {
-			it.done = true
-			return nil, false, err
-		}
-		if it.i < len(it.rows) {
-			it.i++
-			return it.out.emit(it.rows[it.i-1]), true, nil
-		}
-		row, ok, err := it.probe.Next()
-		if err != nil || !ok {
-			it.done = true
-			return nil, false, err
-		}
-		it.out.setProbe(row)
-		it.i = 0
-	}
-}
-
-func (it *crossIter) Close() error { return closeAll(it.probe, it.build) }

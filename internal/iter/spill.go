@@ -35,9 +35,8 @@ func SpillStats() (runs, rows, bytes int64) {
 
 // spillRun is one operator's set of hash partition files. Files are
 // unlinked immediately after creation, so crashed processes leak nothing.
-// Frames are uvarint-length-prefixed: payload = [marker byte][encoded
-// row] using the blockstore sort-preserving codec (self-delimiting, so
-// wide schema-less tuples round-trip).
+// A frame is a uvarint length and a row in the blockstore sort-preserving
+// codec (self-delimiting, so wide schema-less tuples round-trip).
 type spillRun struct {
 	files []*os.File
 	w     []*bufio.Writer
@@ -80,11 +79,9 @@ func newSpillRun(dir string) (*spillRun, error) {
 }
 
 // write appends one framed row to the partition owning hash h.
-func (r *spillRun) write(h uint64, marker byte, row storage.Row) error {
+func (r *spillRun) write(h uint64, row storage.Row) error {
 	p := int(h % spillFanout)
-	r.buf = r.buf[:0]
-	r.buf = append(r.buf, marker)
-	r.buf = blockstore.AppendRow(r.buf, row)
+	r.buf = blockstore.AppendRow(r.buf[:0], row)
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(r.buf)))
 	if _, err := r.w[p].Write(hdr[:n]); err != nil {
@@ -123,7 +120,7 @@ func (r *spillRun) reader(p int) *spillReader {
 }
 
 // route writes the rest of src to the partitions hash assigns its rows to.
-func (r *spillRun) route(p *poll, src Iterator, marker byte, hash func(storage.Row) uint64) error {
+func (r *spillRun) route(p *poll, src Iterator, hash func(storage.Row) uint64) error {
 	for {
 		if err := p.check(); err != nil {
 			return err
@@ -132,7 +129,7 @@ func (r *spillRun) route(p *poll, src Iterator, marker byte, hash func(storage.R
 		if !ok || err != nil {
 			return err
 		}
-		if err := r.write(hash(row), marker, row); err != nil {
+		if err := r.write(hash(row), row); err != nil {
 			return err
 		}
 	}
@@ -164,28 +161,28 @@ type spillReader struct {
 }
 
 // next returns the next framed row, ok == false at partition end.
-func (s *spillReader) next() (marker byte, row storage.Row, ok bool, err error) {
+func (s *spillReader) next() (storage.Row, bool, error) {
 	if s.left == 0 {
-		return 0, nil, false, nil
+		return nil, false, nil
 	}
 	n, err := binary.ReadUvarint(s.br)
 	if err != nil {
-		return 0, nil, false, fmt.Errorf("iter: spill read: %w", err)
+		return nil, false, fmt.Errorf("iter: spill read: %w", err)
 	}
 	if uint64(cap(s.buf)) < n {
 		s.buf = make([]byte, n)
 	}
 	s.buf = s.buf[:n]
 	if _, err := io.ReadFull(s.br, s.buf); err != nil {
-		return 0, nil, false, fmt.Errorf("iter: spill read: %w", err)
+		return nil, false, fmt.Errorf("iter: spill read: %w", err)
 	}
-	row, rest, err := blockstore.DecodeRow(s.buf[1:])
+	row, rest, err := blockstore.DecodeRow(s.buf)
 	if err != nil {
-		return 0, nil, false, fmt.Errorf("iter: spill read: %w", err)
+		return nil, false, fmt.Errorf("iter: spill read: %w", err)
 	}
 	if len(rest) != 0 {
-		return 0, nil, false, fmt.Errorf("iter: spill read: %d trailing bytes in frame", len(rest))
+		return nil, false, fmt.Errorf("iter: spill read: %d trailing bytes in frame", len(rest))
 	}
 	s.left--
-	return s.buf[0], row, true, nil
+	return row, true, nil
 }
