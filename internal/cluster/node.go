@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cqp/internal/obs"
@@ -154,39 +155,19 @@ type peerState struct {
 	// sender state (Replicate only).
 	ch       chan wal.Record
 	needSync chan struct{} // capacity 1; a pending token forces a full sync
-	pending  chanCounter
+	held     atomic.Int64  // records in the batch the sender holds
+	acked    atomic.Uint64 // the follower's highest reported applied version
 	done     chan struct{} // closed when the peer leaves the ring
 }
 
-// chanCounter is a tiny atomic counter for queue+in-flight lag.
-type chanCounter struct {
-	mu sync.Mutex
-	n  int64
-	// acked is the follower's last reported applied version.
-	acked uint64
-}
+// lag is how many records the peer has yet to ack: those queued and those in
+// the sender's batch.
+func (p *peerState) lag() int64 { return int64(len(p.ch)) + p.held.Load() }
 
-func (c *chanCounter) add(d int64) {
-	c.mu.Lock()
-	c.n += d
-	if c.n < 0 {
-		c.n = 0
+// setAcked raises acked to v.
+func (p *peerState) setAcked(v uint64) {
+	for old := p.acked.Load(); v > old && !p.acked.CompareAndSwap(old, v); old = p.acked.Load() {
 	}
-	c.mu.Unlock()
-}
-
-func (c *chanCounter) get() (int64, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n, c.acked
-}
-
-func (c *chanCounter) setAcked(v uint64) {
-	c.mu.Lock()
-	if v > c.acked {
-		c.acked = v
-	}
-	c.mu.Unlock()
 }
 
 // New validates the config and builds the node (ring, breakers, senders).
@@ -441,13 +422,13 @@ func (n *Node) Status() Status {
 	}
 	n.mu.RUnlock()
 	for _, p := range n.snapshotPeers() {
-		lag, acked := p.pending.get()
+		lag := p.lag()
 		n.gauge("cluster_replication_lag_records", "peer", p.id).Set(lag)
 		st.Peers = append(st.Peers, PeerStatus{
 			ID:           p.id,
 			Up:           n.Up(p.id),
 			LagRecords:   lag,
-			AckedVersion: acked,
+			AckedVersion: p.acked.Load(),
 		})
 	}
 	sort.Slice(st.Peers, func(i, j int) bool { return st.Peers[i].ID < st.Peers[j].ID })

@@ -129,7 +129,7 @@ func TestReplicationStream(t *testing.T) {
 		t.Fatalf("follower replica for %s: %+v ok=%v", keys[1], rec, ok)
 	}
 	waitFor(t, 5*time.Second, "sender lag to drain", func() bool {
-		lag, acked := sender.peers["n2"].pending.get()
+		lag, acked := sender.peers["n2"].lag(), sender.peers["n2"].acked.Load()
 		return lag == 0 && acked == uint64(len(keys)+1)
 	})
 }

@@ -95,13 +95,9 @@ func (n *Node) Replicate(rec wal.Record) {
 	}
 	n.mu.RUnlock()
 	for _, p := range targets {
-		// Counted before it is queued: the sender may ship and subtract the
-		// record before this goroutine runs again, and the counter clamps at 0.
-		p.pending.add(1)
 		select {
 		case p.ch <- rec:
 		default:
-			p.pending.add(-1)
 			n.markNeedSync(p)
 			n.counter("cluster_replication_dropped_total", "peer", p.id).Inc()
 		}
@@ -135,6 +131,11 @@ func (n *Node) sendLoop(p *peerState) {
 	defer n.wg.Done()
 	backoff := sendBackoffMin
 	var batch []wal.Record
+	// hold replaces the batch, and with it the sender's share of the lag.
+	hold := func(b []wal.Record) {
+		batch = b
+		p.held.Store(int64(len(b)))
+	}
 	for {
 		select {
 		case <-p.done:
@@ -146,7 +147,7 @@ func (n *Node) sendLoop(p *peerState) {
 		select {
 		case <-p.needSync:
 			n.drain(p)
-			batch = nil
+			hold(nil)
 			if err := n.pushFullSync(p); err != nil {
 				n.handleSendError(p, err)
 				n.markNeedSync(p)
@@ -181,14 +182,14 @@ func (n *Node) sendLoop(p *peerState) {
 				}
 			}
 		full:
+			hold(batch)
 		}
 		if err := n.ship(p, wal.EncodeRecords(batch), false); err != nil {
 			n.handleSendError(p, err)
 			if IsWrongEpoch(err) {
 				// These frames were routed under a stale ring; the full sync
 				// that follows recomputes this peer's view from scratch.
-				p.pending.add(int64(-len(batch)))
-				batch = nil
+				hold(nil)
 				n.markNeedSync(p)
 			}
 			if !n.sleepPeer(p, &backoff) {
@@ -196,9 +197,8 @@ func (n *Node) sendLoop(p *peerState) {
 			}
 			continue
 		}
-		p.pending.add(int64(-len(batch)))
 		n.counter("cluster_replicated_records_total", "peer", p.id).Add(int64(len(batch)))
-		batch = nil
+		hold(nil)
 		backoff = sendBackoffMin
 	}
 }
@@ -223,7 +223,6 @@ func (n *Node) drain(p *peerState) {
 	for {
 		select {
 		case <-p.ch:
-			p.pending.add(-1)
 		default:
 			return
 		}
@@ -268,7 +267,7 @@ func (n *Node) ship(p *peerState, body []byte, sync bool) error {
 	if err := n.call(context.Background(), 5*time.Second, p.id, url, n.Epoch(), body, &ack); err != nil {
 		return err
 	}
-	p.pending.setAcked(ack.Applied)
+	p.setAcked(ack.Applied)
 	return nil
 }
 
