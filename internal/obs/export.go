@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -172,19 +171,4 @@ func (r *Registry) PublishExpvar(name string) {
 		return
 	}
 	expvar.Publish(name, expvar.Func(r.Expvar))
-}
-
-// SortedNames lists distinct metric names in the registry (test helper and
-// shell completion fodder).
-func (r *Registry) SortedNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, m := range r.Snapshot() {
-		if !seen[m.Name] {
-			seen[m.Name] = true
-			out = append(out, m.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
