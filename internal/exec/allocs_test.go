@@ -167,6 +167,35 @@ func TestExecAllocs(t *testing.T) {
 	}
 }
 
+// TestUnionAllocsPinned holds allocUnion's full union at the 260 allocations
+// it made before reducers were walked from an indexed end (the least of
+// twenty unions, as TestExecAllocs counts): TestExecAllocs's bounds sit a
+// third above the count, loose enough to let a few per union through. Walking
+// the two actor reducers from ACTOR costs nothing and drops two drained
+// builds: 254.
+func TestUnionAllocsPinned(t *testing.T) {
+	db := workload.GenerateDB(workload.DBConfig{Movies: 400, Directors: 40, Actors: 200, Seed: 151})
+	subs, dois := allocUnion(db)
+	ctx := context.Background()
+	allocs := uint64(math.MaxUint64)
+	for i := 0; i < 21; i++ { // the first fills the pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := EvalUnionContext(ctx, db, subs, dois, 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i > 0 {
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+		}
+	}
+	t.Logf("allocUnion: %d allocations", allocs)
+	const pinned = 260
+	if allocs > pinned {
+		t.Errorf("EvalUnionContext of allocUnion: %d allocations, pinned at %d", allocs, pinned)
+	}
+}
+
 // BenchmarkEvalUnion is the profiling target for the union path at the
 // repo benchmark's scale (execute_cold runs it over 6000 movies): any-match,
 // which ranks every group, and all-match, the same pass over the base with a
