@@ -27,17 +27,7 @@ var snapshotMagic = [8]byte{'C', 'Q', 'P', 'W', 'A', 'L', '0', '1'}
 // temp file in the same directory, fsync, rename. The caller fsyncs the
 // directory afterwards to make the rename itself durable.
 func writeSnapshotFile(path string, clock uint64, recs []Record) error {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	buf := make([]byte, 0, 20+64*len(recs))
-	buf = append(buf, snapshotMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, clock)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
-	for _, rec := range recs {
-		rec.Op = OpPut
-		buf = appendFrame(buf, rec)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-
+	buf := encodeSnapshot(clock, recs)
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
@@ -57,6 +47,22 @@ func writeSnapshotFile(path string, clock uint64, recs []Record) error {
 	return os.Rename(tmp.Name(), path)
 }
 
+// encodeSnapshot lays (clock, recs) out as a snapshot file: the records as
+// puts, in ID order. Every record of a store's state has a version at most
+// its clock and an ID of its own.
+func encodeSnapshot(clock uint64, recs []Record) []byte {
+	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+	buf := make([]byte, 0, 20+64*len(recs))
+	buf = append(buf, snapshotMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, clock)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
+	for _, rec := range recs {
+		rec.Op = OpPut
+		buf = appendFrame(buf, rec)
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+}
+
 // loadSnapshot reads and fully verifies a snapshot. Any structural or
 // checksum failure wraps ErrCorrupt: a renamed-into-place snapshot was
 // durable, so damage to it is disk corruption, never a tolerable torn
@@ -66,6 +72,13 @@ func loadSnapshot(path string) (clock uint64, state map[string]Record, err error
 	if err != nil {
 		return 0, nil, err
 	}
+	return decodeSnapshot(path, buf)
+}
+
+// decodeSnapshot is loadSnapshot on the file's bytes. It accepts exactly what
+// encodeSnapshot writes: puts in strictly ascending ID order, none versioned
+// above the clock.
+func decodeSnapshot(path string, buf []byte) (clock uint64, state map[string]Record, err error) {
 	if len(buf) < 24 {
 		return 0, nil, fmt.Errorf("%w: snapshot %s: %d bytes, shorter than any valid snapshot", ErrCorrupt, path, len(buf))
 	}
@@ -78,15 +91,26 @@ func loadSnapshot(path string) (clock uint64, state map[string]Record, err error
 	}
 	clock = binary.LittleEndian.Uint64(body[8:])
 	count := int(binary.LittleEndian.Uint32(body[16:]))
+	if count > (len(body)-20)/(frameHeaderBytes+recordFixedBytes) {
+		return 0, nil, fmt.Errorf("%w: snapshot %s: %d records cannot fit in %d bytes", ErrCorrupt, path, count, len(body))
+	}
 	state = make(map[string]Record, count)
-	off := 20
+	off, prev := 20, ""
 	for i := 0; i < count; i++ {
 		rec, next, ferr := readFrame(body, off)
+		switch {
+		case ferr != nil:
+		case rec.Op != OpPut:
+			ferr = fmt.Errorf("a %s, where a snapshot holds only puts", rec.Op)
+		case i > 0 && rec.ID <= prev:
+			ferr = fmt.Errorf("id %q does not follow %q", rec.ID, prev)
+		case rec.Version > clock:
+			ferr = fmt.Errorf("version %d above the snapshot clock %d", rec.Version, clock)
+		}
 		if ferr != nil {
 			return 0, nil, fmt.Errorf("%w: snapshot %s: record %d: %v", ErrCorrupt, path, i, ferr)
 		}
-		state[rec.ID] = rec
-		off = next
+		state[rec.ID], off, prev = rec, next, rec.ID
 	}
 	if off != len(body) {
 		return 0, nil, fmt.Errorf("%w: snapshot %s: %d trailing bytes after %d records", ErrCorrupt, path, len(body)-off, count)
