@@ -350,17 +350,9 @@ type RowSet struct {
 	bytes int64
 }
 
-// NewRowSet returns an empty set.
-func NewRowSet() *RowSet { return &RowSet{idx: storage.NewChain(0)} }
-
-// Add inserts a copy of r if absent, reporting whether it was newly added.
-func (s *RowSet) Add(r storage.Row) bool {
-	_, added := s.add(r)
-	return added
-}
-
-// add is Add also returning where in Rows the set's own copy of the row
-// sits; the copy stays valid for as long as the caller holds it.
+// add inserts a copy of r if absent, reporting where in Rows the set's own
+// copy of the row sits and whether it was newly added; the copy stays valid
+// for as long as the caller holds it.
 func (s *RowSet) add(r storage.Row) (int, bool) {
 	h := HashRow(r)
 	for i := s.idx.First(h); i >= 0; i = s.idx.Next(i) {

@@ -234,28 +234,32 @@ func TestDistinctSpillNoReEmit(t *testing.T) {
 	if len(got) != 200 {
 		t.Fatalf("%d rows, want 200 (re-emission after spill?)", len(got))
 	}
-	seen := NewRowSet()
+	seen := RowSet{idx: storage.NewChain(0)}
 	for _, r := range got {
-		if !seen.Add(r) {
+		if _, added := seen.add(r); !added {
 			t.Fatalf("row %v emitted twice", r)
 		}
 	}
 }
 
 func TestRowSet(t *testing.T) {
-	s := NewRowSet()
-	if !s.Add(intRow(1, 2)) || s.Add(intRow(1, 2)) {
-		t.Fatal("Add idempotence broken")
+	s := RowSet{idx: storage.NewChain(0)}
+	add := func(r storage.Row) bool {
+		_, added := s.add(r)
+		return added
+	}
+	if !add(intRow(1, 2)) || add(intRow(1, 2)) {
+		t.Fatal("add idempotence broken")
 	}
 	// INT and FLOAT representing the same number are equal (join
 	// semantics) and must dedupe together.
-	if s.Add(storage.Row{value.Float(1), value.Float(2)}) {
+	if add(storage.Row{value.Float(1), value.Float(2)}) {
 		t.Fatal("numeric-equal row not deduped")
 	}
-	if !s.Add(intRow(2, 1)) {
+	if !add(intRow(2, 1)) {
 		t.Fatal("a distinct row was taken for a duplicate")
 	}
-	s.Add(intRow(1, 2))
+	add(intRow(1, 2))
 	if len(s.Rows()) != 2 || s.Bytes() <= 0 {
 		t.Fatalf("%d rows, Bytes=%d", len(s.Rows()), s.Bytes())
 	}
@@ -369,10 +373,10 @@ func BenchmarkDedupRowSet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewRowSet()
+		s := RowSet{idx: storage.NewChain(0)}
 		n := 0
 		for _, r := range rows {
-			if s.Add(r) {
+			if _, added := s.add(r); added {
 				n++
 			}
 		}

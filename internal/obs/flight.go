@@ -11,9 +11,9 @@ import (
 )
 
 // Phase names of the fixed per-request attribution record. Every request
-// accounts its wall time to these buckets; PhaseOther absorbs whatever the
-// instrumented checkpoints did not explicitly claim, so the phases always
-// sum to the request's total.
+// accounts its wall time to these buckets, each charged by a Laps clock or
+// an AddPhase; PhaseOther absorbs whatever they did not claim, so the
+// phases always sum to the request's total.
 const (
 	PhaseParse     = "parse"     // body decode, SQL parse, profile resolution
 	PhaseCache     = "cache"     // result-cache lookup
@@ -27,15 +27,6 @@ const (
 	PhaseEncode    = "encode"    // response serialization
 	PhaseOther     = "other"     // unattributed remainder
 )
-
-// PipelinePhases are the phase names derived from the request's span tree
-// rather than explicit checkpoints (see Span.PhaseDurations).
-var PipelinePhases = map[string]bool{
-	PhasePrefspace: true,
-	PhaseSearch:    true,
-	PhaseConstruct: true,
-	PhaseExecute:   true,
-}
 
 // Bounds on the string fields a flight record retains. The recorder's
 // memory is records × a small constant; unbounded attacker- or
@@ -160,6 +151,42 @@ func (r *Request) AddPhase(name string, d time.Duration) {
 	r.mu.Unlock()
 }
 
+// Laps is a phase clock: each Lap charges the time since the previous
+// checkpoint to one phase of a flight record and, when the clock runs under
+// a span, hangs the same interval on that span as a finished child. Its
+// intervals are contiguous by construction, so the ledger and the trace are
+// one account. A clock with neither a record nor a span charges nothing.
+type Laps struct {
+	rec  *Request
+	span *Span
+	last time.Time
+}
+
+// StartLaps starts a clock now, charging the context's flight record and
+// hanging its laps under the context's current span.
+func StartLaps(ctx context.Context) Laps {
+	return Laps{rec: RequestFromContext(ctx), span: FromContext(ctx), last: time.Now()}
+}
+
+// Laps returns a clock over the record alone that starts at the record's
+// birth, so its first lap covers the request from its first byte.
+func (r *Request) Laps() Laps { return Laps{rec: r, last: r.Start()} }
+
+// Lap closes the current interval under the given phase, starts the next,
+// and returns the interval's span: nil when the clock runs under no span.
+func (l *Laps) Lap(phase string, attrs ...Attr) *Span {
+	now := time.Now()
+	d := now.Sub(l.last)
+	l.rec.AddPhase(phase, d)
+	var s *Span
+	if l.span != nil {
+		// A copy of attrs, so that an untraced caller's stays on its stack.
+		s = l.span.attach(&Span{name: phase, start: l.last, dur: d, ended: true, attrs: append([]Attr(nil), attrs...)})
+	}
+	l.last = now
+	return s
+}
+
 // SetProfile records the profile identity (id@version, or "inline").
 func (r *Request) SetProfile(p string) {
 	if r == nil {
@@ -211,8 +238,7 @@ func (r *Request) Trace() *Span {
 }
 
 // Finish seals the record with the response status and an optional error
-// message, folds the span tree's pipeline phases into the attribution, and
-// charges the unattributed remainder to PhaseOther. Idempotent.
+// message and charges the unattributed remainder to PhaseOther. Idempotent.
 func (r *Request) Finish(status int, errMsg string) {
 	if r == nil {
 		return
@@ -227,9 +253,6 @@ func (r *Request) Finish(status int, errMsg string) {
 	r.status = status
 	r.errMsg = truncate(errMsg, maxErrLen)
 	r.total = total
-	for name, d := range r.trace.PhaseDurations(PipelinePhases) {
-		r.phases[name] += d
-	}
 	var sum time.Duration
 	for _, d := range r.phases {
 		sum += d
@@ -240,8 +263,8 @@ func (r *Request) Finish(status int, errMsg string) {
 }
 
 // Attribution returns the request ID, the wall time elapsed so far, and a
-// copy of the phase attribution with the span tree's pipeline phases and
-// the PhaseOther remainder folded in — the response-embedded view, built
+// copy of the phase attribution with the PhaseOther remainder added — the
+// response-embedded view, built
 // before the response is encoded (so PhaseEncode is absent; it exists only
 // in the final flight record). On a finished record it returns the sealed
 // totals.
@@ -260,9 +283,6 @@ func (r *Request) Attribution() (id string, total time.Duration, phases map[stri
 		out[name] = d
 	}
 	if !r.done {
-		for name, d := range r.trace.PhaseDurations(PipelinePhases) {
-			out[name] += d
-		}
 		var sum time.Duration
 		for _, d := range out {
 			sum += d

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -108,10 +109,7 @@ func TestRequestAttribution(t *testing.T) {
 	r := NewRequest("personalize", "req-1")
 	r.AddPhase(PhaseParse, 2*time.Millisecond)
 	r.AddPhase(PhaseQueue, 1*time.Millisecond)
-	tr := NewTrace("personalize")
-	tr.AddChild(PhaseSearch, 5*time.Millisecond)
-	tr.End()
-	r.SetTrace(tr)
+	r.AddPhase(PhaseSearch, 5*time.Millisecond)
 	id, total, phases := r.Attribution()
 	if id != "req-1" {
 		t.Fatalf("id = %q", id)
@@ -119,25 +117,96 @@ func TestRequestAttribution(t *testing.T) {
 	if phases[PhaseParse] != 2*time.Millisecond || phases[PhaseSearch] != 5*time.Millisecond {
 		t.Fatalf("phases = %v", phases)
 	}
+	// 8 ms charged inside a shorter wall time: nothing is left over, and
+	// the named phases alone cover the total.
+	if phases[PhaseOther] != 0 {
+		t.Fatalf("other = %v with 8ms charged in %v", phases[PhaseOther], total)
+	}
 	var sum time.Duration
-	for _, d := range phases {
-		sum += d
+	for name, d := range phases {
+		if name != PhaseOther {
+			sum += d
+		}
 	}
 	if sum < total*9/10 {
-		t.Fatalf("attribution covers %v of %v wall (< 90%%)", sum, total)
+		t.Fatalf("named phases cover %v of %v wall (< 90%%)", sum, total)
 	}
 
 	r.Finish(200, "")
 	snap := r.Snapshot()
-	if snap.Status != 200 || snap.PhasesUS[PhaseSearch] != 5000 {
+	if snap.Status != 200 || snap.PhasesUS[PhaseSearch] != 5000 || snap.PhasesUS[PhaseOther] != 0 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	var snapSum int64
-	for _, us := range snap.PhasesUS {
-		snapSum += us
+	for name, us := range snap.PhasesUS {
+		if name != PhaseOther {
+			snapSum += us
+		}
 	}
 	if snapSum < snap.TotalUS*9/10 {
-		t.Fatalf("sealed attribution covers %dus of %dus wall", snapSum, snap.TotalUS)
+		t.Fatalf("sealed named phases cover %dus of %dus wall", snapSum, snap.TotalUS)
+	}
+}
+
+// TestLapsContiguous: each lap charges the record exactly the duration of
+// the span it hangs, the spans follow one another with no gap, and the laps
+// add up to the clock's whole run. A clock over the record alone hangs
+// nothing, and an inert clock charges nothing.
+func TestLapsContiguous(t *testing.T) {
+	r := NewRequest("personalize", "req-1")
+	tr := NewTrace("personalize")
+	ctx := ContextWith(ContextWithRequest(context.Background(), r), tr)
+	begin := time.Now()
+	lp := StartLaps(ctx)
+	phases := []string{PhasePrefspace, PhaseSearch, PhaseConstruct}
+	var spans []*Span
+	for i, phase := range phases {
+		time.Sleep(time.Duration(i+1) * time.Millisecond)
+		s := lp.Lap(phase, Attr{Key: "i", Value: fmt.Sprint(i)})
+		if s == nil {
+			t.Fatalf("lap %q under a span returned no span", phase)
+		}
+		spans = append(spans, s)
+	}
+	run := time.Since(begin)
+	if got := tr.Children(); len(got) != len(phases) {
+		t.Fatalf("trace has %d children, want %d:\n%s", len(got), len(phases), tr.Tree())
+	}
+	_, _, charged := r.Attribution()
+	var sum time.Duration
+	for i, s := range spans {
+		if s.Name() != phases[i] || charged[phases[i]] != s.Duration() {
+			t.Fatalf("lap %q charged %v, its span %q lasts %v", phases[i], charged[phases[i]], s.Name(), s.Duration())
+		}
+		if a := s.Attrs(); len(a) != 1 || a[0].Value != fmt.Sprint(i) {
+			t.Fatalf("lap %q attrs = %v", phases[i], a)
+		}
+		if i > 0 && !s.start.Equal(spans[i-1].start.Add(spans[i-1].Duration())) {
+			t.Fatalf("lap %q does not start where %q ended", phases[i], phases[i-1])
+		}
+		sum += s.Duration()
+	}
+	if sum <= 0 || sum > run {
+		t.Fatalf("laps sum to %v over a %v run", sum, run)
+	}
+
+	shell := NewRequest("execute", "req-2")
+	slp := shell.Laps()
+	time.Sleep(time.Millisecond)
+	if s := slp.Lap(PhaseParse); s != nil {
+		t.Fatal("a record-only clock hung a span")
+	}
+	if snap := shell.Snapshot(); snap.PhasesUS[PhaseParse] < 1000 {
+		t.Fatalf("record-only lap charged %dus since the record's birth, want ≥ 1000", snap.PhasesUS[PhaseParse])
+	}
+	var inert Laps
+	if inert.Lap(PhaseParse) != nil {
+		t.Fatal("an inert clock hung a span")
+	}
+	var nilRec *Request
+	idle := nilRec.Laps()
+	if idle.Lap(PhaseParse) != nil {
+		t.Fatal("a nil record's clock hung a span")
 	}
 }
 
@@ -297,7 +366,7 @@ func TestFlightConcurrency(t *testing.T) {
 	}
 }
 
-func TestSpanJSONAndPhaseDurations(t *testing.T) {
+func TestSpanJSON(t *testing.T) {
 	tr := NewTrace("personalize")
 	p := tr.StartChild("personalize")
 	p.AddChild(PhasePrefspace, 3*time.Millisecond, Attr{Key: "k", Value: "20"})
@@ -313,14 +382,9 @@ func TestSpanJSONAndPhaseDurations(t *testing.T) {
 	if js.Children[0].Children[0].Name != PhasePrefspace || js.Children[0].Children[0].Attrs[0].Key != "k" {
 		t.Fatalf("JSON() children = %+v", js.Children[0])
 	}
-
-	phases := tr.PhaseDurations(PipelinePhases)
-	if phases[PhasePrefspace] != 3*time.Millisecond || phases[PhaseSearch] != 7*time.Millisecond || phases[PhaseExecute] != 2*time.Millisecond {
-		t.Fatalf("PhaseDurations = %v", phases)
-	}
 	var np *Span
-	if np.JSON() != nil || np.PhaseDurations(PipelinePhases) != nil {
-		t.Fatal("nil span JSON/PhaseDurations not nil")
+	if np.JSON() != nil {
+		t.Fatal("nil span JSON not nil")
 	}
 }
 

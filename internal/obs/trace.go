@@ -79,11 +79,7 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	child := &Span{name: name, start: time.Now()}
-	s.mu.Lock()
-	s.children = append(s.children, child)
-	s.mu.Unlock()
-	return child
+	return s.attach(&Span{name: name, start: time.Now()})
 }
 
 // AddChild attaches an already-measured child span — used for work whose
@@ -93,7 +89,10 @@ func (s *Span) AddChild(name string, d time.Duration, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	child := &Span{name: name, start: s.start, dur: d, ended: true, attrs: attrs}
+	return s.attach(&Span{name: name, start: s.start, dur: d, ended: true, attrs: attrs})
+}
+
+func (s *Span) attach(child *Span) *Span {
 	s.mu.Lock()
 	s.children = append(s.children, child)
 	s.mu.Unlock()
@@ -229,35 +228,6 @@ func (s *Span) JSON() *SpanJSON {
 	for _, c := range s.Children() {
 		out.Children = append(out.Children, c.JSON())
 	}
-	return out
-}
-
-// PhaseDurations sums descendant span durations by name over the tree
-// (self excluded — the root is the whole request). When the same phase
-// appears more than once (retries, degradation reruns, batch items) the
-// occurrences accumulate, which is what latency attribution wants: total
-// time spent in that kind of work. Nested spans only contribute their own
-// name — a child's time is already inside its parent's — so only the
-// outermost span of each distinct name chain should be attributed; callers
-// pass the set of names they consider phases and only those are counted,
-// and a counted span's subtree is not descended (its children are part of
-// its phase).
-func (s *Span) PhaseDurations(names map[string]bool) map[string]time.Duration {
-	if s == nil {
-		return nil
-	}
-	out := make(map[string]time.Duration)
-	var walk func(sp *Span)
-	walk = func(sp *Span) {
-		for _, c := range sp.Children() {
-			if names[c.Name()] {
-				out[c.Name()] += c.Duration()
-				continue // subtree time is inside this phase
-			}
-			walk(c)
-		}
-	}
-	walk(s)
 	return out
 }
 

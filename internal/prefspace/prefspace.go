@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"cqp/internal/estimate"
@@ -63,6 +62,10 @@ type Space struct {
 	D, C, S []int
 	// K is len(P).
 	K int
+	// Estimate is a traced build's account of its estimator calls; nil on
+	// an untraced build. The caller hangs it under the span it laps the
+	// build with.
+	Estimate *EstimateTally
 }
 
 // Options tunes preference extraction.
@@ -166,24 +169,24 @@ func (q *candQueue) pop() candidate {
 	}
 }
 
-// estimateTally is a traced build's account of the estimator entry points it
+// EstimateTally is a traced build's account of the estimator entry points it
 // ran and the wall time it spent in them; nil, and free, on an untraced build.
-type estimateTally struct {
-	calls int
-	spent time.Duration
+type EstimateTally struct {
+	Calls int
+	Spent time.Duration
 }
 
-func (t *estimateTally) start() (t0 time.Time) {
+func (t *EstimateTally) start() (t0 time.Time) {
 	if t != nil {
 		t0 = time.Now()
 	}
 	return t0
 }
 
-func (t *estimateTally) done(calls int, t0 time.Time) {
+func (t *EstimateTally) done(calls int, t0 time.Time) {
 	if t != nil {
-		t.calls += calls
-		t.spent += time.Since(t0)
+		t.Calls += calls
+		t.Spent += time.Since(t0)
 	}
 }
 
@@ -215,18 +218,14 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 	}
 	// Estimation is interleaved with extraction, with no interval of its own
 	// to wrap: a traced build keeps its own account, whoever else shares the
-	// Estimator, and reports it as an "estimate" child of the span it runs under.
-	span := obs.FromContext(ctx)
-	var tally *estimateTally
-	if span != nil {
-		tally = &estimateTally{}
+	// Estimator, and returns it on the Space.
+	sp := &Space{Query: q}
+	if obs.FromContext(ctx) != nil {
+		sp.Estimate = &EstimateTally{}
 	}
+	tally := sp.Estimate
 	t0 := tally.start()
-	sp := &Space{
-		Query:    q,
-		BaseCost: est.QueryCost(q),
-		BaseSize: est.QuerySize(q),
-	}
+	sp.BaseCost, sp.BaseSize = est.QueryCost(q), est.QuerySize(q)
 	tally.done(2, t0)
 	if opt.MaxK > 0 {
 		sp.P = make([]Pref, 0, opt.MaxK)
@@ -307,9 +306,6 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 		}
 	}
 
-	if span != nil {
-		span.AddChild("estimate", tally.spent, obs.Attr{Key: "calls", Value: strconv.Itoa(tally.calls)})
-	}
 	sp.buildVectors(opt)
 	return sp, nil
 }
@@ -320,7 +316,7 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 // memo exists to elide (the pair was computed against this same immutable
 // catalog). Otherwise ctx and the fault point are polled, the pair is computed
 // and stored, and the tally is charged its two calls.
-func prefParams(ctx context.Context, est *estimate.Estimator, q *query.Query, scope string, imp prefs.Implicit, tally *estimateTally) (cost, shrink float64, err error) {
+func prefParams(ctx context.Context, est *estimate.Estimator, q *query.Query, scope string, imp prefs.Implicit, tally *EstimateTally) (cost, shrink float64, err error) {
 	if cost, shrink, ok := est.PrefParams(scope, imp); ok {
 		return cost, shrink, nil
 	}

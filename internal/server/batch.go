@@ -145,7 +145,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := obs.RequestFromContext(r.Context())
-	lp := startLaps(rec)
+	lp := rec.Laps()
 	ctx, cancel, tr := s.requestContext(r.Context(), req.TimeoutMS, "batch")
 	defer cancel()
 	ep := personalizeEndpoint
@@ -175,7 +175,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			leaderOf[id], units[i] = i, c
 		}
 	}
-	lp.lap(obs.PhaseParse)
+	lp.Lap(obs.PhaseParse)
 
 	var wg sync.WaitGroup
 	for i, c := range units {

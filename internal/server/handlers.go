@@ -307,28 +307,6 @@ func (s *Server) finishRequest(endpoint string, rec *obs.Request) {
 	}
 }
 
-// laps charges wall time between handler checkpoints to named attribution
-// phases. The first lap starts at the flight record's birth, so the parse
-// phase covers body decode from the instrument preamble on.
-type laps struct {
-	rec  *obs.Request
-	last time.Time
-}
-
-func startLaps(rec *obs.Request) laps {
-	if rec == nil {
-		return laps{last: time.Now()}
-	}
-	return laps{rec: rec, last: rec.Start()}
-}
-
-// lap closes the current interval under the given phase and starts the next.
-func (l *laps) lap(phase string) {
-	now := time.Now()
-	l.rec.AddPhase(phase, now.Sub(l.last))
-	l.last = now
-}
-
 // profileLabel renders the profile identity a flight record carries.
 func profileLabel(id string, version uint64) string {
 	if id == "" {

@@ -437,7 +437,7 @@ func (s *Server) run(ctx context.Context, c *call) answer {
 func (s *Server) handle(ep *endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rec := obs.RequestFromContext(r.Context())
-		lp := startLaps(rec)
+		lp := rec.Laps()
 		c := call{ep: ep, req: ep.newRequest()}
 		body, err := s.decodeJSON(w, r, c.req)
 		if err == nil {
@@ -453,10 +453,10 @@ func (s *Server) handle(ep *endpoint) http.HandlerFunc {
 		}
 		in := c.req.base()
 		rec.SetProfile(profileLabel(in.ProfileID, c.version))
-		lp.lap(obs.PhaseParse)
+		lp.Lap(obs.PhaseParse)
 		hit := s.lookup(&c)
 		if c.key != "" {
-			lp.lap(obs.PhaseCache)
+			lp.Lap(obs.PhaseCache)
 		}
 		trace := in.Trace || (r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1")
 		var a answer

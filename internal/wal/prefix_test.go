@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -184,6 +185,85 @@ func TestTornPrefixMidStreamIsCorrupt(t *testing.T) {
 		}
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("cut=%d: error %v, want ErrCorrupt", cut, err)
+		}
+	}
+}
+
+// frameBounds returns the offset each frame of a whole log starts at, and
+// the log's length last.
+func frameBounds(t *testing.T, full []byte) []int {
+	t.Helper()
+	bounds := []int{0}
+	for off := 0; off < len(full); {
+		_, next, err := DecodeFrame(full, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds = append(bounds, next)
+		off = next
+	}
+	return bounds
+}
+
+// openEdited writes an edited copy of full as dir's only log and opens it;
+// a log that opens is closed again.
+func openEdited(t *testing.T, dir string, full []byte, edit func([]byte)) (*Recovery, error) {
+	t.Helper()
+	b := append([]byte(nil), full...)
+	edit(b)
+	if err := os.WriteFile(filepath.Join(dir, logName(1)), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, rec, err := Open(dir, Options{Sync: SyncNever})
+	if err == nil {
+		if cerr := l.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+	}
+	return rec, err
+}
+
+// checkKept asserts that a recovery kept exactly the log's first k records —
+// their state and their clock — and truncated the rest as a torn tail.
+func checkKept(t *testing.T, rec *Recovery, recs []Record, acked []map[string]Record, bounds []int, k int, label string) {
+	t.Helper()
+	assertState(t, rec, acked[k], label)
+	var clock uint64
+	if k > 0 {
+		clock = recs[k-1].Version
+	}
+	if torn := int64(bounds[len(bounds)-1] - bounds[k]); rec.LogRecords != k || rec.Clock != clock || rec.TornBytes != torn {
+		t.Fatalf("%s: %d records, clock %d, %d torn bytes; want %d, %d, %d",
+			label, rec.LogRecords, rec.Clock, rec.TornBytes, k, clock, torn)
+	}
+}
+
+// TestReplaySingleByteFlip flips every byte of the torn-prefix log, one at
+// a time, under three masks. Damage to an earlier frame is mid-log
+// corruption however the flip bends its length — the frames after it still
+// decode — so recovery must refuse with ErrCorrupt rather than drop acked
+// records as a torn tail. Damage to the last frame may instead read as its
+// torn tail, and then recovery keeps exactly the frames before it.
+func TestReplaySingleByteFlip(t *testing.T) {
+	recs, acked := genLog(14)
+	full := EncodeRecords(recs)
+	bounds := frameBounds(t, full)
+	last := len(recs) - 1
+	dir := t.TempDir()
+	for off := range full {
+		frame := sort.SearchInts(bounds[1:], off+1)
+		for _, mask := range []byte{0x01, 0x40, 0xff} {
+			label := fmt.Sprintf("byte %d (frame %d) ^ %#x", off, frame, mask)
+			rec, err := openEdited(t, dir, full, func(b []byte) { b[off] ^= mask })
+			switch {
+			case errors.Is(err, ErrCorrupt):
+			case err != nil:
+				t.Fatalf("%s: %v, want ErrCorrupt", label, err)
+			case frame < last:
+				t.Fatalf("%s: recovered %d records (%d torn bytes), want ErrCorrupt", label, rec.LogRecords, rec.TornBytes)
+			default:
+				checkKept(t, rec, recs, acked, bounds, last, label)
+			}
 		}
 	}
 }

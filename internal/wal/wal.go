@@ -331,18 +331,26 @@ func (l *Log) replayLog(path string, last bool, state map[string]Record) (n int,
 	return n, torn, nil
 }
 
-// tornTail decides whether the undecodable frame at off is a torn tail —
-// the frame extends to or past end-of-file, so nothing acked can follow —
-// rather than mid-log corruption. A frame whose declared length lands
-// strictly inside the file, or whose in-bounds payload fails its checksum
-// or decode while complete records' worth of bytes follow, is corruption:
-// truncating there would drop acked history.
+// tornTail decides whether the undecodable frame at off is a torn tail
+// rather than mid-log corruption. A torn write is the last append: it leaves
+// one incomplete frame and nothing after it. So the frame is torn only if
+// the bytes from off fit in one frame, its declared length reaches
+// end-of-file, and no checksum-valid frame decodes after its start. Anything
+// else is corruption: truncating there would drop acked history.
 func (l *Log) tornTail(buf []byte, off int) bool {
-	if off+frameHeaderBytes >= len(buf) {
-		return true // partial header reaches EOF
+	rest := len(buf) - off
+	if rest > frameHeaderBytes+MaxRecordBytes {
+		return false
 	}
-	n := int(binary.LittleEndian.Uint32(buf[off:]))
-	return off+frameHeaderBytes+n >= len(buf)
+	if rest > frameHeaderBytes && frameHeaderBytes+int(binary.LittleEndian.Uint32(buf[off:])) < rest {
+		return false
+	}
+	for p := off + 1; p+frameHeaderBytes+recordFixedBytes <= len(buf); p++ {
+		if _, _, err := readFrame(buf, p); err == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // apply merges rec into the replay state under the version guard: a record

@@ -58,6 +58,37 @@ func TestTracedPipeline(t *testing.T) {
 	}
 }
 
+// TestTracedFront: a traced frontier enumeration laps the same three phases
+// as a personalization, each a child of the trace it runs under, with the
+// build's estimator calls under prefspace.
+func TestTracedFront(t *testing.T) {
+	db := paperDB(t)
+	p := NewPersonalizer(db)
+	profile, err := ParseProfile(figure1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ParseQuery(db.Schema(), "select title from MOVIE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, tr := StartTrace(context.Background(), "front")
+	if _, err := p.PersonalizeFrontContext(ctx, q, profile, 10000, 0, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	tr.End()
+	var names []string
+	for _, c := range tr.Children() {
+		names = append(names, c.Name())
+	}
+	if strings.Join(names, " ") != "prefspace search construct" {
+		t.Fatalf("front trace children %v, want prefspace search construct:\n%s", names, tr.Tree())
+	}
+	if ps := tr.Find("prefspace"); len(ps.Children()) != 1 || ps.Children()[0].Name() != "estimate" {
+		t.Fatalf("prefspace lacks its estimate child:\n%s", tr.Tree())
+	}
+}
+
 // TestObservedPipelineMetrics attaches a registry and checks that every
 // layer — search, storage, executor, estimator accuracy — records into it.
 func TestObservedPipelineMetrics(t *testing.T) {

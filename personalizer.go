@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -238,7 +239,7 @@ func (r *Result) Execute() (*exec.UnionResult, error) {
 	return r.ExecuteContext(context.Background())
 }
 
-// ExecuteContext is Execute with tracing: when ctx carries a trace it opens
+// ExecuteContext is Execute with tracing: when ctx carries a trace it laps
 // an "execute" span laid out like the executor's union plan — attributes
 // base (the one pass over what the sub-queries share) and rank, and one
 // "subquery[i]" child per sub-query (the reducers it fed; zero when it only
@@ -266,22 +267,11 @@ func (r *Result) execute(ctx context.Context, run func() (*exec.UnionResult, err
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cqp: execute: %w", err)
 	}
-	_, span := obs.StartSpan(ctx, "execute")
+	lp := obs.StartLaps(ctx)
 	res, err := run()
-	span.End()
 	if err != nil {
+		lp.Lap(obs.PhaseExecute)
 		return nil, err
-	}
-	if span != nil {
-		span.SetAttr("rows", res.Total)
-		span.SetAttr("blocks", res.BlockReads)
-		span.SetAttr("base", obs.FormatDuration(res.Base))
-		span.SetAttr("rank", obs.FormatDuration(res.Rank))
-		for i, s := range res.Subs {
-			span.AddChild(fmt.Sprintf("subquery[%d]", i), s.Elapsed,
-				obs.Attr{Key: "rows", Value: fmt.Sprint(s.Rows)},
-				obs.Attr{Key: "blocks", Value: fmt.Sprint(s.BlockReads)})
-		}
 	}
 	b := time.Duration(r.blockMillis * float64(time.Millisecond))
 	actMS := float64(exec.RealCost(res.BlockReads, res.Elapsed, b)) / float64(time.Millisecond)
@@ -294,6 +284,17 @@ func (r *Result) execute(ctx context.Context, run func() (*exec.UnionResult, err
 		}
 		if rows < r.prob.SizeMin || (r.prob.SizeMax > 0 && rows > r.prob.SizeMax) {
 			reg.Counter("cqp_constraint_violation_total", "param", "size").Inc()
+		}
+	}
+	if span := lp.Lap(obs.PhaseExecute); span != nil {
+		span.SetAttr("rows", res.Total)
+		span.SetAttr("blocks", res.BlockReads)
+		span.SetAttr("base", obs.FormatDuration(res.Base))
+		span.SetAttr("rank", obs.FormatDuration(res.Rank))
+		for i, s := range res.Subs {
+			span.AddChild(fmt.Sprintf("subquery[%d]", i), s.Elapsed,
+				obs.Attr{Key: "rows", Value: fmt.Sprint(s.Rows)},
+				obs.Attr{Key: "blocks", Value: fmt.Sprint(s.BlockReads)})
 		}
 	}
 	return res, nil
@@ -347,11 +348,12 @@ func (p *Personalizer) Personalize(q *Query, u *Profile, prob Problem, opts ...O
 	return p.PersonalizeContext(context.Background(), q, u, prob, opts...)
 }
 
-// PersonalizeContext is Personalize with tracing: when ctx carries a trace
-// (see StartTrace), the pipeline records one span per Figure-2 phase —
-// prefspace (which hangs the estimator calls it made under its span as an
-// "estimate" child), search, and construct; ExecuteContext adds execute.
-// Without a trace in ctx the call behaves exactly like Personalize.
+// PersonalizeContext is Personalize with tracing: each Figure-2 phase is a
+// lap of one clock, charged to the context's flight record and, when ctx
+// carries a trace (see StartTrace), recorded as one span — prefspace (with
+// the estimator calls its build made as an "estimate" child), search, and
+// construct; ExecuteContext adds execute. Without a trace in ctx the call
+// behaves exactly like Personalize.
 func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Profile, prob Problem, opts ...Option) (*Result, error) {
 	o := defaultOptions()
 	for _, fn := range opts {
@@ -381,35 +383,29 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cqp: personalize: %w", err)
 	}
+	lp := obs.StartLaps(ctx)
 
-	psCtx, psSpan := obs.StartSpan(ctx, "prefspace")
-	sp, err := prefspace.BuildContext(psCtx, q, u, est, prefspace.Options{
-		MaxK:    o.maxK,
-		CostMax: prob.CostMax,
-	})
-	psSpan.End()
+	sp, err := buildSpace(ctx, &lp, q, u, est, prefspace.Options{MaxK: o.maxK, CostMax: prob.CostMax})
 	if err != nil {
 		return nil, err
 	}
-	psSpan.SetAttr("k", sp.K)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cqp: personalize: %w", err)
 	}
 
 	in := core.FromSpace(sp)
 	in.StateBudget = o.budget
-	_, searchSpan := obs.StartSpan(ctx, "search")
 	sol, err := core.Solve(in, prob, o.algorithm)
-	searchSpan.End()
 	if err != nil {
+		lp.Lap(obs.PhaseSearch)
 		return nil, err
 	}
-	searchSpan.SetAttr("algorithm", sol.Stats.Algorithm)
+	recordSearchStats(metrics, sol.Stats)
+	searchSpan := lp.Lap(obs.PhaseSearch, obs.Attr{Key: "algorithm", Value: sol.Stats.Algorithm})
 	searchSpan.SetAttr("states", sol.Stats.StatesVisited)
 	if sol.Stats.Truncated {
 		searchSpan.SetAttr("truncated", true)
 	}
-	recordSearchStats(metrics, sol.Stats)
 	if !sol.Feasible {
 		return nil, fmt.Errorf("%w (%s)", ErrInfeasible, prob)
 	}
@@ -423,26 +419,21 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 		chosen = append(chosen, sp.P[i])
 		prefDois = append(prefDois, sp.P[i].Doi)
 	}
-	prefStrs := sp.Strings(sol.Set)
-	_, conSpan := obs.StartSpan(ctx, "construct")
 	var pq *rewrite.Personalized
 	if o.merge {
 		pq = rewrite.ConstructMerged(q, chosen, p.db.Schema())
 	} else {
 		pq = rewrite.Construct(q, chosen, !o.anyMatch)
 	}
-	conSpan.End()
-	conSpan.SetAttr("subqueries", pq.NumSubs())
-
 	if reg := metrics; reg != nil {
 		reg.Counter("personalize_total").Inc()
 		reg.Histogram("personalize_ms", obs.DurationBucketsMS).
 			Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	}
-	return &Result{
+	res := &Result{
 		Solution:       sol,
 		SQL:            pq.SQL(),
-		Preferences:    prefStrs,
+		Preferences:    sp.Strings(sol.Set),
 		PreferenceDois: prefDois,
 		Supreme:        sp.SupremeCost(),
 		db:             p.db,
@@ -451,7 +442,24 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 		prob:           prob,
 		acc:            acc,
 		blockMillis:    est.BlockMillis,
-	}, nil
+	}
+	lp.Lap(obs.PhaseConstruct).SetAttr("subqueries", pq.NumSubs())
+	return res, nil
+}
+
+// buildSpace runs the Preference Space module and laps it as the prefspace
+// phase, hanging the build's estimator account under the lap's span.
+func buildSpace(ctx context.Context, lp *obs.Laps, q *Query, u *Profile, est *estimate.Estimator, opt prefspace.Options) (*prefspace.Space, error) {
+	sp, err := prefspace.BuildContext(ctx, q, u, est, opt)
+	span := lp.Lap(obs.PhasePrefspace)
+	if err != nil {
+		return nil, err
+	}
+	if span != nil {
+		span.SetAttr("k", sp.K)
+		span.AddChild("estimate", sp.Estimate.Spent, obs.Attr{Key: "calls", Value: strconv.Itoa(sp.Estimate.Calls)})
+	}
+	return sp, nil
 }
 
 // recordSearchStats feeds one search's Stats into the registry under its
@@ -512,7 +520,8 @@ func (p *Personalizer) PersonalizeFront(q *Query, u *Profile, costMax, sizeMin, 
 // PersonalizeFrontContext is PersonalizeFront under a context: a canceled
 // or expired ctx aborts the enumeration at the same phase boundaries
 // PersonalizeContext checks (before extraction, before the frontier search,
-// before construction of the menu).
+// before construction of the menu), and the three phases are lapped as
+// PersonalizeContext laps them.
 func (p *Personalizer) PersonalizeFrontContext(ctx context.Context, q *Query, u *Profile, costMax, sizeMin, sizeMax float64, maxPoints int, opts ...Option) (*Front, error) {
 	o := defaultOptions()
 	for _, fn := range opts {
@@ -528,7 +537,8 @@ func (p *Personalizer) PersonalizeFrontContext(ctx context.Context, q *Query, u 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cqp: front: %w", err)
 	}
-	sp, err := prefspace.BuildContext(ctx, q, u, est, prefspace.Options{MaxK: o.maxK, CostMax: costMax})
+	lp := obs.StartLaps(ctx)
+	sp, err := buildSpace(ctx, &lp, q, u, est, prefspace.Options{MaxK: o.maxK, CostMax: costMax})
 	if err != nil {
 		return nil, err
 	}
@@ -541,6 +551,7 @@ func (p *Personalizer) PersonalizeFrontContext(ctx context.Context, q *Query, u 
 		CostMax: costMax, SizeMin: sizeMin, SizeMax: sizeMax, MaxPoints: maxPoints,
 	})
 	recordSearchStats(metrics, stats)
+	lp.Lap(obs.PhaseSearch, obs.Attr{Key: "algorithm", Value: stats.Algorithm})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cqp: front: %w", err)
 	}
@@ -557,6 +568,7 @@ func (p *Personalizer) PersonalizeFrontContext(ctx context.Context, q *Query, u 
 			Knee: hasKnee && fi == kneeIdx,
 		})
 	}
+	lp.Lap(obs.PhaseConstruct)
 	return out, nil
 }
 
