@@ -76,25 +76,27 @@ func BenchmarkFig12aOptimizationTime(b *testing.B) {
 }
 
 // BenchmarkFig12bPreferenceSpace regenerates Figure 12(b): preference
-// extraction with doi-only ordering (D_PrefSelTime) vs full C/S ordering
-// (C_PrefSelTime).
+// extraction alone (D_PrefSelTime: P in doi order) vs extraction plus the C
+// and S vectors core derives (C_PrefSelTime). benchSetup's builds have
+// warmed the estimator's memo, so both time the memo-warm extraction.
 func BenchmarkFig12bPreferenceSpace(b *testing.B) {
 	benchSetup(b)
 	for _, k := range []int{10, 20, 40} {
+		opt := prefspace.Options{MaxK: k}
 		b.Run(fmt.Sprintf("D_PrefSelTime/K=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := prefspace.Build(benchQ, benchProf, benchEnv.Est, prefspace.Options{
-					MaxK: k, SkipCostVector: true, SkipSizeVector: true,
-				}); err != nil {
+				if _, err := prefspace.Build(benchQ, benchProf, benchEnv.Est, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("C_PrefSelTime/K=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := prefspace.Build(benchQ, benchProf, benchEnv.Est, prefspace.Options{MaxK: k}); err != nil {
+				sp, err := prefspace.Build(benchQ, benchProf, benchEnv.Est, opt)
+				if err != nil {
 					b.Fatal(err)
 				}
+				core.FromSpace(sp)
 			}
 		})
 	}

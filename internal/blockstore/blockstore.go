@@ -572,11 +572,6 @@ func (t *Table) newCursor(metered bool) *cursor {
 	return c
 }
 
-// Scan is a convenience full scan.
-func (t *Table) Scan(io *storage.IOCounter, fn func(storage.Row) bool) error {
-	return storage.ScanBackend(t, io, fn)
-}
-
 // ReadCSV bulk-loads CSV data. The load is atomic: on error the file is
 // truncated back to its pre-call sealed pages and the in-memory tail is
 // restored, so no partial rows (or their block accounting) survive.

@@ -158,10 +158,10 @@ func TestLogicalBlocksMatchMemBackend(t *testing.T) {
 	}
 
 	var dio, mio storage.IOCounter
-	if err := disk.Scan(&dio, func(storage.Row) bool { return true }); err != nil {
+	if err := storage.ScanBackend(disk, &dio, func(storage.Row) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.Scan(&mio, func(storage.Row) bool { return true }); err != nil {
+	if err := storage.ScanBackend(mem, &mio, func(storage.Row) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if dio.BlockReads != mio.BlockReads {
@@ -323,7 +323,7 @@ func TestBlockstoreReadFault(t *testing.T) {
 	defer fault.Disarm()
 
 	var io storage.IOCounter
-	scanErr := tbl.Scan(&io, func(storage.Row) bool { return true })
+	scanErr := storage.ScanBackend(tbl, &io, func(storage.Row) bool { return true })
 	if !errors.Is(scanErr, fault.ErrInjected) {
 		t.Fatalf("scan under fault: err = %v, want ErrInjected", scanErr)
 	}
@@ -334,7 +334,7 @@ func TestBlockstoreReadFault(t *testing.T) {
 	}
 
 	fault.Disarm()
-	if err := tbl.Scan(&io, func(storage.Row) bool { return true }); err != nil {
+	if err := storage.ScanBackend(tbl, &io, func(storage.Row) bool { return true }); err != nil {
 		t.Fatalf("scan after disarm: %v", err)
 	}
 }

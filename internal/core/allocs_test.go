@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"cqp/internal/prefspace"
+	"cqp/internal/workload"
+)
 
 // TestSearchAllocs is the allocation tripwire for the search hot path. A
 // search allocates its containers (queue, boundary and solution lists,
@@ -61,5 +66,20 @@ func TestSearchAllocsVertical(t *testing.T) {
 		if vr.len() != 3 || calls != 4*101 {
 			t.Errorf("K=%d: %d neighbors kept in %d calls, want 3 of 4 per run", k, vr.len(), calls)
 		}
+	}
+}
+
+// TestFromSpaceAllocs pins what turning a K = 20 preference space into an
+// instance allocates: the instance, one block for its three parameter
+// slices, and the C and S vectors.
+func TestFromSpaceAllocs(t *testing.T) {
+	env := workload.NewEnv(workload.DBConfig{Movies: 2000, Seed: 9}, 1)
+	profile := workload.GenerateProfile(workload.ProfileConfig{Seed: 11})
+	sp, err := prefspace.Build(workload.Queries(1, 7)[0], profile, env.Est, prefspace.Options{MaxK: 20})
+	if err != nil || sp.K != 20 {
+		t.Fatalf("K = %d, err = %v", sp.K, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { FromSpace(sp) }); n > 4 {
+		t.Errorf("FromSpace at K = 20 allocates %.0f times, want ≤ 4", n)
 	}
 }

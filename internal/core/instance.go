@@ -84,24 +84,24 @@ func (in *Instance) overBudget(st *Stats) bool {
 	return false
 }
 
-// FromSpace builds an Instance from a preference space.
+// FromSpace builds an Instance from a preference space: the parameters of P
+// in doi order, and the C and S vectors derived from them as NewInstance
+// derives them.
 func FromSpace(sp *prefspace.Space) *Instance {
+	k := len(sp.P)
+	params := make([]float64, 3*k)
 	inst := &Instance{
-		K:        sp.K,
-		Doi:      sp.Dois(),
-		Cost:     sp.Costs(),
-		Shrink:   sp.Shrinks(),
+		K:        k,
+		Doi:      params[:k:k],
+		Cost:     params[k : 2*k : 2*k],
+		Shrink:   params[2*k:],
 		BaseCost: sp.BaseCost,
 		BaseSize: sp.BaseSize,
-		C:        append([]int(nil), sp.C...),
-		S:        append([]int(nil), sp.S...),
 	}
-	if inst.C == nil {
-		inst.C = costVector(inst.Cost)
+	for i, p := range sp.P {
+		inst.Doi[i], inst.Cost[i], inst.Shrink[i] = p.Doi, p.Cost, p.Shrink
 	}
-	if inst.S == nil {
-		inst.S = sizeVector(inst.Shrink)
-	}
+	inst.C, inst.S = costVector(inst.Cost), sizeVector(inst.Shrink)
 	return inst
 }
 
@@ -153,7 +153,8 @@ func sizeVector(shrinks []float64) []int {
 	return rankBy(len(shrinks), func(a, b int) bool { return shrinks[a] < shrinks[b] })
 }
 
-// rankBy returns the stable permutation of 0..k-1 under the strict order.
+// rankBy returns the stable permutation of 0..k-1 under the strict order,
+// by insertion: the paper's addrank construction (Figure 3), and K is small.
 func rankBy(k int, less func(a, b int) bool) []int {
 	out := make([]int, k)
 	for i := range out {

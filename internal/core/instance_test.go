@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"cqp/internal/prefspace"
 	"cqp/internal/sqlparse"
 	"cqp/internal/testutil"
+	"cqp/internal/workload"
 )
 
 // randInstance builds a random valid instance: dois descending in (0,1),
@@ -152,16 +155,88 @@ doi(MOVIE.year >= 1980) = 0.6
 			t.Errorf("parameter %d mismatch", i)
 		}
 	}
-	// A skip-vector space synthesizes C and S locally.
-	sp2, err := prefspace.Build(q, profile, est, prefspace.Options{
-		SkipCostVector: true, SkipSizeVector: true,
-	})
+}
+
+func TestVectorsTable2(t *testing.T) {
+	// Table 2 of the paper: P = {p1,p2,p3} with
+	//   doi  = 0.5, 0.8, 0.7
+	//   cost = 10, 5, 12
+	//   size = 3, 2, 10
+	// gives D = {2,3,1}, C = {3,1,2}, S = {2,1,3} (1-based).
+	// D is defined over P sorted by doi, so P here is given doi-sorted:
+	// p2(0.8), p3(0.7), p1(0.5) with matching cost and size (a base size of
+	// 10 rows, so shrink = size / 10). Over that P the 0-based vectors are
+	// D = {0,1,2}, C = {1,2,0} and S = {0,2,1}.
+	in, err := NewInstance([]float64{0.8, 0.7, 0.5}, []float64{5, 12, 10}, []float64{0.2, 1, 0.3}, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in2 := FromSpace(sp2)
-	if err := in2.Validate(); err != nil {
-		t.Errorf("synthesized vectors invalid: %v", err)
+	wantD := []int{0, 1, 2}
+	wantC := []int{1, 2, 0} // costs 12, 10, 5 decreasing
+	wantS := []int{0, 2, 1} // sizes 2, 3, 10 increasing
+	if d := in.doiSpace().vec; !slices.Equal(d, wantD) || !slices.Equal(in.C, wantC) || !slices.Equal(in.S, wantS) {
+		t.Errorf("D=%v C=%v S=%v", d, in.C, in.S)
+	}
+	if err := in.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFromSpaceOrders: an instance built from a preference space is valid
+// and carries the C and S vectors NewInstance derives from the same
+// parameters — for a base query the estimator expects to return no row, where
+// every size(Q ∧ p) is 0 but the shrinks still differ, and for the workload
+// grid of generated queries and profiles.
+func TestFromSpaceOrders(t *testing.T) {
+	check := func(label string, sp *prefspace.Space) {
+		t.Helper()
+		in := FromSpace(sp)
+		if err := in.Validate(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, err := NewInstance(in.Doi, in.Cost, in.Shrink, in.BaseCost, in.BaseSize)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !slices.Equal(in.C, want.C) || !slices.Equal(in.S, want.S) {
+			t.Errorf("%s: C=%v S=%v, NewInstance derives C=%v S=%v", label, in.C, in.S, want.C, want.S)
+		}
+	}
+
+	db := testutil.MovieDB(256)
+	est := estimate.New(catalog.MustBuild(db), 1)
+	profile, err := prefs.ParseProfile(`
+doi(MOVIE.year >= 1980) = 0.9
+doi(MOVIE.mid = GENRE.mid) = 0.9
+doi(GENRE.genre = 'comedy') = 0.8
+doi(MOVIE.duration <= 100) = 0.7
+doi(MOVIE.did = DIRECTOR.did) = 1.0
+doi(DIRECTOR.name = 'W. Allen') = 0.6
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := sqlparse.MustParse(db.Schema(), "SELECT MOVIE.title FROM MOVIE WHERE MOVIE.year = 3000")
+	sp, err := prefspace.Build(q, profile, est, prefspace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.BaseSize != 0 || sp.K < 3 {
+		t.Fatalf("want an empty base query and K ≥ 3, got size %g and K = %d", sp.BaseSize, sp.K)
+	}
+	check("empty base query", sp)
+
+	env := workload.NewEnv(workload.DBConfig{Movies: 2000, Seed: 9}, 1)
+	queries := workload.Queries(8, 11)
+	for i := 0; i < 8; i++ {
+		profile := workload.GenerateProfile(workload.ProfileConfig{Seed: int64(100 + i)})
+		for _, k := range []int{10, 20, 40} {
+			sp, err := prefspace.Build(queries[i], profile, env.Est, prefspace.Options{MaxK: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("query %d profile %d K=%d", i, 100+i, k), sp)
+		}
 	}
 }
 

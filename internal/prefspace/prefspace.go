@@ -1,13 +1,9 @@
 // Package prefspace implements the paper's Preference Space module
 // (Section 4.4, Figure 3): given a query Q and a user profile U, it
 // extracts the set P of atomic and implicit selection preferences related
-// to Q in decreasing order of doi, and builds the pointer vectors
-//
-//	D — preference order by decreasing doi (identity, by construction),
-//	C — order by decreasing cost(Q ∧ p),
-//	S — order by increasing size(Q ∧ p),
-//
-// which the CQP state-space search algorithms operate on.
+// to Q in decreasing order of doi, each with its estimated cost and size
+// parameters. The paper's D vector is the identity over P; the C and S
+// vectors the searches walk are derived from P by core.FromSpace.
 //
 // The traversal is best-first over the personalization graph: a priority
 // queue of candidate paths ordered by doi. Because f⊗ is non-increasing in
@@ -41,10 +37,9 @@ type Pref struct {
 	// Cost is cost(Q ∧ p) in milliseconds (Formula 11): the cost of the
 	// sub-query that integrates just this preference into Q.
 	Cost float64
-	// Shrink is the multiplicative size factor of conjoining p (≤ 1).
+	// Shrink is the multiplicative size factor of conjoining p (≤ 1):
+	// size(Q ∧ p) = size(Q) × Shrink.
 	Shrink float64
-	// Size is size(Q ∧ p) = size(Q) × Shrink, in estimated rows.
-	Size float64
 }
 
 // Space is the output of the Preference Space module.
@@ -56,10 +51,6 @@ type Space struct {
 	BaseSize float64
 	// P holds the preferences in decreasing doi order.
 	P []Pref
-	// D, C, S are 0-based pointer vectors into P: D by decreasing doi
-	// (identity by construction), C by decreasing Cost, S by increasing
-	// Size. (The paper writes them 1-based.)
-	D, C, S []int
 	// K is len(P).
 	K int
 	// Estimate is a traced build's account of its estimator calls; nil on
@@ -77,14 +68,11 @@ type Options struct {
 	// exceeds this bound in milliseconds (sound for upper-bounded cost
 	// problems since cost is monotone). 0 disables the pruning.
 	CostMax float64
-	// MaxPathLen bounds the join-path length to keep traversal finite on
-	// profiles with long join chains. 0 means the default of 4.
-	MaxPathLen int
-	// SkipCostVector and SkipSizeVector omit building C and S, matching the
-	// paper's D_PrefSelTime configuration (doi-only ordering) in Fig. 12(b).
-	SkipCostVector bool
-	SkipSizeVector bool
 }
+
+// maxPathLen bounds the join-path length to keep traversal finite on
+// profiles with long join chains.
+const maxPathLen = 4
 
 // candidate is a queue entry: a join path under construction or a completed
 // implicit preference. Atoms are named by their position in the profile,
@@ -209,10 +197,6 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("prefspace: query has no relations")
 	}
-	maxPath := opt.MaxPathLen
-	if maxPath <= 0 {
-		maxPath = 4
-	}
 	if err := est.CheckFault(); err != nil {
 		return nil, fmt.Errorf("prefspace: base query estimate: %w", err)
 	}
@@ -276,7 +260,7 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 			if opt.CostMax > 0 && cost > opt.CostMax {
 				continue // can never participate in a feasible query
 			}
-			sp.P = append(sp.P, Pref{Imp: imp, Doi: imp.Doi, Cost: cost, Shrink: shrink, Size: sp.BaseSize * shrink})
+			sp.P = append(sp.P, Pref{Imp: imp, Doi: imp.Doi, Cost: cost, Shrink: shrink})
 			sp.K++
 			continue
 		}
@@ -294,7 +278,7 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 		for _, i := range profile.SelectionsOn(end) {
 			qp.push(candidate{doi: prefs.Compose(c.doi, profile.Atom(i).Doi), at: c.at, n: c.n, sel: i})
 		}
-		if c.n >= maxPath {
+		if c.n >= maxPathLen {
 			continue
 		}
 		for _, i := range profile.JoinsFrom(end) {
@@ -305,8 +289,6 @@ func BuildContext(ctx context.Context, q *query.Query, profile *prefs.Profile, e
 			qp.push(candidate{doi: prefs.Compose(c.doi, a.Doi), at: paths.extend(c.at, c.n, a), n: c.n + 1, sel: -1})
 		}
 	}
-
-	sp.buildVectors(opt)
 	return sp, nil
 }
 
@@ -346,71 +328,11 @@ func revisits(path []prefs.Atomic, rel string) bool {
 	return false
 }
 
-// buildVectors constructs D, C and S. D is the identity because P is
-// produced in decreasing doi order; C and S are built with addrank-style
-// stable insertion (Figure 3).
-func (sp *Space) buildVectors(opt Options) {
-	sp.D = make([]int, sp.K)
-	for i := range sp.D {
-		sp.D[i] = i
-	}
-	if !opt.SkipCostVector {
-		sp.C = rankBy(sp.K, func(a, b int) bool { return sp.P[a].Cost > sp.P[b].Cost })
-	}
-	if !opt.SkipSizeVector {
-		sp.S = rankBy(sp.K, func(a, b int) bool { return sp.P[a].Size < sp.P[b].Size })
-	}
-}
-
-// rankBy returns the permutation of 0..k-1 ordered by the strict less
-// function, stable in the original (doi) order.
-func rankBy(k int, less func(a, b int) bool) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = i
-	}
-	// Insertion sort: stable and matches the paper's addrank incremental
-	// construction; K is small (≤ a few dozen) by design.
-	for i := 1; i < k; i++ {
-		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // Strings renders the preferences at the positions in set in profile terms
 // (Implicit.String), the texts sliced out of one buffer.
 func (sp *Space) Strings(set []int) []string {
 	return prefs.AppendStrings(make([]string, 0, len(set)), len(set),
 		func(k int) prefs.Implicit { return sp.P[set[k]].Imp })
-}
-
-// Dois returns the doi of each preference in P order.
-func (sp *Space) Dois() []float64 {
-	out := make([]float64, sp.K)
-	for i, p := range sp.P {
-		out[i] = p.Doi
-	}
-	return out
-}
-
-// Costs returns cost(Q ∧ p) of each preference in P order (milliseconds).
-func (sp *Space) Costs() []float64 {
-	out := make([]float64, sp.K)
-	for i, p := range sp.P {
-		out[i] = p.Cost
-	}
-	return out
-}
-
-// Shrinks returns each preference's size shrink factor in P order.
-func (sp *Space) Shrinks() []float64 {
-	out := make([]float64, sp.K)
-	for i, p := range sp.P {
-		out[i] = p.Shrink
-	}
-	return out
 }
 
 // SupremeCost is the cost of incorporating all K preferences — the paper's
@@ -428,8 +350,7 @@ func (sp *Space) SupremeCost() float64 {
 }
 
 // Validate checks the structural invariants the search algorithms rely on:
-// P sorted by non-increasing doi; D, C, S are permutations with their
-// documented orderings; parameters are finite and within range.
+// P sorted by non-increasing doi, parameters finite and within range.
 func (sp *Space) Validate() error {
 	if sp.K != len(sp.P) {
 		return fmt.Errorf("prefspace: K=%d but len(P)=%d", sp.K, len(sp.P))
@@ -448,32 +369,5 @@ func (sp *Space) Validate() error {
 			return fmt.Errorf("prefspace: P not sorted by doi at %d", i)
 		}
 	}
-	checkPerm := func(name string, v []int, ok func(a, b int) bool) error {
-		if v == nil {
-			return nil
-		}
-		if len(v) != sp.K {
-			return fmt.Errorf("prefspace: %s has length %d, want %d", name, len(v), sp.K)
-		}
-		seen := make([]bool, sp.K)
-		for _, x := range v {
-			if x < 0 || x >= sp.K || seen[x] {
-				return fmt.Errorf("prefspace: %s is not a permutation", name)
-			}
-			seen[x] = true
-		}
-		for i := 1; i < sp.K; i++ {
-			if !ok(v[i-1], v[i]) {
-				return fmt.Errorf("prefspace: %s ordering violated at %d", name, i)
-			}
-		}
-		return nil
-	}
-	if err := checkPerm("D", sp.D, func(a, b int) bool { return sp.P[a].Doi >= sp.P[b].Doi-1e-12 }); err != nil {
-		return err
-	}
-	if err := checkPerm("C", sp.C, func(a, b int) bool { return sp.P[a].Cost >= sp.P[b].Cost-1e-9 }); err != nil {
-		return err
-	}
-	return checkPerm("S", sp.S, func(a, b int) bool { return sp.P[a].Size <= sp.P[b].Size+1e-9 })
+	return nil
 }

@@ -1,6 +1,7 @@
 package prefspace
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -60,43 +61,6 @@ func TestFigure1Extraction(t *testing.T) {
 	}
 }
 
-func TestVectorsTable2(t *testing.T) {
-	// Table 2 of the paper: P = {p1,p2,p3} with
-	//   doi  = 0.5, 0.8, 0.7
-	//   cost = 10, 5, 12
-	//   size = 3, 2, 10
-	// gives D = {2,3,1}, C = {3,1,2}, S = {2,1,3} (1-based).
-	// Our vectors are 0-based: D = {1,2,0}, C = {2,0,1}, S = {1,0,2}.
-	// D is defined over P sorted by doi, so P here is given doi-sorted:
-	// p2(0.8), p3(0.7), p1(0.5) with matching cost/size.
-	sp := &Space{K: 3, P: []Pref{
-		{Doi: 0.8, Cost: 5, Size: 2},
-		{Doi: 0.7, Cost: 12, Size: 10},
-		{Doi: 0.5, Cost: 10, Size: 3},
-	}}
-	sp.buildVectors(Options{})
-	wantD := []int{0, 1, 2}
-	wantC := []int{1, 2, 0} // costs 12, 10, 5 decreasing
-	wantS := []int{0, 2, 1} // sizes 2, 3, 10 increasing
-	eq := func(a, b []int) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !eq(sp.D, wantD) || !eq(sp.C, wantC) || !eq(sp.S, wantS) {
-		t.Errorf("D=%v C=%v S=%v", sp.D, sp.C, sp.S)
-	}
-	if err := sp.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCostMaxPruning(t *testing.T) {
 	db := testutil.MovieDB(256)
 	est := estimate.New(catalog.MustBuild(db), 1)
@@ -136,34 +100,8 @@ func TestMaxKCap(t *testing.T) {
 	}
 }
 
-func TestSkipVectors(t *testing.T) {
-	db := testutil.MovieDB(256)
-	est := estimate.New(catalog.MustBuild(db), 1)
-	profile, _ := prefs.ParseProfile(`doi(MOVIE.year >= 1990) = 0.9`)
-	q := sqlparse.MustParse(db.Schema(), "SELECT title FROM MOVIE")
-	sp, err := Build(q, profile, est, Options{SkipCostVector: true, SkipSizeVector: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.C != nil || sp.S != nil {
-		t.Error("vectors should be skipped")
-	}
-	if len(sp.D) != 1 {
-		t.Error("D always built")
-	}
-	if err := sp.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	_, _, sp := figure1Setup(t)
-	if len(sp.Dois()) != sp.K || len(sp.Costs()) != sp.K || len(sp.Shrinks()) != sp.K {
-		t.Error("accessor lengths")
-	}
-	if sp.Dois()[0] != sp.P[0].Doi {
-		t.Error("Dois content")
-	}
 	sup := sp.SupremeCost()
 	sum := sp.P[0].Cost + sp.P[1].Cost
 	if math.Abs(sup-sum) > 1e-9 {
@@ -272,45 +210,24 @@ func TestValidateCatchesCorruptSpaces(t *testing.T) {
 	if bad3.Validate() == nil {
 		t.Error("unsorted P must fail")
 	}
-	// Break the C permutation.
-	bad4 := *sp
-	bad4.C = []int{0, 0}
-	if bad4.Validate() == nil {
-		t.Error("non-permutation C must fail")
-	}
-	// Break cost ordering within C.
-	if sp.P[sp.C[0]].Cost != sp.P[sp.C[1]].Cost {
-		bad5 := *sp
-		bad5.C = []int{sp.C[1], sp.C[0]}
-		if bad5.Validate() == nil {
-			t.Error("mis-ordered C must fail")
-		}
-	}
 	// Negative cost.
-	bad6 := *sp
-	bad6.P = append([]Pref(nil), sp.P...)
-	bad6.P[0].Cost = -1
-	if bad6.Validate() == nil {
+	bad4 := *sp
+	bad4.P = append([]Pref(nil), sp.P...)
+	bad4.P[0].Cost = -1
+	if bad4.Validate() == nil {
 		t.Error("negative cost must fail")
 	}
 	// Shrink out of range.
-	bad7 := *sp
-	bad7.P = append([]Pref(nil), sp.P...)
-	bad7.P[0].Shrink = 1.5
-	if bad7.Validate() == nil {
+	bad5 := *sp
+	bad5.P = append([]Pref(nil), sp.P...)
+	bad5.P[0].Shrink = 1.5
+	if bad5.Validate() == nil {
 		t.Error("shrink out of range must fail")
-	}
-	// Wrong vector length.
-	bad8 := *sp
-	bad8.S = []int{0}
-	if bad8.Validate() == nil {
-		t.Error("short S must fail")
 	}
 }
 
 func TestLongerPathsViaCast(t *testing.T) {
-	// A two-hop path MOVIE -> CAST -> ACTOR exercises path extension and
-	// the MaxPathLen bound.
+	// A two-hop path MOVIE -> CAST -> ACTOR exercises path extension.
 	db := testutil.MovieDB(256)
 	s := db.Schema()
 	s.MustAddRelation("ACTOR", "aid",
@@ -319,10 +236,20 @@ func TestLongerPathsViaCast(t *testing.T) {
 	s.MustAddRelation("CAST", "",
 		schema.Column{Name: "mid", Type: value.KindInt},
 		schema.Column{Name: "aid", Type: value.KindInt})
+	// A chain MOVIE -> L1 -> … -> L5 with a selection at every hop
+	// exercises the maxPathLen bound.
+	for i := 1; i <= 5; i++ {
+		s.MustAddRelation(fmt.Sprintf("L%d", i), "",
+			schema.Column{Name: "a", Type: value.KindInt},
+			schema.Column{Name: "b", Type: value.KindInt})
+	}
 	db2 := storage.NewDB(s, 256) // fresh db over the extended schema
 	db2.MustTable("ACTOR").MustInsert(value.Int(1), value.Str("A. Actor"))
 	db2.MustTable("CAST").MustInsert(value.Int(1), value.Int(1))
 	db2.MustTable("MOVIE").MustInsert(value.Int(1), value.Str("M"), value.Int(2000), value.Int(90), value.Int(1))
+	for i := 1; i <= 5; i++ {
+		db2.MustTable(fmt.Sprintf("L%d", i)).MustInsert(value.Int(1), value.Int(1))
+	}
 	est := estimate.New(catalog.MustBuild(db2), 1)
 	profile, err := prefs.ParseProfile(`
 doi(MOVIE.mid = CAST.mid) = 0.9
@@ -343,12 +270,30 @@ doi(ACTOR.name = 'A. Actor') = 0.8
 	if math.Abs(sp.P[0].Doi-0.9*0.9*0.8) > 1e-12 {
 		t.Errorf("composed doi = %g", sp.P[0].Doi)
 	}
-	// MaxPathLen = 1 cuts the two-hop path.
-	sp2, err := Build(q, profile, est, Options{MaxPathLen: 1})
+
+	chain := "doi(MOVIE.mid = L1.a) = 0.9\n"
+	for i := 1; i <= 5; i++ {
+		if i < 5 {
+			chain += fmt.Sprintf("doi(L%d.b = L%d.a) = 0.9\n", i, i+1)
+		}
+		chain += fmt.Sprintf("doi(L%d.b = 1) = 0.8\n", i)
+	}
+	profile, err = prefs.ParseProfile(chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp2.K != 0 {
-		t.Errorf("MaxPathLen=1 should prune the two-hop preference, got %v", sp2.P)
+	sp, err = Build(q, profile, est, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Selections one to four hops out are extracted, nearest (highest doi)
+	// first; the one five hops out lies past the bound.
+	if sp.K != 4 {
+		t.Fatalf("K = %d, want 4: %v", sp.K, sp.P)
+	}
+	for i, p := range sp.P {
+		if len(p.Imp.Path) != i+1 || p.Imp.Sel.Attr.Relation != fmt.Sprintf("L%d", i+1) {
+			t.Errorf("P[%d] = %v, want the selection on L%d over %d hops", i, p.Imp, i+1, i+1)
+		}
 	}
 }

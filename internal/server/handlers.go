@@ -440,10 +440,10 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) ([]by
 
 // requestContext derives the per-request deadline (request value, capped by
 // the server max; the server default when absent) and the request's trace.
-// Tracing is always on — latency attribution needs the span tree whether or
-// not the caller asked to see it — and the root span is attached to the
-// flight record so /debug/requests/{id} serves the very tree the response
-// rendered.
+// Tracing is always on, whether or not the caller asked to see the trace:
+// /debug/requests/{id} serves the span tree of every retained request, so
+// the root span is attached to the flight record, and the tree served there
+// is the very tree the response rendered.
 func (s *Server) requestContext(parent context.Context, timeoutMS int, name string) (context.Context, context.CancelFunc, *cqp.Trace) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {

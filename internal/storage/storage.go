@@ -133,9 +133,6 @@ type Backend interface {
 	// (statistics builds and CSV exports are catalog work, not query
 	// work). Physical read failures of persistent backends still surface.
 	OpenRaw() (Cursor, error)
-	// Scan is a convenience full scan driving fn over Open/Next/Close.
-	// Returning false from fn stops the scan early.
-	Scan(io *IOCounter, fn func(Row) bool) error
 	// ReadCSV bulk-loads CSV data (see package docs); the load is atomic.
 	ReadCSV(r io.Reader) (int, error)
 	// WriteCSV dumps the table as CSV with a header row of column names.
@@ -169,8 +166,9 @@ func PrepareRow(rel *schema.Relation, r Row, blockSize int) (Row, int, error) {
 	return row, w, nil
 }
 
-// ScanBackend drives fn over a full scan of b, for backends implementing
-// Scan in terms of Open.
+// ScanBackend drives fn over a full scan of b through Open, so it charges
+// the scan's blocks to io and fires the storage.scan fault point. Returning
+// false from fn stops the scan early; the full block charge still applies.
 func ScanBackend(b Backend, io *IOCounter, fn func(Row) bool) error {
 	cur, err := b.Open(io)
 	if err != nil {
@@ -274,21 +272,10 @@ func (t *Table) MustInsert(vals ...value.Value) {
 	}
 }
 
-// Scan performs a full table scan, charging the table's block count to the
-// counter and invoking fn for each row. fn must not retain the row slice
-// beyond the call unless it clones it. Returning false stops the scan early
-// (the full block charge still applies: the model has no indexes, a scan
-// reads the whole heap file). The error return models read failures — the
-// in-memory store itself cannot fail, but the fault harness's storage.scan
-// point injects here, standing in for the disk and page-cache errors a real
-// heap file would surface.
-func (t *Table) Scan(io *IOCounter, fn func(Row) bool) error {
-	return ScanBackend(t, io, fn)
-}
-
 // Open starts a full scan. The block charge and the storage.scan fault
-// point fire at open, mirroring the old eager Scan: a query pays for every
-// relation it opens even if the iterator tree never drains it.
+// point fire at open: a query pays for every relation it opens even if the
+// iterator tree never drains it. The in-memory store itself cannot fail;
+// the fault point stands in for the read errors a real heap file surfaces.
 func (t *Table) Open(io *IOCounter) (Cursor, error) {
 	if err := fault.Inject(fault.StorageScan); err != nil {
 		return nil, fmt.Errorf("storage: scan %s: %w", t.rel.Name, err)

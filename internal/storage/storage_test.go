@@ -102,7 +102,7 @@ func TestScanChargesBlocks(t *testing.T) {
 	}
 	var io IOCounter
 	var seen int
-	if err := tb.Scan(&io, func(Row) bool { seen++; return true }); err != nil {
+	if err := ScanBackend(tb, &io, func(Row) bool { seen++; return true }); err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
 	if seen != 4 {
@@ -113,14 +113,14 @@ func TestScanChargesBlocks(t *testing.T) {
 	}
 	// Early stop still charges the full scan (no indexes in the model).
 	io = IOCounter{}
-	if err := tb.Scan(&io, func(Row) bool { return false }); err != nil {
+	if err := ScanBackend(tb, &io, func(Row) bool { return false }); err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
 	if io.BlockReads != tb.Blocks() {
 		t.Errorf("early-stop io = %d, want %d", io.BlockReads, tb.Blocks())
 	}
 	// Nil counter must be safe.
-	if err := tb.Scan(nil, func(Row) bool { return true }); err != nil {
+	if err := ScanBackend(tb, nil, func(Row) bool { return true }); err != nil {
 		t.Fatalf("Scan with nil counter: %v", err)
 	}
 }
