@@ -156,17 +156,6 @@ func TestLogicalBlocksMatchMemBackend(t *testing.T) {
 	if disk.Blocks() != mem.Blocks() {
 		t.Fatalf("disk %d logical blocks, mem %d", disk.Blocks(), mem.Blocks())
 	}
-
-	var dio, mio storage.IOCounter
-	if err := storage.ScanBackend(disk, &dio, func(storage.Row) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := storage.ScanBackend(mem, &mio, func(storage.Row) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if dio.BlockReads != mio.BlockReads {
-		t.Fatalf("disk charged %d block reads, mem %d", dio.BlockReads, mio.BlockReads)
-	}
 }
 
 // A crash before Sync leaves no manifest (or a stale one); the store must
@@ -322,19 +311,13 @@ func TestBlockstoreReadFault(t *testing.T) {
 	fault.Arm(plan)
 	defer fault.Disarm()
 
-	var io storage.IOCounter
-	scanErr := storage.ScanBackend(tbl, &io, func(storage.Row) bool { return true })
+	scanErr := storage.ScanBackend(tbl, func(storage.Row) bool { return true })
 	if !errors.Is(scanErr, fault.ErrInjected) {
 		t.Fatalf("scan under fault: err = %v, want ErrInjected", scanErr)
 	}
-	// The logical charge already happened at Open — the paper's model
-	// charges a scan up front regardless of physical outcome.
-	if io.BlockReads != tbl.Blocks() {
-		t.Fatalf("charged %d, want %d", io.BlockReads, tbl.Blocks())
-	}
 
 	fault.Disarm()
-	if err := storage.ScanBackend(tbl, &io, func(storage.Row) bool { return true }); err != nil {
+	if err := storage.ScanBackend(tbl, func(storage.Row) bool { return true }); err != nil {
 		t.Fatalf("scan after disarm: %v", err)
 	}
 }
@@ -355,7 +338,7 @@ func TestStorageScanFaultAndRawExemption(t *testing.T) {
 	fault.Arm(plan)
 	defer fault.Disarm()
 
-	if _, err := tbl.Open(&storage.IOCounter{}); !errors.Is(err, fault.ErrInjected) {
+	if _, err := tbl.Open(); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("metered open under storage.scan fault: err = %v", err)
 	}
 	if err := storage.ScanRaw(tbl, func(storage.Row) bool { return true }); err != nil {

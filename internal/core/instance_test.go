@@ -331,3 +331,69 @@ func TestSizePrimaryAndSpace(t *testing.T) {
 		t.Error("empty-node parameters")
 	}
 }
+
+// TestStateAggregation: a set's doi, cost and size under Formulas 10, 6
+// and the independence model, and the empty set as the original query.
+func TestStateAggregation(t *testing.T) {
+	in, err := NewInstance([]float64{0.8, 0.5}, []float64{4, 3}, []float64{0.1, 0.5}, 10, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, c, s := in.SetDoi(nil), in.SetCost(nil), in.SetSize(nil); d != 0 || c != 10 || s != 100 {
+		t.Errorf("empty set: doi %g, cost %g, size %g", d, c, s)
+	}
+	both := []int{0, 1}
+	if got := in.SetDoi(both); math.Abs(got-0.9) > 1e-12 {
+		t.Errorf("doi = %g", got)
+	}
+	if got := in.SetCost(both); got != 7 {
+		t.Errorf("cost = %g (cost of Q∧Px is the sum of sub-query costs)", got)
+	}
+	if got := in.SetSize(both); math.Abs(got-5) > 1e-12 {
+		t.Errorf("size = %g", got)
+	}
+}
+
+// TestPartialOrders verifies Formulas 4, 7 and 8 on random subsets: the
+// monotone partial orders the search algorithms depend on, on the set
+// functions they call.
+func TestPartialOrders(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	const n = 8
+	dois := make([]float64, n)
+	costs := make([]float64, n)
+	shrinks := make([]float64, n)
+	for i := 0; i < n; i++ {
+		dois[i] = rng.Float64()
+		costs[i] = 1 + rng.Float64()*20
+		shrinks[i] = rng.Float64()
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(dois)))
+	in, err := NewInstance(dois, costs, shrinks, 5, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick := func(mask int) []int {
+		var set []int
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) != 0 {
+				set = append(set, i)
+			}
+		}
+		return set
+	}
+	for trial := 0; trial < 500; trial++ {
+		x := rng.Intn(1 << n)
+		y := x | rng.Intn(1<<n) // y ⊇ x
+		sx, sy := pick(x), pick(y)
+		if dx, dy := in.SetDoi(sx), in.SetDoi(sy); dx > dy+1e-12 {
+			t.Fatalf("Formula 4 violated: %v ⊆ %v but doi %g > %g", sx, sy, dx, dy)
+		}
+		if cx, cy := in.SetCost(sx), in.SetCost(sy); x != 0 && cx > cy+1e-9 {
+			t.Fatalf("Formula 7 violated: %v ⊆ %v but cost %g > %g", sx, sy, cx, cy)
+		}
+		if zx, zy := in.SetSize(sx), in.SetSize(sy); zx < zy-1e-9 {
+			t.Fatalf("Formula 8 violated: %v ⊆ %v but size %g < %g", sx, sy, zx, zy)
+		}
+	}
+}

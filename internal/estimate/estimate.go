@@ -158,28 +158,3 @@ func (e *Estimator) Shrink(q *query.Query, p prefs.Implicit) float64 {
 	}
 	return f
 }
-
-// Params bundles the three CQP query parameters of one candidate state.
-type Params struct {
-	Doi  float64
-	Cost float64 // milliseconds
-	Size float64 // estimated rows
-}
-
-// State estimates all three parameters of Q ∧ Px for a set of preferences,
-// given their individual sub-query costs and shrink factors (as produced by
-// SubQueryCost and Shrink). An empty set degenerates to the original query.
-func (e *Estimator) State(baseCost, baseSize float64, dois, costs, shrinks []float64) Params {
-	if len(dois) == 0 {
-		return Params{Doi: 0, Cost: baseCost, Size: baseSize}
-	}
-	p := Params{Size: baseSize}
-	acc := prefs.NewConjAccum()
-	for i := range dois {
-		acc.Add(dois[i])
-		p.Cost += costs[i]
-		p.Size *= shrinks[i]
-	}
-	p.Doi = acc.Doi()
-	return p
-}

@@ -2,7 +2,6 @@ package estimate
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"cqp/internal/catalog"
@@ -116,72 +115,5 @@ func TestShrinkMatchesTruth(t *testing.T) {
 	// Shrink is clamped to [0,1].
 	if s := e.Shrink(q, prefOf(t, "doi(MOVIE.year >= 0) = 0.5")); s < 0 || s > 1 {
 		t.Errorf("shrink out of range: %g", s)
-	}
-}
-
-func TestStateAggregation(t *testing.T) {
-	db := testutil.MovieDB(256)
-	e := New(catalog.MustBuild(db), 1)
-	empty := e.State(10, 100, nil, nil, nil)
-	if empty.Doi != 0 || empty.Cost != 10 || empty.Size != 100 {
-		t.Errorf("empty state = %+v", empty)
-	}
-	got := e.State(10, 100,
-		[]float64{0.5, 0.8},
-		[]float64{3, 4},
-		[]float64{0.5, 0.1})
-	if math.Abs(got.Doi-0.9) > 1e-12 {
-		t.Errorf("doi = %g", got.Doi)
-	}
-	if got.Cost != 7 {
-		t.Errorf("cost = %g (cost of Q∧Px is the sum of sub-query costs)", got.Cost)
-	}
-	if math.Abs(got.Size-5) > 1e-12 {
-		t.Errorf("size = %g", got.Size)
-	}
-}
-
-// TestPartialOrders verifies Formulas 4, 7 and 8 on random subsets: the
-// monotone partial orders the search algorithms depend on.
-func TestPartialOrders(t *testing.T) {
-	db := testutil.MovieDB(256)
-	e := New(catalog.MustBuild(db), 1)
-	rng := rand.New(rand.NewSource(42))
-	n := 8
-	dois := make([]float64, n)
-	costs := make([]float64, n)
-	shrinks := make([]float64, n)
-	for i := 0; i < n; i++ {
-		dois[i] = rng.Float64()
-		costs[i] = 1 + rng.Float64()*20
-		shrinks[i] = rng.Float64()
-	}
-	pick := func(mask int) ([]float64, []float64, []float64) {
-		var d, c, s []float64
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				d = append(d, dois[i])
-				c = append(c, costs[i])
-				s = append(s, shrinks[i])
-			}
-		}
-		return d, c, s
-	}
-	for trial := 0; trial < 500; trial++ {
-		x := rng.Intn(1 << n)
-		y := x | rng.Intn(1<<n) // y ⊇ x
-		dx, cx, sx := pick(x)
-		dy, cy, sy := pick(y)
-		px := e.State(5, 1000, dx, cx, sx)
-		py := e.State(5, 1000, dy, cy, sy)
-		if px.Doi > py.Doi+1e-12 {
-			t.Fatalf("Formula 4 violated: %v ⊆ %v but doi %g > %g", x, y, px.Doi, py.Doi)
-		}
-		if x != 0 && px.Cost > py.Cost+1e-9 {
-			t.Fatalf("Formula 7 violated: cost %g > %g", px.Cost, py.Cost)
-		}
-		if px.Size < py.Size-1e-9 {
-			t.Fatalf("Formula 8 violated: size %g < %g", px.Size, py.Size)
-		}
 	}
 }

@@ -23,14 +23,12 @@ const DefaultShareBytes = 64 << 20
 // swaps estimators without touching table data), so no MVCC machinery is
 // needed: a row slice read once is correct for every consumer.
 //
-// I/O accounting is unchanged by sharing. The paper's cost model charges
-// each (sub-)query the full block count of every relation it opens
-// (Formula 6 sums per-sub-query costs), so the first opener charges its
-// counter via the normal Backend.Open — which also fires the storage.scan
-// fault point and the per-table scan metrics for the one physical pass —
-// and every later consumer charges the same logical block count directly.
-// Per-item BlockReads are therefore byte-identical to unshared execution;
-// only the physical row reads collapse.
+// Sharing leaves the block charge alone: it is computed from the FROM lists
+// (charge), so per-item BlockReads are byte-identical to unshared
+// execution. Only the physical passes collapse: the first opener goes
+// through the normal Backend.Open — the storage.scan fault point and the
+// per-table scan metrics, once for the one pass — and later consumers read
+// its rows.
 //
 // Failure is per-item, like sequential execution: the opener whose
 // physical scan fails gets that error itself, and the relation's entry is
@@ -91,7 +89,7 @@ func ScanShareFromContext(ctx context.Context) *ScanShare {
 // big, or a previous opener's scan failed) the caller opens its own
 // private scan. A non-nil error is the caller's own failure — its physical
 // pass died — never an adopted one.
-func (s *ScanShare) open(ctx context.Context, t storage.Backend, io *storage.IOCounter) (it iter.Iterator, used bool, err error) {
+func (s *ScanShare) open(ctx context.Context, t storage.Backend) (it iter.Iterator, used bool, err error) {
 	if t.Blocks()*int64(t.BlockSize()) > s.maxBytes {
 		return nil, false, nil
 	}
@@ -102,7 +100,7 @@ func (s *ScanShare) open(ctx context.Context, t storage.Backend, io *storage.IOC
 		e = &shareEntry{done: make(chan struct{})}
 		s.ents[name] = e
 		s.mu.Unlock()
-		rows, err := materializeScan(ctx, t, io)
+		rows, err := materializeScan(ctx, t)
 		if err != nil {
 			e.failed = true
 			close(e.done)
@@ -122,16 +120,15 @@ func (s *ScanShare) open(ctx context.Context, t storage.Backend, io *storage.IOC
 	if e.failed {
 		return nil, false, nil
 	}
-	io.Add(t.Blocks())
 	s.shared.Add(1)
 	return iter.FromRowsContext(ctx, e.rows), true, nil
 }
 
-// materializeScan runs the one physical pass: a normal metered Open (block
-// charge, fault point, scan metrics) drained into a slice of the backend's
-// own rows (storage.Cursor: they are immutable and may be retained).
-func materializeScan(ctx context.Context, t storage.Backend, io *storage.IOCounter) ([]storage.Row, error) {
-	cur, err := t.Open(io)
+// materializeScan runs the one physical pass: a normal Open (fault point,
+// scan metrics) drained into a slice of the backend's own rows
+// (storage.Cursor: they are immutable and may be retained).
+func materializeScan(ctx context.Context, t storage.Backend) ([]storage.Row, error) {
+	cur, err := t.Open()
 	if err != nil {
 		return nil, err
 	}

@@ -174,19 +174,14 @@ func reducerSeed(ctx context.Context, db *storage.DB, q *query.Query) string {
 // looked up in each tag relation, and its projection is added under the bits
 // of the sub-queries whose parts all hold. A reducer's time is booked to its
 // sub-query in stats. Every relation opens through buildJoinTree, hence through
-// the batch's scan share, and io is charged by the share's rule: a physical
-// open pays through Backend.Open, the len(stats) − 1 further sub-queries that
-// read a base relation pay its blocks directly.
-func (p *unionPlan) run(ctx context.Context, db *storage.DB, io *storage.IOCounter, grouper *iter.Grouper, stats []SubQueryStat) (err error) {
-	tree, err := buildJoinTree(ctx, db, io, p.base, p.base.From[0])
+// the batch's scan share.
+func (p *unionPlan) run(ctx context.Context, db *storage.DB, grouper *iter.Grouper, stats []SubQueryStat) (err error) {
+	tree, err := buildJoinTree(ctx, db, p.base, p.base.From[0])
 	if err != nil {
 		return err
 	}
 	// Whatever is built from here on hangs off tree: one Close releases it.
 	defer func() { err = closing(tree, err) }()
-	for _, r := range p.base.From {
-		io.Add(int64(len(stats)-1) * db.MustTable(r).Blocks())
-	}
 	full := make([]uint64, (len(stats)+63)/64) // every sub-query's bit
 	for i := range stats {
 		full[i/64] |= 1 << (i % 64)
@@ -215,7 +210,7 @@ func (p *unionPlan) run(ctx context.Context, db *storage.DB, io *storage.IOCount
 			free[ti][r.sub/64] &^= 1 << (r.sub % 64)
 			// The reducer drains into the relation, whose grouping is its DISTINCT.
 			start := time.Now()
-			red, err := buildJoinTree(ctx, db, io, r.q, reducerSeed(ctx, db, r.q))
+			red, err := buildJoinTree(ctx, db, r.q, reducerSeed(ctx, db, r.q))
 			if err == nil {
 				err = closing(red, each(red, func(row storage.Row) error { return rel.Add(row, r.sub) }))
 			}

@@ -143,14 +143,13 @@ func (t *Table) dropIndexes() {
 	t.mu.Unlock()
 }
 
-// OpenEq is Open — the storage.scan fault point, the full block charge, the
-// scan metrics — yielding only the rows in the chain of v's hash in the
-// table's index on column col, in insertion order. Every row whose column
-// equals v is among them (Equal values hash alike), so a caller that filters
-// on the equality afterwards gets exactly the rows a full scan would give it,
-// in the same order.
-func (t *Table) OpenEq(io *IOCounter, col int, v value.Value) (Cursor, error) {
-	cur, err := t.Open(io)
+// OpenEq is Open — the storage.scan fault point, the scan metrics — yielding
+// only the rows in the chain of v's hash in the table's index on column col,
+// in insertion order. Every row whose column equals v is among them (Equal
+// values hash alike), so a caller that filters on the equality afterwards
+// gets exactly the rows a full scan would give it, in the same order.
+func (t *Table) OpenEq(col int, v value.Value) (Cursor, error) {
+	cur, err := t.Open()
 	if err != nil {
 		return nil, err
 	}

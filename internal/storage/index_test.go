@@ -39,12 +39,10 @@ func kept(t *testing.T, cur storage.Cursor, col int, v value.Value) []storage.Ro
 }
 
 // checkEq holds an index-served open, after the filter, to the filter over a
-// full maintenance scan: the same stored rows, in the same order, and the
-// full block charge.
+// full maintenance scan: the same stored rows, in the same order.
 func checkEq(t *testing.T, tb *storage.Table, col int, v value.Value) {
 	t.Helper()
-	var io storage.IOCounter
-	cur, err := tb.OpenEq(&io, col, v)
+	cur, err := tb.OpenEq(col, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +53,6 @@ func checkEq(t *testing.T, tb *storage.Table, col int, v value.Value) {
 	}
 	want := kept(t, raw, col, v)
 	name := tb.Relation().Name + "." + tb.Relation().Columns[col].Name + " = " + v.SQL()
-	if io.BlockReads != tb.Blocks() {
-		t.Errorf("%s: charged %d blocks, the table has %d", name, io.BlockReads, tb.Blocks())
-	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows through the index, %d through a scan", name, len(got), len(want))
 	}
@@ -139,7 +134,7 @@ func TestIndexMatchesScan(t *testing.T) {
 func TestIndexDroppedOnChange(t *testing.T) {
 	tb := handTable(t)
 	count := func(v value.Value) int {
-		cur, err := tb.OpenEq(nil, 0, v)
+		cur, err := tb.OpenEq(0, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +180,7 @@ func TestIndexConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cur, err := tb.OpenEq(nil, col, v)
+			cur, err := tb.OpenEq(col, v)
 			if err != nil {
 				t.Error(err)
 				return

@@ -5,17 +5,16 @@
 //
 // The paper's cost model (Section 7.1) charges b milliseconds per disk block
 // read, assumes full scans with no indexes, and keeps intermediate results in
-// memory. Every backend charges exactly that model: tables are heap files of
-// rows packed into fixed-size blocks, every open accounts the full block
-// count against an IOCounter, and the block arithmetic (BlockTally) is shared
-// so the in-memory and persistent backends report identical block counts for
-// identical data — the paper's cost metrics stay backend-independent. The
+// memory. Tables are heap files of rows packed into fixed-size blocks, and
+// the block arithmetic (BlockTally) is shared, so the in-memory and
+// persistent backends report identical block counts for identical data. The
+// charge itself is arithmetic over those counts, computed by the executor;
+// a backend's Open only fires the fault point and counts the pass. The
 // persistent block-store backend lives in internal/blockstore.
 //
 // How the in-memory table finds its rows is not the model's business: it
 // keeps a hash index per column a query asks about (Index), which equality
-// scans (OpenEq) and join builds read instead of the heap file. They pay the
-// same charge as a full scan.
+// scans (OpenEq) and join builds read instead of the heap file.
 package storage
 
 import (
@@ -55,19 +54,6 @@ func (r Row) Width() int {
 		w += v.Width()
 	}
 	return w
-}
-
-// IOCounter accumulates simulated block reads. A single counter is threaded
-// through an execution so that the total reflects one query's I/O.
-type IOCounter struct {
-	BlockReads int64
-}
-
-// Add charges n block reads.
-func (c *IOCounter) Add(n int64) {
-	if c != nil {
-		c.BlockReads += n
-	}
 }
 
 // BlockTally tracks the logical heap-file geometry of a table under the
@@ -124,14 +110,13 @@ type Backend interface {
 	Insert(Row) error
 	// MustInsert is Insert panicking on error; for generators and tests.
 	MustInsert(vals ...value.Value)
-	// Open starts a full-table scan, charging the table's logical block
-	// count to io up front (the model has no indexes: a scan pays for the
-	// whole heap file even if the consumer stops early).
-	Open(io *IOCounter) (Cursor, error)
-	// OpenRaw starts a maintenance scan: no I/O accounting, no scan
-	// metrics, and exempt from the storage.scan query-path fault point
-	// (statistics builds and CSV exports are catalog work, not query
-	// work). Physical read failures of persistent backends still surface.
+	// Open starts a query-path scan: it fires the storage.scan fault point
+	// and records one pass in the table's scan metrics.
+	Open() (Cursor, error)
+	// OpenRaw starts a maintenance scan: no scan metrics, and exempt from
+	// the storage.scan query-path fault point (statistics builds and CSV
+	// exports are catalog work, not query work). Physical read failures of
+	// persistent backends still surface.
 	OpenRaw() (Cursor, error)
 	// ReadCSV bulk-loads CSV data (see package docs); the load is atomic.
 	ReadCSV(r io.Reader) (int, error)
@@ -166,11 +151,11 @@ func PrepareRow(rel *schema.Relation, r Row, blockSize int) (Row, int, error) {
 	return row, w, nil
 }
 
-// ScanBackend drives fn over a full scan of b through Open, so it charges
-// the scan's blocks to io and fires the storage.scan fault point. Returning
-// false from fn stops the scan early; the full block charge still applies.
-func ScanBackend(b Backend, io *IOCounter, fn func(Row) bool) error {
-	cur, err := b.Open(io)
+// ScanBackend drives fn over a full scan of b through Open, so it fires the
+// storage.scan fault point and records the pass. Returning false from fn
+// stops the scan early.
+func ScanBackend(b Backend, fn func(Row) bool) error {
+	cur, err := b.Open()
 	if err != nil {
 		return err
 	}
@@ -272,21 +257,19 @@ func (t *Table) MustInsert(vals ...value.Value) {
 	}
 }
 
-// Open starts a full scan. The block charge and the storage.scan fault
-// point fire at open: a query pays for every relation it opens even if the
-// iterator tree never drains it. The in-memory store itself cannot fail;
-// the fault point stands in for the read errors a real heap file surfaces.
-func (t *Table) Open(io *IOCounter) (Cursor, error) {
+// Open starts a full scan. The storage.scan fault point fires at open; the
+// in-memory store itself cannot fail, so the fault point stands in for the
+// read errors a real heap file surfaces.
+func (t *Table) Open() (Cursor, error) {
 	if err := fault.Inject(fault.StorageScan); err != nil {
 		return nil, fmt.Errorf("storage: scan %s: %w", t.rel.Name, err)
 	}
-	io.Add(t.tally.Blocks)
 	t.mScans.Inc()
 	t.mBlockReads.Add(t.tally.Blocks)
 	return &memCursor{t: t, metered: true}, nil
 }
 
-// OpenRaw starts a maintenance scan: no fault point, no charge, no metrics.
+// OpenRaw starts a maintenance scan: no fault point, no metrics.
 func (t *Table) OpenRaw() (Cursor, error) {
 	return &memCursor{t: t}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cqp/internal/obs"
 	"cqp/internal/schema"
 	"cqp/internal/value"
 )
@@ -100,28 +101,23 @@ func TestScanChargesBlocks(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tb.MustInsert(value.Int(int64(i)), value.Str("t"), value.Int(2000))
 	}
-	var io IOCounter
+	reg := obs.NewRegistry()
+	scans, blocks, rows := reg.Counter("scans"), reg.Counter("blocks"), reg.Counter("rows")
+	tb.SetMetrics(scans, blocks, rows)
 	var seen int
-	if err := ScanBackend(tb, &io, func(Row) bool { seen++; return true }); err != nil {
+	if err := ScanBackend(tb, func(Row) bool { seen++; return true }); err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
 	if seen != 4 {
 		t.Errorf("scanned %d rows", seen)
 	}
-	if io.BlockReads != tb.Blocks() {
-		t.Errorf("io = %d, want %d", io.BlockReads, tb.Blocks())
-	}
-	// Early stop still charges the full scan (no indexes in the model).
-	io = IOCounter{}
-	if err := ScanBackend(tb, &io, func(Row) bool { return false }); err != nil {
+	// An early stop is still one pass over the heap file.
+	if err := ScanBackend(tb, func(Row) bool { return false }); err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
-	if io.BlockReads != tb.Blocks() {
-		t.Errorf("early-stop io = %d, want %d", io.BlockReads, tb.Blocks())
-	}
-	// Nil counter must be safe.
-	if err := ScanBackend(tb, nil, func(Row) bool { return true }); err != nil {
-		t.Fatalf("Scan with nil counter: %v", err)
+	if scans.Value() != 2 || blocks.Value() != 2*tb.Blocks() || rows.Value() != 5 {
+		t.Errorf("metered %d scans, %d blocks, %d rows; want 2, %d, 5",
+			scans.Value(), blocks.Value(), rows.Value(), 2*tb.Blocks())
 	}
 }
 
