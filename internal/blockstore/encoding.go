@@ -147,10 +147,11 @@ func AppendRow(dst []byte, r storage.Row) []byte {
 	return dst
 }
 
-// DecodeRow decodes one row from b, returning the remainder.
+// DecodeRow decodes one row from b, returning the remainder. Every value
+// takes at least its tag byte, so an arity beyond the bytes left is damage.
 func DecodeRow(b []byte) (storage.Row, []byte, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	if sz <= 0 || n > uint64(len(b)-sz) {
 		return nil, nil, fmt.Errorf("blockstore: bad row arity")
 	}
 	b = b[sz:]
