@@ -40,6 +40,9 @@ var reducerShapes = []struct {
 	{"composite-attachment", "MOVIE, CAST WHERE MOVIE.mid = CAST.mid", ", GENRE WHERE MOVIE.mid = CAST.mid AND GENRE.mid = MOVIE.mid AND CAST.mid = GENRE.mid AND GENRE.genre = 'genre00'", false, 0},
 	// A two-column join inside the reducer: CAST's build has two key columns.
 	{"two-column-join", "MOVIE", ", CAST, ACTOR WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND CAST.mid = ACTOR.aid AND ACTOR.name = 'Actor 00024'", false, 1587},
+	// A walk that fails midway: from DIRECTOR's name chain, ACTOR builds from
+	// its index, but CAST is filtered, so the reducer keeps GENRE as its seed.
+	{"seed-fallback", "MOVIE", ", GENRE, CAST, ACTOR, DIRECTOR WHERE MOVIE.mid = GENRE.mid AND GENRE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.aid = DIRECTOR.did AND CAST.role >= 'lead' AND DIRECTOR.name = 'Director 0003'", false, 1587},
 }
 
 // shapeSubs parses a shape into its union: the preference's sub-query, then
@@ -95,7 +98,8 @@ func accessPaths(t *testing.T) []accessPath {
 // qualifying reducer on the in-memory tables, and elsewhere what the union
 // scanned before reducers were walked from an indexed end. Under a scan share
 // a qualifying reducer builds no index on CAST; over a hundred unions on the
-// in-memory tables it builds the one it needs once.
+// in-memory tables it builds the one it needs once. A reducer whose index
+// walk fails midway keeps its first relation as its seed.
 func TestReducerAccessPath(t *testing.T) {
 	for _, p := range accessPaths(t) {
 		for _, s := range reducerShapes {
@@ -167,5 +171,18 @@ func TestReducerAccessPath(t *testing.T) {
 		if n := reg.Counter("storage_index_builds_total", "table", "CAST", "column", col).Value(); n != 1 {
 			t.Errorf("CAST.%s's index built %d times over 100 unions, want once", col, n)
 		}
+	}
+
+	// A reducer whose index walk fails midway is seeded at its first relation,
+	// GENRE: the union reads every GENRE row. Seeded at DIRECTOR's name chain,
+	// where the walk started, it would build GENRE from its index and read none.
+	fallback := reducerShapes[len(reducerShapes)-1]
+	scanned = reg.Counter("storage_rows_scanned_total", "table", "GENRE").Value()
+	if _, err := EvalUnionContext(context.Background(), db, shapeSubs(db, fallback.base, fallback.pref), nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	genre := int64(db.MustTable("GENRE").RowCount())
+	if n := reg.Counter("storage_rows_scanned_total", "table", "GENRE").Value() - scanned; n != genre {
+		t.Errorf("%s: the union scanned %d GENRE rows, want all %d", fallback.name, n, genre)
 	}
 }
