@@ -137,8 +137,8 @@ func (p *Personalizer) PersonalizeBatch(ctx context.Context, items []BatchItem, 
 // personalized query runs against the database and BatchResult.Exec holds
 // its ranked answer. All items execute under one scan share — one physical
 // pass per base relation feeds every item's (and every sub-query's) filter
-// tree, while each item is still charged the cost model's full per-open
-// block count — so a batch of distinct items over the same tables reads
+// tree, while each item is still charged the cost model's block count for
+// every relation it names — so a batch of distinct items over the same tables reads
 // each table once instead of items × sub-queries times. The share is valid
 // because the batch runs inside one statistics generation: the storage
 // contract keeps tables immutable while cursors are open, so no MVCC is
