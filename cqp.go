@@ -142,22 +142,6 @@ func ParseProfile(src string) (*Profile, error) { return prefs.ParseProfile(src)
 // NewProfile returns an empty profile for programmatic construction.
 func NewProfile() *Profile { return prefs.NewProfile() }
 
-// Group-profile combination modes (personalizing for "members of
-// particular groups", per the paper's introduction).
-const (
-	// CombineAverage scales each preference by group consensus.
-	CombineAverage = prefs.CombineAverage
-	// CombineMax keeps the strongest member's interest.
-	CombineMax = prefs.CombineMax
-	// CombineMin keeps only unanimous preferences at their weakest doi.
-	CombineMin = prefs.CombineMin
-)
-
-// CombineProfiles merges member profiles into one group profile.
-func CombineProfiles(mode prefs.CombineMode, members ...*Profile) (*Profile, error) {
-	return prefs.CombineProfiles(mode, members...)
-}
-
 // The six problems of Table 1. Bounds use milliseconds for cost and
 // estimated rows for sizes.
 var (

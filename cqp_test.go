@@ -358,39 +358,6 @@ func TestExplain(t *testing.T) {
 	}
 }
 
-func TestGroupProfilePersonalization(t *testing.T) {
-	db := paperDB(t)
-	p := NewPersonalizer(db)
-	alice, _ := ParseProfile(`
-doi(MOVIE.mid = GENRE.mid) = 0.9
-doi(GENRE.genre = 'musical') = 0.8
-`)
-	bob, _ := ParseProfile(`
-doi(MOVIE.mid = GENRE.mid) = 0.9
-doi(GENRE.genre = 'comedy') = 0.9
-doi(GENRE.genre = 'musical') = 0.2
-`)
-	group, err := CombineProfiles(CombineAverage, alice, bob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := ParseQuery(db.Schema(), "select title from MOVIE")
-	res, err := p.Personalize(q, group, Problem2(1000), WithAnyMatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Preferences) == 0 {
-		t.Fatal("group personalization selected nothing")
-	}
-	rows, err := res.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows.Rows) == 0 {
-		t.Error("no group answers")
-	}
-}
-
 func TestPersonalizeTopK(t *testing.T) {
 	db := paperDB(t)
 	p := NewPersonalizer(db)

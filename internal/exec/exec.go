@@ -648,25 +648,3 @@ func (r *ranking) fix(i int) {
 func RealCost(blockReads int64, elapsed time.Duration, b time.Duration) time.Duration {
 	return time.Duration(blockReads)*b + elapsed
 }
-
-// Format renders result rows for display, one row per line.
-func Format(cols []schema.AttrRef, rows []storage.Row) string {
-	s := ""
-	for i, c := range cols {
-		if i > 0 {
-			s += ", "
-		}
-		s += c.String()
-	}
-	s += "\n"
-	for _, r := range rows {
-		for i, v := range r {
-			if i > 0 {
-				s += ", "
-			}
-			s += v.String()
-		}
-		s += "\n"
-	}
-	return s
-}

@@ -260,15 +260,6 @@ func TestRealCost(t *testing.T) {
 	}
 }
 
-func TestFormat(t *testing.T) {
-	db := testutil.MovieDB(0)
-	res := evalSQL(t, db, "SELECT title FROM MOVIE WHERE year = 1979")
-	s := Format(res.Columns, res.Rows)
-	if !strings.Contains(s, "MOVIE.title") || !strings.Contains(s, "Manhattan") {
-		t.Errorf("Format = %q", s)
-	}
-}
-
 // TestJoinOrderInvariance: shuffling FROM and join clause order never
 // changes the result multiset (the join-tree builder must be order-proof).
 func TestJoinOrderInvariance(t *testing.T) {

@@ -296,8 +296,7 @@ func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 			for _, p := range sp.P[:l] {
 				// rewrite.Integrate, inlined: package rewrite imports exec.
 				sq := base.Clone()
-				for _, pj := range p.Imp.Path {
-					j := pj.AsJoin()
+				for _, j := range p.Imp.Path {
 					have := false
 					for _, h := range sq.Joins {
 						have = have || h == j || (h.Left == j.Right && h.Right == j.Left)
@@ -306,7 +305,7 @@ func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 						sq.AddJoin(j)
 					}
 				}
-				sq.AddSelection(p.Imp.Sel.AsSelection())
+				sq.AddSelection(p.Imp.Sel)
 				subs = append(subs, sq)
 				dois = append(dois, p.Doi)
 			}

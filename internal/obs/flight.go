@@ -124,14 +124,6 @@ func (r *Request) ID() string {
 	return r.id
 }
 
-// Endpoint returns the serving endpoint ("" on nil).
-func (r *Request) Endpoint() string {
-	if r == nil {
-		return ""
-	}
-	return r.endpoint
-}
-
 // Start returns when the record was opened.
 func (r *Request) Start() time.Time {
 	if r == nil {

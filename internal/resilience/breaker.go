@@ -170,18 +170,6 @@ func (b *Breaker) Trip() {
 	b.notify(tr)
 }
 
-// Reset forces the breaker closed (admin hook).
-func (b *Breaker) Reset() {
-	b.mu.Lock()
-	var tr []transition
-	if b.state != Closed {
-		tr = b.toLocked(Closed)
-	}
-	b.failures = 0
-	b.mu.Unlock()
-	b.notify(tr)
-}
-
 type transition struct{ from, to BreakerState }
 
 // lapseLocked moves Open → HalfOpen once the open window has elapsed.

@@ -83,10 +83,3 @@ func pathKey(sch *schema.Schema, imp prefs.Implicit) (key string, functional boo
 	key, _ = imp.Split()
 	return key, true
 }
-
-// MergedSavings reports how many sub-queries merging eliminates for a
-// selection — a quick cost-delta proxy (each eliminated sub-query saves one
-// scan of the base query's relations plus the shared path's).
-func MergedSavings(q *query.Query, selected []prefspace.Pref, sch *schema.Schema) int {
-	return len(selected) - ConstructMerged(q, selected, sch).NumSubs()
-}

@@ -53,9 +53,6 @@ func TestConstructMergedGrouping(t *testing.T) {
 	if merged.NumSubs() != 4 {
 		t.Fatalf("merged into %d sub-queries, want 4:\n%s", merged.NumSubs(), merged.SQL())
 	}
-	if got := MergedSavings(sp.Query, sp.P, db.Schema()); got != 1 {
-		t.Errorf("savings = %d, want 1", got)
-	}
 	// A merged sub-query holds both DIRECTOR selections.
 	foundBoth := false
 	for _, sq := range merged.Subs() {

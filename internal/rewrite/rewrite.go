@@ -80,11 +80,11 @@ func integrate(sq *query.Query, group []prefspace.Pref) {
 	for i := range group {
 		imp := &group[i].Imp
 		for _, j := range imp.Path {
-			if !sq.HasJoin(j.AsJoin()) {
-				sq.AddJoin(j.AsJoin())
+			if !sq.HasJoin(j) {
+				sq.AddJoin(j)
 			}
 		}
-		sq.AddSelection(imp.Sel.AsSelection())
+		sq.AddSelection(imp.Sel)
 	}
 }
 

@@ -153,9 +153,9 @@ func TestRewriteEquivalence(t *testing.T) {
 	direct := sp.Query.Clone()
 	for _, pref := range sp.P {
 		for _, j := range pref.Imp.Path {
-			direct.AddJoin(j.AsJoin())
+			direct.AddJoin(j)
 		}
-		direct.AddSelection(pref.Imp.Sel.AsSelection())
+		direct.AddSelection(pref.Imp.Sel)
 	}
 	direct.Distinct = true
 	dres, err := exec.Eval(db, direct)

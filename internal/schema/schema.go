@@ -221,17 +221,6 @@ func (s *Schema) JoinsFrom(relation string) []JoinEdge {
 	return out
 }
 
-// JoinBetween returns the join edge connecting the two relations (oriented
-// left→right), if any.
-func (s *Schema) JoinBetween(left, right string) (JoinEdge, bool) {
-	for _, e := range s.JoinsFrom(left) {
-		if e.Right.Relation == right {
-			return e, true
-		}
-	}
-	return JoinEdge{}, false
-}
-
 // Validate performs whole-schema checks: every join endpoint resolves and
 // no relation is empty. It is cheap and safe to call repeatedly.
 func (s *Schema) Validate() error {

@@ -141,17 +141,6 @@ func TestJoinsFromOrientation(t *testing.T) {
 	}
 }
 
-func TestJoinBetween(t *testing.T) {
-	s := movieSchema(t)
-	e, ok := s.JoinBetween("GENRE", "MOVIE")
-	if !ok || e.Left.Relation != "GENRE" || e.Right.Relation != "MOVIE" {
-		t.Errorf("JoinBetween: %v %v", e, ok)
-	}
-	if _, ok := s.JoinBetween("GENRE", "DIRECTOR"); ok {
-		t.Error("no direct edge GENRE-DIRECTOR")
-	}
-}
-
 func TestValidateAndString(t *testing.T) {
 	s := movieSchema(t)
 	if err := s.Validate(); err != nil {

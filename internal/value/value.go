@@ -46,22 +46,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind maps a type name (as used in schema definitions) to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "INT", "INTEGER", "BIGINT":
-		return KindInt, nil
-	case "FLOAT", "DOUBLE", "REAL", "NUMERIC":
-		return KindFloat, nil
-	case "VARCHAR", "TEXT", "STRING", "CHAR":
-		return KindString, nil
-	case "BOOL", "BOOLEAN":
-		return KindBool, nil
-	default:
-		return KindNull, fmt.Errorf("value: unknown type name %q", s)
-	}
-}
-
 // Value is an immutable typed scalar. The zero Value is NULL.
 //
 // It is 32 bytes: the kind, a BOOL's payload in the byte beside it, one word

@@ -27,24 +27,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	ok := map[string]Kind{
-		"int": KindInt, "INTEGER": KindInt, "BigInt": KindInt,
-		"float": KindFloat, "DOUBLE": KindFloat, "real": KindFloat,
-		"varchar": KindString, "TEXT": KindString, " string ": KindString,
-		"bool": KindBool, "BOOLEAN": KindBool,
-	}
-	for in, want := range ok {
-		got, err := ParseKind(in)
-		if err != nil || got != want {
-			t.Errorf("ParseKind(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseKind("blob"); err == nil {
-		t.Error("ParseKind(blob) should fail")
-	}
-}
-
 func TestConstructorsAndAccessors(t *testing.T) {
 	if v := Int(42); v.Kind() != KindInt || v.AsInt() != 42 {
 		t.Errorf("Int: %v", v)
