@@ -670,7 +670,7 @@ func (c *cursor) Next() (storage.Row, bool, error) {
 			row, rest, err := DecodeRow(c.payload)
 			if err != nil {
 				c.done = true
-				return nil, false, fmt.Errorf("blockstore: %s: %w", c.t.rel.Name, err)
+				return nil, false, fmt.Errorf("blockstore: %s: %w: %w", c.t.rel.Name, storage.ErrRead, err)
 			}
 			c.payload = rest
 			c.rowsLeft--
@@ -684,7 +684,7 @@ func (c *cursor) Next() (storage.Row, bool, error) {
 			payload, nrows, err := c.t.verifyPage(pageBytes)
 			if err != nil {
 				c.done = true
-				return nil, false, fmt.Errorf("blockstore: %s: %w", c.t.rel.Name, err)
+				return nil, false, fmt.Errorf("blockstore: %s: %w: %w", c.t.rel.Name, storage.ErrRead, err)
 			}
 			c.payload, c.rowsLeft = payload, nrows
 			continue
@@ -725,7 +725,7 @@ func (c *cursor) refill() error {
 		c.buf = make([]byte, readBatchPages*ps)
 	}
 	if _, err := c.t.f.ReadAt(c.buf[:want], c.page*int64(ps)); err != nil {
-		return fmt.Errorf("blockstore: read %s page %d: %w", c.t.rel.Name, c.page, err)
+		return fmt.Errorf("blockstore: read %s page %d: %w: %w", c.t.rel.Name, c.page, storage.ErrRead, err)
 	}
 	c.t.store.countRead(n, int64(want))
 	c.page += n

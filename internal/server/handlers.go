@@ -15,6 +15,7 @@ import (
 	"cqp"
 	"cqp/internal/iter"
 	"cqp/internal/obs"
+	"cqp/internal/storage"
 )
 
 // problemSpec is the JSON form of a Table-1 problem: the number plus the
@@ -392,7 +393,7 @@ func errorStatus(err error, fallback int) (int, string) {
 		code = http.StatusUnprocessableEntity
 	case errors.Is(err, ErrExhausted):
 		return http.StatusServiceUnavailable, "degraded_unavailable"
-	case transientFault(err):
+	case transientFault(err), errors.Is(err, storage.ErrRead):
 		code = http.StatusInternalServerError
 	case errors.Is(err, errNoProfile):
 		code = http.StatusNotFound

@@ -18,6 +18,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -91,6 +92,9 @@ type Cursor interface {
 	// Close releases the cursor. Backends may recycle closed cursors.
 	Close() error
 }
+
+// ErrRead marks a backend's failure to read its own rows: the server's fault.
+var ErrRead = errors.New("storage: read failed")
 
 // Backend is one relation's storage engine: the in-memory heap table here,
 // or the persistent block store in internal/blockstore. Backends are safe
