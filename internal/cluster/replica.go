@@ -45,32 +45,35 @@ func (rs *ReplicaStore) Apply(owner string, rec wal.Record) bool {
 
 // Install is the one way a snapshot enters the store: it makes this store's
 // view of the IDs in scope — the keys owner owns, optionally one digest
-// bucket of them — equal owner's snapshot recs, captured at clock. Nothing
-// outside scope is touched. Within it the owner is the authority for
-// everything its clock covers: a snapshot record replaces the local entry
-// at versions ≤ clock, equal versions included (the only way a silently
-// corrupted same-version replica heals), and a live entry ≤ clock that the
-// snapshot lacks is deleted — absence carries deletions, which is sound
-// because the owner counts a mutation in its clock only after its store
-// holds it (ProfileStore.commit). An entry newer than clock (streamed while
-// the snapshot was in flight) is kept, so a late install never rolls the
-// stream back. Tombstones are never dropped by absence: an older snapshot
-// may still be in flight, and without the tombstone it would resurrect the
-// profile. Returns how many entries changed.
+// bucket of them — equal owner's snapshot recs, captured at clock. Outside
+// scope only the IDs recs lists are touched. Within it the owner is the
+// authority for everything its clock covers: a snapshot record replaces the
+// local entry at versions ≤ clock, equal versions included (the only way a
+// silently corrupted same-version replica heals), and a live entry ≤ clock
+// that the snapshot lacks is deleted — absence carries deletions, which is
+// sound because the owner counts a mutation in its clock only after its
+// store holds it (ProfileStore.commit). An entry newer than clock (streamed
+// while the snapshot was in flight) is kept, so a late install never rolls
+// the stream back. Tombstones are never dropped by absence: an older
+// snapshot may still be in flight, and without the tombstone it would
+// resurrect the profile. Of an ID listed twice only the newest record
+// counts. Returns how many entries changed.
 func (rs *ReplicaStore) Install(owner string, clock uint64, recs []wal.Record, scope func(id string) bool) (changed int) {
-	incoming := make(map[string]bool, len(recs))
+	incoming := make(map[string]wal.Record, len(recs))
 	for _, r := range recs {
-		incoming[r.ID] = true
+		if prev, dup := incoming[r.ID]; !dup || r.Version > prev.Version {
+			incoming[r.ID] = r
+		}
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	for id, cur := range rs.m {
-		if cur.Op == wal.OpPut && cur.Version <= clock && !incoming[id] && scope(id) {
+		if _, listed := incoming[id]; cur.Op == wal.OpPut && cur.Version <= clock && !listed && scope(id) {
 			delete(rs.m, id)
 			changed++
 		}
 	}
-	for _, rec := range recs {
+	for _, rec := range incoming {
 		cur, ok := rs.m[rec.ID]
 		if ok && cur.Version > clock && cur.Version >= rec.Version {
 			continue
