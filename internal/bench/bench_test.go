@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -199,6 +200,78 @@ func TestFig14GapsNonNegative(t *testing.T) {
 			if v < -1e-6 {
 				t.Errorf("negative quality gap %v in %v", v, row)
 			}
+		}
+	}
+}
+
+// TestFig14TablesPinned: the Figure 14 tables at tinyConfig, exactly. Every
+// solver is deterministic and the state budget counts states, not time, so
+// the quality reference and every gap are the same on every run.
+func TestFig14TablesPinned(t *testing.T) {
+	r := NewRunner(tinyConfig())
+	header := []string{"D_SingleMaxDoi", "C_MaxBounds", "D_HeurDoi"}
+	want := map[string][][]string{
+		"fig14a": {{"5", "0.00", "0.00", "0.00"}, {"10", "2.49", "13.94", "2.49"}},
+		"fig14b": {{"25", "0.00", "6103.35", "0.00"}, {"50", "97.79", "106.70", "97.79"}, {"100", "0.00", "0.00", "0.00"}},
+	}
+	for _, fig := range []func() (*Table, error){r.Fig14a, r.Fig14b} {
+		tb, err := fig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tb.Header[1:], header) || !reflect.DeepEqual(tb.Rows, want[tb.ID]) {
+			t.Errorf("%s = %q %q, want %q %q", tb.ID, tb.Header[1:], tb.Rows, header, want[tb.ID])
+		}
+	}
+}
+
+// TestFig13MemoryClaims holds the Figure 13 claims tinyConfig can show, on
+// peak bytes (deterministic, unlike time): D-HEURDOI needs the least memory
+// at every point of both sweeps and stays under 1 KB a run, and every other
+// algorithm's memory humps over cmax — the middle budget needs more than
+// either end. The MB-scale peaks of the slow algorithms at K ≥ 20 are a
+// scale observation (EXPERIMENTS.md).
+func TestFig13MemoryClaims(t *testing.T) {
+	r := NewRunner(tinyConfig())
+	cfg := r.Cfg
+	mem := func(name string, k int, cmaxMS float64, pct int) int64 {
+		p, err := r.runPoint(name, k, cmaxMS, pct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.totalMem
+	}
+	type at struct {
+		k    int
+		cmax float64
+		pct  int
+	}
+	var points []at
+	for _, k := range cfg.Ks {
+		points = append(points, at{k, cfg.DefaultCmaxMS, 0})
+	}
+	for _, pct := range cfg.CmaxPcts {
+		points = append(points, at{cfg.DefaultK, 0, pct})
+	}
+	for _, pt := range points {
+		heur := mem("D_HeurDoi", pt.k, pt.cmax, pt.pct)
+		if heur >= 1024*int64(r.Pairs()) {
+			t.Errorf("%+v: D_HeurDoi peaks at %d bytes over %d runs", pt, heur, r.Pairs())
+		}
+		for _, name := range algoNames() {
+			if b := mem(name, pt.k, pt.cmax, pt.pct); name != "D_HeurDoi" && b <= heur {
+				t.Errorf("%+v: %s peaks at %d bytes, D_HeurDoi at %d", pt, name, b, heur)
+			}
+		}
+	}
+	pcts := cfg.CmaxPcts
+	for _, name := range algoNames() {
+		if name == "D_HeurDoi" {
+			continue
+		}
+		lo, mid, hi := mem(name, cfg.DefaultK, 0, pcts[0]), mem(name, cfg.DefaultK, 0, pcts[1]), mem(name, cfg.DefaultK, 0, pcts[2])
+		if mid <= lo || mid <= hi {
+			t.Errorf("%s: no hump over cmax: %d, %d, %d bytes at %v%% of Supreme Cost", name, lo, mid, hi, pcts)
 		}
 	}
 }

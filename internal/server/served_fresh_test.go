@@ -51,7 +51,24 @@ type servedCall struct {
 // a profile version (/front, /topk) may stand for any version that was
 // current while the request was in flight, and a degraded body must name its
 // rung: a stale one may be any earlier fresh answer for the request.
-func TestServedEqualsFresh(t *testing.T) {
+func TestServedEqualsFresh(t *testing.T) { servedEqualsFresh(t) }
+
+// TestServedEqualsFreshCacheFaults runs the same interleavings with the
+// server.cache fault point failing half its touches: a failed read is a miss
+// and a failed fill is skipped, so every 200 body must still equal its fresh
+// answer. The armed plan is process-wide; no test of this package runs in
+// parallel, and armPlan disarms it when the test ends.
+func TestServedEqualsFreshCacheFaults(t *testing.T) {
+	armPlan(t, "server.cache:err:0.5", 7)
+	s := servedEqualsFresh(t)
+	if n := s.reg.Counter("server_cache_faults_total").Value(); n == 0 {
+		t.Error("the armed server.cache fault never fired")
+	}
+}
+
+// servedEqualsFresh drives the interleavings against a new daemon, checks
+// every 200 body against the fresh oracle and returns the daemon.
+func servedEqualsFresh(t *testing.T) *Server {
 	s, ts := newTestServer(t, Config{})
 	ids := []string{"u0", "u1", "u2"}
 	sqls := []string{
@@ -178,7 +195,7 @@ func TestServedEqualsFresh(t *testing.T) {
 	}
 	wg.Wait()
 	if t.Failed() {
-		return
+		return s
 	}
 
 	o := &freshOracle{t: t, s: s, puts: puts, byGen: make(map[uint64]*Server)}
@@ -206,6 +223,7 @@ func TestServedEqualsFresh(t *testing.T) {
 	}
 	t.Logf("%d bodies equal their fresh answers; 200s per endpoint: %v; %d cache hits",
 		o.checks, answered, s.reg.Counter("server_cache_hits").Value())
+	return s
 }
 
 // freshOracle computes the library's fresh answers: one memo-less
