@@ -153,7 +153,7 @@ func TestBoundariesDominateAllFeasibleStates(t *testing.T) {
 		sp := in.costSpace()
 		var st Stats
 		var mem memTracker
-		bounds := findBoundary(in, sp, costPrimary(in, sp, cmax), &st, &mem)
+		bounds := findBoundary(in, sp, cmax, &st, &mem)
 		// Enumerate all feasible states and check domination.
 		for mask := 1; mask < 1<<k; mask++ {
 			n := node{uint64(mask)} // bit i of the mask is position i
@@ -189,7 +189,7 @@ func TestBoundariesAreFeasible(t *testing.T) {
 		sp := in.costSpace()
 		var st Stats
 		var mem memTracker
-		bounds := findBoundary(in, sp, costPrimary(in, sp, cmax), &st, &mem)
+		bounds := findBoundary(in, sp, cmax, &st, &mem)
 		for i := 0; i < bounds.len(); i++ {
 			b := bounds.at(i)
 			if sp.costOf(in, b) > cmax {

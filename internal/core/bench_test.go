@@ -6,10 +6,10 @@ import "testing"
 var solveSink Solution
 
 // BenchmarkSolve times the search alone, on the golden instances: the five
-// Problem-2 algorithms, the Problem-3 boundary search and the serving path
-// (Solve naming no algorithm, which runs BranchBound) on Problems 2 and 3
-// at the serving default K = 20 (one-word states, bitmap visited set), and
-// C_MaxBounds at K = 40 under a 2^20-state budget (map visited set).
+// Problem-2 algorithms and the serving path (Solve naming no algorithm,
+// which runs BranchBound) on Problems 2 and 3 at the serving default K = 20
+// (one-word states, bitmap visited set), and C_MaxBounds at K = 40 under a
+// 2^20-state budget (map visited set).
 // states/op is Stats.StatesVisited. For the paper's algorithms it must not
 // move when only the speed does. For BranchBound it may fall, under
 // TestGoldenBB's rule: only where the run finishes and the answer is
@@ -29,7 +29,6 @@ func BenchmarkSolve(b *testing.B) {
 	for _, a := range Algorithms {
 		run(a.Name+"/k20", func() Solution { return a.Solve(in, cmax) })
 	}
-	run("C_BoundariesP3/k20", func() Solution { return CBoundariesP3(in, cmax, 5, 300) })
 	run("Solve/P2/k20", func() Solution { sol, _ := Solve(in, Problem2(cmax), ""); return sol })
 	run("Solve/P3/k20", func() Solution { sol, _ := Solve(in, Problem3(cmax, 5, 300), ""); return sol })
 

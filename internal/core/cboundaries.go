@@ -17,19 +17,12 @@ const maxDominanceScan = 32
 // visited or lying below an earlier boundary of the same group.
 // Phase 2 (C_FINDMAXDOI) searches below the boundaries for the best doi.
 func CBoundaries(in *Instance, cmax float64) Solution {
-	return cBoundariesOn(in, in.costSpace(), cmax, "C-BOUNDARIES")
-}
-
-// cBoundariesOn runs the boundary search over an arbitrary space whose
-// feasibility predicate is "state cost ≤ cmax" (the constraint parameter is
-// always cost for Problem 2; Section 6 re-targets the space for the other
-// problems via the problem adapters).
-func cBoundariesOn(in *Instance, sp *space, cmax float64, name string) Solution {
 	start := time.Now()
-	st := Stats{Algorithm: name}
+	st := Stats{Algorithm: "C-BOUNDARIES"}
 	var mem memTracker
 
-	boundaries := findBoundary(in, sp, costPrimary(in, sp, cmax), &st, &mem)
+	sp := in.costSpace()
+	boundaries := findBoundary(in, sp, cmax, &st, &mem)
 	set, _ := findMaxDoi(sp, in, &boundaries, &st, &mem)
 
 	sol := in.solutionFor(set, true)
@@ -42,10 +35,9 @@ func cBoundariesOn(in *Instance, sp *space, cmax float64, name string) Solution 
 	return sol
 }
 
-// findBoundary is the paper's FINDBOUNDARY (Figure 5), generalized over
-// the primary constraint so the Section 6 adaptations (e.g. Problem 1 on
-// the size space) reuse it unchanged.
-func findBoundary(in *Instance, sp *space, pr primary, st *Stats, mem *memTracker) nodeList {
+// findBoundary is the paper's FINDBOUNDARY (Figure 5): the boundaries of
+// "cost ≤ cmax" on the space.
+func findBoundary(in *Instance, sp *space, cmax float64, st *Stats, mem *memTracker) nodeList {
 	boundaries := sp.newList()
 	if sp.K == 0 {
 		return boundaries
@@ -88,7 +80,7 @@ func findBoundary(in *Instance, sp *space, pr primary, st *Stats, mem *memTracke
 		}
 		rq.popHead(r)
 		st.StatesVisited++
-		if pr.ok(pr.value(r)) {
+		if sp.costOf(in, r) <= cmax {
 			boundaries.push(r)
 			byLen[r.size()].push(r)
 			mem.add(r.memBytes())

@@ -18,13 +18,10 @@ import "time"
 // feasible extension is still recorded as a boundary (the pseudocode's
 // R ≠ R0 test would lose single-preference solutions under tight bounds).
 func CMaxBounds(in *Instance, cmax float64) Solution {
-	return cMaxBoundsOn(in, in.costSpace(), cmax, "C-MAXBOUNDS")
-}
-
-func cMaxBoundsOn(in *Instance, sp *space, cmax float64, name string) Solution {
 	start := time.Now()
-	st := Stats{Algorithm: name}
+	st := Stats{Algorithm: "C-MAXBOUNDS"}
 	var mem memTracker
+	sp := in.costSpace()
 
 	maxBounds := sp.newList()
 	visited := newVisitedSet(in, sp, &st, &mem)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"cqp/internal/prefspace"
@@ -32,10 +33,10 @@ func servingInstances(t testing.TB, profiles int, ks []int, each func(profile, k
 
 // TestDefaultNeverBelowPaperAlgorithms replays the regimes the repository
 // benchmark draws — 40 generated profiles at K = 20 and 10 — and holds
-// Solve's default to the answer the paper's algorithm for that problem
-// gives: never truncated, feasible whenever that answer is, objective no
-// lower within 1e-12, and on a cmax nothing exceeds the doi of all K
-// preferences to the last bit.
+// Solve's default on Problem 2 to the answer C-MAXBOUNDS gives: never
+// truncated, feasible whenever that answer is, objective no lower within
+// 1e-12, and on a cmax nothing exceeds the doi of all K preferences to the
+// last bit.
 func TestDefaultNeverBelowPaperAlgorithms(t *testing.T) {
 	higher, solves := 0, 0
 	servingInstances(t, 40, []int{20, 10}, func(profile, k int, in *Instance) {
@@ -69,11 +70,6 @@ func TestDefaultNeverBelowPaperAlgorithms(t *testing.T) {
 		for _, f := range []float64{0.30, 0.32, 0.36, 0.40} {
 			compare(Problem2(f*sup), CMaxBounds(in, f*sup))
 		}
-		for _, u := range []float64{0, 0.5, 1} {
-			cmax, smax := (0.22+0.05*u)*sup, (0.25+0.08*u)*in.BaseSize
-			compare(Problem3(cmax, 1, smax), CBoundariesP3(in, cmax, 1, smax))
-			compare(Problem1(1, smax), SBoundariesP1(in, 1, smax))
-		}
 		// profile_churn's reads: the bound binds nothing.
 		got, err := Solve(in, Problem2(1.001*sup), "")
 		if all := in.SetDoi(allIndices(in.K)); err != nil || got.Doi != all {
@@ -82,4 +78,55 @@ func TestDefaultNeverBelowPaperAlgorithms(t *testing.T) {
 		}
 	})
 	t.Logf("%d solves, doi above the paper algorithm's on %d", solves, higher)
+}
+
+// TestProblems1And3MatchEnumeration holds Solve's default to exhaustive
+// enumeration on Problems 1 and 3 at the serving K = 20, over 40 of the
+// benchmark's generated instances and personalize_cold's three windows:
+// the answer is feasible exactly when some subset of P is, and its doi is
+// the optimum within 1e-12.
+func TestProblems1And3MatchEnumeration(t *testing.T) {
+	runs := 0
+	servingInstances(t, 40, []int{20}, func(profile, k int, in *Instance) {
+		sup := in.SupremeCost()
+		for _, u := range []float64{0, 0.5, 1} {
+			cmax, smax := (0.22+0.05*u)*sup, (0.25+0.08*u)*in.BaseSize
+			for _, prob := range []Problem{Problem3(cmax, 1, smax), Problem1(1, smax)} {
+				got, err := Solve(in, prob, "")
+				if err != nil {
+					t.Fatalf("profile %d K=%d (%s): %v", profile, k, prob, err)
+				}
+				feasible, best := enumerate(in, prob)
+				if got.Feasible != feasible || feasible && math.Abs(got.Doi-best) > 1e-12 {
+					t.Errorf("profile %d K=%d (%s): feasible %v doi %v, enumeration %v %v",
+						profile, k, prob, got.Feasible, got.Doi, feasible, best)
+				}
+				runs++
+			}
+		}
+	})
+	t.Logf("%d runs", runs)
+}
+
+// enumerate walks all 2^K subsets of P depth first, carrying the running
+// cost, size and product of 1 − doi, and reports whether any satisfies
+// prob's constraints and the highest doi of one that does. The empty set
+// costs BaseCost, as Instance.SetCost has it.
+func enumerate(in *Instance, prob Problem) (feasible bool, best float64) {
+	var walk func(i, members int, cost, size, keep float64)
+	walk = func(i, members int, cost, size, keep float64) {
+		if i == in.K {
+			if members == 0 {
+				cost = in.BaseCost
+			}
+			if d := 1 - keep; prob.Feasible(d, cost, size) && (!feasible || d > best) {
+				feasible, best = true, d
+			}
+			return
+		}
+		walk(i+1, members, cost, size, keep)
+		walk(i+1, members+1, cost+in.Cost[i], size*in.Shrink[i], keep*(1-in.Doi[i]))
+	}
+	walk(0, 0, 0, in.BaseSize, 1)
+	return feasible, best
 }

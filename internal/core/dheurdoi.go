@@ -19,7 +19,6 @@ func DHeurDoi(in *Instance, cmax float64) Solution {
 	maxDoi := -1.0
 	var best []int
 	suffix := suffixConj(in)
-	pr := costPrimary(in, sp, cmax)
 
 	// The round's maximal state, its truncation and the regrown truncation.
 	r, trunc, grown := sp.nodeOf(), sp.nodeOf(), sp.nodeOf()
@@ -27,10 +26,10 @@ func DHeurDoi(in *Instance, cmax float64) Solution {
 	for k := 0; k < sp.K && maxDoi <= suffix[k] && !in.overBudget(&st); k++ {
 		clear(r)
 		r.insert(k)
-		if !pr.ok(pr.value(r)) {
+		if !(sp.costOf(in, r) <= cmax) {
 			continue
 		}
-		greedyGrow(sp, r, -1, pr, &st)
+		greedyGrow(in, sp, r, -1, cmax, &st)
 		mem.add(r.memBytes())
 		if d := sp.doiOf(in, r); d > maxDoi {
 			maxDoi = d
@@ -49,7 +48,7 @@ func DHeurDoi(in *Instance, cmax float64) Solution {
 			dropped := trunc.max()
 			trunc.remove(dropped)
 			copy(grown, trunc)
-			greedyGrow(sp, grown, dropped, pr, &st)
+			greedyGrow(in, sp, grown, dropped, cmax, &st)
 			if d := sp.doiOf(in, grown); d > maxDoi {
 				maxDoi = d
 				best = sp.toSet(grown)

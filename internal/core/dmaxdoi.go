@@ -18,7 +18,7 @@ func DMaxDoi(in *Instance, cmax float64) Solution {
 	var mem memTracker
 	sp := in.doiSpace()
 
-	solutions := findOptimal(in, sp, costPrimary(in, sp, cmax), &st, &mem)
+	solutions := findOptimal(in, sp, cmax, &st, &mem)
 	set, _ := dFindMaxDoi(sp, in, &solutions, &st)
 
 	sol := in.solutionFor(set, true)
@@ -31,8 +31,9 @@ func DMaxDoi(in *Instance, cmax float64) Solution {
 	return sol
 }
 
-// findOptimal is the paper's FINDOPTIMAL (Figure 9, first phase).
-func findOptimal(in *Instance, sp *space, pr primary, st *Stats, mem *memTracker) nodeList {
+// findOptimal is the paper's FINDOPTIMAL (Figure 9, first phase) under
+// "cost ≤ cmax".
+func findOptimal(in *Instance, sp *space, cmax float64, st *Stats, mem *memTracker) nodeList {
 	solutions := sp.newList()
 	if sp.K == 0 {
 		return solutions
@@ -54,13 +55,13 @@ func findOptimal(in *Instance, sp *space, pr primary, st *Stats, mem *memTracker
 		rq.popHead(r)
 		st.StatesVisited++
 		branch := r // the node whose Vertical neighbors we branch through
-		if pr.ok(pr.value(r)) {
+		if sp.costOf(in, r) <= cmax {
 			// Horizontal walk: extend while feasible.
 			blocked := false
 			copy(h, r)
 			for sp.horizontal(h) {
 				st.StatesVisited++
-				if !pr.ok(pr.value(h)) {
+				if !(sp.costOf(in, h) <= cmax) {
 					blocked = true
 					break
 				}

@@ -27,7 +27,6 @@ func DSingleMaxDoi(in *Instance, cmax float64) Solution {
 	visited := newVisitedSet(in, sp, &st, &mem)
 	defer visited.release()
 	rq := newNodeDeque(sp, &st, &mem)
-	pr := costPrimary(in, sp, cmax)
 	r, vr := sp.nodeOf(), sp.newList() // the state in hand and its Vertical neighbors
 
 	for k := 0; k < sp.K && maxDoi <= suffix[k] && !st.Truncated; k++ {
@@ -44,8 +43,8 @@ func DSingleMaxDoi(in *Instance, cmax float64) Solution {
 			}
 			rq.popHead(r)
 			st.StatesVisited++
-			if pr.ok(pr.value(r)) {
-				greedyGrow(sp, r, -1, pr, &st)
+			if sp.costOf(in, r) <= cmax {
+				greedyGrow(in, sp, r, -1, cmax, &st)
 				if d := sp.doiOf(in, r); d > maxDoi {
 					maxDoi = d
 					best = sp.toSet(r)
@@ -71,20 +70,20 @@ func DSingleMaxDoi(in *Instance, cmax float64) Solution {
 
 // greedyGrow extends a feasible node maximally, in place: repeatedly add
 // the absent position of highest space weight (highest doi in the D space,
-// highest cost in the C space) whose addition keeps the primary constraint
-// satisfied, never adding the excluded position (−1 excludes none). It
-// reports whether the node grew.
-func greedyGrow(sp *space, r node, excluded int, pr primary, st *Stats) bool {
+// highest cost in the C space) whose addition keeps the cost within cmax,
+// never adding the excluded position (−1 excludes none). It reports whether
+// the node grew.
+func greedyGrow(in *Instance, sp *space, r node, excluded int, cmax float64, st *Stats) bool {
 	grew := false
 grow:
 	for {
-		cur := pr.value(r)
+		cur := sp.costOf(in, r)
 		for pos := sp.horizontal2From(r, 0); pos >= 0; pos = sp.horizontal2From(r, pos+1) {
 			if pos == excluded {
 				continue
 			}
 			st.StatesVisited++
-			if pr.ok(pr.add(cur, pos)) {
+			if cur+in.Cost[sp.vec[pos]] <= cmax {
 				r.insert(pos)
 				grew = true
 				continue grow

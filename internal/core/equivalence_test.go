@@ -232,7 +232,7 @@ func TestGrowByCostMatchesScan(t *testing.T) {
 		a, b := append(node(nil), r...), append(node(nil), r...)
 		var stA, stB Stats
 		grewA := growByCost(in, sp, a, sp.costOf(in, r), cmax, &stA)
-		grewB := greedyGrow(sp, b, -1, costPrimary(in, sp, cmax), &stB)
+		grewB := greedyGrow(in, sp, b, -1, cmax, &stB)
 		if grewA != grewB || !equalNode(a, b) || stA.StatesVisited != stB.StatesVisited {
 			t.Fatalf("K=%d node %v cmax %v: grew %v to %v in %d states, the scan %v to %v in %d",
 				sp.K, positionsOf(r), cmax, grewA, positionsOf(a), stA.StatesVisited,

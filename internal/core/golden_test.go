@@ -74,8 +74,7 @@ func goldenInstance(t testing.TB, k int, seed int64, tied bool) *Instance {
 
 // goldenRuns solves the whole grid at the current code: K on both sides of
 // the one-word limit, a continuous and a tied instance per K, memo on and
-// paper-faithful (memo off, budgeted), the five Problem-2 algorithms and
-// the two windowed boundary searches.
+// paper-faithful (memo off, budgeted), and the five Problem-2 algorithms.
 func goldenRuns(t testing.TB) []goldenRun {
 	var runs []goldenRun
 	for _, k := range []int{8, 20, 40, 64, 65, 80} {
@@ -96,7 +95,6 @@ func goldenRuns(t testing.TB) []goldenRun {
 				if tied {
 					cmax = in.SupremeCost() * 0.25
 				}
-				smin, smax := 5.0, 300.0
 				name := fmt.Sprintf("k%d/tied=%v/memo=%v", k, tied, memo)
 				record := func(solver string, sol Solution) {
 					set := sol.Set
@@ -116,8 +114,6 @@ func goldenRuns(t testing.TB) []goldenRun {
 				for _, a := range Algorithms {
 					record(a.Name, a.Solve(&in, cmax))
 				}
-				record("S_BoundariesP1", SBoundariesP1(&in, smin, smax))
-				record("C_BoundariesP3", CBoundariesP3(&in, cmax, smin, smax))
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-// Package core implements the paper's primary contribution: Constrained
+// Package core implements the paper's main contribution: Constrained
 // Query Personalization as state-space search (Sections 4–6).
 //
 // An Instance carries the preference set P in decreasing-doi order together
@@ -10,9 +10,10 @@
 //
 // Algorithms provided: EXHAUSTIVE (ground truth), C-BOUNDARIES and
 // C-MAXBOUNDS on the cost space, D-MAXDOI, D-SINGLEMAXDOI and D-HEURDOI on
-// the doi space (Section 5.2), a branch-and-bound exact solver covering all
-// six CQP problems of Table 1, and the Section 6 adapters that re-orient
-// the transitions for Problems 1 and 3 (SBoundariesP1, CBoundariesP3).
+// the doi space (Section 5.2), all five for Problem 2, and a
+// branch-and-bound exact solver covering all six CQP problems of Table 1,
+// which is the one solver for Problems 1 and 3: Section 6's re-oriented
+// boundary searches are not implemented.
 package core
 
 import (
@@ -25,7 +26,8 @@ import (
 )
 
 // Instance is the numeric core of one CQP problem: preference parameters in
-// P (decreasing doi) order plus the pointer vectors.
+// P (decreasing doi) order plus the pointer vectors. The S vector is the
+// paper's size state space; no solver searches it.
 type Instance struct {
 	// K is the number of preferences.
 	K int

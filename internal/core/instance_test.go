@@ -298,7 +298,7 @@ func TestLogWeightEdges(t *testing.T) {
 	}
 }
 
-func TestSizePrimaryAndSpace(t *testing.T) {
+func TestSizeSpace(t *testing.T) {
 	in, _ := NewInstance(
 		[]float64{0.9, 0.8, 0.7},
 		[]float64{5, 10, 3},
@@ -314,17 +314,6 @@ func TestSizePrimaryAndSpace(t *testing.T) {
 		if sp.w[i] > sp.w[i-1]+1e-12 {
 			t.Fatal("size weights must be non-increasing")
 		}
-	}
-	pr := sizePrimary(in, sp, 20)
-	v := pr.value(nodeOf(0)) // most shrinking pref: size 100×0.1 = 10
-	if math.Abs(v-10) > 1e-9 {
-		t.Errorf("size value = %g", v)
-	}
-	if pr.ok(v) {
-		t.Error("10 < smin 20 must be infeasible")
-	}
-	if got := pr.add(v, 1); math.Abs(got-5) > 1e-9 {
-		t.Errorf("incremental size = %g (10 × shrink 0.5)", got)
 	}
 	// costOf/sizeOf/doiOf on the empty node return base parameters.
 	if sp.costOf(in, nodeOf()) != in.BaseCost || sp.sizeOf(in, nodeOf()) != in.BaseSize || sp.doiOf(in, nodeOf()) != 0 {

@@ -159,9 +159,7 @@ func adversarialCases(t testing.TB) []oracleCase {
 // whole size range down to a sliver, the window [300, 400] that halving
 // shrinks step over from a base of 1000, dmin up to the all-K doi and above
 // it. The cost and size bounds sit off the values a subset attains: on one,
-// a search's own fold order decides (S_BoundariesP1 tests size ≥ smin
-// without Problem.Feasible's tolerance and misses the all-K set when smin
-// is that set's size to the last bit).
+// a search's own fold order decides.
 func spreadProblems(in *Instance) []Problem {
 	all := allIndices(in.K)
 	sup, top, minSize := in.SupremeCost(), in.SetDoi(all), in.SetSize(all)
@@ -294,43 +292,6 @@ func TestBranchBoundNonBinding(t *testing.T) {
 	}
 }
 
-// windowedAdapter runs the Section 6 state-space adaptation for the
-// problem's shape, or reports that there is none (Problems 2 and 4–6).
-func windowedAdapter(in *Instance, p Problem) (string, Solution, bool) {
-	switch {
-	case p.Objective != ObjMaxDoi || p.SizeMin == 0 && p.SizeMax == 0:
-		return "", Solution{}, false
-	case p.CostMax > 0:
-		return "C_BoundariesP3", CBoundariesP3(in, p.CostMax, p.SizeMin, p.SizeMax), true
-	default:
-		return "S_BoundariesP1", SBoundariesP1(in, p.SizeMin, p.SizeMax), true
-	}
-}
-
-// TestWindowedAdaptersMatchBruteForce validates the Section 6 state-space
-// adaptations for Problems 1 and 3, over random instances and the
-// adversarial families.
-func TestWindowedAdaptersMatchBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 150; trial++ {
-		k := 2 + rng.Intn(9)
-		in := randInstance(t, rng, k)
-		for _, kind := range []int{1, 3} {
-			prob := randProblem(rng, in, kind)
-			if prob.Validate() != nil {
-				continue
-			}
-			name, got, _ := windowedAdapter(in, prob)
-			checkExact(t, fmt.Sprintf("trial %d (%s)", trial, prob), name, prob, got, bruteForce(in, prob))
-		}
-	}
-	for _, c := range adversarialCases(t) {
-		if name, got, ok := windowedAdapter(c.in, c.prob); ok {
-			checkExact(t, c.name, name, c.prob, got, c.want)
-		}
-	}
-}
-
 // TestSolveDispatch exercises Solve's one rule: no name → BranchBound on
 // every problem; a name must be registered whatever the problem, and picks
 // the solver on Problem 2 alone.
@@ -366,92 +327,6 @@ func TestSolveDispatch(t *testing.T) {
 			t.Errorf("%s with a Problem-2 name: %v %v", prob, s.Stats.Algorithm, err)
 		}
 	}
-}
-
-// TestBestBelowMatchesBruteForce validates the windowed second phase in
-// isolation: the best-doi state below a boundary under an acceptance
-// predicate.
-func TestBestBelowMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for trial := 0; trial < 150; trial++ {
-		k := 3 + rng.Intn(8)
-		in := randInstance(t, rng, k)
-		sp := in.costSpace()
-		// Random boundary of random size.
-		g := 1 + rng.Intn(k)
-		r := make([]int, 0, g)
-		pos := rng.Intn(k - g + 1)
-		for len(r) < g {
-			r = append(r, pos)
-			pos += 1 + rng.Intn(2)
-			if pos >= k {
-				pos = k - 1
-			}
-		}
-		// Deduplicate (the growth above can repeat the last position).
-		r = dedupPositions(r, k)
-		if r == nil {
-			continue
-		}
-		sizeCut := in.BaseSize * (0.05 + 0.5*rng.Float64())
-		accept := func(_, size float64) bool { return size >= sizeCut }
-
-		suffixBest := sp.suffixBest(in)
-		var st Stats
-		got, gotDoi := bestBelow(in, sp, sp.nodeOf(r...), suffixBest, accept, -1, &st)
-
-		// Oracle: enumerate all same-size states componentwise ≥ r.
-		var bestDoi float64 = -1
-		cur := sp.nodeOf()
-		var iter func(slot, floor int)
-		iter = func(slot, floor int) {
-			if slot == len(r) {
-				if accept(sp.costOf(in, cur), sp.sizeOf(in, cur)) {
-					if d := sp.doiOf(in, cur); d > bestDoi {
-						bestDoi = d
-					}
-				}
-				return
-			}
-			lo := r[slot]
-			if floor > lo {
-				lo = floor
-			}
-			for y := lo; y < k; y++ {
-				cur.insert(y)
-				iter(slot+1, y+1)
-				cur.remove(y)
-			}
-		}
-		iter(0, 0)
-
-		if bestDoi < 0 {
-			if got != nil {
-				t.Fatalf("trial %d: oracle found nothing but bestBelow returned %v", trial, got)
-			}
-			continue
-		}
-		if got == nil || math.Abs(gotDoi-bestDoi) > 1e-9 {
-			t.Fatalf("trial %d: bestBelow doi %v, oracle %v (boundary %v)", trial, gotDoi, bestDoi, r)
-		}
-	}
-}
-
-// dedupPositions returns strictly increasing positions or nil if impossible.
-func dedupPositions(r []int, k int) []int {
-	out := make([]int, 0, len(r))
-	prev := -1
-	for _, p := range r {
-		if p <= prev {
-			p = prev + 1
-		}
-		if p >= k {
-			return nil
-		}
-		out = append(out, p)
-		prev = p
-	}
-	return out
 }
 
 // TestStarvedBudgetKeepsFeasibility: a state budget far below what the

@@ -83,7 +83,8 @@ func (in *Instance) doiSpace() *space {
 }
 
 // sizeSpace builds the S-based space (Section 6, Problem 1): positions
-// ordered by increasing size(Q ∧ p), i.e. decreasing shrink weight.
+// ordered by increasing size(Q ∧ p), i.e. decreasing shrink weight. The
+// transition tests walk it; no solver does.
 func (in *Instance) sizeSpace() *space {
 	s := newSpace(in.S)
 	for pos, p := range in.S {
@@ -103,42 +104,6 @@ func (s *space) nodeOf(positions ...int) node {
 
 // newList returns an empty list of the space's nodes.
 func (s *space) newList() nodeList { return nodeList{stride: s.stride} }
-
-// primary is the constraint a boundary search is aligned with: the
-// parameter that is monotone along the space's Vertical direction. For
-// Problem 2 it is "cost ≤ cmax" on the cost space; for Problem 1 it is
-// "size ≥ smin" on the size space (Section 6 reverses transition directions
-// by construction of the S vector). value/add compute the running parameter
-// incrementally during greedy walks; ok tests the bound.
-type primary struct {
-	value func(n node) float64
-	add   func(v float64, pos int) float64
-	ok    func(v float64) bool
-}
-
-// costPrimary builds the "cost ≤ cmax" constraint over the space.
-func costPrimary(in *Instance, sp *space, cmax float64) primary {
-	return primary{
-		value: func(n node) float64 { return sp.costOf(in, n) },
-		add: func(v float64, pos int) float64 {
-			return v + in.Cost[sp.vec[pos]]
-		},
-		ok: func(v float64) bool { return v <= cmax },
-	}
-}
-
-// sizePrimary builds the "size ≥ smin" constraint over the space. A state's
-// size only decreases as preferences are added, mirroring cost's growth, so
-// the boundary machinery applies unchanged.
-func sizePrimary(in *Instance, sp *space, smin float64) primary {
-	return primary{
-		value: func(n node) float64 { return sp.sizeOf(in, n) },
-		add: func(v float64, pos int) float64 {
-			return v * in.Shrink[sp.vec[pos]]
-		},
-		ok: func(v float64) bool { return v >= smin },
-	}
-}
 
 // toSet maps a node (positions) to sorted P indices.
 func (s *space) toSet(n node) []int {
