@@ -33,9 +33,15 @@ func mustOpen(t *testing.T, dir string, blockSize int) *Store {
 	return st
 }
 
-func fill(t *testing.T, tbl *Table, n int) {
+func fill(t testing.TB, tbl *Table, n int) {
 	t.Helper()
-	for i := 0; i < n; i++ {
+	fillFrom(t, tbl, 0, n)
+}
+
+// fillFrom appends rows from..n−1 as fill writes them.
+func fillFrom(t testing.TB, tbl *Table, from, n int) {
+	t.Helper()
+	for i := from; i < n; i++ {
 		if err := tbl.Insert(storage.Row{
 			value.Int(int64(i)),
 			value.Str(fmt.Sprintf("item-%05d", i)),
