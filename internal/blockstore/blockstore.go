@@ -18,8 +18,10 @@
 // are encoded with the sort-preserving codec of encoding.go. The last
 // (tail) page may be partially filled; it is rewritten in place as rows
 // append. A MANIFEST file (JSON, written atomically on Sync/Close) records
-// per-table geometry; when it is missing or stale the store rebuilds state
-// by scanning pages and fails loudly on CRC damage.
+// per-table geometry at the last Sync. Open rebuilds every table by
+// scanning its pages, fails loudly on CRC damage, and holds the manifest
+// to what the pages hold: a stale one (appends after the last Sync) gives
+// way to the pages, one that claims more than they hold is damage.
 //
 // Mutation (Insert, ReadCSV) must not race with open cursors or other
 // mutations; concurrent scans are safe — the serving daemon ingests first,
@@ -103,9 +105,8 @@ type tableManifest struct {
 
 // Open opens (creating as needed) a block store for the schema under dir.
 // blockSize ≤ 0 selects storage.DefaultBlockSize; an existing store's
-// manifest must agree with a non-zero blockSize. Tables with rows on disk
-// are recovered from the manifest, or by a full page scan when the
-// manifest is missing or stale (a crash between appends and Sync).
+// manifest must agree with a non-zero blockSize. Every table is recovered
+// by a scan of its pages and checked against its manifest entry, if any.
 func Open(dir string, s *schema.Schema, blockSize int) (*Store, error) {
 	if blockSize <= 0 {
 		blockSize = storage.DefaultBlockSize
@@ -118,7 +119,6 @@ func Open(dir string, s *schema.Schema, blockSize int) (*Store, error) {
 	}
 	st := &Store{dir: dir, schema: s, blockSize: blockSize, tables: make(map[string]*Table)}
 	var man manifest
-	haveMan := false
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
 	case err == nil:
@@ -131,13 +131,13 @@ func Open(dir string, s *schema.Schema, blockSize int) (*Store, error) {
 		if man.BlockSize != blockSize {
 			return nil, fmt.Errorf("blockstore: store has block size %d, asked for %d", man.BlockSize, blockSize)
 		}
-		haveMan = true
 	case os.IsNotExist(err):
 	default:
 		return nil, fmt.Errorf("blockstore: manifest: %w", err)
 	}
 	for _, rel := range s.Relations() {
-		t, err := st.openTable(rel, man.Tables[rel.Name], haveMan)
+		tm, ok := man.Tables[rel.Name]
+		t, err := st.openTable(rel, tm, ok)
 		if err != nil {
 			st.Close()
 			return nil, err
@@ -323,22 +323,13 @@ func (st *Store) openTable(rel *schema.Relation, tm tableManifest, haveMan bool)
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
 	size := fi.Size()
-	switch {
-	case size == 0 && (!haveMan || tm.Rows == 0):
-		// Fresh table.
-		t.tally = storage.BlockTally{BlockSize: st.blockSize}
-	case haveMan && size >= (tm.Sealed+tailPages(tm.TailRows))*int64(st.blockSize):
-		if err := t.restoreFromManifest(tm); err != nil {
-			f.Close()
-			return nil, err
-		}
-	default:
-		// Manifest missing or behind the file (crash between appends and
-		// Sync): rebuild from the pages themselves.
-		if err := t.rebuild(size); err != nil {
-			f.Close()
-			return nil, err
-		}
+	err = t.rebuild(size)
+	if err == nil && haveMan {
+		err = t.check(tm, size/int64(st.blockSize))
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	t.cursors.New = func() any { return &cursor{} }
 	return t, nil
@@ -351,28 +342,29 @@ func tailPages(tailRows int) int64 {
 	return 0
 }
 
-func (t *Table) restoreFromManifest(tm tableManifest) error {
-	t.rows = tm.Rows
-	t.tally = storage.BlockTally{BlockSize: t.store.blockSize, Blocks: tm.Blocks, Used: tm.Used}
-	t.sealed = tm.Sealed
-	if tm.TailRows == 0 {
-		return nil
+// check holds a manifest entry to the state rebuilt from the file's pages.
+// The entry records the last Sync, and appends after it only add rows and
+// pages, so the pages must hold at least what it records, and exactly that
+// when they hold no more rows. A negative field, more rows, blocks or
+// pages than the file holds, or another geometry at the same row count is
+// damage.
+func (t *Table) check(tm tableManifest, pages int64) error {
+	last := pages - tailPages(tm.TailRows) // the sealed pages the entry's tail implies
+	ok := min(tm.Rows, tm.Used, tm.TailRows) >= 0 && min(tm.Blocks, tm.Sealed) >= 0 &&
+		tm.Rows <= t.rows && tm.Blocks <= t.tally.Blocks && tm.Sealed <= last
+	if ok && tm.Rows == t.rows {
+		ok = tm.Blocks == t.tally.Blocks && tm.Used == t.tally.Used && tm.Sealed == last &&
+			(tm.TailRows == 0 || tm.TailRows == len(t.tailRows))
 	}
-	rows, buf, err := t.readPage(t.sealed, nil)
-	if err != nil {
-		return fmt.Errorf("blockstore: %s tail page: %w", t.rel.Name, err)
+	if !ok {
+		return fmt.Errorf("blockstore: %s: manifest %+v disagrees with %d pages of %d rows: %w",
+			t.rel.Name, tm, pages, t.rows, ErrCorrupt)
 	}
-	if len(rows) != tm.TailRows {
-		return fmt.Errorf("blockstore: %s tail page has %d rows, manifest says %d: %w",
-			t.rel.Name, len(rows), tm.TailRows, ErrCorrupt)
-	}
-	t.tailRows = rows
-	t.tailBuf = append(t.tailBuf[:0], buf...)
 	return nil
 }
 
-// rebuild recovers table state by scanning every page — the no-manifest
-// path. The last page becomes the in-memory tail so appends can continue.
+// rebuild recovers table state by scanning every page. The last page
+// becomes the in-memory tail so appends can continue.
 func (t *Table) rebuild(size int64) error {
 	ps := int64(t.store.blockSize)
 	if size%ps != 0 {
