@@ -8,12 +8,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"cqp"
 	"cqp/internal/fault"
+	"cqp/internal/wal"
 )
 
 // newDurableServer builds a daemon whose profile store persists under dir.
@@ -280,5 +282,89 @@ func flipFileByte(t *testing.T, path string, off int) {
 	buf[off] ^= 0x40
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointKeepsStoreState: checkpoints taken every three records,
+// across puts, deletes, a handed-off record versioned below the clock and a
+// sweep that evicts, persist exactly what the store held. After every
+// reopen the recovered store's Records() — its clock and every live
+// record — equal the store's before it closed.
+func TestCheckpointKeepsStoreState(t *testing.T) {
+	dir := t.TempDir()
+	schema := cqp.MovieSchema()
+	open := func() (*ProfileStore, uint64) {
+		t.Helper()
+		ps, rec, err := NewDurableProfileStore(schema, dir, wal.Options{SnapshotEvery: 3, Sync: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps, rec.SnapshotSeq
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := func(ps *ProfileStore, id string) {
+		t.Helper()
+		_, err := ps.Put(id, storedText)
+		must(err)
+	}
+	rounds := []func(ps *ProfileStore){
+		func(ps *ProfileStore) {
+			for _, id := range []string{"a", "b", "c", "d", "m-1"} {
+				put(ps, id)
+			}
+		},
+		func(ps *ProfileStore) {
+			put(ps, "b")
+			_, err := ps.Delete("c")
+			must(err)
+			put(ps, "m-2")
+			put(ps, "e")
+		},
+		func(ps *ProfileStore) {
+			// Handed-off records keep their owner's versions, below the
+			// clock: a new ID, a newer copy of a live one, and a tombstone.
+			clock, _ := ps.Records()
+			must(ps.ApplyRecord(wal.Record{Op: wal.OpPut, ID: "h", Text: storedText, Version: 2, UpdatedAt: 7}))
+			cur, _ := ps.Get("a")
+			must(ps.ApplyRecord(wal.Record{Op: wal.OpPut, ID: "a", Text: storedText, Version: cur.Version + 1, UpdatedAt: 8}))
+			cur, _ = ps.Get("d")
+			must(ps.ApplyRecord(wal.Record{Op: wal.OpDelete, ID: "d", Version: cur.Version + 1, UpdatedAt: 9}))
+			if now, _ := ps.Records(); now != clock {
+				t.Fatalf("records below the clock moved it: %d -> %d", clock, now)
+			}
+			put(ps, "f")
+		},
+		func(ps *ProfileStore) {
+			n, err := ps.SweepAndEvict(func(id string) bool { return strings.HasPrefix(id, "m-") },
+				func([]wal.Record) error { return nil })
+			must(err)
+			if n != 2 {
+				t.Fatalf("evicted %d, want 2", n)
+			}
+			put(ps, "g")
+			put(ps, "b")
+		},
+	}
+	var lastSeq uint64
+	for i, round := range rounds {
+		ps, _ := open()
+		round(ps)
+		clock, recs := ps.Records()
+		must(ps.Close())
+		ps2, seq := open()
+		clock2, recs2 := ps2.Records()
+		must(ps2.Close())
+		if clock2 != clock || !reflect.DeepEqual(recs2, recs) {
+			t.Fatalf("round %d: reopened at clock %d with\n%+v\nclosed at clock %d with\n%+v", i, clock2, recs2, clock, recs)
+		}
+		lastSeq = seq
+	}
+	if lastSeq < 3 {
+		t.Fatalf("last reopen recovered from snapshot %d; the rounds crossed too few checkpoints", lastSeq)
 	}
 }

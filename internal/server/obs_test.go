@@ -399,3 +399,102 @@ func TestPhaseHistograms(t *testing.T) {
 		}
 	}
 }
+
+// TestUntracedRecordKeepsTree: a request that did not ask for its trace
+// still leaves its span tree on its flight record. An untraced cold
+// /execute is served by /debug/requests/{id} with spans rooted at execute:
+// personalize (prefspace, search, construct) and execute (one subquery[i]
+// per sub-query). An untraced cache hit ran no pipeline, and its record
+// carries neither spans nor tree.
+func TestUntracedRecordKeepsTree(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	putProfile(t, ts.URL, "u1", testProfileText())
+	body := personalizeBody("u1")
+	delete(body, "trace")
+
+	type span struct {
+		Name     string  `json:"name"`
+		Children []*span `json:"children"`
+	}
+	debug := func(id string) (spans *span, tree string, present bool) {
+		t.Helper()
+		var dbg struct {
+			Spans *span   `json:"spans"`
+			Tree  *string `json:"tree"`
+		}
+		waitObs(t, "flight record "+id, func() bool {
+			r, err := http.Get(ts.URL + "/debug/requests/" + id)
+			if err != nil {
+				return false
+			}
+			defer r.Body.Close()
+			return r.StatusCode == http.StatusOK
+		})
+		_, data := doJSON(t, http.MethodGet, ts.URL+"/debug/requests/"+id, nil)
+		if err := json.Unmarshal(data, &dbg); err != nil {
+			t.Fatal(err)
+		}
+		if dbg.Tree != nil {
+			tree, present = *dbg.Tree, true
+		}
+		return dbg.Spans, tree, present
+	}
+	names := func(s *span) []string {
+		var out []string
+		for _, c := range s.Children {
+			out = append(out, c.Name)
+		}
+		return out
+	}
+	child := func(s *span, name string) *span {
+		for _, c := range s.Children {
+			if c.Name == name {
+				return c
+			}
+		}
+		t.Fatalf("span %s has no %s child: %v", s.Name, name, names(s))
+		return nil
+	}
+
+	resp, data := doJSON(t, http.MethodPost, ts.URL+"/execute", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold execute: %d: %s", resp.StatusCode, data)
+	}
+	var er executeResponse
+	if err := json.Unmarshal(data, &er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Cached || er.Trace != "" {
+		t.Fatalf("cold untraced execute: cached=%v trace=%q", er.Cached, er.Trace)
+	}
+	root, tree, _ := debug(resp.Header.Get("X-Request-ID"))
+	if root == nil || root.Name != "execute" {
+		t.Fatalf("untraced cold execute: spans %+v, want a tree rooted at execute", root)
+	}
+	if !strings.HasPrefix(tree, "execute") {
+		t.Fatalf("tree does not start at execute:\n%s", tree)
+	}
+	p := child(root, "personalize")
+	for _, name := range []string{"prefspace", "search", "construct"} {
+		child(p, name)
+	}
+	x := child(root, "execute")
+	subs := 0
+	for i, c := range x.Children {
+		if c.Name != fmt.Sprintf("subquery[%d]", i) {
+			t.Fatalf("execute child %d is %q: %v", i, c.Name, names(x))
+		}
+		subs++
+	}
+	if want := len(er.Preferences); subs == 0 || subs != want {
+		t.Fatalf("execute span has %d subquery children, the answer integrated %d preferences:\n%s", subs, want, tree)
+	}
+
+	resp, data = doJSON(t, http.MethodPost, ts.URL+"/execute", body)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), `"cached":true`) {
+		t.Fatalf("warm execute: %d: %s", resp.StatusCode, data)
+	}
+	if spans, tree, present := debug(resp.Header.Get("X-Request-ID")); spans != nil || present {
+		t.Fatalf("untraced hit kept a tree: spans %+v tree %q", spans, tree)
+	}
+}
