@@ -84,14 +84,16 @@ func SanitizeRequestID(s string) string {
 	return s
 }
 
-// Request is one request's flight record: identity, outcome, and the
-// per-phase latency attribution. It is written by the handler goroutine
-// and — through the context — by admission and pipeline phases, then
-// read by /debug/requests; all mutation is mutex-guarded.
+// Request is one request's flight record: identity, outcome, the
+// per-phase latency attribution and the root of its span tree. It is
+// written by the handler goroutine and — through the context — by
+// admission and pipeline phases, then read by /debug/requests; all
+// mutation is mutex-guarded.
 type Request struct {
 	id       string
 	endpoint string
 	start    time.Time
+	root     Span // named by the endpoint, started with the record
 
 	mu      sync.Mutex
 	profile string
@@ -101,19 +103,20 @@ type Request struct {
 	errMsg  string
 	total   time.Duration
 	phases  map[string]time.Duration
-	trace   *Span
 	done    bool
 }
 
 // NewRequest opens a flight record. id must already be sanitized or
 // freshly minted.
 func NewRequest(endpoint, id string) *Request {
-	return &Request{
+	r := &Request{
 		id:       truncate(id, MaxRequestIDLen),
 		endpoint: endpoint,
 		start:    time.Now(),
 		phases:   make(map[string]time.Duration, 8),
 	}
+	r.root = Span{name: endpoint, start: r.start, rec: r}
+	return r
 }
 
 // ID returns the request ID ("" on nil).
@@ -154,8 +157,8 @@ type Laps struct {
 	last time.Time
 }
 
-// StartLaps starts a clock now, charging the context's flight record and
-// hanging its laps under the context's current span.
+// StartLaps starts a clock now, hanging its laps under the context's
+// current span and charging the flight record that span hangs under.
 func StartLaps(ctx context.Context) Laps {
 	return Laps{rec: RequestFromContext(ctx), span: FromContext(ctx), last: time.Now()}
 }
@@ -209,32 +212,22 @@ func (r *Request) SetRung(rung string) {
 	r.mu.Unlock()
 }
 
-// SetTrace attaches the request's span tree root.
-func (r *Request) SetTrace(s *Span) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.trace = s
-	r.mu.Unlock()
-}
-
-// Trace returns the attached span tree root (nil when none).
+// Trace returns the root of the request's span tree (nil on nil).
 func (r *Request) Trace() *Span {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trace
+	return &r.root
 }
 
 // Finish seals the record with the response status and an optional error
-// message and charges the unattributed remainder to PhaseOther. Idempotent.
+// message, ends its root span, and charges the unattributed remainder to
+// PhaseOther. Idempotent.
 func (r *Request) Finish(status int, errMsg string) {
 	if r == nil {
 		return
 	}
+	r.root.End()
 	total := time.Since(r.start)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -322,23 +315,19 @@ func (r *Request) Snapshot() RequestSnapshot {
 	return s
 }
 
-type reqCtxKey struct{}
-
-// ContextWithRequest installs the flight record in the context.
+// ContextWithRequest installs the flight record's root span as the
+// context's current span.
 func ContextWithRequest(ctx context.Context, r *Request) context.Context {
-	if r == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, reqCtxKey{}, r)
+	return ContextWith(ctx, r.Trace())
 }
 
-// RequestFromContext returns the context's flight record, or nil.
+// RequestFromContext returns the flight record the context's current span
+// hangs under, or nil.
 func RequestFromContext(ctx context.Context) *Request {
-	if ctx == nil {
-		return nil
+	if s := FromContext(ctx); s != nil {
+		return s.rec
 	}
-	r, _ := ctx.Value(reqCtxKey{}).(*Request)
-	return r
+	return nil
 }
 
 // Tail-sample sizes: beyond the main ring, the recorder retains the
@@ -489,7 +478,8 @@ func (f *Flight) Snapshot(filter Filter) []RequestSnapshot {
 }
 
 // Get returns the retained record with the given ID (the newest, when a
-// client reused an ID) plus its span tree, or ok=false.
+// client reused an ID) plus its span tree — nil when nothing ran under the
+// record's root — or ok=false.
 func (f *Flight) Get(id string) (RequestSnapshot, *Span, bool) {
 	if f == nil {
 		return RequestSnapshot{}, nil, false
@@ -509,5 +499,9 @@ func (f *Flight) Get(id string) (RequestSnapshot, *Span, bool) {
 	if best == nil {
 		return RequestSnapshot{}, nil, false
 	}
-	return best.Snapshot(), best.Trace(), true
+	var tree *Span
+	if len(best.root.Children()) > 0 {
+		tree = &best.root
+	}
+	return best.Snapshot(), tree, true
 }

@@ -154,8 +154,8 @@ func TestRequestAttribution(t *testing.T) {
 // nothing, and an inert clock charges nothing.
 func TestLapsContiguous(t *testing.T) {
 	r := NewRequest("personalize", "req-1")
-	tr := NewTrace("personalize")
-	ctx := ContextWith(ContextWithRequest(context.Background(), r), tr)
+	tr := r.Trace()
+	ctx := ContextWithRequest(context.Background(), r)
 	begin := time.Now()
 	lp := StartLaps(ctx)
 	phases := []string{PhasePrefspace, PhaseSearch, PhaseConstruct}

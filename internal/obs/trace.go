@@ -10,9 +10,9 @@ import (
 
 // Span is one timed node of a trace tree: a pipeline phase (the paper's
 // Figure 2 modules) or one executed sub-query.
-// Spans are created through a parent (or NewTrace for the root) and
-// propagate via context.Context; a nil *Span is an inert span whose
-// methods no-op, which is how tracing stays free when disabled.
+// Spans are created through a parent (or NewTrace, or a flight record, for
+// the root) and propagate via context.Context; a nil *Span is an inert span
+// whose methods no-op, which is how tracing stays free when disabled.
 //
 // One tree may grow from several goroutines at once (the items of a
 // batch attach their spans to the batch's one tree concurrently), so
@@ -21,6 +21,7 @@ import (
 type Span struct {
 	name  string
 	start time.Time
+	rec   *Request // the flight record the tree hangs under; nil for a bare trace
 
 	mu       sync.Mutex
 	dur      time.Duration
@@ -93,6 +94,7 @@ func (s *Span) AddChild(name string, d time.Duration, attrs ...Attr) *Span {
 }
 
 func (s *Span) attach(child *Span) *Span {
+	child.rec = s.rec
 	s.mu.Lock()
 	s.children = append(s.children, child)
 	s.mu.Unlock()

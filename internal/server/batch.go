@@ -146,7 +146,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := obs.RequestFromContext(r.Context())
 	lp := rec.Laps()
-	ctx, cancel, tr := s.requestContext(r.Context(), req.TimeoutMS, "batch")
+	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
 	ep := personalizeEndpoint
 	var share *exec.ScanShare
@@ -235,7 +235,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.reg.Counter("server_batch_physical_scans_total").Add(resp.PhysicalScans)
 		s.reg.Counter("server_batch_shared_scans_total").Add(resp.SharedScans)
 	}
-	tr.End()
 	writeJSON(w, http.StatusOK, resp)
 }
 

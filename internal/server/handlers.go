@@ -249,7 +249,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			if !sw.first.IsZero() {
 				rec.AddPhase(obs.PhaseEncode, time.Since(sw.first))
 			}
-			rec.Trace().End()
 			rec.Finish(sw.code, sw.err)
 			s.finishRequest(endpoint, rec)
 		}()
@@ -440,12 +439,9 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) ([]by
 }
 
 // requestContext derives the per-request deadline (request value, capped by
-// the server max; the server default when absent) and the request's trace.
-// Tracing is always on, whether or not the caller asked to see the trace:
-// /debug/requests/{id} serves the span tree of every retained request, so
-// the root span is attached to the flight record, and the tree served there
-// is the very tree the response rendered.
-func (s *Server) requestContext(parent context.Context, timeoutMS int, name string) (context.Context, context.CancelFunc, *cqp.Trace) {
+// the server max; the server default when absent). The pipeline's spans
+// hang under the flight record's root, which the parent carries.
+func (s *Server) requestContext(parent context.Context, timeoutMS int) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
@@ -457,9 +453,7 @@ func (s *Server) requestContext(parent context.Context, timeoutMS int, name stri
 	if s.cfg.SpillBytes > 0 {
 		ctx = iter.WithBudget(ctx, iter.Budget{Bytes: s.cfg.SpillBytes, Dir: s.cfg.SpillDir})
 	}
-	ctx, tr := cqp.StartTrace(ctx, name)
-	obs.RequestFromContext(parent).SetTrace(tr)
-	return ctx, cancel, tr
+	return ctx, cancel
 }
 
 // buildOpts translates request knobs into Personalize options. A state
@@ -483,16 +477,6 @@ func buildOpts(alg string, k, budget int, anyMatch, merge bool) []cqp.Option {
 		opts = append(opts, cqp.WithMergedSubQueries())
 	}
 	return opts
-}
-
-// cacheHitTrace builds the trace of a warm request — a lone cache_hit span,
-// no pipeline phases — and attaches it to the flight record so the debug
-// endpoint serves the same tree.
-func cacheHitTrace(rec *obs.Request, name string) {
-	tr := obs.NewTrace(name)
-	tr.AddChild("cache_hit", 0)
-	tr.End()
-	rec.SetTrace(tr)
 }
 
 func personalizeResponseFrom(res *cqp.Result, profileID string, version uint64) *personalizeResponse {
@@ -645,7 +629,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			"log_bytes":              st.LogBytes,
 			"records_since_snapshot": st.RecordsSinceSnapshot,
 			"last_snapshot_age_ms":   time.Since(st.LastSnapshot).Milliseconds(),
-			"clock":                  st.Clock,
+			"clock":                  s.store.clock.Load(),
 		}
 	}
 	writeJSON(w, http.StatusOK, body)

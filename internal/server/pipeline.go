@@ -462,14 +462,13 @@ func (s *Server) handle(ep *endpoint) http.HandlerFunc {
 		var a answer
 		switch {
 		case hit == nil:
-			ctx, cancel, tr := s.requestContext(r.Context(), in.TimeoutMS, ep.name)
+			ctx, cancel := s.requestContext(r.Context(), in.TimeoutMS)
 			defer cancel()
 			a = s.run(ctx, &c)
-			tr.End()
 		case trace:
 			// The trace payload is the request's own: the struct path.
 			a = answer{resp: ep.stamp(hit.val, true, ""), role: "hit"}
-			cacheHitTrace(rec, ep.name)
+			rec.Trace().AddChild("cache_hit", 0)
 		default:
 			// A warm request is bytes out: what stamp and writeJSON make of
 			// this entry, encoded once by its first untraced hit.
@@ -486,6 +485,7 @@ func (s *Server) handle(ep *endpoint) http.HandlerFunc {
 			return
 		}
 		if trace {
+			rec.Trace().End() // the tree /debug/requests/{id} serves too
 			e := a.resp.env()
 			e.Trace = rec.Trace().Tree()
 			e.RequestID, e.AttributionUS = attribution(rec)

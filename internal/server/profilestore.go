@@ -89,12 +89,13 @@ func NewProfileStore(s *cqp.Schema) *ProfileStore {
 // NewDurableProfileStore opens (recovering if needed) the write-ahead log
 // in dir and returns a store seeded with the recovered profiles, its
 // version clock restored strictly monotone over every pre-crash version.
+// The log's checkpoints are the store's own snapshots (Records).
 func NewDurableProfileStore(s *cqp.Schema, dir string, opts wal.Options) (*ProfileStore, *wal.Recovery, error) {
-	log, rec, err := wal.Open(dir, opts)
+	ps := NewProfileStore(s)
+	log, rec, err := wal.Open(dir, opts, ps.Records)
 	if err != nil {
 		return nil, nil, err
 	}
-	ps := NewProfileStore(s)
 	ps.log = log
 	for _, r := range rec.Profiles {
 		sp, err := newStoredProfile(s, r)

@@ -86,7 +86,7 @@ func TestTornPrefixProperty(t *testing.T) {
 	frameEnds := []int{0}
 	off := 0
 	for range recs {
-		_, next, err := DecodeFrame(full, off)
+		_, next, err := readFrame(full, off)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestTornPrefixProperty(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := Open(dir, Options{Sync: SyncNever})
+		l, rec, err := openStore(dir, Options{Sync: SyncNever})
 		if err != nil {
 			t.Fatalf("cut=%d: Open: %v", cut, err)
 		}
@@ -153,7 +153,7 @@ func TestTornPrefixMidStreamIsCorrupt(t *testing.T) {
 	frameEnds := map[int]bool{0: true}
 	off := 0
 	for range older {
-		_, next, err := DecodeFrame(full, off)
+		_, next, err := readFrame(full, off)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestTornPrefixMidStreamIsCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		writeLogFile(t, dir, 2, newer)
-		l, rec, err := Open(dir, Options{Sync: SyncNever})
+		l, rec, err := openStore(dir, Options{Sync: SyncNever})
 		if frameEnds[cut] {
 			if err != nil {
 				t.Fatalf("cut=%d on frame boundary: %v", cut, err)
@@ -195,7 +195,7 @@ func frameBounds(t *testing.T, full []byte) []int {
 	t.Helper()
 	bounds := []int{0}
 	for off := 0; off < len(full); {
-		_, next, err := DecodeFrame(full, off)
+		_, next, err := readFrame(full, off)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func openEdited(t *testing.T, dir string, full []byte, edit func([]byte)) (*Reco
 	if err := os.WriteFile(filepath.Join(dir, logName(1)), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, rec, err := Open(dir, Options{Sync: SyncNever})
+	l, rec, err := openStore(dir, Options{Sync: SyncNever})
 	if err == nil {
 		if cerr := l.Close(); cerr != nil {
 			t.Fatal(cerr)

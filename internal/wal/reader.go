@@ -11,13 +11,6 @@ func EncodeFrame(buf []byte, rec Record) []byte {
 	return appendFrame(buf, rec)
 }
 
-// DecodeFrame decodes the frame starting at off, returning the record and
-// the offset just past it. Errors mean a short, corrupt or torn frame;
-// the caller decides which (see Log.recover for the file-replay policy).
-func DecodeFrame(buf []byte, off int) (Record, int, error) {
-	return readFrame(buf, off)
-}
-
 // DecodeFrames decodes a buffer holding zero or more complete frames —
 // the replication wire format. Unlike file replay there is no torn-tail
 // tolerance: a partial or damaged frame fails the whole buffer, because a

@@ -29,9 +29,9 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 	// One-at-a-time decoding walks the same buffer.
 	off := 0
 	for i := range recs {
-		rec, next, err := DecodeFrame(buf, off)
+		rec, next, err := readFrame(buf, off)
 		if err != nil {
-			t.Fatalf("DecodeFrame %d: %v", i, err)
+			t.Fatalf("readFrame %d: %v", i, err)
 		}
 		if rec != recs[i] {
 			t.Fatalf("frame %d: got %+v want %+v", i, rec, recs[i])
@@ -51,7 +51,7 @@ func TestDecodeFramesRejectsPartial(t *testing.T) {
 		if _, err := DecodeFrames(buf[:cut]); err == nil {
 			// A cut landing exactly on the first frame boundary is the one
 			// valid prefix.
-			if _, n, ferr := DecodeFrame(buf, 0); ferr == nil && cut == n {
+			if _, n, ferr := readFrame(buf, 0); ferr == nil && cut == n {
 				continue
 			}
 			t.Fatalf("DecodeFrames accepted a %d/%d-byte truncation", cut, len(buf))
@@ -70,7 +70,7 @@ func TestOpenFailsCleanly(t *testing.T) {
 	if err := os.WriteFile(file, []byte("not a dir"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, rec, err := Open(filepath.Join(file, "wal"), Options{})
+	l, rec, err := openStore(filepath.Join(file, "wal"), Options{})
 	if err == nil {
 		l.Close()
 		t.Fatalf("Open under a file succeeded: %+v", rec)

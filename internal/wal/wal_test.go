@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cqp/internal/fault"
 )
@@ -20,16 +21,71 @@ func del(v uint64, id string) Record {
 	return Record{Op: OpDelete, ID: id, Version: v, UpdatedAt: int64(v) * 1000}
 }
 
-func mustOpen(t *testing.T, dir string, opts Options) (*Log, *Recovery) {
+// store is the model of the log's owner that the tests open a log with.
+// Like cqpd's ProfileStore it holds one mutation lock across an Append and
+// the applying of the record that follows it, and its records are the state
+// the log checkpoints.
+type store struct {
+	*Log
+	mu    sync.Mutex   // serializes Append and the apply after it
+	smu   sync.RWMutex // guards clock and live
+	clock uint64
+	live  map[string]Record
+}
+
+// openStore opens dir's log with a model store seeded from its recovery.
+func openStore(dir string, opts Options) (*store, *Recovery, error) {
+	s := &store{live: map[string]Record{}}
+	l, rec, err := Open(dir, opts, s.records)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.Log, s.clock = l, rec.Clock
+	for _, r := range rec.Profiles {
+		s.live[r.ID] = r
+	}
+	return s, rec, nil
+}
+
+// Append logs rec and, once the log has accepted it, applies it.
+func (s *store) Append(rec Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.Log.Append(rec); err != nil {
+		return err
+	}
+	s.smu.Lock()
+	if rec.Op == OpDelete {
+		delete(s.live, rec.ID)
+	} else {
+		s.live[rec.ID] = rec
+	}
+	s.clock = max(s.clock, rec.Version)
+	s.smu.Unlock()
+	return nil
+}
+
+// records is the state function the log checkpoints.
+func (s *store) records() (uint64, []Record) {
+	s.smu.RLock()
+	defer s.smu.RUnlock()
+	recs := make([]Record, 0, len(s.live))
+	for _, r := range s.live {
+		recs = append(recs, r)
+	}
+	return s.clock, recs
+}
+
+func mustOpen(t *testing.T, dir string, opts Options) (*store, *Recovery) {
 	t.Helper()
-	l, rec, err := Open(dir, opts)
+	l, rec, err := openStore(dir, opts)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return l, rec
 }
 
-func mustAppend(t *testing.T, l *Log, recs ...Record) {
+func mustAppend(t *testing.T, l *store, recs ...Record) {
 	t.Helper()
 	for _, r := range recs {
 		if err := l.Append(r); err != nil {
@@ -207,7 +263,7 @@ func TestMidLogCorruption(t *testing.T) {
 			dir := t.TempDir()
 			path := writeLog(t, dir, 1, base...)
 			tc.mangle(t, path, frameOffsets(t, path))
-			_, _, err := Open(dir, Options{})
+			_, _, err := openStore(dir, Options{})
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Open with mid-log corruption: %v, want ErrCorrupt", err)
 			}
@@ -246,19 +302,22 @@ func patchByte(t *testing.T, path string, off int, v byte) {
 	}
 }
 
-// TestSnapshotRotation: crossing SnapshotEvery must write a snapshot,
-// rotate the log, and retire the old generation; recovery then starts from
-// the snapshot and replays only the new log.
+// TestSnapshotRotation: the append after SnapshotEvery records must write a
+// snapshot, rotate the log, and retire the old generation; recovery then
+// starts from the snapshot and replays only the new log.
 func TestSnapshotRotation(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{SnapshotEvery: 4})
 	mustAppend(t, l,
 		put(1, "a", "ta"), put(2, "b", "tb"), put(3, "c", "tc"), del(4, "a"))
+	if names := dirNames(t, dir); !names[logName(1)] || names[snapName(2)] {
+		t.Fatalf("before the fifth append dir = %v; want wal-1 and no snapshot", keys(names))
+	}
+	mustAppend(t, l, put(5, "d", "td"))
 	names := dirNames(t, dir)
 	if !names[snapName(2)] || !names[logName(2)] || names[logName(1)] || names[snapName(1)] {
 		t.Fatalf("after rotation dir = %v; want exactly snap-2 + wal-2", keys(names))
 	}
-	mustAppend(t, l, put(5, "d", "td"))
 	l.Close()
 
 	l2, rec := mustOpen(t, dir, Options{})
@@ -345,14 +404,14 @@ func TestCheckpointCrashWindows(t *testing.T) {
 func TestSnapshotCorruption(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{SnapshotEvery: 2})
-	mustAppend(t, l, put(1, "a", "ta"), put(2, "b", "tb"))
+	mustAppend(t, l, put(1, "a", "ta"), put(2, "b", "tb"), put(3, "c", "tc"))
 	l.Close()
 	path := filepath.Join(dir, snapName(2))
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
 	flipByte(t, path, 12)
-	_, _, err := Open(dir, Options{})
+	_, _, err := openStore(dir, Options{})
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open with corrupt snapshot: %v, want ErrCorrupt", err)
 	}
@@ -446,8 +505,8 @@ func TestConcurrentMutateWhileSnapshot(t *testing.T) {
 }
 
 // TestFaultPoints drives the wal.append and wal.fsync injection points: a
-// faulted append must leave both the in-memory shadow state and the
-// on-disk log unchanged, so the version can be safely reallocated.
+// faulted append must leave the on-disk log unchanged, so the version can
+// be safely reallocated.
 func TestFaultPoints(t *testing.T) {
 	t.Run("wal.append", func(t *testing.T) {
 		dir := t.TempDir()
@@ -464,13 +523,7 @@ func TestFaultPoints(t *testing.T) {
 		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("append under wal.append fault: %v", err)
 		}
-		if st := l.Stats(); st.Clock != 1 || st.Profiles != 1 {
-			t.Fatalf("faulted append changed state: %+v", st)
-		}
 		mustAppend(t, l, put(2, "b", "tb-retry")) // version safely reused
-		if st := l.Stats(); st.Clock != 2 || st.Profiles != 2 {
-			t.Fatalf("post-fault append: %+v", st)
-		}
 	})
 	t.Run("wal.fsync truncates the unacked frame", func(t *testing.T) {
 		dir := t.TempDir()
@@ -496,6 +549,41 @@ func TestFaultPoints(t *testing.T) {
 			t.Fatalf("recovered %+v (%d records); unacked frame survived", st, rec.LogRecords)
 		}
 	})
+}
+
+// TestSyncIntervalPolicy: under SyncInterval a background ticker fsyncs
+// the active log, and Close stops it: the ticker fsyncs no more, and a
+// later Append gets ErrClosed. Each fsync passes the wal.fsync fault point,
+// whose call count the test reads; fault plans are process-global, so the
+// test does not run in parallel.
+func TestSyncIntervalPolicy(t *testing.T) {
+	const every = 2 * time.Millisecond
+	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncInterval, SyncEvery: every})
+	plan, err := fault.NewPlan(1, fault.Rule{Point: fault.WALFsync, Mode: fault.ModeLatency, Latency: time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm(plan)
+	defer fault.Disarm()
+	fsyncs := func() int64 { return plan.Counts()[fault.WALFsync].Calls }
+
+	mustAppend(t, l, put(1, "a", "ta"), put(2, "b", "tb"))
+	for deadline := time.Now().Add(5 * time.Second); fsyncs() < 3; time.Sleep(every) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the ticker fsynced %d times in 5 s at a %v interval", fsyncs(), every)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := fsyncs()
+	time.Sleep(10 * every)
+	if n := fsyncs(); n != closed {
+		t.Fatalf("the ticker fsynced %d times after Close", n-closed)
+	}
+	if err := l.Append(put(3, "c", "tc")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after Close: %v, want ErrClosed", err)
+	}
 }
 
 func dirNames(t *testing.T, dir string) map[string]bool {
