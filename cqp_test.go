@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"cqp/internal/fault"
 )
 
 // paperDB builds the paper's example movie database through the public API.
@@ -270,6 +272,32 @@ func TestPersonalizeFront(t *testing.T) {
 	// Validation errors propagate.
 	if _, err := p.PersonalizeFront(&Query{From: []string{"NOPE"}}, profile, 0, 0, 0, 0); err == nil {
 		t.Error("invalid query must fail")
+	}
+}
+
+// TestPersonalizeFrontSurfacesFault: an injected search fault aborts the
+// frontier search and comes back as the error, as Personalize returns it —
+// not as an empty front marked truncated, which a caller would take for an
+// answer.
+func TestPersonalizeFrontSurfacesFault(t *testing.T) {
+	db := SyntheticMovieDB(400, 1)
+	p := NewPersonalizer(db)
+	profile := SyntheticProfile(30, 2)
+	q, _ := ParseQuery(db.Schema(), "SELECT title FROM MOVIE")
+	cost, _, _ := p.EstimateQuery(q)
+
+	plan, err := fault.Parse("search.expand:err:1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm(plan)
+	defer fault.Disarm()
+	if _, err := p.Personalize(q, profile, Problem2(cost*20), WithMaxK(10)); !errors.Is(err, fault.ErrInjected) {
+		t.Errorf("Personalize under search.expand:err:1: err %v, want the injected fault", err)
+	}
+	front, err := p.PersonalizeFront(q, profile, cost*20, 0, 0, 6, WithMaxK(10))
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("PersonalizeFront under search.expand:err:1: err %v, front %+v; want the injected fault", err, front)
 	}
 }
 

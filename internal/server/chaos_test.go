@@ -446,3 +446,29 @@ func TestChaosPanicContainment(t *testing.T) {
 		t.Errorf("breaker %s after contained panics", got)
 	}
 }
+
+// TestFrontFaultNotCached: a /front whose search an injected fault aborts
+// is a failed attempt, not an answer. It must not be cached, so once the
+// fault is gone the same request is solved again and returns a front.
+func TestFrontFaultNotCached(t *testing.T) {
+	_, ts := newTestServer(t, Config{RetryAttempts: 1})
+	putProfile(t, ts.URL, "alice", testProfileText())
+	body := map[string]any{"sql": testSQL, "profile_id": "alice", "cmax_ms": 10000, "max_points": 8}
+
+	armPlan(t, "search.expand:err:1", 1)
+	resp, raw := doJSON(t, http.MethodPost, ts.URL+"/front", body)
+	checkChaosBody(t, resp.StatusCode, raw)
+	fault.Disarm()
+
+	resp, raw = doJSON(t, http.MethodPost, ts.URL+"/front", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("front after disarm: %d: %s", resp.StatusCode, raw)
+	}
+	var fr frontResponse
+	if err := json.Unmarshal(raw, &fr); err != nil {
+		t.Fatal(err)
+	}
+	if fr.Cached || len(fr.Points) == 0 {
+		t.Fatalf("front after disarm: cached %v with %d points, want a fresh non-empty front: %s", fr.Cached, len(fr.Points), raw)
+	}
+}
