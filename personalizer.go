@@ -550,6 +550,12 @@ func (p *Personalizer) PersonalizeFrontContext(ctx context.Context, q *Query, u 
 	front, stats := core.ParetoFront(in, core.ParetoOptions{
 		CostMax: costMax, SizeMin: sizeMin, SizeMax: sizeMax, MaxPoints: maxPoints,
 	})
+	if stats.Fault != nil {
+		// An injected fault aborted the search: an error, as Solve returns
+		// it, so the daemon retries it and never caches the partial front.
+		lp.Lap(obs.PhaseSearch)
+		return nil, stats.Fault
+	}
 	recordSearchStats(metrics, stats)
 	lp.Lap(obs.PhaseSearch, obs.Attr{Key: "algorithm", Value: stats.Algorithm})
 	if err := ctx.Err(); err != nil {
