@@ -1,21 +1,18 @@
 package core
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"time"
 )
 
 // This file implements the paper's stated future work (Section 8):
 // "studying query personalization as a multi-objective constrained
 // optimization problem, where more than one query parameter may be
-// optimized simultaneously."
-//
-// A personalized query dominates another when it is at least as good on
-// all three parameters (doi ↑, cost ↓, size within the caller's preferred
-// direction) and strictly better on one. ParetoFront enumerates the
-// non-dominated personalized queries under optional range constraints —
-// the menu a context policy can pick from instead of committing to one of
-// Table 1's single-objective problems.
+// optimized simultaneously." ParetoFront enumerates the personalized
+// queries no other beats on both doi and cost (size is windowed, not
+// optimized) — the menu a context policy can pick from instead of
+// committing to one of Table 1's single-objective problems.
 
 // ParetoPoint is one non-dominated personalized query.
 type ParetoPoint struct {
@@ -25,22 +22,10 @@ type ParetoPoint struct {
 	Size float64
 }
 
-// dominates reports whether a dominates b: no worse on doi and cost, and
-// strictly better on at least one. Size is not part of the dominance
-// relation by default — smaller is not universally better (the paper's
-// size parameter is windowed, not optimized) — but callers can fold it in
-// by constraining the front.
-func dominates(a, b ParetoPoint) bool {
-	if a.Doi < b.Doi-1e-12 || a.Cost > b.Cost+1e-9 {
-		return false
-	}
-	return a.Doi > b.Doi+1e-12 || a.Cost < b.Cost-1e-9
-}
-
 // ParetoOptions constrains and sizes the front enumeration.
 type ParetoOptions struct {
-	// CostMax, SizeMin, SizeMax filter candidates before dominance
-	// comparison (0 = unbounded).
+	// CostMax, SizeMin, SizeMax bound the front's candidates (0 =
+	// unbounded).
 	CostMax float64
 	SizeMin float64
 	SizeMax float64
@@ -49,105 +34,59 @@ type ParetoOptions struct {
 	MaxPoints int
 }
 
-// ParetoFront enumerates the doi/cost Pareto frontier of personalized
-// queries by branch and bound. The search walks preferences in doi order;
-// a subtree is cut when even its doi-maximal completion cannot dominate
-// into the current front at the subtree's minimal cost. Exact for the
-// frontier under the estimation model; exponential in the worst case like
-// every exact CQP solver, bounded by Instance.StateBudget.
+// ParetoFront enumerates the doi/cost Pareto frontier as a sequence of
+// BranchBound solves, the lexicographic ε-constraint method. Each round
+// maximizes doi under the current cost cap and the size window (Problem 2
+// or 3), then minimizes cost at that doi (Problem 4 or 5): that answer is
+// the front's costliest point under the cap, and the cap falls below it
+// until nothing fits. The solves share Instance.StateBudget; one that
+// truncates, on the budget or an injected fault, ends the front with its
+// Stats.Truncated and Stats.Fault and adds no point.
 func ParetoFront(in *Instance, opt ParetoOptions) ([]ParetoPoint, Stats) {
 	start := time.Now()
 	st := Stats{Algorithm: "PARETO"}
 
-	suffix := suffixConj(in)
-	var front []ParetoPoint
-
-	feasible := func(cost, size float64) bool {
-		if opt.CostMax > 0 && cost > opt.CostMax+1e-9 {
-			return false
-		}
-		if opt.SizeMin > 0 && size < opt.SizeMin-1e-9 {
-			return false
-		}
-		if opt.SizeMax > 0 && size > opt.SizeMax+1e-9 {
-			return false
-		}
-		return true
-	}
-
-	// insert keeps front sorted by cost ascending and non-dominated.
-	insert := func(p ParetoPoint) {
-		for _, q := range front {
-			if dominates(q, p) || (q.Doi == p.Doi && q.Cost == p.Cost) {
-				return
+	budgeted := *in
+	// solve runs prob on what is left of the budget; ok reports a feasible
+	// answer from a finished solve.
+	solve := func(prob Problem) (sol Solution, ok bool) {
+		if in.StateBudget > 0 {
+			if st.StatesVisited >= in.StateBudget {
+				st.Truncated = true
+				return sol, false
 			}
+			budgeted.StateBudget = in.StateBudget - st.StatesVisited
 		}
-		kept := front[:0]
-		for _, q := range front {
-			if !dominates(p, q) {
-				kept = append(kept, q)
-			}
+		sol = BranchBound(&budgeted, prob)
+		st.StatesVisited += sol.Stats.StatesVisited
+		st.PeakMemBytes = max(st.PeakMemBytes, sol.Stats.PeakMemBytes)
+		if sol.Stats.Truncated {
+			st.Truncated, st.Fault = true, sol.Stats.Fault
+			return sol, false
 		}
-		front = append(kept, p)
-		sort.Slice(front, func(i, j int) bool { return front[i].Cost < front[j].Cost })
+		return sol, sol.Feasible
 	}
 
-	// bestDoiAtOrBelow returns the highest doi the front achieves at cost
-	// ≤ c (front is cost-sorted; doi increases along it by construction of
-	// non-dominance).
-	bestDoiAtOrBelow := func(c float64) float64 {
-		best := -1.0
-		for _, q := range front {
-			if q.Cost <= c+1e-9 && q.Doi > best {
-				best = q.Doi
-			}
-		}
-		return best
+	var front []ParetoPoint // costliest first
+	limit := opt.CostMax
+	if limit == 0 {
+		limit = math.Inf(1) // BranchBound then skips its knapsack bound
 	}
-
-	cur := make([]int, 0, in.K)
-	var rec func(k int, doiProd, cost, size float64)
-	rec = func(k int, doiProd, cost, size float64) {
-		if in.overBudget(&st) {
-			return
+	for limit > 0 {
+		top, ok := solve(Problem{Objective: ObjMaxDoi, CostMax: limit, SizeMin: opt.SizeMin, SizeMax: opt.SizeMax})
+		if !ok {
+			break
 		}
-		st.StatesVisited++
-		stateCost := cost
-		if len(cur) == 0 {
-			stateCost = in.BaseCost
+		p, ok := solve(Problem{Objective: ObjMinCost, CostMax: limit, DoiMin: top.Doi, SizeMin: opt.SizeMin, SizeMax: opt.SizeMax})
+		if !ok {
+			break
 		}
-		if feasible(stateCost, size) {
-			insert(ParetoPoint{
-				Set:  append([]int(nil), cur...),
-				Doi:  1 - doiProd,
-				Cost: stateCost,
-				Size: size,
-			})
-		}
-		if k == in.K {
-			return
-		}
-		// Prune: the doi-maximal completion of this subtree costs at least
-		// `cost` (additions only add cost); if the front already achieves
-		// that doi at or below this cost, nothing here can join the front.
-		maxDoi := 1 - doiProd*(1-suffix[k])
-		if bestDoiAtOrBelow(cost) >= maxDoi-1e-12 {
-			return
-		}
-		if opt.CostMax > 0 && cost+in.Cost[k] > opt.CostMax+1e-9 {
-			// Including k is infeasible, but cheaper later preferences may
-			// fit: only the exclude branch survives.
-			rec(k+1, doiProd, cost, size)
-			return
-		}
-		// Include k.
-		cur = append(cur, k)
-		rec(k+1, doiProd*(1-in.Doi[k]), cost+in.Cost[k], size*in.Shrink[k])
-		cur = cur[:len(cur)-1]
-		// Exclude k.
-		rec(k+1, doiProd, cost, size)
+		front = append(front, ParetoPoint{Set: p.Set, Doi: p.Doi, Cost: p.Cost, Size: p.Size})
+		// Feasible admits the cap + 1e-9, so the cap falls by more, or the
+		// point comes back; the relative term outgrows costs' rounding.
+		limit = p.Cost - 2e-9 - p.Cost*1e-15
 	}
-	rec(0, 1, 0, in.BaseSize)
+	slices.Reverse(front)
 
 	if opt.MaxPoints > 0 && len(front) > opt.MaxPoints {
 		thinned := make([]ParetoPoint, 0, opt.MaxPoints)
