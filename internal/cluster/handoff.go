@@ -364,7 +364,9 @@ func (n *Node) postHandoffBatch(ctx context.Context, target, url string, epoch u
 // frames and install each record version-guarded into the local store.
 // Accepted while the epoch matches either the prepared transition or the
 // already-committed active ring (targets may commit before sources flush
-// their final sweep).
+// their final sweep). Of an ID listed twice only the newest record counts,
+// as in ReplicaStore.Install: the store keeps no tombstones, so a delete
+// followed by an older put would bring the profile back.
 func (n *Node) ApplyHandoffFrames(epoch uint64, body []byte) (int, error) {
 	n.mu.RLock()
 	ok := n.state.Epoch == epoch || (n.next != nil && n.next.Epoch == epoch)
@@ -380,7 +382,16 @@ func (n *Node) ApplyHandoffFrames(epoch uint64, body []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, rec := range recs {
+	newest := make(map[string]int, len(recs)) // ID → index of its newest record
+	for i, rec := range recs {
+		if j, dup := newest[rec.ID]; !dup || rec.Version > recs[j].Version {
+			newest[rec.ID] = i
+		}
+	}
+	for i, rec := range recs {
+		if newest[rec.ID] != i {
+			continue
+		}
 		if err := n.cfg.ApplyRecord(rec); err != nil {
 			return 0, fmt.Errorf("apply %s: %w", rec.ID, err)
 		}
