@@ -331,3 +331,23 @@ func TestParetoLargeCosts(t *testing.T) {
 		}
 	}
 }
+
+// TestParetoMaxPointsOne: a cap of one point keeps the front's top-doi
+// point, which is Problem 2's answer under the same bounds. Thinning by
+// index divides by MaxPoints − 1, so one point must not go through it.
+func TestParetoMaxPointsOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 50; trial++ {
+		in := randInstance(t, rng, 2+rng.Intn(8))
+		full, _ := ParetoFront(in, ParetoOptions{})
+		got, st := ParetoFront(in, ParetoOptions{MaxPoints: 1})
+		if st.Truncated || len(got) != 1 {
+			t.Fatalf("trial %d: %d points (truncated %v) from a front of %d, want 1", trial, len(got), st.Truncated, len(full))
+		}
+		top := BranchBound(in, Problem{Objective: ObjMaxDoi})
+		last := full[len(full)-1]
+		if got[0].Doi != last.Doi || got[0].Cost != last.Cost || math.Abs(got[0].Doi-top.Doi) > 1e-12 {
+			t.Fatalf("trial %d: kept %+v, want the top-doi point %+v (Problem 2: doi %v)", trial, got[0], last, top.Doi)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -470,5 +471,39 @@ func TestFrontFaultNotCached(t *testing.T) {
 	}
 	if fr.Cached || len(fr.Points) == 0 {
 		t.Fatalf("front after disarm: cached %v with %d points, want a fresh non-empty front: %s", fr.Cached, len(fr.Points), raw)
+	}
+}
+
+// TestFrontMaxPointsOne: a one-point front is the top-doi point, answered
+// 200, and the request is no failure the breaker counts.
+func TestFrontMaxPointsOne(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	putProfile(t, ts.URL, "alice", testProfileText())
+	resp, raw := doJSON(t, http.MethodPost, ts.URL+"/front", map[string]any{"sql": testSQL, "profile_id": "alice", "max_points": 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("front with max_points 1: %d: %s", resp.StatusCode, raw)
+	}
+	var fr frontResponse
+	if err := json.Unmarshal(raw, &fr); err != nil {
+		t.Fatal(err)
+	}
+	if len(fr.Points) != 1 {
+		t.Fatalf("front with max_points 1 has %d points: %s", len(fr.Points), raw)
+	}
+	if n := s.reg.Counter("server_pipeline_faults_total", "endpoint", "front").Value(); n != 0 {
+		t.Fatalf("server_pipeline_faults_total{front} = %d, want 0", n)
+	}
+}
+
+// TestFrontLadderNamesCause: /front without cmax_ms has no ladder rung to
+// try, so the primary attempt's failure is the only cause there is, and the
+// 503 must name it.
+func TestFrontLadderNamesCause(t *testing.T) {
+	_, ts := newTestServer(t, Config{RetryAttempts: 1})
+	putProfile(t, ts.URL, "alice", testProfileText())
+	armPlan(t, "search.expand:err:1", 1)
+	resp, raw := doJSON(t, http.MethodPost, ts.URL+"/front", map[string]any{"sql": testSQL, "profile_id": "alice", "max_points": 8})
+	if resp.StatusCode != http.StatusServiceUnavailable || !bytes.Contains(raw, []byte("search.expand")) {
+		t.Fatalf("front under search.expand:err:1: %d: %s; want 503 naming the injected fault", resp.StatusCode, raw)
 	}
 }
