@@ -30,7 +30,8 @@ type ParetoOptions struct {
 	SizeMin float64
 	SizeMax float64
 	// MaxPoints caps the returned front (0 = no cap); points are kept in
-	// increasing cost order, thinned evenly when over the cap.
+	// increasing cost order, thinned evenly when over the cap. A cap of 1
+	// keeps the top-doi point, which is Problem 2's answer.
 	MaxPoints int
 }
 
@@ -88,7 +89,10 @@ func ParetoFront(in *Instance, opt ParetoOptions) ([]ParetoPoint, Stats) {
 	}
 	slices.Reverse(front)
 
-	if opt.MaxPoints > 0 && len(front) > opt.MaxPoints {
+	if opt.MaxPoints == 1 && len(front) > 1 {
+		front = front[len(front)-1:]
+	}
+	if opt.MaxPoints > 1 && len(front) > opt.MaxPoints {
 		thinned := make([]ParetoPoint, 0, opt.MaxPoints)
 		step := float64(len(front)-1) / float64(opt.MaxPoints-1)
 		for i := 0; i < opt.MaxPoints; i++ {

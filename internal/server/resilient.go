@@ -88,6 +88,7 @@ func (s *Server) runResilient(ctx context.Context, endpoint, staleKey string, la
 	case !s.breaker.Allow():
 		bypass = "breaker-open"
 	}
+	var last error // the last transient failure: the primary attempt's, then a rung's
 	if bypass != "" {
 		s.reg.Counter("server_degraded_bypass_total", "endpoint", endpoint, "reason", bypass).Inc()
 	} else {
@@ -101,6 +102,7 @@ func (s *Server) runResilient(ctx context.Context, endpoint, staleKey string, la
 				s.breaker.Success()
 				return v, "", err
 			}
+			last = err
 			if attempt >= s.cfg.RetryAttempts {
 				break
 			}
@@ -114,7 +116,6 @@ func (s *Server) runResilient(ctx context.Context, endpoint, staleKey string, la
 		s.reg.Counter("server_pipeline_faults_total", "endpoint", endpoint).Inc()
 	}
 
-	var last error // the last transient failure of a rung
 	for i := 0; i <= len(ladder); i++ {
 		if err := ctx.Err(); err != nil {
 			return s.unavailable(endpoint, errors.Join(last, err))
