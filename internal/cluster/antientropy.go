@@ -5,20 +5,14 @@ import (
 	"time"
 )
 
-// Anti-entropy. Replication is at-least-once and version-guarded, which
-// covers crashes and redelivery — but not silent divergence: a replica
-// byte-flipped on disk, or an update window missed in a way no retry
-// covers, stays wrong until the next full sync that may never come. The
-// anti-entropy loop closes that gap: each follower periodically asks each
-// owner for a digest of the records it should be following (per-bucket
-// live count + commutative checksum over id/version/text), compares it
-// with the same digest over its replica, and re-syncs only the diverged
-// buckets — 1/16th of the peer relationship per divergence, not a full
-// snapshot — through the same ReplicaStore.Install every snapshot uses.
-//
-// Rounds are skipped mid-transition and against peers at a different
-// epoch — handoff moves records between nodes wholesale, and a digest
-// diff across rings would "repair" perfectly healthy state.
+// Anti-entropy. Replication covers crashes and redelivery but not silent
+// divergence: a replica flipped on disk, or an update missed in a way no
+// retry covers. So each follower periodically asks each owner for a digest
+// of the records it should be following (per bucket, the live count and a
+// commutative checksum over id, version and text), compares it with its
+// replica's, and pulls only the diverged buckets through the one
+// ReplicaStore.Install. Rounds skip transitions and peers at another
+// epoch, where a digest diff would "repair" healthy state.
 
 // antiEntropyRound digest-diffs this node's replica view against every
 // reachable owner.

@@ -12,33 +12,28 @@ import (
 )
 
 // Membership transitions. A ring change (join or leave) moves through
-// three phases, driven by whichever node received the admin request (the
+// three phases, driven by the node that received the admin request (the
 // coordinator) and stamped with the new ring's epoch:
 //
 //	prepare ──► handoff ──► commit
 //	   │            │
 //	   └── abort ◄──┘  (any phase failure rolls every node back)
 //
-// prepare installs the next ring on every old and new member — nothing
-// routes by it yet, but handoff targets become reachable and every node
-// knows a transition is in flight (concurrent transitions are rejected
-// here). handoff has each current member stream the owned records that
-// move under the next ring to their new owners, in WAL-frame batches at a
-// bounded rate; the target applies them version-guarded, so retries and
-// replays are no-ops. commit atomically swaps the active ring, then — on
-// each old owner, under the profile store's mutation lock — re-sweeps the
-// moved shards, flushes any records mutated since the handoff snapshot to
-// the new owner, waits for the ack, and only then evicts. The lock closes
-// the straggler race: no mutation can land between the final flush and
-// the eviction, which is what makes "zero acked-mutation loss" hold while
-// the cluster keeps taking writes mid-transition.
+// prepare installs the next ring on every old and new member: nothing
+// routes by it yet, but handoff targets become reachable and a concurrent
+// transition is refused. handoff has each member stream the owned records
+// that the next ring moves to their new owners, in paced WAL-frame batches
+// applied under the version rule, so retries are no-ops. commit swaps the
+// active ring; then each old owner, under the profile store's mutation
+// lock, re-sweeps the moved shards, flushes what changed since the handoff
+// to the new owners and evicts only after the ack. No mutation lands
+// between the final flush and the eviction, so no acked write is lost
+// while the cluster keeps taking writes.
 //
-// Reads never fail over the window: until commit, the old owner still
-// serves moved shards (it keeps the records until eviction — the
-// double-serve); after commit, the new owner has everything including the
-// final sweep. A node that misses the commit (crashed, partitioned) keeps
-// routing on the stale ring until its next probe gossips the new epoch or
-// a wrong_epoch rejection forces a /cluster/state refetch.
+// Until commit the old owner still serves moved shards (the double-serve);
+// after it the new owner holds everything. A node that misses the commit
+// routes on the stale ring until probe gossip or a wrong_epoch refusal
+// brings it the new epoch.
 
 // handoffTimeout bounds one membership transition end to end.
 const handoffTimeout = 5 * time.Minute
@@ -361,12 +356,10 @@ func (n *Node) postHandoffBatch(ctx context.Context, target, url string, epoch u
 }
 
 // ApplyHandoffFrames is the target half of a handoff stream: decode the
-// frames and install each record version-guarded into the local store.
-// Accepted while the epoch matches either the prepared transition or the
-// already-committed active ring (targets may commit before sources flush
-// their final sweep). Of an ID listed twice only the newest record counts,
-// as in ReplicaStore.Install: the store keeps no tombstones, so a delete
-// followed by an older put would bring the profile back.
+// frames and install each record, put or tombstone, into the local store
+// under the version rule. Accepted while the epoch matches either the
+// prepared transition or the already-committed active ring (targets may
+// commit before sources flush their final sweep).
 func (n *Node) ApplyHandoffFrames(epoch uint64, body []byte) (int, error) {
 	n.mu.RLock()
 	ok := n.state.Epoch == epoch || (n.next != nil && n.next.Epoch == epoch)
@@ -382,16 +375,7 @@ func (n *Node) ApplyHandoffFrames(epoch uint64, body []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	newest := make(map[string]int, len(recs)) // ID → index of its newest record
-	for i, rec := range recs {
-		if j, dup := newest[rec.ID]; !dup || rec.Version > recs[j].Version {
-			newest[rec.ID] = i
-		}
-	}
-	for i, rec := range recs {
-		if newest[rec.ID] != i {
-			continue
-		}
+	for _, rec := range recs {
 		if err := n.cfg.ApplyRecord(rec); err != nil {
 			return 0, fmt.Errorf("apply %s: %w", rec.ID, err)
 		}
@@ -433,27 +417,26 @@ func (n *Node) Commit(epoch uint64) error {
 	n.counter("cluster_transitions_total").Inc()
 
 	// Promote replica records this node owns under the new ring into its
-	// store — this is how a force-removed dead node's shards come back to
-	// life from the survivors' replicas. Version-guarded, so records that
-	// also arrived by handoff are no-ops.
+	// store — how a force-removed dead node's shards come back from the
+	// survivors' replicas. Tombstones go too, so the store clock passes
+	// every version the dead owner gave its keys.
 	if n.cfg.ApplyRecord != nil && !n.detached {
-		promote := n.replica.OwnedBy(func(id string) bool {
-			return newRing.Owner(id) == n.cfg.Self && oldRing.Owner(id) != n.cfg.Self
+		promote := n.replica.records(func(rec wal.Record) bool {
+			return newRing.Owner(rec.ID) == n.cfg.Self && oldRing.Owner(rec.ID) != n.cfg.Self
 		})
 		for _, rec := range promote {
 			if err := n.cfg.ApplyRecord(rec); err != nil {
 				n.counter("cluster_promote_errors_total").Inc()
 			}
 		}
-		if len(promote) > 0 {
-			n.counter("cluster_promoted_records_total").Add(int64(len(promote)))
-		}
+		n.counter("cluster_promoted_records_total").Add(int64(len(promote)))
 	}
 
 	// Final sweep: under the store's mutation lock, re-read the moved
-	// shards (catching every mutation acked since the handoff snapshot),
-	// flush them to their new owners — unpaced and on a tight deadline, the
-	// lock is held — and evict only after the flush acks.
+	// shards (catching every mutation acked since the handoff snapshot) and
+	// their tombstones, flush them to their new owners — unpaced and on a
+	// tight deadline, the lock is held — and evict only after the flush
+	// acks. The sweep and the replica's Fold count this commit.
 	if n.cfg.SweepAndEvict != nil {
 		movedPred := func(id string) bool {
 			return oldRing.Owner(id) == n.cfg.Self && newRing.Owner(id) != n.cfg.Self
@@ -468,11 +451,10 @@ func (n *Node) Commit(epoch uint64) error {
 			// The records stay local — redundant but safe; anti-entropy and
 			// the new owner's handoff copy keep serving correct data.
 			n.counter("cluster_sweep_errors_total").Inc()
-		} else if evicted > 0 {
-			n.counter("cluster_evicted_records_total").Add(int64(evicted))
 		}
+		n.counter("cluster_evicted_records_total").Add(int64(evicted))
 	}
-
+	n.replica.Fold()
 	n.MarkAllNeedSync()
 	return nil
 }

@@ -76,15 +76,14 @@ type Config struct {
 	// OwnedRecords snapshots this node's whole profile store as WAL
 	// records (clock first) — the handoff source set.
 	OwnedRecords func() (clock uint64, recs []wal.Record)
-	// ApplyRecord installs one handed-off or promoted record into this
-	// node's profile store, preserving its version (version-guarded, so
-	// redelivery and stale records are no-ops).
+	// ApplyRecord installs one handed-off or promoted record, put or
+	// tombstone, into this node's profile store at its version, under the
+	// version rule.
 	ApplyRecord func(rec wal.Record) error
-	// SweepAndEvict atomically re-reads the records matching moved from
-	// the profile store, hands them to flush, and — only if flush
-	// succeeds — evicts them. It runs under the store's mutation lock, so
-	// no mutation can slip between the final handoff frame and the
-	// eviction.
+	// SweepAndEvict re-reads, under the store's mutation lock, the records
+	// and tombstones matching moved, hands them to flush and only if flush
+	// succeeds evicts the records. Each call is a ring commit of the
+	// store's tombstone horizon.
 	SweepAndEvict func(moved func(id string) bool, flush func(recs []wal.Record) error) (int, error)
 	// Metrics receives the cluster gauges and counters (nil = none).
 	Metrics *obs.Registry
@@ -632,15 +631,20 @@ const allBuckets = -1
 
 // pull fetches owner p's snapshot of the records this node follows — every
 // bucket (boot catch-up) or one diverged digest bucket (anti-entropy) — and
-// installs it.
+// installs it, unless the ring changed while the pull was in flight: the
+// payload may predate a delete whose tombstone has since gone.
 func (n *Node) pull(ctx context.Context, timeout time.Duration, p *peerState, bucket int) (int, error) {
 	url := p.url + PathSync + "?node=" + n.cfg.Self
 	if bucket != allBuckets {
 		url += "&bucket=" + strconv.Itoa(bucket)
 	}
 	var payload []byte
-	if err := n.call(ctx, timeout, p.id, url, n.Epoch(), nil, &payload); err != nil {
+	epoch := n.Epoch()
+	if err := n.call(ctx, timeout, p.id, url, epoch, nil, &payload); err != nil {
 		return 0, err
+	}
+	if now := n.Epoch(); now != epoch {
+		return 0, fmt.Errorf("cluster: sync from %s began at epoch %d, now %d", p.id, epoch, now)
 	}
 	return n.install(p.id, bucket, payload)
 }

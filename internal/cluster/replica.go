@@ -7,19 +7,20 @@ import (
 	"cqp/internal/wal"
 )
 
-// ReplicaStore holds the version-guarded replica of every profile this
-// node follows. Entries are raw WAL records — text, version, timestamp —
-// exactly as the owner acked them; deletes are kept as tombstones so a
-// reordered older put can never resurrect a deleted profile (the same
-// rule WAL replay uses). All methods are safe for concurrent use.
+// ReplicaStore holds the replica of every profile this node follows: raw
+// WAL records, exactly as the owner acked them, in a record map under the
+// one version rule (wal.Apply). Deletes are kept as tombstones, so a
+// reordered older put cannot resurrect a deleted profile, until the second
+// ring commit after they land (Fold). All methods are safe for concurrent
+// use.
 type ReplicaStore struct {
 	mu sync.RWMutex
 	m  map[string]wal.Record
 	// applied[owner] is the highest version applied from that owner's
-	// replication stream — the cumulative ack the follower returns, and
-	// the number lag is measured against. Per-peer streams deliver in
-	// append order, so highest == highest contiguous.
+	// stream: the cumulative ack, and what lag is measured against. Streams
+	// deliver in append order, so highest == highest contiguous.
 	applied map[string]uint64
+	held    map[string]wal.Record // what the last Fold left
 }
 
 // NewReplicaStore builds an empty replica store.
@@ -27,8 +28,7 @@ func NewReplicaStore() *ReplicaStore {
 	return &ReplicaStore{m: make(map[string]wal.Record), applied: make(map[string]uint64)}
 }
 
-// Apply merges one streamed record from owner under the version guard: it
-// takes effect only over a strictly older entry for the same ID.
+// Apply merges one streamed record from owner under the version rule.
 // Returns whether the record changed state (false = stale duplicate).
 func (rs *ReplicaStore) Apply(owner string, rec wal.Record) bool {
 	rs.mu.Lock()
@@ -36,52 +36,53 @@ func (rs *ReplicaStore) Apply(owner string, rec wal.Record) bool {
 	if rec.Version > rs.applied[owner] {
 		rs.applied[owner] = rec.Version
 	}
-	if cur, ok := rs.m[rec.ID]; ok && cur.Version >= rec.Version {
-		return false
-	}
-	rs.m[rec.ID] = rec
-	return true
+	return wal.Apply(rs.m, rec)
+}
+
+// Fold takes one step of the tombstone horizon (wal.Fold) at a ring commit.
+func (rs *ReplicaStore) Fold() {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.held = wal.Fold(rs.m, rs.held)
 }
 
 // Install is the one way a snapshot enters the store: it makes this store's
 // view of the IDs in scope — the keys owner owns, optionally one digest
-// bucket of them — equal owner's snapshot recs, captured at clock. Outside
-// scope only the IDs recs lists are touched. Within it the owner is the
-// authority for everything its clock covers: a snapshot record replaces the
-// local entry at versions ≤ clock, equal versions included (the only way a
-// silently corrupted same-version replica heals), and a live entry ≤ clock
-// that the snapshot lacks is deleted — absence carries deletions, which is
-// sound because the owner counts a mutation in its clock only after its
-// store holds it (ProfileStore.commit). An entry newer than clock (streamed
-// while the snapshot was in flight) is kept, so a late install never rolls
-// the stream back. Tombstones are never dropped by absence: an older
-// snapshot may still be in flight, and without the tombstone it would
-// resurrect the profile. Of an ID listed twice only the newest record
-// counts. Returns how many entries changed.
+// bucket of them — equal owner's snapshot recs, captured at clock; outside
+// scope only listed IDs are touched. The owner is the authority for what
+// its clock covers, so Install first clears the entries ≤ clock of every
+// listed ID and every live entry in scope: a listed record replaces the
+// local one, equal versions included (how same-version corruption heals),
+// and absence carries deletions, which is sound because the owner counts a
+// mutation in its clock only after its store holds it. Then recs apply
+// under the version rule, which keeps an entry newer than clock unless recs
+// hold a newer one. A tombstone is never dropped by absence: an older
+// snapshot may still be in flight. Returns how many entries changed.
 func (rs *ReplicaStore) Install(owner string, clock uint64, recs []wal.Record, scope func(id string) bool) (changed int) {
-	incoming := make(map[string]wal.Record, len(recs))
-	for _, r := range recs {
-		if prev, dup := incoming[r.ID]; !dup || r.Version > prev.Version {
-			incoming[r.ID] = r
-		}
-	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	for id, cur := range rs.m {
-		if _, listed := incoming[id]; cur.Op == wal.OpPut && cur.Version <= clock && !listed && scope(id) {
-			delete(rs.m, id)
-			changed++
+	was := make(map[string]wal.Record) // every entry Install may change, as it was
+	claim := func(id string) {
+		if _, seen := was[id]; !seen {
+			cur := rs.m[id]
+			if was[id] = cur; cur.Version <= clock {
+				delete(rs.m, id)
+			}
 		}
 	}
-	for _, rec := range incoming {
-		cur, ok := rs.m[rec.ID]
-		if ok && cur.Version > clock && cur.Version >= rec.Version {
-			continue
+	for id, cur := range rs.m {
+		if cur.Op == wal.OpPut && scope(id) {
+			claim(id)
 		}
-		if !ok || cur != rec {
+	}
+	for _, rec := range recs {
+		claim(rec.ID)
+		wal.Apply(rs.m, rec)
+	}
+	for id, cur := range was {
+		if rs.m[id] != cur {
 			changed++
 		}
-		rs.m[rec.ID] = rec
 	}
 	if clock > rs.applied[owner] {
 		rs.applied[owner] = clock
@@ -93,11 +94,10 @@ func (rs *ReplicaStore) Install(owner string, clock uint64, recs []wal.Record, s
 func (rs *ReplicaStore) Get(id string) (wal.Record, bool) {
 	rs.mu.RLock()
 	defer rs.mu.RUnlock()
-	rec, ok := rs.m[id]
-	if !ok || rec.Op != wal.OpPut {
-		return wal.Record{}, false
+	if rec := rs.m[id]; rec.Op == wal.OpPut {
+		return rec, true
 	}
-	return rec, true
+	return wal.Record{}, false
 }
 
 // Applied returns the highest version applied from owner's stream.
@@ -131,17 +131,14 @@ type BucketDigest struct {
 // bucket.
 type Digest = [DigestBuckets]BucketDigest
 
-// DigestRecords buckets a record set into the anti-entropy digest. Only
-// live records count — the owner's store snapshot has no tombstones, so
-// replica tombstones must not perturb the comparison.
+// DigestRecords buckets a set of live records into the anti-entropy
+// digest.
 func DigestRecords(recs []wal.Record) Digest {
 	var d Digest
 	for _, rec := range recs {
-		if rec.Op == wal.OpPut {
-			b := &d[Bucket(rec.ID)]
-			b.Count++
-			b.Sum += DigestChecksum(rec.ID, rec.Version, rec.Text)
-		}
+		b := &d[Bucket(rec.ID)]
+		b.Count++
+		b.Sum += DigestChecksum(rec.ID, rec.Version, rec.Text)
 	}
 	return d
 }
@@ -155,14 +152,19 @@ func (rs *ReplicaStore) Digest(pred func(id string) bool) Digest {
 }
 
 // OwnedBy lists the live replica records selected by pred, sorted by ID —
-// the records this node would promote into its store if pred's owner died,
-// or, with an all-true pred, the listing /cluster/state serves.
+// with an all-true pred, the listing /cluster/state serves.
 func (rs *ReplicaStore) OwnedBy(pred func(id string) bool) []wal.Record {
+	return rs.records(func(rec wal.Record) bool { return rec.Op == wal.OpPut && pred(rec.ID) })
+}
+
+// records lists the entries, tombstones included, that keep selects,
+// sorted by ID.
+func (rs *ReplicaStore) records(keep func(rec wal.Record) bool) []wal.Record {
 	rs.mu.RLock()
 	defer rs.mu.RUnlock()
 	out := make([]wal.Record, 0)
-	for id, rec := range rs.m {
-		if rec.Op == wal.OpPut && pred(id) {
+	for _, rec := range rs.m {
+		if keep(rec) {
 			out = append(out, rec)
 		}
 	}

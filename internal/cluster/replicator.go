@@ -9,29 +9,20 @@ import (
 	"cqp/internal/wal"
 )
 
-// Replication protocol. The owner appends to its WAL exactly as in
-// single-node mode; every record that becomes acked history is also
-// enqueued to each of the mutated profile's R−1 followers. A per-peer
-// sender goroutine ships queued records in batches of CRC-framed WAL
-// records over the shared keep-alive HTTP client (POST /cluster/replicate,
-// stamped with the sender's ring epoch), and the follower answers with the
-// highest version it has applied from this owner's stream — the cumulative
-// ack. Batches are retried in place with backoff, so per-peer delivery is
-// ordered and at-least-once; the follower's version guard makes redelivery
-// idempotent.
+// Replication protocol. The owner appends to its WAL as a single node does
+// and enqueues every acked record to each of the profile's R−1 followers.
+// A sender goroutine per peer ships them in batches of WAL frames (POST
+// /cluster/replicate, stamped with the ring epoch), and the follower
+// answers with the highest version it has applied from this owner, the
+// cumulative ack. Batches are retried in place, so delivery is ordered and
+// at-least-once, and the version rule makes redelivery a no-op.
 //
-// When a follower is unreachable long enough for its queue to overflow,
-// the sender stops pretending the stream is contiguous: it drops the
-// queue, marks the peer sync-needed, and on reconnect pushes a full
-// snapshot (clock + live owned records, the same payload catch-up pulls)
-// before resuming frame shipping. Absence from a snapshot carries
-// deletions, so nothing relies on an unbroken tombstone stream.
-//
-// Epoch mismatches get the same treatment: a follower on a different ring
-// version rejects the batch with wrong_epoch, the sender adopts the newer
-// ring (pulling the peer's /cluster/state when the peer is ahead) and
-// degrades the peer to full-sync mode — the queued frames were routed
-// under the old ring and may no longer belong on this peer at all.
+// A queue overflow, a wrong_epoch refusal (after which the sender adopts
+// the peer's newer ring) or a ring change drops the queue: the frames may
+// be lost or routed under the old ring. The peer is then pushed a full
+// sync, the owner's clock and the live records it should hold (the payload
+// catch-up pulls), whose absences carry deletions, before frames flow
+// again.
 
 const (
 	// sendBatchMax bounds one replicate POST.
@@ -71,9 +62,9 @@ type replicateResponse struct {
 // is dropped and that peer is marked for a full sync instead.
 //
 // Only the profile's current owner replicates. The guard matters at
-// handoff cutover: the old owner's eviction tombstones pass through the
-// same commit point, and without it they would ship to the new ring's
-// followers and delete live replicas.
+// handoff cutover: the old owner's evictions pass through the same commit
+// point, and without it they would ship to the new ring's followers and
+// delete live replicas.
 func (n *Node) Replicate(rec wal.Record) {
 	if !n.cfg.Replicate {
 		return
@@ -273,9 +264,8 @@ func (n *Node) ship(p *peerState, body []byte, sync bool) error {
 
 // ApplyReplicate is the follower half of the replicate endpoint: sync=1
 // bodies are installed over the owner's whole key space, plain bodies
-// stream frames into the version-guarded replica. Returns the ack the owner
-// expects. The caller (the server handler) has already enforced the epoch
-// guard.
+// stream frames into the replica. Returns the ack the owner expects; the
+// server handler has already enforced the epoch guard.
 func (n *Node) ApplyReplicate(from string, sync bool, body []byte) (applied uint64, changed int, err error) {
 	if sync {
 		if changed, err = n.install(from, allBuckets, body); err != nil {

@@ -1,24 +1,16 @@
 // Package cluster turns cqpd into a multi-node service: a consistent-hash
-// ring assigns every profile ID an owner node and R−1 follower nodes
-// (replication factor R, default 2), owners stream their acked
-// write-ahead-log frames to the followers of each mutated profile, and
-// followers hold a version-guarded replica that serves reads when the
-// owner is unreachable.
+// ring assigns every profile ID an owner node and R−1 followers (default
+// R = 2), owners stream their acked write-ahead-log frames to the
+// followers, and a follower's replica serves reads while the owner is
+// unreachable. Every ring change (join or leave) mints a new epoch, carried
+// on all node-to-node traffic, so a stale ring is refused with wrong_epoch
+// rather than misroutes; owned shards move by a paced handoff (handoff.go),
+// and anti-entropy repairs replicas that silently diverged (antientropy.go).
 //
-// Membership is dynamic: every ring change (join or leave) mints a new
-// ring-version epoch, carried on all replication and proxy traffic, so a
-// node applying a stale-epoch frame or proxying on a stale ring is
-// rejected with wrong_epoch and refetches /cluster/state instead of
-// silently misrouting. Ring changes move owned shards through a
-// bounded-rate handoff (see handoff.go), and a background anti-entropy
-// loop (see antientropy.go) converges replicas that silently diverged.
-//
-// The design leans entirely on invariants the single-node daemon already
-// guarantees: the WAL serializes every mutation as a CRC-framed record
-// under a strictly monotone per-node version clock, so shipping those
-// frames in append order and applying them under the same version guard
-// reproduces the owner's profile state record for record. Nothing in this
-// package interprets profiles; it moves acked frames.
+// Every store of records — the owner's profile store, its log's replay,
+// the replica and the handoff target — keeps one version rule (wal.Newer),
+// so shipping acked frames in append order reproduces the owner's state
+// record for record. Nothing in this package interprets profiles.
 package cluster
 
 import (

@@ -52,7 +52,7 @@ func TestCommitTapSeesAckedRecordsInOrder(t *testing.T) {
 			a.record(), b.record(),
 			{Op: wal.OpDelete, ID: "a", Version: 3},
 			handed,
-			{Op: wal.OpDelete, ID: "b", Version: 41},
+			{Op: wal.OpDelete, ID: "b", Version: 2}, // the eviction, at b's own version
 		}
 		for i := range tapped {
 			if tapped[i].Op == wal.OpDelete {

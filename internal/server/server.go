@@ -250,6 +250,7 @@ func New(db *cqp.DB, cfg Config) (*Server, error) {
 		},
 	})
 	if cfg.NodeID != "" {
+		s.store.keepTombstones(s.recovery) // another node's records can arrive older than a local delete
 		node, err := cluster.New(cluster.Config{
 			Self:          cfg.NodeID,
 			Peers:         cfg.ClusterPeers,

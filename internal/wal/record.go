@@ -39,6 +39,47 @@ type Record struct {
 	UpdatedAt int64 // unix nanoseconds
 }
 
+// Evicts reports whether rec evicts cur: a delete at the version of the put
+// cur, logged when a record leaves for its next owner. It removes the put
+// and leaves no tombstone, so the same record can come back.
+func Evicts(cur, rec Record) bool {
+	return rec.Op == OpDelete && cur.Op == OpPut && rec.Version == cur.Version
+}
+
+// Newer is the one version rule of the profile store, WAL replay, the
+// replica and the handoff: rec takes effect over cur if newer or evicting.
+func Newer(cur, rec Record) bool {
+	return rec.Version > cur.Version || Evicts(cur, rec)
+}
+
+// Apply merges rec into m, a record map of puts and tombstones, under Newer,
+// and reports whether it took effect.
+func Apply(m map[string]Record, rec Record) bool {
+	cur, ok := m[rec.ID]
+	if ok && !Newer(cur, rec) {
+		return false
+	}
+	if m[rec.ID] = rec; ok && Evicts(cur, rec) {
+		delete(m, rec.ID)
+	}
+	return true
+}
+
+// Fold is the tombstone horizon's step at a ring commit: it drops from m
+// the tombstones held (the previous Fold's result) holds unchanged and
+// returns those m holds now, so a tombstone goes at its second Fold.
+func Fold(m, held map[string]Record) map[string]Record {
+	next := make(map[string]Record)
+	for id, rec := range m {
+		if held[id] == rec {
+			delete(m, id)
+		} else if rec.Op == OpDelete {
+			next[id] = rec
+		}
+	}
+	return next
+}
+
 // Frame layout, little-endian:
 //
 //	uint32 length   payload bytes (not counting this 8-byte header)
