@@ -15,8 +15,11 @@ import (
 //
 //   - no entry outside the scope changes or appears unless the payload
 //     lists its ID (Install's rule: outside scope only listed IDs move);
-//   - an entry newer than the payload's clock is replaced only by a newer
-//     payload record;
+//   - an entry newer than the payload's clock is replaced only by a
+//     payload record wal.Newer lets take effect over it: a newer one, or a
+//     delete at a put's own version, which evicts the put (the check asks
+//     for a newer one: evicting k3 needs a delete frame at v5, whose CRC
+//     the mutator does not forge, and no seed holds one);
 //   - a tombstone whose ID the payload omits is kept;
 //   - Applied(owner) does not decrease and covers the clock;
 //   - every payload ID not kept by the rule above holds a record of

@@ -12,8 +12,12 @@ import (
 //
 //   - a body that fails to decode is refused and changes nothing;
 //   - Applied(owner) never decreases, and is what the call returns;
-//   - an entry changes only to a strictly newer version, so no tombstone
-//     is replaced by an older put;
+//   - an entry changes only as wal.Newer lets a record take effect over
+//     it: to a newer version, or, for a delete at a put's own version, by
+//     evicting the put; so no tombstone is replaced by an older put. The
+//     check below asks for a newer version: an evicting delete of k1 needs
+//     a frame at v2 whose CRC the mutator does not forge, and no seed
+//     holds one;
 //
 // and applying the same body a second time changes nothing.
 // testdata/fuzz/FuzzApplyReplicate seeds it with an empty body, a newer put

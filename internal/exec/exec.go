@@ -466,46 +466,95 @@ func EvalUnionTopK(ctx context.Context, db *storage.DB, subs []*query.Query, doi
 	return evalUnion(ctx, db, subs, dois, minMatches, k)
 }
 
+// evalUnion is EvalUnion's door: the sub-queries are factored as stated
+// whole, and each is validated on its own.
 func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []float64, minMatches, k int) (*UnionResult, error) {
-	if len(subs) == 0 {
-		return nil, fmt.Errorf("exec: union of zero sub-queries")
+	p := &UnionPlan{}
+	if len(subs) > 0 {
+		p = factor(subs)
 	}
-	if dois != nil && len(dois) != len(subs) {
-		return nil, fmt.Errorf("exec: %d dois for %d sub-queries", len(dois), len(subs))
+	for i, sq := range subs {
+		if err := sq.Validate(db.Schema()); err != nil {
+			p.err = fmt.Errorf("exec: sub-query %d: %w", i, err)
+			break
+		}
+		if !slices.Equal(sq.Project, subs[0].Project) || sq.Limit > 0 {
+			p.err = unionShape(i)
+			break
+		}
+	}
+	return p.eval(ctx, db, dois, minMatches, k)
+}
+
+// unionShape refuses sub-query i: the plan runs the sub-queries as one, so
+// they answer over one projection, and a LIMIT, which would cut one of them
+// short alone, has no meaning.
+func unionShape(i int) error {
+	return fmt.Errorf("exec: sub-query %d: a union's sub-queries share one projection and carry no LIMIT", i)
+}
+
+// EvalContext evaluates the union the plan was built from as
+// EvalUnionContext evaluates its sub-queries, refusing it as that would.
+func (p *UnionPlan) EvalContext(ctx context.Context, db *storage.DB, dois []float64, minMatches int) (*UnionResult, error) {
+	return p.eval(ctx, db, dois, minMatches, 0)
+}
+
+// EvalTopK is EvalContext keeping only the k best-ranked rows, as
+// EvalUnionTopK does.
+func (p *UnionPlan) EvalTopK(ctx context.Context, db *storage.DB, dois []float64, minMatches, k int) (*UnionResult, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("exec: top-k needs k > 0")
+	}
+	return p.eval(ctx, db, dois, minMatches, k)
+}
+
+// eval evaluates the union unless what it checks first, or the plan's
+// refusal, stops it. It hosts the fault harness's exec.union injection
+// point, standing in for executor failures of a real engine.
+func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, minMatches, k int) (*UnionResult, error) {
+	n := len(p.residual)
+	switch {
+	case n == 0:
+		return nil, fmt.Errorf("exec: union of zero sub-queries")
+	case dois != nil && len(dois) != n:
+		return nil, fmt.Errorf("exec: %d dois for %d sub-queries", len(dois), n)
 	}
 	if err := fault.Inject(fault.ExecUnion); err != nil {
 		return nil, fmt.Errorf("exec: union: %w", err)
 	}
-	minMatches = max(minMatches, 1)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("exec: union: %w", err)
 	}
-	stats := make([]SubQueryStat, len(subs))
+	if p.err != nil {
+		return nil, p.err
+	}
+	minMatches = max(minMatches, 1)
+	stats := make([]SubQueryStat, len(p.residual))
+	// Formula 6: a sub-query is charged every heap file it names — B's and
+	// its reducers' — as if it ran alone, however few passes the plan makes.
+	shared := charge(db, p.base)
+	for i := range stats {
+		stats[i].BlockReads = shared
+	}
+	for _, t := range p.tags {
+		for _, r := range t.reducers {
+			stats[r.sub].BlockReads += charge(db, r.q)
+		}
+	}
 	var blocks int64
-	for i, sq := range subs {
-		if err := sq.Validate(db.Schema()); err != nil {
-			return nil, fmt.Errorf("exec: sub-query %d: %w", i, err)
-		}
-		// The plan runs the sub-queries as one: they answer over one projection,
-		// and a LIMIT, which would cut one of them short alone, has no meaning.
-		if !slices.Equal(sq.Project, subs[0].Project) || sq.Limit > 0 {
-			return nil, fmt.Errorf("exec: sub-query %d: a union's sub-queries share one projection and carry no LIMIT", i)
-		}
-		// Formula 6: a sub-query is charged every heap file it names, as if
-		// it ran alone, however few physical passes the plan makes.
-		stats[i].BlockReads = charge(db, sq)
-		blocks += stats[i].BlockReads
+	for _, s := range stats {
+		blocks += s.BlockReads
 	}
 	start := time.Now()
-	grouper := iter.NewGrouper(ctx, len(subs))
+	grouper := iter.NewGrouper(ctx, len(stats))
 	defer grouper.Close()
 	// %w: the cause's class (injected fault, context death) must survive for
 	// retry and degradation policies to read.
-	if err := factor(subs).run(ctx, db, grouper, stats); err != nil {
+	if err := p.run(ctx, db, grouper, stats); err != nil {
 		return nil, fmt.Errorf("exec: union: %w", err)
 	}
 	based := time.Since(start)
-	out := &UnionResult{Columns: subs[0].Project, BlockReads: blocks, Subs: stats, Base: based}
+	out := &UnionResult{Columns: p.base.Project[:p.project:p.project], BlockReads: blocks, Subs: stats, Base: based}
 	for _, s := range stats {
 		out.Base -= s.Elapsed
 	}
@@ -542,7 +591,7 @@ func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []
 	out.Rank = out.Elapsed - based
 	if reg := db.Metrics(); reg != nil {
 		reg.Counter("exec_unions_total").Inc()
-		reg.Counter("exec_subqueries_total").Add(int64(len(subs)))
+		reg.Counter("exec_subqueries_total").Add(int64(len(stats)))
 		reg.Counter("exec_block_reads_total").Add(out.BlockReads)
 		reg.Counter("exec_rows_returned_total").Add(int64(len(out.Rows)))
 		reg.Histogram("exec_union_ms", obs.DurationBucketsMS).

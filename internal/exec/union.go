@@ -13,19 +13,24 @@ import (
 	"cqp/internal/storage"
 )
 
-// unionPlan is a personalized union factored for one pass (DESIGN §12). A
+// UnionPlan is a personalized union factored for one pass (DESIGN §12). A
 // sub-query is deduplicated on a projection that only the shared relations
 // supply, so it is a semi-join: the base tuples that all its parts accept.
-type unionPlan struct {
-	// base is B: the relations, joins and selections every sub-query has. It
-	// projects the union's projection — the first project columns — and then
-	// the further attributes the parts read.
+// It is only read once built, so one plan may run any number of times,
+// concurrently.
+type UnionPlan struct {
+	// base is B: the relations, joins and selections every sub-query has, with
+	// the union's DISTINCT, ORDER BY and LIMIT as stated. It projects the
+	// union's projection — the first project columns — and then the further
+	// attributes the parts read.
 	base    *query.Query
 	project int
 	// residual[i] is the first kind of part: the conditions of sub-query i
 	// over B's own columns (only Selections and Joins are set).
 	residual []query.Query
 	tags     []tagRel
+	// err refuses the union as stated (NewUnionPlan), nil if it is valid.
+	err error
 }
 
 // tagRel is the second kind of part, folded: the key → sub-query-bitset
@@ -43,22 +48,81 @@ type reducer struct {
 	q   *query.Query
 }
 
-// factor derives the plan from validated sub-queries over one projection.
-func factor(subs []*query.Query) *unionPlan {
-	base := subs[0].Clone() // of which buildJoinTree reads FROM, WHERE and the projection
-	for _, s := range subs[1:] {
-		base.From = slices.DeleteFunc(base.From, func(r string) bool { return !s.HasRelation(r) })
-		base.Joins = slices.DeleteFunc(base.Joins, func(j query.Join) bool { return !s.HasJoin(j) })
-		base.Selections = slices.DeleteFunc(base.Selections, func(x query.Selection) bool { return !slices.Contains(s.Selections, x) })
+// NewUnionPlan plans the union whose sub-query i is q's clauses with the
+// relations, joins and selections of adds[i] appended (only those are read;
+// there is at least one). Each sub-query is validated as stated, without
+// being built (ValidateWith), and a LIMIT is refused: the first refusal is
+// what the plan answers. The plan depends only on the sub-queries, not on
+// how they are split between q and adds, and reads q's slices without
+// writing them.
+func NewUnionPlan(sch *schema.Schema, q *query.Query, adds []query.Query) *UnionPlan {
+	p := derive(q, adds)
+	for i := range adds {
+		if err := q.ValidateWith(sch, &adds[i]); err != nil {
+			p.err = fmt.Errorf("exec: sub-query %d: %w", i, err)
+			break
+		}
+		if q.Limit > 0 {
+			p.err = unionShape(i)
+			break
+		}
 	}
-	p := &unionPlan{base: base, project: len(base.Project), residual: make([]query.Query, len(subs))}
+	return p
+}
+
+// Whole states sub-queries over one projection, each given whole, as
+// NewUnionPlan's input: a base with no clause but subs[0]'s projection,
+// DISTINCT, ORDER BY and LIMIT, so that all they have in common is hoisted,
+// and each sub-query's relations, joins and selections.
+func Whole(subs []*query.Query) (*query.Query, []query.Query) {
+	adds := make([]query.Query, len(subs))
+	for i, s := range subs {
+		adds[i] = query.Query{From: s.From, Joins: s.Joins, Selections: s.Selections}
+	}
+	s := subs[0]
+	return &query.Query{Project: s.Project, Distinct: s.Distinct, OrderBy: s.OrderBy, Limit: s.Limit}, adds
+}
+
+// factor is the plan EvalUnion runs, of sub-queries it validated whole.
+func factor(subs []*query.Query) *UnionPlan { return derive(Whole(subs)) }
+
+// derive factors a union. Whatever every sub-query states is hoisted
+// into B, in adds[0]'s order, as intersecting the sub-queries would; the rest
+// of each becomes its parts.
+func derive(q *query.Query, adds []query.Query) *UnionPlan {
+	base := q.Clone() // of which buildJoinTree reads FROM, WHERE and the projection
+	for _, r := range adds[0].From {
+		if states(q, adds, func(s *query.Query) bool { return s.HasRelation(r) }) {
+			base.From = append(base.From, r)
+		}
+	}
+	for _, j := range adds[0].Joins {
+		if states(q, adds, func(s *query.Query) bool { return s.HasJoin(j) }) {
+			base.Joins = append(base.Joins, j)
+		}
+	}
+	for _, x := range adds[0].Selections {
+		if states(q, adds, func(s *query.Query) bool { return slices.Contains(s.Selections, x) }) {
+			base.Selections = append(base.Selections, x)
+		}
+	}
+	p := &UnionPlan{base: base, project: len(base.Project), residual: make([]query.Query, len(adds))}
 	carry := func(a schema.AttrRef) {
 		if !slices.Contains(base.Project, a) {
 			base.Project = append(base.Project, a)
 		}
 	}
-	for i, s := range subs {
-		comps, at := components(s, base)
+	var group []int // the component of each relation a sub-query names, −1 for B's
+	at := func(s *query.Query, r string) int {
+		if k := slices.Index(s.From, r); k >= 0 {
+			return group[k]
+		}
+		return -1 // one of q's
+	}
+	for i := range adds {
+		s := &adds[i]
+		group = slices.Grow(group[:0], len(s.From))[:len(s.From)]
+		comps := components(s, base, group)
 		on := make([][]schema.AttrRef, len(comps))
 		// attach joins component c at the base attribute left, in s's join order.
 		attach := func(c int, left, right schema.AttrRef) {
@@ -66,7 +130,7 @@ func factor(subs []*query.Query) *unionPlan {
 			carry(left)
 		}
 		for _, sel := range s.Selections {
-			if c, added := at[sel.Attr.Relation]; added {
+			if c := at(s, sel.Attr.Relation); c >= 0 {
 				comps[c].Selections = append(comps[c].Selections, sel)
 			} else if !slices.Contains(base.Selections, sel) {
 				p.residual[i].Selections = append(p.residual[i].Selections, sel)
@@ -74,14 +138,13 @@ func factor(subs []*query.Query) *unionPlan {
 			}
 		}
 		for _, j := range s.Joins {
-			lc, ladded := at[j.Left.Relation]
-			rc, radded := at[j.Right.Relation]
+			lc, rc := at(s, j.Left.Relation), at(s, j.Right.Relation)
 			switch {
-			case ladded && radded:
+			case lc >= 0 && rc >= 0:
 				comps[lc].Joins = append(comps[lc].Joins, j)
-			case ladded:
+			case lc >= 0:
 				attach(lc, j.Right, j.Left)
-			case radded:
+			case rc >= 0:
 				attach(rc, j.Left, j.Right)
 			case !base.HasJoin(j):
 				p.residual[i].Joins = append(p.residual[i].Joins, j)
@@ -105,21 +168,39 @@ func factor(subs []*query.Query) *unionPlan {
 	return p
 }
 
+// states reports whether every sub-query — q's clauses with adds[k]'s, for
+// each k — has what has looks for.
+func states(q *query.Query, adds []query.Query, has func(*query.Query) bool) bool {
+	if has(q) {
+		return true
+	}
+	for k := range adds {
+		if !has(&adds[k]) {
+			return false
+		}
+	}
+	return true
+}
+
 // components splits the relations s adds to the base into the groups its
-// joins connect — one query each, so far only its FROM — and maps every added
-// relation to its group. A group lists its relations from the first one s
-// names outwards: a preference path's selective far end is a join's build
-// side, unless the tree walks in from an indexed far end (reducerSeed).
-func components(s, base *query.Query) ([]*query.Query, map[string]int) {
+// joins connect — one query each, so far only its FROM — and records in
+// group[i] the group of s.From[i], −1 for a base relation. A group lists its
+// relations from the first one s names outwards: a preference path's
+// selective far end is a join's build side, unless the tree walks in from an
+// indexed far end (reducerSeed).
+func components(s, base *query.Query, group []int) []*query.Query {
 	var comps []*query.Query
-	at := make(map[string]int)
+	for i := range group {
+		group[i] = -1
+	}
 	var grow func(r string)
 	grow = func(r string) {
-		if _, seen := at[r]; seen || base.HasRelation(r) {
+		i := slices.Index(s.From, r)
+		if i < 0 || group[i] >= 0 || base.HasRelation(r) {
 			return
 		}
 		q := comps[len(comps)-1]
-		q.From, at[r] = append(q.From, r), len(comps)-1
+		q.From, group[i] = append(q.From, r), len(comps)-1
 		for _, j := range s.Joins {
 			if j.Left.Relation == r {
 				grow(j.Right.Relation)
@@ -128,13 +209,13 @@ func components(s, base *query.Query) ([]*query.Query, map[string]int) {
 			}
 		}
 	}
-	for _, r := range s.From {
-		if _, seen := at[r]; !seen && !base.HasRelation(r) {
+	for i, r := range s.From {
+		if group[i] < 0 && !base.HasRelation(r) {
 			comps = append(comps, &query.Query{})
 			grow(r)
 		}
 	}
-	return comps, at
+	return comps
 }
 
 // reducerSeed is where a reducer's tree starts: at q.From[0], unless an
@@ -175,7 +256,7 @@ func reducerSeed(ctx context.Context, db *storage.DB, q *query.Query) string {
 // of the sub-queries whose parts all hold. A reducer's time is booked to its
 // sub-query in stats. Every relation opens through buildJoinTree, hence through
 // the batch's scan share.
-func (p *unionPlan) run(ctx context.Context, db *storage.DB, grouper *iter.Grouper, stats []SubQueryStat) (err error) {
+func (p *UnionPlan) run(ctx context.Context, db *storage.DB, grouper *iter.Grouper, stats []SubQueryStat) (err error) {
 	tree, err := buildJoinTree(ctx, db, p.base, p.base.From[0])
 	if err != nil {
 		return err

@@ -18,7 +18,7 @@ import (
 // renderPlan writes a factored union out: the base, then per sub-query its
 // conditions over the base's columns, then per tag relation what it attaches
 // at and the reducer behind each sub-query's bit.
-func renderPlan(p *unionPlan) string {
+func renderPlan(p *UnionPlan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "base: %s\n", p.base.SQL())
 	for i, res := range p.residual {

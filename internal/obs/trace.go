@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -91,6 +92,28 @@ func (s *Span) AddChild(name string, d time.Duration, attrs ...Attr) *Span {
 		return nil
 	}
 	return s.attach(&Span{name: name, start: s.start, dur: d, ended: true, attrs: attrs})
+}
+
+// AddChildren attaches n already-measured children at once, the i-th named,
+// timed and annotated by child(i): one allocation holds the n spans and the
+// children list grows once, where n AddChild calls cost a span each and the
+// list's doublings. Nil-safe.
+func (s *Span) AddChildren(n int, child func(i int) (name string, d time.Duration, attrs []Attr)) {
+	if s == nil || n == 0 {
+		return
+	}
+	spans := make([]Span, n)
+	for i := range spans {
+		c := &spans[i]
+		c.name, c.dur, c.attrs = child(i)
+		c.start, c.ended, c.rec = s.start, true, s.rec
+	}
+	s.mu.Lock()
+	s.children = slices.Grow(s.children, n)
+	for i := range spans {
+		s.children = append(s.children, &spans[i])
+	}
+	s.mu.Unlock()
 }
 
 func (s *Span) attach(child *Span) *Span {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -72,6 +73,34 @@ func TestSpanConcurrentChildren(t *testing.T) {
 	if got := len(parent.Children()); got != 800 {
 		t.Fatalf("children = %d, want 800", got)
 	}
+}
+
+// TestAddChildren: children attached at once render as the same children
+// attached one by one, after the ones the span already has, and cost as
+// many allocations however many there are.
+func TestAddChildren(t *testing.T) {
+	attrs := [][]Attr{{{Key: "rows", Value: "3"}}, nil, {{Key: "rows", Value: "0"}, {Key: "blocks", Value: "12"}}}
+	one, all := NewTrace("execute"), NewTrace("execute")
+	one.AddChild("first", time.Millisecond)
+	all.AddChild("first", time.Millisecond)
+	for i, a := range attrs {
+		one.AddChild(fmt.Sprintf("sub[%d]", i), time.Duration(i)*time.Microsecond, a...)
+	}
+	names := []string{"sub[0]", "sub[1]", "sub[2]"}
+	all.AddChildren(len(attrs), func(i int) (string, time.Duration, []Attr) {
+		return names[i], time.Duration(i) * time.Microsecond, attrs[i]
+	})
+	below := func(s *Span) string { return strings.SplitN(s.Tree(), "\n", 2)[1] } // the root's own line times it
+	if got, want := below(all), below(one); got != want {
+		t.Fatalf("AddChildren:\n%s\nAddChild:\n%s", got, want)
+	}
+	child := func(i int) (string, time.Duration, []Attr) { return names[i%3], 0, nil }
+	allocs := func(n int) float64 { return testing.AllocsPerRun(100, func() { NewTrace("x").AddChildren(n, child) }) }
+	if few, many := allocs(4), allocs(64); few != many {
+		t.Errorf("a trace with 4 children attached at once makes %.0f allocations, with 64 %.0f: the count must not grow with the children", few, many)
+	}
+	var none *Span
+	none.AddChildren(2, child) // nil-safe
 }
 
 func TestDurationHelpers(t *testing.T) {

@@ -249,19 +249,27 @@ func (q *Query) AddSelection(s Selection) {
 // referenced attributes resolve to relations in FROM, joins are
 // type-compatible, selection literals are coercible to the column type, and
 // the projection is non-empty.
-func (q *Query) Validate(s *schema.Schema) error {
-	if len(q.From) == 0 {
+func (q *Query) Validate(s *schema.Schema) error { return q.ValidateWith(s, &Query{}) }
+
+// ValidateWith is Validate of q extended by add's relations, joins and
+// selections, each list appended to q's own — a union's sub-query is Q and
+// what its preferences add — without building that query: the same checks
+// in the same order, so the same verdict.
+func (q *Query) ValidateWith(s *schema.Schema, add *Query) error {
+	if len(q.From)+len(add.From) == 0 {
 		return fmt.Errorf("query: empty FROM clause")
 	}
-	seen := make(map[string]bool, len(q.From))
-	for _, name := range q.From {
-		if s.Relation(name) == nil {
-			return fmt.Errorf("query: unknown relation %s", name)
+	seen := make(map[string]bool, len(q.From)+len(add.From))
+	for _, from := range [2][]string{q.From, add.From} {
+		for _, name := range from {
+			if s.Relation(name) == nil {
+				return fmt.Errorf("query: unknown relation %s", name)
+			}
+			if seen[name] {
+				return fmt.Errorf("query: relation %s appears twice in FROM", name)
+			}
+			seen[name] = true
 		}
-		if seen[name] {
-			return fmt.Errorf("query: relation %s appears twice in FROM", name)
-		}
-		seen[name] = true
 	}
 	check := func(a schema.AttrRef) (schema.Column, error) {
 		if !seen[a.Relation] {
@@ -269,27 +277,31 @@ func (q *Query) Validate(s *schema.Schema) error {
 		}
 		return s.ResolveAttr(a)
 	}
-	for _, j := range q.Joins {
-		lc, err := check(j.Left)
-		if err != nil {
-			return err
-		}
-		rc, err := check(j.Right)
-		if err != nil {
-			return err
-		}
-		if lc.Type != rc.Type {
-			return fmt.Errorf("query: join %s has mismatched types %s and %s", j, lc.Type, rc.Type)
+	for _, joins := range [2][]Join{q.Joins, add.Joins} {
+		for _, j := range joins {
+			lc, err := check(j.Left)
+			if err != nil {
+				return err
+			}
+			rc, err := check(j.Right)
+			if err != nil {
+				return err
+			}
+			if lc.Type != rc.Type {
+				return fmt.Errorf("query: join %s has mismatched types %s and %s", j, lc.Type, rc.Type)
+			}
 		}
 	}
-	for _, sel := range q.Selections {
-		c, err := check(sel.Attr)
-		if err != nil {
-			return err
-		}
-		if !comparableWith(sel.Value, c.Type) {
-			return fmt.Errorf("query: selection %s: %s literal is not comparable with %s column",
-				sel, sel.Value.Kind(), c.Type)
+	for _, sels := range [2][]Selection{q.Selections, add.Selections} {
+		for _, sel := range sels {
+			c, err := check(sel.Attr)
+			if err != nil {
+				return err
+			}
+			if !comparableWith(sel.Value, c.Type) {
+				return fmt.Errorf("query: selection %s: %s literal is not comparable with %s column",
+					sel, sel.Value.Kind(), c.Type)
+			}
 		}
 	}
 	if len(q.Project) == 0 {

@@ -15,8 +15,9 @@
 // interest".
 //
 // The union's text is written in one pass over Q's clauses rendered once
-// (query.Clauses, the one clause layout a query's text has); the sub-queries
-// as values exist only once something executes them.
+// (query.Clauses, the one clause layout a query's text has). No sub-query
+// exists as a value: the first execution factors the union plan straight
+// from Q and what each sub-query's preferences add to it (exec.UnionPlan).
 package rewrite
 
 import (
@@ -28,16 +29,17 @@ import (
 	"cqp/internal/exec"
 	"cqp/internal/prefspace"
 	"cqp/internal/query"
+	"cqp/internal/schema"
 	"cqp/internal/storage"
 )
 
 // Personalized is a constructed personalized query Qx = Q ∧ Px. It records
 // what each sub-query is — Q plus the preferences it integrates — and
-// derives the SQL text and, on first execution, the sub-queries from that.
+// derives the SQL text and, on first execution, the union plan from that.
 type Personalized struct {
 	// Base is the original query Q.
 	Base *query.Query
-	// Dois holds each sub-query's doi, aligned with Subs (nil when no
+	// Dois holds each sub-query's doi, in sub-query order (nil when no
 	// preferences were selected).
 	Dois []float64
 	// AllMatch selects the paper's HAVING COUNT(*) = L semantics; false
@@ -50,7 +52,7 @@ type Personalized struct {
 	ends       []int
 
 	build sync.Once
-	subs  []*query.Query
+	plan  *exec.UnionPlan
 }
 
 // Construct integrates the selected preferences into Q, one sub-query per
@@ -66,25 +68,26 @@ func Construct(q *query.Query, selected []prefspace.Pref, allMatch bool) *Person
 	return p
 }
 
-// Integrate builds the sub-query Q ∧ p1 ∧ … for the preferences one
-// sub-query integrates.
-func Integrate(q *query.Query, group ...prefspace.Pref) *query.Query {
-	sq := q.Clone()
-	integrate(sq, group)
-	return sq
-}
-
-// integrate adds each preference's join path and terminal selection to sq,
-// but no join sq already states — Q's own, or an earlier preference's.
-func integrate(sq *query.Query, group []prefspace.Pref) {
+// integrate appends to add what the preferences add to q: each one's join
+// path and terminal selection, but no join q or add already states, and
+// each relation they reach that neither names, once.
+func integrate(q, add *query.Query, group []prefspace.Pref) {
+	rel := func(r string) {
+		if !q.HasRelation(r) {
+			add.AddRelation(r)
+		}
+	}
 	for i := range group {
 		imp := &group[i].Imp
 		for _, j := range imp.Path {
-			if !sq.HasJoin(j) {
-				sq.AddJoin(j)
+			if !q.HasJoin(j) && !add.HasJoin(j) {
+				rel(j.Left.Relation)
+				rel(j.Right.Relation)
+				add.Joins = append(add.Joins, j)
 			}
 		}
-		sq.AddSelection(imp.Sel)
+		rel(imp.Sel.Attr.Relation)
+		add.Selections = append(add.Selections, imp.Sel)
 	}
 }
 
@@ -101,16 +104,31 @@ func (p *Personalized) group(i int) []prefspace.Pref {
 	return p.integrated[start:p.ends[i]]
 }
 
-// Subs returns the sub-queries, building them on first use; just [Q] when
-// no preferences were selected. Safe for concurrent use.
-func (p *Personalized) Subs() []*query.Query {
+// planFor returns the union plan every execution runs, built on first use
+// from Q and what each sub-query adds to it (integrate) — no sub-query is —
+// and validated against sch, the schema of the first execution's store.
+// Safe for concurrent use.
+func (p *Personalized) planFor(sch *schema.Schema) *exec.UnionPlan {
 	p.build.Do(func() {
-		p.subs = make([]*query.Query, p.NumSubs())
-		for i := range p.subs {
-			p.subs[i] = Integrate(p.Base, p.group(i)...)
+		// One array per clause backs every sub-query's additions: each is
+		// integrated into the free tail of the one before.
+		paths := 0
+		for i := range p.integrated {
+			paths += len(p.integrated[i].Imp.Path)
 		}
+		rels := make([]string, 0, 2*paths+len(p.integrated)) // a join names two relations
+		joins := make([]query.Join, 0, paths)
+		sels := make([]query.Selection, 0, len(p.integrated))
+		adds := make([]query.Query, p.NumSubs())
+		for i := range adds {
+			a := &adds[i]
+			a.From, a.Joins, a.Selections = rels[len(rels):], joins[len(joins):], sels[len(sels):]
+			integrate(p.Base, a, p.group(i))
+			rels, joins, sels = rels[:len(rels)+len(a.From)], joins[:len(joins)+len(a.Joins)], sels[:len(sels)+len(a.Selections)]
+		}
+		p.plan = exec.NewUnionPlan(sch, p.Base, adds)
 	})
-	return p.subs
+	return p.plan
 }
 
 // MinMatches returns the HAVING COUNT(*) threshold: L for all-match, 1 for
@@ -125,8 +143,9 @@ func (p *Personalized) MinMatches() int {
 // SQL renders the personalized query in the paper's union form. With no
 // integrated preferences it is simply the base query. Q's clauses are
 // rendered once and each sub-query is written as those clauses plus what
-// its preferences add — the text Subs()[i].SQL() would give with DISTINCT
-// set, without building Subs()[i].
+// its preferences add — the text the sub-query itself (Q's clauses, each
+// followed by what integrate adds) would give with DISTINCT set, without
+// building it.
 func (p *Personalized) SQL() string {
 	if len(p.integrated) == 0 {
 		return p.Base.SQL()
@@ -148,25 +167,23 @@ func (p *Personalized) SQL() string {
 	b.WriteString("SELECT ")
 	b.WriteString(base.Project)
 	b.WriteString(" FROM (")
-	// One scratch query stands in for every sub-query in turn: Q's relations
-	// and joins, then what integrate adds to them, which is what is written
+	// One scratch query holds what each sub-query adds in turn, written
 	// after Q's clauses — the selections as the text the preferences carry.
 	var relBuf, selBuf [8]string
 	var joinBuf [8]query.Join
-	sq := query.Query{From: append(relBuf[:0], p.Base.From...), Joins: append(joinBuf[:0], p.Base.Joins...)}
-	nf, nj, sels := len(sq.From), len(sq.Joins), selBuf[:0]
+	add, sels := query.Query{From: relBuf[:0], Joins: joinBuf[:0]}, selBuf[:0]
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			b.WriteString(" UNION ALL ")
 		}
-		sq.From, sq.Joins, sq.Selections, sels = sq.From[:nf], sq.Joins[:nj], sq.Selections[:0], sels[:0]
+		add.From, add.Joins, add.Selections, sels = add.From[:0], add.Joins[:0], add.Selections[:0], sels[:0]
 		group := p.group(i)
-		integrate(&sq, group)
+		integrate(p.Base, &add, group)
 		for g := range group {
 			_, sel := group[g].Imp.Split()
 			sels = append(sels, sel)
 		}
-		base.WriteSQL(&b, true, sq.From[nf:], sq.Joins[nj:], sels)
+		base.WriteSQL(&b, true, add.From, add.Joins, sels)
 	}
 	b.WriteString(") GROUP BY ")
 	b.WriteString(base.Project)
@@ -188,7 +205,7 @@ func (p *Personalized) Execute(db *storage.DB) (*exec.UnionResult, error) {
 // ExecuteContext is Execute honoring cancellation, which the executor
 // polls inside every operator loop of the union plan.
 func (p *Personalized) ExecuteContext(ctx context.Context, db *storage.DB) (*exec.UnionResult, error) {
-	return exec.EvalUnionContext(ctx, db, p.Subs(), p.Dois, p.MinMatches())
+	return p.planFor(db.Schema()).EvalContext(ctx, db, p.Dois, p.MinMatches())
 }
 
 // ExecuteTopKContext evaluates the personalized query keeping only the k
@@ -196,5 +213,5 @@ func (p *Personalized) ExecuteContext(ctx context.Context, db *storage.DB) (*exe
 // stream out of the union's group table, so the full ranked answer never
 // materializes.
 func (p *Personalized) ExecuteTopKContext(ctx context.Context, db *storage.DB, k int) (*exec.UnionResult, error) {
-	return exec.EvalUnionTopK(ctx, db, p.Subs(), p.Dois, p.MinMatches(), k)
+	return p.planFor(db.Schema()).EvalTopK(ctx, db, p.Dois, p.MinMatches(), k)
 }

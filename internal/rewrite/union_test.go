@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"cqp/internal/prefs"
@@ -100,8 +99,8 @@ func TestUnionWriterMatchesSubqueries(t *testing.T) {
 						merged++
 					}
 					got := p.SQL()
-					if p.subs != nil {
-						t.Fatalf("q%d/u%d: SQL() built the sub-queries", qi, ui)
+					if p.plan != nil {
+						t.Fatalf("q%d/u%d: SQL() built the union plan", qi, ui)
 					}
 					if want := subqueryUnionSQL(p); got != want {
 						t.Fatalf("q%d/u%d, %d selected, all-match %v, groups %v:\n got %s\nwant %s",
@@ -119,7 +118,7 @@ func TestUnionWriterMatchesSubqueries(t *testing.T) {
 
 // TestConstructSQLAllocs: constructing a K = 20 personalized query and
 // rendering it costs a handful of allocations — the result, Q's clauses, the
-// writer's scratch — and no sub-query exists until an execution asks.
+// writer's scratch — and no union plan exists until an execution asks.
 func TestConstructSQLAllocs(t *testing.T) {
 	env := workload.NewEnv(workload.DBConfig{Movies: 300, Seed: 1}, 1)
 	q := sqlparse.MustParse(env.DB.Schema(), "SELECT title FROM MOVIE WHERE year >= 1950 AND duration <= 170")
@@ -139,39 +138,14 @@ func TestConstructSQLAllocs(t *testing.T) {
 	if p.SQL() != sql || p.NumSubs() != 20 || p.MinMatches() != 20 {
 		t.Fatalf("%d sub-queries, threshold %d", p.NumSubs(), p.MinMatches())
 	}
-	if p.subs != nil {
-		t.Fatal("sub-queries built before any execution")
+	if p.plan != nil {
+		t.Fatal("union plan built before any execution")
 	}
-	if _, err := p.ExecuteContext(context.Background(), env.DB); err != nil {
+	res, err := p.ExecuteContext(context.Background(), env.DB)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.subs) != 20 {
-		t.Fatalf("execution built %d sub-queries, want 20", len(p.subs))
-	}
-}
-
-// TestSubsBuiltOnce: concurrent executions of one personalized query share
-// one set of sub-queries, built by whichever gets there first. Run under
-// -race.
-func TestSubsBuiltOnce(t *testing.T) {
-	db, sp := paperSetup(t)
-	p := Construct(sp.Query, sp.P, true)
-	var wg sync.WaitGroup
-	built := make([][]*query.Query, 8)
-	for g := range built {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if _, err := p.ExecuteContext(context.Background(), db); err != nil {
-				t.Error(err)
-			}
-			built[g] = p.Subs()
-		}(g)
-	}
-	wg.Wait()
-	for g, subs := range built {
-		if len(subs) != 2 || subs[0] != built[0][0] || subs[1] != built[0][1] {
-			t.Errorf("goroutine %d saw its own sub-queries", g)
-		}
+	if p.plan == nil || len(res.Subs) != 20 {
+		t.Fatalf("execution ran %d sub-queries, want 20 from one built plan", len(res.Subs))
 	}
 }

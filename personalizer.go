@@ -291,13 +291,32 @@ func (r *Result) execute(ctx context.Context, run func() (*exec.UnionResult, err
 		span.SetAttr("blocks", res.BlockReads)
 		span.SetAttr("base", obs.FormatDuration(res.Base))
 		span.SetAttr("rank", obs.FormatDuration(res.Rank))
-		for i, s := range res.Subs {
-			span.AddChild(fmt.Sprintf("subquery[%d]", i), s.Elapsed,
-				obs.Attr{Key: "rows", Value: fmt.Sprint(s.Rows)},
-				obs.Attr{Key: "blocks", Value: fmt.Sprint(s.BlockReads)})
-		}
+		attrs := make([]obs.Attr, 0, 2*len(res.Subs))
+		span.AddChildren(len(res.Subs), func(i int) (string, time.Duration, []obs.Attr) {
+			s := &res.Subs[i]
+			attrs = append(attrs,
+				obs.Attr{Key: "rows", Value: strconv.Itoa(s.Rows)},
+				obs.Attr{Key: "blocks", Value: strconv.FormatInt(s.BlockReads, 10)})
+			return subqueryName(i), s.Elapsed, attrs[2*i : 2*i+2 : 2*i+2]
+		})
 	}
 	return res, nil
+}
+
+// subqueryNames are the execute span's first children's names, written once.
+var subqueryNames = func() (names [64]string) {
+	for i := range names {
+		names[i] = "subquery[" + strconv.Itoa(i) + "]"
+	}
+	return names
+}()
+
+// subqueryName is the execute span's name for sub-query i's child.
+func subqueryName(i int) string {
+	if i < len(subqueryNames) {
+		return subqueryNames[i]
+	}
+	return "subquery[" + strconv.Itoa(i) + "]"
 }
 
 // Explain renders a human-readable account of the personalization: the
