@@ -108,7 +108,7 @@ func TestReducerAccessPath(t *testing.T) {
 			subs := shapeSubs(p.db, s.base, s.pref)
 			want, blocks := independentUnion(t, p.db, subs)
 			scanned0 := reg.Counter("storage_rows_scanned_total", "table", "CAST").Value()
-			got, err := EvalUnionContext(p.ctx(), p.db, subs, nil, 1)
+			got, err := wholePlan(p.db.Schema(), subs).EvalContext(p.ctx(), p.db, nil, 1)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", s.name, p.name, err)
 			}
@@ -118,7 +118,7 @@ func TestReducerAccessPath(t *testing.T) {
 			}
 			if !ok {
 				t.Errorf("%s on %s: %d keys and %d blocks, want %d and %d, or some key's matches differ\n%s",
-					s.name, p.name, len(got.Rows), got.BlockReads, len(want), blocks, renderPlan(factor(subs)))
+					s.name, p.name, len(got.Rows), got.BlockReads, len(want), blocks, renderPlan(wholePlan(p.db.Schema(), subs)))
 			}
 			wantCAST := int64(1587)
 			switch {
@@ -148,7 +148,7 @@ func TestReducerAccessPath(t *testing.T) {
 	}
 	for _, s := range reducerShapes[:2] {
 		subs := shapeSubs(db, s.base, s.pref)
-		if _, err := EvalUnionContext(WithScanShare(context.Background(), NewScanShare(0)), db, subs, nil, 1); err != nil {
+		if _, err := wholePlan(db.Schema(), subs).EvalContext(WithScanShare(context.Background(), NewScanShare(0)), db, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestReducerAccessPath(t *testing.T) {
 	for _, s := range reducerShapes[:2] {
 		subs := shapeSubs(db, s.base, s.pref)
 		for i := 0; i < 100; i++ {
-			if _, err := EvalUnionContext(context.Background(), db, subs, nil, 1); err != nil {
+			if _, err := wholePlan(db.Schema(), subs).EvalContext(context.Background(), db, nil, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -178,7 +178,7 @@ func TestReducerAccessPath(t *testing.T) {
 	// where the walk started, it would build GENRE from its index and read none.
 	fallback := reducerShapes[len(reducerShapes)-1]
 	scanned = reg.Counter("storage_rows_scanned_total", "table", "GENRE").Value()
-	if _, err := EvalUnionContext(context.Background(), db, shapeSubs(db, fallback.base, fallback.pref), nil, 1); err != nil {
+	if _, err := wholePlan(db.Schema(), shapeSubs(db, fallback.base, fallback.pref)).EvalContext(context.Background(), db, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	genre := int64(db.MustTable("GENRE").RowCount())

@@ -131,13 +131,15 @@ func TestExecAllocs(t *testing.T) {
 		}
 		return allocs, bytes
 	}
-	full, fullBytes := run(300, func() (*UnionResult, error) { return EvalUnionContext(ctx, db, subs, dois, 1) })
-	topk, topkBytes := run(10, func() (*UnionResult, error) { return EvalUnionTopK(ctx, db, subs, dois, 1, 10) })
+	full, fullBytes := run(300, func() (*UnionResult, error) { return wholePlan(db.Schema(), subs).EvalContext(ctx, db, dois, 1) })
+	topk, topkBytes := run(10, func() (*UnionResult, error) { return wholePlan(db.Schema(), subs).EvalTopK(ctx, db, dois, 1, 10) })
 	jsubs, jdois := joinedUnion(db)
-	joined, joinedBytes := run(10, func() (*UnionResult, error) { return EvalUnionTopK(ctx, db, jsubs, jdois, 1, 10) })
+	joined, joinedBytes := run(10, func() (*UnionResult, error) { return wholePlan(db.Schema(), jsubs).EvalTopK(ctx, db, jdois, 1, 10) })
 	tied := func(db *storage.DB, wantRows int) (allocs, bytes float64) {
 		tsubs, tdois := tiedUnion(db)
-		return run(wantRows, func() (*UnionResult, error) { return EvalUnionTopK(ctx, db, tsubs, tdois, len(tsubs), 20) })
+		return run(wantRows, func() (*UnionResult, error) {
+			return wholePlan(db.Schema(), tsubs).EvalTopK(ctx, db, tdois, len(tsubs), 20)
+		})
 	}
 	top20, top20Bytes := tied(db, 100)
 	top20Large, _ := tied(workload.GenerateDB(workload.DBConfig{Movies: 1600, Directors: 160, Actors: 800, Seed: 151}), 400)
@@ -146,23 +148,23 @@ func TestExecAllocs(t *testing.T) {
 	const fullMax, topkMax, joinedMax, top20Max = 1020, 490, 440, 125
 	const fullBytesMax, topkBytesMax, joinedBytesMax, top20BytesMax = 149 << 10, 30 << 10, 29 << 10, 16 << 10
 	if full > fullMax || fullBytes > fullBytesMax {
-		t.Errorf("EvalUnionContext at L=10: %.0f allocs and %.0f bytes, bounds %d and %d", full, fullBytes, fullMax, fullBytesMax)
+		t.Errorf("EvalContext at L=10: %.0f allocs and %.0f bytes, bounds %d and %d", full, fullBytes, fullMax, fullBytesMax)
 	}
 	if topk > topkMax || topkBytes > topkBytesMax {
-		t.Errorf("EvalUnionTopK at L=10, k=10: %.0f allocs and %.0f bytes, bounds %d and %d", topk, topkBytes, topkMax, topkBytesMax)
+		t.Errorf("EvalTopK at L=10, k=10: %.0f allocs and %.0f bytes, bounds %d and %d", topk, topkBytes, topkMax, topkBytesMax)
 	}
 	if joined > joinedMax || joinedBytes > joinedBytesMax {
-		t.Errorf("EvalUnionTopK at L=10, k=10 over MOVIE ⋈ GENRE: %.0f allocs and %.0f bytes, bounds %d and %d",
+		t.Errorf("EvalTopK at L=10, k=10 over MOVIE ⋈ GENRE: %.0f allocs and %.0f bytes, bounds %d and %d",
 			joined, joinedBytes, joinedMax, joinedBytesMax)
 	}
 	if top20 > top20Max || top20Bytes > top20BytesMax {
-		t.Errorf("EvalUnionTopK of a tied all-match union, k=20: %.0f allocs and %.0f bytes, bounds %d and %d",
+		t.Errorf("EvalTopK of a tied all-match union, k=20: %.0f allocs and %.0f bytes, bounds %d and %d",
 			top20, top20Bytes, top20Max, top20BytesMax)
 	}
 	// A small constant slack, not a per-row one: the larger answer has 460
 	// more rows to rank.
 	if top20Large > top20+8 {
-		t.Errorf("EvalUnionTopK of a tied all-match union, k=20: %.0f allocs at 1600 movies, %.0f at 400; the count must not grow with the answer",
+		t.Errorf("EvalTopK of a tied all-match union, k=20: %.0f allocs at 1600 movies, %.0f at 400; the count must not grow with the answer",
 			top20Large, top20)
 	}
 }
@@ -181,7 +183,7 @@ func TestUnionAllocsPinned(t *testing.T) {
 	for i := 0; i < 21; i++ { // the first fills the pool
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := EvalUnionContext(ctx, db, subs, dois, 1); err != nil {
+		if _, err := wholePlan(db.Schema(), subs).EvalContext(ctx, db, dois, 1); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -192,7 +194,7 @@ func TestUnionAllocsPinned(t *testing.T) {
 	t.Logf("allocUnion: %d allocations", allocs)
 	const pinned = 260
 	if allocs > pinned {
-		t.Errorf("EvalUnionContext of allocUnion: %d allocations, pinned at %d", allocs, pinned)
+		t.Errorf("EvalContext of allocUnion: %d allocations, pinned at %d", allocs, pinned)
 	}
 }
 
@@ -212,10 +214,14 @@ func BenchmarkEvalUnion(b *testing.B) {
 		name string
 		run  func() (*UnionResult, error)
 	}{
-		{"any", func() (*UnionResult, error) { return EvalUnionContext(context.Background(), db, subs, dois, 1) }},
-		{"all", func() (*UnionResult, error) { return EvalUnionContext(context.Background(), db, subs, dois, len(subs)) }},
+		{"any", func() (*UnionResult, error) {
+			return wholePlan(db.Schema(), subs).EvalContext(context.Background(), db, dois, 1)
+		}},
+		{"all", func() (*UnionResult, error) {
+			return wholePlan(db.Schema(), subs).EvalContext(context.Background(), db, dois, len(subs))
+		}},
 		{"top20", func() (*UnionResult, error) {
-			return EvalUnionTopK(context.Background(), db, tsubs, tdois, len(tsubs), 20)
+			return wholePlan(db.Schema(), tsubs).EvalTopK(context.Background(), db, tdois, len(tsubs), 20)
 		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -436,71 +436,21 @@ type UnionResult struct {
 	Subs []SubQueryStat
 }
 
-// EvalUnion evaluates the personalized query "UNION ALL of sub-queries,
-// GROUP BY projection HAVING COUNT(*) >= minMatches" (Section 4.2 of the
-// paper; the paper's construction uses == L, which callers get with
-// minMatches == len(subs) since each sub-query's output is deduplicated
-// on the projection). dois provides each sub-query's preference doi for
-// ranking; it may be nil, in which case all results rank equally at 0 and
-// only membership counts.
-func EvalUnion(db *storage.DB, subs []*query.Query, dois []float64, minMatches int) (*UnionResult, error) {
-	return EvalUnionContext(context.Background(), db, subs, dois, minMatches)
-}
-
-// EvalUnionContext is EvalUnion honoring cancellation: each sub-query polls
-// the context inside its operator loops. It also hosts the fault harness's
-// exec.union injection point, standing in for executor failures of a real
-// engine.
-func EvalUnionContext(ctx context.Context, db *storage.DB, subs []*query.Query, dois []float64, minMatches int) (*UnionResult, error) {
-	return evalUnion(ctx, db, subs, dois, minMatches, 0)
-}
-
-// EvalUnionTopK is EvalUnionContext keeping only the k best-ranked rows,
-// maintained in a bounded heap while groups stream out of the group table:
-// the full ranked result never materializes, so a top-k request over a
-// huge union costs O(groups·log k) time and O(k) result memory.
-func EvalUnionTopK(ctx context.Context, db *storage.DB, subs []*query.Query, dois []float64, minMatches, k int) (*UnionResult, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("exec: top-k needs k > 0")
-	}
-	return evalUnion(ctx, db, subs, dois, minMatches, k)
-}
-
-// evalUnion is EvalUnion's door: the sub-queries are factored as stated
-// whole, and each is validated on its own.
-func evalUnion(ctx context.Context, db *storage.DB, subs []*query.Query, dois []float64, minMatches, k int) (*UnionResult, error) {
-	p := &UnionPlan{}
-	if len(subs) > 0 {
-		p = factor(subs)
-	}
-	for i, sq := range subs {
-		if err := sq.Validate(db.Schema()); err != nil {
-			p.err = fmt.Errorf("exec: sub-query %d: %w", i, err)
-			break
-		}
-		if !slices.Equal(sq.Project, subs[0].Project) || sq.Limit > 0 {
-			p.err = unionShape(i)
-			break
-		}
-	}
-	return p.eval(ctx, db, dois, minMatches, k)
-}
-
-// unionShape refuses sub-query i: the plan runs the sub-queries as one, so
-// they answer over one projection, and a LIMIT, which would cut one of them
-// short alone, has no meaning.
-func unionShape(i int) error {
-	return fmt.Errorf("exec: sub-query %d: a union's sub-queries share one projection and carry no LIMIT", i)
-}
-
-// EvalContext evaluates the union the plan was built from as
-// EvalUnionContext evaluates its sub-queries, refusing it as that would.
+// EvalContext evaluates the personalized query "UNION ALL of sub-queries,
+// GROUP BY projection HAVING COUNT(*) >= minMatches" the plan was built from
+// (Section 4.2 of the paper; the paper's construction uses == L, which
+// callers get with minMatches == L since each sub-query's output is
+// deduplicated on the projection), or answers the plan's refusal. dois
+// provides each sub-query's preference doi for ranking; it may be nil, in
+// which case all results rank equally at 0 and only membership counts.
 func (p *UnionPlan) EvalContext(ctx context.Context, db *storage.DB, dois []float64, minMatches int) (*UnionResult, error) {
 	return p.eval(ctx, db, dois, minMatches, 0)
 }
 
-// EvalTopK is EvalContext keeping only the k best-ranked rows, as
-// EvalUnionTopK does.
+// EvalTopK is EvalContext keeping only the k best-ranked rows, maintained in
+// a bounded heap while groups stream out of the group table: the full ranked
+// result never materializes, so a top-k request over a huge union costs
+// O(groups·log k) time and O(k) result memory.
 func (p *UnionPlan) EvalTopK(ctx context.Context, db *storage.DB, dois []float64, minMatches, k int) (*UnionResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("exec: top-k needs k > 0")
@@ -512,11 +462,7 @@ func (p *UnionPlan) EvalTopK(ctx context.Context, db *storage.DB, dois []float64
 // refusal, stops it. It hosts the fault harness's exec.union injection
 // point, standing in for executor failures of a real engine.
 func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, minMatches, k int) (*UnionResult, error) {
-	n := len(p.residual)
-	switch {
-	case n == 0:
-		return nil, fmt.Errorf("exec: union of zero sub-queries")
-	case dois != nil && len(dois) != n:
+	if n := len(p.residual); dois != nil && len(dois) != n {
 		return nil, fmt.Errorf("exec: %d dois for %d sub-queries", len(dois), n)
 	}
 	if err := fault.Inject(fault.ExecUnion); err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -171,7 +172,7 @@ func TestEvalUnionIntersection(t *testing.T) {
 		WHERE MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'W. Allen'`)
 	q2 := sqlparse.MustParse(db.Schema(), `SELECT title FROM MOVIE, GENRE
 		WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'musical'`)
-	res, err := EvalUnion(db, []*query.Query{q1, q2}, []float64{0.8, 0.45}, 2)
+	res, err := wholePlan(db.Schema(), []*query.Query{q1, q2}).EvalContext(context.Background(), db, []float64{0.8, 0.45}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestEvalUnionAnyMatchRanking(t *testing.T) {
 		WHERE MOVIE.did = DIRECTOR.did AND DIRECTOR.name = 'W. Allen'`)
 	q2 := sqlparse.MustParse(db.Schema(), `SELECT title FROM MOVIE, GENRE
 		WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'musical'`)
-	res, err := EvalUnion(db, []*query.Query{q1, q2}, []float64{0.8, 0.45}, 1)
+	res, err := wholePlan(db.Schema(), []*query.Query{q1, q2}).EvalContext(context.Background(), db, []float64{0.8, 0.45}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestEvalUnionDuplicateSafety(t *testing.T) {
 	// twice within one sub-query; per-sub-query dedup must prevent that.
 	q := sqlparse.MustParse(db.Schema(), `SELECT title FROM MOVIE, GENRE
 		WHERE MOVIE.mid = GENRE.mid AND MOVIE.year = 1979`)
-	res, err := EvalUnion(db, []*query.Query{q, q.Clone()}, nil, 2)
+	res, err := wholePlan(db.Schema(), []*query.Query{q, q.Clone()}).EvalContext(context.Background(), db, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,19 +236,16 @@ func TestEvalUnionDuplicateSafety(t *testing.T) {
 
 func TestEvalUnionErrors(t *testing.T) {
 	db := testutil.MovieDB(0)
-	if _, err := EvalUnion(db, nil, nil, 1); err == nil {
-		t.Error("empty union must fail")
-	}
 	q := sqlparse.MustParse(db.Schema(), "SELECT title FROM MOVIE")
-	if _, err := EvalUnion(db, []*query.Query{q}, []float64{0.1, 0.2}, 1); err == nil {
+	if _, err := wholePlan(db.Schema(), []*query.Query{q}).EvalContext(context.Background(), db, []float64{0.1, 0.2}, 1); err == nil {
 		t.Error("doi arity mismatch must fail")
 	}
 	bad, _ := query.New([]string{"NOPE"}, "NOPE.x")
-	if _, err := EvalUnion(db, []*query.Query{bad}, nil, 1); err == nil {
+	if _, err := wholePlan(db.Schema(), []*query.Query{bad}).EvalContext(context.Background(), db, nil, 1); err == nil {
 		t.Error("invalid sub-query must fail")
 	}
 	// minMatches < 1 clamps to 1.
-	res, err := EvalUnion(db, []*query.Query{q}, nil, 0)
+	res, err := wholePlan(db.Schema(), []*query.Query{q}).EvalContext(context.Background(), db, nil, 0)
 	if err != nil || len(res.Rows) != 6 {
 		t.Errorf("clamped minMatches: %v, %v", res, err)
 	}
@@ -319,7 +317,7 @@ func TestEvalUnionConcurrencyDeterminism(t *testing.T) {
 			"SELECT title FROM MOVIE, GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = '"+g+"'"))
 		dois = append(dois, 0.1*float64(i+1))
 	}
-	first, err := EvalUnion(db, subs, dois, 1)
+	first, err := wholePlan(db.Schema(), subs).EvalContext(context.Background(), db, dois, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +330,7 @@ func TestEvalUnionConcurrencyDeterminism(t *testing.T) {
 	}
 	want := render(first)
 	for i := 0; i < 20; i++ {
-		got, err := EvalUnion(db, subs, dois, 1)
+		got, err := wholePlan(db.Schema(), subs).EvalContext(context.Background(), db, dois, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -269,9 +269,9 @@ func goldenQueries(t testing.TB, env *workload.Env) []goldenQuery {
 			var res *UnionResult
 			var err error
 			if k > 0 {
-				res, err = EvalUnionTopK(ctx, db, subs, dois, min, k)
+				res, err = wholePlan(db.Schema(), subs).EvalTopK(ctx, db, dois, min, k)
 			} else {
-				res, err = EvalUnionContext(ctx, db, subs, dois, min)
+				res, err = wholePlan(db.Schema(), subs).EvalContext(ctx, db, dois, min)
 			}
 			if err != nil {
 				return goldenCase{}, err

@@ -23,10 +23,10 @@ func TestIndexBuiltOnce(t *testing.T) {
 	subs, dois := allocUnion(db)
 	jsubs, jdois := joinedUnion(db)
 	for i := 0; i < 50; i++ {
-		if _, err := EvalUnionContext(ctx, db, subs, dois, 1); err != nil {
+		if _, err := wholePlan(db.Schema(), subs).EvalContext(ctx, db, dois, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := EvalUnionContext(ctx, db, jsubs, jdois, 1); err != nil {
+		if _, err := wholePlan(db.Schema(), jsubs).EvalContext(ctx, db, jdois, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func TestIndexBuiltOnce(t *testing.T) {
 	}
 
 	titles := func() string {
-		res, err := EvalUnionContext(ctx, db, jsubs, jdois, 1)
+		res, err := wholePlan(db.Schema(), jsubs).EvalContext(ctx, db, jdois, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

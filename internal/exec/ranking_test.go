@@ -58,7 +58,7 @@ func TestRankingTieBreak(t *testing.T) {
 	subs := []*query.Query{sqlparse.MustParse(s, "SELECT name, n, x, flag FROM T")}
 	dois := []float64{0.5}
 
-	full, err := EvalUnion(db, subs, dois, 1)
+	full, err := wholePlan(db.Schema(), subs).EvalContext(context.Background(), db, dois, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRankingTieBreak(t *testing.T) {
 		}
 	}
 	for k := 1; k <= len(full.Rows)+1; k++ {
-		top, err := EvalUnionTopK(context.Background(), db, subs, dois, 1, k)
+		top, err := wholePlan(db.Schema(), subs).EvalTopK(context.Background(), db, dois, 1, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func TestGroupTableRecycled(t *testing.T) {
 		for i := range dois {
 			dois[i] = 0.9 - 0.05*float64(i)
 		}
-		res, err := EvalUnionContext(ctx, db, unions[u], dois, 1)
+		res, err := wholePlan(db.Schema(), unions[u]).EvalContext(ctx, db, dois, 1)
 		if err != nil {
 			t.Error(err)
 			return &UnionResult{}

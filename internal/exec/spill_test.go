@@ -87,7 +87,7 @@ func TestSpillCutsWorkingSet(t *testing.T) {
 				}
 			}
 		}()
-		res, err := EvalUnionContext(ctx, db, subs, dois, 1)
+		res, err := wholePlan(db.Schema(), subs).EvalContext(ctx, db, dois, 1)
 		close(done)
 		peak := <-peakc
 		if err != nil {

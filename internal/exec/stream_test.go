@@ -27,12 +27,12 @@ func unionFixture(t *testing.T, db *storage.DB) ([]*query.Query, []float64) {
 	return subs, dois
 }
 
-// EvalUnionTopK must return exactly the first k rows of the full ranked
+// EvalTopK must return exactly the first k rows of the full ranked
 // union, and the same stats.
 func TestEvalUnionTopKMatchesFull(t *testing.T) {
 	db := testutil.MovieDB(0)
 	subs, dois := unionFixture(t, db)
-	full, err := EvalUnion(db, subs, dois, 1)
+	full, err := wholePlan(db.Schema(), subs).EvalContext(context.Background(), db, dois, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestEvalUnionTopKMatchesFull(t *testing.T) {
 		t.Fatalf("fixture too small: %d union rows", len(full.Rows))
 	}
 	for k := 1; k <= len(full.Rows)+2; k++ {
-		topk, err := EvalUnionTopK(context.Background(), db, subs, dois, 1, k)
+		topk, err := wholePlan(db.Schema(), subs).EvalTopK(context.Background(), db, dois, 1, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestEvalUnionTopKMatchesFull(t *testing.T) {
 			t.Fatalf("k=%d: io %d != %d", k, topk.BlockReads, full.BlockReads)
 		}
 	}
-	if _, err := EvalUnionTopK(context.Background(), db, subs, dois, 1, 0); err == nil {
+	if _, err := wholePlan(db.Schema(), subs).EvalTopK(context.Background(), db, dois, 1, 0); err == nil {
 		t.Fatal("k=0 must fail")
 	}
 }

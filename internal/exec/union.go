@@ -63,17 +63,19 @@ func NewUnionPlan(sch *schema.Schema, q *query.Query, adds []query.Query) *Union
 			break
 		}
 		if q.Limit > 0 {
-			p.err = unionShape(i)
+			// The plan runs the sub-queries as one: a LIMIT, which would cut one
+			// of them short alone, has no meaning.
+			p.err = fmt.Errorf("exec: sub-query %d: a union's sub-queries share one projection and carry no LIMIT", i)
 			break
 		}
 	}
 	return p
 }
 
-// Whole states sub-queries over one projection, each given whole, as
-// NewUnionPlan's input: a base with no clause but subs[0]'s projection,
-// DISTINCT, ORDER BY and LIMIT, so that all they have in common is hoisted,
-// and each sub-query's relations, joins and selections.
+// Whole states sub-queries, each given whole, as NewUnionPlan's input: a base
+// with no clause but subs[0]'s projection, DISTINCT, ORDER BY and LIMIT (the
+// others' are not read), so that all they have in common is hoisted, and each
+// sub-query's relations, joins and selections.
 func Whole(subs []*query.Query) (*query.Query, []query.Query) {
 	adds := make([]query.Query, len(subs))
 	for i, s := range subs {
@@ -82,9 +84,6 @@ func Whole(subs []*query.Query) (*query.Query, []query.Query) {
 	s := subs[0]
 	return &query.Query{Project: s.Project, Distinct: s.Distinct, OrderBy: s.OrderBy, Limit: s.Limit}, adds
 }
-
-// factor is the plan EvalUnion runs, of sub-queries it validated whole.
-func factor(subs []*query.Query) *UnionPlan { return derive(Whole(subs)) }
 
 // derive factors a union. Whatever every sub-query states is hoisted
 // into B, in adds[0]'s order, as intersecting the sub-queries would; the rest

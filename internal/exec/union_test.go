@@ -10,10 +10,18 @@ import (
 	"cqp/internal/iter"
 	"cqp/internal/obs"
 	"cqp/internal/query"
+	"cqp/internal/schema"
 	"cqp/internal/sqlparse"
 	"cqp/internal/storage"
 	"cqp/internal/workload"
 )
+
+// wholePlan is how a test states a union: its sub-queries whole (Whole),
+// planned through the one door the personalizer uses.
+func wholePlan(sch *schema.Schema, subs []*query.Query) *UnionPlan {
+	q, adds := Whole(subs)
+	return NewUnionPlan(sch, q, adds)
+}
 
 // renderPlan writes a factored union out: the base, then per sub-query its
 // conditions over the base's columns, then per tag relation what it attaches
@@ -125,7 +133,7 @@ tag 1 on [MOVIE.mid]
 		for _, tail := range c.tails {
 			subs = append(subs, sqlparse.MustParse(sch, "SELECT "+c.project+tail))
 		}
-		if got := renderPlan(factor(subs)); got != c.want {
+		if got := renderPlan(wholePlan(sch, subs)); got != c.want {
 			t.Errorf("%s:\n%s\nwant:\n%s", c.name, got, c.want)
 		}
 	}
@@ -139,7 +147,7 @@ func TestUnionPhysicalPasses(t *testing.T) {
 	reg := obs.NewRegistry()
 	db.SetMetrics(reg)
 	subs, dois := allocUnion(db)
-	res, err := EvalUnionContext(context.Background(), db, subs, dois, 1)
+	res, err := wholePlan(db.Schema(), subs).EvalContext(context.Background(), db, dois, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +199,7 @@ func independentUnion(t *testing.T, db *storage.DB, subs []*query.Query) (matche
 	return matched, blocks
 }
 
-// TestUnionSignedZeroLiterals: factor finds what sub-queries share by struct
+// TestUnionSignedZeroLiterals: derive finds what sub-queries share by struct
 // equality of their selections, and a FLOAT literal's payload is its bits, so
 // ">= 0.0" and ">= -0.0" — one condition under Op.Eval — are two selections
 // there: neither joins the base, each stays its sub-query's residual. The
@@ -206,11 +214,11 @@ func TestUnionSignedZeroLiterals(t *testing.T) {
 	} {
 		subs = append(subs, sqlparse.MustParse(db.Schema(), sql))
 	}
-	if p := factor(subs); len(p.base.Selections) != 0 || len(p.residual[0].Selections) != 2 || len(p.residual[1].Selections) != 2 {
+	if p := wholePlan(db.Schema(), subs); len(p.base.Selections) != 0 || len(p.residual[0].Selections) != 2 || len(p.residual[1].Selections) != 2 {
 		t.Errorf("signed zeros shared a selection:\n%s", renderPlan(p))
 	}
 	want, blocks := independentUnion(t, db, subs)
-	got, err := EvalUnion(db, subs, nil, 1)
+	got, err := wholePlan(db.Schema(), subs).EvalContext(context.Background(), db, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +319,7 @@ func checkUnion(t *testing.T, db *storage.DB, trial string, sqls []string) {
 		context.Background(),
 		iter.WithBudget(context.Background(), iter.Budget{Bytes: unionBudget, Dir: t.TempDir()}),
 	} {
-		got, err := EvalUnionContext(ctx, db, subs, nil, 1)
+		got, err := wholePlan(db.Schema(), subs).EvalContext(ctx, db, nil, 1)
 		if err != nil {
 			t.Fatalf("%s, budget %d: %v\n%s", trial, iter.BudgetFromContext(ctx).Bytes, err, strings.Join(sqls, "\n"))
 		}
@@ -322,7 +330,7 @@ func checkUnion(t *testing.T, db *storage.DB, trial string, sqls []string) {
 		if !ok {
 			t.Fatalf("%s, budget %d: %d keys and %d blocks, want %d and %d, or some key's matches differ\n%s\n%s",
 				trial, iter.BudgetFromContext(ctx).Bytes, len(got.Rows), got.BlockReads, len(want), blocks,
-				strings.Join(sqls, "\n"), renderPlan(factor(subs)))
+				strings.Join(sqls, "\n"), renderPlan(wholePlan(db.Schema(), subs)))
 		}
 	}
 }

@@ -19,8 +19,7 @@ import (
 // Integrate builds the sub-query Q ∧ p1 ∧ … for the preferences one
 // sub-query integrates: Q's clauses, each followed by what integrate adds.
 func Integrate(q *query.Query, group ...prefspace.Pref) *query.Query {
-	var add query.Query
-	integrate(q, &add, group)
+	add := integrate(q, query.Query{}, group)
 	sq := q.Clone()
 	sq.From = append(sq.From, add.From...)
 	sq.Joins = append(sq.Joins, add.Joins...)
@@ -41,9 +40,10 @@ func (p *Personalized) Subs() []*query.Query {
 
 // TestPlanMatchesSubqueries: over the union grid of
 // TestUnionWriterMatchesSubqueries, the plan factored from Q and the
-// preferences deep-equals the one EvalUnion factors from the materialized
-// sub-queries, and execution gives the answer and the verdict EvalUnion gives
-// over them — the refusal of Q's LIMIT included, with the same text.
+// preferences deep-equals the one the materialized sub-queries, stated whole
+// (exec.Whole), are planned into, and execution gives the answer and the
+// verdict that plan gives — the refusal of Q's LIMIT included, with the same
+// text.
 func TestPlanMatchesSubqueries(t *testing.T) {
 	env := workload.NewEnv(workload.DBConfig{Movies: 300, Seed: 1}, 1)
 	profiles := workload.Profiles(20, workload.ProfileConfig{SelectionPrefs: 60, Seed: 3})
@@ -67,7 +67,8 @@ func TestPlanMatchesSubqueries(t *testing.T) {
 					subs := p.Subs()
 					plans++
 					whole, adds := exec.Whole(subs)
-					if !reflect.DeepEqual(p.planFor(env.DB.Schema()), exec.NewUnionPlan(env.DB.Schema(), whole, adds)) {
+					ref := exec.NewUnionPlan(env.DB.Schema(), whole, adds)
+					if !reflect.DeepEqual(p.planFor(env.DB.Schema()), ref) {
 						t.Fatalf("%s: the plan of Q and the preferences differs from the sub-queries'", name)
 					}
 					// Executing every union would take a minute; one in nine, and
@@ -77,7 +78,7 @@ func TestPlanMatchesSubqueries(t *testing.T) {
 					}
 					executed++
 					got, gerr := p.ExecuteContext(ctx, env.DB)
-					want, werr := exec.EvalUnionContext(ctx, env.DB, subs, p.Dois, p.MinMatches())
+					want, werr := ref.EvalContext(ctx, env.DB, p.Dois, p.MinMatches())
 					if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 						t.Fatalf("%s: refused with %v, the sub-queries with %v", name, gerr, werr)
 					}
@@ -131,7 +132,8 @@ func TestPlanRefusesAsSubqueries(t *testing.T) {
 			selected[at] = bad
 			for _, p := range []*Personalized{Construct(sp.Query, selected, true), ConstructMerged(sp.Query, selected, db.Schema())} {
 				_, got := p.ExecuteContext(context.Background(), db)
-				_, want := exec.EvalUnion(db, p.Subs(), p.Dois, p.MinMatches())
+				whole, adds := exec.Whole(p.Subs())
+				_, want := exec.NewUnionPlan(db.Schema(), whole, adds).EvalContext(context.Background(), db, p.Dois, p.MinMatches())
 				if want == nil || got == nil || got.Error() != want.Error() {
 					t.Errorf("%s at %d, groups %v: refused with %v, the sub-queries with %v", bad.Imp.Sel, at, p.ends, got, want)
 				}

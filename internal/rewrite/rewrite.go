@@ -68,13 +68,14 @@ func Construct(q *query.Query, selected []prefspace.Pref, allMatch bool) *Person
 	return p
 }
 
-// integrate appends to add what the preferences add to q: each one's join
-// path and terminal selection, but no join q or add already states, and
-// each relation they reach that neither names, once.
-func integrate(q, add *query.Query, group []prefspace.Pref) {
+// integrate returns add with what the preferences add to q appended: each
+// one's join path and terminal selection, but no join q or add already
+// states, and each relation they reach that neither names, once. add is
+// taken and returned by value, so a caller's scratch arrays stay its own.
+func integrate(q *query.Query, add query.Query, group []prefspace.Pref) query.Query {
 	rel := func(r string) {
-		if !q.HasRelation(r) {
-			add.AddRelation(r)
+		if !q.HasRelation(r) && !add.HasRelation(r) {
+			add.From = append(add.From, r)
 		}
 	}
 	for i := range group {
@@ -89,6 +90,7 @@ func integrate(q, add *query.Query, group []prefspace.Pref) {
 		rel(imp.Sel.Attr.Relation)
 		add.Selections = append(add.Selections, imp.Sel)
 	}
+	return add
 }
 
 // NumSubs is the number of sub-queries: one per integrated preference (or
@@ -121,10 +123,9 @@ func (p *Personalized) planFor(sch *schema.Schema) *exec.UnionPlan {
 		sels := make([]query.Selection, 0, len(p.integrated))
 		adds := make([]query.Query, p.NumSubs())
 		for i := range adds {
-			a := &adds[i]
-			a.From, a.Joins, a.Selections = rels[len(rels):], joins[len(joins):], sels[len(sels):]
-			integrate(p.Base, a, p.group(i))
+			a := integrate(p.Base, query.Query{From: rels[len(rels):], Joins: joins[len(joins):], Selections: sels[len(sels):]}, p.group(i))
 			rels, joins, sels = rels[:len(rels)+len(a.From)], joins[:len(joins)+len(a.Joins)], sels[:len(sels)+len(a.Selections)]
+			adds[i] = a
 		}
 		p.plan = exec.NewUnionPlan(sch, p.Base, adds)
 	})
@@ -178,7 +179,7 @@ func (p *Personalized) SQL() string {
 		}
 		add.From, add.Joins, add.Selections, sels = add.From[:0], add.Joins[:0], add.Selections[:0], sels[:0]
 		group := p.group(i)
-		integrate(p.Base, &add, group)
+		add = integrate(p.Base, add, group)
 		for g := range group {
 			_, sel := group[g].Imp.Split()
 			sels = append(sels, sel)

@@ -118,7 +118,9 @@ func TestUnionWriterMatchesSubqueries(t *testing.T) {
 
 // TestConstructSQLAllocs: constructing a K = 20 personalized query and
 // rendering it costs a handful of allocations — the result, Q's clauses, the
-// writer's scratch — and no union plan exists until an execution asks.
+// writer's scratch — and no union plan exists until an execution asks. It
+// makes 9; 11 while integrate appended through a pointer, which moved the
+// writer's relation and join scratch to the heap.
 func TestConstructSQLAllocs(t *testing.T) {
 	env := workload.NewEnv(workload.DBConfig{Movies: 300, Seed: 1}, 1)
 	q := sqlparse.MustParse(env.DB.Schema(), "SELECT title FROM MOVIE WHERE year >= 1950 AND duration <= 170")
@@ -131,8 +133,8 @@ func TestConstructSQLAllocs(t *testing.T) {
 		t.Fatalf("K = %d, want 20", sp.K)
 	}
 	var sql string
-	if n := testing.AllocsPerRun(200, func() { sql = Construct(q, sp.P, true).SQL() }); n > 16 {
-		t.Errorf("Construct(q, twenty, true).SQL() allocates %.0f times, want ≤ 16", n)
+	if n := testing.AllocsPerRun(200, func() { sql = Construct(q, sp.P, true).SQL() }); n > 10 {
+		t.Errorf("Construct(q, twenty, true).SQL() allocates %.0f times, want ≤ 10", n)
 	}
 	p := Construct(q, sp.P, true)
 	if p.SQL() != sql || p.NumSubs() != 20 || p.MinMatches() != 20 {

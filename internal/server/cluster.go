@@ -276,16 +276,18 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 			fmt.Sprintf("server: replication from unknown node %q", from))
 		return
 	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, clusterSyncMaxBytes))
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	// Compared once the body is in: a ring commit while it was read must
+	// refuse it, as a pull that spans an epoch change installs nothing.
 	if eh := r.URL.Query().Get("epoch"); eh != "" {
 		if se, err := strconv.ParseUint(eh, 10, 64); err == nil && se != s.cluster.Epoch() {
 			s.writeWrongEpoch(w, "replicate")
 			return
 		}
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, clusterSyncMaxBytes))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
 	}
 	applied, changed, err := s.cluster.ApplyReplicate(from, r.URL.Query().Get("sync") == "1", body)
 	if err != nil {

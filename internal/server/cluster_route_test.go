@@ -3,13 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"testing"
 
 	"cqp/internal/cluster"
+	"cqp/internal/wal"
 )
 
 // forward sends what a peer's proxy hop sends: the forwarded header naming
@@ -217,5 +220,73 @@ func TestClusterProxiesEveryPipelineEndpoint(t *testing.T) {
 				t.Fatalf("answers differ\nowner: %s\nentry: %s", direct, entered)
 			}
 		})
+	}
+}
+
+// commitOnRead is a request body that runs commit at its first Read: a ring
+// commit that lands while the handler reads the body.
+type commitOnRead struct {
+	r      io.Reader
+	commit func()
+}
+
+func (b *commitOnRead) Read(p []byte) (int, error) {
+	if b.commit != nil {
+		b.commit()
+		b.commit = nil
+	}
+	return b.r.Read(p)
+}
+
+// TestReplicateEpochAfterBody: a sync push stamped with the follower's epoch,
+// during whose body the follower adopts the next ring, is refused with 409
+// wrong_epoch and installs nothing. The snapshot would drop the profile the
+// follower holds for its owner and add one it never had; the follower's
+// replica must be as before. The stamp is compared once the body is read.
+func TestReplicateEpochAfterBody(t *testing.T) {
+	tc := newTestCluster(t, []string{"n1", "n2"}, false)
+	key := tc.keyOwnedBy("n1")
+	putProfile(t, tc.url("n1"), key, testProfileText())
+	follower := tc.node("n2").Cluster()
+	replica := follower.Replica()
+	waitObs(t, "the profile's replica on n2", func() bool {
+		_, ok := replica.Get(key)
+		return ok
+	})
+	held, _ := replica.Get(key)
+	ghost := ""
+	for i := 0; ghost == ""; i++ {
+		if id := fmt.Sprintf("ghost-%d", i); follower.Owner(id) == "n1" {
+			ghost = id
+		}
+	}
+
+	st := follower.State()
+	stamped := st.Epoch
+	st.Epoch++
+	body := &commitOnRead{
+		r: bytes.NewReader(cluster.EncodeSyncPayload(held.Version, []wal.Record{
+			{Op: wal.OpPut, ID: ghost, Text: testProfileText(), Version: 1, UpdatedAt: 1},
+		})),
+		commit: func() {
+			if ok, err := follower.AdoptIfNewer(st); !ok || err != nil {
+				t.Errorf("adopting epoch %d: %v, %v", st.Epoch, ok, err)
+			}
+		},
+	}
+	url := cluster.PathReplicate + "?from=n1&sync=1&epoch=" + strconv.FormatUint(stamped, 10)
+	rec := httptest.NewRecorder()
+	tc.node("n2").Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, body))
+	if body.commit != nil {
+		t.Fatal("the handler answered without reading the body")
+	}
+	if rec.Code != http.StatusConflict || errorClass(rec.Body.Bytes()) != "wrong_epoch" {
+		t.Fatalf("status %d: %s, want 409 wrong_epoch", rec.Code, rec.Body)
+	}
+	if got, ok := replica.Get(key); !ok || got != held {
+		t.Errorf("the replica of %s is %+v (present %v), want %+v as before", key, got, ok, held)
+	}
+	if _, ok := replica.Get(ghost); ok {
+		t.Errorf("the refused snapshot installed %s", ghost)
 	}
 }

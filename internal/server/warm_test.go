@@ -171,7 +171,8 @@ func TestHitBytesIdentical(t *testing.T) {
 
 // TestHitAllocs is the allocation tripwire of the warm path, measured as
 // BenchmarkServePersonalizeCacheHit measures it (httptest request and
-// recorder included): 101 before a hit was served from bytes, 49 now.
+// recorder included): 101 before a hit was served from bytes, 49 now (51
+// under the race detector). The bounds sit about 2 % above the counts.
 func TestHitAllocs(t *testing.T) {
 	s := newTestDaemon(t, Config{})
 	if _, err := s.store.Put("alice", testProfileText()); err != nil {
@@ -194,8 +195,13 @@ func TestHitAllocs(t *testing.T) {
 	}
 	serve() // miss
 	serve() // the hit that encodes
-	if n := testing.AllocsPerRun(200, serve); n > 60 {
-		t.Errorf("a warm POST /personalize allocates %.0f times, want ≤ 60", n)
+	n, bound := testing.AllocsPerRun(200, serve), 50.0
+	if raceEnabled {
+		bound = 52
+	}
+	t.Logf("a warm POST /personalize allocates %.0f times", n)
+	if n > bound {
+		t.Errorf("a warm POST /personalize allocates %.0f times, want ≤ %.0f", n, bound)
 	}
 	if hits := s.reg.Counter("server_cache_hits").Value(); hits < 200 {
 		t.Errorf("only %d cache hits: the measured requests were not warm", hits)
@@ -207,6 +213,8 @@ func TestHitAllocs(t *testing.T) {
 // whole pipeline runs — for a stored 64-atom profile, through the handler.
 // What is left is net/http, the decode, the response's encode and the
 // pipeline's own results; nothing is cloned or rendered twice on the way.
+// It makes 105 (111 under the race detector); 107 while query construction's
+// scratch escaped to the heap. The bounds sit about 2 % above the counts.
 func TestMissAllocs(t *testing.T) {
 	s := newTestDaemon(t, Config{})
 	if _, err := s.store.Put("alice", cqp.SyntheticProfile(60, 3).String()); err != nil {
@@ -231,9 +239,13 @@ func TestMissAllocs(t *testing.T) {
 	}
 	serve() // warms the query memo and the estimate memo
 	misses := s.reg.Counter("server_cache_misses").Value()
-	n := testing.AllocsPerRun(runs, serve)
-	if n > 130 {
-		t.Errorf("a cold POST /personalize at K = %d allocates %.0f times, want ≤ 130", k, n)
+	n, bound := testing.AllocsPerRun(runs, serve), 107.0
+	if raceEnabled {
+		bound = 113
+	}
+	t.Logf("a cold POST /personalize at K = %d allocates %.0f times", k, n)
+	if n > bound {
+		t.Errorf("a cold POST /personalize at K = %d allocates %.0f times, want ≤ %.0f", k, n, bound)
 	}
 	if k != 20 {
 		t.Errorf("the measured answers integrate %d preferences, want 20", k)
@@ -248,7 +260,9 @@ func TestMissAllocs(t *testing.T) {
 // each request runs the whole pipeline and executes its union — twenty
 // sub-queries, one per preference of K = 20 — through the handler. What
 // executing adds is the plan, factored once from Q and the preferences, its
-// one pass and the execute span: no sub-query is built as a query.
+// one pass and the execute span: no sub-query is built as a query. They
+// make 454 and 472 (456 and 474 while query construction's scratch escaped
+// to the heap); the bounds sit 4 and 6 above.
 func TestExecuteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the executor's paths")
@@ -262,8 +276,8 @@ func TestExecuteAllocs(t *testing.T) {
 		path, body string
 		max        float64
 	}{
-		{"/execute", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","limit":5,"problem":{"number":2,"cmax_ms":%d}}`, 460},
-		{"/topk", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","k":5,"max_k":20,"cmax_ms":%d}`, 480},
+		{"/execute", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","limit":5,"problem":{"number":2,"cmax_ms":%d}}`, 458},
+		{"/topk", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","k":5,"max_k":20,"cmax_ms":%d}`, 478},
 	} {
 		bodies := make([][]byte, runs+2)
 		for i := range bodies {
