@@ -33,19 +33,21 @@ type BatchResult struct {
 }
 
 // fingerprint derives the batch-dedup identity of an item: the query's
-// canonical fingerprint, the profile text, the problem, and the resolved
-// options — written as explicit named fields, not a %+v of the options
-// struct, so a field rename or reorder can never silently change dedup
-// identity. Two items with equal fingerprints would run the exact same
-// pipeline, so one run can answer both.
+// canonical fingerprint and its DISTINCT flag (which the fingerprint leaves
+// out, and an item that integrates no preference answers with Q itself),
+// the profile text, the problem, and the resolved options — written as
+// explicit named fields, not a %+v of the options struct, so a field rename
+// or reorder can never silently change dedup identity. Two items with equal
+// fingerprints would run the exact same pipeline, so one run can answer
+// both.
 func (it BatchItem) fingerprint() string {
 	o := defaultOptions()
 	for _, fn := range it.Opts {
 		fn(&o)
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|a=%s k=%d any=%v merge=%v b=%d",
-		it.Query.Fingerprint(), it.Profile.String(), it.Problem,
+	fmt.Fprintf(h, "%s|d=%v|%s|%s|a=%s k=%d any=%v merge=%v b=%d",
+		it.Query.Fingerprint(), it.Query.Distinct, it.Profile.String(), it.Problem,
 		o.algorithm, o.maxK, o.anyMatch, o.merge, o.budget)
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -77,6 +77,30 @@ func TestPersonalizeBatch(t *testing.T) {
 	}
 }
 
+// TestBatchDistinctNotDuplicate: a query and its DISTINCT form share a
+// fingerprint but not a batch run, as for a profile with no preference on
+// the query each answers with its own text.
+func TestBatchDistinctNotDuplicate(t *testing.T) {
+	p, q, _, cost := batchSetup(t)
+	dq, err := ParseQuery(p.db.Schema(), "SELECT DISTINCT title FROM MOVIE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := ParseProfile("doi(DIRECTOR.name = 'nobody') = 0.5\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := p.PersonalizeBatch(context.Background(), []BatchItem{
+		{Query: q, Profile: u, Problem: Problem2(cost * 20)},
+		{Query: dq, Profile: u, Problem: Problem2(cost * 20)},
+	}, 2)
+	for i, want := range []string{q.SQL(), dq.SQL()} {
+		if r := res[i]; r.Err != nil || r.Duplicate || r.Result.SQL != want {
+			t.Errorf("item %d: %+v, want its own answer %q", i, r, want)
+		}
+	}
+}
+
 // TestPersonalizeBatchCancelled: a dead context fails every distinct item
 // with its error rather than hanging or panicking.
 func TestPersonalizeBatchCancelled(t *testing.T) {

@@ -77,7 +77,7 @@ func BenchmarkFig12aOptimizationTime(b *testing.B) {
 
 // BenchmarkFig12bPreferenceSpace regenerates Figure 12(b): preference
 // extraction alone (D_PrefSelTime: P in doi order) vs extraction plus the C
-// and S vectors core derives (C_PrefSelTime). benchSetup's builds have
+// vector core derives (C_PrefSelTime). benchSetup's builds have
 // warmed the estimator's memo, so both time the memo-warm extraction.
 func BenchmarkFig12bPreferenceSpace(b *testing.B) {
 	benchSetup(b)
@@ -96,7 +96,7 @@ func BenchmarkFig12bPreferenceSpace(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				core.FromSpace(sp)
+				core.FromSpace(sp).CostOrder()
 			}
 		})
 	}

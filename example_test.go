@@ -122,3 +122,36 @@ doi(MOVIE.year >= 1990) = 0.7
 	// Output:
 	// 1 preference, doi 0.7
 }
+
+// ExamplePersonalizer_Personalize_distinct shows when a query and its
+// DISTINCT form, which share a fingerprint, personalize alike. With a
+// preference integrated they do, byte for byte: every sub-query selects
+// DISTINCT and their union is grouped on the projection. With none, the
+// answer is the query itself and DISTINCT shows, so the server's cache keys
+// and batch dedup carry the flag beside the fingerprint.
+func ExamplePersonalizer_Personalize_distinct() {
+	db := exampleDB()
+	p := cqp.NewPersonalizer(db)
+	for _, text := range []string{`
+doi(MOVIE.mid = GENRE.mid) = 0.9
+doi(GENRE.genre = 'comedy') = 0.8
+doi(MOVIE.year >= 1970) = 0.7
+`, `
+doi(DIRECTOR.name = 'W. Allen') = 0.8
+`} {
+		profile, _ := cqp.ParseProfile(text)
+		var sqls []string
+		for _, sql := range []string{"SELECT DISTINCT MOVIE.title FROM MOVIE", "SELECT MOVIE.title FROM MOVIE"} {
+			q, _ := cqp.ParseQuery(db.Schema(), sql)
+			res, err := p.Personalize(q, profile, cqp.Problem2(1000))
+			if err != nil {
+				log.Fatal(err)
+			}
+			sqls = append(sqls, res.SQL)
+		}
+		fmt.Println(sqls[0] == sqls[1], sqls[0])
+	}
+	// Output:
+	// true SELECT MOVIE.title FROM (SELECT DISTINCT MOVIE.title FROM MOVIE, GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'comedy' UNION ALL SELECT DISTINCT MOVIE.title FROM MOVIE WHERE MOVIE.year >= 1970) GROUP BY MOVIE.title HAVING COUNT(*) = 2
+	// false SELECT DISTINCT MOVIE.title FROM MOVIE
+}

@@ -408,17 +408,25 @@ func (t *Table) readPage(page int64, buf []byte) ([]storage.Row, []byte, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	rows := make([]storage.Row, 0, nrows)
-	rest := payload
-	for i := 0; i < nrows; i++ {
-		var r storage.Row
-		r, rest, err = DecodeRow(rest)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		rows = append(rows, r)
+	rows, err := decodePage(payload, nrows)
+	if err != nil {
+		return nil, nil, err
 	}
 	return rows, payload, nil
+}
+
+// decodePage decodes the nrows rows of a verified page's payload; a row
+// that does not decode is ErrCorrupt.
+func decodePage(payload []byte, nrows int) ([]storage.Row, error) {
+	rows := make([]storage.Row, 0, nrows)
+	for i := 0; i < nrows; i++ {
+		r, rest, err := DecodeRow(payload)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		rows, payload = append(rows, r), rest
+	}
+	return rows, nil
 }
 
 // verifyPage checks the CRC frame and returns the payload and row count.

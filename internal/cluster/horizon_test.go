@@ -100,3 +100,44 @@ func TestPullSpanningEpochChangeInstallsNothing(t *testing.T) {
 		t.Fatalf("the discarded payload reached the replica: %d records, applied %d", rs.Len(), rs.Applied("o"))
 	}
 }
+
+// TestSyncBehindRingInstallsNothing: a sync payload stamped one epoch
+// behind the active ring — a commit that landed after the replicate handler
+// compared the stamp — is refused with a wrong-epoch error and leaves the
+// replica unchanged; stamped with the active epoch, the same payload
+// installs.
+func TestSyncBehindRingInstallsNothing(t *testing.T) {
+	n, err := New(Config{Self: "a", Peers: map[string]string{"a": "http://127.0.0.1:1", "o": "http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := n.State()
+	st.Epoch++
+	if _, err := n.AdoptIfNewer(st); err != nil {
+		t.Fatal(err)
+	}
+	id := ""
+	for i := 0; id == ""; i++ {
+		if k := fmt.Sprintf("user-%d", i); n.Ring().Owner(k) == "o" {
+			id = k
+		}
+	}
+	rs := n.Replica()
+	rs.Apply("o", rput(2, id, "old"))
+	payload := EncodeSyncPayload(9, []wal.Record{rput(5, id, "new")})
+
+	applied, changed, err := n.ApplyReplicate("o", true, st.Epoch-1, payload)
+	if !IsWrongEpoch(err) || changed != 0 || applied != 0 {
+		t.Fatalf("sync one epoch behind: applied %d, %d changed, err %v; want a wrong-epoch refusal", applied, changed, err)
+	}
+	if rec, ok := rs.Get(id); !ok || rec.Version != 2 || rec.Text != "old" || rs.Applied("o") != 2 || rs.Len() != 1 {
+		t.Fatalf("the refused payload reached the replica: %+v, applied %d, %d records", rec, rs.Applied("o"), rs.Len())
+	}
+
+	if _, changed, err := n.ApplyReplicate("o", true, st.Epoch, payload); err != nil || changed != 1 {
+		t.Fatalf("sync at the active epoch: %d changed, err %v; want 1", changed, err)
+	}
+	if rec, _ := rs.Get(id); rec.Version != 5 || rs.Applied("o") != 9 {
+		t.Fatalf("after the install: %+v, applied %d; want v5 and applied 9", rec, rs.Applied("o"))
+	}
+}

@@ -631,8 +631,9 @@ const allBuckets = -1
 
 // pull fetches owner p's snapshot of the records this node follows — every
 // bucket (boot catch-up) or one diverged digest bucket (anti-entropy) — and
-// installs it, unless the ring changed while the pull was in flight: the
-// payload may predate a delete whose tombstone has since gone.
+// installs it under the epoch it sent, so a ring change while the pull was
+// in flight installs nothing: the payload may predate a delete whose
+// tombstone has since gone.
 func (n *Node) pull(ctx context.Context, timeout time.Duration, p *peerState, bucket int) (int, error) {
 	url := p.url + PathSync + "?node=" + n.cfg.Self
 	if bucket != allBuckets {
@@ -643,21 +644,27 @@ func (n *Node) pull(ctx context.Context, timeout time.Duration, p *peerState, bu
 	if err := n.call(ctx, timeout, p.id, url, epoch, nil, &payload); err != nil {
 		return 0, err
 	}
-	if now := n.Epoch(); now != epoch {
-		return 0, fmt.Errorf("cluster: sync from %s began at epoch %d, now %d", p.id, epoch, now)
-	}
-	return n.install(p.id, bucket, payload)
+	return n.install(p.id, bucket, epoch, payload)
 }
 
 // install puts owner's sync payload — pulled, or pushed by the owner's
 // sender after an overflow or a ring change — over the replica's view of
-// the keys owner owns under the active ring, within bucket.
-func (n *Node) install(owner string, bucket int, payload []byte) (int, error) {
+// the keys owner owns within bucket, under the ring of epoch: the epoch its
+// caller compared the payload against. The ring and its epoch are read
+// together; if the active ring is no longer epoch's, install refuses with
+// *errWrongEpoch and installs nothing, so a commit after the caller's
+// comparison cannot scope an old ring's payload by the new one.
+func (n *Node) install(owner string, bucket int, epoch uint64, payload []byte) (int, error) {
 	clock, recs, err := DecodeSyncPayload(payload)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: sync from %s: %w", owner, err)
 	}
-	ring := n.Ring()
+	n.mu.RLock()
+	ring, now := n.ring, n.state.Epoch
+	n.mu.RUnlock()
+	if now != epoch {
+		return 0, &errWrongEpoch{peer: n.cfg.Self, peerEpoch: now, sentEpoch: epoch}
+	}
 	return n.replica.Install(owner, clock, recs, func(id string) bool {
 		return ring.Owner(id) == owner && (bucket == allBuckets || Bucket(id) == bucket)
 	}), nil

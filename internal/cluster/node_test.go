@@ -45,7 +45,7 @@ func newFollowerServer(t *testing.T, self string, peers map[string]string) *foll
 			return
 		}
 		applied, recs, err := fs.node.ApplyReplicate(
-			r.URL.Query().Get("from"), r.URL.Query().Get("sync") == "1", body)
+			r.URL.Query().Get("from"), r.URL.Query().Get("sync") == "1", fs.node.Epoch(), body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

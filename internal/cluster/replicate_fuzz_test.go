@@ -6,9 +6,10 @@ import (
 )
 
 // FuzzApplyReplicate holds the streamed replicate body to the replica's
-// version guard. The input is applied with ApplyReplicate(from, false, body)
-// twice over a replica seeded from "owner" with a live entry (k1 at v2) and
-// a tombstone (k2 at v3). No input panics, and:
+// version guard. The input is applied with
+// ApplyReplicate(from, false, epoch, body) twice over a replica seeded from
+// "owner" with a live entry (k1 at v2) and a tombstone (k2 at v3). No input
+// panics, and:
 //
 //   - a body that fails to decode is refused and changes nothing;
 //   - Applied(owner) never decreases, and is what the call returns;
@@ -30,7 +31,7 @@ func FuzzApplyReplicate(f *testing.F) {
 		n.replica.Apply("owner", rdel(3, "k2"))
 		before, applied := copyEntries(n.replica), n.replica.Applied("owner")
 
-		got, changed, err := n.ApplyReplicate("owner", false, body)
+		got, changed, err := n.ApplyReplicate("owner", false, n.Epoch(), body)
 		after := copyEntries(n.replica)
 		if err != nil {
 			if !maps.Equal(after, before) || n.replica.Applied("owner") != applied {
@@ -50,7 +51,7 @@ func FuzzApplyReplicate(f *testing.F) {
 			t.Fatalf("the call reported %d changes and made none", changed)
 		}
 
-		again, changed, err := n.ApplyReplicate("owner", false, body)
+		again, changed, err := n.ApplyReplicate("owner", false, n.Epoch(), body)
 		if err != nil || changed != 0 || again != got || !maps.Equal(copyEntries(n.replica), after) {
 			t.Fatalf("a second apply changed %d entries (err %v, applied %d -> %d)", changed, err, got, again)
 		}

@@ -263,12 +263,13 @@ func (n *Node) ship(p *peerState, body []byte, sync bool) error {
 }
 
 // ApplyReplicate is the follower half of the replicate endpoint: sync=1
-// bodies are installed over the owner's whole key space, plain bodies
-// stream frames into the replica. Returns the ack the owner expects; the
-// server handler has already enforced the epoch guard.
-func (n *Node) ApplyReplicate(from string, sync bool, body []byte) (applied uint64, changed int, err error) {
+// bodies are installed over the owner's whole key space under the ring of
+// epoch, the epoch the server handler compared the request against (install
+// refuses with *errWrongEpoch if the ring has moved on since); plain bodies
+// stream frames into the replica. Returns the ack the owner expects.
+func (n *Node) ApplyReplicate(from string, sync bool, epoch uint64, body []byte) (applied uint64, changed int, err error) {
 	if sync {
-		if changed, err = n.install(from, allBuckets, body); err != nil {
+		if changed, err = n.install(from, allBuckets, epoch, body); err != nil {
 			return 0, 0, err
 		}
 		return n.replica.Applied(from), changed, nil

@@ -70,8 +70,8 @@ func TestSearchAllocsVertical(t *testing.T) {
 }
 
 // TestFromSpaceAllocs pins what turning a K = 20 preference space into an
-// instance allocates: the instance, one block for its three parameter
-// slices, and the C and S vectors.
+// instance allocates: one block for its three parameter slices. FromSpace
+// inlines, so the discarded instance itself stays on the stack here.
 func TestFromSpaceAllocs(t *testing.T) {
 	env := workload.NewEnv(workload.DBConfig{Movies: 2000, Seed: 9}, 1)
 	profile := workload.GenerateProfile(workload.ProfileConfig{Seed: 11})
@@ -79,7 +79,7 @@ func TestFromSpaceAllocs(t *testing.T) {
 	if err != nil || sp.K != 20 {
 		t.Fatalf("K = %d, err = %v", sp.K, err)
 	}
-	if n := testing.AllocsPerRun(100, func() { FromSpace(sp) }); n > 4 {
-		t.Errorf("FromSpace at K = 20 allocates %.0f times, want ≤ 4", n)
+	if n := testing.AllocsPerRun(100, func() { FromSpace(sp) }); n > 1 {
+		t.Errorf("FromSpace at K = 20 allocates %.0f times, want ≤ 1", n)
 	}
 }

@@ -90,13 +90,12 @@ func CMaxBounds(in *Instance, cmax float64) Solution {
 // position does not fit under cmax none does. That step's probes are then
 // charged to StatesVisited — one per absent position, what the scan would
 // have counted — without being walked; a step that can grow scans as
-// greedyGrow does. cur is cost(r) on entry. Spaces whose w is not exactly
-// ordered (costOrdered) scan every step.
+// greedyGrow does. cur is cost(r) on entry.
 func growByCost(in *Instance, sp *space, r node, cur, cmax float64, st *Stats) bool {
 	grew := false
 grow:
 	for {
-		if last := sp.lastAbsent(r); sp.costOrdered && (last < 0 || cur+sp.w[last] > cmax) {
+		if last := sp.lastAbsent(r); last < 0 || cur+sp.w[last] > cmax {
 			st.StatesVisited += sp.K - r.size()
 			return grew
 		}

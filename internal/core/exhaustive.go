@@ -24,8 +24,7 @@ func Exhaustive(in *Instance, cmax float64) Solution {
 
 	// Enumerate in cost-ascending order so that exceeding cmax prunes the
 	// whole subtree (Formula 7's monotonicity).
-	order := make([]int, in.K)
-	copy(order, in.C)
+	order := in.CostOrder()
 	// C is cost-descending; reverse for ascending.
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]

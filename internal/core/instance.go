@@ -1,9 +1,10 @@
 // Package core implements the paper's main contribution: Constrained
 // Query Personalization as state-space search (Sections 4–6).
 //
-// An Instance carries the preference set P in decreasing-doi order together
-// with the per-preference parameters and the C and S pointer vectors. States
-// are subsets of P encoded as sorted position sets over one of the vectors;
+// An Instance is the preference set P in decreasing-doi order: the
+// per-preference parameters and nothing derived from them. States are
+// subsets of P encoded as position sets over one of the paper's pointer
+// vectors (D, the identity, or C, derived where it is walked);
 // transitions (Horizontal, Vertical, Horizontal2) are the paper's syntactic
 // edits whose monotone effects on doi, cost and size (Formulas 4, 7, 8)
 // the search algorithms exploit.
@@ -26,8 +27,8 @@ import (
 )
 
 // Instance is the numeric core of one CQP problem: preference parameters in
-// P (decreasing doi) order plus the pointer vectors. The S vector is the
-// paper's size state space; no solver searches it.
+// P (decreasing doi) order. The C vector is derived from Cost on demand
+// (CostOrder); the paper's S vector is not, as no solver searches it.
 type Instance struct {
 	// K is the number of preferences.
 	K int
@@ -45,11 +46,6 @@ type Instance struct {
 	BaseCost float64
 	// BaseSize is the estimated result size of Q.
 	BaseSize float64
-	// C orders P positions by non-increasing Cost; S by non-decreasing
-	// size (equivalently non-decreasing Shrink). D is the identity and is
-	// not stored.
-	C []int
-	S []int
 	// StateBudget, when positive, caps the number of states a search may
 	// visit; exceeding it stops the search early with the best solution
 	// found so far and Stats.Truncated set. The experiment harness uses it
@@ -87,8 +83,7 @@ func (in *Instance) overBudget(st *Stats) bool {
 }
 
 // FromSpace builds an Instance from a preference space: the parameters of P
-// in doi order, and the C and S vectors derived from them as NewInstance
-// derives them.
+// in doi order.
 func FromSpace(sp *prefspace.Space) *Instance {
 	k := len(sp.P)
 	params := make([]float64, 3*k)
@@ -103,7 +98,6 @@ func FromSpace(sp *prefspace.Space) *Instance {
 	for i, p := range sp.P {
 		inst.Doi[i], inst.Cost[i], inst.Shrink[i] = p.Doi, p.Cost, p.Shrink
 	}
-	inst.C, inst.S = costVector(inst.Cost), sizeVector(inst.Shrink)
 	return inst
 }
 
@@ -140,19 +134,13 @@ func NewInstance(dois, costs, shrinks []float64, baseCost, baseSize float64) (*I
 		Shrink:   append([]float64(nil), shrinks...),
 		BaseCost: baseCost,
 		BaseSize: baseSize,
-		C:        costVector(costs),
-		S:        sizeVector(shrinks),
 	}, nil
 }
 
-// costVector returns P positions ordered by non-increasing cost (stable).
-func costVector(costs []float64) []int {
-	return rankBy(len(costs), func(a, b int) bool { return costs[a] > costs[b] })
-}
-
-// sizeVector returns P positions ordered by non-decreasing shrink (= size).
-func sizeVector(shrinks []float64) []int {
-	return rankBy(len(shrinks), func(a, b int) bool { return shrinks[a] < shrinks[b] })
+// CostOrder returns the paper's C vector: P positions ordered by
+// non-increasing Cost, equal costs in P order. Each call derives it afresh.
+func (in *Instance) CostOrder() []int {
+	return rankBy(in.K, func(a, b int) bool { return in.Cost[a] > in.Cost[b] })
 }
 
 // rankBy returns the stable permutation of 0..k-1 under the strict order,
@@ -212,26 +200,4 @@ func (in *Instance) SupremeCost() float64 {
 		c += x
 	}
 	return c
-}
-
-// Validate checks the invariants the algorithms rely on.
-func (in *Instance) Validate() error {
-	if len(in.Doi) != in.K || len(in.Cost) != in.K || len(in.Shrink) != in.K {
-		return fmt.Errorf("core: slice lengths disagree with K=%d", in.K)
-	}
-	if len(in.C) != in.K || len(in.S) != in.K {
-		return fmt.Errorf("core: vectors C/S must have length K")
-	}
-	for i := 1; i < in.K; i++ {
-		if in.Doi[i] > in.Doi[i-1]+1e-12 {
-			return fmt.Errorf("core: Doi not sorted at %d", i)
-		}
-		if in.Cost[in.C[i]] > in.Cost[in.C[i-1]]+1e-9 {
-			return fmt.Errorf("core: C not cost-sorted at %d", i)
-		}
-		if in.Shrink[in.S[i]] < in.Shrink[in.S[i-1]]-1e-12 {
-			return fmt.Errorf("core: S not size-sorted at %d", i)
-		}
-	}
-	return nil
 }

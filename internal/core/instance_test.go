@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -14,7 +13,6 @@ import (
 	"cqp/internal/prefspace"
 	"cqp/internal/sqlparse"
 	"cqp/internal/testutil"
-	"cqp/internal/workload"
 )
 
 // randInstance builds a random valid instance: dois descending in (0,1),
@@ -61,16 +59,13 @@ func TestNewInstanceValidation(t *testing.T) {
 	if in.BaseSize != 1000 {
 		t.Error("default base size")
 	}
-	if err := in.Validate(); err != nil {
-		t.Error(err)
-	}
 	// C sorts by cost descending: cost[1]=7 > cost[0]=3.
-	if in.C[0] != 1 || in.C[1] != 0 {
-		t.Errorf("C = %v", in.C)
+	if c := in.CostOrder(); c[0] != 1 || c[1] != 0 {
+		t.Errorf("C = %v", c)
 	}
 	// S sorts by shrink ascending: shrink[1]=0.25 < shrink[0]=0.5.
-	if in.S[0] != 1 || in.S[1] != 0 {
-		t.Errorf("S = %v", in.S)
+	if s := sizeVector(in); s[0] != 1 || s[1] != 0 {
+		t.Errorf("S = %v", s)
 	}
 }
 
@@ -94,26 +89,6 @@ func TestSetParameterFunctions(t *testing.T) {
 	empty := &Instance{BaseCost: 4}
 	if empty.SupremeCost() != 4 {
 		t.Error("empty supreme is base cost")
-	}
-}
-
-func TestInstanceValidateCatchesCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	in := randInstance(t, rng, 6)
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := *in
-	bad.C = append([]int(nil), in.C...)
-	bad.C[0], bad.C[len(bad.C)-1] = bad.C[len(bad.C)-1], bad.C[0]
-	if err := bad.Validate(); err == nil {
-		t.Error("corrupted C should fail validation")
-	}
-	bad2 := *in
-	bad2.Doi = append([]float64(nil), in.Doi...)
-	bad2.Doi[0], bad2.Doi[len(bad2.Doi)-1] = bad2.Doi[len(bad2.Doi)-1], bad2.Doi[0]
-	if err := bad2.Validate(); err == nil {
-		t.Error("unsorted Doi should fail validation")
 	}
 }
 
@@ -144,9 +119,6 @@ doi(MOVIE.year >= 1980) = 0.6
 		t.Fatal(err)
 	}
 	in := FromSpace(sp)
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if in.K != sp.K || in.BaseCost != sp.BaseCost || in.BaseSize != sp.BaseSize {
 		t.Errorf("FromSpace mismatch: %+v vs space", in)
 	}
@@ -174,90 +146,9 @@ func TestVectorsTable2(t *testing.T) {
 	wantD := []int{0, 1, 2}
 	wantC := []int{1, 2, 0} // costs 12, 10, 5 decreasing
 	wantS := []int{0, 2, 1} // sizes 2, 3, 10 increasing
-	if d := in.doiSpace().vec; !slices.Equal(d, wantD) || !slices.Equal(in.C, wantC) || !slices.Equal(in.S, wantS) {
-		t.Errorf("D=%v C=%v S=%v", d, in.C, in.S)
-	}
-	if err := in.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestFromSpaceOrders: an instance built from a preference space is valid
-// and carries the C and S vectors NewInstance derives from the same
-// parameters — for a base query the estimator expects to return no row, where
-// every size(Q ∧ p) is 0 but the shrinks still differ, and for the workload
-// grid of generated queries and profiles.
-func TestFromSpaceOrders(t *testing.T) {
-	check := func(label string, sp *prefspace.Space) {
-		t.Helper()
-		in := FromSpace(sp)
-		if err := in.Validate(); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		want, err := NewInstance(in.Doi, in.Cost, in.Shrink, in.BaseCost, in.BaseSize)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if !slices.Equal(in.C, want.C) || !slices.Equal(in.S, want.S) {
-			t.Errorf("%s: C=%v S=%v, NewInstance derives C=%v S=%v", label, in.C, in.S, want.C, want.S)
-		}
-	}
-
-	db := testutil.MovieDB(256)
-	est := estimate.New(catalog.MustBuild(db), 1)
-	profile, err := prefs.ParseProfile(`
-doi(MOVIE.year >= 1980) = 0.9
-doi(MOVIE.mid = GENRE.mid) = 0.9
-doi(GENRE.genre = 'comedy') = 0.8
-doi(MOVIE.duration <= 100) = 0.7
-doi(MOVIE.did = DIRECTOR.did) = 1.0
-doi(DIRECTOR.name = 'W. Allen') = 0.6
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := sqlparse.MustParse(db.Schema(), "SELECT MOVIE.title FROM MOVIE WHERE MOVIE.year = 3000")
-	sp, err := prefspace.Build(q, profile, est, prefspace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.BaseSize != 0 || sp.K < 3 {
-		t.Fatalf("want an empty base query and K ≥ 3, got size %g and K = %d", sp.BaseSize, sp.K)
-	}
-	check("empty base query", sp)
-
-	env := workload.NewEnv(workload.DBConfig{Movies: 2000, Seed: 9}, 1)
-	queries := workload.Queries(8, 11)
-	for i := 0; i < 8; i++ {
-		profile := workload.GenerateProfile(workload.ProfileConfig{Seed: int64(100 + i)})
-		for _, k := range []int{10, 20, 40} {
-			sp, err := prefspace.Build(queries[i], profile, env.Est, prefspace.Options{MaxK: k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("query %d profile %d K=%d", i, 100+i, k), sp)
-		}
-	}
-}
-
-func TestValidateLengthMismatches(t *testing.T) {
-	in, _ := NewInstance([]float64{0.8, 0.5}, []float64{1, 2}, []float64{0.5, 0.5}, 1, 10)
-	bad := *in
-	bad.Doi = bad.Doi[:1]
-	if bad.Validate() == nil {
-		t.Error("short Doi must fail")
-	}
-	bad2 := *in
-	bad2.S = nil
-	if bad2.Validate() == nil {
-		t.Error("missing S must fail")
-	}
-	bad3 := *in
-	bad3.S = []int{1, 0}
-	if in.Shrink[0] != in.Shrink[1] {
-		if bad3.Validate() == nil && in.Shrink[1] > in.Shrink[0] {
-			t.Error("mis-sorted S must fail")
-		}
+	d, c, s := in.doiSpace().vec, in.CostOrder(), sizeVector(in)
+	if !slices.Equal(d, wantD) || !slices.Equal(c, wantC) || !slices.Equal(s, wantS) {
+		t.Errorf("D=%v C=%v S=%v", d, c, s)
 	}
 }
 

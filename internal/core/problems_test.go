@@ -170,7 +170,7 @@ func spreadProblems(in *Instance) []Problem {
 		windows = append(windows, window{lo, lo + ab[1]*(in.BaseSize-lo)})
 	}
 	var out []Problem
-	for _, cmax := range []float64{in.Cost[in.C[in.K-1]] / 2, 0.15 * sup, 0.5 * sup, 1.001 * sup} {
+	for _, cmax := range []float64{in.Cost[in.CostOrder()[in.K-1]] / 2, 0.15 * sup, 0.5 * sup, 1.001 * sup} {
 		out = append(out, Problem2(cmax))
 	}
 	for _, dmin := range []float64{0.5 * top, 0.9 * top, top, (1 + top) / 2} {

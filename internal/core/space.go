@@ -27,9 +27,9 @@ func logWeight(f float64) float64 {
 // space is one of the paper's search spaces: positions 0..K−1 over a
 // pointer vector, with a per-position weight that is non-increasing in the
 // position index (the space's own ordering parameter: cost for the C space,
-// doi for the D space, size shrink for the S space). Transitions use the
-// weights only to order neighbors; feasibility is checked by the algorithms
-// against the CQP constraints, which may concern a different parameter.
+// doi for the D space). Transitions use the weights only to order
+// neighbors; feasibility is checked by the algorithms against the CQP
+// constraints, which may concern a different parameter.
 //
 // A space is built per search and never shared between goroutines, so it
 // also carries the search's scratch.
@@ -40,10 +40,6 @@ type space struct {
 	stride int       // words per node: ⌈K/64⌉, and 1 for the empty space
 	keys   []float64 // vertical's sort keys, one per neighbor
 	nbr    node      // vertical's neighbor in the making
-	// costOrdered says that w is the cost of each position and is exactly
-	// non-increasing, which is what lets growByCost decide a growth step by
-	// one comparison. Only costSpace sets it, from what it observes.
-	costOrdered bool
 }
 
 // newSpace is the one place the node width is chosen: K alone picks it.
@@ -55,17 +51,14 @@ func newSpace(vec []int) *space {
 	return s
 }
 
-// costSpace builds the C-based space (Section 5.2.1). rankBy orders C by
-// exactly non-increasing cost, but Instance.C is an exported field and
-// Validate tolerates 1e-9, so the order is checked here, not assumed.
+// costSpace builds the C-based space (Section 5.2.1). CostOrder sorts by
+// the strict comparison, so w is exactly non-increasing, which growByCost
+// relies on; no NaN cost can break that order, as NewInstance rejects NaN
+// and FromSpace's costs are finite block sums.
 func (in *Instance) costSpace() *space {
-	s := newSpace(in.C)
-	s.costOrdered = true
-	for pos, p := range in.C {
+	s := newSpace(in.CostOrder())
+	for pos, p := range s.vec {
 		s.w[pos] = in.Cost[p]
-		if pos > 0 && !(s.w[pos] <= s.w[pos-1]) {
-			s.costOrdered = false
-		}
 	}
 	return s
 }
@@ -78,17 +71,6 @@ func (in *Instance) doiSpace() *space {
 	for i := range s.vec {
 		s.vec[i] = i
 		s.w[i] = logWeight(1 - in.Doi[i])
-	}
-	return s
-}
-
-// sizeSpace builds the S-based space (Section 6, Problem 1): positions
-// ordered by increasing size(Q ∧ p), i.e. decreasing shrink weight. The
-// transition tests walk it; no solver does.
-func (in *Instance) sizeSpace() *space {
-	s := newSpace(in.S)
-	for pos, p := range in.S {
-		s.w[pos] = logWeight(in.Shrink[p])
 	}
 	return s
 }

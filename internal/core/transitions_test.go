@@ -22,6 +22,23 @@ func figure4Space(t *testing.T) (*Instance, *space) {
 	return in, in.costSpace()
 }
 
+// sizeVector is the paper's S vector (Table 2): P positions ordered by
+// non-decreasing shrink, which is non-decreasing size, equal shrinks in P
+// order. No solver walks it; the transition tests walk its space.
+func sizeVector(in *Instance) []int {
+	return rankBy(in.K, func(a, b int) bool { return in.Shrink[a] < in.Shrink[b] })
+}
+
+// sizeSpace builds the S-based space (Section 6, Problem 1): positions
+// ordered by increasing size(Q ∧ p), i.e. decreasing shrink weight.
+func (in *Instance) sizeSpace() *space {
+	s := newSpace(sizeVector(in))
+	for pos, p := range s.vec {
+		s.w[pos] = logWeight(in.Shrink[p])
+	}
+	return s
+}
+
 // nodeOf builds a node just wide enough for the given positions.
 func nodeOf(positions ...int) node {
 	top := 0

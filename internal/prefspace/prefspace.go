@@ -2,8 +2,8 @@
 // (Section 4.4, Figure 3): given a query Q and a user profile U, it
 // extracts the set P of atomic and implicit selection preferences related
 // to Q in decreasing order of doi, each with its estimated cost and size
-// parameters. The paper's D vector is the identity over P; the C and S
-// vectors the searches walk are derived from P by core.FromSpace.
+// parameters. The paper's D vector is the identity over P; the C vector
+// the cost searches walk is derived from P's costs by core's CostOrder.
 //
 // The traversal is best-first over the personalization graph: a priority
 // queue of candidate paths ordered by doi. Because f⊗ is non-increasing in

@@ -140,8 +140,10 @@ func (c *Cache) Len() int {
 // it bounds the memo's text at maxMemoSQL × entries bytes.
 const maxMemoSQL = 8 << 10
 
-// parsedQuery is a SQL text's parsed form and fingerprint. Requests that sent
-// the text share the query and must not write to it (rewrite works on clones).
+// parsedQuery is a SQL text's parsed form and the fingerprint the cache keys
+// carry: the query's Fingerprint, marked when the query is DISTINCT. Requests
+// that sent the text share the query and must not write to it (rewrite works
+// on clones).
 type parsedQuery struct {
 	q  *cqp.Query
 	fp string
@@ -183,6 +185,11 @@ func (m *queryMemo) parse(schema *cqp.Schema, sql string) (parsedQuery, error) {
 		return parsedQuery{}, err
 	}
 	p = parsedQuery{q: q, fp: q.Fingerprint()}
+	if q.Distinct {
+		// Fingerprint leaves DISTINCT out, and an answer that integrates no
+		// preference is Q itself, where it shows.
+		p.fp += "|distinct"
+	}
 	if len(sql) <= maxMemoSQL {
 		m.mu.Lock()
 		if len(m.m) >= m.max {

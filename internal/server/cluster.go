@@ -282,14 +282,21 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	// Compared once the body is in: a ring commit while it was read must
-	// refuse it, as a pull that spans an epoch change installs nothing.
+	// refuse it, as a pull that spans an epoch change installs nothing. A
+	// sync body is installed under the epoch compared here, so a commit
+	// after the comparison refuses it too.
+	epoch := s.cluster.Epoch()
 	if eh := r.URL.Query().Get("epoch"); eh != "" {
-		if se, err := strconv.ParseUint(eh, 10, 64); err == nil && se != s.cluster.Epoch() {
+		if se, err := strconv.ParseUint(eh, 10, 64); err == nil && se != epoch {
 			s.writeWrongEpoch(w, "replicate")
 			return
 		}
 	}
-	applied, changed, err := s.cluster.ApplyReplicate(from, r.URL.Query().Get("sync") == "1", body)
+	applied, changed, err := s.cluster.ApplyReplicate(from, r.URL.Query().Get("sync") == "1", epoch, body)
+	if cluster.IsWrongEpoch(err) {
+		s.writeWrongEpoch(w, "replicate")
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return

@@ -213,8 +213,8 @@ func TestHitAllocs(t *testing.T) {
 // whole pipeline runs — for a stored 64-atom profile, through the handler.
 // What is left is net/http, the decode, the response's encode and the
 // pipeline's own results; nothing is cloned or rendered twice on the way.
-// It makes 105 (111 under the race detector); 107 while query construction's
-// scratch escaped to the heap. The bounds sit about 2 % above the counts.
+// It makes 103 (109 under the race detector); the bounds sit about 2 % above
+// the counts.
 func TestMissAllocs(t *testing.T) {
 	s := newTestDaemon(t, Config{})
 	if _, err := s.store.Put("alice", cqp.SyntheticProfile(60, 3).String()); err != nil {
@@ -239,9 +239,9 @@ func TestMissAllocs(t *testing.T) {
 	}
 	serve() // warms the query memo and the estimate memo
 	misses := s.reg.Counter("server_cache_misses").Value()
-	n, bound := testing.AllocsPerRun(runs, serve), 107.0
+	n, bound := testing.AllocsPerRun(runs, serve), 105.0
 	if raceEnabled {
-		bound = 113
+		bound = 111
 	}
 	t.Logf("a cold POST /personalize at K = %d allocates %.0f times", k, n)
 	if n > bound {
@@ -261,8 +261,7 @@ func TestMissAllocs(t *testing.T) {
 // sub-queries, one per preference of K = 20 — through the handler. What
 // executing adds is the plan, factored once from Q and the preferences, its
 // one pass and the execute span: no sub-query is built as a query. They
-// make 454 and 472 (456 and 474 while query construction's scratch escaped
-// to the heap); the bounds sit 4 and 6 above.
+// make 452 and 470; the bounds sit 4 and 6 above.
 func TestExecuteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the executor's paths")
@@ -276,8 +275,8 @@ func TestExecuteAllocs(t *testing.T) {
 		path, body string
 		max        float64
 	}{
-		{"/execute", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","limit":5,"problem":{"number":2,"cmax_ms":%d}}`, 458},
-		{"/topk", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","k":5,"max_k":20,"cmax_ms":%d}`, 478},
+		{"/execute", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","limit":5,"problem":{"number":2,"cmax_ms":%d}}`, 456},
+		{"/topk", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","k":5,"max_k":20,"cmax_ms":%d}`, 476},
 	} {
 		bodies := make([][]byte, runs+2)
 		for i := range bodies {
@@ -456,4 +455,37 @@ func TestParsedQueryShared(t *testing.T) {
 			t.Errorf("%d memo entries and %d cache entries, want 2 and 1", len(s.queries.m), s.cache.Len())
 		}
 	})
+}
+
+// TestDistinctKeyedApart: a query and its DISTINCT form share a fingerprint,
+// but for a profile with no preference on the query the answer is the query
+// itself, so they must not share a cache entry: each is served its own SQL,
+// fresh, on both /personalize and /execute.
+func TestDistinctKeyedApart(t *testing.T) {
+	s := newTestDaemon(t, Config{})
+	if _, err := s.store.Put("alice", "doi(DIRECTOR.name = 'nobody') = 0.5\n"); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, path := range []string{"/personalize", "/execute"} {
+		for _, sql := range []string{"SELECT MOVIE.year FROM MOVIE", "SELECT DISTINCT MOVIE.year FROM MOVIE"} {
+			body, err := json.Marshal(map[string]any{"sql": sql, "profile_id": "alice",
+				"problem": map[string]any{"number": 2, "cmax_ms": 100000}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			var got struct {
+				SQL    string `json:"sql"`
+				Cached bool   `json:"cached"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+				t.Fatalf("%s %q: %d %s", path, sql, rec.Code, rec.Body)
+			}
+			if got.SQL != sql || got.Cached {
+				t.Errorf("%s %q: served %q, cached %v; want its own text, fresh", path, sql, got.SQL, got.Cached)
+			}
+		}
+	}
 }
