@@ -75,6 +75,9 @@ func servedEqualsFresh(t *testing.T) *Server {
 		testSQL,
 		"SELECT title FROM MOVIE WHERE year >= 1990",
 		"SELECT title, name FROM MOVIE, DIRECTOR WHERE MOVIE.did = DIRECTOR.did",
+		// The same query with its relations and its join written the other
+		// way round: it renders, and so personalizes, to other bytes.
+		"SELECT title, name FROM DIRECTOR, MOVIE WHERE DIRECTOR.did = MOVIE.did",
 	}
 
 	var tick atomic.Int64
