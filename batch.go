@@ -32,27 +32,26 @@ type BatchResult struct {
 	Duplicate bool
 }
 
-// fingerprint derives the batch-dedup identity of an item: the query's
-// canonical fingerprint and its DISTINCT flag (which the fingerprint leaves
-// out, and an item that integrates no preference answers with Q itself),
-// the profile text, the problem, and the resolved options — written as
-// explicit named fields, not a %+v of the options struct, so a field rename
-// or reorder can never silently change dedup identity. Two items with equal
-// fingerprints would run the exact same pipeline, so one run can answer
-// both.
-func (it BatchItem) fingerprint() string {
+// identity derives the batch-dedup identity of an item: a hash of the
+// query's rendering (its SQL(), which the personalized query is built from,
+// DISTINCT, clause order, ORDER BY and LIMIT included), the profile text,
+// the problem, and the resolved options — written as explicit named fields,
+// not a %+v of the options struct, so a field rename or reorder can never
+// silently change dedup identity. Two items with equal identities would run
+// the exact same pipeline, so one run can answer both.
+func (it BatchItem) identity() string {
 	o := defaultOptions()
 	for _, fn := range it.Opts {
 		fn(&o)
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|d=%v|%s|%s|a=%s k=%d any=%v merge=%v b=%d",
-		it.Query.Fingerprint(), it.Query.Distinct, it.Profile.String(), it.Problem,
+	fmt.Fprintf(h, "%s|%s|%s|a=%s k=%d any=%v merge=%v b=%d",
+		it.Query.SQL(), it.Profile.String(), it.Problem,
 		o.algorithm, o.maxK, o.anyMatch, o.merge, o.budget)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// dedupBatch partitions items into leaders (first item per fingerprint)
+// dedupBatch partitions items into leaders (first item per identity)
 // and followers, recording input errors for invalid items.
 func dedupBatch(items []BatchItem, out []BatchResult) (leaders []int, followers map[int][]int) {
 	leaders = make([]int, 0, len(items))
@@ -63,12 +62,12 @@ func dedupBatch(items []BatchItem, out []BatchResult) (leaders []int, followers 
 			out[i].Err = fmt.Errorf("cqp: batch item %d: query and profile are required", i)
 			continue
 		}
-		fp := it.fingerprint()
-		if li, ok := leaderOf[fp]; ok {
+		id := it.identity()
+		if li, ok := leaderOf[id]; ok {
 			followers[li] = append(followers[li], i)
 			continue
 		}
-		leaderOf[fp] = i
+		leaderOf[id] = i
 		leaders = append(leaders, i)
 	}
 	return leaders, followers
@@ -116,10 +115,10 @@ func runBatch(leaders []int, followers map[int][]int, out []BatchResult, paralle
 
 // PersonalizeBatch personalizes many (query, profile, problem) items in one
 // call — the serving shape of a list page, where one screen fans into many
-// closely related personalizations. Items are deduplicated by fingerprint
-// (query + profile + problem + options) so each distinct pipeline runs
-// once, distinct items run across a bounded worker group (parallelism ≤ 0
-// selects GOMAXPROCS), and results come back in input order, one per item,
+// closely related personalizations. Items are deduplicated by identity
+// (query rendering + profile + problem + options) so each distinct pipeline
+// runs once, distinct items run across a bounded worker group (parallelism
+// ≤ 0 selects GOMAXPROCS), and results come back in input order, one per item,
 // with per-item errors: a malformed item fails alone without poisoning its
 // batch. Distinct items also share work below the dedup layer: every
 // per-preference cost/shrink estimate lands in the estimator's

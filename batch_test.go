@@ -101,6 +101,46 @@ func TestBatchDistinctNotDuplicate(t *testing.T) {
 	}
 }
 
+// TestBatchReorderedNotDuplicate: a query and its twin with the relations and
+// the join written the other way round share a fingerprint but not a batch
+// run: a personalized query keeps Q's clause order, so each item is answered
+// the SQL that Personalize renders for it.
+func TestBatchReorderedNotDuplicate(t *testing.T) {
+	p, _, u, cost := batchSetup(t)
+	var qs []*Query
+	for _, sql := range []string{
+		"SELECT title, name FROM MOVIE, DIRECTOR WHERE MOVIE.did = DIRECTOR.did",
+		"SELECT title, name FROM DIRECTOR, MOVIE WHERE DIRECTOR.did = MOVIE.did",
+	} {
+		q, err := ParseQuery(p.db.Schema(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	prob := Problem2(cost * 20)
+	var want []string
+	for _, q := range qs {
+		r, err := p.Personalize(q, u, prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r.SQL)
+	}
+	if qs[0].Fingerprint() != qs[1].Fingerprint() || want[0] == want[1] {
+		t.Fatal("the twins no longer share a fingerprint and personalize apart; the test asks nothing")
+	}
+	res := p.PersonalizeBatch(context.Background(), []BatchItem{
+		{Query: qs[0], Profile: u, Problem: prob},
+		{Query: qs[1], Profile: u, Problem: prob},
+	}, 2)
+	for i, r := range res {
+		if r.Err != nil || r.Duplicate || r.Result.SQL != want[i] {
+			t.Errorf("item %d: %+v, want its own answer %q", i, r, want[i])
+		}
+	}
+}
+
 // TestPersonalizeBatchCancelled: a dead context fails every distinct item
 // with its error rather than hanging or panicking.
 func TestPersonalizeBatchCancelled(t *testing.T) {

@@ -124,11 +124,11 @@ doi(MOVIE.year >= 1990) = 0.7
 }
 
 // ExamplePersonalizer_Personalize_distinct shows when a query and its
-// DISTINCT form, which share a fingerprint, personalize alike. With a
-// preference integrated they do, byte for byte: every sub-query selects
-// DISTINCT and their union is grouped on the projection. With none, the
-// answer is the query itself and DISTINCT shows, so the server's cache keys
-// and batch dedup carry the flag beside the fingerprint.
+// DISTINCT form personalize alike. With a preference integrated they do,
+// byte for byte: every sub-query selects DISTINCT and their union is grouped
+// on the projection. With none, the answer is the query itself and DISTINCT
+// shows, so the server's cache keys and batch dedup, which name a query by
+// its rendering, keep the two apart.
 func ExamplePersonalizer_Personalize_distinct() {
 	db := exampleDB()
 	p := cqp.NewPersonalizer(db)

@@ -1,11 +1,13 @@
 // Package catalog builds and serves the statistics that CQP's Parameter
 // Estimation module consumes: relation cardinalities and block counts,
-// per-column distinct counts, value frequencies, and min/max bounds.
+// per-column distinct counts, value frequencies, and an equi-depth histogram
+// per numeric column.
 //
 // The paper deliberately uses "a much less detailed cost model" than a query
 // optimizer (Section 2); accordingly the catalog provides exact equality
 // frequencies (the store is memory-resident, so maintaining them is free)
-// and uniform-spread range estimates, which is all the size estimator needs.
+// and range estimates read from the histogram, which is all the size
+// estimator needs.
 package catalog
 
 import (
@@ -22,8 +24,6 @@ type ColumnStats struct {
 	// Freq maps value hash -> occurrence count. Collisions are acceptable:
 	// the estimator tolerates approximation by design.
 	freq map[uint64]int
-	Min  value.Value
-	Max  value.Value
 	// NonNull is the number of non-NULL entries.
 	NonNull int
 	// Hist is an equi-depth histogram over numeric columns (nil otherwise),
@@ -80,12 +80,6 @@ func Build(db *storage.DB) (*Catalog, error) {
 					cs.Distinct++
 				}
 				cs.freq[h]++
-				if cs.Min.IsNull() || v.Less(cs.Min) {
-					cs.Min = v
-				}
-				if cs.Max.IsNull() || cs.Max.Less(v) {
-					cs.Max = v
-				}
 				if numeric[i] {
 					numVals[i] = append(numVals[i], v.AsFloat())
 				}
@@ -154,9 +148,10 @@ const (
 )
 
 // Selectivity estimates the fraction of the relation's rows satisfying
-// "attr op v", in [0, 1]. Equality uses exact frequencies; ranges use a
-// uniform spread between Min and Max. Unknown columns fall back to the
-// textbook default of 0.1 for equality and 1/3 for ranges.
+// "attr op v", in [0, 1]. Equality uses exact frequencies; a numeric range
+// reads the column's equi-depth histogram, and any other range is the
+// textbook 1/3. Unknown columns fall back to the textbook default of 0.1 for
+// equality and 1/3 for ranges.
 func (c *Catalog) Selectivity(a schema.AttrRef, op Op, v value.Value) float64 {
 	cs := c.column(a)
 	ts, _ := c.tables[a.Relation]
@@ -179,44 +174,15 @@ func (c *Catalog) Selectivity(a schema.AttrRef, op Op, v value.Value) float64 {
 	}
 }
 
-// rangeFraction estimates range selectivity. Numeric columns use the
-// equi-depth histogram; non-numeric ranges fall back to the textbook 1/3.
+// rangeFraction estimates range selectivity from the equi-depth histogram,
+// which Build gives every numeric column holding a non-null value; a
+// non-numeric column or bound is the textbook 1/3.
 func rangeFraction(cs *ColumnStats, op Op, v value.Value, n float64) float64 {
 	if cs.NonNull == 0 {
 		return 0
 	}
 	if cs.Hist == nil || !isNumeric(v) {
-		if !isNumeric(cs.Min) || !isNumeric(cs.Max) || !isNumeric(v) {
-			return 1.0 / 3.0
-		}
-		// Uniform-spread fallback (no histogram built).
-		lo, hi, x := cs.Min.AsFloat(), cs.Max.AsFloat(), v.AsFloat()
-		if hi <= lo { // single-valued column
-			switch op {
-			case OpLt:
-				return boolFrac(lo < x)
-			case OpLe:
-				return boolFrac(lo <= x)
-			case OpGt:
-				return boolFrac(lo > x)
-			default:
-				return boolFrac(lo >= x)
-			}
-		}
-		frac := (x - lo) / (hi - lo)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		nonNull := float64(cs.NonNull) / n
-		switch op {
-		case OpLt, OpLe:
-			return frac * nonNull
-		default:
-			return (1 - frac) * nonNull
-		}
+		return 1.0 / 3.0
 	}
 	nonNull := float64(cs.NonNull) / n
 	x := v.AsFloat()
@@ -234,13 +200,6 @@ func rangeFraction(cs *ColumnStats, op Op, v value.Value, n float64) float64 {
 
 func isNumeric(v value.Value) bool {
 	return v.Kind() == value.KindInt || v.Kind() == value.KindFloat
-}
-
-func boolFrac(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // JoinSelectivity estimates the selectivity of the equi-join left = right

@@ -5,7 +5,7 @@ import "sort"
 // Histogram is an equi-depth (equi-height) histogram over a numeric
 // column: buckets hold approximately equal row counts, so skewed
 // distributions — precisely the Zipf-shaped catalogs the workload
-// generator produces — estimate far better than the uniform-spread model.
+// generator produces — estimate far better than a uniform spread would.
 // The paper's estimator tolerates approximation by design (Section 4.3);
 // the histogram narrows it where it costs nothing to maintain.
 type Histogram struct {

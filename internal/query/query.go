@@ -480,7 +480,9 @@ func (q *Query) SQL() string {
 func (q *Query) String() string { return q.SQL() }
 
 // Fingerprint returns a canonical textual identity for the query,
-// independent of clause ordering, for caching and deduplication.
+// independent of clause ordering and of DISTINCT. Only the benchmark's query
+// generator dedups by it: the result cache and batch dedup name a query by
+// its SQL(), since a personalized query keeps Q's clauses in Q's order.
 func (q *Query) Fingerprint() string {
 	from := append([]string(nil), q.From...)
 	sort.Strings(from)

@@ -35,7 +35,7 @@ func (e *cacheEntry) hitBody(ep *endpoint) []byte {
 }
 
 // Cache is the daemon's result cache: one LRU with one entry per request
-// identity — (endpoint, solver parameters, profile ID, query fingerprint), the
+// identity — (endpoint, solver parameters, profile ID, query rendering), the
 // exact key without its @<profile version>g<statistics generation> suffix —
 // holding the identity's last full-fidelity answer and the exact key it was
 // computed under. A request hits iff that key is its own, so a profile
@@ -140,17 +140,18 @@ func (c *Cache) Len() int {
 // it bounds the memo's text at maxMemoSQL × entries bytes.
 const maxMemoSQL = 8 << 10
 
-// parsedQuery is a SQL text's parsed form and the fingerprint the cache keys
-// carry: the query's Fingerprint, marked when the query is DISTINCT. Requests
-// that sent the text share the query and must not write to it (rewrite works
-// on clones).
+// parsedQuery is a SQL text's parsed form and its rendering, q.SQL(), the
+// name the cache keys carry: the personalized query is built from Q's own
+// clauses in Q's order, so two texts are answered alike exactly when they
+// render alike. Requests that sent the text share the query and must not
+// write to it (rewrite works on clones).
 type parsedQuery struct {
-	q  *cqp.Query
-	fp string
+	q   *cqp.Query
+	sql string
 }
 
 // queryMemo remembers SQL text → parsed query, so a text the server has seen
-// is neither parsed nor fingerprinted again. The schema is fixed for the
+// is neither parsed nor rendered again. The schema is fixed for the
 // server's lifetime, so an entry is never wrong; at capacity the map is
 // flushed (the estimate memo's rule) and refills at one parse per live text.
 type queryMemo struct {
@@ -184,12 +185,7 @@ func (m *queryMemo) parse(schema *cqp.Schema, sql string) (parsedQuery, error) {
 	if err != nil {
 		return parsedQuery{}, err
 	}
-	p = parsedQuery{q: q, fp: q.Fingerprint()}
-	if q.Distinct {
-		// Fingerprint leaves DISTINCT out, and an answer that integrates no
-		// preference is Q itself, where it shows.
-		p.fp += "|distinct"
-	}
+	p = parsedQuery{q: q, sql: q.SQL()}
 	if len(sql) <= maxMemoSQL {
 		m.mu.Lock()
 		if len(m.m) >= m.max {

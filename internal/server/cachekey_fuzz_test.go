@@ -13,9 +13,9 @@ var fuzzEndpoints = []*endpoint{personalizeEndpoint, executeEndpoint, frontEndpo
 
 // fuzzCall is a prepared cacheable call as prepare leaves it, from parts a
 // client chooses: the endpoint, its parameters, the profile ID and — through
-// the literals of its SQL — the fingerprint.
-func fuzzCall(ep uint8, alg, id, fp string, cmax float64, k int64, version, generation uint64) *call {
-	c := &call{ep: fuzzEndpoints[ep%4], parsedQuery: parsedQuery{fp: fp}, version: version}
+// its SQL — the query's rendering.
+func fuzzCall(ep uint8, alg, id, sql string, cmax float64, k int64, version, generation uint64) *call {
+	c := &call{ep: fuzzEndpoints[ep%4], parsedQuery: parsedQuery{sql: sql}, version: version}
 	in := common{ProfileID: id}
 	switch c.ep {
 	case frontEndpoint:
@@ -31,32 +31,32 @@ func fuzzCall(ep uint8, alg, id, fp string, cmax float64, k int64, version, gene
 
 // FuzzCacheKey searches for two requests that the appended keys confuse. The
 // identity is the result cache's index and the exact key decides a hit, so:
-// requests that differ in endpoint, parameters, profile ID or fingerprint
+// requests that differ in endpoint, parameters, profile ID or rendering
 // never share an identity; requests that differ in anything, version and
 // generation included, never share an exact key; the identity is a strict
 // prefix of the exact key; and the batch identity of an uncacheable twin is
 // nobody's cache key. testdata/fuzz/FuzzCacheKey seeds it.
 func FuzzCacheKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T,
-		epA uint8, algA, idA, fpA string, cmaxA float64, kA int64, verA, genA uint64,
-		epB uint8, algB, idB, fpB string, cmaxB float64, kB int64, verB, genB uint64) {
+		epA uint8, algA, idA, sqlA string, cmaxA float64, kA int64, verA, genA uint64,
+		epB uint8, algB, idB, sqlB string, cmaxB float64, kB int64, verB, genB uint64) {
 		if cmaxA != cmaxA || cmaxB != cmaxB || idA == "" || idB == "" {
 			t.Skip("NaN never equals itself; a call without a profile ID is not cacheable")
 		}
-		a := fuzzCall(epA, algA, idA, fpA, cmaxA, kA, verA, genA)
-		b := fuzzCall(epB, algB, idB, fpB, cmaxB, kB, verB, genB)
+		a := fuzzCall(epA, algA, idA, sqlA, cmaxA, kA, verA, genA)
+		b := fuzzCall(epB, algB, idB, sqlB, cmaxB, kB, verB, genB)
 		for _, c := range []*call{a, b} {
 			if len(c.staleKey) == 0 || len(c.staleKey) >= len(c.key) || !strings.HasPrefix(c.key, c.staleKey) {
 				t.Fatalf("identity %q is not a strict prefix of the exact key %q", c.staleKey, c.key)
 			}
 		}
-		sameWork := a.ep == b.ep && a.req.extra() == b.req.extra() && idA == idB && fpA == fpB
+		sameWork := a.ep == b.ep && a.req.extra() == b.req.extra() && idA == idB && sqlA == sqlB
 		if !sameWork && a.staleKey == b.staleKey {
-			t.Fatalf("different work, one identity %q:\n%+v %q\n%+v %q", a.staleKey, a.req, fpA, b.req, fpB)
+			t.Fatalf("different work, one identity %q:\n%+v %q\n%+v %q", a.staleKey, a.req, sqlA, b.req, sqlB)
 		}
 		if (!sameWork || verA != verB || genA != genB) && a.key == b.key {
 			t.Fatalf("different work or state, one exact key %q:\n%+v %q @%d g%d\n%+v %q @%d g%d",
-				a.key, a.req, fpA, verA, genA, b.req, fpB, verB, genB)
+				a.key, a.req, sqlA, verA, genA, b.req, sqlB, verB, genB)
 		}
 		// a's twin that asked for a fresh run: what dedups it inside a batch
 		// must never be mistaken for a key the cache or a flight is under.

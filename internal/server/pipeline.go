@@ -246,7 +246,7 @@ type call struct {
 	req request
 
 	// q is shared with every request that sent the same SQL text (the query
-	// memo's parse) — read, never written; fp is its fingerprint.
+	// memo's parse) — read, never written; sql is its rendering.
 	parsedQuery
 	prof    *cqp.Profile
 	version uint64
@@ -302,7 +302,8 @@ func appendText(b []byte, s string) []byte {
 }
 
 // appendIdentity appends what names the call's work at any profile version:
-// endpoint, solver parameters, profile (ID or inline text's hash), fingerprint.
+// endpoint, solver parameters, profile (ID or inline text's hash), and last
+// the query's rendering.
 func (c *call) appendIdentity(b []byte) []byte {
 	b = append(append(b, c.ep.name...), '|')
 	b = c.req.extra().appendTo(b)
@@ -313,7 +314,7 @@ func (c *call) appendIdentity(b []byte) []byte {
 		h.Write([]byte(in.Profile))
 		b = strconv.AppendUint(append(b, "|inline"...), h.Sum64(), 16)
 	}
-	return append(append(b, '|'), c.fp...)
+	return append(append(b, '|'), c.sql...)
 }
 
 // prepare resolves a decoded body into a runnable call: the parsed query

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -401,8 +404,8 @@ func TestParsedQueryShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pq := shared.queries.m[sql]; !reflect.DeepEqual(pq.q, want) || pq.fp != want.Fingerprint() {
-		t.Errorf("the memoized query changed under its readers: %+v (fingerprint %q), a fresh parse is %+v", pq.q, pq.fp, want)
+	if pq := shared.queries.m[sql]; !reflect.DeepEqual(pq.q, want) || pq.sql != want.SQL() {
+		t.Errorf("the memoized query changed under its readers: %+v (rendering %q), a fresh parse is %+v", pq.q, pq.sql, want)
 	}
 	parses := int64(users * (len(paths) + 1)) // a batch prepares its two items
 	if h, m := shared.queries.hits.Value(), shared.queries.misses.Value(); m < 1 || m > users || h+m != parses {
@@ -436,13 +439,13 @@ func TestParsedQueryShared(t *testing.T) {
 		}
 	})
 
-	// The result cache is keyed by fingerprint, not text: two spellings of
-	// one query are two memo entries and one cache entry.
+	// The result cache is keyed by rendering, not text: two spellings of one
+	// query in one clause order are two memo entries and one cache entry.
 	t.Run("spellings", func(t *testing.T) {
 		s := newServer(Config{})
 		for i, text := range []string{
 			"SELECT title FROM MOVIE WHERE year >= 1990 AND duration < 120",
-			"select  title from MOVIE where duration < 120 and year >= 1990",
+			"select  title from MOVIE where year>=1990 and duration < 120",
 		} {
 			body, _ := json.Marshal(map[string]any{"sql": text, "profile_id": "u0", "problem": solveParams["problem"]})
 			rec := httptest.NewRecorder()
@@ -488,4 +491,97 @@ func TestDistinctKeyedApart(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFingerprintPairsServed replays FuzzFingerprint's seed pairs through one
+// daemon: each pair's first text, then its second, on /personalize and
+// /execute for a profile of the pair's own. The second body must equal the
+// fresh answer to its own text, and come from the cache exactly when the two
+// texts render alike: of the pairs that share a fingerprint, a change of case,
+// spacing or qualification does; reordered clauses and DISTINCT do not.
+func TestFingerprintPairsServed(t *testing.T) {
+	dir := filepath.Join("..", "sqlparse", "testdata", "fuzz", "FuzzFingerprint")
+	seeds, err := os.ReadDir(dir)
+	if err != nil || len(seeds) == 0 {
+		t.Fatalf("%d seeds: %v", len(seeds), err)
+	}
+	alike := map[string]bool{"bare-and-qualified": true, "lower-case-and-spacing": true}
+	s := newTestDaemon(t, Config{})
+	h := s.Handler()
+	o := &freshOracle{t: t, s: s, byGen: make(map[uint64]*Server)}
+	gen := s.p.Generation()
+	for _, seed := range seeds {
+		pair := seedPair(t, filepath.Join(dir, seed.Name()))
+		id, text := "u-"+seed.Name(), cqp.SyntheticProfile(12, 3).String()
+		sp, err := s.store.Put(id, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.puts = append(o.puts, servedPut{id: id, text: text, version: sp.Version})
+		for _, ep := range []*endpoint{personalizeEndpoint, executeEndpoint} {
+			path := "/" + ep.name
+			for i, sql := range pair {
+				req := map[string]any{"sql": sql, "profile_id": id, "k": 6,
+					"problem": map[string]any{"number": 2, "cmax_ms": 10000}}
+				if ep == executeEndpoint {
+					req["limit"] = 3
+				}
+				body, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					// A union plan refuses a LIMIT: the fresh run must refuse alike.
+					_, err := o.fresh(ep, body, o.puts[len(o.puts)-1], gen, "", nil)
+					if rec.Code != http.StatusBadRequest || err == nil || !strings.Contains(rec.Body.String(), err.Error()) {
+						t.Errorf("%s %s %q: %d %s; the fresh run: %v", seed.Name(), path, sql, rec.Code, rec.Body, err)
+					} else if i == 1 {
+						o.checks++
+					}
+					continue
+				}
+				var got struct {
+					Cached bool `json:"cached"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+					t.Fatalf("%s %s %q: %v: %s", seed.Name(), path, sql, err, rec.Body)
+				}
+				if i == 0 {
+					continue
+				}
+				if got.Cached != alike[seed.Name()] {
+					t.Errorf("%s %s: %q after %q answered cached %v, want %v",
+						seed.Name(), path, sql, pair[0], got.Cached, alike[seed.Name()])
+				}
+				c := servedCall{path: path, sent: 1, received: 1, gen: [2]uint64{gen, gen}}
+				o.check(c, ep, id, body, rec.Body.Bytes(), nil)
+			}
+		}
+	}
+	if want := 2 * len(seeds); o.checks != want {
+		t.Errorf("%d second answers equal their fresh ones, want %d", o.checks, want)
+	}
+}
+
+// seedPair reads the two strings of a two-string fuzz seed file.
+func seedPair(t *testing.T, path string) [2]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	var pair [2]string
+	if len(lines) != 3 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a two-string seed: %q", path, raw)
+	}
+	for i, l := range lines[1:] {
+		quoted, ok := strings.CutPrefix(l, "string(")
+		if pair[i], err = strconv.Unquote(strings.TrimSuffix(quoted, ")")); !ok || err != nil {
+			t.Fatalf("%s: line %d is not a string: %q", path, i+2, l)
+		}
+	}
+	return pair
 }

@@ -9,19 +9,23 @@ import (
 	"cqp/internal/testutil"
 )
 
-// FuzzFingerprint is FuzzParse's converse. The server's result cache and
-// batch dedup key on Fingerprint(), so two texts that parse to one
-// fingerprint must be one query: their SQL() renderings are equal once each
-// query's FROM list, joins and selections are put in one order and Distinct
-// is cleared. Those are the two things a fingerprint leaves out: clause
-// order, by design, and DISTINCT, which a personalized query with at least
-// one preference makes moot (ExamplePersonalizer_Personalize_distinct in
-// the root package). testdata/fuzz/FuzzFingerprint seeds it with pairs that
-// share a fingerprint — DISTINCT and not, relations, joins and selections
+// FuzzFingerprint is FuzzParse's converse. The benchmark's query generator
+// dedups by Fingerprint(), so two texts that parse to one fingerprint must
+// be one query: their SQL() renderings are equal once each query's FROM
+// list, joins and selections are put in one order and Distinct is cleared.
+// Those are the two things a fingerprint leaves out, and why the result
+// cache and batch dedup name a query by its SQL() instead: a personalized
+// query keeps Q's clause order, and with no preference integrated it is Q,
+// DISTINCT and all (ExamplePersonalizer_Personalize_distinct in the root
+// package). testdata/fuzz/FuzzFingerprint seeds it with pairs that share a
+// fingerprint — DISTINCT and not, relations, joins and selections
 // reordered, a join written right to left, bare and qualified columns,
 // lower-case keywords, spacing — and pairs that differ in one literal, one
 // operator, a projection's order, ORDER BY or LIMIT, or in a literal that
-// holds the fingerprint's separators.
+// holds the fingerprint's separators. Of the pairs that share a
+// fingerprint, only bare-and-qualified and lower-case-and-spacing render
+// alike; the server package's TestFingerprintPairsServed replays every pair
+// through one daemon.
 func FuzzFingerprint(f *testing.F) {
 	s := testutil.MovieSchema()
 	f.Fuzz(func(t *testing.T, a, b string) {

@@ -7,10 +7,11 @@ import (
 )
 
 // FuzzParse searches for SQL text the parser mishandles. The server's query
-// memo parses a text once and shares the *Query among every request whose
-// SQL has that fingerprint, so: parsing never panics; a query that parses
+// memo parses a text once, and the result cache and batch dedup name the
+// query by its SQL(), so: parsing never panics; a query that parses
 // re-parses from its own SQL() to a query with the same Fingerprint(); and
-// that second rendering is the first one, byte for byte.
+// that second rendering is the first one, byte for byte — a text and its
+// rendering get one cache key.
 // testdata/fuzz/FuzzParse seeds it with the statements of parser_test.go
 // and orderlimit_test.go.
 func FuzzParse(f *testing.F) {

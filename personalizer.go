@@ -171,7 +171,7 @@ type options struct {
 }
 
 // defaultOptions is the single source of the per-call knob defaults.
-// PersonalizeContext, PersonalizeFrontContext and BatchItem.fingerprint
+// PersonalizeContext, PersonalizeFrontContext and BatchItem.identity
 // all resolve options through it, so batch-dedup identity can never drift
 // from the defaults the pipeline actually runs — a default changed in one
 // site used to silently merge batch items whose effective behavior
