@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cqp"
+	"cqp/internal/value"
 )
 
 // countdownCtx is a context whose Err() reports healthy for the first fuse
@@ -119,10 +120,14 @@ func TestPipelineCancelledAtEveryPhase(t *testing.T) {
 }
 
 // TestPipelineCancelledInIteratorTree aims the countdown fuse at the
-// streaming executor: a join query over a larger database forces the
-// iterator tree through scan, join-build, probe, distinct and union
-// grouping checkpoints (one poll every few dozen rows), and every sampled
-// fuse must abort with ctx.Err() rather than finish on a dead context.
+// executor: a join query over a larger database forces the execution
+// through the fill of its base — a scan, index probes and the grouping of
+// the join's tuples — and through the build of every sub-query's group
+// bitmap: reducer trees and a test per group (one poll every few dozen rows
+// or groups). Every run first inserts a director who directs nothing, so
+// that the base it reads is stale and its execution fills it and builds
+// every bitmap again; every sampled fuse must abort with ctx.Err() rather
+// than finish on a dead context.
 func TestPipelineCancelledInIteratorTree(t *testing.T) {
 	db := cqp.SyntheticMovieDB(600, 4)
 	p := cqp.NewPersonalizer(db)
@@ -131,6 +136,12 @@ func TestPipelineCancelledInIteratorTree(t *testing.T) {
 		"SELECT title FROM MOVIE, DIRECTOR WHERE MOVIE.did = DIRECTOR.did")
 	if err != nil {
 		t.Fatal(err)
+	}
+	directors := 0
+	runPipeline := func(ctx context.Context, p *cqp.Personalizer, q *cqp.Query, u *cqp.Profile) error {
+		directors++
+		db.MustTable("DIRECTOR").MustInsert(value.Int(int64(100000+directors)), value.Str("Nobody"))
+		return runPipeline(ctx, p, q, u)
 	}
 
 	// Warm the estimate memo first so the probe and every fused run cross

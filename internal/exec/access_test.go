@@ -19,30 +19,33 @@ import (
 // extended by one preference path whose reducer does or does not start at an
 // indexed end. memCAST is how many CAST rows the union scanned on the
 // in-memory tables — unbudgeted and under a spill budget — before reducers
-// were walked from an indexed end; a union reads all 1 587 on the block store
-// and under a scan share, then and now.
+// were walked from an indexed end; a union reads all 1 587 on the block store,
+// then and now, and so does a reducer under a scan share. A CAST that B
+// reads (inBase) is probed through its index when B is filled, under a
+// share too.
 var reducerShapes = []struct {
 	name, base, pref string
 	indexed          bool // the reducer starts at its indexed end on the in-memory tables
 	memCAST          int64
+	inBase           bool
 }{
 	// ACTOR's name chain, then CAST through its index on aid.
-	{"actor-name", "MOVIE", ", CAST, ACTOR WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00001'", true, 1587},
+	{"actor-name", "MOVIE", ", CAST, ACTOR WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00001'", true, 1587, false},
 	// GENRE's genre chain, then CAST through its index on mid.
-	{"genre-via-cast", "MOVIE", ", CAST, GENRE WHERE MOVIE.mid = CAST.mid AND CAST.mid = GENRE.mid AND GENRE.genre = 'genre00'", true, 1587},
+	{"genre-via-cast", "MOVIE", ", CAST, GENRE WHERE MOVIE.mid = CAST.mid AND CAST.mid = GENRE.mid AND GENRE.genre = 'genre00'", true, 1587, false},
 	// A filtered middle: CAST's build would not be its index, so the
 	// reducer starts at CAST's own 'lead' chain.
-	{"filtered-middle", "MOVIE", ", CAST, ACTOR WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND CAST.role = 'lead' AND ACTOR.name = 'Actor 00001'", false, 523},
+	{"filtered-middle", "MOVIE", ", CAST, ACTOR WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND CAST.role = 'lead' AND ACTOR.name = 'Actor 00001'", false, 523, false},
 	// A range at the far end: no equality chain to start from.
-	{"range-far-end", "MOVIE", ", CAST, ACTOR WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.aid <= 3", false, 1587},
+	{"range-far-end", "MOVIE", ", CAST, ACTOR WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.aid <= 3", false, 1587, false},
 	// A composite attachment: the reducer is GENRE alone, keyed on MOVIE.mid
 	// and CAST.mid; the base builds CAST from its index on mid.
-	{"composite-attachment", "MOVIE, CAST WHERE MOVIE.mid = CAST.mid", ", GENRE WHERE MOVIE.mid = CAST.mid AND GENRE.mid = MOVIE.mid AND CAST.mid = GENRE.mid AND GENRE.genre = 'genre00'", false, 0},
+	{"composite-attachment", "MOVIE, CAST WHERE MOVIE.mid = CAST.mid", ", GENRE WHERE MOVIE.mid = CAST.mid AND GENRE.mid = MOVIE.mid AND CAST.mid = GENRE.mid AND GENRE.genre = 'genre00'", false, 0, true},
 	// A two-column join inside the reducer: CAST's build has two key columns.
-	{"two-column-join", "MOVIE", ", CAST, ACTOR WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND CAST.mid = ACTOR.aid AND ACTOR.name = 'Actor 00024'", false, 1587},
+	{"two-column-join", "MOVIE", ", CAST, ACTOR WHERE MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND CAST.mid = ACTOR.aid AND ACTOR.name = 'Actor 00024'", false, 1587, false},
 	// A walk that fails midway: from DIRECTOR's name chain, ACTOR builds from
 	// its index, but CAST is filtered, so the reducer keeps GENRE as its seed.
-	{"seed-fallback", "MOVIE", ", GENRE, CAST, ACTOR, DIRECTOR WHERE MOVIE.mid = GENRE.mid AND GENRE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.aid = DIRECTOR.did AND CAST.role >= 'lead' AND DIRECTOR.name = 'Director 0003'", false, 1587},
+	{"seed-fallback", "MOVIE", ", GENRE, CAST, ACTOR, DIRECTOR WHERE MOVIE.mid = GENRE.mid AND GENRE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.aid = DIRECTOR.did AND CAST.role >= 'lead' AND DIRECTOR.name = 'Director 0003'", false, 1587, false},
 }
 
 // shapeSubs parses a shape into its union: the preference's sub-query, then
@@ -108,6 +111,7 @@ func TestReducerAccessPath(t *testing.T) {
 			subs := shapeSubs(p.db, s.base, s.pref)
 			want, blocks := independentUnion(t, p.db, subs)
 			scanned0 := reg.Counter("storage_rows_scanned_total", "table", "CAST").Value()
+			dropBaseCache(p.db)
 			got, err := wholePlan(p.db.Schema(), subs).EvalContext(p.ctx(), p.db, nil, 1)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", s.name, p.name, err)
@@ -122,6 +126,8 @@ func TestReducerAccessPath(t *testing.T) {
 			}
 			wantCAST := int64(1587)
 			switch {
+			case p.name == "share" && s.inBase:
+				wantCAST = 0
 			case p.name != "mem" && p.name != "spill":
 			case s.indexed:
 				wantCAST = 0
@@ -159,6 +165,7 @@ func TestReducerAccessPath(t *testing.T) {
 	for _, s := range reducerShapes[:2] {
 		subs := shapeSubs(db, s.base, s.pref)
 		for i := 0; i < 100; i++ {
+			dropBaseCache(db)
 			if _, err := wholePlan(db.Schema(), subs).EvalContext(context.Background(), db, nil, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -178,6 +185,7 @@ func TestReducerAccessPath(t *testing.T) {
 	// where the walk started, it would build GENRE from its index and read none.
 	fallback := reducerShapes[len(reducerShapes)-1]
 	scanned = reg.Counter("storage_rows_scanned_total", "table", "GENRE").Value()
+	dropBaseCache(db)
 	if _, err := wholePlan(db.Schema(), shapeSubs(db, fallback.base, fallback.pref)).EvalContext(context.Background(), db, nil, 1); err != nil {
 		t.Fatal(err)
 	}

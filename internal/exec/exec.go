@@ -23,6 +23,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -411,9 +412,11 @@ type SubQueryStat struct {
 	Rows int
 	// BlockReads is the sub-query's block charge, as if it ran alone (charge).
 	BlockReads int64
-	// Elapsed is the time of the reducers this sub-query fed the union plan,
-	// zero if it only adds conditions over the shared relations. The values
-	// are not additive: what the sub-queries share runs once (UnionResult.Base).
+	// Elapsed is the time this evaluation spent on the sub-query alone: the
+	// build of its group bitmap, zero when the base cache had it; on the
+	// one-pass plan, the time of the reducers it fed, zero if it only adds
+	// conditions over the shared relations. The values are not additive:
+	// what the sub-queries share runs once (UnionResult.Base).
 	Elapsed time.Duration
 }
 
@@ -428,8 +431,9 @@ type UnionResult struct {
 	// BlockReads is Formula 6's charge: the sum of the sub-queries' charges.
 	BlockReads int64
 	Elapsed    time.Duration
-	// Base is the time of the one pass over what the sub-queries share, Rank
-	// that of ranking its groups; with Subs' reducers they make up Elapsed.
+	// Base is the time spent on what the sub-queries share — finding or
+	// materializing B in the base cache, or the one pass over it — and Rank
+	// that of ranking its groups; with Subs' times they make up Elapsed.
 	Base, Rank time.Duration
 	// Subs holds per-sub-query figures aligned with the union's sub-queries,
 	// for tracing and metrics.
@@ -459,10 +463,11 @@ func (p *UnionPlan) EvalTopK(ctx context.Context, db *storage.DB, dois []float64
 }
 
 // eval evaluates the union unless what it checks first, or the plan's
-// refusal, stops it. It hosts the fault harness's exec.union injection
-// point, standing in for executor failures of a real engine.
+// refusal, stops it: from the store's base cache (fromCache) when it can, by
+// the one-pass plan otherwise. It hosts the fault harness's exec.union
+// injection point, standing in for executor failures of a real engine.
 func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, minMatches, k int) (*UnionResult, error) {
-	if n := len(p.residual); dois != nil && len(dois) != n {
+	if n := len(p.adds); dois != nil && len(dois) != n {
 		return nil, fmt.Errorf("exec: %d dois for %d sub-queries", len(dois), n)
 	}
 	if err := fault.Inject(fault.ExecUnion); err != nil {
@@ -475,32 +480,74 @@ func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, mi
 		return nil, p.err
 	}
 	minMatches = max(minMatches, 1)
-	stats := make([]SubQueryStat, len(p.residual))
+	stats := make([]SubQueryStat, len(p.adds))
 	// Formula 6: a sub-query is charged every heap file it names — B's and
-	// its reducers' — as if it ran alone, however few passes the plan makes.
+	// those it adds — as if it ran alone, however few passes the plan makes.
 	shared := charge(db, p.base)
-	for i := range stats {
-		stats[i].BlockReads = shared
-	}
-	for _, t := range p.tags {
-		for _, r := range t.reducers {
-			stats[r.sub].BlockReads += charge(db, r.q)
-		}
-	}
 	var blocks int64
-	for _, s := range stats {
-		blocks += s.BlockReads
+	for i := range stats {
+		stats[i].BlockReads = shared + charge(db, &p.adds[i])
+		blocks += stats[i].BlockReads
 	}
 	start := time.Now()
-	grouper := iter.NewGrouper(ctx, len(stats))
-	defer grouper.Close()
+	n := len(p.base.Project)
+	out := &UnionResult{Columns: p.base.Project[:n:n], BlockReads: blocks, Subs: stats}
 	// %w: the cause's class (injected fault, context death) must survive for
 	// retry and degradation policies to read.
-	if err := p.run(ctx, db, grouper, stats); err != nil {
+	var bmsBuf [32]groupSet
+	bms := append(bmsBuf[:0], make([]groupSet, len(stats))...)
+	b, how, built, err := p.fromCache(ctx, db, stats, bms)
+	switch {
+	case err == nil:
+		out.Base = time.Since(start)
+		for _, s := range stats {
+			out.Base -= s.Elapsed
+		}
+		out.Rows, out.Total = b.answer(bms, dois, minMatches, k, stats)
+		report(ctx, how, len(bms)-built, built)
+	case errors.Is(err, errOnePass):
+		for i := range stats {
+			stats[i].Elapsed = 0 // a bitmap built before the fallback answers nothing
+		}
+		if err := p.onePass().answer(ctx, db, out, dois, minMatches, k); err != nil {
+			return nil, err
+		}
+		report(ctx, "onepass", 0, 0)
+	default:
 		return nil, fmt.Errorf("exec: union: %w", err)
 	}
-	based := time.Since(start)
-	out := &UnionResult{Columns: p.base.Project[:p.project:p.project], BlockReads: blocks, Subs: stats, Base: based}
+	out.Elapsed = time.Since(start)
+	out.Rank = out.Elapsed - out.Base
+	for _, s := range stats {
+		out.Rank -= s.Elapsed
+	}
+	if reg := db.Metrics(); reg != nil {
+		reg.Counter("exec_unions_total").Inc()
+		reg.Counter("exec_subqueries_total").Add(int64(len(stats)))
+		reg.Counter("exec_block_reads_total").Add(out.BlockReads)
+		reg.Counter("exec_rows_returned_total").Add(int64(len(out.Rows)))
+		reg.Histogram("exec_union_ms", obs.DurationBucketsMS).
+			Observe(float64(out.Elapsed) / float64(time.Millisecond))
+		hsub := reg.Histogram("exec_subquery_ms", obs.DurationBucketsMS)
+		for _, s := range stats {
+			hsub.Observe(float64(s.Elapsed) / float64(time.Millisecond))
+		}
+	}
+	return out, nil
+}
+
+// answer evaluates the union in one pass into out: its rows, Total, the
+// sub-queries' rows and reducer times, and Base, the time of the pass
+// without them.
+func (p *onePass) answer(ctx context.Context, db *storage.DB, out *UnionResult, dois []float64, minMatches, k int) error {
+	start := time.Now()
+	stats := out.Subs
+	grouper := iter.NewGrouper(ctx, len(stats))
+	defer grouper.Close()
+	if err := p.run(ctx, db, grouper, stats); err != nil {
+		return fmt.Errorf("exec: union: %w", err)
+	}
+	out.Base = time.Since(start)
 	for _, s := range stats {
 		out.Base -= s.Elapsed
 	}
@@ -529,25 +576,11 @@ func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, mi
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("exec: union group: %w", err)
+		return fmt.Errorf("exec: union group: %w", err)
 	}
 	sort.Sort(&rank)
 	out.Rows = rank.rows
-	out.Elapsed = time.Since(start)
-	out.Rank = out.Elapsed - based
-	if reg := db.Metrics(); reg != nil {
-		reg.Counter("exec_unions_total").Inc()
-		reg.Counter("exec_subqueries_total").Add(int64(len(stats)))
-		reg.Counter("exec_block_reads_total").Add(out.BlockReads)
-		reg.Counter("exec_rows_returned_total").Add(int64(len(out.Rows)))
-		reg.Histogram("exec_union_ms", obs.DurationBucketsMS).
-			Observe(float64(out.Elapsed) / float64(time.Millisecond))
-		hsub := reg.Histogram("exec_subquery_ms", obs.DurationBucketsMS)
-		for _, s := range stats {
-			hsub.Observe(float64(s.Elapsed) / float64(time.Millisecond))
-		}
-	}
-	return out, nil
+	return nil
 }
 
 // ranking collects ranked rows and orders them best first: higher doi,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 	"time"
 
 	"cqp/internal/iter"
@@ -13,24 +14,39 @@ import (
 	"cqp/internal/storage"
 )
 
-// UnionPlan is a personalized union factored for one pass (DESIGN §12). A
-// sub-query is deduplicated on a projection that only the shared relations
-// supply, so it is a semi-join: the base tuples that all its parts accept.
-// It is only read once built, so one plan may run any number of times,
-// concurrently.
+// UnionPlan is a personalized union: B, what every sub-query states, and
+// what each sub-query adds to it (DESIGN §12). A sub-query is deduplicated on
+// a projection that only B's relations supply, so it is a semi-join: the
+// groups of B's tuples that all its additions accept. An execution answers
+// from the store's base cache (basecache.go), or else by the one-pass plan
+// (onePass), derived from the same two parts on first need. It is only read
+// once built, so one plan may run any number of times, concurrently.
 type UnionPlan struct {
-	// base is B: the relations, joins and selections every sub-query has, with
-	// the union's DISTINCT, ORDER BY and LIMIT as stated. It projects the
-	// union's projection — the first project columns — and then the further
-	// attributes the parts read.
+	// base is B: q's relations, joins and selections and whatever every
+	// sub-query adds alike, in adds[0]'s order, projecting the union's
+	// projection, with its DISTINCT and ORDER BY as stated.
+	base *query.Query
+	// adds[i] is what sub-query i states beyond B: only From, Joins and
+	// Selections are set, each nil when empty.
+	adds []query.Query
+	// err refuses the union as stated (NewUnionPlan), nil if it is valid.
+	err error
+
+	derived sync.Once
+	pass    *onePass // derive's plan, built the first time one runs
+}
+
+// onePass is the union factored for one pass over B (run): B's join tree runs
+// once, and every tuple is tested against each sub-query's parts.
+type onePass struct {
+	// base is B projecting the union's projection — the first project
+	// columns — and then the further attributes the parts read.
 	base    *query.Query
 	project int
 	// residual[i] is the first kind of part: the conditions of sub-query i
 	// over B's own columns (only Selections and Joins are set).
 	residual []query.Query
 	tags     []tagRel
-	// err refuses the union as stated (NewUnionPlan), nil if it is valid.
-	err error
 }
 
 // tagRel is the second kind of part, folded: the key → sub-query-bitset
@@ -53,10 +69,10 @@ type reducer struct {
 // there is at least one). Each sub-query is validated as stated, without
 // being built (ValidateWith), and a LIMIT is refused: the first refusal is
 // what the plan answers. The plan depends only on the sub-queries, not on
-// how they are split between q and adds, and reads q's slices without
-// writing them.
+// how they are split between q and adds, and reads q's and adds' slices
+// without writing them; it may keep the latter.
 func NewUnionPlan(sch *schema.Schema, q *query.Query, adds []query.Query) *UnionPlan {
-	p := derive(q, adds)
+	p := hoist(q, adds)
 	for i := range adds {
 		if err := q.ValidateWith(sch, &adds[i]); err != nil {
 			p.err = fmt.Errorf("exec: sub-query %d: %w", i, err)
@@ -85,11 +101,11 @@ func Whole(subs []*query.Query) (*query.Query, []query.Query) {
 	return &query.Query{Project: s.Project, Distinct: s.Distinct, OrderBy: s.OrderBy, Limit: s.Limit}, adds
 }
 
-// derive factors a union. Whatever every sub-query states is hoisted
-// into B, in adds[0]'s order, as intersecting the sub-queries would; the rest
-// of each becomes its parts.
-func derive(q *query.Query, adds []query.Query) *UnionPlan {
-	base := q.Clone() // of which buildJoinTree reads FROM, WHERE and the projection
+// hoist splits a union into B and what each sub-query adds to it. Whatever
+// every sub-query states is hoisted into B, in adds[0]'s order, as
+// intersecting the sub-queries would; the rest of each is its addition.
+func hoist(q *query.Query, adds []query.Query) *UnionPlan {
+	base := q.Clone()
 	for _, r := range adds[0].From {
 		if states(q, adds, func(s *query.Query) bool { return s.HasRelation(r) }) {
 			base.From = append(base.From, r)
@@ -105,52 +121,62 @@ func derive(q *query.Query, adds []query.Query) *UnionPlan {
 			base.Selections = append(base.Selections, x)
 		}
 	}
-	p := &UnionPlan{base: base, project: len(base.Project), residual: make([]query.Query, len(adds))}
+	p := &UnionPlan{base: base, adds: make([]query.Query, len(adds))}
+	for i := range adds {
+		s := &adds[i]
+		p.adds[i] = query.Query{
+			From:       beyond(s.From, base.HasRelation),
+			Joins:      beyond(s.Joins, base.HasJoin),
+			Selections: beyond(s.Selections, func(x query.Selection) bool { return slices.Contains(base.Selections, x) }),
+		}
+	}
+	return p
+}
+
+// beyond returns the elements of s that in does not hold: s itself when it
+// holds none of them, nil when it holds all.
+func beyond[T any](s []T, in func(T) bool) []T {
+	n := 0
+	for _, x := range s {
+		if !in(x) {
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return nil
+	case len(s):
+		return s[:n:n]
+	}
+	out := make([]T, 0, n)
+	for _, x := range s {
+		if !in(x) {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// onePass returns the plan's one-pass form, derived on its first call.
+func (p *UnionPlan) onePass() *onePass {
+	p.derived.Do(func() { p.pass = derive(p.base, p.adds) })
+	return p.pass
+}
+
+// derive factors a union for one pass: each sub-query's addition becomes its
+// parts (parts), B carries every attribute a part reads, and reducers that
+// attach at the same attributes fold into one tag relation.
+func derive(b *query.Query, adds []query.Query) *onePass {
+	base := b.Clone() // of which buildJoinTree reads FROM, WHERE and the projection
+	p := &onePass{base: base, project: len(base.Project), residual: make([]query.Query, len(adds))}
 	carry := func(a schema.AttrRef) {
 		if !slices.Contains(base.Project, a) {
 			base.Project = append(base.Project, a)
 		}
 	}
-	var group []int // the component of each relation a sub-query names, −1 for B's
-	at := func(s *query.Query, r string) int {
-		if k := slices.Index(s.From, r); k >= 0 {
-			return group[k]
-		}
-		return -1 // one of q's
-	}
 	for i := range adds {
-		s := &adds[i]
-		group = slices.Grow(group[:0], len(s.From))[:len(s.From)]
-		comps := components(s, base, group)
-		on := make([][]schema.AttrRef, len(comps))
-		// attach joins component c at the base attribute left, in s's join order.
-		attach := func(c int, left, right schema.AttrRef) {
-			on[c], comps[c].Project = append(on[c], left), append(comps[c].Project, right)
-			carry(left)
-		}
-		for _, sel := range s.Selections {
-			if c := at(s, sel.Attr.Relation); c >= 0 {
-				comps[c].Selections = append(comps[c].Selections, sel)
-			} else if !slices.Contains(base.Selections, sel) {
-				p.residual[i].Selections = append(p.residual[i].Selections, sel)
-				carry(sel.Attr)
-			}
-		}
-		for _, j := range s.Joins {
-			lc, rc := at(s, j.Left.Relation), at(s, j.Right.Relation)
-			switch {
-			case lc >= 0 && rc >= 0:
-				comps[lc].Joins = append(comps[lc].Joins, j)
-			case lc >= 0:
-				attach(lc, j.Right, j.Left)
-			case rc >= 0:
-				attach(rc, j.Left, j.Right)
-			case !base.HasJoin(j):
-				p.residual[i].Joins = append(p.residual[i].Joins, j)
-				carry(j.Left)
-				carry(j.Right)
-			}
-		}
+		res, comps, on := parts(base, &adds[i], carry)
+		p.residual[i] = res
 		for c, q := range comps {
 			// A second component of this sub-query at the same attributes must
 			// hold as well as the first, not instead: a relation of its own.
@@ -165,6 +191,59 @@ func derive(q *query.Query, adds []query.Query) *UnionPlan {
 		}
 	}
 	return p
+}
+
+// parts splits what sub-query s adds to base into its two kinds of part: its
+// conditions over base's own columns (res: Selections and Joins), and the
+// connected components of the relations it adds (components), each with the
+// base attributes its joins attach it at (on[c], aligned with the component's
+// projection, its side of those joins). carry, if not nil, is told every
+// base attribute a part reads, in the order the parts read them.
+func parts(base, s *query.Query, carry func(schema.AttrRef)) (res query.Query, comps []*query.Query, on [][]schema.AttrRef) {
+	var groupBuf [8]int
+	group := append(groupBuf[:0], make([]int, len(s.From))...) // the component of each relation s names, −1 for B's
+	comps = components(s, base, group)
+	on = make([][]schema.AttrRef, len(comps))
+	read := func(a schema.AttrRef) {
+		if carry != nil {
+			carry(a)
+		}
+	}
+	at := func(r string) int {
+		if k := slices.Index(s.From, r); k >= 0 {
+			return group[k]
+		}
+		return -1 // one of B's
+	}
+	// attach joins component c at the base attribute left, in s's join order.
+	attach := func(c int, left, right schema.AttrRef) {
+		on[c], comps[c].Project = append(on[c], left), append(comps[c].Project, right)
+		read(left)
+	}
+	for _, sel := range s.Selections {
+		if c := at(sel.Attr.Relation); c >= 0 {
+			comps[c].Selections = append(comps[c].Selections, sel)
+		} else if !slices.Contains(base.Selections, sel) {
+			res.Selections = append(res.Selections, sel)
+			read(sel.Attr)
+		}
+	}
+	for _, j := range s.Joins {
+		lc, rc := at(j.Left.Relation), at(j.Right.Relation)
+		switch {
+		case lc >= 0 && rc >= 0:
+			comps[lc].Joins = append(comps[lc].Joins, j)
+		case lc >= 0:
+			attach(lc, j.Right, j.Left)
+		case rc >= 0:
+			attach(rc, j.Left, j.Right)
+		case !base.HasJoin(j):
+			res.Joins = append(res.Joins, j)
+			read(j.Left)
+			read(j.Right)
+		}
+	}
+	return res, comps, on
 }
 
 // states reports whether every sub-query — q's clauses with adds[k]'s, for
@@ -255,7 +334,7 @@ func reducerSeed(ctx context.Context, db *storage.DB, q *query.Query) string {
 // of the sub-queries whose parts all hold. A reducer's time is booked to its
 // sub-query in stats. Every relation opens through buildJoinTree, hence through
 // the batch's scan share.
-func (p *UnionPlan) run(ctx context.Context, db *storage.DB, grouper *iter.Grouper, stats []SubQueryStat) (err error) {
+func (p *onePass) run(ctx context.Context, db *storage.DB, grouper *iter.Grouper, stats []SubQueryStat) (err error) {
 	tree, err := buildJoinTree(ctx, db, p.base, p.base.From[0])
 	if err != nil {
 		return err

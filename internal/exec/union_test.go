@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,10 +24,11 @@ func wholePlan(sch *schema.Schema, subs []*query.Query) *UnionPlan {
 	return NewUnionPlan(sch, q, adds)
 }
 
-// renderPlan writes a factored union out: the base, then per sub-query its
-// conditions over the base's columns, then per tag relation what it attaches
-// at and the reducer behind each sub-query's bit.
-func renderPlan(p *UnionPlan) string {
+// renderPlan writes a union's one-pass plan out: the base, then per
+// sub-query its conditions over the base's columns, then per tag relation
+// what it attaches at and the reducer behind each sub-query's bit.
+func renderPlan(u *UnionPlan) string {
+	p := u.onePass()
 	var b strings.Builder
 	fmt.Fprintf(&b, "base: %s\n", p.base.SQL())
 	for i, res := range p.residual {
@@ -214,7 +216,7 @@ func TestUnionSignedZeroLiterals(t *testing.T) {
 	} {
 		subs = append(subs, sqlparse.MustParse(db.Schema(), sql))
 	}
-	if p := wholePlan(db.Schema(), subs); len(p.base.Selections) != 0 || len(p.residual[0].Selections) != 2 || len(p.residual[1].Selections) != 2 {
+	if p := wholePlan(db.Schema(), subs); len(p.base.Selections) != 0 || len(p.onePass().residual[0].Selections) != 2 || len(p.onePass().residual[1].Selections) != 2 {
 		t.Errorf("signed zeros shared a selection:\n%s", renderPlan(p))
 	}
 	want, blocks := independentUnion(t, db, subs)
@@ -305,9 +307,11 @@ func perm(pick func(n int) int, n int) []int {
 // none spills.
 const unionBudget = 512
 
-// checkUnion evaluates the union once unbudgeted and once under unionBudget,
-// and holds both to each sub-query evaluated alone: every key with exactly the
-// sub-queries that return it, at the same charge.
+// checkUnion evaluates the union unbudgeted on an emptied base cache, again
+// on the cache that filled, and under unionBudget, and holds each to each
+// sub-query evaluated alone: every key with exactly the sub-queries that
+// return it, at the same charge. The warm answer must be the cold one, field
+// for field but its timings.
 func checkUnion(t *testing.T, db *storage.DB, trial string, sqls []string) {
 	t.Helper()
 	var subs []*query.Query
@@ -315,13 +319,21 @@ func checkUnion(t *testing.T, db *storage.DB, trial string, sqls []string) {
 		subs = append(subs, sqlparse.MustParse(db.Schema(), sql))
 	}
 	want, blocks := independentUnion(t, db, subs)
+	dropBaseCache(db)
+	var cold *UnionResult
 	for _, ctx := range []context.Context{
+		context.Background(),
 		context.Background(),
 		iter.WithBudget(context.Background(), iter.Budget{Bytes: unionBudget, Dir: t.TempDir()}),
 	} {
 		got, err := wholePlan(db.Schema(), subs).EvalContext(ctx, db, nil, 1)
 		if err != nil {
 			t.Fatalf("%s, budget %d: %v\n%s", trial, iter.BudgetFromContext(ctx).Bytes, err, strings.Join(sqls, "\n"))
+		}
+		if cold == nil {
+			cold = got
+		} else if iter.BudgetFromContext(ctx).Bytes == 0 && !reflect.DeepEqual(untimed(got), untimed(cold)) {
+			t.Fatalf("%s: the warm answer is not the cold one\n%s", trial, strings.Join(sqls, "\n"))
 		}
 		ok := got.BlockReads == blocks && len(got.Rows) == len(want)
 		for _, r := range got.Rows {

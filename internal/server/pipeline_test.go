@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cqp/internal/fault"
+	"cqp/internal/value"
 )
 
 // contractReply is what the endpoint contract looks at: the envelope of a
@@ -147,8 +148,11 @@ func TestEndpointContract(t *testing.T) {
 			send("", nil).ok(t, "rotated key cached", true, "")
 
 			// The pipeline is down and the exact key has rotated away: the
-			// version-free stale index answers.
+			// version-free stale index answers. A movie inserted first makes
+			// the base the earlier executions cached stale, so that an
+			// execution reads the store again, where storage.scan strikes.
 			putProfile(t, ts.URL, "alice", testProfileText())
+			s.db.MustTable("MOVIE").MustInsert(value.Int(1_000_000), value.Str("Unseen"), value.Int(1900), value.Int(1), value.Int(-1))
 			armPlan(t, cc.fault, 1)
 			send("", nil).ok(t, "injected "+cc.fault, true, "stale")
 			fault.Disarm()

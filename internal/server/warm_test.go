@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 
 	"cqp"
 	"cqp/internal/fault"
+	"cqp/internal/value"
 )
 
 // endpointOf finds a pipeline endpoint by name.
@@ -262,9 +264,14 @@ func TestMissAllocs(t *testing.T) {
 // TestMissAllocs bounds /personalize: bounds no earlier request carried, so
 // each request runs the whole pipeline and executes its union — twenty
 // sub-queries, one per preference of K = 20 — through the handler. What
-// executing adds is the plan, factored once from Q and the preferences, its
+// executing adds is the plan, built once from Q and the preferences, its
 // one pass and the execute span: no sub-query is built as a query. They
-// make 452 and 470; the bounds sit 4 and 6 above.
+// made 452 and 470 on the one-pass plan; the bounds sit 4 and 6 above.
+//
+// An execution is cold when a movie was inserted since the last one: the
+// base the store cached for Q is stale, so the execution fills it again and
+// builds all twenty bitmaps (445 and 457 allocations). Warm, with B and the
+// bitmaps cached, the same requests make 151 and 163, which bound them.
 func TestExecuteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the executor's paths")
@@ -274,14 +281,15 @@ func TestExecuteAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const runs = 100
+	movies := s.db.MustTable("MOVIE")
 	for _, c := range []struct {
 		path, body string
-		max        float64
+		cold, warm float64
 	}{
-		{"/execute", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","limit":5,"problem":{"number":2,"cmax_ms":%d}}`, 456},
-		{"/topk", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","k":5,"max_k":20,"cmax_ms":%d}`, 476},
+		{"/execute", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","limit":5,"problem":{"number":2,"cmax_ms":%d}}`, 456, 151},
+		{"/topk", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","k":5,"max_k":20,"cmax_ms":%d}`, 476, 163},
 	} {
-		bodies := make([][]byte, runs+2)
+		bodies := make([][]byte, 2*runs+1)
 		for i := range bodies {
 			bodies[i] = []byte(fmt.Sprintf(c.body, 100000+i))
 		}
@@ -297,14 +305,35 @@ func TestExecuteAllocs(t *testing.T) {
 		}
 		serve() // warms the query memo and the estimate memo
 		unions, subs := s.reg.Counter("exec_unions_total").Value(), s.reg.Counter("exec_subqueries_total").Value()
-		n := testing.AllocsPerRun(runs, serve)
-		unions, subs = s.reg.Counter("exec_unions_total").Value()-unions, s.reg.Counter("exec_subqueries_total").Value()-subs
-		t.Logf("a cold POST %s allocates %.0f times", c.path, n)
-		if unions != runs+1 || subs != 20*unions {
-			t.Errorf("%s: %d unions of %d sub-queries in all, want %d of 20 each", c.path, unions, subs, runs+1)
+		fills := s.reg.Counter("exec_base_cache_misses_total").Value()
+		// measure is the mean allocations of runs requests, each after a
+		// movie is inserted if cold.
+		measure := func(cold bool) float64 {
+			var total uint64
+			for i := 0; i < runs; i++ {
+				if cold {
+					movies.MustInsert(value.Int(int64(1_000_000+movies.RowCount())), value.Str("Unseen"), value.Int(1900), value.Int(1), value.Int(-1))
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				serve()
+				runtime.ReadMemStats(&after)
+				total += after.Mallocs - before.Mallocs
+			}
+			return float64(total / runs)
 		}
-		if n > c.max {
-			t.Errorf("a cold POST %s at 20 sub-queries allocates %.0f times, want ≤ %.0f", c.path, n, c.max)
+		cold, warm := measure(true), measure(false)
+		unions, subs = s.reg.Counter("exec_unions_total").Value()-unions, s.reg.Counter("exec_subqueries_total").Value()-subs
+		fills = s.reg.Counter("exec_base_cache_misses_total").Value() - fills
+		t.Logf("a cold POST %s allocates %.0f times, a warm one %.0f", c.path, cold, warm)
+		if unions != 2*runs || subs != 20*unions {
+			t.Errorf("%s: %d unions of %d sub-queries in all, want %d of 20 each", c.path, unions, subs, 2*runs)
+		}
+		if fills != runs {
+			t.Errorf("%s: %d of %d executions filled their base, want the %d cold ones", c.path, fills, 2*runs, runs)
+		}
+		if cold > c.cold || warm > c.warm {
+			t.Errorf("a POST %s at 20 sub-queries allocates %.0f times cold and %.0f warm, want ≤ %.0f and %.0f", c.path, cold, warm, c.cold, c.warm)
 		}
 	}
 }

@@ -332,6 +332,27 @@ type DB struct {
 	tables    map[string]Backend
 	blockSize int
 	metrics   *obs.Registry
+
+	memoMu sync.Mutex
+	memo   map[any]any // what readers derive from the data and keep with it (Memo)
+}
+
+// Memo returns what db keeps under key, first storing mk() there if it keeps
+// nothing yet. A reader keeps state derived from the data with the store it
+// derives it from, so the state lives as long as the data: the executor's
+// base cache is one (exec). Safe for concurrent use.
+func (db *DB) Memo(key any, mk func() any) any {
+	db.memoMu.Lock()
+	defer db.memoMu.Unlock()
+	v, ok := db.memo[key]
+	if !ok {
+		if db.memo == nil {
+			db.memo = make(map[any]any)
+		}
+		v = mk()
+		db.memo[key] = v
+	}
+	return v
 }
 
 // SetMetrics attaches a metrics registry to the store: every table scan

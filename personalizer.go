@@ -241,9 +241,11 @@ func (r *Result) Execute() (*exec.UnionResult, error) {
 
 // ExecuteContext is Execute with tracing: when ctx carries a trace it laps
 // an "execute" span laid out like the executor's union plan — attributes
-// base (the one pass over what the sub-queries share) and rank, and one
-// "subquery[i]" child per sub-query (the reducers it fed; zero when it only
-// adds conditions), so the children are not additive. Every execution also
+// base (hit, fill or onepass: how the store's base cache served B),
+// bitmaps_hit and bitmaps_built (the sub-queries whose group bitmaps it had
+// and built), base_time and rank, and one "subquery[i]" child per
+// sub-query (the build of its bitmap, zero on a hit; on the one-pass plan
+// the reducers it fed), so the children are not additive. Every execution also
 // feeds the estimator-accuracy tracker (when the personalizer observes a
 // registry) with estimated versus actual cost and size — the live
 // counterpart of the paper's Figure 15 comparison — and an all-match
@@ -251,7 +253,7 @@ func (r *Result) Execute() (*exec.UnionResult, error) {
 // cqp_constraint_violation_total{param="cost"|"size"} counts the answers
 // whose real cost exceeded cmax or whose size fell outside [smin, smax].
 func (r *Result) ExecuteContext(ctx context.Context) (*exec.UnionResult, error) {
-	return r.execute(ctx, func() (*exec.UnionResult, error) { return r.pq.ExecuteContext(ctx, r.db) })
+	return r.execute(ctx, func(ctx context.Context) (*exec.UnionResult, error) { return r.pq.ExecuteContext(ctx, r.db) })
 }
 
 // ExecuteTopKContext is ExecuteContext keeping only the k best-ranked
@@ -259,16 +261,23 @@ func (r *Result) ExecuteContext(ctx context.Context) (*exec.UnionResult, error) 
 // materializes. It is accounted as ExecuteContext is, by the size of the
 // whole answer (UnionResult.Total), not by the rows kept.
 func (r *Result) ExecuteTopKContext(ctx context.Context, k int) (*exec.UnionResult, error) {
-	return r.execute(ctx, func() (*exec.UnionResult, error) { return r.pq.ExecuteTopKContext(ctx, r.db, k) })
+	return r.execute(ctx, func(ctx context.Context) (*exec.UnionResult, error) {
+		return r.pq.ExecuteTopKContext(ctx, r.db, k)
+	})
 }
 
 // execute runs the personalized query and accounts for it.
-func (r *Result) execute(ctx context.Context, run func() (*exec.UnionResult, error)) (*exec.UnionResult, error) {
+func (r *Result) execute(ctx context.Context, run func(context.Context) (*exec.UnionResult, error)) (*exec.UnionResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cqp: execute: %w", err)
 	}
 	lp := obs.StartLaps(ctx)
-	res, err := run()
+	var how *exec.Report // only a traced execution asks how it ran
+	if obs.FromContext(ctx) != nil {
+		how = new(exec.Report)
+		ctx = exec.WithReport(ctx, how)
+	}
+	res, err := run(ctx)
 	if err != nil {
 		lp.Lap(obs.PhaseExecute)
 		return nil, err
@@ -289,7 +298,10 @@ func (r *Result) execute(ctx context.Context, run func() (*exec.UnionResult, err
 	if span := lp.Lap(obs.PhaseExecute); span != nil {
 		span.SetAttr("rows", res.Total)
 		span.SetAttr("blocks", res.BlockReads)
-		span.SetAttr("base", obs.FormatDuration(res.Base))
+		span.SetAttr("base", how.Base)
+		span.SetAttr("bitmaps_hit", how.BitmapsHit)
+		span.SetAttr("bitmaps_built", how.BitmapsBuilt)
+		span.SetAttr("base_time", obs.FormatDuration(res.Base))
 		span.SetAttr("rank", obs.FormatDuration(res.Rank))
 		attrs := make([]obs.Attr, 0, 2*len(res.Subs))
 		span.AddChildren(len(res.Subs), func(i int) (string, time.Duration, []obs.Attr) {

@@ -93,7 +93,8 @@ func textKey(r storage.Row) string {
 // gives the groups the executed answer has, each with the sub-queries that
 // return it. It is the one check that bypasses the union plan. The grid is
 // 14 queries × 12 profiles over 500 movies at K = 10, cost bounds of 0.3 and
-// 0.7 of the supreme cost, all-match, any-match and merged: 1 008 cases.
+// 0.7 of the supreme cost, all-match, any-match and merged: 1 008 cases,
+// each executed on a cold base cache and on a warm one.
 func TestReturnedTextIsTheAnswer(t *testing.T) {
 	db := workload.GenerateDB(workload.DBConfig{Movies: 500, Seed: 1})
 	p := NewPersonalizer(db)
@@ -109,7 +110,12 @@ func TestReturnedTextIsTheAnswer(t *testing.T) {
 		queries = append(queries, q)
 	}
 	profiles := workload.Profiles(12, workload.ProfileConfig{SelectionPrefs: 60, Seed: 3})
-	cases, unions, rows := 0, 0, 0
+	type textCase struct {
+		name string
+		res  *Result
+		want map[string][]int
+	}
+	var grid []textCase
 	for qi, q := range queries {
 		for ui, u := range profiles {
 			all, err := p.Personalize(q, u, Problem2(math.MaxFloat64), WithMaxK(10))
@@ -130,38 +136,45 @@ func TestReturnedTextIsTheAnswer(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					cases++
-					want := textAnswer(t, db, res.SQL)
-					got, err := res.Execute()
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if strings.Contains(res.SQL, " UNION ALL ") || strings.Contains(res.SQL, ") GROUP BY ") {
-						unions++
-					}
-					rows += got.Total
-					if got.Total != len(want) || len(got.Rows) != len(want) {
-						t.Fatalf("%s: executed %d rows (Total %d), the text answers %d\n%s", name, len(got.Rows), got.Total, len(want), res.SQL)
-					}
-					for _, r := range got.Rows {
-						k := textKey(r.Key)
-						m, ok := want[k]
-						if !ok {
-							t.Fatalf("%s: executed key %s is not in the text's answer\n%s", name, k, res.SQL)
-						}
-						if !strings.Contains(res.SQL, ") GROUP BY ") {
-							continue // a plain query: no branch to match
-						}
-						if !slices.Equal(m, r.Matched) {
-							t.Fatalf("%s: key %s matched %v, the text's branches %v\n%s", name, k, r.Matched, m, res.SQL)
-						}
-					}
+					grid = append(grid, textCase{name, res, textAnswer(t, db, res.SQL)})
 				}
 			}
 		}
 	}
-	if cases != 1008 {
-		t.Errorf("%d cases, want 1 008", cases)
+	if len(grid) != 1008 {
+		t.Errorf("%d cases, want 1 008", len(grid))
 	}
-	t.Logf("%d cases, %d of them unions, %d rows", cases, unions, rows)
+	// Every case executes twice: first on a store whose base cache has only
+	// what the cases before it filled, then on the cache the whole grid
+	// filled.
+	for _, pass := range []string{"cold", "warm"} {
+		unions, rows := 0, 0
+		for _, c := range grid {
+			got, err := c.res.Execute()
+			if err != nil {
+				t.Fatalf("%s, %s: %v", c.name, pass, err)
+			}
+			if strings.Contains(c.res.SQL, ") GROUP BY ") {
+				unions++
+			}
+			rows += got.Total
+			if got.Total != len(c.want) || len(got.Rows) != len(c.want) {
+				t.Fatalf("%s, %s: executed %d rows (Total %d), the text answers %d\n%s", c.name, pass, len(got.Rows), got.Total, len(c.want), c.res.SQL)
+			}
+			for _, r := range got.Rows {
+				k := textKey(r.Key)
+				m, ok := c.want[k]
+				if !ok {
+					t.Fatalf("%s, %s: executed key %s is not in the text's answer\n%s", c.name, pass, k, c.res.SQL)
+				}
+				if !strings.Contains(c.res.SQL, ") GROUP BY ") {
+					continue // a plain query: no branch to match
+				}
+				if !slices.Equal(m, r.Matched) {
+					t.Fatalf("%s, %s: key %s matched %v, the text's branches %v\n%s", c.name, pass, k, r.Matched, m, c.res.SQL)
+				}
+			}
+		}
+		t.Logf("%s: %d cases, %d of them unions, %d rows", pass, len(grid), unions, rows)
+	}
 }
