@@ -110,8 +110,8 @@ func tiedUnion(db *storage.DB) ([]*query.Query, []float64) {
 // and warm against bounds at what it measures under -race: a cached B and
 // cached bitmaps leave the answer's rows and a few slices (full, top-10,
 // joined and tied: 30, 21, 24 and 14 allocations and 69.3, 5.6, 6 and 4.5
-// KiB; 28, 19, 22 and 13 allocations without -race). Cold, they make 220,
-// 211, 162 and 57 allocations and 87, 23, 27 and 13 KiB: a fill sizes its
+// KiB; 28, 19, 22 and 13 allocations without -race). Cold, they make 219,
+// 210, 161 and 56 allocations and 87, 23, 27 and 13 KiB: a fill sizes its
 // tuples' arrays by the larger side of each join and trims them, and the
 // reducers of all the bitmaps an evaluation builds share one key set.
 func TestExecAllocs(t *testing.T) {
@@ -202,7 +202,7 @@ func TestExecAllocs(t *testing.T) {
 // third above the count, loose enough to let a few per union through. Walking
 // the two actor reducers from ACTOR costs nothing and drops two drained
 // builds: 254. That was the one-pass plan; a cold union, on an emptied base
-// cache, fills B and builds ten bitmaps in 220 (233 under -race), and a warm
+// cache, fills B and builds ten bitmaps in 219 (232 under -race), and a warm
 // one makes 28 (30 under -race, which pins it).
 func TestUnionAllocsPinned(t *testing.T) {
 	db := workload.GenerateDB(workload.DBConfig{Movies: 400, Directors: 40, Actors: 200, Seed: 151})

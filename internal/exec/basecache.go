@@ -548,59 +548,42 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 	}
 	tooBig := func(refs int) bool { return 4*int64(refs) > limit }
 
-	// The first relation is scanned: its cursor is drained for the scan's
-	// account, and its rows are read in place.
+	// The first relation is scanned: its cursor yields its rows in order, so
+	// the i-th is row i.
 	_, scan, err := open(q.From[0])
 	if err != nil {
 		return nil, err
 	}
-	if err := drain(ctx, scan); err != nil {
-		return nil, err
-	}
-	// cur holds the tuples joined so far, w relations wide; nil while they
-	// are the first relation's rows that hold, which are not copied. Each
-	// level is one pass over the last.
+	// Its rows that hold are B when it is alone; otherwise the first join
+	// reads them in place.
 	var cur []int32
-	w := 1
-	// tuples calls fn with every tuple so far, polling ctx.
-	tuples := func(fn func(tuple []int32)) error {
-		var one [1]int32
-		if cur == nil {
-			for j, row := range b.rows[0] {
-				if j%64 == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				if holds(0, row) {
-					one[0] = int32(j)
-					fn(one[:])
-				}
-			}
-			return nil
-		}
-		for at := 0; at < len(cur); at += w {
-			if (at/w)%64 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			fn(cur[at : at+w])
-		}
-		return nil
+	if b.width == 1 {
+		cur = make([]int32, 0, len(b.rows[0]))
 	}
+	for i := 0; ; i++ {
+		row, ok, err := scan.Next()
+		if err == nil && i%64 == 0 {
+			err = ctx.Err()
+		}
+		if !ok || err != nil {
+			if cerr := scan.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return nil, err
+			}
+			break
+		}
+		if b.width == 1 && holds(0, row) {
+			cur = append(cur, int32(i))
+		}
+	}
+	// Then one pass per relation joined: cur holds the tuples so far, w
+	// relations wide.
 	joined := map[string]bool{q.From[0]: true}
 	var usedBuf [8]bool
 	used := append(usedBuf[:0], make([]bool, len(q.Joins))...)
-	for ; w < b.width || cur == nil; w++ {
-		if w == b.width { // B is the first relation alone
-			rows := make([]int32, 0, len(b.rows[0]))
-			if err := tuples(func(tuple []int32) { rows = append(rows, tuple...) }); err != nil {
-				return nil, err
-			}
-			cur, w = exact(rows), w-1
-			continue
-		}
+	for w := 1; w < b.width; w++ {
 		next, conds := pickNext(q, joined, used, nil)
 		if next == "" { // disconnected: a cartesian product with the next relation
 			for _, r := range q.From {
@@ -628,16 +611,17 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 		}
 		rows := b.rows[w]
 		var ix *storage.Index
-		var key []int
+		var key [1]int // the probe's key column, hashed as the index hashes its own
 		if len(conds) > 0 {
-			ix, key = t.Index(right[0]), []int{left[0].col}
+			ix, key[0] = t.Index(right[0]), left[0].col
 		}
-		// joins calls fn with the number of every row of next that joins tuple.
-		joins := func(tuple []int32, fn func(j int32)) {
+		// A key join yields about as many tuples as the larger side has rows.
+		out := make([]int32, 0, max(len(rows), len(cur)/w)*(w+1))
+		join := func(tuple []int32) {
 			if ix == nil {
 				for j, row := range rows {
 					if holds(w, row) {
-						fn(int32(j))
+						out = append(append(out, tuple...), int32(j))
 					}
 				}
 				return
@@ -647,7 +631,7 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 				return
 			}
 		candidates:
-			for j := ix.Chain.First(storage.Hash(probe, key)); j >= 0; j = ix.Chain.Next(j) {
+			for j := ix.Chain.First(storage.Hash(probe, key[:])); j >= 0; j = ix.Chain.Next(j) {
 				row := rows[j]
 				for i, a := range left {
 					if b.rows[a.rel][tuple[a.rel]][a.col].Compare(row[right[i]]) != 0 {
@@ -655,31 +639,47 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 					}
 				}
 				if holds(w, row) {
-					fn(j)
+					out = append(append(out, tuple...), j)
 				}
 			}
 		}
-		// A key join yields about as many tuples as the larger side has rows.
-		n := len(rows)
-		if cur != nil {
-			n = max(n, len(cur)/w)
-		}
-		out := make([]int32, 0, n*(w+1))
-		big := false
-		err = tuples(func(tuple []int32) {
-			if !big {
-				joins(tuple, func(j int32) { out = append(append(out, tuple...), j) })
-				big = tooBig(len(out))
+		// n counts the tuples joined, polling ctx and the limit every 64.
+		n := 0
+		check := func() error {
+			if n++; n%64 != 0 {
+				return nil
 			}
-		})
-		if err != nil {
-			return nil, err
+			if tooBig(len(out)) {
+				return errOnePass
+			}
+			return ctx.Err()
 		}
-		if big {
-			return nil, errOnePass
+		if w == 1 {
+			var one [1]int32
+			for j, row := range b.rows[0] {
+				if !holds(0, row) {
+					continue
+				}
+				if err := check(); err != nil {
+					return nil, err
+				}
+				one[0] = int32(j)
+				join(one[:])
+			}
+		} else {
+			for at := 0; at < len(cur); at += w {
+				if err := check(); err != nil {
+					return nil, err
+				}
+				join(cur[at : at+w])
+			}
 		}
-		cur = exact(out)
+		cur = out
 	}
+	if tooBig(len(cur)) {
+		return nil, errOnePass
+	}
+	cur = exact(cur)
 	b.refs = cur
 	b.project = make([]attrAt, len(q.Project))
 	for i, a := range q.Project {
@@ -702,25 +702,6 @@ func exact(s []int32) []int32 {
 		return slices.Clone(s)
 	}
 	return s
-}
-
-// drain reads a cursor to its end and closes it.
-func drain(ctx context.Context, cur storage.Cursor) error {
-	for i := 0; ; i++ {
-		if i%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				cur.Close()
-				return err
-			}
-		}
-		_, ok, err := cur.Next()
-		if !ok || err != nil {
-			if cerr := cur.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		}
-	}
 }
 
 // colSel is a selection with the column it reads.

@@ -270,7 +270,7 @@ func TestMissAllocs(t *testing.T) {
 //
 // An execution is cold when a movie was inserted since the last one: the
 // base the store cached for Q is stale, so the execution fills it again and
-// builds all twenty bitmaps (445 and 457 allocations). Warm, with B and the
+// builds all twenty bitmaps (444 and 456 allocations). Warm, with B and the
 // bitmaps cached, the same requests make 151 and 163, which bound them.
 func TestExecuteAllocs(t *testing.T) {
 	if raceEnabled {
