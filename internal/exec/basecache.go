@@ -147,8 +147,8 @@ func (s groupSet) count() int {
 	return n
 }
 
-// word returns the set's bits of groups 64w up to 64w+63; next is where a
-// sparse set's ids past them start, from at, where they start.
+// word returns the set's bits for groups 64w to 64w+63. For a sparse set, at
+// indexes its first id not below 64w, and next its first id past the word.
 func (s groupSet) word(w, at int) (bits uint64, next int) {
 	if s.words != nil {
 		return s.words[w], at
@@ -914,7 +914,7 @@ func (b *base) build(ctx context.Context, db *storage.DB, s *query.Query, words 
 				for k, a := range p.at {
 					key, idx = append(key, *b.value(t, a)), append(idx, k)
 				}
-				if !tagged(keys.Lookup(key, idx), p.tag) {
+				if tags := keys.Lookup(key, idx); tags == nil || tags[p.tag/64]&(1<<(p.tag%64)) == 0 {
 					continue tuples
 				}
 			}
@@ -923,11 +923,6 @@ func (b *base) build(ctx context.Context, db *storage.DB, s *query.Query, words 
 		}
 	}
 	return tag, nil
-}
-
-// tagged reports whether tag's bit is set in words (nil: no bit is).
-func tagged(words []uint64, tag int) bool {
-	return words != nil && words[tag/64]&(1<<(tag%64)) != 0
 }
 
 // answer ranks the groups that at least minMatches sub-queries accept, from

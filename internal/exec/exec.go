@@ -492,8 +492,6 @@ func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, mi
 	start := time.Now()
 	n := len(p.base.Project)
 	out := &UnionResult{Columns: p.base.Project[:n:n], BlockReads: blocks, Subs: stats}
-	// %w: the cause's class (injected fault, context death) must survive for
-	// retry and degradation policies to read.
 	var bmsBuf [32]groupSet
 	bms := append(bmsBuf[:0], make([]groupSet, len(stats))...)
 	b, how, built, err := p.fromCache(ctx, db, stats, bms)
@@ -509,11 +507,15 @@ func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, mi
 		for i := range stats {
 			stats[i].Elapsed = 0 // a bitmap built before the fallback answers nothing
 		}
+		tried := time.Since(start) // a fill that gave up is time spent on B
 		if err := p.onePass().answer(ctx, db, out, dois, minMatches, k); err != nil {
 			return nil, err
 		}
+		out.Base += tried
 		report(ctx, "onepass", 0, 0)
 	default:
+		// %w: the cause's class (injected fault, context death) must survive
+		// for retry and degradation policies to read.
 		return nil, fmt.Errorf("exec: union: %w", err)
 	}
 	out.Elapsed = time.Since(start)

@@ -19,8 +19,9 @@ import (
 // a projection that only B's relations supply, so it is a semi-join: the
 // groups of B's tuples that all its additions accept. An execution answers
 // from the store's base cache (basecache.go), or else by the one-pass plan
-// (onePass), derived from the same two parts on first need. It is only read
-// once built, so one plan may run any number of times, concurrently.
+// (onePass), derived from the same two parts on first need, once. Nothing
+// else in it changes once built, so one plan may run any number of times,
+// concurrently.
 type UnionPlan struct {
 	// base is B: q's relations, joins and selections and whatever every
 	// sub-query adds alike, in adds[0]'s order, projecting the union's
