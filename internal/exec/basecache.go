@@ -82,7 +82,7 @@ func cacheOf(db *storage.DB) *baseCache {
 }
 
 // base is one materialized B. Tuple t is, for each relation in the order the
-// fill joined them, the number of its row in that table: refs[t*width+r].
+// fill joined them, the number of its row in rows[r]: refs[t*width+r].
 // Tuples are ordered by group, and groups by their projection's SQL
 // rendering (value.CompareSQL, column by column) — the order ranking breaks
 // doi ties in; group g holds tuples start[g] up to start[g+1]. It is only read
@@ -92,14 +92,15 @@ type base struct {
 	key     string       // their encoding (appendClauses)
 	version int64
 	rels    []string        // the relations, in join order
-	rows    [][]storage.Row // their tables' rows at the fill
+	rows    [][]storage.Row // their rows at the fill: an in-memory table's own, another backend's read
 	width   int
 	refs    []int32
 	start   []int32
 	project []attrAt // where each projected column lies in a tuple
 	// bytes is what the cache charges for B and its bitmaps; keyBytes what
-	// its groups' keys would take in the one-pass plan's group table.
-	bytes, keyBytes int64
+	// its groups' keys would take in the one-pass plan's group table; held
+	// what the rows it keeps of a backend other than the in-memory table take.
+	bytes, keyBytes, held int64
 
 	// Cache state, under baseCache.mu.
 	cached       bool
@@ -173,17 +174,12 @@ func (b *base) locate(db *storage.DB, a schema.AttrRef) attrAt {
 	return attrAt{r, db.MustTable(a.Relation).Relation().ColumnIndex(a.Attr)}
 }
 
-// version sums the row counts of rels; ok is false when one of them is not an
-// in-memory table, whose rows a base cannot reference.
-func version(db *storage.DB, rels []string) (v int64, ok bool) {
+// version sums the row counts of rels.
+func version(db *storage.DB, rels []string) (v int64) {
 	for _, r := range rels {
-		t, mem := db.MustTable(r).(*storage.Table)
-		if !mem {
-			return 0, false
-		}
-		v += int64(t.RowCount())
+		v += int64(db.MustTable(r).RowCount())
 	}
-	return v, true
+	return v
 }
 
 // lookup returns the cached B of clauses key at version v, moved to the
@@ -321,18 +317,12 @@ func appendClauses(buf []byte, s *query.Query) []byte {
 }
 
 // fromCache looks up, or fills, the B of p and the bitmap of every
-// sub-query's addition, building the ones it lacks, into bms. It answers errOnePass
-// when the plan has one sub-query (B is then the whole of it), when B reads a
-// table that is not in memory, or when B exceeds the request's executor
-// budget or the cache's bound; how says whether B was a hit or a fill.
+// sub-query's addition, building the ones it lacks, into bms. It answers
+// errOnePass when B, or the keys of the reducers it runs, exceed the
+// request's executor budget or the cache's bound; how says whether B was a
+// hit or a fill.
 func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQueryStat, bms []groupSet) (b *base, how string, built int, err error) {
-	if len(p.adds) < 2 {
-		return nil, "", 0, errOnePass
-	}
-	v, ok := version(db, p.base.From)
-	if !ok {
-		return nil, "", 0, errOnePass
-	}
+	v := version(db, p.base.From)
 	limit := int64(baseCacheBytes)
 	if budget := iter.BudgetFromContext(ctx).Bytes; budget > 0 {
 		limit = min(limit, budget)
@@ -373,12 +363,8 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 	var missingBuf [32]int
 	keys, ends, versions, missing := keyBuf[:0], endBuf[:0], versionBuf[:0], missingBuf[:0]
 	for i := range p.adds {
-		v, ok := version(db, p.adds[i].From)
-		if !ok {
-			v = -1 // a reducer over another backend: no version, never cached
-		}
 		keys = appendClauses(keys, &p.adds[i])
-		ends, versions = append(ends, len(keys)), append(versions, v)
+		ends, versions = append(ends, len(keys)), append(versions, version(db, p.adds[i].From))
 	}
 	key := func(i int) []byte {
 		if i == 0 {
@@ -466,10 +452,7 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 		if b.bitmaps == nil {
 			b.bitmaps = make(map[string]*bitmap, len(missing))
 		}
-		for k, i := range missing {
-			if versions[i] < 0 {
-				continue
-			}
+		for k := range missing {
 			// A bitmap of an older version of the addition's relations gives
 			// way: rows were inserted into them.
 			m := &fresh[k]
@@ -504,16 +487,30 @@ func (b *base) sparse(n int) bool {
 func (b *base) refBytes() int64 { return 4 * int64(len(b.refs)+len(b.start)) }
 
 // fits reports whether B fits limit bytes, measured as a budget measures the
-// one-pass plan: its references, and its groups' keys as the plan's group
-// table would hold them (storage.Row.Width).
-func (b *base) fits(limit int64) bool { return b.refBytes()+b.keyBytes <= limit }
+// one-pass plan: its references, the rows it keeps, and its groups' keys as
+// the plan's group table would hold them (storage.Row.Width).
+func (b *base) fits(limit int64) bool { return b.refBytes()+b.keyBytes+b.held <= limit }
 
-// fill materializes the B of clauses q — every relation an in-memory table —
-// joining from q.From[0] outwards by the tables' column indexes, then
-// numbers its groups in key order. Every relation is opened once, which
-// fires the storage.scan fault point and counts the pass; the first is
-// scanned, the others are probed through their indexes. It answers
-// errOnePass once the tuples exceed limit bytes.
+// rowHeader is what a kept row costs beyond its values: its slice header.
+const rowHeader = 24
+
+// index returns t's index on column col over rows, B's rows of t: an
+// in-memory table's own, built once and kept by the table, or else one
+// built over rows here.
+func index(t storage.Backend, rows []storage.Row, col int) *storage.Index {
+	if mt, ok := t.(*storage.Table); ok {
+		return mt.Index(col)
+	}
+	ix := storage.NewIndex(rows, []int{col})
+	return &ix
+}
+
+// fill materializes the B of clauses q, joining from q.From[0] outwards by
+// column indexes, then numbers its groups in key order. Every relation is
+// opened once, which fires the storage.scan fault point and counts the pass:
+// the first is scanned, an in-memory table joined to it is probed through
+// its own index, and another backend's rows are read and indexed here. It
+// answers errOnePass once the tuples and kept rows exceed limit bytes.
 func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*base, error) {
 	b := &base{q: q, width: len(q.From)}
 	b.rels = make([]string, 0, b.width)
@@ -529,10 +526,12 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 		}
 		return true
 	}
-	// open opens relation r, the next to join, and returns its table and
-	// its cursor, which the caller closes.
-	open := func(r string) (*storage.Table, storage.Cursor, error) {
-		t := db.MustTable(r).(*storage.Table)
+	// open opens relation r, the next to join, and returns its backend and
+	// its cursor, which the caller drains (read) or closes. An in-memory
+	// table's rows are B's to reference; another backend's are the rows its
+	// cursor yields, which B keeps.
+	open := func(r string) (storage.Backend, storage.Cursor, error) {
+		t := db.MustTable(r)
 		cur, err := t.Open()
 		if err != nil {
 			return nil, nil, err
@@ -543,40 +542,56 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 				sels[w] = append(sels[w], colSel{s, t.Relation().ColumnIndex(s.Attr.Attr)})
 			}
 		}
-		b.rels, b.rows = append(b.rels, r), append(b.rows, t.Rows())
+		var rows []storage.Row
+		if mt, ok := t.(*storage.Table); ok {
+			rows = mt.Rows()
+		}
+		b.rels, b.rows = append(b.rels, r), append(b.rows, rows)
 		return t, cur, nil
 	}
-	tooBig := func(refs int) bool { return 4*int64(refs) > limit }
+	// read drains the cursor of relation w, which yields its rows in order,
+	// calling fn, if not nil, with each and its number.
+	read := func(w int, t storage.Backend, cur storage.Cursor, fn func(i int32, row storage.Row)) error {
+		_, mem := t.(*storage.Table)
+		for i := int32(0); ; i++ {
+			row, ok, err := cur.Next()
+			if err == nil && i%64 == 0 {
+				err = ctx.Err()
+			}
+			if !ok || err != nil {
+				if cerr := cur.Close(); err == nil {
+					err = cerr
+				}
+				return err
+			}
+			if !mem {
+				b.rows[w] = append(b.rows[w], row)
+				b.held += int64(rowHeader + 32*len(row) + row.Width())
+			}
+			if fn != nil {
+				fn(i, row)
+			}
+		}
+	}
+	tooBig := func(refs int) bool { return 4*int64(refs)+b.held > limit }
 
-	// The first relation is scanned: its cursor yields its rows in order, so
-	// the i-th is row i.
-	_, scan, err := open(q.From[0])
+	// The first relation is scanned. Its rows that hold are B when it is
+	// alone; otherwise the first join reads them in place.
+	t0, scan, err := open(q.From[0])
 	if err != nil {
 		return nil, err
 	}
-	// Its rows that hold are B when it is alone; otherwise the first join
-	// reads them in place.
 	var cur []int32
 	if b.width == 1 {
-		cur = make([]int32, 0, len(b.rows[0]))
+		cur = make([]int32, 0, t0.RowCount())
 	}
-	for i := 0; ; i++ {
-		row, ok, err := scan.Next()
-		if err == nil && i%64 == 0 {
-			err = ctx.Err()
-		}
-		if !ok || err != nil {
-			if cerr := scan.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return nil, err
-			}
-			break
-		}
+	err = read(0, t0, scan, func(i int32, row storage.Row) {
 		if b.width == 1 && holds(0, row) {
-			cur = append(cur, int32(i))
+			cur = append(cur, i)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Then one pass per relation joined: cur holds the tuples so far, w
 	// relations wide.
@@ -595,7 +610,11 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 		}
 		t, probed, err := open(next)
 		if err == nil {
-			err = probed.Close() // read through the index, or the rows in place
+			if _, mem := t.(*storage.Table); mem {
+				err = probed.Close() // read through the index, or the rows in place
+			} else {
+				err = read(w, t, probed, nil)
+			}
 		}
 		if err != nil {
 			return nil, err
@@ -613,7 +632,7 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 		var ix *storage.Index
 		var key [1]int // the probe's key column, hashed as the index hashes its own
 		if len(conds) > 0 {
-			ix, key[0] = t.Index(right[0]), left[0].col
+			ix, key[0] = index(t, rows, right[0]), left[0].col
 		}
 		// A key join yields about as many tuples as the larger side has rows.
 		out := make([]int32, 0, max(len(rows), len(cur)/w)*(w+1))
@@ -691,7 +710,7 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 	if !b.fits(limit) {
 		return nil, errOnePass
 	}
-	b.bytes = b.refBytes() + int64(cap(b.project))*16 + int64(b.width)*40 + 256
+	b.bytes = b.refBytes() + b.held + int64(cap(b.project))*16 + int64(b.width)*40 + 256
 	return b, nil
 }
 
@@ -837,7 +856,7 @@ func (b *base) build(ctx context.Context, db *storage.DB, s *query.Query, words 
 			add = func(storage.Row) error { found = true; return nil }
 		case 1:
 			a := p.at[0]
-			ix = db.MustTable(b.rels[a.rel]).(*storage.Table).Index(a.col)
+			ix = index(db.MustTable(b.rels[a.rel]), b.rows[a.rel], a.col)
 			p.mark = make([]uint64, (len(ix.Rows)+63)/64)
 			add = func(row storage.Row) error {
 				if k, v, _ := row[0].Peek(); ix.Ranged && k == value.KindInt && (v < ix.Lo || v > ix.Hi) {

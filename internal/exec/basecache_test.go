@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"cqp/internal/blockstore"
 	"cqp/internal/iter"
 	"cqp/internal/prefspace"
 	"cqp/internal/query"
@@ -83,8 +84,7 @@ func untimed(res *UnionResult) *UnionResult {
 
 // cacheStream draws n executions over env's database: six queries, four
 // profiles, K = 10, and per execution 2 to 8 of the preferences, one per
-// sub-query or merged two by two into two sub-queries at least, all-match or
-// any-match, whole or top-10.
+// sub-query or merged two by two, all-match or any-match, whole or top-10.
 // The queries and preferences recur, as a server's do.
 func cacheStream(t *testing.T, env *workload.Env, n int, seed int64) []cacheRequest {
 	t.Helper()
@@ -108,10 +108,7 @@ func cacheStream(t *testing.T, env *workload.Env, n int, seed int64) []cacheRequ
 		}
 		chosen := rng.Perm(sp.K)[:2+rng.Intn(min(7, sp.K-1))]
 		slices.Sort(chosen)
-		per := 1 // preferences per sub-query; a union has two sub-queries at least
-		if len(chosen) > 2 {
-			per += rng.Intn(2)
-		}
+		per := 1 + rng.Intn(2) // preferences per sub-query
 		var adds []query.Query
 		var dois []float64
 		for at := 0; at < len(chosen); at += per {
@@ -140,9 +137,10 @@ func cacheStream(t *testing.T, env *workload.Env, n int, seed int64) []cacheRequ
 // TestBaseCacheMatchesOnePass replays a stream with recurring queries and
 // preferences over a 600-movie database: every execution answers, field for
 // field but its timings, what the one-pass plan answers — forced by a spill
-// budget of one byte, which no B fits — on an emptied cache, on a warm one, after rows are
-// inserted into a relation of Q and into a relation only a reducer reads,
-// and from two goroutines sharing one cache.
+// budget of one byte, which no B fits — on an emptied cache, on a warm one,
+// from two goroutines sharing one cache, over the same data in a block
+// store, and after rows are inserted into a relation of Q and into a
+// relation only a reducer reads.
 func TestBaseCacheMatchesOnePass(t *testing.T) {
 	env := workload.NewEnv(workload.DBConfig{Movies: 600, Seed: 23}, 1)
 	db := env.DB
@@ -233,6 +231,30 @@ func TestBaseCacheMatchesOnePass(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+
+	// The same stream over the same data in a block store, whose rows B
+	// keeps rather than references: cold, then warm.
+	st, err := blockstore.Open(t.TempDir(), workload.Schema(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	disk, err := st.DB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.GenerateInto(disk, workload.DBConfig{Movies: 600, Seed: 23})
+	for _, phase := range []string{"block store, cold", "block store, warm"} {
+		for i, r := range stream {
+			got, err := r.eval(context.Background(), disk)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", r.name, phase, err)
+			}
+			if !reflect.DeepEqual(untimed(got), wants[i]) {
+				t.Fatalf("%s, %s: not the one-pass answer over the in-memory tables", r.name, phase)
+			}
+		}
 	}
 
 	// Rows inserted into a relation of Q and into one only a reducer reads:
