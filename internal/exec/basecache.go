@@ -23,17 +23,18 @@ import (
 // a group is in the answer iff, for enough of its sub-queries, some tuple of
 // B in the group satisfies what the sub-query adds. So B depends only on its
 // clauses and the data, and each sub-query's set of groups only on B and its
-// addition. The store keeps, per B, its tuples — references to the rows of
-// its in-memory tables, ordered by group — and, per addition, the bitmap of
-// the groups it accepts; an execution ANDs or counts bitmaps.
+// addition. The store keeps, per B, its tuples — row numbers into its
+// tables' rows, ordered by group — and, per addition, the set of the groups
+// it accepts; an execution intersects or counts the sets. When B does not
+// fit the request's spill budget, the one-pass plan runs instead.
 //
 // An entry is keyed by an encoding of its clauses (appendClauses), and
 // stamped with the summed row counts of the relations it reads: tables only
 // append, so the sum is a version that moves with every insert.
 
-// baseCacheBytes bounds what one store's cache holds — B's tuple references
-// and group offsets and every bitmap — before it evicts the least recently
-// used B with its bitmaps.
+// baseCacheBytes bounds what one store's cache holds — B's tuple references,
+// group offsets and kept rows, and every bitmap — before it evicts the least
+// recently used B with its bitmaps.
 const baseCacheBytes = 8 << 20
 
 // errOnePass says the cache cannot answer an execution: the one-pass plan

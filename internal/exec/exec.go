@@ -11,7 +11,9 @@
 // in-memory table reads only its literal's rows, and a join builds from an
 // in-memory table's index without scanning it (storage.Table.Index); a
 // reducer walks a preference path from such an equality through such joins.
-// What the plan physically read is in the storage_*_total metrics.
+// What the plan physically read is in the storage_*_total metrics. A union
+// answers from the store's base cache when it can (basecache.go), and runs
+// the one-pass plan (union.go) otherwise.
 //
 // Evaluation is a thin driver over an internal/iter operator tree: scans
 // stream rows from backend cursors through filters, hash joins, projection
