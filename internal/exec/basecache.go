@@ -388,7 +388,7 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 	// one array backs the dense ones' words, one the sparse ones' ids, one
 	// the encodings.
 	nw := (b.groups() + 63) / 64
-	scratch := make([]uint64, nw*len(missing))
+	drafts := make([]uint64, nw*len(missing))
 	nr := 0
 	for _, i := range missing {
 		nr += len(p.adds[i].From)
@@ -401,7 +401,7 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 		keyLen += len(key(i))
 	}
 	for k, i := range missing {
-		words := scratch[k*nw : (k+1)*nw]
+		words := drafts[k*nw : (k+1)*nw]
 		start := time.Now()
 		tag, err = b.build(ctx, db, &p.adds[i], words, reduced, tag)
 		stats[i].Elapsed = time.Since(start)
@@ -420,7 +420,7 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 	fresh := make([]bitmap, len(missing))
 	denseWords, ids := make([]uint64, 0, dense*nw), make([]uint16, 0, sparse)
 	for k, i := range missing {
-		m, words := &fresh[k], scratch[k*nw:(k+1)*nw]
+		m, words := &fresh[k], drafts[k*nw:(k+1)*nw]
 		if n := (groupSet{words: words}).count(); b.sparse(n) {
 			from := len(ids)
 			for w, word := range words {
@@ -952,11 +952,11 @@ func (b *base) build(ctx context.Context, db *storage.DB, s *query.Query, words 
 // counted and ranked by doi, then by group.
 func (b *base) answer(bms []groupSet, dois []float64, minMatches, k int, stats []SubQueryStat) (rows []RankedRow, total int) {
 	nw := (b.groups() + 63) / 64
-	driver := -1 // the smallest sparse set, if any
+	smallest := -1 // the smallest sparse set, if any
 	for i, m := range bms {
 		stats[i].Rows = m.count()
-		if m.words == nil && (driver < 0 || len(m.ids) < len(bms[driver].ids)) {
-			driver = i
+		if m.words == nil && (smallest < 0 || len(m.ids) < len(bms[smallest].ids)) {
+			smallest = i
 		}
 	}
 	rk := groupRanking{k: k}
@@ -978,7 +978,7 @@ func (b *base) answer(bms []groupSet, dois []float64, minMatches, k int, stats [
 		// The intersection, in group order: word by word when every set is
 		// dense, else the smallest sparse set's groups that every set has.
 		each := func(fn func(g int)) {
-			if driver < 0 {
+			if smallest < 0 {
 				for w := range nw {
 					m := ^uint64(0)
 					for _, bm := range bms {
@@ -991,7 +991,7 @@ func (b *base) answer(bms []groupSet, dois []float64, minMatches, k int, stats [
 				return
 			}
 		groups:
-			for _, g := range bms[driver].ids {
+			for _, g := range bms[smallest].ids {
 				for _, bm := range bms {
 					if !bm.has(int(g)) {
 						continue groups
