@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cqp"
+	"cqp/internal/exec"
 	"cqp/internal/value"
 )
 
@@ -151,8 +152,12 @@ func TestPipelineCancelledInIteratorTree(t *testing.T) {
 	}
 
 	probe := newCountdownCtx(1 << 30)
-	if err := runPipeline(probe, p, q, u); err != nil {
+	var how exec.Report
+	if err := runPipeline(exec.WithReport(probe, &how), p, q, u); err != nil {
 		t.Fatalf("probe run failed: %v", err)
+	}
+	if how.Base != "fill" || how.BitmapsBuilt == 0 {
+		t.Fatalf("the probe run's execution was not cold: base %s, %d bitmaps built", how.Base, how.BitmapsBuilt)
 	}
 	checkpoints := probe.calls.Load()
 	// The streaming executor polls inside row loops, so a join over 600
