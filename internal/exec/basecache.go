@@ -76,10 +76,18 @@ type baseCache struct {
 	bases      map[string]*base
 	head, tail *base // most and least recently used
 	bytes      int64
+	// oversize holds, for a B whose fill outgrew the bound, its version + 1:
+	// until its relations change, no fill is tried again. At most
+	// maxOversize entries are kept.
+	oversize map[string]int64
 }
 
+const maxOversize = 256
+
 func cacheOf(db *storage.DB) *baseCache {
-	return db.Memo(cacheKey{}, func() any { return &baseCache{bases: make(map[string]*base)} }).(*baseCache)
+	return db.Memo(cacheKey{}, func() any {
+		return &baseCache{bases: make(map[string]*base), oversize: make(map[string]int64)}
+	}).(*baseCache)
 }
 
 // base is one materialized B. Tuple t is, for each relation in the order the
@@ -334,12 +342,24 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 	bkey := appendClauses(bkeyBuf[:0], p.base)
 	c.mu.Lock()
 	b = c.lookup(bkey, v)
+	oversize := c.oversize[string(bkey)] == v+1
 	c.mu.Unlock()
 	how = "hit"
 	if b == nil {
+		if oversize && limit == baseCacheBytes {
+			return nil, "", 0, errOnePass // this version outgrew the bound before
+		}
 		how = "fill"
 		reg.Counter("exec_base_cache_misses_total").Inc()
 		if b, err = fill(ctx, db, p.base, limit); err != nil {
+			if errors.Is(err, errOnePass) && limit == baseCacheBytes {
+				c.mu.Lock()
+				if len(c.oversize) >= maxOversize {
+					clear(c.oversize)
+				}
+				c.oversize[string(bkey)] = v + 1
+				c.mu.Unlock()
+			}
 			return nil, "", 0, err
 		}
 		b.key, b.version = string(bkey), v
@@ -558,6 +578,9 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 			row, ok, err := cur.Next()
 			if err == nil && i%64 == 0 {
 				err = ctx.Err()
+			}
+			if err == nil && ok && !mem && b.held > limit {
+				err = errOnePass
 			}
 			if !ok || err != nil {
 				if cerr := cur.Close(); err == nil {

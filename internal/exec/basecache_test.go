@@ -11,6 +11,7 @@ import (
 
 	"cqp/internal/blockstore"
 	"cqp/internal/iter"
+	"cqp/internal/obs"
 	"cqp/internal/prefspace"
 	"cqp/internal/query"
 	"cqp/internal/schema"
@@ -329,3 +330,37 @@ func TestBaseCacheMatchesOnePass(t *testing.T) {
 }
 
 func attrRef(rel, attr string) schema.AttrRef { return schema.AttrRef{Relation: rel, Attr: attr} }
+
+// TestOversizeBaseNotRefilled: a B whose fill outgrows the cache's bound —
+// here a cartesian product of three relations — is answered by the one-pass
+// plan, and the next execution does not try the fill again until a row is
+// inserted into one of B's relations.
+func TestOversizeBaseNotRefilled(t *testing.T) {
+	db := unionDB()
+	reg := obs.NewRegistry()
+	db.SetMetrics(reg)
+	var subs []*query.Query
+	for _, sql := range []string{
+		"SELECT title FROM MOVIE, GENRE, ACTOR WHERE MOVIE.year >= 1960",
+		"SELECT title FROM MOVIE, GENRE, ACTOR WHERE GENRE.genre = 'genre01'",
+	} {
+		subs = append(subs, sqlparse.MustParse(db.Schema(), sql))
+	}
+	fills := func() int64 { return reg.Counter("exec_base_cache_misses_total").Value() }
+	run := func(want int64) {
+		t.Helper()
+		before := fills()
+		how := new(Report)
+		ctx := WithReport(context.Background(), how)
+		if _, err := wholePlan(db.Schema(), subs).EvalTopK(ctx, db, nil, 1, 5); err != nil {
+			t.Fatal(err)
+		}
+		if how.Base != "onepass" || fills()-before != want {
+			t.Fatalf("base %s after %d fills, want onepass after %d", how.Base, fills()-before, want)
+		}
+	}
+	run(1) // tried, outgrew the bound
+	run(0) // not tried again
+	db.MustTable("GENRE").MustInsert(value.Int(1), value.Str(workload.GenreName(1)))
+	run(1) // the data changed: tried again
+}
