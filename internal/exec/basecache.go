@@ -76,17 +76,11 @@ type baseCache struct {
 	bases      map[string]*base
 	head, tail *base // most and least recently used
 	bytes      int64
-	// oversize holds, for a B whose fill outgrew the bound, its version + 1:
-	// until its relations change, no fill is tried again. At most
-	// maxOversize entries are kept.
-	oversize map[string]int64
 }
-
-const maxOversize = 256
 
 func cacheOf(db *storage.DB) *baseCache {
 	return db.Memo(cacheKey{}, func() any {
-		return &baseCache{bases: make(map[string]*base), oversize: make(map[string]int64)}
+		return &baseCache{bases: make(map[string]*base)}
 	}).(*baseCache)
 }
 
@@ -128,45 +122,19 @@ type bitmap struct {
 	set     groupSet
 }
 
-// groupSet is a set of B's groups, held as whichever form is smaller: dense,
-// a bit per group (words, never nil), or — when B has at most 2^16 groups —
-// sparse, the groups in ascending order (ids).
-type groupSet struct {
-	words []uint64
-	ids   []uint16
-}
+// groupSet is a set of B's groups, a bit per group.
+type groupSet []uint64
 
 // has reports whether group g is in the set.
-func (s groupSet) has(g int) bool {
-	if s.words != nil {
-		return s.words[g/64]&(1<<(g%64)) != 0
-	}
-	_, ok := slices.BinarySearch(s.ids, uint16(g))
-	return ok
-}
+func (s groupSet) has(g int) bool { return s[g/64]&(1<<(g%64)) != 0 }
 
 // count is the number of groups in the set.
 func (s groupSet) count() int {
-	if s.words == nil {
-		return len(s.ids)
-	}
 	n := 0
-	for _, w := range s.words {
+	for _, w := range s {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// word returns the set's bits for groups 64w to 64w+63. For a sparse set, at
-// indexes its first id not below 64w, and next its first id past the word.
-func (s groupSet) word(w, at int) (bits uint64, next int) {
-	if s.words != nil {
-		return s.words[w], at
-	}
-	for ; at < len(s.ids) && int(s.ids[at]) < (w+1)*64; at++ {
-		bits |= 1 << (s.ids[at] % 64)
-	}
-	return bits, at
 }
 
 // groups is B's number of groups.
@@ -284,7 +252,7 @@ func (b *base) bitmap(key []byte, v int64) (groupSet, bool) {
 	if m := b.bitmaps[string(key)]; m != nil && m.version == v {
 		return m.set, true
 	}
-	return groupSet{}, false
+	return nil, false
 }
 
 // appendClauses appends an encoding of s's relations, joins, selections and
@@ -342,24 +310,12 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 	bkey := appendClauses(bkeyBuf[:0], p.base)
 	c.mu.Lock()
 	b = c.lookup(bkey, v)
-	oversize := c.oversize[string(bkey)] == v+1
 	c.mu.Unlock()
 	how = "hit"
 	if b == nil {
-		if oversize && limit == baseCacheBytes {
-			return nil, "", 0, errOnePass // this version outgrew the bound before
-		}
 		how = "fill"
 		reg.Counter("exec_base_cache_misses_total").Inc()
 		if b, err = fill(ctx, db, p.base, limit); err != nil {
-			if errors.Is(err, errOnePass) && limit == baseCacheBytes {
-				c.mu.Lock()
-				if len(c.oversize) >= maxOversize {
-					clear(c.oversize)
-				}
-				c.oversize[string(bkey)] = v + 1
-				c.mu.Unlock()
-			}
 			return nil, "", 0, err
 		}
 		b.key, b.version = string(bkey), v
@@ -404,11 +360,9 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 	if len(missing) == 0 {
 		return b, how, 0, nil
 	}
-	// The missing bitmaps are built dense, then kept in the smaller form:
-	// one array backs the dense ones' words, one the sparse ones' ids, one
-	// the encodings.
+	// One array backs the missing bitmaps, one string their encodings.
 	nw := (b.groups() + 63) / 64
-	drafts := make([]uint64, nw*len(missing))
+	words := make([]uint64, nw*len(missing))
 	nr := 0
 	for _, i := range missing {
 		nr += len(p.adds[i].From)
@@ -416,14 +370,16 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 	// A component has a relation at least: nr tags are enough.
 	reduced := iter.NewGrouper(ctx, max(nr, 1))
 	defer reduced.Close()
-	tag, dense, sparse, keyLen := 0, 0, 0, 0
+	tag, keyLen := 0, 0
 	for _, i := range missing {
 		keyLen += len(key(i))
 	}
+	fresh := make([]bitmap, len(missing))
 	for k, i := range missing {
-		words := drafts[k*nw : (k+1)*nw]
+		m := &fresh[k]
+		m.set, m.version = words[k*nw:(k+1)*nw:(k+1)*nw], versions[i]
 		start := time.Now()
-		tag, err = b.build(ctx, db, &p.adds[i], words, reduced, tag)
+		tag, err = b.build(ctx, db, &p.adds[i], m.set, reduced, tag)
 		stats[i].Elapsed = time.Since(start)
 		if err != nil {
 			if errors.Is(err, errOnePass) {
@@ -431,29 +387,6 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 			}
 			return nil, "", 0, fmt.Errorf("sub-query %d: %w", i, err)
 		}
-		if n := (groupSet{words: words}).count(); b.sparse(n) {
-			sparse += n
-		} else {
-			dense++
-		}
-	}
-	fresh := make([]bitmap, len(missing))
-	denseWords, ids := make([]uint64, 0, dense*nw), make([]uint16, 0, sparse)
-	for k, i := range missing {
-		m, words := &fresh[k], drafts[k*nw:(k+1)*nw]
-		if n := (groupSet{words: words}).count(); b.sparse(n) {
-			from := len(ids)
-			for w, word := range words {
-				for ; word != 0; word &= word - 1 {
-					ids = append(ids, uint16(w*64+bits.TrailingZeros64(word)))
-				}
-			}
-			m.set.ids = ids[from:len(ids):len(ids)]
-		} else {
-			denseWords = append(denseWords, words...)
-			m.set.words = denseWords[len(denseWords)-nw : len(denseWords) : len(denseWords)]
-		}
-		m.version = versions[i]
 		bms[i] = m.set
 	}
 	var enc strings.Builder // one string holds the new bitmaps' encodings
@@ -466,7 +399,7 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 		fresh[k].key = encoded[at : at+len(key(i))]
 		at += len(key(i))
 	}
-	kept := int64(len(fresh))*bitmapOverhead + 8*int64(cap(denseWords)) + 2*int64(cap(ids)) + int64(len(encoded))
+	kept := int64(len(fresh))*bitmapOverhead + 8*int64(cap(words)) + int64(len(encoded))
 	c.mu.Lock()
 	evicted, ok := c.grow(b, kept)
 	if ok {
@@ -496,12 +429,7 @@ const bitmapOverhead = 104
 
 // size is what the cache charges for m.
 func (m *bitmap) size() int64 {
-	return bitmapOverhead + 8*int64(len(m.set.words)) + 2*int64(len(m.set.ids)) + int64(len(m.key))
-}
-
-// sparse reports whether a set of n of B's groups is smaller as their ids.
-func (b *base) sparse(n int) bool {
-	return b.groups() <= 1<<16 && 2*n < 8*((b.groups()+63)/64)
+	return bitmapOverhead + 8*int64(len(m.set)) + int64(len(m.key))
 }
 
 // refBytes is what B's tuples and group offsets take.
@@ -536,12 +464,22 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 	b := &base{q: q, width: len(q.From)}
 	b.rels = make([]string, 0, b.width)
 	b.rows = make([][]storage.Row, 0, b.width)
-	// sels[i] are q's selections on the relation joined i-th, by column.
+	// sels[i] are q's selections on the relation joined i-th, by column, and
+	// eqs[i] its joins of two of that relation's columns: pickNext, which
+	// joins a relation to the ones before it, never uses them, and a
+	// relation is named once, so they are all the joins it leaves.
 	var selsBuf [4][]colSel
+	var eqsBuf [4][][2]int
 	sels := append(selsBuf[:0], make([][]colSel, b.width)...)
+	eqs := append(eqsBuf[:0], make([][][2]int, b.width)...)
 	holds := func(w int, row storage.Row) bool {
 		for _, s := range sels[w] {
 			if !s.Op.Test(&row[s.col], &s.Value) {
+				return false
+			}
+		}
+		for _, e := range eqs[w] {
+			if row[e[0]].Compare(row[e[1]]) != 0 {
 				return false
 			}
 		}
@@ -557,10 +495,15 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 		if err != nil {
 			return nil, nil, err
 		}
-		w := len(b.rels)
+		w, rel := len(b.rels), t.Relation()
 		for _, s := range q.Selections {
 			if s.Attr.Relation == r {
-				sels[w] = append(sels[w], colSel{s, t.Relation().ColumnIndex(s.Attr.Attr)})
+				sels[w] = append(sels[w], colSel{s, rel.ColumnIndex(s.Attr.Attr)})
+			}
+		}
+		for _, j := range q.Joins {
+			if j.Left.Relation == r && j.Right.Relation == r {
+				eqs[w] = append(eqs[w], [2]int{rel.ColumnIndex(j.Left.Attr), rel.ColumnIndex(j.Right.Attr)})
 			}
 		}
 		var rows []storage.Row
@@ -975,12 +918,8 @@ func (b *base) build(ctx context.Context, db *storage.DB, s *query.Query, words 
 // counted and ranked by doi, then by group.
 func (b *base) answer(bms []groupSet, dois []float64, minMatches, k int, stats []SubQueryStat) (rows []RankedRow, total int) {
 	nw := (b.groups() + 63) / 64
-	smallest := -1 // the smallest sparse set, if any
 	for i, m := range bms {
 		stats[i].Rows = m.count()
-		if m.words == nil && (smallest < 0 || len(m.ids) < len(bms[smallest].ids)) {
-			smallest = i
-		}
 	}
 	rk := groupRanking{k: k}
 	doiOf := func(g int) (float64, int) {
@@ -998,29 +937,16 @@ func (b *base) answer(bms []groupSet, dois []float64, minMatches, k int, stats [
 		return acc.Doi(), n
 	}
 	if minMatches == len(bms) {
-		// The intersection, in group order: word by word when every set is
-		// dense, else the smallest sparse set's groups that every set has.
+		// The intersection, word by word in group order.
 		each := func(fn func(g int)) {
-			if smallest < 0 {
-				for w := range nw {
-					m := ^uint64(0)
-					for _, bm := range bms {
-						m &= bm.words[w]
-					}
-					for ; m != 0; m &= m - 1 {
-						fn(w*64 + bits.TrailingZeros64(m))
-					}
-				}
-				return
-			}
-		groups:
-			for _, g := range bms[smallest].ids {
+			for w := range nw {
+				m := ^uint64(0)
 				for _, bm := range bms {
-					if !bm.has(int(g)) {
-						continue groups
-					}
+					m &= bm[w]
 				}
-				fn(int(g))
+				for ; m != 0; m &= m - 1 {
+					fn(w*64 + bits.TrailingZeros64(m))
+				}
 			}
 		}
 		each(func(int) { total++ })
@@ -1041,14 +967,10 @@ func (b *base) answer(bms []groupSet, dois []float64, minMatches, k int, stats [
 		if k > 0 {
 			rk.kept = make([]ranked, 0, k)
 		}
-		var atBuf [32]int
-		at := append(atBuf[:0], make([]int, len(bms))...) // each sparse set's next id
 		for w := range nw {
 			var m uint64
-			for i, bm := range bms {
-				var word uint64
-				word, at[i] = bm.word(w, at[i])
-				m |= word
+			for _, bm := range bms {
+				m |= bm[w]
 			}
 			for ; m != 0; m &= m - 1 {
 				g := w*64 + bits.TrailingZeros64(m)
