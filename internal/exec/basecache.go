@@ -122,45 +122,19 @@ type bitmap struct {
 	set     groupSet
 }
 
-// groupSet is a set of B's groups, held as whichever form is smaller: dense,
-// a bit per group (words, never nil), or — when B has at most 2^16 groups —
-// sparse, the groups in ascending order (ids).
-type groupSet struct {
-	words []uint64
-	ids   []uint16
-}
+// groupSet is a set of B's groups, a bit per group.
+type groupSet []uint64
 
 // has reports whether group g is in the set.
-func (s groupSet) has(g int) bool {
-	if s.words != nil {
-		return s.words[g/64]&(1<<(g%64)) != 0
-	}
-	_, ok := slices.BinarySearch(s.ids, uint16(g))
-	return ok
-}
+func (s groupSet) has(g int) bool { return s[g/64]&(1<<(g%64)) != 0 }
 
 // count is the number of groups in the set.
 func (s groupSet) count() int {
-	if s.words == nil {
-		return len(s.ids)
-	}
 	n := 0
-	for _, w := range s.words {
+	for _, w := range s {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// word returns the set's bits for groups 64w to 64w+63. For a sparse set, at
-// indexes its first id not below 64w, and next its first id past the word.
-func (s groupSet) word(w, at int) (bits uint64, next int) {
-	if s.words != nil {
-		return s.words[w], at
-	}
-	for ; at < len(s.ids) && int(s.ids[at]) < (w+1)*64; at++ {
-		bits |= 1 << (s.ids[at] % 64)
-	}
-	return bits, at
 }
 
 // groups is B's number of groups.
@@ -278,7 +252,7 @@ func (b *base) bitmap(key []byte, v int64) (groupSet, bool) {
 	if m := b.bitmaps[string(key)]; m != nil && m.version == v {
 		return m.set, true
 	}
-	return groupSet{}, false
+	return nil, false
 }
 
 // appendClauses appends an encoding of s's relations, joins, selections and
@@ -386,11 +360,9 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 	if len(missing) == 0 {
 		return b, how, 0, nil
 	}
-	// The missing bitmaps are built dense, then kept in the smaller form:
-	// one array backs the dense ones' words, one the sparse ones' ids, one
-	// the encodings.
+	// One array backs the missing bitmaps, one string their encodings.
 	nw := (b.groups() + 63) / 64
-	drafts := make([]uint64, nw*len(missing))
+	words := make([]uint64, nw*len(missing))
 	nr := 0
 	for _, i := range missing {
 		nr += len(p.adds[i].From)
@@ -398,14 +370,16 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 	// A component has a relation at least: nr tags are enough.
 	reduced := iter.NewGrouper(ctx, max(nr, 1))
 	defer reduced.Close()
-	tag, dense, sparse, keyLen := 0, 0, 0, 0
+	tag, keyLen := 0, 0
 	for _, i := range missing {
 		keyLen += len(key(i))
 	}
+	fresh := make([]bitmap, len(missing))
 	for k, i := range missing {
-		words := drafts[k*nw : (k+1)*nw]
+		m := &fresh[k]
+		m.set, m.version = words[k*nw:(k+1)*nw:(k+1)*nw], versions[i]
 		start := time.Now()
-		tag, err = b.build(ctx, db, &p.adds[i], words, reduced, tag)
+		tag, err = b.build(ctx, db, &p.adds[i], m.set, reduced, tag)
 		stats[i].Elapsed = time.Since(start)
 		if err != nil {
 			if errors.Is(err, errOnePass) {
@@ -413,29 +387,6 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 			}
 			return nil, "", 0, fmt.Errorf("sub-query %d: %w", i, err)
 		}
-		if n := (groupSet{words: words}).count(); b.sparse(n) {
-			sparse += n
-		} else {
-			dense++
-		}
-	}
-	fresh := make([]bitmap, len(missing))
-	denseWords, ids := make([]uint64, 0, dense*nw), make([]uint16, 0, sparse)
-	for k, i := range missing {
-		m, words := &fresh[k], drafts[k*nw:(k+1)*nw]
-		if n := (groupSet{words: words}).count(); b.sparse(n) {
-			from := len(ids)
-			for w, word := range words {
-				for ; word != 0; word &= word - 1 {
-					ids = append(ids, uint16(w*64+bits.TrailingZeros64(word)))
-				}
-			}
-			m.set.ids = ids[from:len(ids):len(ids)]
-		} else {
-			denseWords = append(denseWords, words...)
-			m.set.words = denseWords[len(denseWords)-nw : len(denseWords) : len(denseWords)]
-		}
-		m.version = versions[i]
 		bms[i] = m.set
 	}
 	var enc strings.Builder // one string holds the new bitmaps' encodings
@@ -448,7 +399,7 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 		fresh[k].key = encoded[at : at+len(key(i))]
 		at += len(key(i))
 	}
-	kept := int64(len(fresh))*bitmapOverhead + 8*int64(cap(denseWords)) + 2*int64(cap(ids)) + int64(len(encoded))
+	kept := int64(len(fresh))*bitmapOverhead + 8*int64(cap(words)) + int64(len(encoded))
 	c.mu.Lock()
 	evicted, ok := c.grow(b, kept)
 	if ok {
@@ -478,12 +429,7 @@ const bitmapOverhead = 104
 
 // size is what the cache charges for m.
 func (m *bitmap) size() int64 {
-	return bitmapOverhead + 8*int64(len(m.set.words)) + 2*int64(len(m.set.ids)) + int64(len(m.key))
-}
-
-// sparse reports whether a set of n of B's groups is smaller as their ids.
-func (b *base) sparse(n int) bool {
-	return b.groups() <= 1<<16 && 2*n < 8*((b.groups()+63)/64)
+	return bitmapOverhead + 8*int64(len(m.set)) + int64(len(m.key))
 }
 
 // refBytes is what B's tuples and group offsets take.
@@ -966,62 +912,53 @@ func (b *base) build(ctx context.Context, db *storage.DB, s *query.Query, words 
 }
 
 // answer ranks the groups that at least minMatches sub-queries accept, from
-// bms, their sets: every sub-query's rows are its count. The sets are walked
-// a word of groups at a time: all-match takes their intersection, whose
-// groups tie on doi and rank in group order, so a top-k answer keeps the
-// first k; otherwise each group of their union counts the sets that have it
-// and is ranked by doi, then by group.
+// bms, their sets: every sub-query's rows are its count; all-match is the
+// sets' intersection, whose groups tie on doi and rank in group order, so a
+// top-k answer stops after k of them; otherwise each group's matches are
+// counted and ranked by doi, then by group.
 func (b *base) answer(bms []groupSet, dois []float64, minMatches, k int, stats []SubQueryStat) (rows []RankedRow, total int) {
+	nw := (b.groups() + 63) / 64
 	for i, m := range bms {
 		stats[i].Rows = m.count()
 	}
-	all := minMatches == len(bms)
-	var atBuf [32]int
-	var wordBuf [32]uint64
-	at := append(atBuf[:0], make([]int, len(bms))...)         // each sparse set's next id
-	words := append(wordBuf[:0], make([]uint64, len(bms))...) // each set's current word
-	// each calls fn, in group order, with every group of the intersection
-	// (all-match) or the union, its doi, and the number of sets that have it.
-	each := func(fn func(g int, doi float64, n int)) {
-		clear(at)
-		for w := range (b.groups() + 63) / 64 {
-			var m uint64
-			if all {
-				m = ^uint64(0)
-			}
-			for i, s := range bms {
-				words[i], at[i] = s.word(w, at[i])
-				if all {
-					m &= words[i]
-				} else {
-					m |= words[i]
+	rk := groupRanking{k: k}
+	doiOf := func(g int) (float64, int) {
+		var acc prefs.ConjAccum
+		acc.Reset()
+		n := 0
+		for i, m := range bms {
+			if m.has(g) {
+				n++
+				if dois != nil {
+					acc.Add(dois[i])
 				}
-			}
-			for ; m != 0; m &= m - 1 {
-				bit := bits.TrailingZeros64(m)
-				var acc prefs.ConjAccum
-				acc.Reset()
-				n := 0
-				for i, word := range words {
-					if word&(1<<bit) != 0 {
-						n++
-						if dois != nil {
-							acc.Add(dois[i])
-						}
-					}
-				}
-				fn(w*64+bit, acc.Doi(), n)
 			}
 		}
+		return acc.Doi(), n
 	}
-	rk := groupRanking{k: k}
-	if all {
-		each(func(int, float64, int) { total++ })
+	if minMatches == len(bms) {
+		// The intersection, word by word in group order.
+		each := func(fn func(g int)) {
+			for w := range nw {
+				m := ^uint64(0)
+				for _, bm := range bms {
+					m &= bm[w]
+				}
+				for ; m != 0; m &= m - 1 {
+					fn(w*64 + bits.TrailingZeros64(m))
+				}
+			}
+		}
+		each(func(int) { total++ })
 		if k == 0 || k > total {
 			k = total
 		}
 		rk.kept = make([]ranked, 0, k)
-		each(func(g int, doi float64, _ int) {
+		var doi float64
+		each(func(g int) {
+			if len(rk.kept) == 0 {
+				doi, _ = doiOf(g)
+			}
 			if len(rk.kept) < k {
 				rk.kept = append(rk.kept, ranked{doi: doi, group: int32(g)})
 			}
@@ -1030,12 +967,20 @@ func (b *base) answer(bms []groupSet, dois []float64, minMatches, k int, stats [
 		if k > 0 {
 			rk.kept = make([]ranked, 0, k)
 		}
-		each(func(g int, doi float64, n int) {
-			if n >= minMatches {
-				total++
-				rk.offer(ranked{doi: doi, group: int32(g)})
+		for w := range nw {
+			var m uint64
+			for _, bm := range bms {
+				m |= bm[w]
 			}
-		})
+			for ; m != 0; m &= m - 1 {
+				g := w*64 + bits.TrailingZeros64(m)
+				doi, n := doiOf(g)
+				if n >= minMatches {
+					total++
+					rk.offer(ranked{doi: doi, group: int32(g)})
+				}
+			}
+		}
 		rk.sort()
 	}
 	return b.rankedRows(rk.kept, bms), total
