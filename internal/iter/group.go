@@ -167,7 +167,7 @@ func (g *Grouper) load(r *spillReader) error {
 		}
 		n := len(wide) - g.words
 		if n < 0 {
-			return fmt.Errorf("iter: group spill frame of %d columns, want %d tag words", len(wide), g.words)
+			return fmt.Errorf("%w: group frame of %d columns, want %d tag words", ErrSpill, len(wide), g.words)
 		}
 		for w, v := range wide[n:] {
 			g.one[w] = uint64(v.AsInt())

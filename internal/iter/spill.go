@@ -3,6 +3,7 @@ package iter
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -27,6 +28,10 @@ var (
 	spillBytes atomic.Int64
 )
 
+// ErrSpill marks a failure to create, write or read back a spill file: the
+// server's fault, never the caller's.
+var ErrSpill = errors.New("iter: spill")
+
 // SpillStats reports cumulative spill activity: runs (operator state
 // overflows), rows written to spill files, and bytes written.
 func SpillStats() (runs, rows, bytes int64) {
@@ -49,7 +54,7 @@ type spillRun struct {
 // at the moment an operator first needs it.
 func newSpillRun(dir string) (*spillRun, error) {
 	if err := fault.Inject(fault.IterSpill); err != nil {
-		return nil, fmt.Errorf("iter: spill: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrSpill, err)
 	}
 	if dir == "" {
 		dir = os.TempDir()
@@ -63,7 +68,7 @@ func newSpillRun(dir string) (*spillRun, error) {
 		f, err := os.CreateTemp(dir, "cqp-spill-*.part")
 		if err != nil {
 			r.Close()
-			return nil, fmt.Errorf("iter: spill: %w", err)
+			return nil, fmt.Errorf("%w: %w", ErrSpill, err)
 		}
 		// Unlink now: the handle keeps the data alive, the namespace
 		// forgets it, and a crash cannot strand partitions on disk.
@@ -85,10 +90,10 @@ func (r *spillRun) write(h uint64, row storage.Row) error {
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(r.buf)))
 	if _, err := r.w[p].Write(hdr[:n]); err != nil {
-		return fmt.Errorf("iter: spill write: %w", err)
+		return fmt.Errorf("%w write: %w", ErrSpill, err)
 	}
 	if _, err := r.w[p].Write(r.buf); err != nil {
-		return fmt.Errorf("iter: spill write: %w", err)
+		return fmt.Errorf("%w write: %w", ErrSpill, err)
 	}
 	r.rows[p]++
 	spillRows.Add(1)
@@ -101,14 +106,14 @@ func (r *spillRun) write(h uint64, row storage.Row) error {
 // nearly-full scratch disk actually lands.
 func (r *spillRun) finish() error {
 	if err := fault.Inject(fault.IterSpill); err != nil {
-		return fmt.Errorf("iter: spill: %w", err)
+		return fmt.Errorf("%w: %w", ErrSpill, err)
 	}
 	for i, w := range r.w {
 		if err := w.Flush(); err != nil {
-			return fmt.Errorf("iter: spill flush: %w", err)
+			return fmt.Errorf("%w flush: %w", ErrSpill, err)
 		}
 		if _, err := r.files[i].Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("iter: spill: %w", err)
+			return fmt.Errorf("%w: %w", ErrSpill, err)
 		}
 	}
 	return nil
@@ -167,21 +172,21 @@ func (s *spillReader) next() (storage.Row, bool, error) {
 	}
 	n, err := binary.ReadUvarint(s.br)
 	if err != nil {
-		return nil, false, fmt.Errorf("iter: spill read: %w", err)
+		return nil, false, fmt.Errorf("%w read: %w", ErrSpill, err)
 	}
 	if uint64(cap(s.buf)) < n {
 		s.buf = make([]byte, n)
 	}
 	s.buf = s.buf[:n]
 	if _, err := io.ReadFull(s.br, s.buf); err != nil {
-		return nil, false, fmt.Errorf("iter: spill read: %w", err)
+		return nil, false, fmt.Errorf("%w read: %w", ErrSpill, err)
 	}
 	row, rest, err := blockstore.DecodeRow(s.buf)
 	if err != nil {
-		return nil, false, fmt.Errorf("iter: spill read: %w", err)
+		return nil, false, fmt.Errorf("%w read: %w", ErrSpill, err)
 	}
 	if len(rest) != 0 {
-		return nil, false, fmt.Errorf("iter: spill read: %d trailing bytes in frame", len(rest))
+		return nil, false, fmt.Errorf("%w read: %d trailing bytes in frame", ErrSpill, len(rest))
 	}
 	s.left--
 	return row, true, nil

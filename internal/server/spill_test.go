@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"testing"
 
 	"cqp/internal/iter"
@@ -46,5 +47,39 @@ func TestSpillBudgetServesIdenticalAnswers(t *testing.T) {
 	}
 	if plain != tight {
 		t.Fatalf("spill budget changed served results:\nplain: %s\ntight: %s", plain, tight)
+	}
+}
+
+// TestSpillFailureIsInternal: a spill file the executor cannot open is the
+// server's fault, not the caller's. /execute, /topk and an execute-mode
+// batch item answer 500 internal.
+func TestSpillFailureIsInternal(t *testing.T) {
+	_, ts := newTestServer(t, Config{SpillBytes: 2048, SpillDir: filepath.Join(t.TempDir(), "missing")})
+	putProfile(t, ts.URL, "alice", testProfileText())
+	const sql = "SELECT title, name FROM MOVIE, DIRECTOR WHERE MOVIE.did = DIRECTOR.did"
+	for path, body := range map[string]map[string]any{
+		"/execute": batchItem("alice", sql),
+		"/topk":    {"sql": sql, "profile_id": "alice", "cmax_ms": 10000, "k": 50},
+	} {
+		resp, raw := doJSON(t, http.MethodPost, ts.URL+path, body)
+		var env errorResponse
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("%s body: %v: %s", path, err, raw)
+		}
+		if resp.StatusCode != http.StatusInternalServerError || env.Error.Class != "internal" {
+			t.Errorf("%s with an unopenable spill dir: %d %s, want 500 internal", path, resp.StatusCode, raw)
+		}
+	}
+
+	resp, raw := doJSON(t, http.MethodPost, ts.URL+"/personalize/batch",
+		map[string]any{"execute": true, "items": []map[string]any{batchItem("alice", sql)}})
+	var br struct {
+		Results []batchItemJSON `json:"results"`
+	}
+	if err := json.Unmarshal(raw, &br); err != nil || resp.StatusCode != http.StatusOK || len(br.Results) != 1 {
+		t.Fatalf("batch: %d %v: %s", resp.StatusCode, err, raw)
+	}
+	if e := br.Results[0].Error; e == nil || e.Class != "internal" {
+		t.Errorf("batch item with an unopenable spill dir: %s, want class internal", raw)
 	}
 }
