@@ -216,7 +216,6 @@ func (n *Node) newPeer(id, url string) *peerState {
 		breaker: resilience.NewBreaker(resilience.BreakerConfig{
 			FailureThreshold: n.cfg.PeerStrikes,
 			OpenTimeout:      n.cfg.ProbeInterval,
-			HalfOpenProbes:   1,
 			OnTransition: func(_, to resilience.BreakerState) {
 				up := int64(0)
 				if to != resilience.Open {

@@ -1,6 +1,6 @@
-// Package resilience provides the circuit breaker the cqpd daemon guards
-// its pipeline with, and the cluster its peers: three states, consecutive
-// failures to open, a timed open window, bounded half-open probes.
+// Package resilience provides the circuit breaker the cluster keeps for each
+// peer: three states, consecutive failures to open, a timed open window, one
+// half-open probe.
 package resilience
 
 import (
@@ -16,8 +16,8 @@ const (
 	Closed BreakerState = iota
 	// Open: traffic is refused until OpenTimeout elapses.
 	Open
-	// HalfOpen: a bounded number of probes flow; enough successes close
-	// the breaker, any failure reopens it.
+	// HalfOpen: one probe flows; its success closes the breaker, its
+	// failure reopens it.
 	HalfOpen
 )
 
@@ -33,58 +33,41 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes a Breaker. The zero value selects serving defaults.
+// BreakerConfig tunes a Breaker.
 type BreakerConfig struct {
 	// FailureThreshold is the consecutive-failure count that opens the
-	// breaker (default 5).
+	// breaker (at least 1).
 	FailureThreshold int
-	// OpenTimeout is how long the breaker stays open before allowing
-	// half-open probes (default 5s).
+	// OpenTimeout is how long the breaker stays open before allowing the
+	// half-open probe (positive).
 	OpenTimeout time.Duration
-	// HalfOpenProbes is both the number of concurrent probes admitted in
-	// half-open and the successes required to close (default 2).
-	HalfOpenProbes int
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
-	// OnTransition observes every state change (the daemon's breaker
-	// gauge and transition counter hang off this). Called without the
-	// breaker's lock held.
+	// OnTransition observes every state change (the cluster's peer-up
+	// gauge and flap counter hang off this). Called without the breaker's
+	// lock held.
 	OnTransition func(from, to BreakerState)
 }
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 5
-	}
-	if c.OpenTimeout <= 0 {
-		c.OpenTimeout = 5 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 2
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-	return c
-}
-
-// Breaker is a three-state circuit breaker guarding the daemon's pipeline
-// backend. Callers pair every Allow() == true with exactly one Success or
-// Failure for the guarded attempt.
+// Breaker is a three-state circuit breaker guarding one peer. Callers pair
+// every Allow() == true with exactly one Success or Failure for the guarded
+// attempt.
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int       // consecutive, in Closed
-	openedAt  time.Time // entry into Open
-	probes    int       // in-flight probes granted in HalfOpen
-	successes int       // probe successes in HalfOpen
+	mu       sync.Mutex
+	state    BreakerState
+	failures int       // consecutive, in Closed
+	openedAt time.Time // entry into Open
+	probing  bool      // the half-open probe is in flight
 }
 
 // NewBreaker builds a closed breaker.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
+	}
+	return &Breaker{cfg: cfg}
 }
 
 // State returns the current state (after any due open→half-open lapse).
@@ -99,9 +82,8 @@ func (b *Breaker) State() BreakerState {
 
 // Allow reports whether a guarded attempt may proceed. In Closed it always
 // grants; in Open it refuses until OpenTimeout has elapsed (which moves the
-// breaker to HalfOpen); in HalfOpen it grants up to HalfOpenProbes
-// concurrent probes. A granted attempt must be settled with Success or
-// Failure.
+// breaker to HalfOpen); in HalfOpen it grants one probe at a time. A granted
+// attempt must be settled with Success or Failure.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	tr := b.lapseLocked()
@@ -110,10 +92,8 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		ok = true
 	case HalfOpen:
-		if b.probes < b.cfg.HalfOpenProbes {
-			b.probes++
-			ok = true
-		}
+		ok = !b.probing
+		b.probing = true
 	}
 	b.mu.Unlock()
 	b.notify(tr)
@@ -128,11 +108,7 @@ func (b *Breaker) Success() {
 	case Closed:
 		b.failures = 0
 	case HalfOpen:
-		b.probes--
-		b.successes++
-		if b.successes >= b.cfg.HalfOpenProbes {
-			tr = b.toLocked(Closed)
-		}
+		tr = b.toLocked(Closed)
 	}
 	b.mu.Unlock()
 	b.notify(tr)
@@ -150,21 +126,7 @@ func (b *Breaker) Failure() {
 			tr = b.toLocked(Open)
 		}
 	case HalfOpen:
-		b.probes--
 		tr = b.toLocked(Open)
-	}
-	b.mu.Unlock()
-	b.notify(tr)
-}
-
-// Trip forces the breaker open (test and admin hook).
-func (b *Breaker) Trip() {
-	b.mu.Lock()
-	var tr []transition
-	if b.state != Open {
-		tr = b.toLocked(Open)
-	} else {
-		b.openedAt = b.cfg.Clock()
 	}
 	b.mu.Unlock()
 	b.notify(tr)
@@ -184,16 +146,9 @@ func (b *Breaker) lapseLocked() []transition {
 // transition for post-unlock notification.
 func (b *Breaker) toLocked(to BreakerState) []transition {
 	from := b.state
-	b.state = to
-	switch to {
-	case Open:
+	b.state, b.failures, b.probing = to, 0, false
+	if to == Open {
 		b.openedAt = b.cfg.Clock()
-		b.probes, b.successes = 0, 0
-	case HalfOpen:
-		b.probes, b.successes = 0, 0
-	case Closed:
-		b.failures = 0
-		b.probes, b.successes = 0, 0
 	}
 	return []transition{{from, to}}
 }

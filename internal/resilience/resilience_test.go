@@ -25,13 +25,12 @@ func (c *testClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestBreaker(threshold, probes int, timeout time.Duration) (*Breaker, *testClock, *[]string) {
+func newTestBreaker(threshold int, timeout time.Duration) (*Breaker, *testClock, *[]string) {
 	clk := &testClock{now: time.Unix(0, 0)}
 	var log []string
 	b := NewBreaker(BreakerConfig{
 		FailureThreshold: threshold,
 		OpenTimeout:      timeout,
-		HalfOpenProbes:   probes,
 		Clock:            clk.Now,
 		OnTransition: func(from, to BreakerState) {
 			log = append(log, fmt.Sprintf("%s->%s", from, to))
@@ -41,7 +40,7 @@ func newTestBreaker(threshold, probes int, timeout time.Duration) (*Breaker, *te
 }
 
 func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
-	b, _, log := newTestBreaker(3, 1, time.Second)
+	b, _, log := newTestBreaker(3, time.Second)
 	for i := 0; i < 2; i++ {
 		if !b.Allow() {
 			t.Fatal("closed breaker refused")
@@ -66,21 +65,20 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbesAndRecovery(t *testing.T) {
-	b, clk, log := newTestBreaker(1, 2, time.Second)
+	b, clk, log := newTestBreaker(1, time.Second)
 	b.Allow()
 	b.Failure() // opens
 	if b.Allow() {
 		t.Fatal("open breaker granted before timeout")
 	}
 	clk.Advance(time.Second)
-	// Two probes flow, a third is refused while they are in flight.
-	if !b.Allow() || !b.Allow() {
-		t.Fatal("half-open breaker refused probes")
+	// One probe flows, a second is refused while it is in flight.
+	if !b.Allow() {
+		t.Fatal("half-open breaker refused the probe")
 	}
 	if b.Allow() {
-		t.Fatal("half-open breaker granted more than HalfOpenProbes")
+		t.Fatal("half-open breaker granted a second probe")
 	}
-	b.Success()
 	b.Success()
 	if b.State() != Closed {
 		t.Fatalf("state = %s after probe successes, want closed", b.State())
@@ -92,7 +90,7 @@ func TestBreakerHalfOpenProbesAndRecovery(t *testing.T) {
 }
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	b, clk, _ := newTestBreaker(1, 1, time.Second)
+	b, clk, _ := newTestBreaker(1, time.Second)
 	b.Allow()
 	b.Failure()
 	clk.Advance(time.Second)
@@ -113,7 +111,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 }
 
 func TestBreakerConcurrentUse(t *testing.T) {
-	b, _, _ := newTestBreaker(1000000, 2, time.Second)
+	b, _, _ := newTestBreaker(1000000, time.Second)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

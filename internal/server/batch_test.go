@@ -177,7 +177,7 @@ func TestRungSeverityOrdering(t *testing.T) {
 // degraded_counts. One item is answered from the stale cache (rung
 // "stale"), the other exhausts the ladder (rung "unavailable").
 func TestBatchRungAggregation(t *testing.T) {
-	s, ts := newTestServer(t, Config{RetryAttempts: 1})
+	s, ts := newTestServer(t, Config{})
 	putProfile(t, ts.URL, "alice", testProfileText())
 
 	// Warm the cache for item A, then rotate the profile version: A's

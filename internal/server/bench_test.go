@@ -45,8 +45,8 @@ func serveBench(b *testing.B, h http.Handler, path string, body []byte) {
 
 // BenchmarkServePersonalize is the disarmed-overhead yardstick: the full
 // pipeline serve path with no fault plan armed, so every Inject site costs
-// one atomic load and the retry/breaker/ladder wrapping runs its success
-// fast path. Compare against a build without the resilience layer to bound
+// one atomic load and the ladder wrapping runs its success fast
+// path. Compare against a build without the resilience layer to bound
 // the regression (acceptance: ≤ 2%).
 func BenchmarkServePersonalize(b *testing.B) {
 	if fault.Enabled() {

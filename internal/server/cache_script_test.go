@@ -8,11 +8,9 @@ import (
 	"os"
 	"regexp"
 	"testing"
-	"time"
 
 	"cqp"
 	"cqp/internal/fault"
-	"cqp/internal/resilience"
 )
 
 // updateCacheScript regenerates testdata/cache_script.golden. The file is
@@ -33,11 +31,11 @@ var wallClock = regexp.MustCompile(`"(duration_us|exec_ms)":[-+.e0-9]+`)
 // body the cached and degraded marks — with the recording. The session walks
 // each way an answer can be remembered or forgotten: fill, hit, PUT, miss,
 // hit, DELETE and re-PUT, /refresh, no_cache, an inline profile, a batch with
-// duplicates, a server.cache fault (a miss that fills nothing), and an open
-// breaker that takes the stale rung where there is a last good answer and
-// the heuristic rung where there is none.
+// duplicates, a server.cache fault (a miss that fills nothing), and failed
+// pipeline runs that take the stale rung where there is a last good answer
+// and the heuristic rung where there is none.
 func TestCacheScript(t *testing.T) {
-	s, ts := newTestServer(t, Config{RetryAttempts: 1, BreakerThreshold: 2, BreakerOpenTimeout: time.Hour})
+	s, ts := newTestServer(t, Config{})
 	var got bytes.Buffer
 	step := func(name, method, path string, body any) {
 		t.Helper()
@@ -104,18 +102,22 @@ func TestCacheScript(t *testing.T) {
 	post("hit after the cache fault", "/personalize")
 
 	// A hard-down executor: the stale rung answers the rotated /execute key
-	// with the answer filled two versions ago, then the breaker opens.
+	// with the answer filled two versions ago. The "open breaker" steps are
+	// named for the pipeline breaker the recording was made with; armed
+	// faults now fail their primary runs the way it refused them: a
+	// hard-down search takes the personalization's stale rung, and one
+	// failed expansion sends a request with nothing stale to the heuristic.
 	put("put alice before the executor fault", "alice", 2)
 	armPlan(t, "exec.union:err", 1)
 	post("execute takes the stale rung", "/execute")
 	step("execute, nothing stale", http.MethodPost, "/execute", body(q2, nil))
-	if st := s.breaker.State(); st != resilience.Open {
-		t.Fatalf("breaker %v after two hard-down requests, want open", st)
-	}
 	post("open breaker, stale rung", "/execute")
+	armPlan(t, "search.expand:err", 1)
 	post("open breaker, stale rung of the personalization", "/personalize")
+	armPlan(t, "search.expand:err:x1", 1)
 	step("open breaker, nothing stale: heuristic rung", http.MethodPost, "/personalize",
 		body("SELECT title FROM MOVIE WHERE year >= 1980", nil))
+	armPlan(t, "search.expand:err:x1", 1)
 	step("open breaker, no_cache: heuristic rung", http.MethodPost, "/personalize",
 		body(testSQL, map[string]any{"no_cache": true}))
 	fault.Disarm()

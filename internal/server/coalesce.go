@@ -93,9 +93,10 @@ func (s *Server) lead(endpoint, key string, f *flight, run func() flightOutcome)
 }
 
 // runPipeline executes one pipeline request end to end: admission (the
-// pool's slots), the resilience stack (retry, breaker, degradation ladder),
-// and — when the request carries a cache key — singleflight coalescing, so
-// N concurrent identical cache misses cost one pipeline run instead of N.
+// pool's slots), the resilience stack (one attempt, then the degradation
+// ladder), and — when the request carries a cache key — singleflight
+// coalescing, so N concurrent identical cache misses cost one pipeline run
+// instead of N.
 // Returns the outcome and whether this request led the run: only the
 // leader should write the result cache (followers share the same value,
 // and a canceled leader must not have followers cache on its behalf).

@@ -112,7 +112,7 @@ func (r contractReply) ok(t *testing.T, step string, cached bool, degraded strin
 func TestEndpointContract(t *testing.T) {
 	for _, cc := range contractCases {
 		t.Run(cc.name, func(t *testing.T) {
-			s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryAttempts: 1})
+			s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 			putProfile(t, ts.URL, "alice", testProfileText())
 			send := func(query string, mods map[string]any) contractReply {
 				t.Helper()

@@ -4,17 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
-	"time"
 
 	"cqp"
 	"cqp/internal/fault"
 )
 
 // errPanic marks a pipeline panic that the serving path recovered: the
-// attempt failed, the request goes on. Classified transient — injected
-// panics (the fault harness's panic mode) and genuine pipeline bugs both
-// warrant a retry and, failing that, the degradation ladder.
+// attempt failed, the request goes on. Classed transient with injected
+// faults: the degradation ladder answers in its place.
 var errPanic = errors.New("server: pipeline panicked")
 
 // ErrExhausted reports that every rung of the degradation ladder was
@@ -22,18 +19,11 @@ var errPanic = errors.New("server: pipeline panicked")
 // text is the one clients have always seen.
 var ErrExhausted = errors.New("resilience: degradation ladder exhausted")
 
-// The primary attempt's backoff: the first retry sleeps retryBase, each
-// later one twice the last up to retryMax, every sleep spread by ±25 %.
-const (
-	retryBase = 5 * time.Millisecond
-	retryMax  = 250 * time.Millisecond
-)
-
 // transientFault reports whether an error is a backend fault the serving
-// path may retry or degrade around. ONLY injected faults and recovered
-// panics qualify; context errors, cqp.ErrInfeasible and caller mistakes
-// (unknown algorithms, bad SQL) are permanent — retrying them would mask
-// the caller's error and burn slots.
+// path may degrade around. ONLY injected faults and recovered panics
+// qualify; context errors, cqp.ErrInfeasible, caller mistakes (unknown
+// algorithms, bad SQL), read errors and spill failures are answered as they
+// are — a cheaper rung would meet them again.
 func transientFault(err error) bool {
 	return errors.Is(err, fault.ErrInjected) || errors.Is(err, errPanic)
 }
@@ -43,8 +33,8 @@ func transientFault(err error) bool {
 type solver func(ctx context.Context, rung string) (any, error)
 
 // safeRun executes one pipeline attempt, converting a panic into an
-// errPanic-classed error, so a poisoned attempt is retried or degraded like
-// any other transient fault.
+// errPanic-classed error, so a poisoned attempt is degraded around like any
+// other transient fault.
 func safeRun(ctx context.Context, solve solver, rung string) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -54,26 +44,13 @@ func safeRun(ctx context.Context, solve solver, rung string) (v any, err error) 
 	return solve(ctx, rung)
 }
 
-// sleep waits d or until ctx dies, reporting whether the full wait elapsed.
-func sleep(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // runResilient executes one pipeline request with the daemon's full fault
 // posture, and is the whole of it: the primary (full-fidelity) attempt runs
-// under the circuit breaker with RetryAttempts tries; when it fails
-// transiently, when the breaker is open, or when the admission queue is
-// past its high-water mark, the degradation ladder runs instead: (1) the
-// stale-cache rung, then (2+) the endpoint's cheaper rungs (ladder), in
-// order. Returns the answer, the name of the rung that produced it ("" =
-// full fidelity), and the terminal error.
+// once; when it fails transiently, or when the admission queue is past its
+// high-water mark, the degradation ladder runs instead: (1) the stale-cache
+// rung, then (2+) the endpoint's cheaper rungs (ladder), in order. Returns
+// the answer, the name of the rung that produced it ("" = full fidelity),
+// and the terminal error.
 //
 // This is the operational reading of the paper's algorithm family: exact
 // search (the branch-and-bound default; C-BOUNDARIES, D-MAXDOI by name)
@@ -81,38 +58,18 @@ func sleep(ctx context.Context, d time.Duration) bool {
 // same question at different quality/cost points, so the daemon sheds
 // quality before it sheds requests.
 func (s *Server) runResilient(ctx context.Context, endpoint, staleKey string, ladder []string, solve solver) (any, string, error) {
-	bypass := ""
-	switch {
-	case s.pool.Pressured():
-		bypass = "pressure"
-	case !s.breaker.Allow():
-		bypass = "breaker-open"
-	}
 	var last error // the last transient failure: the primary attempt's, then a rung's
-	if bypass != "" {
-		s.reg.Counter("server_degraded_bypass_total", "endpoint", endpoint, "reason", bypass).Inc()
+	if s.pool.Pressured() {
+		s.reg.Counter("server_degraded_bypass_total", "endpoint", endpoint, "reason", "pressure").Inc()
 	} else {
-		for attempt, delay := 1, retryBase; ; attempt++ {
-			v, err := safeRun(ctx, solve, "")
-			if !transientFault(err) {
-				// An answer, or a failure on the request's own terms
-				// (infeasible problem, dead deadline, caller mistake): the
-				// backend did its job, so the breaker grant settles as a
-				// success.
-				s.breaker.Success()
-				return v, "", err
-			}
-			last = err
-			if attempt >= s.cfg.RetryAttempts {
-				break
-			}
-			s.reg.Counter("server_retries_total", "endpoint", endpoint).Inc()
-			if !sleep(ctx, time.Duration(float64(delay)*(0.75+0.5*rand.Float64()))) {
-				break
-			}
-			delay = min(2*delay, retryMax)
+		v, err := safeRun(ctx, solve, "")
+		if !transientFault(err) {
+			// An answer, or a failure on the request's own terms
+			// (infeasible problem, dead deadline, caller mistake) or the
+			// backend's (a read error, a spill failure) that no rung avoids.
+			return v, "", err
 		}
-		s.breaker.Failure()
+		last = err
 		s.reg.Counter("server_pipeline_faults_total", "endpoint", endpoint).Inc()
 	}
 

@@ -6,93 +6,66 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
-	"time"
 
 	"cqp"
 	"cqp/internal/fault"
 )
 
-// errTransient is classed like an injected fault: the serving path retries
-// it and degrades around it.
+// errTransient is classed like an injected fault: the serving path degrades
+// around it.
 var errTransient = fmt.Errorf("test: %w", fault.ErrInjected)
 
-// errBad is a caller's mistake: permanent, never retried or degraded around.
+// errBad is a caller's mistake: permanent, never degraded around.
 var errBad = errors.New("test: bad request")
 
-// TestResilience drives runResilient — retry, breaker and ladder in one
-// loop — on a live daemon with a scripted solver. fail decides the outcome
-// of the call-th call (from 1) at a rung ("" is full fidelity); nil answers.
+// TestResilience drives runResilient — one primary attempt, then the ladder
+// — on a live daemon with a scripted solver. fail decides the outcome of a
+// call at a rung ("" is full fidelity); nil answers.
 func TestResilience(t *testing.T) {
 	cases := []struct {
-		name     string
-		cfg      Config
-		stale    bool // the request's identity holds an earlier answer
-		trip     bool // the breaker is open
-		cancel   time.Duration
-		fail     func(rung string, call int) error
-		rung     string         // the rung that answered
-		err      error          // the terminal error, nil for an answer
-		status   int            // errorStatus's mapping of err:
-		class    string         // its code and class
-		calls    map[string]int // solver calls per rung
-		retries  int64          // server_retries_total
-		faults   int64          // server_pipeline_faults_total
-		dry      int64          // server_degraded_total{rung="unavailable"}
-		breaker  bool           // a second failure after the run must not open the breaker
-		deadline time.Duration  // the run returns within this
+		name   string
+		stale  bool // the request's identity holds an earlier answer
+		cancel bool // the context is dead before the run
+		fail   func(rung string) error
+		rung   string         // the rung that answered
+		err    error          // the terminal error, nil for an answer
+		status int            // errorStatus's mapping of err:
+		class  string         // its code and class
+		calls  map[string]int // solver calls per rung
+		faults int64          // server_pipeline_faults_total
+		dry    int64          // server_degraded_total{rung="unavailable"}
 	}{
 		{
-			name: "retries are counted",
-			fail: func(rung string, call int) error {
-				if call < 3 {
-					return errTransient
-				}
-				return nil
-			},
-			calls: map[string]int{"": 3}, retries: 2,
-		},
-		{
 			name: "attempts exhaust into the ladder",
-			fail: func(rung string, _ int) error {
+			fail: func(rung string) error {
 				if rung == "" {
 					return errTransient
 				}
 				return nil
 			},
-			rung: "heuristic", calls: map[string]int{"": 3, "heuristic": 1}, retries: 2, faults: 1,
+			rung: "heuristic", calls: map[string]int{"": 1, "heuristic": 1}, faults: 1,
 		},
 		{
-			name: "a permanent error stops retrying and settles the breaker as a success",
-			cfg:  Config{BreakerThreshold: 2},
-			fail: func(string, int) error { return cqp.ErrInfeasible },
+			name: "a permanent error is answered without the ladder",
+			fail: func(string) error { return cqp.ErrInfeasible },
 			err:  cqp.ErrInfeasible, status: http.StatusUnprocessableEntity, class: "infeasible",
-			calls: map[string]int{"": 1}, breaker: true,
+			calls: map[string]int{"": 1},
 		},
 		{
 			name: "a context error is not retried",
-			fail: func(string, int) error { return fmt.Errorf("cqp: personalize: %w", context.DeadlineExceeded) },
+			fail: func(string) error { return fmt.Errorf("cqp: personalize: %w", context.DeadlineExceeded) },
 			err:  context.DeadlineExceeded, status: http.StatusGatewayTimeout, class: "timeout",
 			calls: map[string]int{"": 1},
 		},
 		{
-			name:   "cancelling during backoff returns promptly",
-			cfg:    Config{RetryAttempts: 10}, // sleeps of about a second in all
-			cancel: 20 * time.Millisecond,
-			fail:   func(string, int) error { return errTransient },
-			err:    context.Canceled, status: http.StatusServiceUnavailable, class: "unavailable",
-			faults: 1, dry: 1, deadline: 200 * time.Millisecond,
-		},
-		{
 			name:  "the stale rung answers first",
-			cfg:   Config{RetryAttempts: 1},
 			stale: true,
-			fail:  func(string, int) error { return errTransient },
+			fail:  func(string) error { return errTransient },
 			rung:  "stale", calls: map[string]int{"": 1}, faults: 1,
 		},
 		{
 			name: "the ladder skips an empty stale rung and an infeasible rung",
-			cfg:  Config{RetryAttempts: 1},
-			fail: func(rung string, _ int) error {
+			fail: func(rung string) error {
 				switch rung {
 				case "":
 					return errTransient
@@ -105,15 +78,13 @@ func TestResilience(t *testing.T) {
 		},
 		{
 			name: "an exhausted ladder answers 503 degraded_unavailable",
-			cfg:  Config{RetryAttempts: 1},
-			fail: func(string, int) error { return errTransient },
+			fail: func(string) error { return errTransient },
 			err:  ErrExhausted, status: http.StatusServiceUnavailable, class: "degraded_unavailable",
 			calls: map[string]int{"": 1, "heuristic": 1, "tight-cmax": 1}, faults: 1, dry: 1,
 		},
 		{
 			name: "a permanent error at a rung stops the ladder",
-			cfg:  Config{RetryAttempts: 1},
-			fail: func(rung string, _ int) error {
+			fail: func(rung string) error {
 				if rung == "" {
 					return errTransient
 				}
@@ -124,48 +95,33 @@ func TestResilience(t *testing.T) {
 		},
 		{
 			name:   "a dead context stops the ladder",
-			trip:   true,
-			cancel: -1,
-			fail:   func(string, int) error { return nil },
+			cancel: true,
+			fail:   func(string) error { return errTransient },
 			err:    context.Canceled, status: http.StatusServiceUnavailable, class: "unavailable",
-			calls: map[string]int{}, dry: 1,
+			calls: map[string]int{"": 1}, faults: 1, dry: 1,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newTestDaemon(t, tc.cfg)
+			s := newTestDaemon(t, Config{})
 			if tc.stale {
 				s.cache.Put("id@1g0", len("id"), "earlier")
 			}
-			if tc.trip {
-				s.breaker.Trip()
-			}
-			if tc.breaker {
-				s.breaker.Allow()
-				s.breaker.Failure() // one of the two failures that open it
-			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			switch {
-			case tc.cancel < 0:
+			if tc.cancel {
 				cancel()
-			case tc.cancel > 0:
-				time.AfterFunc(tc.cancel, cancel)
 			}
 			calls := map[string]int{}
 			solve := func(_ context.Context, rung string) (any, error) {
 				calls[rung]++
-				if err := tc.fail(rung, calls[rung]); err != nil {
+				if err := tc.fail(rung); err != nil {
 					return nil, err
 				}
 				return "answer at " + rung, nil
 			}
 
-			start := time.Now()
 			v, rung, err := s.runResilient(ctx, "personalize", "id", solveLadder, solve)
-			if tc.deadline > 0 && time.Since(start) > tc.deadline {
-				t.Errorf("returned after %v, want within %v", time.Since(start), tc.deadline)
-			}
 			if tc.err != nil {
 				if !errors.Is(err, tc.err) {
 					t.Fatalf("err = %v, want %v", err, tc.err)
@@ -182,28 +138,14 @@ func TestResilience(t *testing.T) {
 					t.Fatalf("runResilient = (%v, %q, %v), want (%v, %q, nil)", v, rung, err, want, tc.rung)
 				}
 			}
-			if tc.calls != nil && fmt.Sprint(calls) != fmt.Sprint(tc.calls) {
+			if fmt.Sprint(calls) != fmt.Sprint(tc.calls) {
 				t.Errorf("solver calls %v, want %v", calls, tc.calls)
-			}
-			if tc.cancel > 0 {
-				if n := s.reg.Counter("server_retries_total", "endpoint", "personalize").Value(); n < 1 {
-					t.Errorf("server_retries_total = %d, want at least one retry before the cancel", n)
-				}
-			} else if n := s.reg.Counter("server_retries_total", "endpoint", "personalize").Value(); n != tc.retries {
-				t.Errorf("server_retries_total = %d, want %d", n, tc.retries)
 			}
 			if n := s.reg.Counter("server_pipeline_faults_total", "endpoint", "personalize").Value(); n != tc.faults {
 				t.Errorf("server_pipeline_faults_total = %d, want %d", n, tc.faults)
 			}
 			if n := s.reg.Counter("server_degraded_total", "endpoint", "personalize", "rung", "unavailable").Value(); n != tc.dry {
 				t.Errorf("server_degraded_total{rung=unavailable} = %d, want %d", n, tc.dry)
-			}
-			if tc.breaker {
-				s.breaker.Allow()
-				s.breaker.Failure()
-				if st := s.breaker.State().String(); st != "closed" {
-					t.Errorf("breaker %s: the permanent error did not settle as a success", st)
-				}
 			}
 		})
 	}

@@ -16,7 +16,6 @@ import (
 	"cqp"
 	"cqp/internal/cluster"
 	"cqp/internal/obs"
-	"cqp/internal/resilience"
 	"cqp/internal/wal"
 )
 
@@ -42,16 +41,6 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies; oversized bodies get 413
 	// (default 1 MiB).
 	MaxBodyBytes int64
-
-	// RetryAttempts is the number of tries (including the first) the
-	// serving path gives a transiently failing pipeline run (default 3;
-	// 1 disables retrying).
-	RetryAttempts int
-	// BreakerThreshold is the consecutive-transient-failure count that
-	// opens the pipeline circuit breaker (default 5); BreakerOpenTimeout is
-	// how long it stays open before half-open probes (default 5s).
-	BreakerThreshold   int
-	BreakerOpenTimeout time.Duration
 
 	// Logger receives the per-request structured log lines (one per
 	// finished request, plus slow-query lines). Nil disables request
@@ -143,15 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.RetryAttempts <= 0 {
-		c.RetryAttempts = 3
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerOpenTimeout <= 0 {
-		c.BreakerOpenTimeout = 5 * time.Second
-	}
 	if c.BatchMaxItems <= 0 {
 		c.BatchMaxItems = 64
 	}
@@ -179,7 +159,6 @@ type Server struct {
 	flight   *obs.Flight
 	slo      *obs.SLO
 	log      *slog.Logger
-	breaker  *resilience.Breaker
 	mux      *http.ServeMux
 	start    time.Time
 	recovery *wal.Recovery
@@ -240,15 +219,6 @@ func New(db *cqp.DB, cfg Config) (*Server, error) {
 	} else {
 		s.store = NewProfileStore(db.Schema())
 	}
-	s.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-		FailureThreshold: cfg.BreakerThreshold,
-		OpenTimeout:      cfg.BreakerOpenTimeout,
-		OnTransition: func(from, to resilience.BreakerState) {
-			reg.Gauge("server_breaker_state").Set(int64(to))
-			reg.Counter("server_breaker_transitions_total",
-				"from", from.String(), "to", to.String()).Inc()
-		},
-	})
 	if cfg.NodeID != "" {
 		s.store.keepTombstones(s.recovery) // another node's records can arrive older than a local delete
 		node, err := cluster.New(cluster.Config{
