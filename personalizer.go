@@ -583,7 +583,7 @@ func (p *Personalizer) PersonalizeFrontContext(ctx context.Context, q *Query, u 
 	})
 	if stats.Fault != nil {
 		// An injected fault aborted the search: an error, as Solve returns
-		// it, so the daemon retries it and never caches the partial front.
+		// it, so the daemon degrades around it and caches no partial front.
 		lp.Lap(obs.PhaseSearch)
 		return nil, stats.Fault
 	}
