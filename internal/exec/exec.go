@@ -496,7 +496,8 @@ func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, mi
 	out := &UnionResult{Columns: p.base.Project[:n:n], BlockReads: blocks, Subs: stats}
 	var bmsBuf [32]groupSet
 	bms := append(bmsBuf[:0], make([]groupSet, len(stats))...)
-	b, how, built, err := p.fromCache(ctx, db, stats, bms)
+	var how Report
+	b, err := p.fromCache(ctx, db, stats, bms, &how)
 	switch {
 	case err == nil:
 		out.Base = time.Since(start)
@@ -504,7 +505,7 @@ func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, mi
 			out.Base -= s.Elapsed
 		}
 		out.Rows, out.Total = b.answer(bms, dois, minMatches, k, stats)
-		report(ctx, how, len(bms)-built, built)
+		report(ctx, how)
 	case errors.Is(err, errOnePass):
 		for i := range stats {
 			stats[i].Elapsed = 0 // a bitmap built before the fallback answers nothing
@@ -514,7 +515,7 @@ func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, mi
 			return nil, err
 		}
 		out.Base += tried
-		report(ctx, "onepass", 0, 0)
+		report(ctx, Report{Base: "onepass"})
 	default:
 		// %w: the cause's class (injected fault, context death) must survive
 		// for retry and degradation policies to read.

@@ -50,6 +50,14 @@ func TestTracedPipeline(t *testing.T) {
 	if got := len(exe.Children()); got != 2 {
 		t.Errorf("execute span has %d sub-query children, want 2:\n%s", got, tr.Tree())
 	}
+	// A first execution fills B and computes the row marks its bitmaps read.
+	attrs := make(map[string]string)
+	for _, a := range exe.Attrs() {
+		attrs[a.Key] = a.Value
+	}
+	if attrs["base"] != "fill" || attrs["marks_hit"] != "0" || attrs["marks_built"] == "" || attrs["marks_built"] == "0" {
+		t.Errorf("execute span attributes %v: want a fill whose marks were all built", attrs)
+	}
 	tree := tr.Tree()
 	for _, want := range []string{"personalize-request", "  personalize", "subquery[0]", "subquery[1]"} {
 		if !strings.Contains(tree, want) {
@@ -116,6 +124,7 @@ func TestObservedPipelineMetrics(t *testing.T) {
 		"search_solves_total", "search_states_visited_total", "search_ms",
 		"storage_scans_total", "storage_block_reads_total", "storage_rows_scanned_total",
 		"exec_unions_total", "exec_subquery_ms", "exec_block_reads_total",
+		"exec_base_cache_mark_hits_total", "exec_base_cache_mark_misses_total",
 		"estimator_qerror_cost", "estimator_qerror_size",
 	} {
 		if !names[want] {

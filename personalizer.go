@@ -243,7 +243,8 @@ func (r *Result) Execute() (*exec.UnionResult, error) {
 // an "execute" span laid out like the executor's union plan — attributes
 // base (hit, fill or onepass: how the store's base cache served B),
 // bitmaps_hit and bitmaps_built (the sub-queries whose group bitmaps it had
-// and built), base_time and rank, and one "subquery[i]" child per
+// and built), marks_hit and marks_built (the row marks those builds read
+// and computed), base_time and rank, and one "subquery[i]" child per
 // sub-query (the build of its bitmap, zero on a hit; on the one-pass plan
 // the reducers it fed), so the children are not additive. Every execution also
 // feeds the estimator-accuracy tracker (when the personalizer observes a
@@ -295,14 +296,15 @@ func (r *Result) execute(ctx context.Context, run func(context.Context) (*exec.U
 			reg.Counter("cqp_constraint_violation_total", "param", "size").Inc()
 		}
 	}
-	if span := lp.Lap(obs.PhaseExecute); span != nil {
-		span.SetAttr("rows", res.Total)
-		span.SetAttr("blocks", res.BlockReads)
-		span.SetAttr("base", how.Base)
-		span.SetAttr("bitmaps_hit", how.BitmapsHit)
-		span.SetAttr("bitmaps_built", how.BitmapsBuilt)
-		span.SetAttr("base_time", obs.FormatDuration(res.Base))
-		span.SetAttr("rank", obs.FormatDuration(res.Rank))
+	var own []obs.Attr // the span's, set at once: a SetAttr each would grow them one by one
+	if how != nil {
+		own = []obs.Attr{{Key: "rows", Value: strconv.Itoa(res.Total)}, {Key: "blocks", Value: strconv.FormatInt(res.BlockReads, 10)},
+			{Key: "base", Value: how.Base}, {Key: "bitmaps_hit", Value: strconv.Itoa(how.BitmapsHit)},
+			{Key: "bitmaps_built", Value: strconv.Itoa(how.BitmapsBuilt)}, {Key: "marks_hit", Value: strconv.Itoa(how.MarksHit)},
+			{Key: "marks_built", Value: strconv.Itoa(how.MarksBuilt)}, {Key: "base_time", Value: obs.FormatDuration(res.Base)},
+			{Key: "rank", Value: obs.FormatDuration(res.Rank)}}
+	}
+	if span := lp.Lap(obs.PhaseExecute, own...); span != nil {
 		attrs := make([]obs.Attr, 0, 2*len(res.Subs))
 		span.AddChildren(len(res.Subs), func(i int) (string, time.Duration, []obs.Attr) {
 			s := &res.Subs[i]
