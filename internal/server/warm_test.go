@@ -270,8 +270,8 @@ func TestMissAllocs(t *testing.T) {
 //
 // An execution is cold when a movie was inserted since the last one: the
 // base the store cached for Q is stale, so the execution fills it again and
-// builds all twenty bitmaps (444 and 456 allocations). Warm, with B and the
-// bitmaps cached, the same requests make 151 and 163, which bound them.
+// builds all twenty bitmaps (426 and 438 allocations). Warm, with B and the
+// bitmaps cached, the same requests make 141 and 153, which bound them.
 func TestExecuteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the executor's paths")
@@ -286,8 +286,8 @@ func TestExecuteAllocs(t *testing.T) {
 		path, body string
 		cold, warm float64
 	}{
-		{"/execute", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","limit":5,"problem":{"number":2,"cmax_ms":%d}}`, 456, 151},
-		{"/topk", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","k":5,"max_k":20,"cmax_ms":%d}`, 476, 163},
+		{"/execute", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","limit":5,"problem":{"number":2,"cmax_ms":%d}}`, 456, 141},
+		{"/topk", `{"sql":"SELECT title FROM MOVIE WHERE year >= 1950","profile_id":"alice","k":5,"max_k":20,"cmax_ms":%d}`, 476, 153},
 	} {
 		bodies := make([][]byte, 2*runs+1)
 		for i := range bodies {
