@@ -27,7 +27,7 @@
 //	                                  # POST any member /cluster/join
 //	                                  # {"id":"n4","url":"http://h4:8344"}
 //	cqpd ... -replicas 3 -peer-strikes 2 -antientropy 10s
-//	                                  # R=3, slower breaker, 10s repair period
+//	                                  # R=3, two strikes mark a peer down, 10s repair period
 //
 // Endpoints: POST /personalize, /personalize/batch, /execute, /front,
 // /topk; PUT/GET/DELETE
@@ -87,7 +87,7 @@ func main() {
 		peersCSV  = flag.String("peers", "", "static cluster peer list: comma-separated id=url pairs including this node, e.g. 'n1=http://10.0.0.1:8344,n2=http://10.0.0.2:8344'")
 		replicate = flag.Bool("replicate", false, "ship acked WAL frames to followers so reads fail over when an owner dies (requires -peers and -data)")
 		replicas  = flag.Int("replicas", 2, "replication factor R: owner plus R−1 followers per profile (must match across the cluster; R=3 survives two simultaneous owner deaths)")
-		strikes   = flag.Int("peer-strikes", 1, "consecutive probe/proxy failures before a peer's breaker opens (raise on lossy networks to avoid flapping into stale_replica reads)")
+		strikes   = flag.Int("peer-strikes", 1, "consecutive probe/proxy failures that mark a peer down; any success marks it up (raise on lossy networks to avoid flapping into stale_replica reads)")
 		probeIvl  = flag.Duration("probe-interval", 500*time.Millisecond, "cluster peer health-probe period (the failover detection bound)")
 		handoff   = flag.Int("handoff-rate", 20000, "membership-change shard handoff streaming bound, records/second")
 		antiEnt   = flag.Duration("antientropy", 5*time.Second, "background replica digest-diff repair period (negative disables)")

@@ -224,9 +224,9 @@ func (n *Node) Prepare(st RingState) error {
 
 // syncPeersLocked makes the peer set what the rings in force call for:
 // every other member of the active ring and, mid-transition, of the pending
-// one (handoff targets must be reachable before commit) has a breaker and a
-// sender; a peer in neither is stopped and forgotten. Every change of state
-// or next ends with it. The caller holds n.mu.
+// one (handoff targets must be reachable before commit) has a health state
+// and a sender; a peer in neither is stopped and forgotten. Every change of
+// state or next ends with it. The caller holds n.mu.
 func (n *Node) syncPeersLocked() {
 	want := maps.Clone(n.state.Members)
 	if n.next != nil {

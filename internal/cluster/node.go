@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"cqp/internal/obs"
-	"cqp/internal/resilience"
 	"cqp/internal/wal"
 )
 
@@ -48,15 +47,15 @@ type Config struct {
 	// the same value; joiners adopt the cluster's value from the ring
 	// broadcast.
 	Replicas int
-	// PeerStrikes is how many consecutive probe/proxy failures open a
-	// peer's breaker (0 = 1, the instant-failover default). Raise it on
-	// lossy networks where a single dropped probe should not flap a
-	// healthy peer into stale_replica reads.
+	// PeerStrikes is how many consecutive probe/proxy failures mark a
+	// peer down (0 = 1, the instant-failover default); any success marks
+	// it up. Raise it on lossy networks where a single dropped probe
+	// should not flap a healthy peer into stale_replica reads.
 	PeerStrikes int
 	// ProbeInterval is the peer health-probe period (default 500ms). It is
-	// also the failover detection bound: a dead peer is circuit-broken
-	// within PeerStrikes failed probes or proxy attempts, whichever
-	// comes first.
+	// also the failover detection bound: a dead peer is marked down within
+	// PeerStrikes failed probes or proxy attempts, whichever comes first,
+	// and a recovered one up by the next probe.
 	ProbeInterval time.Duration
 	// Replicate enables WAL-frame shipping to followers. Routing (proxying
 	// to owners) works without it; failover reads do not.
@@ -120,9 +119,9 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // Node is one cluster member's local view: the active epoch's ring, the
-// pending next ring during a membership transition, per-peer health (a
-// configurable-strikes circuit breaker per peer, settled by both the
-// background prober and live proxy attempts), the replication senders,
+// pending next ring during a membership transition, per-peer health (up or
+// down by a count of consecutive failures, settled by both the background
+// prober and live proxy attempts), the replication senders,
 // and the replica store for the shards this node follows.
 type Node struct {
 	cfg        Config
@@ -148,9 +147,11 @@ type Node struct {
 // peerState is this node's view of one remote peer.
 type peerState struct {
 	id, url string
-	// breaker is the peer's reachability state: PeerStrikes failed probes
-	// or proxies open it, a half-open probe success closes it.
-	breaker *resilience.Breaker
+	// health: PeerStrikes consecutive failed probes or proxies mark the
+	// peer down, any success marks it up (see Node.settle).
+	mu      sync.Mutex
+	strikes int // consecutive failures
+	down    bool
 	// sender state (Replicate only).
 	ch       chan wal.Record
 	needSync chan struct{} // capacity 1; a pending token forces a full sync
@@ -169,7 +170,7 @@ func (p *peerState) setAcked(v uint64) {
 	}
 }
 
-// New validates the config and builds the node (ring, breakers, senders).
+// New validates the config and builds the node (ring, peers, senders).
 // Call Start to begin probing and replicating, Close to stop.
 func New(cfg Config) (*Node, error) {
 	cfg, err := cfg.withDefaults()
@@ -207,25 +208,13 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// newPeer builds one peer's breaker and sender state. Callers holding
-// n.mu add it to n.peers and, when replicating, launch its sendLoop.
+// newPeer builds one peer's health and sender state; the peer starts up.
+// Callers holding n.mu add it to n.peers and, when replicating, launch its
+// sendLoop.
 func (n *Node) newPeer(id, url string) *peerState {
 	p := &peerState{
-		id:  id,
-		url: url,
-		breaker: resilience.NewBreaker(resilience.BreakerConfig{
-			FailureThreshold: n.cfg.PeerStrikes,
-			OpenTimeout:      n.cfg.ProbeInterval,
-			OnTransition: func(_, to resilience.BreakerState) {
-				up := int64(0)
-				if to != resilience.Open {
-					up = 1
-				} else {
-					n.counter("cluster_breaker_flaps_total", "peer", id).Inc()
-				}
-				n.gauge("cluster_peer_up", "peer", id).Set(up)
-			},
-		}),
+		id:       id,
+		url:      url,
 		ch:       make(chan wal.Record, 4096),
 		needSync: make(chan struct{}, 1),
 		done:     make(chan struct{}),
@@ -351,25 +340,25 @@ func (n *Node) snapshotPeers() []*peerState {
 	return out
 }
 
-// Up reports whether peer is believed reachable: its breaker is not open.
-// Half-open counts as up — the next request is the probe, and its outcome
-// settles the breaker.
+// Up reports whether peer is believed reachable: it is not marked down.
+// Requests avoid a down peer, so it is the prober's next ping that brings
+// it back.
 func (n *Node) Up(peer string) bool {
 	p, ok := n.peer(peer)
 	if !ok {
 		return peer == n.cfg.Self
 	}
-	return p.breaker.State() != resilience.Open
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return !p.down
 }
 
 // ReportPeerFailure settles a live proxy attempt against peer as failed —
-// with the default single strike the breaker opens immediately, so
+// with the default single strike the peer is marked down at once, so
 // failover does not wait for the next background probe.
 func (n *Node) ReportPeerFailure(peer string) {
 	if p, ok := n.peer(peer); ok {
-		if p.breaker.Allow() {
-			p.breaker.Failure()
-		}
+		n.settle(p, false)
 		n.counter("cluster_peer_failures_total", "peer", peer).Inc()
 	}
 }
@@ -377,10 +366,34 @@ func (n *Node) ReportPeerFailure(peer string) {
 // ReportPeerSuccess settles a live proxy attempt as successful.
 func (n *Node) ReportPeerSuccess(peer string) {
 	if p, ok := n.peer(peer); ok {
-		if p.breaker.Allow() {
-			p.breaker.Success()
-		}
+		n.settle(p, true)
 	}
+}
+
+// settle counts one probe or proxy outcome against p: PeerStrikes
+// consecutive failures mark it down, any success marks it up. Only that
+// change moves cluster_peer_up, and each up→down one counts a flap in
+// cluster_breaker_flaps_total; both are set under p.mu, so the gauge ends
+// at the state the last settle left.
+func (n *Node) settle(p *peerState, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ok {
+		p.strikes = 0
+	} else {
+		p.strikes++
+	}
+	down := p.strikes >= n.cfg.PeerStrikes
+	if down == p.down {
+		return
+	}
+	p.down = down
+	up := int64(1)
+	if down {
+		up = 0
+		n.counter("cluster_breaker_flaps_total", "peer", p.id).Inc()
+	}
+	n.gauge("cluster_peer_up", "peer", p.id).Set(up)
 }
 
 // PeerStatus is one peer's health and replication view for /healthz.
@@ -449,23 +462,19 @@ func (n *Node) every(interval time.Duration, round func()) {
 	}
 }
 
-// probeRound pings every peer, settling its breaker, and gossips ring
-// epochs: a peer that answers with a newer epoch is pulled from, one with
-// an older epoch is pushed the current ring — so a node that rebooted on a
-// stale static peer list converges within a probe interval without any
-// traffic hitting wrong_epoch first.
+// probeRound pings every peer, down ones too, settling its health, and
+// gossips ring epochs: a peer that answers with a newer epoch is pulled
+// from, one with an older epoch is pushed the current ring — so a node that
+// rebooted on a stale static peer list converges within a probe interval
+// without any traffic hitting wrong_epoch first.
 func (n *Node) probeRound() {
 	for _, p := range n.snapshotPeers() {
-		if !p.breaker.Allow() {
-			continue // open; wait out the timeout
-		}
 		ok, peerEpoch := n.ping(p)
+		n.settle(p, ok)
 		if !ok {
-			p.breaker.Failure()
 			n.counter("cluster_probe_failures_total", "peer", p.id).Inc()
 			continue
 		}
-		p.breaker.Success()
 		switch mine := n.Epoch(); {
 		case peerEpoch > mine:
 			n.RefreshFromPeer(p.id)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cqp/internal/obs"
 	"cqp/internal/wal"
 )
 
@@ -272,9 +273,10 @@ func TestProbeFailoverAndRecovery(t *testing.T) {
 	fs.down.Store(false)
 	waitFor(t, 2*time.Second, "probe to mark the peer up again", func() bool { return n.Up("n2") })
 
-	// A live proxy failure opens the breaker without waiting for a probe
-	// (the prober may race and close it again since the server is healthy,
-	// so assert on the immediate state change).
+	// A live proxy failure marks the peer down without waiting for a probe;
+	// the prober may race and mark it up again since the server is healthy,
+	// so nothing is asserted of it here (TestPeerHealthStrikes is, without
+	// a prober).
 	n.ReportPeerFailure("n2")
 	st := n.Status()
 	if len(st.Peers) != 1 || st.Peers[0].ID != "n2" {
@@ -283,5 +285,95 @@ func TestProbeFailoverAndRecovery(t *testing.T) {
 	// Self is always up; unknown peers are not.
 	if !n.Up("n1") || n.Up("nope") {
 		t.Fatal("Up(self)/Up(unknown) wrong")
+	}
+}
+
+// TestPeerHealthStrikes drives a peer's health by reported proxy outcomes
+// alone — the node is never started, so no prober races them: PeerStrikes
+// consecutive failures mark the peer down, any success marks it up, and
+// cluster_peer_up and cluster_breaker_flaps_total move only when it flips.
+func TestPeerHealthStrikes(t *testing.T) {
+	for _, strikes := range []int{1, 3} {
+		t.Run(fmt.Sprintf("strikes=%d", strikes), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			n, err := New(Config{
+				Self:        "n1",
+				Peers:       map[string]string{"n1": "http://unused.invalid", "n2": "http://unused.invalid"},
+				PeerStrikes: strikes,
+				Metrics:     reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			flaps := 0
+			step := func(what string, ok, wantUp bool) {
+				t.Helper()
+				wasUp := n.Up("n2")
+				if ok {
+					n.ReportPeerSuccess("n2")
+				} else {
+					n.ReportPeerFailure("n2")
+				}
+				if wasUp && !wantUp {
+					flaps++
+				}
+				wantGauge := int64(0)
+				if wantUp {
+					wantGauge = 1
+				}
+				up, gauge := n.Up("n2"), reg.Gauge("cluster_peer_up", "peer", "n2").Value()
+				if up != wantUp || gauge != wantGauge {
+					t.Fatalf("%s: Up %v, cluster_peer_up %d, want up %v", what, up, gauge, wantUp)
+				}
+				if got := reg.Counter("cluster_breaker_flaps_total", "peer", "n2").Value(); got != int64(flaps) {
+					t.Fatalf("%s: %d flaps, want %d", what, got, flaps)
+				}
+			}
+			step("start", true, true)
+			for round := 0; round < 2; round++ {
+				for i := 1; i < strikes; i++ {
+					step(fmt.Sprintf("round %d: failure %d", round, i), false, true)
+				}
+				step(fmt.Sprintf("round %d: strike %d", round, strikes), false, false)
+				step(fmt.Sprintf("round %d: a failure while down", round), false, false)
+				step(fmt.Sprintf("round %d: a success", round), true, true)
+			}
+			if strikes > 1 {
+				// A success between failures starts the count again.
+				step("failure", false, true)
+				step("success", true, true)
+				for i := 1; i < strikes; i++ {
+					step(fmt.Sprintf("failure %d after the reset", i), false, true)
+				}
+				step("the last strike", false, false)
+			}
+			if got := reg.Counter("cluster_peer_failures_total", "peer", "n2").Value(); got == 0 {
+				t.Error("no proxy failure counted in cluster_peer_failures_total")
+			}
+
+			// Outcomes settled from several goroutines at once (the prober
+			// and concurrent proxies) leave the gauge where the flag is.
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 200; i++ {
+						if i%(strikes+1) == g%2 {
+							n.ReportPeerSuccess("n2")
+						} else {
+							n.ReportPeerFailure("n2")
+						}
+						n.Up("n2")
+					}
+				}()
+			}
+			wg.Wait()
+			if up, gauge := n.Up("n2"), reg.Gauge("cluster_peer_up", "peer", "n2").Value(); up != (gauge == 1) {
+				t.Fatalf("after concurrent outcomes: Up %v, cluster_peer_up %d", up, gauge)
+			}
+			flaps = int(reg.Counter("cluster_breaker_flaps_total", "peer", "n2").Value())
+			step("a success after the concurrent outcomes", true, true)
+		})
 	}
 }

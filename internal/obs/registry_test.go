@@ -90,8 +90,8 @@ func TestNilSafety(t *testing.T) {
 	}
 	var sp *Span
 	sp.End()
-	sp.SetAttr("k", 1)
-	if sp.StartChild("c") != nil || sp.AddChild("c", 0) != nil || sp.Tree() != "" {
+	var lp Laps
+	if sp.StartChild("c") != nil || sp.AddChild("c", 0, Attr{Key: "k", Value: "1"}) != nil || lp.Lap("c", Attr{Key: "k", Value: "1"}) != nil || sp.Tree() != "" {
 		t.Fatal("nil span must stay nil and render empty")
 	}
 }

@@ -137,16 +137,6 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
-// SetAttr annotates the span. Values render with %v. Nil-safe.
-func (s *Span) SetAttr(key string, value any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: fmt.Sprint(value)})
-	s.mu.Unlock()
-}
-
 // Name returns the span's name ("" on nil).
 func (s *Span) Name() string {
 	if s == nil {

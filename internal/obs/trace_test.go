@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,11 +14,10 @@ func TestSpanTree(t *testing.T) {
 	root := NewTrace("personalize")
 	ctx := ContextWith(context.Background(), root)
 
-	ctx2, pre := StartSpan(ctx, "prefspace")
-	pre.SetAttr("k", 20)
-	_, est := StartSpan(ctx2, "estimate")
+	lp := StartLaps(ctx)
+	pre := lp.Lap("prefspace", Attr{Key: "k", Value: "20"})
+	_, est := StartSpan(ContextWith(ctx, pre), "estimate")
 	est.End()
-	pre.End()
 
 	_, search := StartSpan(ctx, "search")
 	search.AddChild("D_MaxDoi", 3*time.Millisecond, Attr{Key: "states", Value: "12"})
@@ -63,9 +63,11 @@ func TestSpanConcurrentChildren(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				c := parent.StartChild("algo")
-				c.SetAttr("j", j)
-				c.End()
+				if j%2 == 0 {
+					parent.StartChild("algo").End()
+				} else {
+					parent.AddChild("algo", time.Microsecond, Attr{Key: "j", Value: strconv.Itoa(j)})
+				}
 			}
 		}()
 	}

@@ -164,7 +164,7 @@ const (
 )
 
 // proxyToPeer forwards the request to peer, stamped with this node's ring
-// epoch, and streams the answer back. The peer's breaker is settled
+// epoch, and streams the answer back. The peer's health is settled
 // either way, so one failed proxy is enough to mark the peer down.
 func (s *Server) proxyToPeer(w http.ResponseWriter, r *http.Request, peer string, body []byte, replica bool) proxyResult {
 	c := s.cluster

@@ -179,9 +179,9 @@ func (tc *testCluster) node(id string) *Server { return tc.servers[id] }
 
 // waitReady blocks until each named node's /healthz answers 200 and its
 // view of every *running* peer has settled to up. The second wait
-// matters: probes that landed during a peer's pre-ready window opened
-// its one-strike breaker, and traffic driven before the next probe
-// closes it would take the failover path spuriously.
+// matters: a probe that landed during a peer's pre-ready window marked
+// it down (one strike), and traffic driven before the next probe marks
+// it up would take the failover path spuriously.
 func (tc *testCluster) waitReady(ids ...string) {
 	tc.t.Helper()
 	for _, id := range ids {
@@ -384,7 +384,7 @@ func TestClusterProxyForwardsRequestID(t *testing.T) {
 // TestClusterFailoverServesReplica: killing a profile's owner leaves
 // reads serving from the follower's replica (marked stale_replica) while
 // mutations answer 503 — and the very first post-kill request succeeds,
-// because a failed proxy settles the peer's breaker immediately.
+// because a failed proxy marks the peer down immediately.
 func TestClusterFailoverServesReplica(t *testing.T) {
 	tc := newTestCluster(t, []string{"n1", "n2", "n3"}, false)
 	c := tc.anyNode().Cluster()

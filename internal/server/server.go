@@ -94,8 +94,8 @@ type Config struct {
 	// profile (default 2). Must match across the cluster at boot; joiners
 	// adopt the cluster's value.
 	Replicas int
-	// PeerStrikes is how many consecutive probe/proxy failures open a
-	// peer's breaker (default 1 — instant failover).
+	// PeerStrikes is how many consecutive probe/proxy failures mark a peer
+	// down (default 1 — instant failover); any success marks it up.
 	PeerStrikes int
 	// ProbeInterval is the peer health-probe period (default 500ms) — the
 	// failover detection bound.

@@ -296,7 +296,7 @@ func (r *Result) execute(ctx context.Context, run func(context.Context) (*exec.U
 			reg.Counter("cqp_constraint_violation_total", "param", "size").Inc()
 		}
 	}
-	var own []obs.Attr // the span's, set at once: a SetAttr each would grow them one by one
+	var own []obs.Attr // only a traced execution has a span to annotate
 	if how != nil {
 		own = []obs.Attr{{Key: "rows", Value: strconv.Itoa(res.Total)}, {Key: "blocks", Value: strconv.FormatInt(res.BlockReads, 10)},
 			{Key: "base", Value: how.Base}, {Key: "bitmaps_hit", Value: strconv.Itoa(how.BitmapsHit)},
@@ -434,11 +434,16 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 		return nil, err
 	}
 	recordSearchStats(metrics, sol.Stats)
-	searchSpan := lp.Lap(obs.PhaseSearch, obs.Attr{Key: "algorithm", Value: sol.Stats.Algorithm})
-	searchSpan.SetAttr("states", sol.Stats.StatesVisited)
-	if sol.Stats.Truncated {
-		searchSpan.SetAttr("truncated", true)
+	var searched []obs.Attr // only a traced search has a span to annotate
+	if span != nil {
+		searched = append(make([]obs.Attr, 0, 3),
+			obs.Attr{Key: "algorithm", Value: sol.Stats.Algorithm},
+			obs.Attr{Key: "states", Value: strconv.Itoa(sol.Stats.StatesVisited)})
+		if sol.Stats.Truncated {
+			searched = append(searched, obs.Attr{Key: "truncated", Value: "true"})
+		}
 	}
+	lp.Lap(obs.PhaseSearch, searched...)
 	if !sol.Feasible {
 		return nil, fmt.Errorf("%w (%s)", ErrInfeasible, prob)
 	}
@@ -476,7 +481,7 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 		acc:            acc,
 		blockMillis:    est.BlockMillis,
 	}
-	lp.Lap(obs.PhaseConstruct).SetAttr("subqueries", pq.NumSubs())
+	lp.Lap(obs.PhaseConstruct, obs.Attr{Key: "subqueries", Value: strconv.Itoa(pq.NumSubs())})
 	return res, nil
 }
 
@@ -484,12 +489,11 @@ func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Prof
 // phase, hanging the build's estimator account under the lap's span.
 func buildSpace(ctx context.Context, lp *obs.Laps, q *Query, u *Profile, est *estimate.Estimator, opt prefspace.Options) (*prefspace.Space, error) {
 	sp, err := prefspace.BuildContext(ctx, q, u, est, opt)
-	span := lp.Lap(obs.PhasePrefspace)
 	if err != nil {
+		lp.Lap(obs.PhasePrefspace)
 		return nil, err
 	}
-	if span != nil {
-		span.SetAttr("k", sp.K)
+	if span := lp.Lap(obs.PhasePrefspace, obs.Attr{Key: "k", Value: strconv.Itoa(sp.K)}); span != nil {
 		span.AddChild("estimate", sp.Estimate.Spent, obs.Attr{Key: "calls", Value: strconv.Itoa(sp.Estimate.Calls)})
 	}
 	return sp, nil
