@@ -3,10 +3,12 @@ package exec
 import (
 	"context"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"cqp/internal/iter"
 	"cqp/internal/query"
 	"cqp/internal/schema"
 	"cqp/internal/sqlparse"
@@ -16,7 +18,8 @@ import (
 
 // TestRankingTieBreak: rows tied on doi rank by their keys' SQL literals,
 // column by column, compared as text — numbers included, so INT 10 sorts
-// before 9 — and every top-k is a prefix of the full ranking. The keys are
+// before 9 — and every top-k is a prefix of the full ranking, on the base
+// path and on the fallback a one-byte budget forces. The keys are
 // the cases a comparison that skips the rendering could get wrong: a string
 // that is a prefix of another followed by a byte below or above the closing
 // quote, quotes that render doubled, the empty string, signed and FLOAT
@@ -85,17 +88,34 @@ func TestRankingTieBreak(t *testing.T) {
 			t.Fatalf("row %d is %s, want %s", i, strings.Join(got, "|"), strings.Join(want[i], "|"))
 		}
 	}
-	for k := 1; k <= len(full.Rows)+1; k++ {
-		top, err := wholePlan(db.Schema(), subs).EvalTopK(context.Background(), db, dois, 1, k)
+	// A one-byte budget, which no base fits, ranks the same rows by the
+	// fallback, whose group table yields them in an order of its own.
+	fallback := iter.WithBudget(context.Background(), iter.Budget{Bytes: 1, Dir: t.TempDir()})
+	for _, ctx := range []context.Context{context.Background(), fallback} {
+		how := new(Report)
+		all, err := wholePlan(db.Schema(), subs).EvalContext(WithReport(ctx, how), db, dois, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := min(k, len(full.Rows)); len(top.Rows) != n {
-			t.Fatalf("top-%d kept %d rows, want %d", k, len(top.Rows), n)
+		if (how.Base == "onepass") != (ctx == fallback) {
+			t.Fatalf("under a %d-byte budget the union ran %q", iter.BudgetFromContext(ctx).Bytes, how.Base)
 		}
-		for i, r := range top.Rows {
-			if renderKey(r.Key) != renderKey(full.Rows[i].Key) || r.Doi != full.Rows[i].Doi || !slices.Equal(r.Matched, full.Rows[i].Matched) {
-				t.Fatalf("top-%d row %d is %s, the full ranking's is %s", k, i, renderKey(r.Key), renderKey(full.Rows[i].Key))
+		if !reflect.DeepEqual(untimed(all), untimed(full)) {
+			t.Fatalf("under a %d-byte budget the ranking is not the base path's", iter.BudgetFromContext(ctx).Bytes)
+		}
+		for k := 1; k <= len(full.Rows)+1; k++ {
+			top, err := wholePlan(db.Schema(), subs).EvalTopK(ctx, db, dois, 1, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := min(k, len(full.Rows)); len(top.Rows) != n {
+				t.Fatalf("top-%d kept %d rows, want %d", k, len(top.Rows), n)
+			}
+			for i, r := range top.Rows {
+				if renderKey(r.Key) != renderKey(full.Rows[i].Key) || r.Doi != full.Rows[i].Doi || !slices.Equal(r.Matched, full.Rows[i].Matched) {
+					t.Fatalf("budget %d: top-%d row %d is %s, the full ranking's is %s",
+						iter.BudgetFromContext(ctx).Bytes, k, i, renderKey(r.Key), renderKey(full.Rows[i].Key))
+				}
 			}
 		}
 	}
