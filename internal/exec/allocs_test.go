@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"cqp/internal/iter"
 	"cqp/internal/query"
 	"cqp/internal/sqlparse"
 	"cqp/internal/storage"
@@ -279,12 +280,13 @@ func BenchmarkEvalUnion(b *testing.B) {
 // repo benchmark's 6 000 movies. first-touch runs it as an execution does,
 // on an emptied cache, so that every row mark is computed too; marks-warm
 // runs it on a cache that keeps the marks of the same conditions, which a
-// new query reuses however new its text; onepass runs the same unions by
-// the one-pass plan, which is what an execution ran before the cache; warm
+// new query reuses however new its text; fallback runs the same unions
+// under a one-byte budget, which no B fits, one sub-query at a time; warm
 // runs one union again and again.
 func BenchmarkUnionFreshQuery(b *testing.B) {
 	db := workload.GenerateDB(workload.DBConfig{Movies: 6000, Seed: 151})
 	ctx := context.Background()
+	fallback := iter.WithBudget(ctx, iter.Budget{Bytes: 1, Dir: b.TempDir()})
 	seq := 0 // the literals drawn so far, over every run of the benchmark
 	for _, shape := range []struct {
 		name  string
@@ -306,10 +308,9 @@ func BenchmarkUnionFreshQuery(b *testing.B) {
 			return NewUnionPlan(db.Schema(), q, adds)
 		}
 		run := map[string]func(i int) error{
-			"onepass": func(i int) error {
-				p := fresh(i)
-				out := &UnionResult{Subs: make([]SubQueryStat, len(p.adds))}
-				return p.onePass().answer(ctx, db, out, dois, 1, 10)
+			"fallback": func(i int) error {
+				_, err := fresh(i).EvalTopK(fallback, db, dois, 1, 10)
+				return err
 			},
 			"first-touch": func(i int) error {
 				p := fresh(i)
@@ -326,7 +327,7 @@ func BenchmarkUnionFreshQuery(b *testing.B) {
 				return err
 			},
 		}
-		for _, path := range []string{"onepass", "first-touch", "marks-warm", "warm"} {
+		for _, path := range []string{"fallback", "first-touch", "marks-warm", "warm"} {
 			b.Run(shape.name+"/"+path, func(b *testing.B) {
 				if err := run[path](0); err != nil { // warms the tables' indexes
 					b.Fatal(err)

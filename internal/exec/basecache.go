@@ -26,7 +26,7 @@ import (
 // addition. The store keeps, per B, its tuples — row numbers into its
 // tables' rows, ordered by group — and, per addition, the set of the groups
 // it accepts; an execution intersects or counts the sets. When B does not
-// fit the request's spill budget, the one-pass plan runs instead.
+// fit the request's spill budget, the sub-queries run one at a time instead.
 //
 // Which rows of a table a condition accepts depends on nothing else either:
 // the store keeps a row mark per residual selection and one-attribute
@@ -41,16 +41,16 @@ import (
 // evicts the least recently used B, with its bitmaps, or mark.
 const baseCacheBytes = 8 << 20
 
-// errOnePass says the cache cannot answer an execution: the one-pass plan
-// runs instead.
-var errOnePass = errors.New("exec: union answered in one pass")
+// errSubqueries says the cache cannot answer an execution: the sub-queries
+// run one at a time instead (UnionPlan.subqueries).
+var errSubqueries = errors.New("exec: union answered one sub-query at a time")
 
 // Report says how an evaluation of a union ran: Base is "hit" when B was
-// cached, "fill" when this evaluation materialized it, and "onepass" when the
-// one-pass plan ran; BitmapsHit and BitmapsBuilt count the sub-queries whose
-// bitmap was cached and built, MarksHit and MarksBuilt the row marks the
-// built ones read from the cache and computed. An evaluation fills the
-// Report its context carries (WithReport).
+// cached, "fill" when this evaluation materialized it, and "subqueries" when
+// the sub-queries ran one at a time; BitmapsHit and BitmapsBuilt count the
+// sub-queries whose bitmap was cached and built, MarksHit and MarksBuilt the
+// row marks the built ones read from the cache and computed. An evaluation
+// fills the Report its context carries (WithReport).
 type Report struct {
 	Base                     string
 	BitmapsHit, BitmapsBuilt int
@@ -127,8 +127,8 @@ type base struct {
 	refs    []int32
 	start   []int32
 	project []attrAt // where each projected column lies in a tuple
-	// keyBytes is what its groups' keys would take in the one-pass plan's
-	// group table; held what the rows it keeps of a backend other than the
+	// keyBytes is what its groups' keys would take in the fallback's group
+	// table; held what the rows it keeps of a backend other than the
 	// in-memory table take.
 	keyBytes, held int64
 
@@ -335,7 +335,7 @@ type markUse struct {
 // fromCache looks up, or fills, the B of p and the bitmap of every
 // sub-query's addition, building the ones it lacks — from the row marks
 // their conditions read, computing the ones the cache lacks — into bms. It
-// answers errOnePass when B, or the keys of the composite reducers it runs,
+// answers errSubqueries when B, or the keys of the composite reducers it runs,
 // exceed the request's executor budget or the cache's bound; how says
 // whether B was a hit or a fill and what was found and built.
 func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQueryStat, bms []groupSet, how *Report) (b *base, err error) {
@@ -367,7 +367,7 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 	} else {
 		reg.Counter("exec_base_cache_hits_total").Inc()
 		if !b.fits(limit) {
-			return nil, errOnePass
+			return nil, errSubqueries
 		}
 	}
 
@@ -428,7 +428,7 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 		refs = append(refs, int32(u))
 	}
 	for _, i := range missing {
-		res, comps, on := parts(b.q, &p.adds[i], nil)
+		res, comps, on := parts(b.q, &p.adds[i])
 		from := len(refs)
 		for j := range res.Selections {
 			use(res.Selections[j].Attr, res.Selections[j:j+1], nil)
@@ -495,7 +495,7 @@ func (p *UnionPlan) fromCache(ctx context.Context, db *storage.DB, stats []SubQu
 		tag, err = b.build(ctx, db, &splits[k], uses, refs, m.set, reduced, tag)
 		stats[i].Elapsed += time.Since(start)
 		if err != nil {
-			if errors.Is(err, errOnePass) {
+			if errors.Is(err, errSubqueries) {
 				return nil, err
 			}
 			return nil, fmt.Errorf("sub-query %d: %w", i, err)
@@ -568,9 +568,9 @@ func (b *base) ownBytes() int64 {
 // refBytes is what B's tuples and group offsets take.
 func (b *base) refBytes() int64 { return 4 * int64(len(b.refs)+len(b.start)) }
 
-// fits reports whether B fits limit bytes, measured as a budget measures the
-// one-pass plan: its references, the rows it keeps, and its groups' keys as
-// the plan's group table would hold them (storage.Row.Width).
+// fits reports whether B fits limit bytes, measured as a budget measures
+// state: its references, the rows it keeps, and its groups' keys as the
+// fallback's group table would hold them (storage.Row.Width).
 func (b *base) fits(limit int64) bool { return b.refBytes()+b.keyBytes+b.held <= limit }
 
 // rowHeader is what a kept row costs beyond its values: its slice header.
@@ -592,7 +592,7 @@ func index(t storage.Backend, rows []storage.Row, col int) *storage.Index {
 // opened once, which fires the storage.scan fault point and counts the pass:
 // the first is scanned, an in-memory table joined to it is probed through
 // its own index, and another backend's rows are read and indexed here. It
-// answers errOnePass once the tuples and kept rows exceed limit bytes.
+// answers errSubqueries once the tuples and kept rows exceed limit bytes.
 func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*base, error) {
 	b := &base{q: q, width: len(q.From)}
 	b.rels = make([]string, 0, b.width)
@@ -621,10 +621,20 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 	// open opens relation r, the next to join, and returns its backend and
 	// its cursor, which the caller drains (read) or closes. An in-memory
 	// table's rows are B's to reference; another backend's are the rows its
-	// cursor yields, which B keeps.
+	// cursor yields, which B keeps. A relation the fill drains opens through
+	// the request's scan share, if it has one: a fill that gives up leaves
+	// its pass to the sub-queries that run instead.
 	open := func(r string) (storage.Backend, storage.Cursor, error) {
 		t := db.MustTable(r)
-		cur, err := t.Open()
+		_, mem := t.(*storage.Table)
+		var cur storage.Cursor
+		var err error
+		if len(b.rels) == 0 || !mem {
+			cur, err = ScanShareFromContext(ctx).open(ctx, t)
+		}
+		if cur == nil && err == nil {
+			cur, err = t.Open()
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -640,8 +650,8 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 			}
 		}
 		var rows []storage.Row
-		if mt, ok := t.(*storage.Table); ok {
-			rows = mt.Rows()
+		if mem {
+			rows = t.(*storage.Table).Rows()
 		}
 		b.rels, b.rows = append(b.rels, r), append(b.rows, rows)
 		return t, cur, nil
@@ -656,7 +666,7 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 				err = ctx.Err()
 			}
 			if err == nil && ok && !mem && b.held > limit {
-				err = errOnePass
+				err = errSubqueries
 			}
 			if !ok || err != nil {
 				if cerr := cur.Close(); err == nil {
@@ -769,7 +779,7 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 				return nil
 			}
 			if tooBig(len(out)) {
-				return errOnePass
+				return errSubqueries
 			}
 			return ctx.Err()
 		}
@@ -796,7 +806,7 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 		cur = out
 	}
 	if tooBig(len(cur)) {
-		return nil, errOnePass
+		return nil, errSubqueries
 	}
 	cur = exact(cur)
 	b.refs = cur
@@ -808,7 +818,7 @@ func fill(ctx context.Context, db *storage.DB, q *query.Query, limit int64) (*ba
 		return nil, err
 	}
 	if !b.fits(limit) {
-		return nil, errOnePass
+		return nil, errSubqueries
 	}
 	b.bytes = b.ownBytes()
 	return b, nil
@@ -969,7 +979,7 @@ func (b *base) mark(ctx context.Context, db *storage.DB, u *markUse) error {
 // and that finds its key among the keys of each of its other components'
 // reducers. Those of several attributes go to keys, the evaluation's one key
 // set, under a tag of the component's own from tag on. build returns the next
-// free tag. It answers errOnePass if the keys spill.
+// free tag. It answers errSubqueries if the keys spill.
 func (b *base) build(ctx context.Context, db *storage.DB, sp *split, uses []markUse, refs []int32, words []uint64, keys *iter.Grouper, tag int) (int, error) {
 	// A probe is one condition's test of a tuple: whether the row of B's
 	// relation rel is marked (at is nil), or whether the tuple's attributes
@@ -1003,7 +1013,7 @@ func (b *base) build(ctx context.Context, db *storage.DB, sp *split, uses []mark
 			err = closing(red, each(red, add))
 		}
 		if err == nil && keys.Spilled() {
-			err = errOnePass
+			err = errSubqueries
 		}
 		if err != nil {
 			return tag, err

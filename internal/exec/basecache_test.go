@@ -159,7 +159,7 @@ func TestBaseCacheMatchesOnePass(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, one pass: %v", r.name, err)
 			}
-			if how.Base != "onepass" {
+			if how.Base != "subqueries" {
 				t.Fatalf("%s: a 1-byte budget ran %q, want the one-pass plan", r.name, how.Base)
 			}
 			out[i] = untimed(res)
@@ -320,7 +320,7 @@ func TestBaseCacheMatchesOnePass(t *testing.T) {
 	}
 	ctx, how := report(onePass)
 	fresh, err := plan.EvalContext(ctx, db, nil, 1)
-	if err != nil || how.Base != "onepass" {
+	if err != nil || how.Base != "subqueries" {
 		t.Fatalf("one pass: %v, base %s", err, how.Base)
 	}
 	if !reflect.DeepEqual(untimed(res), untimed(fresh)) {
@@ -557,8 +557,8 @@ func TestOversizeBaseAnsweredInOnePass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if how.Base != "onepass" {
-			t.Fatalf("base %s, want onepass", how.Base)
+		if how.Base != "subqueries" {
+			t.Fatalf("base %s, want subqueries", how.Base)
 		}
 		return untimed(res)
 	}

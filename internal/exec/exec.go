@@ -6,19 +6,19 @@
 // count, as one full scan with no indexes, and a personalized query's
 // sub-queries are charged independently, so a relation shared by two
 // sub-queries is charged twice — exactly as Formula 6 sums per-sub-query
-// costs. The charge is arithmetic, not a meter: the union plan (union.go)
+// costs. The charge is arithmetic, not a meter: the base cache (basecache.go)
 // reads what the sub-queries share once, an equality selection on an
 // in-memory table reads only its literal's rows, and a join builds from an
 // in-memory table's index without scanning it (storage.Table.Index); a
 // reducer walks a preference path from such an equality through such joins.
 // What the plan physically read is in the storage_*_total metrics. A union
 // answers from the store's base cache when it can (basecache.go), and runs
-// the one-pass plan (union.go) otherwise.
+// its sub-queries one at a time otherwise.
 //
 // Evaluation is a thin driver over an internal/iter operator tree: scans
 // stream rows from backend cursors through filters, hash joins, projection
 // and dedup, polling the context inside every loop. The stateful operators
-// (join builds, DISTINCT sets, the union's tag relations and group table)
+// (join builds, DISTINCT sets, the union's key sets and group table)
 // spill to temp-file partitions when a per-query budget (iter.WithBudget)
 // says so.
 package exec
@@ -192,15 +192,9 @@ func buildJoinTree(ctx context.Context, db *storage.DB, q *query.Query, seed str
 	// rows are the table's own, which a join build holds by reference.
 	openRel := func(t storage.Backend) (iter.Iterator, error) {
 		sels := selsFor[t.Relation().Name]
-		var src iter.Iterator
-		if sh := ScanShareFromContext(ctx); sh != nil {
-			shared, used, err := sh.open(ctx, t)
-			if err != nil {
-				return nil, err
-			}
-			if used {
-				src = shared
-			}
+		src, err := ScanShareFromContext(ctx).open(ctx, t)
+		if err != nil {
+			return nil, err
 		}
 		if src == nil {
 			cur, err := openPrivate(t, sels)
@@ -415,10 +409,10 @@ type SubQueryStat struct {
 	// BlockReads is the sub-query's block charge, as if it ran alone (charge).
 	BlockReads int64
 	// Elapsed is the time this evaluation spent on the sub-query alone: the
-	// build of its group bitmap, zero when the base cache had it; on the
-	// one-pass plan, the time of the reducers it fed, zero if it only adds
-	// conditions over the shared relations. The values are not additive:
-	// what the sub-queries share runs once (UnionResult.Base).
+	// build of its group bitmap, zero when the base cache had it; when the
+	// sub-queries run one at a time, the time of its evaluation. The values
+	// are not additive: what the sub-queries share runs once
+	// (UnionResult.Base).
 	Elapsed time.Duration
 }
 
@@ -434,7 +428,7 @@ type UnionResult struct {
 	BlockReads int64
 	Elapsed    time.Duration
 	// Base is the time spent on what the sub-queries share — finding or
-	// materializing B in the base cache, or the one pass over it — and Rank
+	// materializing B in the base cache, or giving up on it — and Rank
 	// that of ranking its groups; with Subs' times they make up Elapsed.
 	Base, Rank time.Duration
 	// Subs holds per-sub-query figures aligned with the union's sub-queries,
@@ -465,8 +459,8 @@ func (p *UnionPlan) EvalTopK(ctx context.Context, db *storage.DB, dois []float64
 }
 
 // eval evaluates the union unless what it checks first, or the plan's
-// refusal, stops it: from the store's base cache (fromCache) when it can, by
-// the one-pass plan otherwise. It hosts the fault harness's exec.union
+// refusal, stops it: from the store's base cache (fromCache) when it can, one
+// sub-query at a time otherwise. It hosts the fault harness's exec.union
 // injection point, standing in for executor failures of a real engine.
 func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, minMatches, k int) (*UnionResult, error) {
 	if n := len(p.adds); dois != nil && len(dois) != n {
@@ -506,16 +500,12 @@ func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, mi
 		}
 		out.Rows, out.Total = b.answer(bms, dois, minMatches, k, stats)
 		report(ctx, how)
-	case errors.Is(err, errOnePass):
-		for i := range stats {
-			stats[i].Elapsed = 0 // a bitmap built before the fallback answers nothing
-		}
-		tried := time.Since(start) // a fill that gave up is time spent on B
-		if err := p.onePass().answer(ctx, db, out, dois, minMatches, k); err != nil {
+	case errors.Is(err, errSubqueries):
+		out.Base = time.Since(start) // a fill that gave up is time spent on B
+		if err := p.subqueries(ctx, db, out, dois, minMatches, k); err != nil {
 			return nil, err
 		}
-		out.Base += tried
-		report(ctx, Report{Base: "onepass"})
+		report(ctx, Report{Base: "subqueries"})
 	default:
 		// %w: the cause's class (injected fault, context death) must survive
 		// for retry and degradation policies to read.
@@ -541,20 +531,32 @@ func (p *UnionPlan) eval(ctx context.Context, db *storage.DB, dois []float64, mi
 	return out, nil
 }
 
-// answer evaluates the union in one pass into out: its rows, Total, the
-// sub-queries' rows and reducer times, and Base, the time of the pass
-// without them.
-func (p *onePass) answer(ctx context.Context, db *storage.DB, out *UnionResult, dois []float64, minMatches, k int) error {
-	start := time.Now()
+// subqueries evaluates the union as its SQL states it into out, one
+// sub-query at a time: each — B's clauses with its addition — runs alone
+// through its own join tree under ctx, so that the request's spill budget and
+// any scan share apply, and adds its rows to one group table under its tag.
+// It fills out's rows, Total, and the sub-queries' rows and times.
+func (p *UnionPlan) subqueries(ctx context.Context, db *storage.DB, out *UnionResult, dois []float64, minMatches, k int) error {
 	stats := out.Subs
 	grouper := iter.NewGrouper(ctx, len(stats))
 	defer grouper.Close()
-	if err := p.run(ctx, db, grouper, stats); err != nil {
-		return fmt.Errorf("exec: union: %w", err)
-	}
-	out.Base = time.Since(start)
-	for _, s := range stats {
-		out.Base -= s.Elapsed
+	for i := range p.adds {
+		start := time.Now()
+		a := &p.adds[i]
+		sub := &query.Query{
+			From:       append(slices.Clip(p.base.From), a.From...),
+			Joins:      append(slices.Clip(p.base.Joins), a.Joins...),
+			Selections: append(slices.Clip(p.base.Selections), a.Selections...),
+			Project:    p.base.Project,
+		}
+		tree, err := buildJoinTree(ctx, db, sub, reducerSeed(ctx, db, sub))
+		if err == nil {
+			err = closing(tree, each(tree, func(row storage.Row) error { return grouper.Add(row, i) }))
+		}
+		stats[i].Elapsed = time.Since(start)
+		if err != nil {
+			return fmt.Errorf("exec: union: sub-query %d: %w", i, err)
+		}
 	}
 	rank := ranking{k: k}
 	err := grouper.Each(func(row storage.Row, tags []uint64) error {

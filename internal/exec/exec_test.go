@@ -306,7 +306,7 @@ func TestJoinOrderInvariance(t *testing.T) {
 
 // TestEvalUnionConcurrencyDeterminism: the union must produce identical
 // ranked output across repeated runs (it was written against the
-// goroutine-per-sub-query executor; the one-pass plan keeps the promise).
+// goroutine-per-sub-query executor; the base cache keeps the promise).
 func TestEvalUnionConcurrencyDeterminism(t *testing.T) {
 	db := testutil.MovieDB(0)
 	subs := make([]*query.Query, 0, 8)

@@ -97,7 +97,7 @@ func TestRankingTieBreak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (how.Base == "onepass") != (ctx == fallback) {
+		if (how.Base == "subqueries") != (ctx == fallback) {
 			t.Fatalf("under a %d-byte budget the union ran %q", iter.BudgetFromContext(ctx).Bytes, how.Base)
 		}
 		if !reflect.DeepEqual(untimed(all), untimed(full)) {

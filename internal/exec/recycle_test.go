@@ -36,7 +36,7 @@ func recycleUnions(db *storage.DB) [][]*query.Query {
 }
 
 // scribble is a union made of sentinels: it takes tables out of the pool —
-// several at once, as a union holds its group table beside its tag relations —
+// several at once, as concurrent unions hold theirs —
 // overwrites their chunks with rows no answer contains, and hands them back.
 func scribble(t *testing.T) {
 	var out []*iter.Grouper

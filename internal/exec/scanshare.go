@@ -27,7 +27,7 @@ const DefaultShareBytes = 64 << 20
 // (charge), so per-item BlockReads are byte-identical to unshared
 // execution. Only the physical passes collapse: the first opener goes
 // through the normal Backend.Open — the storage.scan fault point and the
-// per-table scan metrics, once for the one pass — and later consumers read
+// per-table scan metrics, once for the pass — and later consumers read
 // its rows.
 //
 // Failure is per-item, like sequential execution: the opener whose
@@ -84,14 +84,14 @@ func ScanShareFromContext(ctx context.Context) *ScanShare {
 	return s
 }
 
-// open returns a row stream over the relation through the share. used
-// reports whether the share handled the open; when false (relation too
-// big, or a previous opener's scan failed) the caller opens its own
-// private scan. A non-nil error is the caller's own failure — its physical
-// pass died — never an adopted one.
-func (s *ScanShare) open(ctx context.Context, t storage.Backend) (it iter.Iterator, used bool, err error) {
-	if t.Blocks()*int64(t.BlockSize()) > s.maxBytes {
-		return nil, false, nil
+// open returns a row stream over the relation through the share, or nil
+// when there is no share, the relation is too big, or a previous opener's
+// scan failed: the caller then opens its own private scan. A non-nil error
+// is the caller's own failure — its physical pass died — never an adopted
+// one.
+func (s *ScanShare) open(ctx context.Context, t storage.Backend) (iter.Iterator, error) {
+	if s == nil || t.Blocks()*int64(t.BlockSize()) > s.maxBytes {
+		return nil, nil
 	}
 	name := t.Relation().Name
 	s.mu.Lock()
@@ -104,24 +104,24 @@ func (s *ScanShare) open(ctx context.Context, t storage.Backend) (it iter.Iterat
 		if err != nil {
 			e.failed = true
 			close(e.done)
-			return nil, true, err
+			return nil, err
 		}
 		e.rows = rows
 		close(e.done)
 		s.physical.Add(1)
-		return iter.FromRowsContext(ctx, rows), true, nil
+		return iter.FromRowsContext(ctx, rows), nil
 	}
 	s.mu.Unlock()
 	select {
 	case <-e.done:
 	case <-ctx.Done():
-		return nil, true, ctx.Err()
+		return nil, ctx.Err()
 	}
 	if e.failed {
-		return nil, false, nil
+		return nil, nil
 	}
 	s.shared.Add(1)
-	return iter.FromRowsContext(ctx, e.rows), true, nil
+	return iter.FromRowsContext(ctx, e.rows), nil
 }
 
 // materializeScan runs the one physical pass: a normal Open (fault point,

@@ -3,10 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
-	"sync"
-	"time"
 
 	"cqp/internal/iter"
 	"cqp/internal/query"
@@ -18,10 +15,9 @@ import (
 // what each sub-query adds to it (DESIGN §12). A sub-query is deduplicated on
 // a projection that only B's relations supply, so it is a semi-join: the
 // groups of B's tuples that all its additions accept. An execution answers
-// from the store's base cache (basecache.go), or else by the one-pass plan
-// (onePass), derived from the same two parts on first need, once. Nothing
-// else in it changes once built, so one plan may run any number of times,
-// concurrently.
+// from the store's base cache (basecache.go), or else runs the sub-queries
+// as the union's SQL states them, one at a time (subqueries). Nothing in it
+// changes once built, so one plan may run any number of times, concurrently.
 type UnionPlan struct {
 	// base is B: q's relations, joins and selections and whatever every
 	// sub-query adds alike, in adds[0]'s order, projecting the union's
@@ -32,37 +28,6 @@ type UnionPlan struct {
 	adds []query.Query
 	// err refuses the union as stated (NewUnionPlan), nil if it is valid.
 	err error
-
-	derived sync.Once
-	pass    *onePass // derive's plan, built the first time one runs
-}
-
-// onePass is the union factored for one pass over B (run): B's join tree runs
-// once, and every tuple is tested against each sub-query's parts.
-type onePass struct {
-	// base is B projecting the union's projection — the first project
-	// columns — and then the further attributes the parts read.
-	base    *query.Query
-	project int
-	// residual[i] is the first kind of part: the conditions of sub-query i
-	// over B's own columns (only Selections and Joins are set).
-	residual []query.Query
-	tags     []tagRel
-}
-
-// tagRel is the second kind of part, folded: the key → sub-query-bitset
-// relation of the reducers that attach at the base attributes on, at most one
-// per sub-query. A reducer is one connected component of the relations a
-// sub-query adds, reduced to the distinct values of its side of the attaching
-// joins (aligned with on); with none, the one key is empty: an existence test.
-type tagRel struct {
-	on       []schema.AttrRef
-	reducers []reducer
-}
-
-type reducer struct {
-	sub int
-	q   *query.Query
 }
 
 // NewUnionPlan plans the union whose sub-query i is q's clauses with the
@@ -158,58 +123,16 @@ func beyond[T any](s []T, in func(T) bool) []T {
 	return out
 }
 
-// onePass returns the plan's one-pass form, derived on its first call.
-func (p *UnionPlan) onePass() *onePass {
-	p.derived.Do(func() { p.pass = derive(p.base, p.adds) })
-	return p.pass
-}
-
-// derive factors a union for one pass: each sub-query's addition becomes its
-// parts (parts), B carries every attribute a part reads, and reducers that
-// attach at the same attributes fold into one tag relation.
-func derive(b *query.Query, adds []query.Query) *onePass {
-	base := b.Clone() // of which buildJoinTree reads FROM, WHERE and the projection
-	p := &onePass{base: base, project: len(base.Project), residual: make([]query.Query, len(adds))}
-	carry := func(a schema.AttrRef) {
-		if !slices.Contains(base.Project, a) {
-			base.Project = append(base.Project, a)
-		}
-	}
-	for i := range adds {
-		res, comps, on := parts(base, &adds[i], carry)
-		p.residual[i] = res
-		for c, q := range comps {
-			// A second component of this sub-query at the same attributes must
-			// hold as well as the first, not instead: a relation of its own.
-			rel := slices.IndexFunc(p.tags, func(t tagRel) bool {
-				return slices.Equal(t.on, on[c]) && t.reducers[len(t.reducers)-1].sub != i
-			})
-			if rel < 0 {
-				rel = len(p.tags)
-				p.tags = append(p.tags, tagRel{on: on[c]})
-			}
-			p.tags[rel].reducers = append(p.tags[rel].reducers, reducer{sub: i, q: q})
-		}
-	}
-	return p
-}
-
 // parts splits what sub-query s adds to base into its two kinds of part: its
 // conditions over base's own columns (res: Selections and Joins), and the
 // connected components of the relations it adds (components), each with the
 // base attributes its joins attach it at (on[c], aligned with the component's
-// projection, its side of those joins). carry, if not nil, is told every
-// base attribute a part reads, in the order the parts read them.
-func parts(base, s *query.Query, carry func(schema.AttrRef)) (res query.Query, comps []*query.Query, on [][]schema.AttrRef) {
+// projection, its side of those joins).
+func parts(base, s *query.Query) (res query.Query, comps []*query.Query, on [][]schema.AttrRef) {
 	var groupBuf [8]int
 	group := append(groupBuf[:0], make([]int, len(s.From))...) // the component of each relation s names, −1 for B's
 	comps = components(s, base, group)
 	on = make([][]schema.AttrRef, len(comps))
-	read := func(a schema.AttrRef) {
-		if carry != nil {
-			carry(a)
-		}
-	}
 	at := func(r string) int {
 		if k := slices.Index(s.From, r); k >= 0 {
 			return group[k]
@@ -219,14 +142,12 @@ func parts(base, s *query.Query, carry func(schema.AttrRef)) (res query.Query, c
 	// attach joins component c at the base attribute left, in s's join order.
 	attach := func(c int, left, right schema.AttrRef) {
 		on[c], comps[c].Project = append(on[c], left), append(comps[c].Project, right)
-		read(left)
 	}
 	for _, sel := range s.Selections {
 		if c := at(sel.Attr.Relation); c >= 0 {
 			comps[c].Selections = append(comps[c].Selections, sel)
 		} else if !slices.Contains(base.Selections, sel) {
 			res.Selections = append(res.Selections, sel)
-			read(sel.Attr)
 		}
 	}
 	for _, j := range s.Joins {
@@ -240,8 +161,6 @@ func parts(base, s *query.Query, carry func(schema.AttrRef)) (res query.Query, c
 			attach(rc, j.Left, j.Right)
 		case !base.HasJoin(j):
 			res.Joins = append(res.Joins, j)
-			read(j.Left)
-			read(j.Right)
 		}
 	}
 	return res, comps, on
@@ -297,10 +216,11 @@ func components(s, base *query.Query, group []int) []*query.Query {
 	return comps
 }
 
-// reducerSeed is where a reducer's tree starts: at q.From[0], unless an
-// in-memory table's equality selection can start it (Table.OpenEq) and every
-// relation further out, in buildJoinTree's order, builds from a column index
-// (indexedBuild). A tag relation reads the reducer's rows in any order.
+// reducerSeed is where the tree of a reducer, or of a sub-query the fallback
+// runs, starts: at q.From[0], unless an in-memory table's equality selection
+// can start it (Table.OpenEq) and every relation further out, in
+// buildJoinTree's order, builds from a column index (indexedBuild). A row
+// mark, a key set and the fallback's group table read the rows in any order.
 func reducerSeed(ctx context.Context, db *storage.DB, q *query.Query) string {
 	selects := func(r string, eq bool) bool {
 		return slices.ContainsFunc(q.Selections, func(s query.Selection) bool {
@@ -328,125 +248,6 @@ func reducerSeed(ctx context.Context, db *storage.DB, q *query.Query) string {
 		}
 	}
 	return q.From[0]
-}
-
-// run executes the plan into grouper: B's join tree runs once, every tuple is
-// looked up in each tag relation, and its projection is added under the bits
-// of the sub-queries whose parts all hold. A reducer's time is booked to its
-// sub-query in stats. Every relation opens through buildJoinTree, hence through
-// the batch's scan share.
-func (p *onePass) run(ctx context.Context, db *storage.DB, grouper *iter.Grouper, stats []SubQueryStat) (err error) {
-	tree, err := buildJoinTree(ctx, db, p.base, p.base.From[0])
-	if err != nil {
-		return err
-	}
-	// Whatever is built from here on hangs off tree: one Close releases it.
-	defer func() { err = closing(tree, err) }()
-	full := make([]uint64, (len(stats)+63)/64) // every sub-query's bit
-	for i := range stats {
-		full[i/64] |= 1 << (i % 64)
-	}
-	words, width := len(full), len(p.base.Project)
-	col := func(a schema.AttrRef) int { return position(p.base.Project, a) }
-	// free[t] has the bits of the sub-queries that ask nothing of tag relation
-	// t. A relation in memory (rels[t]) is probed in place on its key columns
-	// of a tuple (key[t]) and closed after the pass; one that spilled is
-	// left-outer-joined to the tree, and its words sit at column at[t].
-	free := make([][]uint64, len(p.tags))
-	rels := make([]*iter.Grouper, len(p.tags))
-	key, at := make([][]int, len(p.tags)), make([]int, len(p.tags))
-	defer func() {
-		for _, rel := range rels {
-			if rel != nil {
-				rel.Close() // nothing to report: it never spilled
-			}
-		}
-	}()
-	joined := width // columns of a tuple
-	for ti, t := range p.tags {
-		rel := iter.NewGrouper(ctx, len(stats))
-		free[ti] = slices.Clone(full)
-		for _, r := range t.reducers {
-			free[ti][r.sub/64] &^= 1 << (r.sub % 64)
-			// The reducer drains into the relation, whose grouping is its DISTINCT.
-			start := time.Now()
-			red, err := buildJoinTree(ctx, db, r.q, reducerSeed(ctx, db, r.q))
-			if err == nil {
-				err = closing(red, each(red, func(row storage.Row) error { return rel.Add(row, r.sub) }))
-			}
-			stats[r.sub].Elapsed += time.Since(start)
-			if err != nil {
-				rel.Close()
-				return fmt.Errorf("sub-query %d: %w", r.sub, err)
-			}
-		}
-		var buildIdx, out []int
-		for k, a := range t.on {
-			key[ti], buildIdx = append(key[ti], col(a)), append(buildIdx, k)
-		}
-		if !rel.Spilled() {
-			rels[ti] = rel
-			continue
-		}
-		// A budget is what spills a relation, and the join's Grace path is what
-		// holds a spilled build within it.
-		for c := 0; c < joined+words; c++ {
-			out = append(out, c)
-			if c >= joined {
-				out[c] += len(t.on) // the words follow the key on the build side
-			}
-		}
-		tree = op(iter.LeftOuterJoin(ctx, tree, op(rel), key[ti], buildIdx, joined, out, nil))
-		at[ti], joined = joined, joined+words
-	}
-	// holds[i] are the residual conditions of sub-query i over a tuple.
-	holds := make([][]func(storage.Row) bool, len(p.residual))
-	for i, res := range p.residual {
-		for _, sel := range res.Selections {
-			c := col(sel.Attr)
-			holds[i] = append(holds[i], func(r storage.Row) bool { return sel.Op.Test(&r[c], &sel.Value) })
-		}
-		for _, j := range res.Joins {
-			l, r := col(j.Left), col(j.Right)
-			holds[i] = append(holds[i], func(row storage.Row) bool { return row[l].Compare(row[r]) == 0 })
-		}
-	}
-	mask := make([]uint64, words)
-	found := make([][]uint64, len(p.tags)) // a tuple's words in each relation in memory, nil if none
-	return each(tree, func(row storage.Row) error {
-		for ti, rel := range rels {
-			if rel != nil {
-				found[ti] = rel.Lookup(row, key[ti])
-			}
-		}
-		var hit uint64
-		for w := range mask {
-			m := full[w]
-			for ti := range p.tags {
-				tagged := free[ti][w]
-				if tags := found[ti]; tags != nil {
-					tagged |= tags[w]
-				} else if rels[ti] == nil && !row[at[ti]+w].IsNull() {
-					tagged |= uint64(row[at[ti]+w].AsInt())
-				}
-				m &= tagged
-			}
-			for rest := m; rest != 0; rest &= rest - 1 {
-				i := w*64 + bits.TrailingZeros64(rest)
-				for _, test := range holds[i] {
-					if !test(row) {
-						m &^= 1 << (i % 64)
-						break
-					}
-				}
-			}
-			mask[w], hit = m, hit|m
-		}
-		if hit == 0 {
-			return nil
-		}
-		return grouper.AddMask(row[:p.project], mask)
-	})
 }
 
 // each pulls every row of it through fn.

@@ -24,123 +24,6 @@ func wholePlan(sch *schema.Schema, subs []*query.Query) *UnionPlan {
 	return NewUnionPlan(sch, q, adds)
 }
 
-// renderPlan writes a union's one-pass plan out: the base, then per
-// sub-query its conditions over the base's columns, then per tag relation
-// what it attaches at and the reducer behind each sub-query's bit.
-func renderPlan(u *UnionPlan) string {
-	p := u.onePass()
-	var b strings.Builder
-	fmt.Fprintf(&b, "base: %s\n", p.base.SQL())
-	for i, res := range p.residual {
-		fmt.Fprintf(&b, "sub %d:", i)
-		for _, sel := range res.Selections {
-			fmt.Fprintf(&b, " [%s]", sel)
-		}
-		for _, j := range res.Joins {
-			fmt.Fprintf(&b, " [%s]", j)
-		}
-		b.WriteString("\n")
-	}
-	for ti, t := range p.tags {
-		fmt.Fprintf(&b, "tag %d on %v\n", ti, t.on)
-		for _, r := range t.reducers {
-			fmt.Fprintf(&b, "  sub %d: %s\n", r.sub, r.q.SQL())
-		}
-	}
-	return b.String()
-}
-
-// TestUnionFactor pins the factoring step on hand-written sub-queries.
-func TestUnionFactor(t *testing.T) {
-	sch := workload.Schema()
-	for _, c := range []struct {
-		name, project string
-		tails         []string
-		want          string
-	}{
-		{"disjoint extra relations fold by attachment", "title FROM MOVIE", []string{
-			", GENRE WHERE MOVIE.year >= 1950 AND MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00'",
-			", DIRECTOR WHERE MOVIE.year >= 1950 AND DIRECTOR.did = MOVIE.did AND DIRECTOR.name = 'Director 0001'",
-			", CAST, ACTOR WHERE MOVIE.year >= 1950 AND MOVIE.mid = CAST.mid AND CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00001'",
-			", GENRE WHERE MOVIE.year >= 1950 AND GENRE.mid = MOVIE.mid AND GENRE.genre = 'genre01'",
-		}, `base: SELECT MOVIE.title, MOVIE.mid, MOVIE.did FROM MOVIE WHERE MOVIE.year >= 1950
-sub 0:
-sub 1:
-sub 2:
-sub 3:
-tag 0 on [MOVIE.mid]
-  sub 0: SELECT GENRE.mid FROM GENRE WHERE GENRE.genre = 'genre00'
-  sub 2: SELECT CAST.mid FROM CAST, ACTOR WHERE CAST.aid = ACTOR.aid AND ACTOR.name = 'Actor 00001'
-  sub 3: SELECT GENRE.mid FROM GENRE WHERE GENRE.genre = 'genre01'
-tag 1 on [MOVIE.did]
-  sub 1: SELECT DIRECTOR.did FROM DIRECTOR WHERE DIRECTOR.name = 'Director 0001'
-`},
-		{"a sub-query equal to the base has no parts", "title FROM MOVIE, DIRECTOR", []string{
-			" WHERE MOVIE.did = DIRECTOR.did",
-			" WHERE DIRECTOR.did = MOVIE.did AND DIRECTOR.name = 'Director 0001'",
-		}, `base: SELECT MOVIE.title, DIRECTOR.name FROM MOVIE, DIRECTOR WHERE MOVIE.did = DIRECTOR.did
-sub 0:
-sub 1: [DIRECTOR.name = 'Director 0001']
-`},
-		{"no common selection: every selection is residual", "title FROM MOVIE", []string{
-			" WHERE MOVIE.year >= 1950 AND MOVIE.duration <= 100",
-			" WHERE MOVIE.year >= 1960",
-		}, `base: SELECT MOVIE.title, MOVIE.year, MOVIE.duration FROM MOVIE
-sub 0: [MOVIE.year >= 1950] [MOVIE.duration <= 100]
-sub 1: [MOVIE.year >= 1960]
-`},
-		{"composite attachment, and a join only one sub-query states", "title FROM MOVIE, CAST", []string{
-			", GENRE WHERE MOVIE.mid = CAST.mid AND GENRE.mid = MOVIE.mid AND CAST.mid = GENRE.mid AND GENRE.genre = 'genre00'",
-			" WHERE MOVIE.mid = CAST.mid AND MOVIE.did = CAST.aid",
-		}, `base: SELECT MOVIE.title, MOVIE.mid, CAST.mid, MOVIE.did, CAST.aid FROM MOVIE, CAST WHERE MOVIE.mid = CAST.mid
-sub 0:
-sub 1: [MOVIE.did = CAST.aid]
-tag 0 on [MOVIE.mid CAST.mid]
-  sub 0: SELECT GENRE.mid, GENRE.mid FROM GENRE WHERE GENRE.genre = 'genre00'
-`},
-		{"disconnected components are existence tests", "title FROM MOVIE", []string{
-			", DIRECTOR WHERE DIRECTOR.did = 3",
-			", CAST, ACTOR WHERE CAST.aid = ACTOR.aid AND ACTOR.aid = 7",
-			", GENRE, DIRECTOR WHERE MOVIE.mid = GENRE.mid AND DIRECTOR.did = 9999",
-		}, `base: SELECT MOVIE.title, MOVIE.mid FROM MOVIE
-sub 0:
-sub 1:
-sub 2:
-tag 0 on []
-  sub 0: SELECT  FROM DIRECTOR WHERE DIRECTOR.did = 3
-  sub 1: SELECT  FROM CAST, ACTOR WHERE CAST.aid = ACTOR.aid AND ACTOR.aid = 7
-  sub 2: SELECT  FROM DIRECTOR WHERE DIRECTOR.did = 9999
-tag 1 on [MOVIE.mid]
-  sub 2: SELECT GENRE.mid FROM GENRE
-`},
-		{"two components at one attachment must both hold: a relation each", "title FROM MOVIE", []string{
-			", GENRE, CAST WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre01' AND MOVIE.mid = CAST.mid AND CAST.aid <= 3",
-			", GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00'",
-			", CAST WHERE MOVIE.year >= 1990 AND MOVIE.mid = CAST.mid AND CAST.aid = 9",
-			"",
-		}, `base: SELECT MOVIE.title, MOVIE.mid, MOVIE.year FROM MOVIE
-sub 0:
-sub 1:
-sub 2: [MOVIE.year >= 1990]
-sub 3:
-tag 0 on [MOVIE.mid]
-  sub 0: SELECT GENRE.mid FROM GENRE WHERE GENRE.genre = 'genre01'
-  sub 1: SELECT GENRE.mid FROM GENRE WHERE GENRE.genre = 'genre00'
-  sub 2: SELECT CAST.mid FROM CAST WHERE CAST.aid = 9
-tag 1 on [MOVIE.mid]
-  sub 0: SELECT CAST.mid FROM CAST WHERE CAST.aid <= 3
-`},
-	} {
-		var subs []*query.Query
-		for _, tail := range c.tails {
-			subs = append(subs, sqlparse.MustParse(sch, "SELECT "+c.project+tail))
-		}
-		if got := renderPlan(wholePlan(sch, subs)); got != c.want {
-			t.Errorf("%s:\n%s\nwant:\n%s", c.name, got, c.want)
-		}
-	}
-}
-
 // TestUnionPhysicalPasses: the union plan reads what the sub-queries share
 // once and every relation a sub-query adds once for that sub-query, while
 // the charge stays Formula 6's — each sub-query pays every heap file it names.
@@ -201,11 +84,11 @@ func independentUnion(t *testing.T, db *storage.DB, subs []*query.Query) (matche
 	return matched, blocks
 }
 
-// TestUnionSignedZeroLiterals: derive finds what sub-queries share by struct
+// TestUnionSignedZeroLiterals: hoist finds what sub-queries share by struct
 // equality of their selections, and a FLOAT literal's payload is its bits, so
 // ">= 0.0" and ">= -0.0" — one condition under Op.Eval — are two selections
-// there: neither joins the base, each stays its sub-query's residual. The
-// answer must still be what each sub-query returns alone.
+// there: neither joins the base. The answer must still be what each
+// sub-query returns alone.
 func TestUnionSignedZeroLiterals(t *testing.T) {
 	db := workload.GenerateDB(workload.DBConfig{Movies: 120, Directors: 12, Actors: 40, Seed: 7})
 	var subs []*query.Query
@@ -215,9 +98,6 @@ func TestUnionSignedZeroLiterals(t *testing.T) {
 		"SELECT title FROM MOVIE, GENRE WHERE MOVIE.mid = GENRE.mid AND GENRE.genre = 'genre00' AND MOVIE.duration >= -0.0",
 	} {
 		subs = append(subs, sqlparse.MustParse(db.Schema(), sql))
-	}
-	if p := wholePlan(db.Schema(), subs); len(p.base.Selections) != 0 || len(p.onePass().residual[0].Selections) != 2 || len(p.onePass().residual[1].Selections) != 2 {
-		t.Errorf("signed zeros shared a selection:\n%s", renderPlan(p))
 	}
 	want, blocks := independentUnion(t, db, subs)
 	got, err := wholePlan(db.Schema(), subs).EvalContext(context.Background(), db, nil, 1)
@@ -299,12 +179,11 @@ func perm(pick func(n int) int, n int) []int {
 	return m
 }
 
-// unionBudget is small enough that most tag relations the generator draws
-// spill (and with them the base's builds and the union's group table), large
-// enough that a relation of a few keys stays in memory beside one that spills:
-// of the 409 tag relations TestUnionMatchesIndependentEvaluation's unions
-// build, 267 spill under it, and 87 of its unions hold both kinds. Unbudgeted,
-// none spills.
+// unionBudget is small enough that the base of nearly every union the
+// generator draws outgrows it, so the union runs its sub-queries one at a
+// time, and their join builds and the union's group table spill: 287 of
+// TestUnionMatchesIndependentEvaluation's 300 budgeted unions run so, and
+// they spill 746 times. Unbudgeted, none spills.
 const unionBudget = 512
 
 // checkUnion evaluates the union unbudgeted on an emptied base cache, again
@@ -340,16 +219,16 @@ func checkUnion(t *testing.T, db *storage.DB, trial string, sqls []string) {
 			ok = ok && fmt.Sprint(r.Matched) == fmt.Sprint(want[renderKey(r.Key)])
 		}
 		if !ok {
-			t.Fatalf("%s, budget %d: %d keys and %d blocks, want %d and %d, or some key's matches differ\n%s\n%s",
+			t.Fatalf("%s, budget %d: %d keys and %d blocks, want %d and %d, or some key's matches differ\n%s",
 				trial, iter.BudgetFromContext(ctx).Bytes, len(got.Rows), got.BlockReads, len(want), blocks,
-				strings.Join(sqls, "\n"), renderPlan(wholePlan(db.Schema(), subs)))
+				strings.Join(sqls, "\n"))
 		}
 	}
 }
 
 // TestUnionMatchesIndependentEvaluation draws 300 unions and requires the
-// one-pass plan to match each sub-query evaluated alone, in memory and with
-// its tag relations spilled.
+// base cache, cold and warm, and the sub-queries run one at a time under a
+// spill budget to match each sub-query evaluated alone.
 func TestUnionMatchesIndependentEvaluation(t *testing.T) {
 	db := unionDB()
 	rng := rand.New(rand.NewSource(18))
@@ -357,7 +236,7 @@ func TestUnionMatchesIndependentEvaluation(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		checkUnion(t, db, fmt.Sprint("trial ", trial), drawUnion(rng.Intn))
 	}
-	// About 1 100 runs: tag relations, builds and group tables.
+	// About 750 runs: the sub-queries' builds and the group tables.
 	if runs1, _, _ := iter.SpillStats(); runs1-runs0 < 300 {
 		t.Errorf("%d spill runs over 300 budgeted unions", runs1-runs0)
 	}

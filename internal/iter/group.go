@@ -12,10 +12,10 @@ import (
 
 // Grouper is a key → tag-set relation: it accumulates (row, tags) pairs and
 // yields each distinct row once with the union of the tags added under it. It
-// is the personalized union's GROUP BY — tag i being sub-query i — the union
-// plan's tag relations, where the row is a join key and tag i says sub-query
-// i's reducer produced it (probed in place with Lookup, or joined through Next
-// once spilled), and with no tags at all Distinct. The rows are a RowSet (its
+// is the personalized union's GROUP BY — tag i being sub-query i — the base
+// cache's key set, where the row is a join key and a tag says which reducer
+// produced it (probed in place with Lookup), and with no tags at all
+// Distinct. The rows are a RowSet (its
 // own copies, so callers may add transient rows), their tags ⌈nTags/64⌉-word
 // bitsets in one flat slice. When the table outgrows the context budget the grouper
 // spills its groups to hash partitions as frames, and regroups partition by
@@ -194,7 +194,7 @@ func (g *Grouper) Each(fn func(row storage.Row, tags []uint64) error) error {
 }
 
 // Next makes a filled grouper an Iterator over its groups, each laid out as
-// a frame: a join's build side reads a tag relation through it.
+// a frame.
 func (g *Grouper) Next() (storage.Row, bool, error) {
 	row, tags, ok, err := g.next()
 	if !ok || err != nil {

@@ -594,6 +594,42 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestShutdownClosesSilentConnection: a connection that never sends a
+// request — what a peer's client leaves behind when a dial it started loses
+// the race to an idle connection — does not hold Shutdown for the 5 s
+// net/http waits on such a connection: Shutdown closes it a moment after the
+// listener and returns inside a 3 s deadline.
+func TestShutdownClosesSilentConnection(t *testing.T) {
+	s, err := New(cqp.SyntheticMovieDB(200, 1), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.fresh) == 1
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown with a silent connection open: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("the silent connection reads %v, want EOF: the server closed it", err)
+	}
+}
+
 // TestExecuteLimitTotalRows: /execute and an execute-mode batch item keep a
 // heap of limit rows instead of ranking the whole answer, and still answer
 // what the library's full execution does — its first limit rows, and its

@@ -168,8 +168,9 @@ type Server struct {
 	// load balancer never routes to a daemon still rebuilding profiles.
 	ready atomic.Bool
 
-	mu   sync.Mutex
-	http *http.Server
+	mu    sync.Mutex
+	http  *http.Server
+	fresh map[net.Conn]struct{} // connections that have sent no request yet
 }
 
 // New wires a daemon over the database: it builds the Personalizer,
@@ -343,8 +344,10 @@ func (s *Server) Serve(ln net.Listener) error {
 		Handler:           s.mux,
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
+		ConnState:         s.connState,
 	}
-	s.http = srv
+	srv.RegisterOnShutdown(func() { time.AfterFunc(freshGrace, s.closeFresh) })
+	s.http, s.fresh = srv, make(map[net.Conn]struct{})
 	s.mu.Unlock()
 	err := srv.Serve(ln)
 	if err == http.ErrServerClosed {
@@ -353,8 +356,34 @@ func (s *Server) Serve(ln net.Listener) error {
 	return err
 }
 
-// Shutdown drains gracefully: stop accepting connections, wait for in-
-// flight handlers up to ctx's deadline, stop the admission pool once no
+// freshGrace is how long a connection that has sent no request may still
+// send one once Shutdown has closed the listeners. http.Server.Shutdown
+// counts such a connection (StateNew) as idle only after 5 s, and a peer's
+// client leaves one behind whenever a dial it started lost the race to an
+// idle connection; so closeFresh closes those still new by then.
+const freshGrace = 100 * time.Millisecond
+
+func (s *Server) connState(c net.Conn, st http.ConnState) {
+	s.mu.Lock()
+	if st == http.StateNew {
+		s.fresh[c] = struct{}{}
+	} else {
+		delete(s.fresh, c)
+	}
+	s.mu.Unlock()
+}
+
+func (s *Server) closeFresh() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c := range s.fresh {
+		c.Close()
+	}
+}
+
+// Shutdown drains gracefully: stop accepting connections, close those that
+// have sent no request freshGrace later, wait for in-flight handlers up to
+// ctx's deadline, stop the admission pool once no
 // handler can enqueue more work, then sync and close the durable store's
 // log — strictly last, so no acked mutation can race a closing log.
 func (s *Server) Shutdown(ctx context.Context) error {

@@ -241,12 +241,12 @@ func (r *Result) Execute() (*exec.UnionResult, error) {
 
 // ExecuteContext is Execute with tracing: when ctx carries a trace it laps
 // an "execute" span laid out like the executor's union plan — attributes
-// base (hit, fill or onepass: how the store's base cache served B),
+// base (hit, fill or subqueries: how the store's base cache served B),
 // bitmaps_hit and bitmaps_built (the sub-queries whose group bitmaps it had
 // and built), marks_hit and marks_built (the row marks those builds read
 // and computed), base_time and rank, and one "subquery[i]" child per
-// sub-query (the build of its bitmap, zero on a hit; on the one-pass plan
-// the reducers it fed), so the children are not additive. Every execution also
+// sub-query (the build of its bitmap, zero on a hit; on the fallback, that
+// sub-query's evaluation), so the children are not additive. Every execution also
 // feeds the estimator-accuracy tracker (when the personalizer observes a
 // registry) with estimated versus actual cost and size — the live
 // counterpart of the paper's Figure 15 comparison — and an all-match
