@@ -18,7 +18,8 @@
 //	cqpd -preload 60                  # store a synthetic profile as "default"
 //	cqpd -faults 'storage.scan:err:0.05' -faultseed 42   # chaos run
 //	cqpd -slowlog 50ms -logjson       # attribute every request ≥ 50ms, JSON logs
-//	cqpd -flight 1024                 # retain more requests for /debug/requests
+//	cqpd -flight 1024                 # retain more requests for /debug/requests,
+//	                                  # and summarize them in /slo
 //	cqpd -node-id n1 -data s1/ -replicate \
 //	     -peers 'n1=http://h1:8344,n2=http://h2:8344,n3=http://h3:8344'
 //	                                  # one member of a 3-node cluster
@@ -82,7 +83,7 @@ func main() {
 		faultSeed = flag.Int64("faultseed", 1, "seed for the fault plan's injection decisions")
 		logJSON   = flag.Bool("logjson", false, "emit request logs as JSON instead of logfmt-style text")
 		slowLog   = flag.Duration("slowlog", -1, "log per-phase latency attribution for requests at least this slow (0 = every request; negative disables)")
-		flightN   = flag.Int("flight", 256, "flight-recorder ring size for /debug/requests (negative disables retention)")
+		flightN   = flag.Int("flight", 256, "flight-recorder ring size: the requests /debug/requests lists and /slo summarizes (negative disables retention)")
 		nodeID    = flag.String("node-id", "", "this node's ID in a multi-node cluster (requires -peers)")
 		peersCSV  = flag.String("peers", "", "static cluster peer list: comma-separated id=url pairs including this node, e.g. 'n1=http://10.0.0.1:8344,n2=http://10.0.0.2:8344'")
 		replicate = flag.Bool("replicate", false, "ship acked WAL frames to followers so reads fail over when an owner dies (requires -peers and -data)")

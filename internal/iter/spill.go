@@ -38,20 +38,33 @@ func SpillStats() (runs, rows, bytes int64) {
 	return spillRuns.Load(), spillRows.Load(), spillBytes.Load()
 }
 
-// spillRun is one operator's set of hash partition files. Files are
-// unlinked immediately after creation, so crashed processes leak nothing.
-// A frame is a uvarint length and a row in the blockstore sort-preserving
-// codec (self-delimiting, so wide schema-less tuples round-trip).
+// spillRun is one operator's hash partitions, kept in one temp file that
+// is unlinked as soon as it is created, so a crashed process leaks nothing.
+// Each partition gathers its frames in a small buffer; a full buffer goes
+// to the end of the file as one chunk, and the partition keeps where its
+// chunks lie. A frame is a uvarint length and a row in the blockstore
+// sort-preserving codec (self-delimiting, so wide schema-less tuples
+// round-trip).
 type spillRun struct {
-	files []*os.File
-	w     []*bufio.Writer
-	rows  []int
-	buf   []byte
+	file   *os.File
+	size   int64                     // bytes appended to file so far
+	buf    [spillFanout][]byte       // each partition's frames not yet appended
+	chunks [spillFanout][]spillChunk // where each partition's appended frames lie
+	rows   [spillFanout]int
+	frame  []byte
 }
 
-// newSpillRun opens fanout partition files under dir (or the OS temp dir).
-// The iter.spill fault point fires here: a failing scratch disk surfaces
-// at the moment an operator first needs it.
+// spillChunk is one appended buffer: n bytes of file at off.
+type spillChunk struct{ off, n int64 }
+
+// spillChunkBytes is a partition buffer's size. A run holds spillFanout of
+// them, and buffer memory must not dwarf the budget that triggered the
+// spill in the first place.
+const spillChunkBytes = 1 << 13
+
+// newSpillRun opens the run's file under dir (or the OS temp dir). The
+// iter.spill fault point fires here: a failing scratch disk surfaces at the
+// moment an operator first needs it.
 func newSpillRun(dir string) (*spillRun, error) {
 	if err := fault.Inject(fault.IterSpill); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrSpill, err)
@@ -59,69 +72,77 @@ func newSpillRun(dir string) (*spillRun, error) {
 	if dir == "" {
 		dir = os.TempDir()
 	}
-	r := &spillRun{
-		files: make([]*os.File, spillFanout),
-		w:     make([]*bufio.Writer, spillFanout),
-		rows:  make([]int, spillFanout),
+	f, err := os.CreateTemp(dir, "cqp-spill-*")
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrSpill, err)
 	}
-	for i := range r.files {
-		f, err := os.CreateTemp(dir, "cqp-spill-*.part")
-		if err != nil {
-			r.Close()
-			return nil, fmt.Errorf("%w: %w", ErrSpill, err)
-		}
-		// Unlink now: the handle keeps the data alive, the namespace
-		// forgets it, and a crash cannot strand partitions on disk.
-		os.Remove(f.Name())
-		r.files[i] = f
-		// Small per-partition buffers: a run holds spillFanout of them,
-		// and buffer memory must not dwarf the budget that triggered the
-		// spill in the first place.
-		r.w[i] = bufio.NewWriterSize(f, 1<<13)
-	}
+	// Unlink now: the handle keeps the data alive, the namespace forgets
+	// it, and a crash cannot strand partitions on disk.
+	os.Remove(f.Name())
 	spillRuns.Add(1)
-	return r, nil
+	return &spillRun{file: f}, nil
 }
 
 // write appends one framed row to the partition owning hash h.
 func (r *spillRun) write(h uint64, row storage.Row) error {
 	p := int(h % spillFanout)
-	r.buf = blockstore.AppendRow(r.buf[:0], row)
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(r.buf)))
-	if _, err := r.w[p].Write(hdr[:n]); err != nil {
-		return fmt.Errorf("%w write: %w", ErrSpill, err)
+	r.frame = blockstore.AppendRow(r.frame[:0], row)
+	if r.buf[p] == nil {
+		r.buf[p] = make([]byte, 0, spillChunkBytes)
 	}
-	if _, err := r.w[p].Write(r.buf); err != nil {
-		return fmt.Errorf("%w write: %w", ErrSpill, err)
-	}
+	n := len(r.buf[p])
+	r.buf[p] = append(binary.AppendUvarint(r.buf[p], uint64(len(r.frame))), r.frame...)
 	r.rows[p]++
 	spillRows.Add(1)
-	spillBytes.Add(int64(n + len(r.buf)))
+	spillBytes.Add(int64(len(r.buf[p]) - n))
+	if len(r.buf[p]) >= spillChunkBytes {
+		if err := r.flush(p); err != nil {
+			return fmt.Errorf("%w write: %w", ErrSpill, err)
+		}
+	}
 	return nil
 }
 
-// finish flushes all partitions and rewinds them for read-back. The
-// iter.spill fault point fires once more: flush is where ENOSPC on a
-// nearly-full scratch disk actually lands.
+// flush appends partition p's buffer to the file as its next chunk.
+func (r *spillRun) flush(p int) error {
+	if len(r.buf[p]) == 0 {
+		return nil
+	}
+	n, err := r.file.Write(r.buf[p])
+	if err != nil {
+		return err
+	}
+	r.chunks[p] = append(r.chunks[p], spillChunk{r.size, int64(n)})
+	r.size += int64(n)
+	r.buf[p] = r.buf[p][:0]
+	return nil
+}
+
+// finish appends every partition's last chunk and drops the buffers. The
+// iter.spill fault point fires once more: the last appends are where
+// ENOSPC on a nearly-full scratch disk actually lands.
 func (r *spillRun) finish() error {
 	if err := fault.Inject(fault.IterSpill); err != nil {
 		return fmt.Errorf("%w: %w", ErrSpill, err)
 	}
-	for i, w := range r.w {
-		if err := w.Flush(); err != nil {
+	for p := range r.buf {
+		if err := r.flush(p); err != nil {
 			return fmt.Errorf("%w flush: %w", ErrSpill, err)
 		}
-		if _, err := r.files[i].Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("%w: %w", ErrSpill, err)
-		}
+		r.buf[p] = nil
 	}
 	return nil
 }
 
-// reader streams one partition back.
+// reader streams one partition back, chunk after chunk.
 func (r *spillRun) reader(p int) *spillReader {
-	return &spillReader{br: bufio.NewReaderSize(r.files[p], 1<<16), left: r.rows[p]}
+	chunks := make([]io.Reader, len(r.chunks[p]))
+	var n int64
+	for i, c := range r.chunks[p] {
+		chunks[i] = io.NewSectionReader(r.file, c.off, c.n)
+		n += c.n
+	}
+	return &spillReader{br: bufio.NewReaderSize(io.MultiReader(chunks...), int(min(n, 1<<16))), left: r.rows[p]}
 }
 
 // route writes the rest of src to the partitions hash assigns its rows to.
@@ -140,23 +161,15 @@ func (r *spillRun) route(p *poll, src Iterator, hash func(storage.Row) uint64) e
 	}
 }
 
-// Close releases every partition file (already unlinked). A nil run (the
+// Close releases the run's file (already unlinked). A nil run (the
 // operator never spilled) has nothing to release.
 func (r *spillRun) Close() error {
-	if r == nil {
+	if r == nil || r.file == nil {
 		return nil
 	}
-	var first error
-	for _, f := range r.files {
-		if f == nil {
-			continue
-		}
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	r.files = nil
-	return first
+	err := r.file.Close()
+	r.file = nil
+	return err
 }
 
 type spillReader struct {

@@ -342,15 +342,17 @@ const (
 // Flight is the bounded flight recorder: a ring of the last N finished
 // request records plus tail-sampled slow and errored/degraded sets. One
 // mutex guards a few pointer writes per request — nanoseconds against the
-// pipeline's microseconds-to-milliseconds runs.
+// pipeline's microseconds-to-milliseconds runs. The ring is also the window
+// /slo summarizes (SLO).
 type Flight struct {
-	mu      sync.Mutex
-	ring    []*Request
-	next    int
-	count   uint64     // total records ever added
-	slowest []*Request // unordered, ≤ slowestCap, min evicted on overflow
-	errored []*Request // ring of ≤ erroredCap
-	errNext int
+	mu        sync.Mutex
+	ring      []*Request
+	next      int
+	count     uint64          // total records ever added
+	slowest   []*Request      // unordered, ≤ slowestCap, min evicted on overflow
+	slowTotal []time.Duration // slowest[i]'s sealed total
+	errored   []*Request      // ring of ≤ erroredCap
+	errNext   int
 }
 
 // NewFlight returns a recorder retaining the last n requests (n ≤ 0
@@ -396,21 +398,98 @@ func (f *Flight) Add(r *Request) {
 	}
 	if len(f.slowest) < slowestCap {
 		f.slowest = append(f.slowest, r)
+		f.slowTotal = append(f.slowTotal, total)
 		return
 	}
 	minAt := 0
-	min := time.Duration(1<<63 - 1)
-	for i, s := range f.slowest {
-		s.mu.Lock()
-		st := s.total
-		s.mu.Unlock()
-		if st < min {
-			min, minAt = st, i
+	for i, t := range f.slowTotal {
+		if t < f.slowTotal[minAt] {
+			minAt = i
 		}
 	}
-	if total > min {
-		f.slowest[minAt] = r
+	if total > f.slowTotal[minAt] {
+		f.slowest[minAt], f.slowTotal[minAt] = r, total
 	}
+}
+
+// EndpointSLO is one endpoint's service-level summary over the requests
+// the ring holds.
+type EndpointSLO struct {
+	Count            int64   `json:"count"`
+	P50MS            float64 `json:"p50_ms"`
+	P95MS            float64 `json:"p95_ms"`
+	P99MS            float64 `json:"p99_ms"`
+	P999MS           float64 `json:"p999_ms"`
+	MeanMS           float64 `json:"mean_ms"`
+	ErrorRate        float64 `json:"error_rate"`
+	DegradedRate     float64 `json:"degraded_rate"`
+	CacheHitRatio    float64 `json:"cache_hit_ratio"`
+	CoalesceHitRatio float64 `json:"coalesce_hit_ratio"`
+}
+
+// SLO summarizes the requests the ring holds, per endpoint: latency
+// quantiles over DurationBucketsMS, the error (status ≥ 500) and degraded
+// (any rung) rates, and the cache-hit and coalesce-follower ratios. The
+// tail sets are left out: they keep requests for being slow or failed, and
+// would bias every rate. window is the span from the oldest ring record's
+// start to now, zero when the ring is empty or retention is off.
+func (f *Flight) SLO() (window time.Duration, endpoints map[string]EndpointSLO) {
+	if f == nil {
+		return 0, nil
+	}
+	f.mu.Lock()
+	ring := append([]*Request(nil), f.ring...)
+	f.mu.Unlock()
+	type tally struct {
+		hist                              HistSnapshot
+		errors, degraded, hits, followers int64
+	}
+	tallies := make(map[string]*tally)
+	now := time.Now()
+	for _, r := range ring {
+		window = max(window, now.Sub(r.start))
+		r.mu.Lock()
+		total, status, role, rung := r.total, r.status, r.role, r.rung
+		r.mu.Unlock()
+		t := tallies[r.endpoint]
+		if t == nil {
+			t = &tally{hist: HistSnapshot{Bounds: DurationBucketsMS, Counts: make([]int64, len(DurationBucketsMS)+1)}}
+			tallies[r.endpoint] = t
+		}
+		ms := float64(total) / float64(time.Millisecond)
+		t.hist.Counts[sort.SearchFloat64s(DurationBucketsMS, ms)]++
+		t.hist.Count++
+		t.hist.Sum += ms
+		if status >= 500 {
+			t.errors++
+		}
+		if rung != "" {
+			t.degraded++
+		}
+		switch role {
+		case "hit":
+			t.hits++
+		case "follower":
+			t.followers++
+		}
+	}
+	endpoints = make(map[string]EndpointSLO, len(tallies))
+	for endpoint, t := range tallies {
+		n := float64(t.hist.Count)
+		endpoints[endpoint] = EndpointSLO{
+			Count:            t.hist.Count,
+			P50MS:            t.hist.Quantile(0.50),
+			P95MS:            t.hist.Quantile(0.95),
+			P99MS:            t.hist.Quantile(0.99),
+			P999MS:           t.hist.Quantile(0.999),
+			MeanMS:           t.hist.Sum / n,
+			ErrorRate:        float64(t.errors) / n,
+			DegradedRate:     float64(t.degraded) / n,
+			CacheHitRatio:    float64(t.hits) / n,
+			CoalesceHitRatio: float64(t.followers) / n,
+		}
+	}
+	return window, endpoints
 }
 
 // Count returns how many records have been added over the recorder's

@@ -388,18 +388,27 @@ func TestSpanJSON(t *testing.T) {
 	}
 }
 
-func TestSLOReport(t *testing.T) {
-	s := NewSLO(6, 10*time.Second, nil)
-	now := time.Unix(1000, 0)
-	s.now = func() time.Time { return now }
-	for i := 0; i < 98; i++ {
-		s.Record("personalize", 2*time.Millisecond, 200, "leader", "")
-	}
-	s.Record("personalize", 80*time.Millisecond, 500, "solo", "")
-	s.Record("personalize", 30*time.Millisecond, 200, "follower", "stale")
-	s.Record("topk", time.Millisecond, 200, "hit", "")
+// finished seals a record that lasted about total, as a request answered
+// with status by the given role and rung would.
+func finished(endpoint string, total time.Duration, status int, role, rung string) *Request {
+	r := NewRequest(endpoint, "")
+	r.start = r.start.Add(-total)
+	r.SetRole(role)
+	r.SetRung(rung)
+	r.Finish(status, "")
+	return r
+}
 
-	rep := s.Report()
+func TestSLOReport(t *testing.T) {
+	f := NewFlight(101)
+	f.Add(finished("personalize", 80*time.Millisecond, 500, "solo", ""))
+	for i := 0; i < 98; i++ {
+		f.Add(finished("personalize", 2*time.Millisecond, 200, "leader", ""))
+	}
+	f.Add(finished("personalize", 30*time.Millisecond, 200, "follower", "stale"))
+	f.Add(finished("topk", time.Millisecond, 200, "hit", ""))
+
+	window, rep := f.SLO()
 	p := rep["personalize"]
 	if p.Count != 100 {
 		t.Fatalf("count = %d", p.Count)
@@ -416,15 +425,40 @@ func TestSLOReport(t *testing.T) {
 	if rep["topk"].CacheHitRatio != 1 {
 		t.Fatalf("topk hit ratio = %g", rep["topk"].CacheHitRatio)
 	}
-
-	// Advance beyond the window: old slots fall out of the report.
-	now = now.Add(2 * time.Minute)
-	if rep := s.Report(); len(rep) != 0 {
-		t.Fatalf("expired window still reports: %+v", rep)
+	if ms := float64(window) / float64(time.Millisecond); !(p.MeanMS > 0 && p.MeanMS <= ms) {
+		t.Fatalf("mean %gms outside a %gms window", p.MeanMS, ms)
 	}
-	// New traffic starts a fresh window.
-	s.Record("personalize", time.Millisecond, 200, "solo", "")
-	if rep := s.Report(); rep["personalize"].Count != 1 {
-		t.Fatalf("fresh window: %+v", rep)
+
+	// One more request pushes the oldest, the errored one, out of the ring.
+	// The tail sets still hold it, and the report must not count it.
+	f.Add(finished("personalize", time.Millisecond, 200, "solo", ""))
+	if _, rep := f.SLO(); rep["personalize"].Count != 100 || rep["personalize"].ErrorRate != 0 {
+		t.Fatalf("after the oldest left the ring: %+v", rep["personalize"])
+	}
+
+	// A recorder that retains nothing reports nothing, over no window.
+	off := NewFlight(0)
+	off.Add(finished("personalize", time.Millisecond, 500, "solo", ""))
+	if window, rep := off.SLO(); window != 0 || len(rep) != 0 {
+		t.Fatalf("disabled recorder: window %v, %+v", window, rep)
+	}
+}
+
+// BenchmarkFlightAdd measures one Add on a full recorder, the cost every
+// finished request pays: the ring and the slowest set are both at their
+// caps, so each Add looks for the slowest set's minimum.
+func BenchmarkFlightAdd(b *testing.B) {
+	f := NewFlight(256)
+	recs := make([]*Request, 1024)
+	for i := range recs {
+		recs[i] = finished("personalize", time.Duration(i%97)*time.Microsecond, 200, "leader", "")
+	}
+	for _, r := range recs {
+		f.Add(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Add(recs[i%len(recs)])
 	}
 }

@@ -68,12 +68,14 @@ func (s *Server) handleDebugRequest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleSLO serves GET /slo: per-endpoint rolling-window service-level
-// indicators — latency quantiles, error and degraded rates, cache and
-// coalesce hit ratios.
+// handleSLO serves GET /slo: per-endpoint service-level indicators over
+// the requests the flight recorder's ring holds — latency quantiles, error
+// and degraded rates, cache and coalesce hit ratios — and window_ms, the
+// span from the oldest of them to now.
 func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
+	window, endpoints := s.flight.SLO()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"window_ms": s.slo.Window().Milliseconds(),
-		"endpoints": s.slo.Report(),
+		"window_ms": float64(window) / float64(time.Millisecond),
+		"endpoints": endpoints,
 	})
 }

@@ -219,11 +219,11 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // instrument wraps a handler with the full request observability surface:
 // request-ID minting (honoring a sanitized incoming X-Request-ID, echoed on
 // the response), a flight record carried through the context, per-endpoint
-// and per-phase latency histograms, the rolling SLO window, the structured
-// request log, the slow-query log, and panic recovery — a panic that
-// escapes the handler (the server.cache injection point's panic mode fires
-// on this goroutine) becomes a counted 500 instead of a torn connection
-// with no metrics.
+// and per-phase latency histograms, the flight recorder (and through it
+// /slo), the structured request log, the slow-query log, and panic
+// recovery — a panic that escapes the handler (the server.cache injection
+// point's panic mode fires on this goroutine) becomes a counted 500 instead
+// of a torn connection with no metrics.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := obs.SanitizeRequestID(r.Header.Get("X-Request-ID"))
@@ -257,8 +257,8 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 }
 
 // finishRequest fans a sealed flight record out to every observability
-// sink: request and per-phase histograms, the SLO window, the flight
-// recorder, the request log, and the slow-query log.
+// sink: request and per-phase histograms, the flight recorder (whose ring
+// /slo summarizes), the request log, and the slow-query log.
 func (s *Server) finishRequest(endpoint string, rec *obs.Request) {
 	snap := rec.Snapshot()
 	total := time.Duration(snap.TotalUS) * time.Microsecond
@@ -270,7 +270,6 @@ func (s *Server) finishRequest(endpoint string, rec *obs.Request) {
 		s.reg.Histogram("server_phase_ms", obs.DurationBucketsMS,
 			"endpoint", endpoint, "phase", phase).Observe(float64(us) / 1000)
 	}
-	s.slo.Record(endpoint, total, snap.Status, snap.Role, snap.Rung)
 	s.flight.Add(rec)
 	if s.log == nil {
 		return

@@ -316,9 +316,10 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 
 	var report struct {
-		WindowMS  int64 `json:"window_ms"`
+		WindowMS  float64 `json:"window_ms"`
 		Endpoints map[string]struct {
 			Count         int64   `json:"count"`
+			MeanMS        float64 `json:"mean_ms"`
 			P50MS         float64 `json:"p50_ms"`
 			P99MS         float64 `json:"p99_ms"`
 			ErrorRate     float64 `json:"error_rate"`
@@ -334,8 +335,10 @@ func TestSLOEndpoint(t *testing.T) {
 		return ok && e.Count >= 3
 	})
 	e := report.Endpoints["personalize"]
-	if report.WindowMS <= 0 {
-		t.Fatalf("window_ms = %d", report.WindowMS)
+	// Every request in the ring started no earlier than the oldest one and
+	// finished before now, so none lasted longer than the window.
+	if !(0 < e.MeanMS && e.MeanMS <= report.WindowMS) {
+		t.Fatalf("mean_ms = %g over a window_ms of %g", e.MeanMS, report.WindowMS)
 	}
 	if e.P50MS < 0 || e.P99MS < e.P50MS {
 		t.Fatalf("insane quantiles: %+v", e)
@@ -345,6 +348,34 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 	if e.CacheHitRatio <= 0 { // requests 2 and 3 were warm
 		t.Fatalf("cache hit ratio %g after repeated identical requests", e.CacheHitRatio)
+	}
+}
+
+// TestSLOWindowIsTheRing: /slo summarizes the requests the flight
+// recorder's ring holds, so a 4-record ring reports the last 4 of 7.
+func TestSLOWindowIsTheRing(t *testing.T) {
+	s, ts := newTestServer(t, Config{FlightRecords: 4})
+	putProfile(t, ts.URL, "u1", testProfileText())
+	for i := 0; i < 6; i++ {
+		doJSON(t, http.MethodPost, ts.URL+"/personalize", personalizeBody("u1"))
+	}
+	waitObs(t, "all 7 requests recorded", func() bool { return s.flight.Count() == 7 })
+
+	var report struct {
+		Endpoints map[string]struct {
+			Count int64 `json:"count"`
+		} `json:"endpoints"`
+	}
+	_, data := doJSON(t, http.MethodGet, ts.URL+"/slo", nil)
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range report.Endpoints {
+		n += e.Count
+	}
+	if n > 4 || report.Endpoints["personalize"].Count != 4 {
+		t.Fatalf("a 4-record ring after 7 requests reports %d: %s", n, data)
 	}
 }
 

@@ -44,15 +44,17 @@ type Config struct {
 
 	// Logger receives the per-request structured log lines (one per
 	// finished request, plus slow-query lines). Nil disables request
-	// logging entirely — metrics, the flight recorder and /slo still run —
-	// which is the disarmed path benchmarks measure.
+	// logging entirely — metrics and the flight recorder, with the
+	// /debug/requests and /slo views of it, still run — which is the
+	// disarmed path benchmarks measure.
 	Logger *slog.Logger
 	// SlowLog, when positive, additionally logs the full per-phase latency
 	// attribution of every request at least this slow. Zero disables the
 	// slow-query log.
 	SlowLog time.Duration
-	// FlightRecords sizes the flight recorder's ring of recent requests
-	// (default 256; negative disables retention).
+	// FlightRecords sizes the flight recorder's ring of recent requests,
+	// which /debug/requests lists and /slo summarizes (default 256;
+	// negative disables retention and leaves /slo empty).
 	FlightRecords int
 	// BatchMaxItems caps the items one POST /personalize/batch may carry
 	// (default 64).
@@ -157,7 +159,6 @@ type Server struct {
 	pool     *Pool
 	flights  *flightTable
 	flight   *obs.Flight
-	slo      *obs.SLO
 	log      *slog.Logger
 	mux      *http.ServeMux
 	start    time.Time
@@ -198,7 +199,6 @@ func New(db *cqp.DB, cfg Config) (*Server, error) {
 		pool:    NewPool(cfg.Workers, cfg.QueueDepth, reg),
 		flights: newFlightTable(),
 		flight:  obs.NewFlight(cfg.FlightRecords),
-		slo:     obs.NewSLO(0, 0, nil),
 		log:     cfg.Logger,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
